@@ -17,7 +17,7 @@ use crate::memory::{
 use crate::meter::KernelCounters;
 use crate::pool::{Node, WorkerPool};
 use crate::profiler::Profiler;
-use crate::sched::{simulate, ExecMode, LaunchRecord, Timeline};
+use crate::sched::{ExecMode, LaunchRecord, SchedScratch, Timeline};
 use crate::stream::{EventId, StreamId};
 
 /// Most blocks a single launch may execute functionally. Far beyond any
@@ -194,6 +194,8 @@ pub struct Gpu {
     pool: WorkerPool,
     /// Wall-clock origin for host-execution spans.
     host_epoch: Instant,
+    /// The timing scheduler's buffers, reused across scopes.
+    sched_scratch: SchedScratch,
     profiler: Profiler,
     fault: Option<FaultState>,
 }
@@ -246,6 +248,7 @@ impl Gpu {
             tracker: DepTracker::new(),
             pool: WorkerPool::new(),
             host_epoch: Instant::now(),
+            sched_scratch: SchedScratch::default(),
             profiler: Profiler::new(),
             fault: None,
         }
@@ -801,7 +804,12 @@ impl Gpu {
     /// callers that retry must fully overwrite outputs.
     pub fn cancel_pending(&mut self) {
         self.flush_functional();
-        self.pending.clear();
+        // The cancelled work has run, so its events have fired: a later
+        // launch may still wait on one (`stream_wait_event` after the
+        // cancel) and must not find it unrecorded.
+        for p in self.pending.drain(..) {
+            self.fired_events.extend(p.record.record_events);
+        }
         self.pending_waits.clear();
         self.tracker.reset();
     }
@@ -828,7 +836,10 @@ impl Gpu {
                 self.fired_events.insert(e);
             }
         }
-        let timeline = simulate(&self.spec, &self.cost, self.mode, &launches);
+        let t0 = self.host_epoch.elapsed().as_secs_f64() * 1e6;
+        let timeline = self.sched_scratch.simulate(&self.spec, &self.cost, self.mode, &launches);
+        let t1 = self.host_epoch.elapsed().as_secs_f64() * 1e6;
+        self.profiler.absorb_timing_span(t0, t1);
         self.profiler.absorb(&timeline.events);
         timeline
     }
@@ -1079,6 +1090,22 @@ mod tests {
         let t = gpu.synchronize();
         assert!(t.events.is_empty(), "cancelled launches must not be simulated");
         assert!(gpu.profiler().kernels().is_empty(), "or profiled");
+    }
+
+    #[test]
+    fn events_of_cancelled_launches_have_fired() {
+        // The recovery path: a frame is abandoned after its events were
+        // recorded, and the retry waits on one of them.
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let (s1, s2) = (gpu.create_stream(), gpu.create_stream());
+        let buf = gpu.mem.alloc::<u32>(64);
+        gpu.launch(DoubleKernel { buf }, LaunchConfig::linear(64, 64), s1).unwrap();
+        let e = gpu.record_event(s1);
+        gpu.cancel_pending();
+        gpu.stream_wait_event(s2, e);
+        gpu.launch(DoubleKernel { buf }, LaunchConfig::linear(64, 64), s2).unwrap();
+        let t = gpu.synchronize();
+        assert_eq!(t.events.len(), 1, "only the launch after the cancel is simulated");
     }
 
     #[test]

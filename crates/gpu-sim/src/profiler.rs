@@ -110,12 +110,15 @@ pub struct Profiler {
     traces: Vec<TraceEvent>,
     per_kernel: BTreeMap<&'static str, KernelProfile>,
     host_spans: Vec<HostSpan>,
+    /// `(start, end)` of every timing simulation, wall-clock µs on the
+    /// host spans' clock.
+    timing_spans: Vec<(f64, f64)>,
     opaque_launches: u64,
 }
 
-/// Host spans carry host wall-clock times and so vary run to run; they
-/// are omitted here so a `Debug` fingerprint of the profiler stays
-/// deterministic (only the simulated-device state participates).
+/// Host and timing spans carry host wall-clock times and so vary run to
+/// run; they are omitted here so a `Debug` fingerprint of the profiler
+/// stays deterministic (only the simulated-device state participates).
 impl std::fmt::Debug for Profiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Profiler")
@@ -147,6 +150,19 @@ impl Profiler {
     /// Ingest host-execution spans from one asynchronous drain.
     pub fn absorb_host_spans(&mut self, spans: Vec<HostSpan>) {
         self.host_spans.extend(spans);
+    }
+
+    /// Ingest the wall-clock interval one timing simulation took.
+    pub(crate) fn absorb_timing_span(&mut self, t_start_us: f64, t_end_us: f64) {
+        self.timing_spans.push((t_start_us, t_end_us));
+    }
+
+    /// Host wall-clock µs spent in the timing phase ([`crate::sched::simulate`])
+    /// across all synchronization scopes. Kept apart from
+    /// [`Profiler::host_spans`], which are kernel bodies only: the timing
+    /// phase is simulator overhead, not simulated work.
+    pub fn timing_host_us(&self) -> f64 {
+        self.timing_spans.iter().map(|(t0, t1)| t1 - t0).sum()
     }
 
     /// Ingest the count of undeclared-access (full-barrier) launches
@@ -193,6 +209,7 @@ impl Profiler {
         self.traces.clear();
         self.per_kernel.clear();
         self.host_spans.clear();
+        self.timing_spans.clear();
         self.opaque_launches = 0;
     }
 
@@ -288,9 +305,11 @@ impl Profiler {
     /// every host worker becomes a row under `pid:1` showing which
     /// launch's block-chunks it ran when (wall-clock µs). Two spans from
     /// different launches overlapping on different rows is asynchronous
-    /// launch overlap, visible at a glance. Kept out of the default
-    /// renderer so device-only traces stay byte-identical across host
-    /// thread counts (host spans are wall-clock and inherently not).
+    /// launch overlap, visible at a glance. Each timing simulation adds a
+    /// `sched.simulate` slice on the application thread's row, after the
+    /// drain it follows. Kept out of the default renderer so device-only
+    /// traces stay byte-identical across host thread counts (host spans
+    /// are wall-clock and inherently not).
     pub fn render_chrome_trace_with_host(&self) -> String {
         let mut out = String::from("[");
         let mut first = true;
@@ -311,6 +330,18 @@ impl Profiler {
                 s.worker,
                 s.launch_idx,
                 s.blocks,
+            ));
+        }
+        for &(t0, t1) in &self.timing_spans {
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            out.push_str(&format!(
+                "\n  {{\"name\":\"sched.simulate\",\"cat\":\"host\",\"ph\":\"X\",\"ts\":{:.3},\
+                 \"dur\":{:.3},\"pid\":1,\"tid\":0}}",
+                t0,
+                t1 - t0,
             ));
         }
         out.push_str("\n]\n");
@@ -479,8 +510,19 @@ mod tests {
         assert!(s.contains("\"tid\":0") && s.contains("\"tid\":1"));
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         assert_eq!(s.matches("},").count() + 1, s.matches("\"name\"").count());
+        // The timing phase shows on the lane without becoming a host span.
+        p.absorb_timing_span(5.0, 7.5);
+        assert_eq!(p.timing_host_us(), 2.5);
+        assert_eq!(p.host_spans().len(), 2);
+        assert_eq!(p.render_chrome_trace(), device_only);
+        assert!(!format!("{p:?}").contains("timing"), "Debug stays wall-clock-free");
+        let s = p.render_chrome_trace_with_host();
+        assert!(s.contains("\"name\":\"sched.simulate\",\"cat\":\"host\",\"ph\":\"X\",\"ts\":5.000,\"dur\":2.500,\"pid\":1,\"tid\":0}"));
+        assert_eq!(s.matches('{').count(), s.matches('}').count());
+        assert_eq!(s.matches("},").count() + 1, s.matches("\"name\"").count());
         // Reset drops the lane.
         p.reset();
+        assert_eq!(p.timing_host_us(), 0.0);
         assert!(p.host_spans().is_empty());
         assert_eq!(p.render_chrome_trace_with_host(), "[\n]\n");
     }

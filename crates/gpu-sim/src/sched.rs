@@ -20,7 +20,7 @@
 //! poor latency hiding in addition to leaving SMs idle.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::cost::CostModel;
 use crate::device::DeviceSpec;
@@ -249,7 +249,7 @@ impl Timeline {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct SmState {
     blocks: u32,
     warps: u32,
@@ -260,13 +260,42 @@ struct SmState {
     warp_us: f64,
 }
 
+/// "No edge" in the reverse-dependency lists.
+const NO_EDGE: usize = usize::MAX;
+
+/// One launch's footprint, dependency bookkeeping and progress. The
+/// footprint is copied out of the [`LaunchRecord`] so the event loop
+/// walks one dense array.
 #[derive(Debug)]
 struct LaunchState {
+    blocks: usize,
+    warps: u32,
+    threads: u32,
+    shared: u32,
+    registers: u32,
+    /// Dependencies (stream predecessor, serial predecessor, awaited
+    /// events) that have not ended yet.
+    unmet_deps: usize,
+    /// Latest end time among the dependencies that have ended.
+    deps_end_us: f64,
+    /// Head of this launch's list in [`SchedScratch::edges`].
+    first_dependent: usize,
+    /// Whether the next placement attempt must look at every SM (see
+    /// the dirty-SM invariant on [`SchedScratch::dirty`]).
+    full_scan: bool,
     ready_us: Option<f64>,
     next_block: usize,
     completed_blocks: usize,
     start_us: Option<f64>,
     end_us: Option<f64>,
+}
+
+/// Reverse dependency edge: `to` waits on the launch whose list holds
+/// this edge; `next` chains that list.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    to: usize,
+    next: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -297,6 +326,53 @@ impl Ord for Completion {
     }
 }
 
+/// A launch whose dependencies are done but whose launch overhead is
+/// still elapsing: issuable once the clock reaches `time_us`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Arrival {
+    time_us: f64,
+    launch: usize,
+}
+
+impl Eq for Arrival {}
+impl PartialOrd for Arrival {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Arrival {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.time_us.total_cmp(&other.time_us).then(self.launch.cmp(&other.launch))
+    }
+}
+
+/// Working storage of [`simulate`], kept by [`crate::Gpu`] across
+/// synchronization scopes so short scopes (a served batch is a few dozen
+/// launches) do not re-allocate it every time. Holds no state between
+/// calls: every field is cleared on entry.
+#[derive(Debug, Default)]
+pub(crate) struct SchedScratch {
+    event_source: HashMap<EventId, usize>,
+    last_in_stream: HashMap<StreamId, usize>,
+    states: Vec<LaunchState>,
+    edges: Vec<Edge>,
+    sms: Vec<SmState>,
+    /// Block completions, earliest first.
+    running: BinaryHeap<Reverse<Completion>>,
+    /// Launches whose last dependency has ended and whose ready time is
+    /// not computed yet, lowest index first.
+    unblocked: BinaryHeap<Reverse<usize>>,
+    /// Launches with a ready time in the future.
+    arriving: BinaryHeap<Reverse<Arrival>>,
+    /// Launches that are ready and have blocks left to place, ascending.
+    issuable: Vec<usize>,
+    /// SMs on which a launch that found no SM at its previous attempt
+    /// may fit now: the SM the last completion freed, and every SM that
+    /// lost a reservation this round. Any other SM has only filled up
+    /// or become reserved since that attempt.
+    dirty: Vec<usize>,
+}
+
 /// Simulates the execution of `launches` on `spec` under `mode`.
 ///
 /// `launches` must be in launch order (`launch_idx` ascending). Event ids
@@ -308,144 +384,146 @@ pub fn simulate(
     mode: ExecMode,
     launches: &[LaunchRecord],
 ) -> Timeline {
-    let n = launches.len();
-    let mut sms = vec![
-        SmState {
-            blocks: 0,
-            warps: 0,
-            threads: 0,
-            shared: 0,
-            registers: 0,
-            busy_us: 0.0,
-            warp_us: 0.0
-        };
-        spec.sm_count as usize
-    ];
-    let mut states: Vec<LaunchState> = (0..n)
-        .map(|_| LaunchState {
-            ready_us: None,
-            next_block: 0,
-            completed_blocks: 0,
-            start_us: None,
-            end_us: None,
+    SchedScratch::default().simulate(spec, cost, mode, launches)
+}
+
+/// Marks launch `i` ended at `t` and releases its dependents: each one
+/// whose last unmet dependency this was joins `unblocked`.
+fn end_launch(
+    states: &mut [LaunchState],
+    edges: &[Edge],
+    unblocked: &mut BinaryHeap<Reverse<usize>>,
+    i: usize,
+    t: f64,
+) {
+    states[i].end_us = Some(t);
+    let mut e = states[i].first_dependent;
+    while e != NO_EDGE {
+        let Edge { to, next } = edges[e];
+        let d = &mut states[to];
+        d.deps_end_us = d.deps_end_us.max(t);
+        d.unmet_deps -= 1;
+        if d.unmet_deps == 0 {
+            unblocked.push(Reverse(to));
+        }
+        e = next;
+    }
+}
+
+/// The SM among `candidates` with the most free warps that fits a block
+/// of `l` (lowest index on ties), skipping `reserved_for_other`.
+fn best_sm(
+    spec: &DeviceSpec,
+    sms: &[SmState],
+    candidates: impl Iterator<Item = usize>,
+    l: &LaunchState,
+    reserved_for_other: Option<usize>,
+) -> Option<usize> {
+    candidates
+        .filter(|&s| {
+            let sm = &sms[s];
+            Some(s) != reserved_for_other
+                && sm.blocks < spec.max_blocks_per_sm
+                && sm.warps + l.warps <= spec.max_warps_per_sm
+                && sm.threads + l.threads <= spec.max_threads_per_sm
+                && sm.shared + l.shared <= spec.shared_mem_per_sm
+                && sm.registers + l.registers <= spec.registers_per_sm
         })
-        .collect();
-    // Launch overhead actually charged to each launch, reported on the
-    // trace so tools can attribute it as its own slice (fusion's saved
-    // overheads then show up in traces, not just aggregate spans).
-    let mut overheads = vec![0.0f64; n];
+        .max_by_key(|&s| (spec.max_warps_per_sm - sms[s].warps, Reverse(s)))
+}
 
-    // Map every event to the launch that records it.
-    let mut event_source: std::collections::HashMap<EventId, usize> = Default::default();
-    for (i, l) in launches.iter().enumerate() {
-        for &e in &l.record_events {
-            event_source.insert(e, i);
-        }
-    }
+impl SchedScratch {
+    /// [`simulate`] on this scratch's buffers.
+    pub(crate) fn simulate(
+        &mut self,
+        spec: &DeviceSpec,
+        cost: &CostModel,
+        mode: ExecMode,
+        launches: &[LaunchRecord],
+    ) -> Timeline {
+        let Self {
+            event_source,
+            last_in_stream,
+            states,
+            edges,
+            sms,
+            running,
+            unblocked,
+            arriving,
+            issuable,
+            dirty,
+        } = self;
+        let n = launches.len();
+        sms.clear();
+        sms.resize(spec.sm_count as usize, SmState::default());
+        running.clear();
+        unblocked.clear();
+        arriving.clear();
+        issuable.clear();
+        dirty.clear();
 
-    // Precompute each launch's in-stream predecessor. The readiness loop
-    // below runs every event-loop round; scanning `(0..i).rev()` there
-    // made each round O(n^2) in the launch count. One forward pass with a
-    // per-stream "last seen" map yields the same predecessor indices.
-    let mut stream_pred: Vec<Option<usize>> = Vec::with_capacity(n);
-    let mut last_in_stream: std::collections::HashMap<StreamId, usize> = Default::default();
-    for (i, l) in launches.iter().enumerate() {
-        stream_pred.push(last_in_stream.insert(l.stream, i));
-    }
-
-    // Validate event graph up front (no forward waits => no deadlock).
-    for (i, l) in launches.iter().enumerate() {
-        for e in &l.wait_events {
-            let src = event_source
-                .get(e)
-                .unwrap_or_else(|| panic!("launch {i} waits on unrecorded event {e:?}"));
-            assert!(*src < i, "launch {i} waits on event recorded by a later launch {src}");
-        }
-    }
-
-    let bw_per_sm = spec.dram_bytes_per_cycle() / spec.sm_count as f64;
-    let mut heap: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();
-    let mut now = 0.0f64;
-    let mut completed = 0usize;
-    // Anti-starvation reservation: when a ready launch cannot place its
-    // next block anywhere, the *oldest* such launch reserves one SM; no
-    // other launch may issue blocks there until the holder places a
-    // block. Without this, a wide block (say 18 warps) starves
-    // indefinitely behind a drip of narrow blocks from younger launches
-    // that backfill every freed slot — real work distributors dispatch
-    // blocks in kernel order and drain capacity for the oldest pending
-    // kernel instead. A single slot with age preemption keeps the rest of
-    // the device free for backfill while the reserved SM drains.
-    let mut reservation: Option<(usize, usize)> = None; // (launch, sm)
-
-    // A launch with zero blocks completes the instant it becomes ready.
-    let zero_block_complete =
-        |states: &mut Vec<LaunchState>, idx: usize, t: f64| -> bool {
-            if launches[idx].block_costs.is_empty() {
-                states[idx].start_us = Some(t);
-                states[idx].end_us = Some(t);
-                true
-            } else {
-                false
-            }
-        };
-
-    loop {
-        // Refresh readiness: a launch is ready when its stream predecessor,
-        // serial predecessor (in Serial mode) and awaited events are done.
-        for i in 0..n {
-            if states[i].ready_us.is_some() {
-                continue;
-            }
-            let mut ready_at = 0.0f64;
-            let mut ok = true;
-            // Stream-order predecessor.
-            if let Some(prev) = stream_pred[i] {
-                match states[prev].end_us {
-                    Some(t) => ready_at = ready_at.max(t),
-                    None => ok = false,
-                }
-            }
-            // Global serialization.
-            if ok && mode == ExecMode::Serial && i > 0 {
-                match states[i - 1].end_us {
-                    Some(t) => ready_at = ready_at.max(t),
-                    None => ok = false,
-                }
-            }
-            // Event waits.
-            if ok {
-                for e in &launches[i].wait_events {
-                    match states[event_source[e]].end_us {
-                        Some(t) => ready_at = ready_at.max(t),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            if ok {
-                let overhead = spec.launch_overhead_us
-                    + if mode == ExecMode::Serial {
-                        spec.serial_profiling_overhead_us
-                    } else {
-                        0.0
-                    };
-                let t = ready_at.max(now) + overhead;
-                overheads[i] = overhead;
-                states[i].ready_us = Some(t);
-                if zero_block_complete(&mut states, i, t) {
-                    completed += 1;
-                }
+        // Map every event to the launch that records it.
+        event_source.clear();
+        for (i, l) in launches.iter().enumerate() {
+            for &e in &l.record_events {
+                event_source.insert(e, i);
             }
         }
 
-        // Issue blocks from ready launches, in launch order, respecting the
-        // concurrent-kernel limit.
-        let mut active_kernels: u32 = (0..n)
-            .filter(|&i| states[i].next_block > 0 && states[i].end_us.is_none())
-            .count() as u32;
+        // Dependency graph. A launch waits on its in-stream predecessor,
+        // on launch `i - 1` in Serial mode, and on the sources of its
+        // awaited events. All three have lower indices (the event graph
+        // is validated here: no forward waits => no deadlock), so a
+        // launch that ends only ever releases launches after it.
+        states.clear();
+        edges.clear();
+        last_in_stream.clear();
+        for (i, l) in launches.iter().enumerate() {
+            states.push(LaunchState {
+                blocks: l.block_costs.len(),
+                warps: l.warps_per_block,
+                threads: l.threads_per_block,
+                shared: l.shared_mem_bytes,
+                registers: l.registers_per_thread.saturating_mul(l.threads_per_block),
+                unmet_deps: 0,
+                deps_end_us: 0.0,
+                first_dependent: NO_EDGE,
+                full_scan: true,
+                ready_us: None,
+                next_block: 0,
+                completed_blocks: 0,
+                start_us: None,
+                end_us: None,
+            });
+            let mut depend_on = |src: usize| {
+                edges.push(Edge { to: i, next: states[src].first_dependent });
+                states[src].first_dependent = edges.len() - 1;
+                states[i].unmet_deps += 1;
+            };
+            if let Some(prev) = last_in_stream.insert(l.stream, i) {
+                depend_on(prev);
+            }
+            if mode == ExecMode::Serial && i > 0 {
+                depend_on(i - 1);
+            }
+            for e in &l.wait_events {
+                let src = *event_source
+                    .get(e)
+                    .unwrap_or_else(|| panic!("launch {i} waits on unrecorded event {e:?}"));
+                assert!(src < i, "launch {i} waits on event recorded by a later launch {src}");
+                depend_on(src);
+            }
+            if states[i].unmet_deps == 0 {
+                unblocked.push(Reverse(i));
+            }
+        }
+
+        let bw_per_sm = spec.dram_bytes_per_cycle() / spec.sm_count as f64;
+        // Launch overhead charged to every launch, reported on the trace
+        // so tools can attribute it as its own slice (fusion's saved
+        // overheads then show up in traces, not just aggregate spans).
+        let overhead = spec.launch_overhead_us
+            + if mode == ExecMode::Serial { spec.serial_profiling_overhead_us } else { 0.0 };
         let kernel_cap = match mode {
             ExecMode::Serial => 1,
             ExecMode::Concurrent => {
@@ -456,186 +534,224 @@ pub fn simulate(
                 }
             }
         };
-        for i in 0..n {
-            let ready = matches!(states[i].ready_us, Some(t) if t <= now);
-            if !ready || states[i].next_block >= launches[i].block_costs.len() {
-                continue;
-            }
-            if states[i].next_block == 0 && active_kernels >= kernel_cap {
-                continue; // cannot start a new kernel yet
-            }
-            let l = &launches[i];
-            let started_before = states[i].next_block > 0;
-            while states[i].next_block < l.block_costs.len() {
-                // Find the SM with the most free warps that fits this block,
-                // skipping an SM reserved for a starving older launch.
-                let mut best: Option<usize> = None;
-                let mut best_free = 0i64;
-                for (s, sm) in sms.iter().enumerate() {
-                    if reservation.is_some_and(|(holder, rs)| rs == s && holder != i) {
-                        continue;
-                    }
-                    let block_registers =
-                        l.registers_per_thread.saturating_mul(l.threads_per_block);
-                    let fits = sm.blocks < spec.max_blocks_per_sm
-                        && sm.warps + l.warps_per_block <= spec.max_warps_per_sm
-                        && sm.threads + l.threads_per_block <= spec.max_threads_per_sm
-                        && sm.shared + l.shared_mem_bytes <= spec.shared_mem_per_sm
-                        && sm.registers + block_registers <= spec.registers_per_sm;
-                    if fits {
-                        let free = spec.max_warps_per_sm as i64 - sm.warps as i64;
-                        if best.is_none() || free > best_free {
-                            best = Some(s);
-                            best_free = free;
-                        }
-                    }
+        let mut now = 0.0f64;
+        let mut completed = 0usize;
+        // Launches that have placed a block and not ended.
+        let mut active_kernels = 0u32;
+        // Anti-starvation reservation: when a ready launch cannot place its
+        // next block anywhere, the *oldest* such launch reserves one SM; no
+        // other launch may issue blocks there until the holder places a
+        // block. Without this, a wide block (say 18 warps) starves
+        // indefinitely behind a drip of narrow blocks from younger launches
+        // that backfill every freed slot — real work distributors dispatch
+        // blocks in kernel order and drain capacity for the oldest pending
+        // kernel instead. A single slot with age preemption keeps the rest of
+        // the device free for backfill while the reserved SM drains.
+        let mut reservation: Option<(usize, usize)> = None; // (launch, sm)
+
+        loop {
+            // Ready times, in launch order. A launch with zero blocks
+            // completes the instant it becomes ready, which can unblock
+            // later launches within this same round.
+            while let Some(Reverse(i)) = unblocked.pop() {
+                let t = states[i].deps_end_us.max(now) + overhead;
+                states[i].ready_us = Some(t);
+                if states[i].blocks == 0 {
+                    states[i].start_us = Some(t);
+                    end_launch(states, edges, unblocked, i, t);
+                    completed += 1;
+                } else {
+                    arriving.push(Reverse(Arrival { time_us: t, launch: i }));
                 }
-                let Some(s) = best else {
-                    // Could not place the next block. The oldest stalled
-                    // launch claims the reservation (preempting a younger
-                    // holder) on the SM with the most free warps; it is
-                    // sticky until the holder places a block, so draining
-                    // capacity there cannot be backfilled by others.
-                    match reservation {
-                        Some((holder, _)) if holder <= i => {}
-                        _ => {
-                            let pick = sms
-                                .iter()
-                                .enumerate()
-                                .max_by_key(|(s, sm)| {
-                                    (spec.max_warps_per_sm as i64 - sm.warps as i64, Reverse(*s))
-                                })
-                                .map(|(s, _)| s);
-                            if let Some(s) = pick {
-                                reservation = Some((i, s));
+            }
+            while let Some(&Reverse(a)) = arriving.peek() {
+                if a.time_us > now {
+                    break;
+                }
+                arriving.pop();
+                issuable.insert(issuable.partition_point(|&j| j < a.launch), a.launch);
+            }
+
+            // Issue blocks from ready launches, in launch order, respecting
+            // the concurrent-kernel limit.
+            issuable.retain(|&i| {
+                let l = &mut states[i];
+                if l.next_block == 0 && active_kernels >= kernel_cap {
+                    // Cannot start a new kernel yet. It misses this
+                    // round's dirty SMs, so it rescans when admitted.
+                    l.full_scan = true;
+                    return true;
+                }
+                while l.next_block < l.blocks {
+                    // Find the SM with the most free warps that fits this
+                    // block, skipping an SM reserved for a starving older
+                    // launch.
+                    let reserved_for_other = reservation.filter(|&(h, _)| h != i).map(|(_, s)| s);
+                    let found = if l.full_scan {
+                        best_sm(spec, sms, 0..sms.len(), l, reserved_for_other)
+                    } else {
+                        best_sm(spec, sms, dirty.iter().copied(), l, reserved_for_other)
+                    };
+                    let Some(s) = found else {
+                        // Could not place the next block. The oldest stalled
+                        // launch claims the reservation (preempting a younger
+                        // holder) on the SM with the most free warps; it is
+                        // sticky until the holder places a block, so draining
+                        // capacity there cannot be backfilled by others.
+                        // Every launch visited later this round is younger,
+                        // so the reservation now stays put until the next
+                        // completion: only dirty SMs can admit this launch.
+                        l.full_scan = false;
+                        match reservation {
+                            Some((holder, _)) if holder <= i => {}
+                            _ => {
+                                let pick = (0..sms.len()).max_by_key(|&s| {
+                                    (spec.max_warps_per_sm - sms[s].warps, Reverse(s))
+                                });
+                                if let Some(s) = pick {
+                                    if let Some((_, lost)) = reservation {
+                                        // The preempted holder's SM opens up:
+                                        // for the younger launches still to be
+                                        // visited this round, and for this
+                                        // launch, which was locked out of it
+                                        // and only looks again next round.
+                                        dirty.push(lost);
+                                        l.full_scan = true;
+                                    }
+                                    reservation = Some((i, s));
+                                }
                             }
                         }
+                        break;
+                    };
+                    if let Some((_, freed)) = reservation.filter(|&(h, _)| h == i) {
+                        // The holder placed a block: younger launches may
+                        // use the SM it gives up within this round.
+                        dirty.push(freed);
+                        reservation = None;
                     }
-                    break;
-                };
-                if reservation.is_some_and(|(holder, _)| holder == i) {
-                    reservation = None;
+                    let bc = launches[i].block_costs[l.next_block];
+                    let sm = &mut sms[s];
+                    sm.blocks += 1;
+                    sm.warps += l.warps;
+                    sm.threads += l.threads;
+                    sm.shared += l.shared;
+                    sm.registers += l.registers;
+                    // The SM's DRAM share is split among its resident blocks
+                    // (sm.blocks already includes this one), so co-resident
+                    // streaming blocks cannot jointly exceed card bandwidth.
+                    let bw_cycles = if bw_per_sm > 0.0 {
+                        bc.mem_bytes as f64 * sm.blocks as f64 / bw_per_sm
+                    } else {
+                        0.0
+                    };
+                    let cycles = cost.block_cycles(
+                        bc.issue_cycles,
+                        bc.mem_latency_cycles,
+                        bw_cycles,
+                        sm.warps,
+                        l.warps,
+                    );
+                    let dur_us = spec.cycles_to_us(cycles);
+                    sm.busy_us += dur_us;
+                    sm.warp_us += dur_us * l.warps as f64;
+                    running.push(Reverse(Completion {
+                        time_us: now + dur_us,
+                        sm: s,
+                        launch: i,
+                        warps: l.warps,
+                        threads: l.threads,
+                        shared: l.shared,
+                        registers: l.registers,
+                    }));
+                    if l.next_block == 0 {
+                        l.start_us = Some(now);
+                        active_kernels += 1;
+                    }
+                    l.next_block += 1;
                 }
-                let bc = l.block_costs[states[i].next_block];
-                let block_registers = l.registers_per_thread.saturating_mul(l.threads_per_block);
-                let sm = &mut sms[s];
-                sm.blocks += 1;
-                sm.warps += l.warps_per_block;
-                sm.threads += l.threads_per_block;
-                sm.shared += l.shared_mem_bytes;
-                sm.registers += block_registers;
-                // The SM's DRAM share is split among its resident blocks
-                // (sm.blocks already includes this one), so co-resident
-                // streaming blocks cannot jointly exceed card bandwidth.
-                let bw_cycles = if bw_per_sm > 0.0 {
-                    bc.mem_bytes as f64 * sm.blocks as f64 / bw_per_sm
-                } else {
-                    0.0
-                };
-                let cycles = cost.block_cycles(
-                    bc.issue_cycles,
-                    bc.mem_latency_cycles,
-                    bw_cycles,
-                    sm.warps,
+                l.next_block < l.blocks
+            });
+
+            if completed == n {
+                break;
+            }
+
+            // Advance to the next completion; if none is in flight the only
+            // remaining progress source is a pending ready time in the future.
+            dirty.clear();
+            match running.pop() {
+                Some(Reverse(c)) => {
+                    now = c.time_us.max(now);
+                    let sm = &mut sms[c.sm];
+                    sm.blocks -= 1;
+                    sm.warps -= c.warps;
+                    sm.threads -= c.threads;
+                    sm.shared -= c.shared;
+                    sm.registers -= c.registers;
+                    dirty.push(c.sm);
+                    let l = &mut states[c.launch];
+                    l.completed_blocks += 1;
+                    if l.completed_blocks == l.blocks {
+                        end_launch(states, edges, unblocked, c.launch, now);
+                        active_kernels -= 1;
+                        completed += 1;
+                    }
+                }
+                None => {
+                    // Jump to the earliest pending ready time strictly > now.
+                    // Rare enough (an idle device) to scan every launch.
+                    let next = states
+                        .iter()
+                        .filter_map(|s| s.ready_us)
+                        .filter(|&t| t > now)
+                        .fold(f64::INFINITY, f64::min);
+                    assert!(
+                        next.is_finite(),
+                        "scheduler stalled: no completions and no future ready times \
+                         ({completed}/{n} launches complete)"
+                    );
+                    now = next;
+                }
+            }
+        }
+
+        let mut events = Vec::with_capacity(n);
+        let mut end_us = 0.0f64;
+        for (l, st) in launches.iter().zip(states.iter()) {
+            let start = st.start_us.expect("launch never started");
+            let end = st.end_us.expect("launch never finished");
+            end_us = end_us.max(end);
+            events.push(TraceEvent {
+                launch_idx: l.launch_idx,
+                kernel_name: l.kernel_name,
+                stream: l.stream,
+                t_start_us: start,
+                t_end_us: end,
+                overhead_us: overhead,
+                blocks: l.block_costs.len() as u64,
+                occupancy: launch_occupancy(
+                    spec,
+                    l.threads_per_block,
                     l.warps_per_block,
-                );
-                let dur_us = spec.cycles_to_us(cycles);
-                sm.busy_us += dur_us;
-                sm.warp_us += dur_us * l.warps_per_block as f64;
-                heap.push(Reverse(Completion {
-                    time_us: now + dur_us,
-                    sm: s,
-                    launch: i,
-                    warps: l.warps_per_block,
-                    threads: l.threads_per_block,
-                    shared: l.shared_mem_bytes,
-                    registers: block_registers,
-                }));
-                if states[i].next_block == 0 {
-                    states[i].start_us = Some(now);
-                }
-                states[i].next_block += 1;
-            }
-            if !started_before && states[i].next_block > 0 {
-                active_kernels += 1;
-                if active_kernels >= kernel_cap {
-                    // Later launches may still *become* ready; they just
-                    // cannot start issuing this round.
-                    continue;
-                }
-            }
+                    l.shared_mem_bytes,
+                    l.registers_per_thread,
+                ),
+                counters: l.counters,
+            });
         }
-
-        if completed == n {
-            break;
+        Timeline {
+            events,
+            sm_busy_us: sms.iter().map(|s| s.busy_us).collect(),
+            sm_warp_us: sms.iter().map(|s| s.warp_us).collect(),
+            warps_per_sm: spec.max_warps_per_sm,
+            end_us,
         }
-
-        // Advance to the next completion; if the heap is empty the only
-        // remaining progress source is a pending ready time in the future.
-        match heap.pop() {
-            Some(Reverse(c)) => {
-                now = c.time_us.max(now);
-                let sm = &mut sms[c.sm];
-                sm.blocks -= 1;
-                sm.warps -= c.warps;
-                sm.threads -= c.threads;
-                sm.shared -= c.shared;
-                sm.registers -= c.registers;
-                states[c.launch].completed_blocks += 1;
-                if states[c.launch].completed_blocks == launches[c.launch].block_costs.len() {
-                    states[c.launch].end_us = Some(now);
-                    completed += 1;
-                }
-            }
-            None => {
-                // Jump to the earliest pending ready time strictly > now.
-                let next = states
-                    .iter()
-                    .filter_map(|s| s.ready_us)
-                    .filter(|&t| t > now)
-                    .fold(f64::INFINITY, f64::min);
-                assert!(
-                    next.is_finite(),
-                    "scheduler stalled: no completions and no future ready times \
-                     ({completed}/{n} launches complete)"
-                );
-                now = next;
-            }
-        }
-    }
-
-    let mut events = Vec::with_capacity(n);
-    let mut end_us = 0.0f64;
-    for (i, l) in launches.iter().enumerate() {
-        let start = states[i].start_us.expect("launch never started");
-        let end = states[i].end_us.expect("launch never finished");
-        end_us = end_us.max(end);
-        events.push(TraceEvent {
-            launch_idx: l.launch_idx,
-            kernel_name: l.kernel_name,
-            stream: l.stream,
-            t_start_us: start,
-            t_end_us: end,
-            overhead_us: overheads[i],
-            blocks: l.block_costs.len() as u64,
-            occupancy: launch_occupancy(
-                spec,
-                l.threads_per_block,
-                l.warps_per_block,
-                l.shared_mem_bytes,
-                l.registers_per_thread,
-            ),
-            counters: l.counters,
-        });
-    }
-    Timeline {
-        events,
-        sm_busy_us: sms.iter().map(|s| s.busy_us).collect(),
-        sm_warp_us: sms.iter().map(|s| s.warp_us).collect(),
-        warps_per_sm: spec.max_warps_per_sm,
-        end_us,
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

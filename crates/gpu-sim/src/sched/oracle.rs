@@ -1,0 +1,657 @@
+//! Differential oracle for [`simulate`]: the pre-rewrite event loop, a
+//! seeded generator of launch sets, and the hand-built cases in which a
+//! launch that rescans only the dirty SMs would miss one that admits it.
+
+use super::*;
+
+#[derive(Debug)]
+struct LaunchState {
+    ready_us: Option<f64>,
+    next_block: usize,
+    completed_blocks: usize,
+    start_us: Option<f64>,
+    end_us: Option<f64>,
+}
+
+/// The event loop [`simulate`] had before it became event-driven, kept
+/// verbatim: every round re-derives readiness, the active-kernel count and
+/// the issue order from all `n` launches, and every waiting launch scans
+/// every SM. Slow and obviously faithful to the scheduling rules, which is
+/// what an oracle should be.
+fn simulate_reference(
+    spec: &DeviceSpec,
+    cost: &CostModel,
+    mode: ExecMode,
+    launches: &[LaunchRecord],
+) -> Timeline {
+    let n = launches.len();
+    let mut sms = vec![
+        SmState {
+            blocks: 0,
+            warps: 0,
+            threads: 0,
+            shared: 0,
+            registers: 0,
+            busy_us: 0.0,
+            warp_us: 0.0
+        };
+        spec.sm_count as usize
+    ];
+    let mut states: Vec<LaunchState> = (0..n)
+        .map(|_| LaunchState {
+            ready_us: None,
+            next_block: 0,
+            completed_blocks: 0,
+            start_us: None,
+            end_us: None,
+        })
+        .collect();
+    // Launch overhead actually charged to each launch, reported on the
+    // trace so tools can attribute it as its own slice (fusion's saved
+    // overheads then show up in traces, not just aggregate spans).
+    let mut overheads = vec![0.0f64; n];
+
+    // Map every event to the launch that records it.
+    let mut event_source: std::collections::HashMap<EventId, usize> = Default::default();
+    for (i, l) in launches.iter().enumerate() {
+        for &e in &l.record_events {
+            event_source.insert(e, i);
+        }
+    }
+
+    // Precompute each launch's in-stream predecessor. The readiness loop
+    // below runs every event-loop round; scanning `(0..i).rev()` there
+    // made each round O(n^2) in the launch count. One forward pass with a
+    // per-stream "last seen" map yields the same predecessor indices.
+    let mut stream_pred: Vec<Option<usize>> = Vec::with_capacity(n);
+    let mut last_in_stream: std::collections::HashMap<StreamId, usize> = Default::default();
+    for (i, l) in launches.iter().enumerate() {
+        stream_pred.push(last_in_stream.insert(l.stream, i));
+    }
+
+    // Validate event graph up front (no forward waits => no deadlock).
+    for (i, l) in launches.iter().enumerate() {
+        for e in &l.wait_events {
+            let src = event_source
+                .get(e)
+                .unwrap_or_else(|| panic!("launch {i} waits on unrecorded event {e:?}"));
+            assert!(*src < i, "launch {i} waits on event recorded by a later launch {src}");
+        }
+    }
+
+    let bw_per_sm = spec.dram_bytes_per_cycle() / spec.sm_count as f64;
+    let mut heap: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();
+    let mut now = 0.0f64;
+    let mut completed = 0usize;
+    // Anti-starvation reservation: when a ready launch cannot place its
+    // next block anywhere, the *oldest* such launch reserves one SM; no
+    // other launch may issue blocks there until the holder places a
+    // block. Without this, a wide block (say 18 warps) starves
+    // indefinitely behind a drip of narrow blocks from younger launches
+    // that backfill every freed slot — real work distributors dispatch
+    // blocks in kernel order and drain capacity for the oldest pending
+    // kernel instead. A single slot with age preemption keeps the rest of
+    // the device free for backfill while the reserved SM drains.
+    let mut reservation: Option<(usize, usize)> = None; // (launch, sm)
+
+    // A launch with zero blocks completes the instant it becomes ready.
+    let zero_block_complete =
+        |states: &mut Vec<LaunchState>, idx: usize, t: f64| -> bool {
+            if launches[idx].block_costs.is_empty() {
+                states[idx].start_us = Some(t);
+                states[idx].end_us = Some(t);
+                true
+            } else {
+                false
+            }
+        };
+
+    loop {
+        // Refresh readiness: a launch is ready when its stream predecessor,
+        // serial predecessor (in Serial mode) and awaited events are done.
+        for i in 0..n {
+            if states[i].ready_us.is_some() {
+                continue;
+            }
+            let mut ready_at = 0.0f64;
+            let mut ok = true;
+            // Stream-order predecessor.
+            if let Some(prev) = stream_pred[i] {
+                match states[prev].end_us {
+                    Some(t) => ready_at = ready_at.max(t),
+                    None => ok = false,
+                }
+            }
+            // Global serialization.
+            if ok && mode == ExecMode::Serial && i > 0 {
+                match states[i - 1].end_us {
+                    Some(t) => ready_at = ready_at.max(t),
+                    None => ok = false,
+                }
+            }
+            // Event waits.
+            if ok {
+                for e in &launches[i].wait_events {
+                    match states[event_source[e]].end_us {
+                        Some(t) => ready_at = ready_at.max(t),
+                        None => {
+                            ok = false;
+                            break;
+                        }
+                    }
+                }
+            }
+            if ok {
+                let overhead = spec.launch_overhead_us
+                    + if mode == ExecMode::Serial {
+                        spec.serial_profiling_overhead_us
+                    } else {
+                        0.0
+                    };
+                let t = ready_at.max(now) + overhead;
+                overheads[i] = overhead;
+                states[i].ready_us = Some(t);
+                if zero_block_complete(&mut states, i, t) {
+                    completed += 1;
+                }
+            }
+        }
+
+        // Issue blocks from ready launches, in launch order, respecting the
+        // concurrent-kernel limit.
+        let mut active_kernels: u32 = (0..n)
+            .filter(|&i| states[i].next_block > 0 && states[i].end_us.is_none())
+            .count() as u32;
+        let kernel_cap = match mode {
+            ExecMode::Serial => 1,
+            ExecMode::Concurrent => {
+                if spec.concurrent_kernels {
+                    spec.max_concurrent_kernels
+                } else {
+                    1
+                }
+            }
+        };
+        for i in 0..n {
+            let ready = matches!(states[i].ready_us, Some(t) if t <= now);
+            if !ready || states[i].next_block >= launches[i].block_costs.len() {
+                continue;
+            }
+            if states[i].next_block == 0 && active_kernels >= kernel_cap {
+                continue; // cannot start a new kernel yet
+            }
+            let l = &launches[i];
+            let started_before = states[i].next_block > 0;
+            while states[i].next_block < l.block_costs.len() {
+                // Find the SM with the most free warps that fits this block,
+                // skipping an SM reserved for a starving older launch.
+                let mut best: Option<usize> = None;
+                let mut best_free = 0i64;
+                for (s, sm) in sms.iter().enumerate() {
+                    if reservation.is_some_and(|(holder, rs)| rs == s && holder != i) {
+                        continue;
+                    }
+                    let block_registers =
+                        l.registers_per_thread.saturating_mul(l.threads_per_block);
+                    let fits = sm.blocks < spec.max_blocks_per_sm
+                        && sm.warps + l.warps_per_block <= spec.max_warps_per_sm
+                        && sm.threads + l.threads_per_block <= spec.max_threads_per_sm
+                        && sm.shared + l.shared_mem_bytes <= spec.shared_mem_per_sm
+                        && sm.registers + block_registers <= spec.registers_per_sm;
+                    if fits {
+                        let free = spec.max_warps_per_sm as i64 - sm.warps as i64;
+                        if best.is_none() || free > best_free {
+                            best = Some(s);
+                            best_free = free;
+                        }
+                    }
+                }
+                let Some(s) = best else {
+                    // Could not place the next block. The oldest stalled
+                    // launch claims the reservation (preempting a younger
+                    // holder) on the SM with the most free warps; it is
+                    // sticky until the holder places a block, so draining
+                    // capacity there cannot be backfilled by others.
+                    match reservation {
+                        Some((holder, _)) if holder <= i => {}
+                        _ => {
+                            let pick = sms
+                                .iter()
+                                .enumerate()
+                                .max_by_key(|(s, sm)| {
+                                    (spec.max_warps_per_sm as i64 - sm.warps as i64, Reverse(*s))
+                                })
+                                .map(|(s, _)| s);
+                            if let Some(s) = pick {
+                                reservation = Some((i, s));
+                            }
+                        }
+                    }
+                    break;
+                };
+                if reservation.is_some_and(|(holder, _)| holder == i) {
+                    reservation = None;
+                }
+                let bc = l.block_costs[states[i].next_block];
+                let block_registers = l.registers_per_thread.saturating_mul(l.threads_per_block);
+                let sm = &mut sms[s];
+                sm.blocks += 1;
+                sm.warps += l.warps_per_block;
+                sm.threads += l.threads_per_block;
+                sm.shared += l.shared_mem_bytes;
+                sm.registers += block_registers;
+                // The SM's DRAM share is split among its resident blocks
+                // (sm.blocks already includes this one), so co-resident
+                // streaming blocks cannot jointly exceed card bandwidth.
+                let bw_cycles = if bw_per_sm > 0.0 {
+                    bc.mem_bytes as f64 * sm.blocks as f64 / bw_per_sm
+                } else {
+                    0.0
+                };
+                let cycles = cost.block_cycles(
+                    bc.issue_cycles,
+                    bc.mem_latency_cycles,
+                    bw_cycles,
+                    sm.warps,
+                    l.warps_per_block,
+                );
+                let dur_us = spec.cycles_to_us(cycles);
+                sm.busy_us += dur_us;
+                sm.warp_us += dur_us * l.warps_per_block as f64;
+                heap.push(Reverse(Completion {
+                    time_us: now + dur_us,
+                    sm: s,
+                    launch: i,
+                    warps: l.warps_per_block,
+                    threads: l.threads_per_block,
+                    shared: l.shared_mem_bytes,
+                    registers: block_registers,
+                }));
+                if states[i].next_block == 0 {
+                    states[i].start_us = Some(now);
+                }
+                states[i].next_block += 1;
+            }
+            if !started_before && states[i].next_block > 0 {
+                active_kernels += 1;
+                if active_kernels >= kernel_cap {
+                    // Later launches may still *become* ready; they just
+                    // cannot start issuing this round.
+                    continue;
+                }
+            }
+        }
+
+        if completed == n {
+            break;
+        }
+
+        // Advance to the next completion; if the heap is empty the only
+        // remaining progress source is a pending ready time in the future.
+        match heap.pop() {
+            Some(Reverse(c)) => {
+                now = c.time_us.max(now);
+                let sm = &mut sms[c.sm];
+                sm.blocks -= 1;
+                sm.warps -= c.warps;
+                sm.threads -= c.threads;
+                sm.shared -= c.shared;
+                sm.registers -= c.registers;
+                states[c.launch].completed_blocks += 1;
+                if states[c.launch].completed_blocks == launches[c.launch].block_costs.len() {
+                    states[c.launch].end_us = Some(now);
+                    completed += 1;
+                }
+            }
+            None => {
+                // Jump to the earliest pending ready time strictly > now.
+                let next = states
+                    .iter()
+                    .filter_map(|s| s.ready_us)
+                    .filter(|&t| t > now)
+                    .fold(f64::INFINITY, f64::min);
+                assert!(
+                    next.is_finite(),
+                    "scheduler stalled: no completions and no future ready times \
+                     ({completed}/{n} launches complete)"
+                );
+                now = next;
+            }
+        }
+    }
+
+    let mut events = Vec::with_capacity(n);
+    let mut end_us = 0.0f64;
+    for (i, l) in launches.iter().enumerate() {
+        let start = states[i].start_us.expect("launch never started");
+        let end = states[i].end_us.expect("launch never finished");
+        end_us = end_us.max(end);
+        events.push(TraceEvent {
+            launch_idx: l.launch_idx,
+            kernel_name: l.kernel_name,
+            stream: l.stream,
+            t_start_us: start,
+            t_end_us: end,
+            overhead_us: overheads[i],
+            blocks: l.block_costs.len() as u64,
+            occupancy: launch_occupancy(
+                spec,
+                l.threads_per_block,
+                l.warps_per_block,
+                l.shared_mem_bytes,
+                l.registers_per_thread,
+            ),
+            counters: l.counters,
+        });
+    }
+    Timeline {
+        events,
+        sm_busy_us: sms.iter().map(|s| s.busy_us).collect(),
+        sm_warp_us: sms.iter().map(|s| s.warp_us).collect(),
+        warps_per_sm: spec.max_warps_per_sm,
+        end_us,
+    }
+}
+
+/// SplitMix64: the generator must not depend on a crate the simulator
+/// does not otherwise need.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.below(xs.len() as u64) as usize]
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.below(100) < percent
+    }
+}
+
+/// One generated scenario: a device and a launch set valid on it.
+fn generate(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
+    let mut rng = Rng(seed);
+    let mut spec = if rng.chance(35) { DeviceSpec::single_sm() } else { DeviceSpec::gtx470() };
+    spec.launch_overhead_us = rng.pick(&[0.0, 0.0, 0.75, spec.launch_overhead_us]);
+    spec.max_concurrent_kernels = rng.pick(&[1, 2, 16]);
+
+    let n = match rng.below(10) {
+        0..=4 => 1 + rng.below(12),
+        5..=8 => 1 + rng.below(60),
+        _ => 1 + rng.below(200),
+    } as usize;
+    let streams = 1 + rng.below(24) as u32;
+    let mut launches: Vec<LaunchRecord> = Vec::with_capacity(n);
+    let mut next_event = 0u32;
+    for i in 0..n {
+        let warps = rng.pick(&[1, 8, 8, 18, 48]);
+        let threads = warps * 32;
+        // Most blocks are bound by warps or the block cap; some by shared
+        // memory (two or one per SM), some by the register file.
+        let (mut shared, mut regs) = match rng.below(10) {
+            0 => (20 * 1024, 0),
+            1 => (40 * 1024, 0),
+            2 => (0, 63),
+            3 => (0, 32),
+            _ => (0, rng.pick(&[0, 16])),
+        };
+        if launch_occupancy(&spec, threads, warps, shared, regs).blocks_per_sm == 0 {
+            (shared, regs) = (0, 0);
+        }
+        let blocks = match rng.below(100) {
+            0..=9 => 0,
+            10..=29 => 1,
+            30..=89 => 2 + rng.below(40),
+            90..=97 => 50 + rng.below(300),
+            _ => 1000 + rng.below(2500),
+        } as usize;
+        // Uniform costs make completions tie on time, which is where the
+        // (time, launch, SM) order and the lowest-index SM rule decide.
+        let uniform = rng.chance(50);
+        let cost = |rng: &mut Rng| BlockCost {
+            issue_cycles: (200 + rng.below(6000)) as f64,
+            mem_latency_cycles: if rng.chance(40) { (400 * rng.below(30)) as f64 } else { 0.0 },
+            mem_bytes: if rng.chance(40) { 128 * rng.below(64) } else { 0 },
+        };
+        let first = cost(&mut rng);
+        let block_costs =
+            (0..blocks).map(|_| if uniform { first } else { cost(&mut rng) }).collect();
+        let mut wait_events = Vec::new();
+        for _ in 0..2 {
+            if i > 0 && rng.chance(15) {
+                // Bias towards zero-block sources: their dependents become
+                // ready inside the round that completed them.
+                let empty: Vec<usize> =
+                    (0..i).filter(|&j| launches[j].block_costs.is_empty()).collect();
+                let src = if !empty.is_empty() && rng.chance(40) {
+                    rng.pick(&empty)
+                } else {
+                    rng.below(i as u64) as usize
+                };
+                let e = EventId(next_event);
+                next_event += 1;
+                launches[src].record_events.push(e);
+                wait_events.push(e);
+            }
+        }
+        launches.push(LaunchRecord {
+            launch_idx: 1000 + i,
+            kernel_name: "k",
+            stream: StreamId(rng.below(streams as u64) as u32),
+            shared_mem_bytes: shared,
+            threads_per_block: threads,
+            warps_per_block: warps,
+            registers_per_thread: regs,
+            block_costs,
+            counters: KernelCounters::default(),
+            wait_events,
+            record_events: vec![],
+        });
+    }
+    (spec, launches)
+}
+
+/// Field-by-field equality; floats by bit pattern.
+fn assert_identical(got: &Timeline, want: &Timeline, what: &str) {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(got.events.len(), want.events.len(), "{what}: event count");
+    for (k, (g, w)) in got.events.iter().zip(&want.events).enumerate() {
+        assert_eq!(g.launch_idx, w.launch_idx, "{what}: launch {k} launch_idx");
+        assert_eq!(g.kernel_name, w.kernel_name, "{what}: launch {k} kernel_name");
+        assert_eq!(g.stream, w.stream, "{what}: launch {k} stream");
+        assert_eq!(g.t_start_us.to_bits(), w.t_start_us.to_bits(), "{what}: launch {k} t_start");
+        assert_eq!(g.t_end_us.to_bits(), w.t_end_us.to_bits(), "{what}: launch {k} t_end");
+        assert_eq!(g.overhead_us.to_bits(), w.overhead_us.to_bits(), "{what}: launch {k} overhead");
+        assert_eq!(g.blocks, w.blocks, "{what}: launch {k} blocks");
+        assert_eq!(g.occupancy, w.occupancy, "{what}: launch {k} occupancy");
+        assert_eq!(g.counters, w.counters, "{what}: launch {k} counters");
+    }
+    assert_eq!(bits(&got.sm_busy_us), bits(&want.sm_busy_us), "{what}: sm_busy_us");
+    assert_eq!(bits(&got.sm_warp_us), bits(&want.sm_warp_us), "{what}: sm_warp_us");
+    assert_eq!(got.warps_per_sm, want.warps_per_sm, "{what}: warps_per_sm");
+    assert_eq!(got.end_us.to_bits(), want.end_us.to_bits(), "{what}: end_us");
+}
+
+/// Runs one loop; a panic (the stall assertion) becomes its message.
+fn outcome(run: impl FnOnce() -> Timeline) -> Result<Timeline, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default())
+}
+
+fn differential(mode: ExecMode) {
+    let cost = CostModel::default();
+    // One scratch for the whole sweep, as `Gpu` keeps one across scopes:
+    // nothing of one scenario may leak into the next, a stalled one included.
+    let mut scratch = SchedScratch::default();
+    let mut compared = 0;
+    for seed in 0..640u64 {
+        let (spec, launches) = generate(seed ^ 0x5eed_0000);
+        let want = outcome(|| simulate_reference(&spec, &cost, mode, &launches));
+        let got = outcome(|| scratch.simulate(&spec, &cost, mode, &launches));
+        let what = format!("seed {seed} {mode:?}");
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                assert_identical(&got, &want, &what);
+                compared += 1;
+            }
+            // The scheduling rules themselves can wedge a tiny device: an
+            // older launch that arrives on a drained device moves the
+            // reservation instead of placing, and with nothing in flight no
+            // later round retries. Both loops must give up at the same point.
+            (Err(got), Err(want)) => {
+                assert!(want.contains("scheduler stalled"), "{what}: {want}");
+                assert_eq!(got, want, "{what}");
+            }
+            (got, want) => panic!(
+                "{what}: one loop stalled, the other did not: {:?} vs {:?}",
+                got.err(),
+                want.err()
+            ),
+        }
+    }
+    assert!(compared >= 500, "only {compared} launch sets ran to completion");
+}
+
+#[test]
+fn event_driven_loop_matches_reference_concurrent() {
+    differential(ExecMode::Concurrent);
+}
+
+#[test]
+fn event_driven_loop_matches_reference_serial() {
+    differential(ExecMode::Serial);
+}
+
+/// Two SMs, no launch overhead, every launch in its own stream.
+fn two_sms(max_concurrent_kernels: u32) -> DeviceSpec {
+    DeviceSpec {
+        sm_count: 2,
+        launch_overhead_us: 0.0,
+        max_concurrent_kernels,
+        ..DeviceSpec::gtx470()
+    }
+}
+
+const SHORT: f64 = 12_150.0; // 10 us alone on an SM
+const LONG: f64 = 1_215_000.0; // 1 ms alone on an SM
+
+fn launch(idx: usize, warps: u32, issue_cycles: &[f64]) -> LaunchRecord {
+    LaunchRecord {
+        launch_idx: idx,
+        kernel_name: "k",
+        stream: StreamId(idx as u32 + 1),
+        shared_mem_bytes: 0,
+        threads_per_block: warps * 32,
+        warps_per_block: warps,
+        registers_per_thread: 0,
+        block_costs: issue_cycles
+            .iter()
+            .map(|&issue_cycles| BlockCost { issue_cycles, mem_latency_cycles: 0.0, mem_bytes: 0 })
+            .collect(),
+        counters: KernelCounters::default(),
+        wait_events: vec![],
+        record_events: vec![],
+    }
+}
+
+fn both(spec: &DeviceSpec, launches: &[LaunchRecord], what: &str) -> Timeline {
+    let cost = CostModel::default();
+    let want = simulate_reference(spec, &cost, ExecMode::Concurrent, launches);
+    let got = simulate(spec, &cost, ExecMode::Concurrent, launches);
+    assert_identical(&got, &want, what);
+    got
+}
+
+#[test]
+fn launch_skipped_by_the_kernel_cap_rescans_every_sm() {
+    // Launch 3 (20 warps) finds no SM in round 1 and reserves SM0; launch 4
+    // then starts as the 4th kernel, so round 2 skips launch 3 at the cap
+    // and it never sees that round's dirty SM0 (launch 0's short block
+    // left it). Round 3 follows launch 2 ending on SM1: the cap admits
+    // launch 3 again, SM1 is the only dirty SM and too full, SM0 fits.
+    let launches = [
+        launch(0, 30, &[SHORT, LONG]), // SM0, SM1
+        launch(1, 4, &[LONG]),         // SM0
+        launch(2, 10, &[SHORT]),       // SM1, 4x stretched: ends second
+        launch(3, 20, &[LONG]),
+        launch(4, 2, &[LONG]), // SM1
+    ];
+    let t = both(&two_sms(4), &launches, "cap skip");
+    assert!(t.events[0].t_end_us > t.events[2].t_end_us, "the short block ends first");
+    assert_eq!(t.events[3].t_start_us, t.events[2].t_end_us, "placed when the cap admits it");
+}
+
+#[test]
+fn reservation_taken_over_by_an_older_launch_opens_the_old_sm() {
+    // Launch 3 (30 warps) reserves SM1, which locks launch 4 (6 warps)
+    // out of the only SM with room. Launch 0 ends on SM0; its stream
+    // successor, launch 1 (48 warps), fits nowhere and, being older,
+    // moves the reservation to SM0. SM1 is not the freed SM, yet launch
+    // 4 may use it from that moment.
+    let mut launches = [
+        launch(0, 4, &[SHORT]), // SM0
+        launch(1, 48, &[LONG]),
+        launch(2, 40, &[LONG, LONG]), // SM1, SM0
+        launch(3, 30, &[LONG]),
+        launch(4, 6, &[LONG]),
+    ];
+    launches[1].stream = launches[0].stream;
+    let t = both(&two_sms(16), &launches, "takeover");
+    assert_eq!(t.events[4].t_start_us, t.events[0].t_end_us, "placed on the released SM");
+    assert!(t.events[3].t_start_us > t.events[4].t_start_us, "the old holder still waits");
+}
+
+#[test]
+fn holder_placing_a_block_frees_its_reserved_sm_within_the_round() {
+    // Launch 3 (36 warps) reserves SM1 (10 warps free); launch 4 (8 warps)
+    // would fit there but is locked out. Launch 2's short block leaves
+    // SM0, launch 3 takes the room on SM0 and gives up SM1, and launch 4
+    // must find SM1 in the same round although no block left it.
+    let launches = [
+        launch(0, 6, &[LONG]),   // SM0
+        launch(1, 38, &[LONG]),  // SM1
+        launch(2, 40, &[SHORT]), // SM0
+        launch(3, 36, &[LONG]),
+        launch(4, 8, &[LONG]),
+    ];
+    let t = both(&two_sms(16), &launches, "holder release");
+    assert_eq!(t.events[3].t_start_us, t.events[2].t_end_us);
+    assert_eq!(t.events[4].t_start_us, t.events[2].t_end_us, "same round as the holder");
+}
+
+#[test]
+fn launch_that_moves_the_reservation_rescans_the_sm_it_was_locked_out_of() {
+    // Shared memory decides here. Launch 5 (40 KiB) fits next to neither
+    // 40 KiB launch 0 on SM0 nor 20 KiB launch 1 on SM1 and reserves SM1.
+    // Launch 3 (20 KiB) arrives when launch 2 ends: SM0 is too full, SM1
+    // would do but is reserved, so it moves the reservation — to SM0, and
+    // places nothing. The next completion, launch 4's, is on SM0 again;
+    // launch 3 must still find SM1, which no block has left.
+    let mut launches = [
+        launch(0, 8, &[LONG]),        // SM0
+        launch(1, 12, &[LONG]),       // SM1
+        launch(2, 4, &[SHORT]),       // SM0
+        launch(3, 8, &[LONG]),        // after launch 2, in its stream
+        launch(4, 4, &[2.0 * SHORT]), // SM0
+        launch(5, 8, &[LONG]),
+    ];
+    launches[3].stream = launches[2].stream;
+    for (i, kib) in [(0, 40), (1, 20), (3, 20), (5, 40)] {
+        launches[i].shared_mem_bytes = kib * 1024;
+    }
+    let t = both(&two_sms(16), &launches, "mover rescans");
+    assert!(t.events[4].t_end_us > t.events[2].t_end_us);
+    assert_eq!(t.events[3].t_start_us, t.events[4].t_end_us, "placed on the SM it unlocked");
+}
