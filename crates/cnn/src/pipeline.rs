@@ -327,8 +327,10 @@ impl CnnPipeline {
                     nx,
                     ny,
                     scale: self.scale_factor.powi(level as i32),
-                    depth: gpu.mem.download(slot[level].depth),
-                    score: gpu.mem.download(slot[level].score),
+                    // Window-grid maps (a few hundred entries): taken as
+                    // views like the Haar readback, kept as copies.
+                    depth: gpu.mem.download_view(slot[level].depth).to_vec(),
+                    score: gpu.mem.download_view(slot[level].score).to_vec(),
                 });
             }
             batch_outputs.push(outputs);

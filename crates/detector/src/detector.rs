@@ -10,7 +10,7 @@ use fd_imgproc::{GrayImage, Rect};
 
 use crate::error::DetectorError;
 use crate::group::{group_detections, Detection, GroupedDetection};
-use crate::pipeline::{FramePipeline, ScaleOutput};
+use crate::pipeline::{FramePipeline, ScaleView};
 
 /// Detector configuration.
 #[derive(Debug, Clone)]
@@ -301,22 +301,8 @@ impl FaceDetector {
         frame: &GrayImage,
         plan: &[(usize, usize)],
     ) -> Result<FrameResult, DetectorError> {
-        let (outputs, timeline) = self.pipeline.run_frame_with_plan(frame, plan)?;
-        let raw = self.extract_raw(&outputs);
-        let detections =
-            group_detections(&raw, self.config.overlap_threshold, self.config.min_neighbors);
-        let rejection = if self.config.collect_rejection_stats {
-            Some(self.histogram(&outputs))
-        } else {
-            None
-        };
-        Ok(FrameResult {
-            detections,
-            raw,
-            detect_ms: timeline.span_us() / 1000.0,
-            timeline,
-            rejection,
-        })
+        let mut results = self.detect_batch_with_plan(&[frame], plan)?;
+        results.pop().ok_or(DetectorError::InvalidConfig { reason: "batch produced no output" })
     }
 
     /// Detect faces in a batch of same-geometry luma frames submitted as
@@ -356,21 +342,21 @@ impl FaceDetector {
         if frames.is_empty() {
             return Err(DetectorError::InvalidConfig { reason: "empty frame batch" });
         }
-        let (batch_outputs, timeline) = self.pipeline.run_batch_with_plan(frames, plan)?;
-        Ok(batch_outputs
-            .iter()
-            .map(|outputs| {
-                let raw = self.extract_raw(outputs);
+        let timeline = self.pipeline.submit_batch_with_plan(frames, plan)?;
+        Ok((0..frames.len())
+            .map(|slot| {
+                // The result maps stay on the device: extraction reads
+                // the hit mask and the scores under the hits.
+                let views = self.pipeline.readback(slot);
+                let raw = self.extract_raw(&views);
+                let rejection =
+                    self.config.collect_rejection_stats.then(|| self.histogram(&views));
+                drop(views);
                 let detections = group_detections(
                     &raw,
                     self.config.overlap_threshold,
                     self.config.min_neighbors,
                 );
-                let rejection = if self.config.collect_rejection_stats {
-                    Some(self.histogram(outputs))
-                } else {
-                    None
-                };
                 FrameResult {
                     detections,
                     raw,
@@ -382,32 +368,29 @@ impl FaceDetector {
             .collect())
     }
 
-    fn extract_raw(&self, outputs: &[ScaleOutput]) -> Vec<Detection> {
+    fn extract_raw(&self, outputs: &[ScaleView<'_>]) -> Vec<Detection> {
         let window = self.pipeline.cascade().window as usize;
         let mut raw = Vec::new();
         for out in outputs {
-            for oy in 0..out.height {
-                for ox in 0..out.width {
-                    if out.hits[oy * out.width + ox] != 0 {
-                        let size = (window as f64 * out.scale).round() as u32;
-                        raw.push(Detection {
-                            rect: Rect::new(
-                                (ox as f64 * out.scale).round() as i32,
-                                (oy as f64 * out.scale).round() as i32,
-                                size,
-                                size,
-                            ),
-                            score: out.score[oy * out.width + ox],
-                            scale: out.level,
-                        });
-                    }
-                }
+            let size = (window as f64 * out.scale).round() as u32;
+            for (i, _) in out.hits.iter().enumerate().filter(|&(_, &hit)| hit != 0) {
+                let (ox, oy) = (i % out.width, i / out.width);
+                raw.push(Detection {
+                    rect: Rect::new(
+                        (ox as f64 * out.scale).round() as i32,
+                        (oy as f64 * out.scale).round() as i32,
+                        size,
+                        size,
+                    ),
+                    score: out.score[i],
+                    scale: out.level,
+                });
             }
         }
         raw
     }
 
-    fn histogram(&self, outputs: &[ScaleOutput]) -> RejectionHistogram {
+    fn histogram(&self, outputs: &[ScaleView<'_>]) -> RejectionHistogram {
         let n_stages = self.pipeline.cascade().depth() as usize;
         let window = self.pipeline.cascade().window as usize;
         let mut counts = Vec::with_capacity(outputs.len());
@@ -545,6 +528,65 @@ mod tests {
         }
         assert!(!batch[0].raw.is_empty());
         assert!(batch[1].raw.is_empty());
+    }
+
+    #[test]
+    fn detection_from_views_matches_owned_readback_under_copy_faults() {
+        // Every window passes, so each corrupted region of a hit mask or
+        // score map shows in the raw windows.
+        let mut cascade = edge_cascade(2);
+        for stage in &mut cascade.stages {
+            stage.threshold = -8.0;
+        }
+        let frame = frame_with_pattern();
+        let plan = FaultPlan::seeded(41).with_copy_corruption(0.4);
+        let mut det = FaceDetector::new(
+            &cascade,
+            DetectorConfig { fault_plan: Some(plan.clone()), ..DetectorConfig::default() },
+        );
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        gpu.set_fault_plan(Some(plan));
+        let mut owned = FramePipeline::new(gpu, &cascade, 1.25);
+
+        let clean = FaceDetector::new(&cascade, DetectorConfig::default())
+            .detect(&frame)
+            .unwrap()
+            .raw;
+        let mut corrupted_frames = 0;
+        for i in 0..12 {
+            let raw = det.detect(&frame).unwrap().raw;
+            let (outputs, _) = owned.run_frame(&frame).unwrap();
+            // The extraction loop as it ran over owned outputs.
+            let mut expect = Vec::new();
+            for out in &outputs {
+                for oy in 0..out.height {
+                    for ox in 0..out.width {
+                        if out.hits[oy * out.width + ox] != 0 {
+                            let size = (24.0 * out.scale).round() as u32;
+                            expect.push(Detection {
+                                rect: Rect::new(
+                                    (ox as f64 * out.scale).round() as i32,
+                                    (oy as f64 * out.scale).round() as i32,
+                                    size,
+                                    size,
+                                ),
+                                score: out.score[oy * out.width + ox],
+                                scale: out.level,
+                            });
+                        }
+                    }
+                }
+            }
+            assert_eq!(raw, expect, "frame {i}");
+            assert_eq!(det.fault_cursor(), owned.gpu.fault_cursor(), "frame {i}: draws");
+            assert_eq!(
+                det.pipeline.gpu.mem.drain_copy_faults(),
+                owned.gpu.mem.drain_copy_faults(),
+                "frame {i}: fault log"
+            );
+            corrupted_frames += (raw != clean) as usize;
+        }
+        assert!(corrupted_frames > 0, "the plan must corrupt some readback that matters");
     }
 
     #[test]

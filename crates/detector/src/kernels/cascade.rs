@@ -22,6 +22,28 @@
 //! disagree is metered as divergent (the statistic behind the paper's
 //! 98.9 % branch-efficiency figure). Every thread writes the deepest stage
 //! it reached to the output array, which the display stage thresholds.
+//!
+//! # The functional body is a model, not an emulation
+//!
+//! The device walks a stage stump by stump with all 32 lanes in lockstep.
+//! `run_block` computes the same bytes and the same counters in a cheaper
+//! order (DESIGN.md `#functional-bodies`):
+//!
+//! * **Per warp:** which stages it executes (every stage up to and
+//!   including the one its last lane fails) and whether each stage-exit
+//!   branch diverged (`0 < survivors < entrants`). A warp executes every
+//!   stump of a stage it enters, whatever its lanes do, so the stage's
+//!   constant broadcasts, tile transactions, ALU ops and loop branches are
+//!   constants of the stage (`PreStage::rects`, the stump count) added
+//!   once per warp and stage — never per stump or per lane.
+//! * **Per lane:** the stage sum, the running score and the depth. Lanes
+//!   do not interact, so each alive lane runs the whole stage in one loop
+//!   over its stumps — leaves added to `0.0f32` in stump order, exactly
+//!   the order the lockstep walk adds them in — and survivors are
+//!   compacted in place, in lane order.
+//!
+//! The pre-rewrite stump-major body lives on in `kernels/reference.rs` as
+//! the test oracle: equal output bits and equal counters per block.
 
 use std::sync::Arc;
 
@@ -32,20 +54,23 @@ use fd_haar::Cascade;
 /// A stump precompiled for tile-relative evaluation: per rectangle the
 /// four corner offsets within the 48-wide shared tile, plus its weight.
 #[derive(Debug, Clone, Copy)]
-struct PreStump {
+pub(super) struct PreStump {
     /// Corner offsets `[dd, du, ld, lu]` per rectangle.
-    offs: [[u32; 4]; 4],
-    weights: [i32; 4],
-    nrects: u32,
-    threshold: i32,
-    left: f32,
-    right: f32,
+    pub(super) offs: [[u32; 4]; 4],
+    pub(super) weights: [i32; 4],
+    pub(super) nrects: u32,
+    pub(super) threshold: i32,
+    pub(super) left: f32,
+    pub(super) right: f32,
 }
 
 #[derive(Debug, Clone)]
-struct PreStage {
-    stumps: Vec<PreStump>,
-    threshold: f32,
+pub(super) struct PreStage {
+    pub(super) stumps: Vec<PreStump>,
+    pub(super) threshold: f32,
+    /// Rectangles over all of the stage's stumps: with the stump count,
+    /// everything a warp's pass through the stage is metered from.
+    rects: u64,
 }
 
 /// One launch per pyramid level.
@@ -62,8 +87,8 @@ pub struct CascadeKernel {
     /// size accounting; the functional copy below decodes to the same
     /// values — enforced in [`CascadeKernel::new`]).
     pub const_ptr: ConstPtr,
-    stages: Arc<Vec<PreStage>>,
-    window: usize,
+    pub(super) stages: Arc<Vec<PreStage>>,
+    pub(super) window: usize,
     /// Ablation: constant-memory words fetched per stump record
     /// (3 = the paper's compressed encoding; 10 = naive uncompressed
     /// records: per-rectangle coordinates, dimensions and weights plus
@@ -78,7 +103,7 @@ pub struct CascadeKernel {
     /// block stays [`Self::BLOCK`] columns wide — the tile row stride the
     /// precompiled stump offsets assume — and covers `block_h` rows of
     /// window origins with a `48 x (block_h + 24)` shared tile.
-    block_h: u32,
+    pub(super) block_h: u32,
 }
 
 impl CascadeKernel {
@@ -119,6 +144,7 @@ impl CascadeKernel {
             .iter()
             .map(|st| PreStage {
                 threshold: st.threshold,
+                rects: st.stumps.iter().map(|s| s.feature.rects().len() as u64).sum(),
                 stumps: st
                     .stumps
                     .iter()
@@ -221,21 +247,17 @@ impl Kernel for CascadeKernel {
         // default square shape thread (x, y) brings the four pixels
         // (x,y), (x+n,y), (x,y+m), (x+n,y+m); narrower blocks spread the
         // same entries over fewer threads. Tile (0,0) maps to integral
-        // entry (bx-1, by-1); entries left/above the image are zero.
+        // entry (bx-1, by-1); entries outside the image keep the zero of
+        // the allocation, the in-image span of each row is one copy.
         let mut tile = ctx.shared_alloc_u32(tile_w * tile_h);
         {
             let integral = ctx.mem.read(self.integral);
-            for ty in 0..tile_h {
-                let gy = by as isize + ty as isize - 1;
-                for tx in 0..tile_w {
-                    let gx = bx as isize + tx as isize - 1;
-                    tile[ty * tile_w + tx] = if gx < 0 || gy < 0 || gx >= w as isize || gy >= h as isize
-                    {
-                        0
-                    } else {
-                        integral[gy as usize * w + gx as usize]
-                    };
-                }
+            let (gx0, gy0) = (bx.saturating_sub(1), by.saturating_sub(1));
+            let gx1 = (bx + tile_w - 1).min(w);
+            let gy1 = (by + tile_h - 1).min(h);
+            for gy in gy0..gy1 {
+                let t0 = (gy + 1 - by) * tile_w + (gx0 + 1 - bx);
+                tile[t0..t0 + (gx1 - gx0)].copy_from_slice(&integral[gy * w + gx0..gy * w + gx1]);
             }
         }
         // Coalesced 4-byte loads covering the tile + the matching shared
@@ -250,9 +272,15 @@ impl Kernel for CascadeKernel {
             ctx.syncthreads();
         }
 
-        // ---- Warp-granular cascade evaluation.
-        let mut depth_out = ctx.mem.write(self.depth_out);
-        let mut score_out = ctx.mem.write(self.score_out);
+        // ---- Warp-granular cascade evaluation, lane-major inside a
+        // stage (module docs). Per-thread results of the whole block;
+        // threads without a whole window in the image keep these values.
+        let mut depth = [0u32; (Self::BLOCK * Self::BLOCK) as usize];
+        let mut score = [f32::NEG_INFINITY; (Self::BLOCK * Self::BLOCK) as usize];
+        // Window origins `(bx + tx, by + ty)` with `tx < valid_w` and
+        // `ty < valid_h` are the block's valid ones.
+        let valid_w = (w + 1).saturating_sub(bx + self.window).min(b);
+        let valid_h = (h + 1).saturating_sub(by + self.window).min(bh);
 
         // Local metering accumulators (flushed once per block).
         let mut m_const = 0u64;
@@ -262,109 +290,77 @@ impl Kernel for CascadeKernel {
         let mut m_branches = 0u64;
         let mut m_divergent = 0u64;
 
-        let n_stages = self.stages.len();
         ctx.for_each_warp(|_, lanes| {
-            let lane_count = lanes.len();
-            let mut active = [false; 32];
-            let mut depth = [0u32; 32];
-            let mut score = [0.0f32; 32];
-            let mut done_score = [0.0f32; 32];
-            let mut n_active = 0usize;
-            for (li, t) in lanes.clone().enumerate() {
-                let tx = (t as usize) % b;
-                let ty = (t as usize) / b;
-                let ox = bx + tx;
-                let oy = by + ty;
-                active[li] = ox + self.window <= w && oy + self.window <= h;
-                if active[li] {
-                    n_active += 1;
+            // The warp's lanes still in the cascade, in lane order: thread
+            // id and tile offset of the window origin.
+            let mut alive = [(0u16, 0u16); 32];
+            let mut n_alive = 0usize;
+            for t in lanes {
+                let (tx, ty) = (t as usize % b, t as usize / b);
+                if tx < valid_w && ty < valid_h {
+                    alive[n_alive] = (t as u16, (ty * tile_w + tx) as u16);
+                    score[t as usize] = 0.0;
+                    n_alive += 1;
                 }
             }
-            if n_active > 0 {
-                'stages: for (si, stage) in self.stages.iter().enumerate() {
-                    let mut sums = [0.0f32; 32];
+            // Lanes that started the cascade: the no-tile ablation fetches
+            // corners for all of them at every stage the warp executes.
+            let n_active = n_alive as u64;
+            for (si, stage) in self.stages.iter().enumerate() {
+                if n_alive == 0 {
+                    break;
+                }
+                // The warp executes every stump of a stage it enters, so
+                // the stage's cost is a constant of the stage: per stump a
+                // record broadcast from constant memory (3 words
+                // compressed, 10 uncompressed), 4 corner reads per
+                // rectangle (one shared transaction per access step, or 4
+                // scattered 4-byte global reads per lane without the
+                // tile), `4 * nrects + 6` ALU ops and the uniform
+                // loop-control branch; then the stage-exit branch.
+                let n_stumps = stage.stumps.len() as u64;
+                m_const += self.const_words_per_stump * n_stumps;
+                if self.use_shared_tile {
+                    m_shared += 4 * stage.rects;
+                } else {
+                    m_global_scatter += 16 * stage.rects * n_active;
+                }
+                m_alu += 4 * stage.rects + 6 * n_stumps + 3;
+                m_branches += n_stumps + 1;
+
+                let entrants = n_alive;
+                n_alive = 0;
+                for i in 0..entrants {
+                    let (t, base) = alive[i];
+                    let win = &tile[base as usize..];
+                    let mut sum = 0.0f32;
                     for stump in &stage.stumps {
-                        // Stump record broadcast from constant memory
-                        // (3 words compressed, 10 uncompressed).
-                        m_const += self.const_words_per_stump;
-                        if self.use_shared_tile {
-                            // Tile reads: 4 per rectangle per lane; one
-                            // transaction per access step for the warp.
-                            m_shared += 4 * stump.nrects as u64;
+                        let mut resp = 0i64;
+                        for r in 0..stump.nrects as usize {
+                            let o = &stump.offs[r];
+                            let s = win[o[0] as usize] as i64
+                                - win[o[1] as usize] as i64
+                                - win[o[2] as usize] as i64
+                                + win[o[3] as usize] as i64;
+                            resp += stump.weights[r] as i64 * s;
+                        }
+                        sum += if (resp as i32) < stump.threshold {
+                            stump.left
                         } else {
-                            // Scattered global reads: 4 corners per
-                            // rectangle per active lane, uncoalesced.
-                            m_global_scatter += 16 * stump.nrects as u64 * n_active as u64;
-                        }
-                        m_alu += 4 * stump.nrects as u64 + 6;
-                        // Uniform loop-control branch.
-                        m_branches += 1;
-                        for (li, t) in lanes.clone().enumerate() {
-                            if !active[li] {
-                                continue;
-                            }
-                            let tx = (t as usize) % b;
-                            let ty = (t as usize) / b;
-                            let base = ty * tile_w + tx;
-                            let mut resp = 0i64;
-                            for r in 0..stump.nrects as usize {
-                                let o = &stump.offs[r];
-                                let s = tile[base + o[0] as usize] as i64
-                                    - tile[base + o[1] as usize] as i64
-                                    - tile[base + o[2] as usize] as i64
-                                    + tile[base + o[3] as usize] as i64;
-                                resp += stump.weights[r] as i64 * s;
-                            }
-                            sums[li] += if (resp as i32) < stump.threshold {
-                                stump.left
-                            } else {
-                                stump.right
-                            };
-                        }
+                            stump.right
+                        };
                     }
-                    // Stage-exit branch.
-                    let mut passed = 0usize;
-                    let mut failed = 0usize;
-                    for li in 0..lane_count {
-                        if !active[li] {
-                            continue;
-                        }
-                        score[li] += sums[li] - stage.threshold;
-                        if sums[li] >= stage.threshold {
-                            depth[li] = si as u32 + 1;
-                            passed += 1;
-                        } else {
-                            active[li] = false;
-                            done_score[li] = score[li];
-                            failed += 1;
-                        }
-                    }
-                    m_branches += 1;
-                    m_alu += 3;
-                    if passed > 0 && failed > 0 {
-                        m_divergent += 1;
-                    }
-                    if passed == 0 {
-                        break 'stages;
+                    score[t as usize] += sum - stage.threshold;
+                    if sum >= stage.threshold {
+                        depth[t as usize] = si as u32 + 1;
+                        alive[n_alive] = (t, base);
+                        n_alive += 1;
                     }
                 }
-            }
-            // Write back depth and score for the warp's lanes.
-            for (li, t) in lanes.clone().enumerate() {
-                let tx = (t as usize) % b;
-                let ty = (t as usize) / b;
-                let ox = bx + tx;
-                let oy = by + ty;
-                if ox >= w || oy >= h {
-                    continue;
+                if 0 < n_alive && n_alive < entrants {
+                    m_divergent += 1;
                 }
-                let final_score = if active[li] { score[li] } else { done_score[li] };
-                let valid = ox + self.window <= w && oy + self.window <= h;
-                depth_out[oy * w + ox] = if valid { depth[li] } else { 0 };
-                score_out[oy * w + ox] =
-                    if valid { final_score } else { f32::NEG_INFINITY };
             }
-            let _ = n_stages;
         });
 
         ctx.meter.constant(m_const);
@@ -376,6 +372,14 @@ impl Kernel for CascadeKernel {
         let covered_w = (w - bx).min(b);
         let covered_h = (h - by).min(bh);
         ctx.meter.global_store(8 * (covered_w * covered_h) as u64);
+
+        let mut depth_out = ctx.mem.write(self.depth_out);
+        let mut score_out = ctx.mem.write(self.score_out);
+        for ty in 0..covered_h {
+            let out = (by + ty) * w + bx;
+            depth_out[out..out + covered_w].copy_from_slice(&depth[ty * b..ty * b + covered_w]);
+            score_out[out..out + covered_w].copy_from_slice(&score[ty * b..ty * b + covered_w]);
+        }
     }
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {

@@ -46,7 +46,6 @@ impl Kernel for DisplayKernel {
         if base >= n {
             return;
         }
-        let mut hit_count = 0u64;
         let mut warp_divergent = 0u64;
         let mut warps = 0u64;
         {
@@ -64,7 +63,6 @@ impl Kernel for DisplayKernel {
                 if lane_hits > 0 && lane_hits < (we - ws) as u64 {
                     warp_divergent += 1;
                 }
-                hit_count += lane_hits;
             }
         }
         let covered = (end - base) as u64;
@@ -72,7 +70,6 @@ impl Kernel for DisplayKernel {
         ctx.meter.global_store(4 * covered);
         ctx.meter.alu(2 * warps);
         ctx.meter.branches(warps, warp_divergent);
-        let _ = hit_count;
     }
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {

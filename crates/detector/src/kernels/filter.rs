@@ -59,36 +59,40 @@ impl Kernel for FilterKernel {
         let mut tile = ctx.shared_alloc_f32(tile_w * tile_h);
         {
             let src = ctx.mem.read(self.src);
-            for ty in 0..tile_h {
-                let gy = (by as isize + ty as isize - 1).clamp(0, h as isize - 1) as usize;
-                for tx in 0..tile_w {
-                    let gx = (bx as isize + tx as isize - 1).clamp(0, w as isize - 1) as usize;
-                    tile[ty * tile_w + tx] = src[gy * w + gx];
+            // Tile column 0 is source column bx-1. Blocks whose halo lies
+            // inside the image copy whole rows; border blocks clamp per
+            // element.
+            let interior_x = bx >= 1 && bx + bw < w;
+            for (ty, tile_row) in tile.chunks_exact_mut(tile_w).enumerate() {
+                let gy = (by + ty).saturating_sub(1).min(h - 1);
+                let src_row = &src[gy * w..(gy + 1) * w];
+                if interior_x {
+                    tile_row.copy_from_slice(&src_row[bx - 1..bx + bw + 1]);
+                } else {
+                    for (tx, t) in tile_row.iter_mut().enumerate() {
+                        *t = src_row[(bx + tx).saturating_sub(1).min(w - 1)];
+                    }
                 }
             }
         }
         ctx.syncthreads();
 
+        // Separable binomial: rows then columns over the tile.
+        let covered_w = (w - bx).min(bw);
+        let covered_h = (h - by).min(bh);
         let mut dst = ctx.mem.write(self.dst);
-        let mut covered = 0u64;
-        for ty in 0..bh {
-            let y = by + ty;
-            if y >= h {
-                continue;
-            }
-            for tx in 0..bw {
-                let x = bx + tx;
-                if x >= w {
-                    continue;
-                }
-                // Separable binomial: rows then columns over the tile.
-                let t = |dx: usize, dy: usize| tile[(ty + dy) * tile_w + (tx + dx)];
-                let row = |dy: usize| 0.25 * t(0, dy) + 0.5 * t(1, dy) + 0.25 * t(2, dy);
-                dst[y * w + x] = 0.25 * row(0) + 0.5 * row(1) + 0.25 * row(2);
-                covered += 1;
+        for ty in 0..covered_h {
+            let rows = &tile[ty * tile_w..(ty + 3) * tile_w];
+            let (r0, rest) = rows.split_at(tile_w);
+            let (r1, r2) = rest.split_at(tile_w);
+            let out = &mut dst[(by + ty) * w + bx..][..covered_w];
+            for (tx, o) in out.iter_mut().enumerate() {
+                let row = |r: &[f32]| 0.25 * r[tx] + 0.5 * r[tx + 1] + 0.25 * r[tx + 2];
+                *o = 0.25 * row(r0) + 0.5 * row(r1) + 0.25 * row(r2);
             }
         }
         drop(dst);
+        let covered = (covered_w * covered_h) as u64;
 
         let warp = ctx.warp_size() as u64;
         let warps = covered.div_ceil(warp);

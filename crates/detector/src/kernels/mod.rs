@@ -9,6 +9,8 @@ pub mod cascade;
 pub mod display;
 pub mod filter;
 pub mod rearrange;
+#[cfg(test)]
+mod reference;
 pub mod scale;
 pub mod scan;
 pub mod transpose;

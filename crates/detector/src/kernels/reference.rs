@@ -1,0 +1,780 @@
+//! Differential oracle for the kernel bodies.
+//!
+//! The `run_block` bodies of the cascade, filter, scale, scan and
+//! transpose kernels as they were before they were rewritten for host
+//! speed (element-wise staging, stump-major SIMT iteration, per-pixel
+//! metering), kept verbatim as [`ReferenceBody::reference_run_block`].
+//! The sweeps below run both bodies block by block over generated
+//! geometries, cascades and launch shapes and demand equal output bytes
+//! and equal [`KernelCounters`] for every block.
+
+use std::sync::{Arc, Mutex};
+
+use fd_gpu::{
+    BlockCtx, DeviceSpec, ExecMode, Gpu, Kernel, KernelCounters, LaunchConfig, Texture2D,
+};
+use fd_haar::encode::{encode_cascade, quantize_cascade};
+use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
+
+use super::scan::{quantize_luma, ScanInput};
+use super::{CascadeKernel, FilterKernel, ScaleKernel, ScanRowsKernel, TransposeKernel};
+
+/// A kernel that still carries its pre-rewrite body.
+trait ReferenceBody: Kernel {
+    fn reference_run_block(&self, ctx: &mut BlockCtx<'_>);
+}
+
+impl ReferenceBody for CascadeKernel {
+    fn reference_run_block(&self, ctx: &mut BlockCtx<'_>) {
+        let b = Self::BLOCK as usize;
+        let bh = self.block_h as usize;
+        let tile_w = Self::TILE as usize;
+        let tile_h = bh + b;
+        let bx = ctx.block_idx.x as usize * b;
+        let by = ctx.block_idx.y as usize * bh;
+        let (w, h) = (self.width, self.height);
+
+        // ---- Cooperative tile load (Eqs. 1-4): the block stages the
+        // `48 x (block_h + 24)` neighbourhood its windows touch. At the
+        // default square shape thread (x, y) brings the four pixels
+        // (x,y), (x+n,y), (x,y+m), (x+n,y+m); narrower blocks spread the
+        // same entries over fewer threads. Tile (0,0) maps to integral
+        // entry (bx-1, by-1); entries left/above the image are zero.
+        let mut tile = ctx.shared_alloc_u32(tile_w * tile_h);
+        {
+            let integral = ctx.mem.read(self.integral);
+            for ty in 0..tile_h {
+                let gy = by as isize + ty as isize - 1;
+                for tx in 0..tile_w {
+                    let gx = bx as isize + tx as isize - 1;
+                    tile[ty * tile_w + tx] = if gx < 0 || gy < 0 || gx >= w as isize || gy >= h as isize
+                    {
+                        0
+                    } else {
+                        integral[gy as usize * w + gx as usize]
+                    };
+                }
+            }
+        }
+        // Coalesced 4-byte loads covering the tile + the matching shared
+        // stores (whole-warp transactions, `loads_per_thread` rounds).
+        let threads = (b * bh) as u64;
+        let warp = ctx.warp_size() as u64;
+        let block_warps = threads.div_ceil(warp);
+        if self.use_shared_tile {
+            let tile_entries = (tile_w * tile_h) as u64;
+            ctx.meter.global_load(4 * tile_entries);
+            ctx.meter.shared(tile_entries.div_ceil(threads) * block_warps);
+            ctx.syncthreads();
+        }
+
+        // ---- Warp-granular cascade evaluation.
+        let mut depth_out = ctx.mem.write(self.depth_out);
+        let mut score_out = ctx.mem.write(self.score_out);
+
+        // Local metering accumulators (flushed once per block).
+        let mut m_const = 0u64;
+        let mut m_shared = 0u64;
+        let mut m_global_scatter = 0u64;
+        let mut m_alu = 0u64;
+        let mut m_branches = 0u64;
+        let mut m_divergent = 0u64;
+
+        let n_stages = self.stages.len();
+        ctx.for_each_warp(|_, lanes| {
+            let lane_count = lanes.len();
+            let mut active = [false; 32];
+            let mut depth = [0u32; 32];
+            let mut score = [0.0f32; 32];
+            let mut done_score = [0.0f32; 32];
+            let mut n_active = 0usize;
+            for (li, t) in lanes.clone().enumerate() {
+                let tx = (t as usize) % b;
+                let ty = (t as usize) / b;
+                let ox = bx + tx;
+                let oy = by + ty;
+                active[li] = ox + self.window <= w && oy + self.window <= h;
+                if active[li] {
+                    n_active += 1;
+                }
+            }
+            if n_active > 0 {
+                'stages: for (si, stage) in self.stages.iter().enumerate() {
+                    let mut sums = [0.0f32; 32];
+                    for stump in &stage.stumps {
+                        // Stump record broadcast from constant memory
+                        // (3 words compressed, 10 uncompressed).
+                        m_const += self.const_words_per_stump;
+                        if self.use_shared_tile {
+                            // Tile reads: 4 per rectangle per lane; one
+                            // transaction per access step for the warp.
+                            m_shared += 4 * stump.nrects as u64;
+                        } else {
+                            // Scattered global reads: 4 corners per
+                            // rectangle per active lane, uncoalesced.
+                            m_global_scatter += 16 * stump.nrects as u64 * n_active as u64;
+                        }
+                        m_alu += 4 * stump.nrects as u64 + 6;
+                        // Uniform loop-control branch.
+                        m_branches += 1;
+                        for (li, t) in lanes.clone().enumerate() {
+                            if !active[li] {
+                                continue;
+                            }
+                            let tx = (t as usize) % b;
+                            let ty = (t as usize) / b;
+                            let base = ty * tile_w + tx;
+                            let mut resp = 0i64;
+                            for r in 0..stump.nrects as usize {
+                                let o = &stump.offs[r];
+                                let s = tile[base + o[0] as usize] as i64
+                                    - tile[base + o[1] as usize] as i64
+                                    - tile[base + o[2] as usize] as i64
+                                    + tile[base + o[3] as usize] as i64;
+                                resp += stump.weights[r] as i64 * s;
+                            }
+                            sums[li] += if (resp as i32) < stump.threshold {
+                                stump.left
+                            } else {
+                                stump.right
+                            };
+                        }
+                    }
+                    // Stage-exit branch.
+                    let mut passed = 0usize;
+                    let mut failed = 0usize;
+                    for li in 0..lane_count {
+                        if !active[li] {
+                            continue;
+                        }
+                        score[li] += sums[li] - stage.threshold;
+                        if sums[li] >= stage.threshold {
+                            depth[li] = si as u32 + 1;
+                            passed += 1;
+                        } else {
+                            active[li] = false;
+                            done_score[li] = score[li];
+                            failed += 1;
+                        }
+                    }
+                    m_branches += 1;
+                    m_alu += 3;
+                    if passed > 0 && failed > 0 {
+                        m_divergent += 1;
+                    }
+                    if passed == 0 {
+                        break 'stages;
+                    }
+                }
+            }
+            // Write back depth and score for the warp's lanes.
+            for (li, t) in lanes.clone().enumerate() {
+                let tx = (t as usize) % b;
+                let ty = (t as usize) / b;
+                let ox = bx + tx;
+                let oy = by + ty;
+                if ox >= w || oy >= h {
+                    continue;
+                }
+                let final_score = if active[li] { score[li] } else { done_score[li] };
+                let valid = ox + self.window <= w && oy + self.window <= h;
+                depth_out[oy * w + ox] = if valid { depth[li] } else { 0 };
+                score_out[oy * w + ox] =
+                    if valid { final_score } else { f32::NEG_INFINITY };
+            }
+            let _ = n_stages;
+        });
+
+        ctx.meter.constant(m_const);
+        ctx.meter.shared(m_shared);
+        ctx.meter.global_load(m_global_scatter);
+        ctx.meter.alu(m_alu);
+        ctx.meter.branches(m_branches, m_divergent);
+        // Depth + score stores: 8 bytes per covered pixel.
+        let covered_w = (w - bx).min(b);
+        let covered_h = (h - by).min(bh);
+        ctx.meter.global_store(8 * (covered_w * covered_h) as u64);
+    }
+}
+
+impl ReferenceBody for FilterKernel {
+    fn reference_run_block(&self, ctx: &mut BlockCtx<'_>) {
+        // Block shape comes from the launch config (the autotuner may
+        // re-tile); each output pixel only reads its clamped 3x3 source
+        // neighbourhood, so any tiling computes identical bytes.
+        let bw = ctx.block_dim.x as usize;
+        let bh = ctx.block_dim.y as usize;
+        let bx = ctx.block_idx.x as usize * bw;
+        let by = ctx.block_idx.y as usize * bh;
+        let (w, h) = (self.width, self.height);
+
+        // Stage the (bw+2)x(bh+2) halo tile (clamped at image borders).
+        let tile_w = bw + 2;
+        let tile_h = bh + 2;
+        let mut tile = ctx.shared_alloc_f32(tile_w * tile_h);
+        {
+            let src = ctx.mem.read(self.src);
+            for ty in 0..tile_h {
+                let gy = (by as isize + ty as isize - 1).clamp(0, h as isize - 1) as usize;
+                for tx in 0..tile_w {
+                    let gx = (bx as isize + tx as isize - 1).clamp(0, w as isize - 1) as usize;
+                    tile[ty * tile_w + tx] = src[gy * w + gx];
+                }
+            }
+        }
+        ctx.syncthreads();
+
+        let mut dst = ctx.mem.write(self.dst);
+        let mut covered = 0u64;
+        for ty in 0..bh {
+            let y = by + ty;
+            if y >= h {
+                continue;
+            }
+            for tx in 0..bw {
+                let x = bx + tx;
+                if x >= w {
+                    continue;
+                }
+                // Separable binomial: rows then columns over the tile.
+                let t = |dx: usize, dy: usize| tile[(ty + dy) * tile_w + (tx + dx)];
+                let row = |dy: usize| 0.25 * t(0, dy) + 0.5 * t(1, dy) + 0.25 * t(2, dy);
+                dst[y * w + x] = 0.25 * row(0) + 0.5 * row(1) + 0.25 * row(2);
+                covered += 1;
+            }
+        }
+        drop(dst);
+
+        let warp = ctx.warp_size() as u64;
+        let warps = covered.div_ceil(warp);
+        // Halo load: one coalesced read per tile element. Buffer-tagged
+        // so a fused launch credits fusion-local traffic to on-chip rates.
+        ctx.global_load_buf(self.src, (tile_w * tile_h * 4) as u64);
+        ctx.meter.shared((tile_w * tile_h) as u64 / 8);
+        // Compute: 9 shared reads + ~10 FLOPs per pixel.
+        ctx.meter.shared(9 * warps);
+        ctx.meter.alu(10 * warps);
+        ctx.global_store_buf(self.dst, 4 * covered);
+    }
+}
+
+impl ReferenceBody for ScaleKernel {
+    fn reference_run_block(&self, ctx: &mut BlockCtx<'_>) {
+        // Block shape comes from the launch config (the autotuner may
+        // re-tile); each output pixel is an independent texture gather.
+        let bw = ctx.block_dim.x as usize;
+        let bh = ctx.block_dim.y as usize;
+        let bx = ctx.block_idx.x as usize * bw;
+        let by = ctx.block_idx.y as usize * bh;
+        let sx = self.src_w as f32 / self.dst_w as f32;
+        let sy = self.src_h as f32 / self.dst_h as f32;
+
+        let mut dst = ctx.mem.write(self.dst);
+        let mut covered = 0u64;
+        for ty in 0..bh {
+            let y = by + ty;
+            if y >= self.dst_h {
+                continue;
+            }
+            for tx in 0..bw {
+                let x = bx + tx;
+                if x >= self.dst_w {
+                    continue;
+                }
+                let v = ctx.tex2d(self.src, (x as f32 + 0.5) * sx, (y as f32 + 0.5) * sy);
+                dst[y * self.dst_w + x] = v;
+                covered += 1;
+            }
+        }
+        drop(dst);
+
+        // Per covered thread: ~6 address ALU ops (as warp instructions) and
+        // a 4-byte store; the tex2d call meters fetches itself. The store
+        // is buffer-tagged so a fused chain can keep the scaled level
+        // on-chip for its consumer.
+        let warp = ctx.warp_size() as u64;
+        ctx.meter.alu(6 * covered.div_ceil(warp));
+        ctx.global_store_buf(self.dst, 4 * covered);
+    }
+}
+
+impl ReferenceBody for ScanRowsKernel {
+    fn reference_run_block(&self, ctx: &mut BlockCtx<'_>) {
+        let row = ctx.block_idx.y as usize;
+        if row >= self.height {
+            return;
+        }
+        let w = self.width;
+        // Block width comes from the launch config (the autotuner may
+        // re-tile); the sequential row scan below is identical for any
+        // width, only the work model changes. The shared allocation
+        // asserts the launch requested the scratch the real block scan
+        // needs at this width.
+        let threads = ctx.block_dim.x;
+        let _scratch = ctx.shared_alloc_u32(2 * threads as usize);
+
+        {
+            let mut out = ctx.mem.write(self.output);
+            let dst = &mut out[row * w..(row + 1) * w];
+            match self.input {
+                ScanInput::QuantizeF32(src) => {
+                    let src = ctx.mem.read(src);
+                    let mut acc = 0u32;
+                    for (x, d) in dst.iter_mut().enumerate() {
+                        acc += src[row * w + x].round().clamp(0.0, 255.0) as u32;
+                        *d = acc;
+                    }
+                }
+                ScanInput::U32(src) => {
+                    let src = ctx.mem.read(src);
+                    let mut acc = 0u32;
+                    for (x, d) in dst.iter_mut().enumerate() {
+                        acc += src[row * w + x];
+                        *d = acc;
+                    }
+                }
+            }
+        }
+
+        // Work model: the row is processed in ceil(w / threads) segments;
+        // each segment does an up-sweep + down-sweep over `threads`
+        // elements in shared memory (~2*threads shared accesses,
+        // 2*log2(threads) warp instruction steps per warp) plus the
+        // carry add.
+        let t = threads as u64;
+        let warps = t.div_ceil(ctx.warp_size() as u64);
+        let segments = (w as u64).div_ceil(t);
+        let log_t = t.ilog2() as u64;
+        // Buffer-tagged traffic: credited to on-chip rates when the scan
+        // runs fused behind its producer.
+        match self.input {
+            ScanInput::QuantizeF32(src) => ctx.global_load_buf(src, 4 * w as u64),
+            ScanInput::U32(src) => ctx.global_load_buf(src, 4 * w as u64),
+        }
+        ctx.global_store_buf(self.output, 4 * w as u64);
+        ctx.meter.shared(segments * 2 * t / ctx.warp_size() as u64);
+        ctx.meter.alu(segments * warps * 2 * log_t);
+        for _ in 0..segments * 2 {
+            ctx.syncthreads();
+        }
+    }
+}
+
+impl ReferenceBody for TransposeKernel {
+    fn reference_run_block(&self, ctx: &mut BlockCtx<'_>) {
+        let t = Self::TILE as usize;
+        let bx = ctx.block_idx.x as usize * t;
+        let by = ctx.block_idx.y as usize * t;
+        let (w, h) = (self.width, self.height);
+
+        let mut tile = ctx.shared_alloc_u32(t * (t + 1));
+        let mut loaded = 0u64;
+        {
+            let src = ctx.mem.read(self.src);
+            for ty in 0..t {
+                let y = by + ty;
+                if y >= h {
+                    continue;
+                }
+                for tx in 0..t {
+                    let x = bx + tx;
+                    if x >= w {
+                        continue;
+                    }
+                    tile[ty * (t + 1) + tx] = src[y * w + x];
+                    loaded += 1;
+                }
+            }
+        }
+        ctx.syncthreads();
+        {
+            let mut dst = ctx.mem.write(self.dst);
+            for ty in 0..t {
+                let y = by + ty;
+                if y >= h {
+                    continue;
+                }
+                for tx in 0..t {
+                    let x = bx + tx;
+                    if x >= w {
+                        continue;
+                    }
+                    // dst is h x w: element (row x, col y).
+                    dst[x * h + y] = tile[ty * (t + 1) + tx];
+                }
+            }
+        }
+
+        let warps = (t * t) as u64 / ctx.warp_size() as u64;
+        // Buffer-tagged traffic: fusion-local intermediates are credited
+        // to on-chip rates when this transpose runs inside a fused chain.
+        ctx.global_load_buf(self.src, 4 * loaded);
+        ctx.global_store_buf(self.dst, 4 * loaded);
+        // One shared store and one shared load per element — one
+        // transaction per warp each way, conflict-free thanks to the
+        // padding.
+        ctx.meter.shared(2 * warps);
+        ctx.meter.alu(4 * warps);
+    }
+}
+
+/// Runs one of `kernel`'s two bodies and logs every block's counters.
+struct Probe<K> {
+    kernel: K,
+    reference: bool,
+    log: Arc<Mutex<Vec<(u64, KernelCounters)>>>,
+}
+
+impl<K: ReferenceBody> Kernel for Probe<K> {
+    fn name(&self) -> &'static str {
+        self.kernel.name()
+    }
+
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+        let lin = ctx.grid_dim.linear_index(ctx.block_idx);
+        if self.reference {
+            self.kernel.reference_run_block(ctx);
+        } else {
+            self.kernel.run_block(ctx);
+        }
+        self.log.lock().unwrap().push((lin, ctx.meter.snapshot()));
+    }
+}
+
+/// Launch one body of `kernel` over `cfg` and return the counters of
+/// every block, by linear block id.
+fn per_block<K: ReferenceBody + 'static>(
+    gpu: &mut Gpu,
+    kernel: K,
+    cfg: LaunchConfig,
+    reference: bool,
+) -> Vec<KernelCounters> {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    gpu.launch_default(Probe { kernel, reference, log: Arc::clone(&log) }, cfg).unwrap();
+    gpu.synchronize();
+    let mut log = std::mem::take(&mut *log.lock().unwrap());
+    log.sort_by_key(|&(lin, _)| lin);
+    assert_eq!(log.len() as u64, cfg.total_blocks(), "every block ran once");
+    log.into_iter().map(|(_, counters)| counters).collect()
+}
+
+/// What a body did: every block's counters and every output element's
+/// bits.
+type Observed = (Vec<KernelCounters>, Vec<u32>);
+
+fn assert_same((c_new, out_new): Observed, (c_ref, out_ref): Observed, case: &str) {
+    assert_eq!(c_new.len(), c_ref.len(), "{case}: block count");
+    for (block, (a, b)) in c_new.iter().zip(&c_ref).enumerate() {
+        assert_eq!(a, b, "{case}: counters of block {block}");
+    }
+    assert_eq!(out_new.len(), out_ref.len(), "{case}: output length");
+    for (i, (a, b)) in out_new.iter().zip(&out_ref).enumerate() {
+        assert_eq!(a, b, "{case}: output element {i}");
+    }
+}
+
+fn f32_bits(values: Vec<f32>) -> Vec<u32> {
+    values.into_iter().map(f32::to_bits).collect()
+}
+
+/// SplitMix64: the sweeps' only source of randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A finite pixel-like value: negative, above 255 and exact halves
+    /// all occur.
+    fn pixel(&mut self) -> f32 {
+        match self.below(4) {
+            0 => self.below(300) as f32 - 20.0 + 0.5,
+            1 => self.below(256) as f32,
+            _ => (self.next() % 3_000_000) as f32 / 10_000.0 - 20.0,
+        }
+    }
+}
+
+/// Extents the sweeps draw from besides uniform `1..=130`: below the
+/// 24-px window, around multiples of the 16- and 24-wide tiles, one
+/// pixel.
+const DIMS: [usize; 22] =
+    [1, 2, 3, 7, 15, 16, 17, 23, 24, 25, 31, 32, 33, 47, 48, 49, 64, 72, 95, 96, 129, 130];
+
+/// Geometry of case `i`: degenerate shapes first, then a mix of [`DIMS`]
+/// and uniform draws.
+fn geometry(rng: &mut Rng, i: usize) -> (usize, usize) {
+    const FIRST: [(usize, usize); 8] =
+        [(1, 1), (1, 130), (130, 1), (24, 24), (23, 50), (50, 23), (47, 47), (130, 130)];
+    let extent = |rng: &mut Rng| {
+        if rng.below(2) == 0 {
+            DIMS[rng.below(DIMS.len())]
+        } else {
+            1 + rng.below(130)
+        }
+    };
+    FIRST.get(i).copied().unwrap_or_else(|| (extent(rng), extent(rng)))
+}
+
+fn random_stump(rng: &mut Rng) -> Stump {
+    let kind = FeatureKind::ALL[rng.below(FeatureKind::ALL.len())];
+    // Cells per feature along each axis; the feature must fit the window.
+    let (cols, rows) = match kind {
+        FeatureKind::EdgeH => (2, 1),
+        FeatureKind::EdgeV => (1, 2),
+        FeatureKind::LineH => (3, 1),
+        FeatureKind::LineV => (1, 3),
+        FeatureKind::CenterSurround => (3, 3),
+        FeatureKind::Diagonal => (2, 2),
+    };
+    let w = 1 + rng.below(24 / cols);
+    let h = 1 + rng.below(24 / rows);
+    let x = rng.below(24 - w * cols + 1);
+    let y = rng.below(24 - h * rows + 1);
+    Stump {
+        feature: HaarFeature::from_params(kind, x as u8, y as u8, w as u8, h as u8),
+        threshold: (rng.below(41) as i32 - 20) * 64,
+        left: rng.below(2049) as f32 / 1024.0 - 1.0,
+        right: rng.below(2049) as f32 / 1024.0 - 1.0,
+    }
+}
+
+fn random_stage(rng: &mut Rng, threshold: f32) -> Stage {
+    Stage { stumps: (0..1 + rng.below(6)).map(|_| random_stump(rng)).collect(), threshold }
+}
+
+/// A quantized cascade of one of four profiles: stages that split warps,
+/// a stage every lane fails behind one every lane passes, stages every
+/// lane passes, and a single one-stump stage.
+fn random_cascade(rng: &mut Rng, profile: usize) -> Cascade {
+    let mut c = Cascade::new("oracle", 24);
+    match profile {
+        0 => {
+            for _ in 0..2 + rng.below(4) {
+                let threshold = rng.below(1025) as f32 / 1024.0 - 0.75;
+                c.stages.push(random_stage(rng, threshold));
+            }
+        }
+        1 => {
+            c.stages.push(random_stage(rng, -31.0));
+            c.stages.push(random_stage(rng, 31.0));
+            c.stages.push(random_stage(rng, 0.0));
+        }
+        2 => {
+            for _ in 0..3 {
+                c.stages.push(random_stage(rng, -31.0));
+            }
+        }
+        _ => c.stages.push(Stage { stumps: vec![random_stump(rng)], threshold: 0.0 }),
+    }
+    quantize_cascade(&c)
+}
+
+#[test]
+fn cascade_body_matches_reference() {
+    let mut rng = Rng(0xCA5C_ADE0);
+    let mut divergent = 0u64;
+    let (mut all_failed_a_stage, mut all_passed) = (false, false);
+    let mut rects_seen = [false; 5];
+    for case in 0..320 {
+        let (w, h) = geometry(&mut rng, case);
+        let block_h = CascadeKernel::BLOCK_HEIGHTS[case % 5];
+        let (uncompressed, no_tile) = ((case / 5) % 2 == 1, (case / 10) % 2 == 1);
+        let profile = (case / 20) % 4;
+        let cascade = random_cascade(&mut rng, profile);
+        for stump in cascade.stages.iter().flat_map(|s| &s.stumps) {
+            rects_seen[stump.feature.rects().len()] = true;
+        }
+        // Every other case feeds a true integral image of random pixels;
+        // the rest feed arbitrary words, where responses wrap `i32`.
+        let mut integral = vec![0u32; w * h];
+        for y in 0..h {
+            let mut acc = 0u32;
+            for x in 0..w {
+                acc += rng.below(256) as u32;
+                let above = if y > 0 { integral[(y - 1) * w + x] } else { 0 };
+                integral[y * w + x] = if case % 2 == 0 { acc + above } else { rng.next() as u32 };
+            }
+        }
+
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let integral = gpu.mem.upload(&integral);
+        let const_ptr = gpu.const_upload(&encode_cascade(&cascade));
+        let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
+            let (depth, score) = (gpu.mem.alloc::<u32>(w * h), gpu.mem.alloc::<f32>(w * h));
+            let k = CascadeKernel::new(&cascade, integral, w, h, depth, score, const_ptr)
+                .with_block_h(block_h);
+            let k = if uncompressed { k.with_uncompressed_records() } else { k };
+            let k = if no_tile { k.without_shared_tile() } else { k };
+            let cfg = k.config();
+            let counters = per_block(gpu, k, cfg, reference);
+            let mut bits = gpu.mem.download(depth);
+            bits.extend(f32_bits(gpu.mem.download(score)));
+            (counters, bits)
+        };
+        let new = observe(&mut gpu, false);
+        let windows = (w + 1).saturating_sub(24) * (h + 1).saturating_sub(24);
+        divergent += new.0.iter().map(|c| c.divergent_branches).sum::<u64>();
+        let depths = &new.1[..w * h];
+        all_failed_a_stage |= profile == 1 && windows > 0 && depths.iter().all(|&d| d <= 1);
+        all_passed |= profile == 2 && depths.iter().filter(|&&d| d == 3).count() == windows;
+        let label = format!(
+            "case {case}: {w}x{h}, block_h {block_h}, uncompressed {uncompressed}, \
+             no tile {no_tile}"
+        );
+        assert_same(new, observe(&mut gpu, true), &label);
+    }
+    assert!(divergent > 0, "the sweep must split warps");
+    assert!(all_failed_a_stage && all_passed, "a stage no lane passes, stages every lane passes");
+    assert!(rects_seen[2] && rects_seen[3] && rects_seen[4], "2-, 3- and 4-rect stumps");
+}
+
+#[test]
+fn filter_body_matches_reference() {
+    let mut rng = Rng(0xF117_E200);
+    for case in 0..330 {
+        let (w, h) = geometry(&mut rng, case / 3);
+        let shape = FilterKernel::BLOCKS[case % 3];
+        let pixels: Vec<f32> = (0..w * h).map(|_| rng.pixel()).collect();
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let src = gpu.mem.upload(&pixels);
+        let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
+            let dst = gpu.mem.alloc::<f32>(w * h);
+            let k = FilterKernel { src, dst, width: w, height: h };
+            let cfg = k.config_for(shape);
+            (per_block(gpu, k, cfg, reference), f32_bits(gpu.mem.download(dst)))
+        };
+        let label = format!("case {case}: {w}x{h}, block {shape:?}");
+        assert_same(observe(&mut gpu, false), observe(&mut gpu, true), &label);
+    }
+}
+
+#[test]
+fn scale_body_matches_reference() {
+    let mut rng = Rng(0x5CA1_E000);
+    for case in 0..320 {
+        let (src_w, src_h) = geometry(&mut rng, case / 2);
+        // Up- and downscaling, and the identity of pyramid level 0.
+        let (dst_w, dst_h) =
+            if case % 8 < 2 { (src_w, src_h) } else { (1 + rng.below(130), 1 + rng.below(130)) };
+        let shape = ScaleKernel::BLOCKS[case % 2];
+        let texels: Vec<f32> = (0..src_w * src_h).map(|_| rng.pixel()).collect();
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let tex = gpu.bind_texture(Texture2D::from_data(src_w, src_h, texels));
+        let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
+            let dst = gpu.mem.alloc::<f32>(dst_w * dst_h);
+            let k = ScaleKernel { src: tex, src_w, src_h, dst, dst_w, dst_h };
+            let cfg = k.config_for(shape);
+            (per_block(gpu, k, cfg, reference), f32_bits(gpu.mem.download(dst)))
+        };
+        let label = format!("case {case}: {src_w}x{src_h} -> {dst_w}x{dst_h}, block {shape:?}");
+        assert_same(observe(&mut gpu, false), observe(&mut gpu, true), &label);
+    }
+}
+
+#[test]
+fn scan_body_matches_reference() {
+    let mut rng = Rng(0x5CA2_0000);
+    for case in 0..360 {
+        // Rows longer than a block (several segments) next to the usual
+        // extents.
+        let (w, h) = match case % 12 {
+            10 => (257 + rng.below(400), 1 + rng.below(4)),
+            11 => (512, 2),
+            _ => geometry(&mut rng, case / 6),
+        };
+        let threads = ScanRowsKernel::THREAD_OPTIONS[case % 3];
+        let quantize = (case / 3) % 2 == 0;
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let input = if quantize {
+            let pixels: Vec<f32> = (0..w * h)
+                .map(|_| match rng.below(16) {
+                    0 => f32::NAN,
+                    1 => f32::INFINITY,
+                    2 => f32::NEG_INFINITY,
+                    3 => -0.0,
+                    _ => rng.pixel(),
+                })
+                .collect();
+            ScanInput::QuantizeF32(gpu.mem.upload(&pixels))
+        } else {
+            let words: Vec<u32> = (0..w * h).map(|_| rng.below(1 << 16) as u32).collect();
+            ScanInput::U32(gpu.mem.upload(&words))
+        };
+        let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
+            let output = gpu.mem.alloc::<u32>(w * h);
+            let k = ScanRowsKernel { input, output, width: w, height: h };
+            let cfg = k.config_for(threads);
+            (per_block(gpu, k, cfg, reference), gpu.mem.download(output))
+        };
+        let label = format!("case {case}: {w}x{h}, {threads} threads, quantize {quantize}");
+        assert_same(observe(&mut gpu, false), observe(&mut gpu, true), &label);
+    }
+}
+
+#[test]
+fn transpose_body_matches_reference() {
+    let mut rng = Rng(0x7245_0000);
+    for case in 0..320 {
+        let (w, h) = geometry(&mut rng, case);
+        let words: Vec<u32> = (0..w * h).map(|_| rng.next() as u32).collect();
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let src = gpu.mem.upload(&words);
+        let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
+            let dst = gpu.mem.alloc::<u32>(w * h);
+            let k = TransposeKernel { src, dst, width: w, height: h };
+            let cfg = k.config();
+            (per_block(gpu, k, cfg, reference), gpu.mem.download(dst))
+        };
+        let label = format!("case {case}: {w}x{h}");
+        assert_same(observe(&mut gpu, false), observe(&mut gpu, true), &label);
+    }
+}
+
+/// `quantize_luma` replaced a call into libm: it must equal the std
+/// expression on every `f32`.
+#[test]
+fn quantize_luma_is_round_then_clamp() {
+    let check = |v: f32| {
+        let want = v.round().clamp(0.0, 255.0) as u32;
+        assert_eq!(quantize_luma(v), want, "{v:?} ({:#010x})", v.to_bits());
+    };
+    // Around every integer and every half in and just past the range.
+    for k in 0..=256u32 {
+        for centre in [k as f32, k as f32 + 0.5] {
+            let bits = centre.to_bits();
+            for b in [bits.wrapping_sub(1), bits, bits + 1] {
+                check(f32::from_bits(b));
+                check(-f32::from_bits(b));
+            }
+        }
+    }
+    for v in [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN] {
+        check(v);
+    }
+    // Past the point where every float is an integer.
+    for e in 23..=127 {
+        let v = f32::from_bits((127 + e) << 23);
+        for v in [v, -v, f32::from_bits(v.to_bits() + 1), f32::from_bits(v.to_bits() - 1)] {
+            check(v);
+        }
+    }
+    // 2^21 random bit patterns (all classes: subnormals, NaNs, both
+    // signs), each also folded into the exponents 2^-4 ..= 2^11 around
+    // the range with its sign and mantissa kept.
+    let mut rng = Rng(0x5CA9_0000);
+    for _ in 0..1 << 21 {
+        let bits = rng.next() as u32;
+        check(f32::from_bits(bits));
+        check(f32::from_bits((bits & 0x807F_FFFF) | ((123 + (bits >> 23) % 16) << 23)));
+    }
+}

@@ -53,27 +53,24 @@ impl Kernel for ScaleKernel {
         let sx = self.src_w as f32 / self.dst_w as f32;
         let sy = self.src_h as f32 / self.dst_h as f32;
 
+        // The block's columns sample the same source columns on every
+        // row: one horizontal tap per column, one row fetch per row.
+        let tex = ctx.texture(self.src);
+        let covered_w = (self.dst_w - bx).min(bw);
+        let covered_h = (self.dst_h - by).min(bh);
+        let taps: Vec<_> =
+            (bx..bx + covered_w).map(|x| tex.tap_x((x as f32 + 0.5) * sx)).collect();
         let mut dst = ctx.mem.write(self.dst);
-        let mut covered = 0u64;
-        for ty in 0..bh {
-            let y = by + ty;
-            if y >= self.dst_h {
-                continue;
-            }
-            for tx in 0..bw {
-                let x = bx + tx;
-                if x >= self.dst_w {
-                    continue;
-                }
-                let v = ctx.tex2d(self.src, (x as f32 + 0.5) * sx, (y as f32 + 0.5) * sy);
-                dst[y * self.dst_w + x] = v;
-                covered += 1;
-            }
+        for y in by..by + covered_h {
+            let out = &mut dst[y * self.dst_w + bx..][..covered_w];
+            tex.fetch_bilinear_row(&taps, (y as f32 + 0.5) * sy, out);
         }
         drop(dst);
+        let covered = (covered_w * covered_h) as u64;
+        ctx.meter.tex(covered);
 
         // Per covered thread: ~6 address ALU ops (as warp instructions) and
-        // a 4-byte store; the tex2d call meters fetches itself. The store
+        // a 4-byte store, next to the texture fetch metered above. The store
         // is buffer-tagged so a fused chain can keep the scaled level
         // on-chip for its consumer.
         let warp = ctx.warp_size() as u64;

@@ -52,6 +52,18 @@ impl ScanRowsKernel {
     }
 }
 
+/// `v.round().clamp(0.0, 255.0) as u32` — the 8-bit quantization of
+/// `IntegralImage::from_gray` — without the call into libm that
+/// `f32::round` is on baseline x86-64: clamping first leaves `[0, 255]`
+/// or NaN, where truncation and the remainder are exact, and halves round
+/// away from zero as `round` does. NaN quantizes to 0 either way.
+#[inline]
+pub(super) fn quantize_luma(v: f32) -> u32 {
+    let c = v.clamp(0.0, 255.0);
+    let whole = c as u32;
+    whole + (c - whole as f32 >= 0.5) as u32
+}
+
 impl Kernel for ScanRowsKernel {
     fn name(&self) -> &'static str {
         "scan_rows"
@@ -65,29 +77,28 @@ impl Kernel for ScanRowsKernel {
         let w = self.width;
         // Block width comes from the launch config (the autotuner may
         // re-tile); the sequential row scan below is identical for any
-        // width, only the work model changes. The shared allocation
-        // asserts the launch requested the scratch the real block scan
-        // needs at this width.
+        // width, only the work model changes. The reservation asserts
+        // the launch requested the scratch the real block scan needs at
+        // this width; the sequential scan itself never touches it.
         let threads = ctx.block_dim.x;
-        let _scratch = ctx.shared_alloc_u32(2 * threads as usize);
+        ctx.shared_reserve(2 * threads as usize * 4);
 
         {
             let mut out = ctx.mem.write(self.output);
             let dst = &mut out[row * w..(row + 1) * w];
+            let mut acc = 0u32;
             match self.input {
                 ScanInput::QuantizeF32(src) => {
                     let src = ctx.mem.read(src);
-                    let mut acc = 0u32;
-                    for (x, d) in dst.iter_mut().enumerate() {
-                        acc += src[row * w + x].round().clamp(0.0, 255.0) as u32;
+                    for (d, &s) in dst.iter_mut().zip(&src[row * w..(row + 1) * w]) {
+                        acc += quantize_luma(s);
                         *d = acc;
                     }
                 }
                 ScanInput::U32(src) => {
                     let src = ctx.mem.read(src);
-                    let mut acc = 0u32;
-                    for (x, d) in dst.iter_mut().enumerate() {
-                        acc += src[row * w + x];
+                    for (d, &s) in dst.iter_mut().zip(&src[row * w..(row + 1) * w]) {
+                        acc += s;
                         *d = acc;
                     }
                 }

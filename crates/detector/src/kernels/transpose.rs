@@ -38,40 +38,25 @@ impl Kernel for TransposeKernel {
         let by = ctx.block_idx.y as usize * t;
         let (w, h) = (self.width, self.height);
 
+        // The block's part of the matrix: `cw x ch` elements.
+        let cw = (w - bx).min(t);
+        let ch = (h - by).min(t);
+        let loaded = (cw * ch) as u64;
         let mut tile = ctx.shared_alloc_u32(t * (t + 1));
-        let mut loaded = 0u64;
         {
             let src = ctx.mem.read(self.src);
-            for ty in 0..t {
-                let y = by + ty;
-                if y >= h {
-                    continue;
-                }
-                for tx in 0..t {
-                    let x = bx + tx;
-                    if x >= w {
-                        continue;
-                    }
-                    tile[ty * (t + 1) + tx] = src[y * w + x];
-                    loaded += 1;
-                }
+            for (ty, tile_row) in tile.chunks_exact_mut(t + 1).take(ch).enumerate() {
+                tile_row[..cw].copy_from_slice(&src[(by + ty) * w + bx..][..cw]);
             }
         }
         ctx.syncthreads();
         {
             let mut dst = ctx.mem.write(self.dst);
-            for ty in 0..t {
-                let y = by + ty;
-                if y >= h {
-                    continue;
-                }
-                for tx in 0..t {
-                    let x = bx + tx;
-                    if x >= w {
-                        continue;
-                    }
-                    // dst is h x w: element (row x, col y).
-                    dst[x * h + y] = tile[ty * (t + 1) + tx];
+            for tx in 0..cw {
+                // dst is h x w: row `bx + tx` takes the tile's column `tx`.
+                let out = &mut dst[(bx + tx) * h + by..][..ch];
+                for (o, tile_row) in out.iter_mut().zip(tile.chunks_exact(t + 1)) {
+                    *o = tile_row[tx];
                 }
             }
         }

@@ -47,7 +47,7 @@ pub use detector::{DetectorConfig, FaceDetector, FrameResult, RejectionHistogram
 pub use error::DetectorError;
 pub use group::{group_detections, s_eyes, Detection, GroupedDetection};
 pub use multi_gpu::{detect_multi_gpu, MultiGpuFrame};
-pub use pipeline::{FramePipeline, ScaleOutput};
+pub use pipeline::{FramePipeline, ScaleOutput, ScaleView};
 pub use stream_detector::{
     DegradeReason, FrameOutcome, FrameReport, RecoveryPolicy, RecoverySnapshot, SkipReason,
     StreamStats, VideoDetector,

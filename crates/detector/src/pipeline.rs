@@ -25,7 +25,7 @@
 
 use fd_gpu::{
     BatchedKernel, ConstPtr, DevBuf, FusedChain, GeomClass, Gpu, Kernel, LaunchConfig,
-    LaunchError, ShapeCache, StreamId, TexId, Texture2D, Timeline,
+    LaunchError, Readback, ShapeCache, StreamId, TexId, Texture2D, Timeline,
 };
 use fd_haar::encode::{encode_cascade, quantize_cascade};
 use fd_haar::Cascade;
@@ -51,6 +51,40 @@ pub struct ScaleOutput {
     pub score: Vec<f32>,
     /// Display-kernel hit mask.
     pub hits: Vec<u32>,
+}
+
+/// [`ScaleOutput`] borrowed from device memory: what
+/// [`FramePipeline::readback`] yields. The maps are
+/// [`DeviceMemory::download_view`](fd_gpu::DeviceMemory::download_view)s,
+/// so a caller that reads the hit mask and a few scores copies nothing;
+/// while a view lives the pipeline cannot submit (`&self` borrow).
+pub struct ScaleView<'a> {
+    pub level: usize,
+    pub width: usize,
+    pub height: usize,
+    /// Multiply level coordinates by this to reach frame coordinates.
+    pub scale: f64,
+    /// Deepest stage reached per pixel.
+    pub depth: Readback<'a, u32>,
+    /// Accumulated stage margin per pixel.
+    pub score: Readback<'a, f32>,
+    /// Display-kernel hit mask.
+    pub hits: Readback<'a, u32>,
+}
+
+impl ScaleView<'_> {
+    /// Copy the level out of device memory.
+    pub fn to_owned(&self) -> ScaleOutput {
+        ScaleOutput {
+            level: self.level,
+            width: self.width,
+            height: self.height,
+            scale: self.scale,
+            depth: self.depth.to_vec(),
+            score: self.score.to_vec(),
+            hits: self.hits.to_vec(),
+        }
+    }
 }
 
 /// Device workspaces for one pyramid level (each `w * h` elements).
@@ -523,11 +557,32 @@ impl FramePipeline {
     /// plus the shared device timeline of the submission. All frames
     /// must share one geometry; `plan` must be a prefix of
     /// [`Self::plan_for`] of that geometry.
+    ///
+    /// This is [`Self::submit_batch_with_plan`] followed by an owned copy
+    /// of every slot's [`Self::readback`]; callers that only look at a
+    /// few result elements take the two steps themselves.
     pub fn run_batch_with_plan(
         &mut self,
         frames: &[&GrayImage],
         plan: &[(usize, usize)],
     ) -> Result<(Vec<Vec<ScaleOutput>>, Timeline), DetectorError> {
+        let timeline = self.submit_batch_with_plan(frames, plan)?;
+        let outputs = (0..frames.len())
+            .map(|slot| self.readback(slot).iter().map(ScaleView::to_owned).collect())
+            .collect();
+        Ok((outputs, timeline))
+    }
+
+    /// The submit step of [`Self::run_batch_with_plan`]: upload the
+    /// frames, launch every level's kernels and drain the device. The
+    /// results stay in the buffer pool — frame `i` of the batch in
+    /// request slot `i` — until the next submission overwrites them;
+    /// [`Self::readback`] reads them.
+    pub fn submit_batch_with_plan(
+        &mut self,
+        frames: &[&GrayImage],
+        plan: &[(usize, usize)],
+    ) -> Result<Timeline, DetectorError> {
         let Some(first) = frames.first() else {
             return Err(DetectorError::InvalidConfig { reason: "empty frame batch" });
         };
@@ -625,25 +680,33 @@ impl FramePipeline {
             }
         }
 
-        let timeline = gpu.synchronize();
+        Ok(gpu.synchronize())
+    }
 
-        let mut batch_outputs = Vec::with_capacity(frames.len());
-        for slot in slots {
-            let mut outputs = Vec::with_capacity(plan.len());
-            for (level, &(w, h)) in plan.iter().enumerate() {
-                outputs.push(ScaleOutput {
-                    level,
-                    width: w,
-                    height: h,
-                    scale: self.scale_factor.powi(level as i32),
-                    depth: gpu.mem.download(slot[level].depth),
-                    score: gpu.mem.download(slot[level].score),
-                    hits: gpu.mem.download(slot[level].hits),
-                });
-            }
-            batch_outputs.push(outputs);
-        }
-        Ok((batch_outputs, timeline))
+    /// The readback step: the per-level results request slot `slot` holds
+    /// from the last submission, largest level first, borrowed from
+    /// device memory. Each map is one device-to-host copy as far as the
+    /// fault plan is concerned (per level: depth, score, hits), corrupted
+    /// exactly as an owned download would be. Empty when the pool has no
+    /// such slot.
+    pub fn readback(&self, slot: usize) -> Vec<ScaleView<'_>> {
+        let Some(pool) = &self.pool else { return Vec::new() };
+        let Some(bufs) = pool.slots.get(slot) else { return Vec::new() };
+        let mem = &self.gpu.mem;
+        pool.plan
+            .iter()
+            .zip(bufs)
+            .enumerate()
+            .map(|(level, (&(width, height), bufs))| ScaleView {
+                level,
+                width,
+                height,
+                scale: self.scale_factor.powi(level as i32),
+                depth: mem.download_view(bufs.depth),
+                score: mem.download_view(bufs.score),
+                hits: mem.download_view(bufs.hits),
+            })
+            .collect()
     }
 }
 

@@ -375,11 +375,13 @@ impl Kernel for FusedKernel {
         let lin = ctx.block_idx.x as u64;
         let stage = self.stage_of(lin);
         let s = &self.stages[stage];
-        ctx.block_idx = s.cfg.grid.from_linear(lin - self.block_bases[stage]);
-        ctx.grid_dim = s.cfg.grid;
-        ctx.block_dim = s.cfg.block;
-        ctx.set_fusion_local(&self.fusion_local);
-        s.kernel.run_block(ctx);
+        let mut stage_ctx = ctx.for_fused_stage(
+            s.cfg.grid.from_linear(lin - self.block_bases[stage]),
+            s.cfg.grid,
+            s.cfg.block,
+            &self.fusion_local,
+        );
+        s.kernel.run_block(&mut stage_ctx);
     }
 
     /// The union of the stages' access sets. Intermediates stay declared:

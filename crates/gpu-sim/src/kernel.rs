@@ -154,7 +154,7 @@ pub struct BlockCtx<'a> {
     /// Arena ids of buffers that are fusion-local in the current launch:
     /// traffic on them is metered as on-chip, not global (see
     /// [`crate::fuse`]). Empty for plain launches.
-    fusion_local: Vec<usize>,
+    fusion_local: &'a [usize],
 }
 
 impl<'a> BlockCtx<'a> {
@@ -181,15 +181,22 @@ impl<'a> BlockCtx<'a> {
             warp_size,
             shared_limit_bytes,
             shared_used_bytes: 0,
-            fusion_local: Vec::new(),
+            fusion_local: &[],
         }
     }
 
-    /// Mark buffers as fusion-local for the remainder of this block.
-    /// Called by [`crate::FusedKernel`] before delegating to a stage.
-    pub(crate) fn set_fusion_local(&mut self, ids: &[usize]) {
-        self.fusion_local.clear();
-        self.fusion_local.extend_from_slice(ids);
+    /// The context one stage of a fused launch runs its block in: the
+    /// stage's own geometry, `ids` as the fusion-local buffers, the same
+    /// memory spaces, meter and shared-memory budget. Called by
+    /// [`crate::FusedKernel`] before delegating to a stage.
+    pub(crate) fn for_fused_stage<'b>(
+        &'b self,
+        block_idx: Dim3,
+        grid_dim: Dim3,
+        block_dim: Dim3,
+        ids: &'b [usize],
+    ) -> BlockCtx<'b> {
+        BlockCtx { block_idx, grid_dim, block_dim, fusion_local: ids, ..*self }
     }
 
     /// SIMT width of the device.
@@ -209,30 +216,41 @@ impl<'a> BlockCtx<'a> {
     /// the launch's shared-memory request. Exceeding the per-block limit
     /// panics, like a CUDA launch failure would.
     pub fn shared_alloc_u32(&mut self, len: usize) -> Vec<u32> {
-        self.charge_shared(len * 4);
+        self.charge_shared(len.saturating_mul(4));
         vec![0u32; len]
     }
 
     /// Allocate a block-local shared-memory array of `len` `f32` values.
     pub fn shared_alloc_f32(&mut self, len: usize) -> Vec<f32> {
-        self.charge_shared(len * 4);
+        self.charge_shared(len.saturating_mul(4));
         vec![0f32; len]
     }
 
     /// Allocate a block-local shared-memory array of `len` `i32` values.
     pub fn shared_alloc_i32(&mut self, len: usize) -> Vec<i32> {
-        self.charge_shared(len * 4);
+        self.charge_shared(len.saturating_mul(4));
         vec![0i32; len]
     }
 
+    /// Charge `bytes` of shared memory against the launch's request
+    /// without materializing it: for scratch the real kernel needs but the
+    /// functional body never touches. Same limit check as the
+    /// `shared_alloc_*` family.
+    pub fn shared_reserve(&mut self, bytes: usize) {
+        self.charge_shared(bytes);
+    }
+
     fn charge_shared(&mut self, bytes: usize) {
-        self.shared_used_bytes += bytes as u32;
+        // Widened so an absurd request saturates into the assert instead
+        // of wrapping past it.
+        let used = (self.shared_used_bytes as u64).saturating_add(bytes as u64);
         assert!(
-            self.shared_used_bytes <= self.shared_limit_bytes,
+            used <= self.shared_limit_bytes as u64,
             "kernel allocated {} B of shared memory but the launch requested only {} B",
-            self.shared_used_bytes,
+            used,
             self.shared_limit_bytes
         );
+        self.shared_used_bytes = used as u32;
     }
 
     /// Shared-memory bytes allocated so far by this block.
@@ -243,6 +261,12 @@ impl<'a> BlockCtx<'a> {
     /// Read access to a staged constant-memory region.
     pub fn constant(&self, ptr: crate::memory::ConstPtr) -> &[u32] {
         self.constants.slice(ptr)
+    }
+
+    /// A bound texture, for kernels that fetch a whole tile through it and
+    /// meter the fetches themselves ([`Meter::tex`]) in one call.
+    pub fn texture(&self, tex: TexId) -> &'a Texture2D {
+        &self.textures[tex.0]
     }
 
     /// Bilinear texture fetch; meters one texture transaction.
@@ -348,6 +372,27 @@ mod tests {
             ctx.shared_alloc_u32(1);
         }));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn shared_charge_does_not_wrap_past_the_limit() {
+        let mem = DeviceMemory::new();
+        let meter = Meter::new();
+        let bank = ConstBank::new(0);
+        let mut ctx =
+            BlockCtx::new(Dim3::d1(0), Dim3::d1(1), Dim3::d1(64), &mem, &meter, &bank, &[], 32, 16);
+        // 2^30 words are 2^32 bytes: 0 once truncated to `u32`.
+        for request in [1usize << 30, usize::MAX / 4, usize::MAX] {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ctx.shared_alloc_u32(request);
+            }));
+            assert!(r.is_err(), "a {request}-word request must hit the 16 B limit");
+        }
+        assert_eq!(ctx.shared_used_bytes(), 0, "refused requests are not charged");
+        ctx.shared_reserve(16);
+        assert_eq!(ctx.shared_used_bytes(), 16, "a reservation is charged like an allocation");
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.shared_reserve(1)));
+        assert!(r.is_err(), "and held to the same limit");
     }
 
     #[test]

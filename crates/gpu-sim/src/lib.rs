@@ -119,8 +119,8 @@ pub use fuse::{
 pub use gpu::{Gpu, HostExec, LaunchError, HOST_EXEC_ENV_VAR, MAX_FUNCTIONAL_BLOCKS};
 pub use kernel::{BlockCtx, Kernel, LaunchConfig};
 pub use memory::{
-    AccessSet, ConstPtr, CopyFault, CopyFaultConfig, DevBuf, DevRead, DevWrite, DeviceMemory,
-    MemoryError, TexId, Texture2D,
+    AccessSet, BilinearTap, ConstPtr, CopyFault, CopyFaultConfig, DevBuf, DevRead, DevWrite,
+    DeviceMemory, MemoryError, Readback, TexId, Texture2D,
 };
 pub use meter::{KernelCounters, Meter};
 pub use pcie::PcieModel;

@@ -282,6 +282,27 @@ impl<T: DeviceScalar> Drop for DevRead<'_, T> {
     }
 }
 
+/// A device-to-host copy that borrows instead of cloning, obtained from
+/// [`DeviceMemory::download_view`]. A clean copy is the arena's own
+/// storage behind a read guard (write views of the buffer are blocked
+/// while it lives); a copy the fault injector corrupted is an owned
+/// vector with the poisoned region zeroed, exactly what
+/// [`DeviceMemory::download`] would have returned.
+pub enum Readback<'a, T: DeviceScalar> {
+    Clean(DevRead<'a, T>),
+    Corrupted(Vec<T>),
+}
+
+impl<T: DeviceScalar> Deref for Readback<'_, T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        match self {
+            Readback::Clean(view) => view,
+            Readback::Corrupted(copy) => copy,
+        }
+    }
+}
+
 /// Mutable view of a device buffer, obtained from [`DeviceMemory::write`].
 /// Holding it blocks read views; other *write* views may coexist under
 /// the disjoint-write contract (module docs), mirroring how CUDA blocks
@@ -571,13 +592,26 @@ impl DeviceMemory {
     /// injection: a corrupted download returns data with a zeroed region
     /// (the device copy stays intact) and logs a [`CopyFault`].
     pub fn download<T: DeviceScalar>(&self, buf: DevBuf<T>) -> Vec<T> {
-        let mut out = self.read(buf).clone();
-        if let Some((start, span)) = self.draw_copy_fault(buf.id, out.len()) {
-            for v in &mut out[start..start + span] {
-                *v = T::default();
+        match self.download_view(buf) {
+            Readback::Clean(view) => view.clone(),
+            Readback::Corrupted(copy) => copy,
+        }
+    }
+
+    /// [`DeviceMemory::download`] without the copy: the same read guard,
+    /// the same corruption draw and the same [`CopyFault`] log entry, but
+    /// a clean readback borrows the buffer instead of cloning it. For
+    /// callers that read a few elements of a large result.
+    pub fn download_view<T: DeviceScalar>(&self, buf: DevBuf<T>) -> Readback<'_, T> {
+        let view = self.read(buf);
+        match self.draw_copy_fault(buf.id, view.len()) {
+            None => Readback::Clean(view),
+            Some((start, span)) => {
+                let mut copy = view.clone();
+                copy[start..start + span].fill(T::default());
+                Readback::Corrupted(copy)
             }
         }
-        out
     }
 
     /// Bytes currently allocated.
@@ -716,21 +750,55 @@ impl Texture2D {
     /// integer + 0.5 coordinates, following the CUDA convention.
     #[inline]
     pub fn fetch_bilinear(&self, x: f32, y: f32) -> f32 {
-        let xb = x - 0.5;
-        let yb = y - 0.5;
-        let x0 = xb.floor();
-        let y0 = yb.floor();
-        let fx = xb - x0;
-        let fy = yb - y0;
-        let x0 = x0 as isize;
-        let y0 = y0 as isize;
-        let t00 = self.texel(x0, y0);
-        let t10 = self.texel(x0 + 1, y0);
-        let t01 = self.texel(x0, y0 + 1);
-        let t11 = self.texel(x0 + 1, y0 + 1);
-        let top = t00 + (t10 - t00) * fx;
-        let bot = t01 + (t11 - t01) * fx;
-        top + (bot - top) * fy
+        let mut out = [0.0];
+        self.fetch_bilinear_row(&[self.tap_x(x)], y, &mut out);
+        out[0]
+    }
+
+    /// The horizontal half of a bilinear fetch at sample coordinate `x`.
+    /// A tile that samples the same columns on every row computes its
+    /// taps once and passes them to [`Self::fetch_bilinear_row`].
+    #[inline]
+    pub fn tap_x(&self, x: f32) -> BilinearTap {
+        BilinearTap::at(x, self.width)
+    }
+
+    /// Bilinear fetches along one sample row `y`: `out[i]` is
+    /// `fetch_bilinear(x_i, y)` for the `x_i` that `taps[i]` was built
+    /// from, bit for bit — the vertical tap is computed once for the row
+    /// and the two texel rows are sliced once.
+    #[inline]
+    pub fn fetch_bilinear_row(&self, taps: &[BilinearTap], y: f32, out: &mut [f32]) {
+        let ty = BilinearTap::at(y, self.height);
+        let top = &self.data[ty.lo * self.width..][..self.width];
+        let bot = &self.data[ty.hi * self.width..][..self.width];
+        for (o, tx) in out.iter_mut().zip(taps) {
+            let (t00, t10) = (top[tx.lo], top[tx.hi]);
+            let (t01, t11) = (bot[tx.lo], bot[tx.hi]);
+            let t = t00 + (t10 - t00) * tx.frac;
+            let b = t01 + (t11 - t01) * tx.frac;
+            *o = t + (b - t) * ty.frac;
+        }
+    }
+}
+
+/// One axis of a bilinear fetch: the two clamped texel indices the sample
+/// falls between and the blend weight of the second.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BilinearTap {
+    lo: usize,
+    hi: usize,
+    frac: f32,
+}
+
+impl BilinearTap {
+    #[inline]
+    fn at(coord: f32, extent: usize) -> Self {
+        let c = coord - 0.5;
+        let c0 = c.floor();
+        let i = c0 as isize;
+        let last = extent as isize - 1;
+        Self { lo: i.clamp(0, last) as usize, hi: (i + 1).clamp(0, last) as usize, frac: c - c0 }
     }
 }
 
@@ -744,6 +812,79 @@ mod tests {
         let b = mem.upload(&[1u32, 2, 3]);
         assert_eq!(mem.download(b), vec![1, 2, 3]);
         assert_eq!(b.len(), 3);
+    }
+
+    impl DeviceMemory {
+        /// `download` as it was before it was built on `download_view`.
+        fn download_reference<T: DeviceScalar>(&self, buf: DevBuf<T>) -> Vec<T> {
+            let mut out = self.read(buf).clone();
+            if let Some((start, span)) = self.draw_copy_fault(buf.id, out.len()) {
+                for v in &mut out[start..start + span] {
+                    *v = T::default();
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn readback_views_equal_owned_downloads_at_every_fault_rate() {
+        for rate in [0.0, 0.3, 1.0] {
+            let config = CopyFaultConfig { seed: 77, rate, region_len: 5 };
+            // Three arenas with one history: views, downloads, and the
+            // pre-view download body.
+            let mut mems = [DeviceMemory::new(), DeviceMemory::new(), DeviceMemory::new()];
+            let lens = [1usize, 4, 5, 6, 64, 300];
+            let bufs: Vec<_> = lens
+                .iter()
+                .map(|&len| {
+                    let data: Vec<u32> = (0..len as u32).map(|i| i * 7 + 1).collect();
+                    mems.each_mut().map(|m| m.upload(&data))[0]
+                })
+                .collect();
+            for m in &mut mems {
+                m.set_copy_faults(Some(config));
+            }
+            let mut corrupted = 0;
+            for copy in 0..240 {
+                let buf = bufs[copy % bufs.len()];
+                let view = mems[0].download_view(buf);
+                corrupted += matches!(view, Readback::Corrupted(_)) as usize;
+                let owned = mems[1].download(buf);
+                assert_eq!(view.to_vec(), owned, "rate {rate}, copy {copy}");
+                assert_eq!(owned, mems[2].download_reference(buf), "rate {rate}, copy {copy}");
+                drop(view);
+                // Interleave drains so the logs are compared piecewise too.
+                if copy % 50 == 49 {
+                    let logs = mems.each_ref().map(|m| m.drain_copy_faults());
+                    assert!(logs[0] == logs[1] && logs[1] == logs[2], "rate {rate}: fault logs");
+                }
+            }
+            let draws = mems.each_ref().map(|m| m.copy_fault_draws());
+            assert_eq!(draws, [if rate > 0.0 { 240 } else { 0 }; 3], "rate {rate}: draws");
+            let logs = mems.each_ref().map(|m| m.drain_copy_faults());
+            assert!(logs[0] == logs[1] && logs[1] == logs[2], "rate {rate}: fault logs");
+            match rate {
+                0.0 => assert_eq!(corrupted, 0),
+                1.0 => assert_eq!(corrupted, 240),
+                _ => assert!((20..220).contains(&corrupted), "{corrupted} of 240 corrupted"),
+            }
+            // The device copy stays intact under any rate.
+            assert_eq!(mems[0].read(bufs[1])[..], [1, 8, 15, 22]);
+        }
+    }
+
+    #[test]
+    fn a_clean_readback_view_blocks_writers_until_dropped() {
+        let mut mem = DeviceMemory::new();
+        let b = mem.upload(&[3u32, 4]);
+        let view = mem.download_view(b);
+        assert_eq!(&view[..], &[3, 4]);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = mem.write(b);
+        }));
+        assert!(r.is_err(), "a write view under a live readback is a race");
+        drop(view);
     }
 
     #[test]
@@ -865,6 +1006,61 @@ mod tests {
         assert_eq!(t.fetch_point(-5.0, -5.0), 1.0);
         assert_eq!(t.fetch_point(10.0, 10.0), 4.0);
         assert_eq!(t.fetch_point(1.0, 0.0), 2.0);
+    }
+
+    impl Texture2D {
+        /// `fetch_bilinear` as it was before the per-axis taps.
+        fn fetch_bilinear_reference(&self, x: f32, y: f32) -> f32 {
+            let xb = x - 0.5;
+            let yb = y - 0.5;
+            let x0 = xb.floor();
+            let y0 = yb.floor();
+            let fx = xb - x0;
+            let fy = yb - y0;
+            let x0 = x0 as isize;
+            let y0 = y0 as isize;
+            let t00 = self.texel(x0, y0);
+            let t10 = self.texel(x0 + 1, y0);
+            let t01 = self.texel(x0, y0 + 1);
+            let t11 = self.texel(x0 + 1, y0 + 1);
+            let top = t00 + (t10 - t00) * fx;
+            let bot = t01 + (t11 - t01) * fx;
+            top + (bot - top) * fy
+        }
+    }
+
+    #[test]
+    fn bilinear_row_fetch_equals_the_per_pixel_fetch_bit_for_bit() {
+        // The fault injector's hash as a seeded stream for geometry,
+        // texels and coordinates.
+        let mut counter = 0u64;
+        let mut next = move || {
+            counter += 1;
+            fault_bits(0xB111_EA20, FaultDomain::CorruptionOffset, counter)
+        };
+        for _ in 0..400 {
+            let (w, h) = (1 + (next() % 40) as usize, 1 + (next() % 40) as usize);
+            let data = (0..w * h).map(|_| (next() % 5120) as f32 / 16.0 - 32.0).collect();
+            let tex = Texture2D::from_data(w, h, data);
+            // Coordinates inside, on texel centres and edges, and far
+            // outside the texture on both sides.
+            let mut coord = |extent: usize| match next() % 4 {
+                0 => (next() % (extent as u64 + 1)) as f32,
+                1 => (next() % (extent as u64 + 1)) as f32 + 0.5,
+                2 => (next() % 4096) as f32 / 64.0 - 12.0,
+                _ => ((next() % 2000) as f32 - 1000.0) * 1e4,
+            };
+            let xs: Vec<f32> = (0..33).map(|_| coord(w)).collect();
+            let taps: Vec<_> = xs.iter().map(|&x| tex.tap_x(x)).collect();
+            let y = coord(h);
+            let mut row = vec![0.0f32; xs.len()];
+            tex.fetch_bilinear_row(&taps, y, &mut row);
+            for (&x, &got) in xs.iter().zip(&row) {
+                let want = tex.fetch_bilinear_reference(x, y);
+                assert_eq!(got.to_bits(), want.to_bits(), "{w}x{h} at ({x}, {y})");
+                assert_eq!(tex.fetch_bilinear(x, y).to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]
