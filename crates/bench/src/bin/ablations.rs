@@ -1,5 +1,5 @@
 //! Ablations of the paper's §III-C design choices, on the cascade
-//! evaluation kernel (DESIGN.md §17):
+//! evaluation kernel (DESIGN.md `#extensions`):
 //!
 //! * **shared-memory tiling** (Eqs. 1-4) vs scattered global reads;
 //! * **compressed constant-memory records** (2x16-bit packing) vs naive

@@ -26,7 +26,6 @@
 
 use fd_bench::out::{arg_usize, write_text};
 use fd_detector::{DetectorConfig, FaceDetector};
-use fd_gpu::HostExec;
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 use fd_imgproc::GrayImage;
 
@@ -50,14 +49,13 @@ fn bench_frame(w: usize, h: usize) -> GrayImage {
     })
 }
 
-fn detector(cascade: &Cascade, fusion: bool, exec: HostExec, threads: usize) -> FaceDetector {
+fn detector(cascade: &Cascade, fusion: bool, threads: usize) -> FaceDetector {
     FaceDetector::new(
         cascade,
         DetectorConfig {
             scale_factor: 1.2,
             fusion: Some(fusion),
             host_threads: Some(threads),
-            host_exec: Some(exec),
             ..DetectorConfig::default()
         },
     )
@@ -96,24 +94,23 @@ fn main() {
     let frame = bench_frame(width, height);
 
     // Bit-identity: fused detections must equal unfused, and each mode
-    // must be invariant across host engines and thread counts.
-    let fingerprint = |fusion: bool, exec: HostExec, threads: usize| {
-        let mut det = detector(&cascade, fusion, exec, threads);
+    // must be invariant across host thread counts (1 = the in-order
+    // reference schedule).
+    let fingerprint = |fusion: bool, threads: usize| {
+        let mut det = detector(&cascade, fusion, threads);
         let r = det.detect(&frame).expect("detect");
         (format!("{:?}", r.raw), r.detect_ms.to_bits())
     };
-    let unfused_ref = fingerprint(false, HostExec::Sync, 1);
-    let fused_ref = fingerprint(true, HostExec::Sync, 1);
+    let unfused_ref = fingerprint(false, 1);
+    let fused_ref = fingerprint(true, 1);
     assert_eq!(unfused_ref.0, fused_ref.0, "fusion changed detections");
-    for (exec, t) in [(HostExec::Sync, 4), (HostExec::Async, 1), (HostExec::Async, 4)] {
-        assert_eq!(fingerprint(false, exec, t), unfused_ref, "unfused {exec:?}@{t} diverged");
-        assert_eq!(fingerprint(true, exec, t), fused_ref, "fused {exec:?}@{t} diverged");
-    }
-    println!("identity: ok (fused == unfused detections; engines/threads agree per mode)");
+    assert_eq!(fingerprint(false, 4), unfused_ref, "unfused @4 threads diverged");
+    assert_eq!(fingerprint(true, 4), fused_ref, "fused @4 threads diverged");
+    println!("identity: ok (fused == unfused detections; thread counts agree per mode)");
 
     // Simulated single-frame latency + per-level breakdown.
     let single = |fusion: bool| {
-        let mut det = detector(&cascade, fusion, HostExec::Async, 4);
+        let mut det = detector(&cascade, fusion, 4);
         let r = det.detect(&frame).expect("detect");
         let levels = per_level(&det);
         (r.detect_ms * 1000.0, levels)
@@ -124,7 +121,7 @@ fn main() {
 
     // Batched submission: B same-geometry frames as one device submission.
     let batched = |fusion: bool| {
-        let mut det = detector(&cascade, fusion, HostExec::Async, 4);
+        let mut det = detector(&cascade, fusion, 4);
         let refs: Vec<&GrayImage> = (0..batch).map(|_| &frame).collect();
         let rs = det.detect_batch(&refs).expect("detect_batch");
         rs[0].detect_ms * 1000.0

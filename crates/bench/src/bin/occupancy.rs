@@ -31,7 +31,6 @@ use std::collections::BTreeMap;
 
 use fd_bench::out::{arg_usize, write_text};
 use fd_detector::{DetectorConfig, FaceDetector};
-use fd_gpu::HostExec;
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 use fd_imgproc::GrayImage;
 
@@ -55,13 +54,7 @@ fn bench_frame(w: usize, h: usize) -> GrayImage {
     })
 }
 
-fn detector(
-    cascade: &Cascade,
-    autotune: bool,
-    fusion: bool,
-    exec: HostExec,
-    threads: usize,
-) -> FaceDetector {
+fn detector(cascade: &Cascade, autotune: bool, fusion: bool, threads: usize) -> FaceDetector {
     FaceDetector::new(
         cascade,
         DetectorConfig {
@@ -69,7 +62,6 @@ fn detector(
             autotune: Some(autotune),
             fusion: Some(fusion),
             host_threads: Some(threads),
-            host_exec: Some(exec),
             ..DetectorConfig::default()
         },
     )
@@ -101,31 +93,29 @@ fn main() {
 
     // Byte-identity: autotuned detections must equal fixed-shape ones in
     // both fusion modes, and each autotune mode must be invariant across
-    // host engines and thread counts.
-    let fingerprint = |autotune: bool, fusion: bool, exec: HostExec, threads: usize| {
-        let mut det = detector(&cascade, autotune, fusion, exec, threads);
+    // host thread counts (1 = the in-order reference schedule).
+    let fingerprint = |autotune: bool, fusion: bool, threads: usize| {
+        let mut det = detector(&cascade, autotune, fusion, threads);
         let r = det.detect(&frame).expect("detect");
         (format!("{:?}", r.raw), r.detect_ms.to_bits())
     };
-    let fixed_ref = fingerprint(false, false, HostExec::Sync, 1);
+    let fixed_ref = fingerprint(false, false, 1);
     for fusion in [false, true] {
-        let tuned_ref = fingerprint(true, fusion, HostExec::Sync, 1);
+        let tuned_ref = fingerprint(true, fusion, 1);
         assert_eq!(fixed_ref.0, tuned_ref.0, "autotune changed detections (fusion={fusion})");
-        for (exec, t) in [(HostExec::Sync, 4), (HostExec::Async, 1), (HostExec::Async, 4)] {
-            assert_eq!(
-                fingerprint(true, fusion, exec, t).0,
-                tuned_ref.0,
-                "tuned fusion={fusion} {exec:?}@{t} diverged"
-            );
-        }
+        assert_eq!(
+            fingerprint(true, fusion, 4).0,
+            tuned_ref.0,
+            "tuned fusion={fusion} @4 threads diverged"
+        );
     }
-    assert_eq!(fingerprint(false, false, HostExec::Async, 4), fixed_ref, "fixed Async@4 diverged");
-    println!("identity: ok (tuned == fixed detections; engines/threads agree per mode)");
+    assert_eq!(fingerprint(false, false, 4), fixed_ref, "fixed @4 threads diverged");
+    println!("identity: ok (tuned == fixed detections; thread counts agree per mode)");
 
     // The {autotune} x {fusion} ablation grid. Batched occupancy stats
     // come from the shared submission timeline.
     let cell = |autotune: bool, fusion: bool| {
-        let mut det = detector(&cascade, autotune, fusion, HostExec::Async, 4);
+        let mut det = detector(&cascade, autotune, fusion, 4);
         let single_us = det.detect(&frame).expect("detect").detect_ms * 1000.0;
         let refs: Vec<&GrayImage> = (0..batch).map(|_| &frame).collect();
         let rs = det.detect_batch(&refs).expect("detect_batch");

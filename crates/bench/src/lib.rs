@@ -1,6 +1,6 @@
 //! # fd-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §14):
+//! One binary per table/figure of the paper (see DESIGN.md `#experiment-index`):
 //!
 //! | target | regenerates |
 //! |---|---|

@@ -1,5 +1,5 @@
 //! Synthetic training corpora (substitute for the paper's face databases;
-//! see DESIGN.md §2).
+//! see DESIGN.md `#substitutions`).
 //!
 //! Faces come from `fd_imgproc::synth`'s procedural frontal-face model;
 //! negatives are random windows cut from procedural background textures.

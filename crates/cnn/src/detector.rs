@@ -33,7 +33,6 @@ impl CnnDetector {
     pub fn try_new(model: &CnnModel, config: DetectorConfig) -> Result<Self, DetectorError> {
         let mut gpu = Gpu::new(config.device.clone(), config.exec_mode);
         gpu.set_host_threads(config.host_threads);
-        gpu.set_host_exec(config.host_exec);
         gpu.set_fault_plan(config.fault_plan.clone());
         let pipeline = CnnPipeline::try_new(gpu, model, config.scale_factor)?;
         Ok(Self { pipeline, model: model.clone(), config })

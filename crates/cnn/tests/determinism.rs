@@ -1,16 +1,15 @@
 //! CNN backend determinism: the cascade is pure integer arithmetic, so
-//! over arbitrary frame content every host execution engine
-//! (`Sync`/`Async`) and host thread count must produce byte-identical
-//! raw detections, grouped detections, scores, and latency bits.
+//! over arbitrary frame content every host thread count must produce
+//! the byte-identical raw detections, grouped detections, scores, and
+//! latency bits of one thread.
 //!
-//! Knobs are driven through [`DetectorConfig`] fields only: the
-//! `FD_SIM_*` environment variables are cached per process (`OnceLock`)
-//! and cannot be varied inside one test binary.
+//! The knob is driven through [`DetectorConfig`] only: `FD_SIM_THREADS`
+//! is cached per process (`OnceLock`) and cannot be varied inside one
+//! test binary.
 
 use fd_cnn::{CnnDetector, CnnModel};
 use fd_detector::detector::DetectorConfig;
 use fd_detector::group::{Detection, GroupedDetection};
-use fd_gpu::HostExec;
 use fd_imgproc::synth::{render_random_background, FaceParams};
 use fd_imgproc::GrayImage;
 use proptest::prelude::*;
@@ -26,24 +25,18 @@ fn frame(seed: u64) -> GrayImage {
     img
 }
 
-fn config(threads: usize, exec: HostExec) -> DetectorConfig {
-    DetectorConfig {
-        min_neighbors: 1,
-        host_threads: Some(threads),
-        host_exec: Some(exec),
-        ..DetectorConfig::default()
-    }
+fn config(threads: usize) -> DetectorConfig {
+    DetectorConfig { min_neighbors: 1, host_threads: Some(threads), ..DetectorConfig::default() }
 }
 
 /// Raw + grouped detections and latency bits over two frames (one
-/// single submission, one batch of two) under the given engine knobs.
+/// single submission, one batch of two) at the given host thread count.
 fn fingerprint(
     model: &CnnModel,
     seed: u64,
     threads: usize,
-    exec: HostExec,
 ) -> (Vec<Detection>, Vec<GroupedDetection>, Vec<u64>) {
-    let mut det = CnnDetector::try_new(model, config(threads, exec)).expect("detector");
+    let mut det = CnnDetector::try_new(model, config(threads)).expect("detector");
     let a = frame(seed);
     let b = frame(seed ^ 0x9E37_79B9);
     let mut raw = Vec::new();
@@ -70,17 +63,13 @@ proptest! {
     /// The backend's structural guarantee: integer kernels make results
     /// independent of how the simulated device is executed on the host.
     #[test]
-    fn cnn_results_are_engine_and_thread_invariant(seed in any::<u64>()) {
+    fn cnn_results_are_thread_invariant(seed in any::<u64>()) {
         let model = CnnModel::seeded(seed % 5);
-        let baseline = fingerprint(&model, seed, 1, HostExec::Sync);
+        let baseline = fingerprint(&model, seed, 1);
         prop_assert!(!baseline.0.is_empty() || !baseline.2.is_empty());
-        for exec in [HostExec::Sync, HostExec::Async] {
-            for threads in [1usize, 4] {
-                let f = fingerprint(&model, seed, threads, exec);
-                prop_assert_eq!(&f.0, &baseline.0, "raw {:?}/{}", exec, threads);
-                prop_assert_eq!(&f.1, &baseline.1, "grouped {:?}/{}", exec, threads);
-                prop_assert_eq!(&f.2, &baseline.2, "latency {:?}/{}", exec, threads);
-            }
-        }
+        let f = fingerprint(&model, seed, 4);
+        prop_assert_eq!(&f.0, &baseline.0, "raw @4 threads");
+        prop_assert_eq!(&f.1, &baseline.1, "grouped @4 threads");
+        prop_assert_eq!(&f.2, &baseline.2, "latency @4 threads");
     }
 }

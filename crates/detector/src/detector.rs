@@ -4,7 +4,7 @@
 //! the per-frame statistics the paper's evaluation consumes (latency,
 //! per-stage rejection histograms, profiler counters).
 
-use fd_gpu::{DeviceSpec, ExecMode, FaultPlan, Gpu, HostExec, Timeline};
+use fd_gpu::{DeviceSpec, ExecMode, FaultPlan, Gpu, Timeline};
 use fd_haar::Cascade;
 use fd_imgproc::{GrayImage, Rect};
 
@@ -29,28 +29,23 @@ pub struct DetectorConfig {
     pub collect_rejection_stats: bool,
     /// Host worker threads for the simulator's functional phase. `None`
     /// defers to `FD_SIM_THREADS` or the machine's core count; `Some(1)`
-    /// forces sequential execution. Results are identical either way.
+    /// runs the launches in issue order on the host thread (the reference
+    /// schedule). Results are identical either way.
     pub host_threads: Option<usize>,
-    /// Host execution engine for the simulator's functional phase.
-    /// `None` defers to `FD_SIM_HOST_EXEC`, then to the asynchronous
-    /// deferred-drain engine. Results are bit-identical either way; only
-    /// host wall-clock differs.
-    pub host_exec: Option<HostExec>,
     /// Deterministic device fault injection (robustness experiments).
     /// `None` — and any inert plan — leaves behaviour bit-identical to a
     /// fault-free device.
     pub fault_plan: Option<FaultPlan>,
     /// Fuse the smoothing/integral pipeline stages into combined
-    /// launches (see [`fd_gpu::fuse`]). `None` defers to `FD_SIM_FUSION`,
-    /// then to off (the unfused paper baseline). Detections are
-    /// bit-identical either way; fused frames pay fewer launch overheads
-    /// and keep chain-internal intermediates off the global traffic
-    /// ledger.
+    /// launches (see [`fd_gpu::fuse`]). `None` means off (the unfused
+    /// paper baseline). Detections are bit-identical either way; fused
+    /// frames pay fewer launch overheads and keep chain-internal
+    /// intermediates off the global traffic ledger.
     pub fusion: Option<bool>,
     /// Autotune launch shapes through the scheduler's occupancy model
-    /// (see [`fd_gpu::tune`]). `None` defers to `FD_SIM_AUTOTUNE`, then
-    /// to off (the fixed-shape baseline). Detections are byte-identical
-    /// either way; only block shapes and timing change.
+    /// (see [`fd_gpu::tune`]). `None` means off (the fixed-shape
+    /// baseline). Detections are byte-identical either way; only block
+    /// shapes and timing change.
     pub autotune: Option<bool>,
 }
 
@@ -64,7 +59,6 @@ impl Default for DetectorConfig {
             min_neighbors: 2,
             collect_rejection_stats: false,
             host_threads: None,
-            host_exec: None,
             fault_plan: None,
             fusion: None,
             autotune: None,
@@ -141,15 +135,10 @@ impl FaceDetector {
         cascade.validate().map_err(|source| DetectorError::InvalidCascade { source })?;
         let mut gpu = Gpu::new(config.device.clone(), config.exec_mode);
         gpu.set_host_threads(config.host_threads);
-        gpu.set_host_exec(config.host_exec);
         gpu.set_fault_plan(config.fault_plan.clone());
         let mut pipeline = FramePipeline::try_new(gpu, cascade, config.scale_factor)?;
-        if let Some(fusion) = config.fusion {
-            pipeline.set_fusion(fusion);
-        }
-        if let Some(autotune) = config.autotune {
-            pipeline.set_autotune(autotune);
-        }
+        pipeline.set_fusion(config.fusion.unwrap_or(false));
+        pipeline.set_autotune(config.autotune.unwrap_or(false));
         Ok(Self { pipeline, config })
     }
 

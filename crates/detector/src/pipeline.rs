@@ -235,8 +235,8 @@ impl FramePipeline {
             const_ptr,
             scale_factor,
             pool: None,
-            fusion: fd_gpu::env_fusion_default(),
-            autotune: fd_gpu::env_autotune_default(),
+            fusion: false,
+            autotune: false,
             shapes,
         })
     }

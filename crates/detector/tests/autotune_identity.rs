@@ -2,18 +2,17 @@
 //! *timing and residency* optimisation, never a semantic one. Over
 //! randomly seeded video frames, an autotuned pipeline must report
 //! exactly the detections of the fixed-shape baseline — in both fusion
-//! modes — and within each autotune mode every host execution engine
-//! (`Sync`/`Async`) and thread count must produce byte-identical
-//! results. Autotuning changes *which blocks the device runs*, so its
-//! simulated time may differ from the baseline, but nothing host-side
-//! may leak into either mode's output.
+//! modes — and within each autotune mode every host thread count must
+//! produce the byte-identical results of one thread. Autotuning changes
+//! *which blocks the device runs*, so its simulated time may differ from
+//! the baseline, but nothing host-side may leak into either mode's
+//! output.
 //!
-//! Knobs are driven through [`DetectorConfig`] fields only: the
-//! `FD_SIM_*` environment variables are cached per process (`OnceLock`)
-//! and cannot be varied inside one test binary.
+//! Knobs are driven through [`DetectorConfig`] fields only:
+//! `FD_SIM_THREADS` is cached per process (`OnceLock`) and cannot be
+//! varied inside one test binary.
 
 use fd_detector::{Detection, DetectorConfig, FaceDetector};
-use fd_gpu::HostExec;
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 use fd_video::{HwDecoder, Trailer, TrailerSpec};
 use proptest::prelude::*;
@@ -41,13 +40,12 @@ fn trailer(seed: u64, n_frames: usize) -> Trailer {
     })
 }
 
-fn config(autotune: bool, fusion: bool, threads: usize, exec: HostExec) -> DetectorConfig {
+fn config(autotune: bool, fusion: bool, threads: usize) -> DetectorConfig {
     DetectorConfig {
         min_neighbors: 1,
         autotune: Some(autotune),
         fusion: Some(fusion),
         host_threads: Some(threads),
-        host_exec: Some(exec),
         ..DetectorConfig::default()
     }
 }
@@ -58,11 +56,10 @@ fn detect_fingerprint(
     autotune: bool,
     fusion: bool,
     threads: usize,
-    exec: HostExec,
 ) -> (Vec<Detection>, Vec<u64>) {
     let frames: Vec<_> = HwDecoder::new(trailer(seed, 3)).collect();
-    let mut det = FaceDetector::try_new(&cascade(), config(autotune, fusion, threads, exec))
-        .expect("detector");
+    let mut det =
+        FaceDetector::try_new(&cascade(), config(autotune, fusion, threads)).expect("detector");
     let mut raw = Vec::new();
     let mut latency_bits = Vec::new();
     for f in &frames {
@@ -79,23 +76,15 @@ proptest! {
     /// The tentpole guarantee: over arbitrary frame content, autotuning
     /// never changes a single detection — with fusion off or on — and
     /// within each autotune mode the detections *and* latency bits are
-    /// invariant across host engines and thread counts.
+    /// invariant across host thread counts.
     #[test]
-    fn autotuned_detections_match_fixed_shapes_across_engines(seed in any::<u64>()) {
+    fn autotuned_detections_match_fixed_shapes_across_thread_counts(seed in any::<u64>()) {
         for fusion in [false, true] {
-            let fixed = detect_fingerprint(seed, false, fusion, 1, HostExec::Sync);
-            let tuned = detect_fingerprint(seed, true, fusion, 1, HostExec::Sync);
+            let fixed = detect_fingerprint(seed, false, fusion, 1);
+            let tuned = detect_fingerprint(seed, true, fusion, 1);
             prop_assert_eq!(&fixed.0, &tuned.0, "autotune changed detections (fusion={})", fusion);
-            for exec in [HostExec::Sync, HostExec::Async] {
-                for threads in [1usize, 4] {
-                    let f = detect_fingerprint(seed, false, fusion, threads, exec);
-                    prop_assert_eq!(&f.0, &fixed.0, "fixed/{:?}/{}", exec, threads);
-                    prop_assert_eq!(&f.1, &fixed.1, "fixed/{:?}/{}", exec, threads);
-                    let t = detect_fingerprint(seed, true, fusion, threads, exec);
-                    prop_assert_eq!(&t.0, &tuned.0, "tuned/{:?}/{}", exec, threads);
-                    prop_assert_eq!(&t.1, &tuned.1, "tuned/{:?}/{}", exec, threads);
-                }
-            }
+            prop_assert_eq!(&detect_fingerprint(seed, false, fusion, 4), &fixed, "fixed @4 threads");
+            prop_assert_eq!(&detect_fingerprint(seed, true, fusion, 4), &tuned, "tuned @4 threads");
         }
     }
 }
@@ -107,8 +96,7 @@ proptest! {
 fn autotune_knob_reaches_the_pipeline_and_retiles_launches() {
     let frames: Vec<_> = HwDecoder::new(trailer(11, 1)).collect();
     let run = |autotune: bool| {
-        let mut det =
-            FaceDetector::try_new(&cascade(), config(autotune, false, 1, HostExec::Sync)).unwrap();
+        let mut det = FaceDetector::try_new(&cascade(), config(autotune, false, 1)).unwrap();
         assert_eq!(det.autotune(), autotune);
         let r = det.detect(&frames[0].luma).unwrap();
         // Fingerprint each launch's geometry: block count + residency.

@@ -2,17 +2,16 @@
 //! and traffic-ledger* optimisation, never a semantic one. Over randomly
 //! seeded video frames, a fused pipeline must report exactly the
 //! detections of the unfused baseline, and within each fusion mode every
-//! host execution engine (`Sync`/`Async`) and thread count must produce
-//! byte-identical results and `StreamStats` — fusion changes *what the
-//! device does*, so its simulated time may differ between modes, but
-//! nothing host-side is allowed to leak into either mode's output.
+//! host thread count must produce the byte-identical results and
+//! `StreamStats` of one thread — fusion changes *what the device does*,
+//! so its simulated time may differ between modes, but nothing host-side
+//! is allowed to leak into either mode's output.
 //!
-//! Knobs are driven through [`DetectorConfig`] fields only: the
-//! `FD_SIM_*` environment variables are cached per process (`OnceLock`)
-//! and cannot be varied inside one test binary.
+//! Knobs are driven through [`DetectorConfig`] fields only:
+//! `FD_SIM_THREADS` is cached per process (`OnceLock`) and cannot be
+//! varied inside one test binary.
 
 use fd_detector::{Detection, DetectorConfig, FaceDetector, VideoDetector};
-use fd_gpu::HostExec;
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 use fd_video::{HwDecoder, Trailer, TrailerSpec};
 use proptest::prelude::*;
@@ -40,26 +39,19 @@ fn trailer(seed: u64, n_frames: usize) -> Trailer {
     })
 }
 
-fn config(fusion: bool, threads: usize, exec: HostExec) -> DetectorConfig {
+fn config(fusion: bool, threads: usize) -> DetectorConfig {
     DetectorConfig {
         min_neighbors: 1,
         fusion: Some(fusion),
         host_threads: Some(threads),
-        host_exec: Some(exec),
         ..DetectorConfig::default()
     }
 }
 
 /// Raw detections and per-frame latency bits over a seeded trailer.
-fn detect_fingerprint(
-    seed: u64,
-    fusion: bool,
-    threads: usize,
-    exec: HostExec,
-) -> (Vec<Detection>, Vec<u64>) {
+fn detect_fingerprint(seed: u64, fusion: bool, threads: usize) -> (Vec<Detection>, Vec<u64>) {
     let frames: Vec<_> = HwDecoder::new(trailer(seed, 3)).collect();
-    let mut det =
-        FaceDetector::try_new(&cascade(), config(fusion, threads, exec)).expect("detector");
+    let mut det = FaceDetector::try_new(&cascade(), config(fusion, threads)).expect("detector");
     let mut raw = Vec::new();
     let mut latency_bits = Vec::new();
     for f in &frames {
@@ -72,9 +64,8 @@ fn detect_fingerprint(
 
 /// Full-stream `StreamStats` fingerprint (Debug dump covers every field,
 /// including the f64 timing totals, to full precision).
-fn stream_fingerprint(seed: u64, fusion: bool, threads: usize, exec: HostExec) -> String {
-    let mut vd =
-        VideoDetector::new(&cascade(), config(fusion, threads, exec), 24.0).expect("detector");
+fn stream_fingerprint(seed: u64, fusion: bool, threads: usize) -> String {
+    let mut vd = VideoDetector::new(&cascade(), config(fusion, threads), 24.0).expect("detector");
     let reports = vd.run_stream(HwDecoder::new(trailer(seed, 5)));
     assert_eq!(reports.len(), 5);
     format!("{:?}", vd.stats())
@@ -85,38 +76,26 @@ proptest! {
 
     /// The tentpole guarantee: over arbitrary frame content, fusion
     /// never changes a single detection, and within each mode the
-    /// detections *and* latency bits are invariant across host engines
-    /// and thread counts.
+    /// detections *and* latency bits are invariant across host thread
+    /// counts.
     #[test]
-    fn fused_detections_match_unfused_across_engines(seed in any::<u64>()) {
-        let unfused = detect_fingerprint(seed, false, 1, HostExec::Sync);
-        let fused = detect_fingerprint(seed, true, 1, HostExec::Sync);
+    fn fused_detections_match_unfused_across_thread_counts(seed in any::<u64>()) {
+        let unfused = detect_fingerprint(seed, false, 1);
+        let fused = detect_fingerprint(seed, true, 1);
         prop_assert_eq!(&unfused.0, &fused.0, "fusion changed detections");
-        for exec in [HostExec::Sync, HostExec::Async] {
-            for threads in [1usize, 4] {
-                let u = detect_fingerprint(seed, false, threads, exec);
-                prop_assert_eq!(&u.0, &unfused.0, "unfused/{:?}/{}", exec, threads);
-                prop_assert_eq!(&u.1, &unfused.1, "unfused/{:?}/{}", exec, threads);
-                let f = detect_fingerprint(seed, true, threads, exec);
-                prop_assert_eq!(&f.0, &fused.0, "fused/{:?}/{}", exec, threads);
-                prop_assert_eq!(&f.1, &fused.1, "fused/{:?}/{}", exec, threads);
-            }
-        }
+        prop_assert_eq!(&detect_fingerprint(seed, false, 4), &unfused, "unfused @4 threads");
+        prop_assert_eq!(&detect_fingerprint(seed, true, 4), &fused, "fused @4 threads");
     }
 
     /// Whole streams: `StreamStats` (frame accounting and all timing
-    /// totals) are byte-identical across engines and thread counts in
-    /// both fusion modes.
+    /// totals) are byte-identical across thread counts in both fusion
+    /// modes.
     #[test]
-    fn stream_stats_are_engine_invariant_in_both_fusion_modes(seed in any::<u64>()) {
+    fn stream_stats_are_thread_invariant_in_both_fusion_modes(seed in any::<u64>()) {
         for fusion in [false, true] {
-            let baseline = stream_fingerprint(seed, fusion, 1, HostExec::Sync);
-            for exec in [HostExec::Sync, HostExec::Async] {
-                for threads in [1usize, 4] {
-                    let s = stream_fingerprint(seed, fusion, threads, exec);
-                    prop_assert_eq!(&s, &baseline, "fusion={} {:?}/{}", fusion, exec, threads);
-                }
-            }
+            let baseline = stream_fingerprint(seed, fusion, 1);
+            let s = stream_fingerprint(seed, fusion, 4);
+            prop_assert_eq!(&s, &baseline, "fusion={} @4 threads", fusion);
         }
     }
 }
@@ -128,8 +107,7 @@ proptest! {
 fn fusion_knob_reaches_the_pipeline_and_cuts_launches() {
     let frames: Vec<_> = HwDecoder::new(trailer(11, 1)).collect();
     let run = |fusion: bool| {
-        let mut det =
-            FaceDetector::try_new(&cascade(), config(fusion, 1, HostExec::Sync)).unwrap();
+        let mut det = FaceDetector::try_new(&cascade(), config(fusion, 1)).unwrap();
         assert_eq!(det.fusion(), fusion);
         let r = det.detect(&frames[0].luma).unwrap();
         (r.timeline.events.len(), r.detect_ms)

@@ -30,7 +30,7 @@ use crate::kernel::{BlockCtx, Kernel, LaunchConfig};
 /// batch dimension stacked on `grid.z`. Built by
 /// [`crate::Gpu::launch_batched`]; the type is public so cost-model tests
 /// and custom harnesses can construct it directly. Owns its parts: the
-/// asynchronous engine may execute the batch long after the launch call
+/// batch executes at the next flush point, long after the launch call
 /// returns.
 pub struct BatchedKernel<K: Kernel> {
     parts: Vec<K>,

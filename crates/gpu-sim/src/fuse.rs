@@ -45,34 +45,19 @@
 //! [`FusedKernel::run_block`] maps a linear block id back to its stage
 //! and remaps the context's geometry before delegating, exactly like
 //! [`crate::BatchedKernel`] does for grid-`z` stacking. Stage starts are
-//! exposed as [`Kernel::phase_boundaries`]: both host engines execute the
+//! exposed as [`Kernel::phase_boundaries`]: the host drain executes the
 //! phases in order without interleaving blocks across a boundary, which
 //! preserves the memory effects of separate launches (and keeps the
 //! arena's read-while-write checker quiet). Results are bit-identical to
-//! the unfused pipeline at any host thread count and on both engines.
-
-use std::sync::OnceLock;
+//! the unfused pipeline at any host thread count.
 
 use crate::dim::Dim3;
 use crate::kernel::{BlockCtx, Kernel, LaunchConfig};
 use crate::memory::AccessSet;
 
-/// Environment variable enabling fusion by default in consumers that
-/// expose a fusion knob (`1`/`true`/`on` to enable).
+/// No longer read; kept because the repo benchmark refuses to run with it
+/// set. Consumers switch fusion on through their own configuration.
 pub const FUSION_ENV_VAR: &str = "FD_SIM_FUSION";
-
-/// Resolve the process-wide fusion default from [`FUSION_ENV_VAR`].
-/// Read once per process (`OnceLock`), like the other `FD_SIM_*` knobs.
-/// Unset or unrecognized values mean *off*: the unfused pipeline stays
-/// the baseline.
-pub fn env_fusion_default() -> bool {
-    static ENV_FUSION: OnceLock<bool> = OnceLock::new();
-    *ENV_FUSION.get_or_init(|| {
-        std::env::var(FUSION_ENV_VAR)
-            .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on"))
-            .unwrap_or(false)
-    })
-}
 
 /// A kernel's producer/consumer shape, declared via
 /// [`Kernel::fusion_traits`]. Domains are logical `(width, height)`
@@ -674,12 +659,5 @@ mod tests {
             .validate()
             .unwrap_err();
         assert_eq!(err, FusionError::WriteAfterRead { buf: a.raw_id(), reader: 0, writer: 1 });
-    }
-
-    #[test]
-    fn env_default_is_off() {
-        // The env var is unset in the test harness; the knob must then
-        // leave fusion disabled so the unfused path stays the baseline.
-        assert!(!env_fusion_default() || std::env::var(FUSION_ENV_VAR).is_ok());
     }
 }

@@ -1,12 +1,10 @@
 //! The device front-end: launch kernels, manage streams/events, synchronize.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::cost::CostModel;
 use crate::device::DeviceSpec;
-use crate::exec;
 use crate::fault::{fault_draw, FaultCursor, FaultDomain, FaultPlan, FaultStats};
 use crate::graph::DepTracker;
 use crate::kernel::{Kernel, LaunchConfig};
@@ -15,7 +13,7 @@ use crate::memory::{
     Texture2D,
 };
 use crate::meter::KernelCounters;
-use crate::pool::{Node, WorkerPool};
+use crate::pool::{resolve_host_threads, LaunchEnv, Node, WorkerPool};
 use crate::profiler::Profiler;
 use crate::sched::{ExecMode, LaunchRecord, SchedScratch, Timeline};
 use crate::stream::{EventId, StreamId};
@@ -111,42 +109,9 @@ impl std::fmt::Display for LaunchError {
 
 impl std::error::Error for LaunchError {}
 
-/// How the host executes the functional phase of kernel launches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HostExec {
-    /// Execute every launch to completion inside [`Gpu::launch`], one
-    /// launch at a time (the legacy engine). Small grids can never use
-    /// more than one host core and every parallel launch pays a fresh
-    /// thread spawn/join.
-    Sync,
-    /// Defer launches into a dependency graph and drain them on the
-    /// persistent worker pool at the next sync point, overlapping
-    /// block-chunks of *independent* launches. Every observable output
-    /// is byte-identical to [`HostExec::Sync`] (see [`crate::graph`]).
-    #[default]
-    Async,
-}
-
-/// Environment variable selecting the host execution engine (`sync` or
-/// `async`); an explicit [`Gpu::set_host_exec`] override wins.
-pub const HOST_EXEC_ENV_VAR: &str = "FD_SIM_HOST_EXEC";
-
-fn env_host_exec() -> Option<HostExec> {
-    static ENV: OnceLock<Option<HostExec>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var(HOST_EXEC_ENV_VAR).ok().and_then(|v| {
-            match v.trim().to_ascii_lowercase().as_str() {
-                "sync" => Some(HostExec::Sync),
-                "async" => Some(HostExec::Async),
-                _ => None,
-            }
-        })
-    })
-}
-
-/// A launch accepted into the queue. Under [`HostExec::Async`] the
-/// functional phase has not necessarily run yet: `kernel` is retained
-/// until a flush executes it and fills in the record's costs/counters.
+/// A launch accepted into the queue. Its functional phase has not
+/// necessarily run yet: `kernel` is retained until a flush executes it
+/// and fills in the record's costs/counters.
 struct PendingLaunch {
     record: LaunchRecord,
     kernel: Option<Box<dyn Kernel>>,
@@ -158,7 +123,6 @@ struct PendingLaunch {
     stall_cycles: f64,
     /// Dependency edges (queue positions) from [`DepTracker`].
     deps: Vec<usize>,
-    executed: bool,
 }
 
 /// A simulated GPU: memory spaces, streams, a launch queue and a profiler.
@@ -176,18 +140,19 @@ pub struct Gpu {
     textures: Vec<Texture2D>,
     mode: ExecMode,
     /// Host worker threads for the functional phase; `None` defers to
-    /// `FD_SIM_THREADS` / host parallelism (see [`crate::exec`]).
+    /// `FD_SIM_THREADS` / host parallelism (see [`crate::pool`]).
     host_threads: Option<usize>,
-    /// Host execution engine override; `None` defers to
-    /// [`HOST_EXEC_ENV_VAR`], then to [`HostExec::Async`].
-    host_exec: Option<HostExec>,
     next_stream: u32,
     next_event: u32,
     pending: Vec<PendingLaunch>,
+    /// Queue position of the first launch whose functional phase has not
+    /// run: every flush drains the whole queue, so `pending[..first_deferred]`
+    /// is executed and `pending[first_deferred..]` still holds its kernels.
+    first_deferred: usize,
     launch_counter: usize,
     pending_waits: HashMap<StreamId, Vec<EventId>>,
     fired_events: HashSet<EventId>,
-    /// Dependency graph over the pending queue (async engine).
+    /// Dependency graph over the pending queue.
     tracker: DepTracker,
     /// Persistent workers draining the queue; spawned lazily, reused for
     /// the device's lifetime.
@@ -238,10 +203,10 @@ impl Gpu {
             textures: Vec::new(),
             mode,
             host_threads: None,
-            host_exec: None,
             next_stream: 1,
             next_event: 0,
             pending: Vec::new(),
+            first_deferred: 0,
             launch_counter: 0,
             pending_waits: HashMap::new(),
             fired_events: HashSet::new(),
@@ -337,7 +302,7 @@ impl Gpu {
     }
 
     /// Pin the functional phase to `threads` host workers (builder form).
-    /// `1` selects the sequential path; overrides `FD_SIM_THREADS`.
+    /// `1` selects the serial reference schedule; overrides `FD_SIM_THREADS`.
     pub fn with_host_threads(mut self, threads: usize) -> Self {
         self.set_host_threads(Some(threads));
         self
@@ -352,28 +317,9 @@ impl Gpu {
         self.host_threads = threads.map(|n| n.max(1));
     }
 
-    /// Effective host worker threads the next launch will use.
+    /// Effective host worker threads the next drain will use.
     pub fn host_threads(&self) -> usize {
-        exec::resolve_host_threads(self.host_threads)
-    }
-
-    /// Select the host execution engine (builder form).
-    pub fn with_host_exec(mut self, exec: HostExec) -> Self {
-        self.set_host_exec(Some(exec));
-        self
-    }
-
-    /// Set or clear the host-execution override. `None` defers to
-    /// [`HOST_EXEC_ENV_VAR`], then to [`HostExec::Async`]. Flushes queued
-    /// launches first — the engines must not interleave within a drain.
-    pub fn set_host_exec(&mut self, exec: Option<HostExec>) {
-        self.flush_functional();
-        self.host_exec = exec;
-    }
-
-    /// The engine the next launch will use.
-    pub fn host_exec(&self) -> HostExec {
-        self.host_exec.or_else(env_host_exec).unwrap_or_default()
+        resolve_host_threads(self.host_threads)
     }
 
     /// Switch between serial and concurrent kernel execution. Takes effect
@@ -455,14 +401,13 @@ impl Gpu {
     /// Launch `kernel` with `cfg` into `stream`.
     ///
     /// Validation and fault verdicts happen here, in launch-attempt
-    /// order. Under [`HostExec::Async`] (the default) the functional
-    /// phase is *deferred*: the launch joins the dependency graph and
-    /// executes at the next sync point ([`Gpu::synchronize`],
-    /// [`Gpu::flush`], [`Gpu::download`] …), where the worker pool
-    /// overlaps block-chunks of independent launches. Under
-    /// [`HostExec::Sync`] every block executes before this returns.
-    /// Either way the metered work becomes per-block timing costs in
-    /// linear block order, and all observable results are identical.
+    /// order. The functional phase is *deferred*: the launch joins the
+    /// dependency graph and executes at the next sync point
+    /// ([`Gpu::synchronize`], [`Gpu::flush`], [`Gpu::download`] …), where
+    /// the worker pool overlaps block-chunks of independent launches.
+    /// The metered work becomes per-block timing costs in linear block
+    /// order, and all observable results equal those of running the
+    /// launches one by one in issue order (`host_threads = 1`).
     pub fn launch<K: Kernel + 'static>(
         &mut self,
         kernel: K,
@@ -550,7 +495,7 @@ impl Gpu {
         let mut access = AccessSet::new();
         kernel.access(&mut access);
         let deps = self.tracker.on_enqueue(stream, &access, &wait_events);
-        let mut record = LaunchRecord {
+        let record = LaunchRecord {
             launch_idx: self.launch_counter,
             kernel_name: kernel.name(),
             stream,
@@ -568,72 +513,15 @@ impl Gpu {
             record_events: Vec::new(),
         };
 
-        if self.host_exec() == HostExec::Sync {
-            // Legacy engine: run the whole launch inline, one fresh
-            // thread scope per launch. A fused launch reports its stage
-            // starts as phase boundaries; each phase runs to completion
-            // before the next so consumers observe their producers.
-            let env = exec::LaunchEnv {
-                mem: &self.mem,
-                constants: &self.constants,
-                textures: &self.textures,
-                cost: &self.cost,
-                warp_size: self.spec.warp_size,
-            };
-            let host_threads = exec::resolve_host_threads(self.host_threads);
-            let segments = phase_segments(kernel.phase_boundaries(), total_blocks);
-            let exec::FunctionalResult { mut block_costs, totals } =
-                if segments.len() <= 1 {
-                    exec::run_functional(&kernel, &cfg, &env, host_threads, total_blocks)
-                } else {
-                    let mut block_costs = Vec::with_capacity(total_blocks as usize);
-                    let mut totals = KernelCounters::default();
-                    for &(first, count) in &segments {
-                        let r = exec::run_functional_range(
-                            &kernel,
-                            &cfg,
-                            &env,
-                            host_threads,
-                            first,
-                            count,
-                        );
-                        block_costs.extend(r.block_costs);
-                        totals.add(&r.totals);
-                    }
-                    exec::FunctionalResult { block_costs, totals }
-                };
-            if stall_cycles > 0.0 {
-                // A stream stall pins the launch's first block for the
-                // stall duration. Charged as issue cycles so warp
-                // residency cannot hide it (the engine is stalled, not
-                // waiting on DRAM); the timing phase stretches the
-                // launch's span while functional results stay untouched.
-                block_costs[0].issue_cycles += stall_cycles;
-            }
-            record.block_costs = block_costs;
-            record.counters = totals;
-            self.pending.push(PendingLaunch {
-                record,
-                kernel: None,
-                cfg,
-                total_blocks,
-                stall_cycles: 0.0,
-                deps,
-                executed: true,
-            });
-        } else {
-            self.pending.push(PendingLaunch {
-                record,
-                kernel: Some(Box::new(kernel)),
-                cfg,
-                total_blocks,
-                stall_cycles,
-                deps,
-                executed: false,
-            });
-            let deferred = self.pending.iter().filter(|p| !p.executed).count() as u32;
-            self.mem.set_deferred_launches(deferred);
-        }
+        self.pending.push(PendingLaunch {
+            record,
+            kernel: Some(Box::new(kernel)),
+            cfg,
+            total_blocks,
+            stall_cycles,
+            deps,
+        });
+        self.mem.set_deferred_launches((self.pending.len() - self.first_deferred) as u32);
         self.launch_counter += 1;
         Ok(())
     }
@@ -642,19 +530,19 @@ impl Gpu {
     /// dependency-graph drain). Called by every sync point; a no-op when
     /// nothing is deferred.
     fn flush_functional(&mut self) {
-        let Some(base) = self.pending.iter().position(|p| !p.executed) else {
+        let base = self.first_deferred;
+        if base == self.pending.len() {
             return;
-        };
-        let threads = exec::resolve_host_threads(self.host_threads);
-        let env = exec::LaunchEnv {
+        }
+        let threads = resolve_host_threads(self.host_threads);
+        let env = LaunchEnv {
             mem: &self.mem,
             constants: &self.constants,
             textures: &self.textures,
             cost: &self.cost,
             warp_size: self.spec.warp_size,
         };
-        // The unexecuted launches form a suffix (every flush drains the
-        // whole queue). Dependencies on already-executed launches are
+        // Dependencies on already-executed launches (`d < base`) are
         // satisfied by definition and drop out of the node graph.
         //
         // Fused launches expand into one node per phase, chained by
@@ -708,15 +596,18 @@ impl Gpu {
                 totals.add(&r.totals);
             }
             if p.stall_cycles > 0.0 {
-                // See the inline-execution comment in `launch`: the stall
-                // pins the first block as issue cycles.
+                // A stream stall pins the launch's first block for the
+                // stall duration. Charged as issue cycles so warp
+                // residency cannot hide it (the engine is stalled, not
+                // waiting on DRAM); the timing phase stretches the
+                // launch's span while functional results stay untouched.
                 block_costs[0].issue_cycles += p.stall_cycles;
             }
             p.record.block_costs = block_costs;
             p.record.counters = totals;
-            p.executed = true;
             p.kernel = None;
         }
+        self.first_deferred = self.pending.len();
         self.mem.set_deferred_launches(0);
         self.profiler.absorb_host_spans(spans);
     }
@@ -810,6 +701,7 @@ impl Gpu {
         for p in self.pending.drain(..) {
             self.fired_events.extend(p.record.record_events);
         }
+        self.first_deferred = 0;
         self.pending_waits.clear();
         self.tracker.reset();
     }
@@ -821,6 +713,7 @@ impl Gpu {
         self.flush_functional();
         let launches: Vec<LaunchRecord> =
             self.pending.drain(..).map(|p| p.record).collect();
+        self.first_deferred = 0;
         // Harvest the opaque-launch count before the tracker forgets it:
         // undeclared access sets silently forbid both overlap and fusion,
         // so the profiler surfaces how many launches fell back to a full
@@ -1139,8 +1032,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "deferred")]
     fn host_read_while_deferred_panics() {
-        let mut gpu =
-            Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial).with_host_exec(HostExec::Async);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
         let buf = gpu.mem.upload(&vec![1u32; 64]);
         gpu.launch_default(DoubleKernel { buf }, LaunchConfig::linear(64, 64)).unwrap();
         // The launch has not run yet; reading now would observe stale data.
@@ -1149,8 +1041,7 @@ mod tests {
 
     #[test]
     fn flush_runs_functional_phase_without_timing() {
-        let mut gpu =
-            Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_exec(HostExec::Async);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
         let buf = gpu.mem.upload(&(0u32..256).collect::<Vec<_>>());
         gpu.launch_default(DoubleKernel { buf }, LaunchConfig::linear(256, 128)).unwrap();
         gpu.flush();
@@ -1164,25 +1055,28 @@ mod tests {
 
     #[test]
     fn gpu_download_flushes_implicitly() {
-        let mut gpu =
-            Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial).with_host_exec(HostExec::Async);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
         let buf = gpu.mem.upload(&vec![21u32; 128]);
         gpu.launch_default(DoubleKernel { buf }, LaunchConfig::linear(128, 64)).unwrap();
         assert!(gpu.download(buf).iter().all(|&v| v == 42));
     }
 
+    /// `host_threads = 1` is the in-order oracle: every launch runs on the
+    /// host thread in issue order, and any other thread count reproduces
+    /// its memory, timeline and trace bit for bit.
     #[test]
-    fn engines_are_bit_identical() {
-        let run = |exec| {
+    fn one_host_thread_is_the_in_order_reference_schedule() {
+        let n = 16 * 1024usize; // 3 launches x 64 blocks x 256 threads: above the serial cut-off
+        let run = |threads| {
             let mut gpu =
-                Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_exec(exec);
-            let a = gpu.mem.upload(&(0u32..4096).collect::<Vec<_>>());
-            let b = gpu.mem.upload(&(0u32..4096).rev().collect::<Vec<_>>());
+                Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_threads(threads);
+            let a = gpu.mem.upload(&(0..n as u32).collect::<Vec<_>>());
+            let b = gpu.mem.upload(&(0..n as u32).rev().collect::<Vec<_>>());
             let s1 = gpu.create_stream();
             let s2 = gpu.create_stream();
-            gpu.launch(DoubleKernel { buf: a }, LaunchConfig::linear(4096, 256), s1).unwrap();
-            gpu.launch(DoubleKernel { buf: b }, LaunchConfig::linear(4096, 256), s2).unwrap();
-            gpu.launch(DoubleKernel { buf: a }, LaunchConfig::linear(4096, 256), s1).unwrap();
+            gpu.launch(DoubleKernel { buf: a }, LaunchConfig::linear(n, 256), s1).unwrap();
+            gpu.launch(DoubleKernel { buf: b }, LaunchConfig::linear(n, 256), s2).unwrap();
+            gpu.launch(DoubleKernel { buf: a }, LaunchConfig::linear(n, 256), s1).unwrap();
             let t = gpu.synchronize();
             let trace: Vec<_> = gpu
                 .profiler()
@@ -1190,9 +1084,20 @@ mod tests {
                 .iter()
                 .map(|e| (e.kernel_name, e.blocks, e.t_start_us.to_bits(), e.t_end_us.to_bits()))
                 .collect();
-            (gpu.mem.download(a), gpu.mem.download(b), t.span_us().to_bits(), trace)
+            let spans: Vec<_> =
+                gpu.profiler().host_spans().iter().map(|s| (s.worker, s.launch_idx)).collect();
+            (gpu.mem.download(a), gpu.mem.download(b), t.span_us().to_bits(), trace, spans)
         };
-        assert_eq!(run(HostExec::Sync), run(HostExec::Async));
+        let reference = run(1);
+        assert_eq!(reference.4, [(0, 0), (0, 1), (0, 2)], "worker 0, ascending launch_idx");
+        for threads in [2, 4] {
+            let r = run(threads);
+            assert_eq!(
+                (&r.0, &r.1, r.2, &r.3),
+                (&reference.0, &reference.1, reference.2, &reference.3),
+                "{threads} threads"
+            );
+        }
     }
 
     /// Doubles `buf` like [`DoubleKernel`] but burns extra host time per
@@ -1232,7 +1137,6 @@ mod tests {
     #[test]
     fn independent_streams_overlap_on_the_host_lane() {
         let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent)
-            .with_host_exec(HostExec::Async)
             .with_host_threads(2);
         let n = 32 * 1024usize;
         let a = gpu.mem.upload(&vec![1u32; n]);
@@ -1309,18 +1213,17 @@ mod tests {
         }
     }
 
-    /// Fused chain vs the same stages launched separately, across both
-    /// host engines and thread counts: outputs bit-identical, one trace
+    /// Fused chain vs the same stages launched separately, across host
+    /// thread counts: outputs bit-identical, one trace
     /// row instead of three, (k-1) launch overheads and the intermediate
     /// round-trips saved.
     #[test]
     fn fused_chain_matches_separate_launches_and_is_cheaper() {
         let n = 8192usize;
         let cfg = LaunchConfig::linear(n, 256);
-        let run = |fused: bool, exec: HostExec, threads: usize| {
-            let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent)
-                .with_host_exec(exec)
-                .with_host_threads(threads);
+        let run = |fused: bool, threads: usize| {
+            let mut gpu =
+                Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_threads(threads);
             let a = gpu.mem.upload(&(0u32..n as u32).collect::<Vec<_>>());
             let b = gpu.mem.alloc::<u32>(n);
             let c = gpu.mem.alloc::<u32>(n);
@@ -1352,8 +1255,8 @@ mod tests {
             (gpu.mem.download(d), t.span_us(), t.events.len(), totals)
         };
 
-        let baseline = run(false, HostExec::Sync, 1);
-        let fused_ref = run(true, HostExec::Sync, 1);
+        let baseline = run(false, 1);
+        let fused_ref = run(true, 1);
         assert_eq!(baseline.0, fused_ref.0, "fused results must match unfused");
         assert_eq!(baseline.2, 3, "unfused: one trace row per stage");
         assert_eq!(fused_ref.2, 1, "fused: a single launch");
@@ -1382,29 +1285,23 @@ mod tests {
             "credited traffic accounts for every avoided global byte"
         );
 
-        // Engine/thread-count invariance, fused and unfused alike.
-        for exec in [HostExec::Sync, HostExec::Async] {
-            for threads in [1, 4] {
-                let f = run(true, exec, threads);
-                assert_eq!(f.0, fused_ref.0, "{exec:?}/{threads}");
-                assert_eq!(f.1.to_bits(), fused_ref.1.to_bits(), "{exec:?}/{threads}");
-                let u = run(false, exec, threads);
-                assert_eq!(u.0, baseline.0, "{exec:?}/{threads}");
-                assert_eq!(u.1.to_bits(), baseline.1.to_bits(), "{exec:?}/{threads}");
-            }
-        }
+        // Thread-count invariance, fused and unfused alike.
+        let f = run(true, 4);
+        assert_eq!(f.0, fused_ref.0);
+        assert_eq!(f.1.to_bits(), fused_ref.1.to_bits());
+        let u = run(false, 4);
+        assert_eq!(u.0, baseline.0);
+        assert_eq!(u.1.to_bits(), baseline.1.to_bits());
     }
 
     /// A launch after a fused chain that reads the chain's output must
-    /// order behind the whole chain in the async engine (its dependency
-    /// points at the chain's *last* phase node).
+    /// order behind the whole chain (its dependency points at the chain's
+    /// *last* phase node).
     #[test]
     fn downstream_of_fused_chain_sees_final_stage_output() {
         let n = 8192usize;
         let cfg = LaunchConfig::linear(n, 256);
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent)
-            .with_host_exec(HostExec::Async)
-            .with_host_threads(4);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_threads(4);
         let a = gpu.mem.upload(&vec![1u32; n]);
         let b = gpu.mem.alloc::<u32>(n);
         let c = gpu.mem.alloc::<u32>(n);

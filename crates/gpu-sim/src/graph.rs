@@ -1,8 +1,7 @@
 //! Dependency graph over pending launches.
 //!
-//! The asynchronous engine (see [`crate::Gpu`]) defers the functional
-//! phase: launches are enqueued and only executed at a sync point. To
-//! preserve the memory effects of serial issue order while letting
+//! [`crate::Gpu`] defers the functional phase: launches are enqueued and
+//! only executed at a sync point. To preserve the memory effects of serial issue order while letting
 //! *independent* launches overlap on the worker pool, each enqueue
 //! computes the set of earlier pending launches it must wait for:
 //!

@@ -74,7 +74,7 @@ pub trait Kernel: Send + Sync {
     fn run_block(&self, ctx: &mut BlockCtx<'_>);
 
     /// Declare which device buffers this launch reads and writes so the
-    /// asynchronous engine can order it against other launches (see
+    /// host drain can order it against other launches (see
     /// [`crate::AccessSet`]). The default marks the launch *opaque*: a
     /// full barrier against every other pending launch, which is always
     /// correct but forbids overlap. Kernels that want to run concurrently
@@ -95,7 +95,7 @@ pub trait Kernel: Send + Sync {
     /// Linear block offsets at which execution must not interleave with
     /// earlier blocks of the same launch. Plain kernels have none (blocks
     /// are independent by construction); a fused chain reports its stage
-    /// starts so the engines insert intra-launch barriers between the
+    /// starts so the host drain inserts intra-launch barriers between the
     /// producer and consumer phases.
     fn phase_boundaries(&self) -> Vec<u64> {
         Vec::new()

@@ -31,16 +31,16 @@
 //!    [`Kernel::run_block`] and *meter* the work they perform through the
 //!    per-block [`Meter`]: warp-wide ALU instructions, shared/constant/
 //!    texture/global transactions, barriers and (divergent) branches.
-//!    Under the default [`HostExec::Async`] engine a launch call only
-//!    *enqueues*: the kernel joins a dependency graph (per-stream program
-//!    order, event edges, and read/write hazards over the buffers its
-//!    [`Kernel::access`] declares) and executes at the next sync point
-//!    ([`Gpu::synchronize`], [`Gpu::flush`], [`Gpu::download`]), where a
-//!    persistent worker pool overlaps block-chunks of *independent*
-//!    launches across host threads — the host-side analogue of the SM
-//!    backfilling the timing model reproduces. Results are bit-exact and
-//!    independent of the engine, the thread count and the timing mode;
-//!    `FD_SIM_HOST_EXEC=sync` selects the legacy launch-time execution.
+//!    A launch call only *enqueues*: the kernel joins a dependency graph
+//!    (per-stream program order, event edges, and read/write hazards over
+//!    the buffers its [`Kernel::access`] declares) and executes at the
+//!    next sync point ([`Gpu::synchronize`], [`Gpu::flush`],
+//!    [`Gpu::download`]), where a persistent worker pool overlaps
+//!    block-chunks of *independent* launches across host threads — the
+//!    host-side analogue of the SM backfilling the timing model
+//!    reproduces. Results are bit-exact and independent of the thread
+//!    count and the timing mode; one host thread (`FD_SIM_THREADS=1`)
+//!    runs the launches in issue order and is the reference schedule.
 //! 2. **Timing phase** — each launch yields per-block cycle costs. At
 //!    synchronization points a discrete-event scheduler places blocks onto
 //!    SMs subject to residency limits and stream ordering, producing kernel
@@ -89,7 +89,6 @@
 
 pub mod batch;
 pub mod cost;
-pub mod exec;
 pub mod device;
 pub mod dim;
 pub mod fault;
@@ -111,12 +110,9 @@ pub use batch::BatchedKernel;
 pub use cost::CostModel;
 pub use device::DeviceSpec;
 pub use dim::Dim3;
-pub use exec::THREADS_ENV_VAR;
 pub use fault::{FaultCursor, FaultPlan, FaultStats};
-pub use fuse::{
-    env_fusion_default, FusedChain, FusedKernel, FusionError, FusionTraits, FUSION_ENV_VAR,
-};
-pub use gpu::{Gpu, HostExec, LaunchError, HOST_EXEC_ENV_VAR, MAX_FUNCTIONAL_BLOCKS};
+pub use fuse::{FusedChain, FusedKernel, FusionError, FusionTraits, FUSION_ENV_VAR};
+pub use gpu::{Gpu, LaunchError, MAX_FUNCTIONAL_BLOCKS};
 pub use kernel::{BlockCtx, Kernel, LaunchConfig};
 pub use memory::{
     AccessSet, BilinearTap, ConstPtr, CopyFault, CopyFaultConfig, DevBuf, DevRead, DevWrite,
@@ -124,12 +120,12 @@ pub use memory::{
 };
 pub use meter::{KernelCounters, Meter};
 pub use pcie::PcieModel;
+pub use pool::{HOST_EXEC_ENV_VAR, THREADS_ENV_VAR};
 pub use profiler::{HostSpan, KernelProfile, Profiler, TraceEvent};
 pub use sched::{
     launch_occupancy, BlockCost, ExecMode, LaunchOccupancy, LaunchRecord, OccupancyLimit, Timeline,
 };
 pub use stream::{EventId, StreamId};
 pub use tune::{
-    env_autotune_default, score_shape, GeomClass, ShapeCache, ShapeCandidate, ShapeFamily,
-    AUTOTUNE_ENV_VAR,
+    score_shape, GeomClass, ShapeCache, ShapeCandidate, ShapeFamily, AUTOTUNE_ENV_VAR,
 };

@@ -157,7 +157,7 @@ impl<T> DevBuf<T> {
 }
 
 /// The device buffers a kernel launch reads and writes, declared through
-/// [`crate::Kernel::access`]. The asynchronous execution engine builds
+/// [`crate::Kernel::access`]. The pending-launch graph builds
 /// read/write hazard edges from these sets: a reader is ordered after the
 /// buffer's last writer, a writer after the last writer *and* every
 /// reader since. A kernel that does not (or cannot) declare its accesses
@@ -962,15 +962,16 @@ mod tests {
     fn concurrent_reads_from_threads() {
         let mut mem = DeviceMemory::new();
         let b = mem.upload(&(0u32..256).collect::<Vec<_>>());
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let mem = &mem;
-                s.spawn(move || {
-                    let r = mem.read(b);
-                    assert_eq!(r[t as usize * 10], t * 10);
-                });
-            }
-        });
+        let mem = std::sync::Arc::new(mem);
+        let readers: Vec<_> = (0..4u32)
+            .map(|t| {
+                let mem = std::sync::Arc::clone(&mem);
+                std::thread::spawn(move || assert_eq!(mem.read(b)[t as usize * 10], t * 10))
+            })
+            .collect();
+        for r in readers {
+            r.join().expect("reader thread");
+        }
         assert_eq!(mem.read(b).len(), 256);
     }
 

@@ -1,21 +1,31 @@
-//! Persistent worker pool draining the pending-launch dependency graph.
+//! How blocks run on the host: the persistent worker pool draining the
+//! pending-launch dependency graph.
 //!
-//! The synchronous path spawns a fresh `std::thread::scope` per launch;
-//! at detector scale that is hundreds of thread spawns per frame, each a
-//! kernel round-trip, and a sub-threshold grid can never use more than
-//! one core. The pool is spawned once per [`crate::Gpu`] and drains a
-//! whole queue at a time: workers claim fixed-size block *chunks* from
-//! any launch whose dependencies ([`crate::graph`]) are satisfied, so
-//! many small independent per-scale launches finally overlap — the host
-//! analogue of SM backfilling across CUDA streams.
+//! Thread blocks of one launch are independent by construction (barriers
+//! only exist *inside* a block), and launches without a path between them
+//! in the dependency graph ([`crate::graph`]) are independent too. The
+//! pool is spawned once per [`crate::Gpu`] and drains a whole queue at a
+//! time: workers claim fixed-size block *chunks* from any launch whose
+//! dependencies are satisfied, so many small independent per-scale
+//! launches overlap — the host analogue of SM backfilling across CUDA
+//! streams.
 //!
-//! Determinism is structural, exactly as in [`crate::exec`]:
-//! which worker runs which chunk when is scheduler noise, but every
-//! chunk's results land in a slot keyed by (launch, chunk id), per-launch
-//! costs are stitched in linear block order, counters are reduced by one
-//! ordered fold, and the drain returns results in launch order. Memory
-//! effects match serial issue order because hazardous launches are
-//! ordered by graph edges and unordered launches are confluent.
+//! Determinism is structural: which worker runs which chunk when is
+//! scheduler noise, but every chunk's results land in a slot keyed by
+//! (launch, chunk id), per-launch costs are stitched in linear block
+//! order, counters are reduced by one ordered fold, and the drain returns
+//! results in launch order. Memory effects match serial issue order
+//! because hazardous launches are ordered by graph edges and unordered
+//! launches are confluent. The result — block costs, profiler counters
+//! and (through the cost model) the timing simulation — is byte-for-byte
+//! that of [`drain_serial`], the `threads = 1` reference schedule, which
+//! runs the launches in issue order on the host thread.
+//!
+//! Thread count resolution: explicit override
+//! ([`crate::Gpu::set_host_threads`]) → the `FD_SIM_THREADS` environment
+//! variable → `std::thread::available_parallelism()`. Queues below
+//! [`PARALLEL_MIN_WORK`] run serially regardless, as hand-off overhead
+//! would dominate.
 //!
 //! The queue borrows live only for the duration of one [`WorkerPool::drain`]
 //! call: the job is published to the workers as a lifetime-erased pointer
@@ -28,12 +38,96 @@ use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::exec::{FunctionalResult, LaunchEnv, MAX_CHUNK_BLOCKS, PARALLEL_MIN_WORK};
-use crate::kernel::{Kernel, LaunchConfig};
-use crate::memory::KernelScope;
-use crate::meter::KernelCounters;
+use crate::cost::CostModel;
+use crate::kernel::{BlockCtx, Kernel, LaunchConfig};
+use crate::memory::{ConstBank, DeviceMemory, KernelScope, Texture2D};
+use crate::meter::{KernelCounters, Meter};
 use crate::profiler::HostSpan;
 use crate::sched::BlockCost;
+
+/// Drains whose estimated work (blocks × threads-per-block) falls below
+/// this run serially. 16 Ki ≈ the `64 blocks × 256 threads` break-even
+/// point measured for the detector's mid-pyramid kernels: below it,
+/// chunk-claim and hand-off costs exceed the block work even on a warm
+/// persistent pool.
+const PARALLEL_MIN_WORK: u64 = 16_384;
+
+/// Upper bound on blocks per chunk; small enough to balance load on the
+/// largest realistic grids, large enough to amortize the atomic claim.
+const MAX_CHUNK_BLOCKS: usize = 1024;
+
+/// Environment variable selecting the host thread count (`1` forces the
+/// serial reference schedule).
+pub const THREADS_ENV_VAR: &str = "FD_SIM_THREADS";
+
+/// No longer read; kept because the repo benchmark refuses to run with it
+/// set.
+pub const HOST_EXEC_ENV_VAR: &str = "FD_SIM_HOST_EXEC";
+
+/// Resolve the effective host thread count for the functional phase.
+/// Without an override the answer is fixed once per process (`OnceLock`):
+/// the resolver runs on every drain, `std::env::var` takes a process lock,
+/// and `available_parallelism` re-reads the cgroup quota on every call.
+pub(crate) fn resolve_host_threads(override_threads: Option<usize>) -> usize {
+    static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
+    override_threads
+        .unwrap_or_else(|| {
+            *DEFAULT_THREADS.get_or_init(|| {
+                std::env::var(THREADS_ENV_VAR)
+                    .ok()
+                    .and_then(|v| v.trim().parse::<usize>().ok())
+                    .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            })
+        })
+        .max(1)
+}
+
+/// Everything the functional phase produces for one launch.
+pub(crate) struct FunctionalResult {
+    /// Per-block timing costs, indexed by linear block id.
+    pub block_costs: Vec<BlockCost>,
+    /// Counters summed over blocks in linear order.
+    pub totals: KernelCounters,
+}
+
+/// Shared read-only state for one drain's functional phase.
+pub(crate) struct LaunchEnv<'a> {
+    pub mem: &'a DeviceMemory,
+    pub constants: &'a ConstBank,
+    pub textures: &'a [Texture2D],
+    pub cost: &'a CostModel,
+    pub warp_size: u32,
+}
+
+impl LaunchEnv<'_> {
+    fn run_block(
+        &self,
+        kernel: &dyn Kernel,
+        cfg: &LaunchConfig,
+        lin: u64,
+    ) -> (BlockCost, KernelCounters) {
+        let meter = Meter::new();
+        let mut ctx = BlockCtx::new(
+            cfg.grid.from_linear(lin),
+            cfg.grid,
+            cfg.block,
+            self.mem,
+            &meter,
+            self.constants,
+            self.textures,
+            self.warp_size,
+            cfg.shared_mem_bytes,
+        );
+        kernel.run_block(&mut ctx);
+        let c = meter.snapshot();
+        let bc = BlockCost {
+            issue_cycles: self.cost.issue_cycles(&c),
+            mem_latency_cycles: self.cost.mem_latency_cycles(&c),
+            mem_bytes: c.global_bytes(),
+        };
+        (bc, c)
+    }
+}
 
 /// One unexecuted pending launch, borrowed from the queue for the
 /// duration of a drain. `deps` are indices into the same node slice and
@@ -478,10 +572,8 @@ fn drain_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
     use crate::dim::Dim3;
-    use crate::kernel::BlockCtx;
-    use crate::memory::{ConstBank, DevBuf, DeviceMemory};
+    use crate::memory::DevBuf;
 
     #[derive(Clone)]
     struct AffineKernel {
@@ -507,6 +599,10 @@ mod tests {
             ctx.meter.alu(ctx.warps_in_block());
             ctx.meter.global_load(((end - base) * 4) as u64);
             ctx.meter.global_store(((end - base) * 4) as u64);
+            // Block-dependent divergence, so a stitch or counter reduction
+            // out of linear block order would show in the per-block cost
+            // bits and the totals.
+            ctx.meter.branches(ctx.block_idx.x as u64 + 1, ctx.block_idx.x as u64 % 2);
         }
         fn access(&self, set: &mut crate::memory::AccessSet) {
             set.reads(self.src).writes(self.dst);
@@ -595,6 +691,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn thread_resolution_prefers_override() {
+        assert_eq!(resolve_host_threads(Some(3)), 3);
+        assert_eq!(resolve_host_threads(Some(0)), 1, "zero clamps to one");
+        assert!(resolve_host_threads(None) >= 1);
     }
 
     #[test]

@@ -18,37 +18,22 @@
 //! cache is deterministic and the functional results are byte-identical
 //! across shapes by construction (only timing may move).
 //!
-//! The knob is [`AUTOTUNE_ENV_VAR`] (`FD_SIM_AUTOTUNE=1`), read once per
-//! process like the other `FD_SIM_*` switches; off means every consumer
-//! keeps its built-in shape and the pipeline is bit-identical to the
-//! pre-autotune behaviour, timing included.
+//! Consumers switch tuning on through their own configuration; off means
+//! every consumer keeps its built-in shape and the pipeline is
+//! bit-identical to the pre-autotune behaviour, timing included.
 //!
 //! [`Kernel::shape_family`]: crate::Kernel::shape_family
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use crate::cost::CostModel;
 use crate::device::DeviceSpec;
 use crate::dim::Dim3;
 use crate::sched::launch_occupancy;
 
-/// Environment variable enabling launch-shape autotuning by default in
-/// consumers that expose an autotune knob (`1`/`true`/`on` to enable).
+/// No longer read; kept because the repo benchmark refuses to run with it
+/// set. Consumers switch autotuning on through their own configuration.
 pub const AUTOTUNE_ENV_VAR: &str = "FD_SIM_AUTOTUNE";
-
-/// Resolve the process-wide autotune default from [`AUTOTUNE_ENV_VAR`].
-/// Read once per process (`OnceLock`), like the other `FD_SIM_*` knobs.
-/// Unset or unrecognized values mean *off*: fixed shapes stay the
-/// baseline.
-pub fn env_autotune_default() -> bool {
-    static ENV_AUTOTUNE: OnceLock<bool> = OnceLock::new();
-    *ENV_AUTOTUNE.get_or_init(|| {
-        std::env::var(AUTOTUNE_ENV_VAR)
-            .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on"))
-            .unwrap_or(false)
-    })
-}
 
 /// The geometry equivalence class a tuned shape is valid for: the logical
 /// element domain a launch covers. Two launches of the same kernel over
@@ -253,11 +238,6 @@ mod tests {
 
     fn family(shapes: Vec<ShapeCandidate>) -> ShapeFamily {
         ShapeFamily { kernel: "k", shapes }
-    }
-
-    #[test]
-    fn env_default_is_off() {
-        assert!(!env_autotune_default() || std::env::var(AUTOTUNE_ENV_VAR).is_ok());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! than chin — with realistic intra-class variation (position jitter,
 //! scale, illumination gradients, contrast, noise) exercises exactly the
 //! code paths and statistics the paper measures (stage-wise rejection,
-//! ROC shape). See DESIGN.md §2.
+//! ROC shape). See DESIGN.md `#substitutions`.
 //!
 //! The face is modelled as a continuous intensity field over normalized
 //! coordinates and can be rendered at any resolution, which the video

@@ -1,16 +1,15 @@
-//! Property-based determinism tests for the asynchronous host execution
-//! engine: any pyramid-shaped multi-stream workload — shared buffers,
+//! Property-based determinism tests for the deferred host execution of
+//! launches: any pyramid-shaped multi-stream workload — shared buffers,
 //! declared and opaque kernels, cross-stream events, mid-queue sync and
 //! flush points, optional fault injection — must be **bitwise** identical
-//! under the deferred dependency-graph drain at any worker count to the
-//! `host_threads = 1` serial issue order, and to the legacy synchronous
-//! (execute-at-launch) engine.
+//! under the dependency-graph drain at any worker count to the
+//! `host_threads = 1` serial issue order.
 
 use proptest::prelude::*;
 
 use facedet::gpu::{
-    AccessSet, BlockCtx, DevBuf, DeviceSpec, ExecMode, FaultPlan, Gpu, HostExec, Kernel,
-    LaunchConfig, StreamId,
+    AccessSet, BlockCtx, DevBuf, DeviceSpec, ExecMode, FaultPlan, Gpu, Kernel, LaunchConfig,
+    StreamId,
 };
 
 /// Read-modify-write with a non-commutative update, so any hazard the
@@ -151,13 +150,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// rows, the per-kernel profile, and fault statistics.
 fn run(
     ops: &[Op],
-    exec: HostExec,
     threads: usize,
     fault_seed: Option<u64>,
 ) -> (Vec<Vec<u32>>, Vec<u64>, String, String, String) {
-    let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent)
-        .with_host_exec(exec)
-        .with_host_threads(threads);
+    let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_threads(threads);
     if let Some(seed) = fault_seed {
         gpu.set_fault_plan(Some(FaultPlan::seeded(seed).with_stream_stalls(0.2, 700.0)));
     }
@@ -227,8 +223,8 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The asynchronous drain at any thread count reproduces serial issue
-    /// order bit-for-bit, as does the legacy synchronous engine.
+    /// The drain at any thread count reproduces serial issue order
+    /// bit-for-bit.
     #[test]
     fn async_drain_is_bitwise_serial(
         ops in proptest::collection::vec(op_strategy(), 1..24),
@@ -236,10 +232,8 @@ proptest! {
         faulted in any::<bool>(),
     ) {
         let seed = if faulted { Some(77u64) } else { None };
-        let reference = run(&ops, HostExec::Async, 1, seed);
-        let parallel = run(&ops, HostExec::Async, threads, seed);
-        let sync_engine = run(&ops, HostExec::Sync, 1, seed);
-        prop_assert_eq!(&parallel, &reference, "async@{} diverged from async@1", threads);
-        prop_assert_eq!(&sync_engine, &reference, "sync engine diverged from async@1");
+        let reference = run(&ops, 1, seed);
+        let parallel = run(&ops, threads, seed);
+        prop_assert_eq!(&parallel, &reference, "{} threads diverged from 1", threads);
     }
 }

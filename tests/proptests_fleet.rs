@@ -2,14 +2,12 @@
 //! `FleetServer` with a single device — even with the full
 //! fault-tolerance stack on and an inert seeded `FaultPlan` attached —
 //! completes bit-identically to a plain `DetectionServer`, across host
-//! thread counts and both host execution engines. The fleet machinery
-//! (routing, admission ledger, failover, stealing, eviction) must be
-//! pure overhead-free bookkeeping until there is a second device or a
-//! lifecycle command.
+//! thread counts. The fleet machinery (routing, admission ledger,
+//! failover, stealing, eviction) must be pure overhead-free bookkeeping
+//! until there is a second device or a lifecycle command.
 
 use proptest::prelude::*;
 
-use facedet::gpu::HostExec;
 use facedet::prelude::*;
 use facedet::serve::RequestOutcome;
 
@@ -60,11 +58,10 @@ fn fingerprints(completed: &[facedet::serve::CompletedRequest]) -> Vec<Fingerpri
         .collect()
 }
 
-fn detector_config(plan_seed: u64, host_threads: usize, host_exec: HostExec) -> DetectorConfig {
+fn detector_config(plan_seed: u64, host_threads: usize) -> DetectorConfig {
     DetectorConfig {
         min_neighbors: 1,
         host_threads: Some(host_threads),
-        host_exec: Some(host_exec),
         fault_plan: Some(facedet::gpu::FaultPlan::seeded(plan_seed)),
         ..DetectorConfig::default()
     }
@@ -80,13 +77,12 @@ fn serve_config(batched: bool) -> ServeConfig {
 fn run_single(
     plan_seed: u64,
     host_threads: usize,
-    host_exec: HostExec,
     batched: bool,
     pattern: &[(u32, u8)],
 ) -> (Vec<Fingerprint>, ServeStats) {
     let mut server = DetectionServer::new(
         &edge_cascade(),
-        detector_config(plan_seed, host_threads, host_exec),
+        detector_config(plan_seed, host_threads),
         serve_config(batched),
     )
     .expect("server construction");
@@ -102,13 +98,12 @@ fn run_single(
 fn run_fleet(
     plan_seed: u64,
     host_threads: usize,
-    host_exec: HostExec,
     batched: bool,
     pattern: &[(u32, u8)],
 ) -> (Vec<Fingerprint>, ServeStats) {
     let mut fleet = FleetServer::new(
         &edge_cascade(),
-        detector_config(plan_seed, host_threads, host_exec),
+        detector_config(plan_seed, host_threads),
         1,
         FleetConfig { serve: serve_config(batched), ..FleetConfig::default() },
     )
@@ -127,29 +122,26 @@ proptest! {
 
     /// A fleet of one with an inert fault plan is the single server:
     /// identical completion log (ids, outcomes, detections, instants)
-    /// and identical merged statistics — at 1 and 4 host threads, under
-    /// both host execution engines, batching on and off.
+    /// and identical merged statistics — at 1 and 4 host threads,
+    /// batching on and off.
     #[test]
     fn fleet_of_one_is_byte_identical_to_the_single_server(
         pattern in proptest::collection::vec((0u32..4000, 0u8..6), 1..6),
         plan_seed in 0u64..1_000_000,
         batched in any::<bool>(),
     ) {
-        let reference = run_single(0, 1, HostExec::Sync, batched, &pattern);
+        let reference = run_single(0, 1, batched, &pattern);
         for threads in [1usize, 4] {
-            for exec in [HostExec::Sync, HostExec::Async] {
-                let single = run_single(plan_seed, threads, exec, batched, &pattern);
-                let fleet = run_fleet(plan_seed, threads, exec, batched, &pattern);
-                prop_assert_eq!(
-                    &fleet, &single,
-                    "fleet-of-1 must reduce to the single server \
-                     (threads={}, exec={:?}, batched={})",
-                    threads, exec, batched
-                );
-                // And the plan seed / threads / engine are themselves
-                // inert: one reference run pins them all.
-                prop_assert_eq!(&single, &reference);
-            }
+            let single = run_single(plan_seed, threads, batched, &pattern);
+            let fleet = run_fleet(plan_seed, threads, batched, &pattern);
+            prop_assert_eq!(
+                &fleet, &single,
+                "fleet-of-1 must reduce to the single server (threads={}, batched={})",
+                threads, batched
+            );
+            // And the plan seed / thread count are themselves inert: one
+            // reference run pins them both.
+            prop_assert_eq!(&single, &reference);
         }
     }
 }

@@ -3,11 +3,10 @@
 //! *inert* — a server with the full fault-tolerance stack enabled (and
 //! an inert seeded `FaultPlan` attached) completes bit-identically to
 //! one with retries and health tracking disabled and no plan at all,
-//! across host thread counts and both host execution engines.
+//! across host thread counts.
 
 use proptest::prelude::*;
 
-use facedet::gpu::HostExec;
 use facedet::prelude::*;
 use facedet::serve::RequestOutcome;
 
@@ -44,14 +43,12 @@ fn run_server(
     fault_tolerant: bool,
     plan_seed: Option<u64>,
     host_threads: usize,
-    host_exec: HostExec,
     batched: bool,
     pattern: &[(u32, u8)],
 ) -> Vec<Fingerprint> {
     let det = DetectorConfig {
         min_neighbors: 1,
         host_threads: Some(host_threads),
-        host_exec: Some(host_exec),
         fault_plan: plan_seed.map(facedet::gpu::FaultPlan::seeded),
         ..DetectorConfig::default()
     };
@@ -97,25 +94,22 @@ proptest! {
 
     /// With an inert fault plan, the fault-tolerance stack adds nothing:
     /// retries+health enabled completes bit-identically to both layers
-    /// disabled with no plan attached — at 1 and 4 host threads, under
-    /// both host execution engines, batching on and off.
+    /// disabled with no plan attached — at 1 and 4 host threads, batching
+    /// on and off.
     #[test]
     fn inert_fault_plans_leave_serving_byte_identical(
         pattern in proptest::collection::vec((0u32..4000, 0u8..6), 1..6),
         plan_seed in 0u64..1_000_000,
         batched in any::<bool>(),
     ) {
-        let baseline = run_server(false, None, 1, HostExec::Sync, batched, &pattern);
+        let baseline = run_server(false, None, 1, batched, &pattern);
         for threads in [1usize, 4] {
-            for exec in [HostExec::Sync, HostExec::Async] {
-                let ft = run_server(true, Some(plan_seed), threads, exec, batched, &pattern);
-                prop_assert_eq!(
-                    &ft, &baseline,
-                    "inert plan + fault tolerance must be invisible \
-                     (threads={}, exec={:?}, batched={})",
-                    threads, exec, batched
-                );
-            }
+            let ft = run_server(true, Some(plan_seed), threads, batched, &pattern);
+            prop_assert_eq!(
+                &ft, &baseline,
+                "inert plan + fault tolerance must be invisible (threads={}, batched={})",
+                threads, batched
+            );
         }
     }
 }
