@@ -362,7 +362,7 @@ impl FaceDetector {
         let mut raw = Vec::new();
         for out in outputs {
             let size = (window as f64 * out.scale).round() as u32;
-            for (i, _) in out.hits.iter().enumerate().filter(|&(_, &hit)| hit != 0) {
+            for_each_hit(&out.hits, |i| {
                 let (ox, oy) = (i % out.width, i / out.width);
                 raw.push(Detection {
                     rect: Rect::new(
@@ -374,7 +374,7 @@ impl FaceDetector {
                     score: out.score[i],
                     scale: out.level,
                 });
-            }
+            });
         }
         raw
     }
@@ -400,6 +400,21 @@ impl FaceDetector {
             windows.push(total);
         }
         RejectionHistogram { counts, windows_per_level: windows }
+    }
+}
+
+/// Call `f` with the index of every nonzero word of a hit mask, in order.
+/// A 1080p frame's masks hold 5.7 M words and about a hundred hits, so
+/// the mask is walked in chunks and a chunk whose words OR to zero is
+/// skipped without looking at its elements one by one.
+fn for_each_hit(hits: &[u32], mut f: impl FnMut(usize)) {
+    const CHUNK: usize = 64;
+    for (c, chunk) in hits.chunks(CHUNK).enumerate() {
+        if chunk.iter().fold(0, |any, &hit| any | hit) != 0 {
+            for (j, _) in chunk.iter().enumerate().filter(|&(_, &hit)| hit != 0) {
+                f(c * CHUNK + j);
+            }
+        }
     }
 }
 
@@ -576,6 +591,54 @@ mod tests {
             corrupted_frames += (raw != clean) as usize;
         }
         assert!(corrupted_frames > 0, "the plan must corrupt some readback that matters");
+    }
+
+    #[test]
+    fn chunked_hit_walk_equals_the_element_walk() {
+        // Hits on both sides of every chunk border, in a short last chunk,
+        // nowhere, everywhere, and at random densities and lengths.
+        let mut x = 0x5EED_u64;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        let mut masks: Vec<Vec<u32>> = vec![vec![], vec![0; 200], vec![1; 200], vec![7; 1]];
+        for len in [63, 64, 65, 127, 128, 129, 130, 1000] {
+            let mut borders = vec![0u32; len];
+            for i in (0..len).filter(|i| i % 64 == 0 || i % 64 == 63 || i + 1 == len) {
+                borders[i] = 1 + i as u32;
+            }
+            masks.push(borders);
+            let mut last_only = vec![0u32; len];
+            last_only[len - 1] = u32::MAX;
+            masks.push(last_only);
+        }
+        for _ in 0..200 {
+            let (len, one_in) = (next() % 700, 1 + next() % 300);
+            masks.push((0..len).map(|_| (next() % one_in == 0) as u32).collect());
+        }
+        for mask in masks {
+            let want: Vec<usize> =
+                mask.iter().enumerate().filter(|&(_, &hit)| hit != 0).map(|(i, _)| i).collect();
+            let mut got = Vec::new();
+            for_each_hit(&mask, |i| got.push(i));
+            assert_eq!(got, want, "mask of {} words", mask.len());
+        }
+    }
+
+    #[test]
+    fn warp_sizes_the_cascade_kernel_cannot_run_are_rejected() {
+        for warp_size in [0, 16, 64] {
+            let device = DeviceSpec { warp_size, ..DeviceSpec::gtx470() };
+            let config = DetectorConfig { device, ..DetectorConfig::default() };
+            assert!(
+                matches!(
+                    FaceDetector::try_new(&edge_cascade(1), config),
+                    Err(DetectorError::InvalidConfig { .. })
+                ),
+                "warp size {warp_size}"
+            );
+        }
     }
 
     #[test]

@@ -36,11 +36,26 @@
 //!   constant broadcasts, tile transactions, ALU ops and loop branches are
 //!   constants of the stage (`PreStage::rects`, the stump count) added
 //!   once per warp and stage — never per stump or per lane.
-//! * **Per lane:** the stage sum, the running score and the depth. Lanes
-//!   do not interact, so each alive lane runs the whole stage in one loop
-//!   over its stumps — leaves added to `0.0f32` in stump order, exactly
-//!   the order the lockstep walk adds them in — and survivors are
-//!   compacted in place, in lane order.
+//! * **Stage 0, dense:** every valid window of the block enters stage 0
+//!   and nearly none leaves it (1.5 % on a 1080p frame), and the windows
+//!   of one block row sit side by side in the 48-wide tile. So stage 0 is
+//!   evaluated per block row over runs of 24 adjacent windows: a
+//!   rectangle corner is one unit-stride 24-word load, not 24 scattered
+//!   ones. What a warp is charged does not depend on who computed its
+//!   lanes' sums: a warp with a valid lane is charged stage 0, and its
+//!   exit diverged iff some but not all of its valid lanes survived.
+//! * **Stages 1…, per lane:** the stage sum, the running score and the
+//!   depth. Lanes do not interact, so each surviving lane runs the whole
+//!   stage in one loop over its stumps and survivors are compacted in
+//!   place, in lane order.
+//!
+//! Both passes are [`PreStage::sums`], generic over the run width (24 for
+//! a block row, 1 for a lane): leaves are added to `0.0f32` in stump order
+//! per window — the order the lockstep walk adds them in — and the stump
+//! response is wrapping `i32` arithmetic, equal mod 2³² to summing in
+//! `i64` and truncating. [`precompile`] folds the sign of a rectangle's
+//! weight into its corner order, so most weights are 1 and cost no
+//! multiply.
 //!
 //! The pre-rewrite stump-major body lives on in `kernels/reference.rs` as
 //! the test oracle: equal output bits and equal counters per block.
@@ -55,7 +70,11 @@ use fd_haar::Cascade;
 /// four corner offsets within the 48-wide shared tile, plus its weight.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct PreStump {
-    /// Corner offsets `[dd, du, ld, lu]` per rectangle.
+    /// Corner offsets `[dd, du, ld, lu]` per rectangle: its weighted sum
+    /// is `weight * (T[dd] - T[du] - T[ld] + T[lu])`. A rectangle of
+    /// negative weight is stored as `|weight|` with each corner pair
+    /// swapped (`-w * (dd - du - ld + lu) = w * (du - dd - lu + ld)`), so
+    /// that nearly every weight of a Haar feature is exactly 1.
     pub(super) offs: [[u32; 4]; 4],
     pub(super) weights: [i32; 4],
     pub(super) nrects: u32,
@@ -65,12 +84,96 @@ pub(super) struct PreStump {
 }
 
 #[derive(Debug, Clone)]
-pub(super) struct PreStage {
+pub(crate) struct PreStage {
     pub(super) stumps: Vec<PreStump>,
     pub(super) threshold: f32,
     /// Rectangles over all of the stage's stumps: with the stump count,
     /// everything a warp's pass through the stage is metered from.
     rects: u64,
+}
+
+impl PreStage {
+    /// The stage sums of the `N` windows whose origins are `win[0..N]`
+    /// (`win`: the tile from the first origin on): per window the leaves
+    /// added to `0.0f32` in stump order. A rectangle corner of `N`
+    /// adjacent windows is `N` adjacent tile words, so every inner loop
+    /// is unit-stride over `[_; N]`. The response wraps `i32` — equal mod
+    /// 2³² to the exact sum truncated, which is what the device compares.
+    fn sums<const N: usize>(&self, win: &[u32]) -> [f32; N] {
+        let mut sums = [0.0f32; N];
+        for stump in &self.stumps {
+            let mut resp = [0i32; N];
+            let rects = stump.offs.iter().zip(stump.weights).take(stump.nrects as usize);
+            for (offs, weight) in rects {
+                // One range check per corner (`o..` then `..N` would be two,
+                // which costs the one-window case a third of its time).
+                let [dd, du, ld, lu] = offs.map(|o| &win[o as usize..o as usize + N]);
+                let area = |j: usize| {
+                    dd[j].wrapping_sub(du[j]).wrapping_sub(ld[j]).wrapping_add(lu[j]) as i32
+                };
+                // The default target has no 32-bit vector multiply; its
+                // emulation is two fifths of a rectangle's instructions,
+                // and most weights are 1 (see `PreStump::offs`).
+                if weight == 1 {
+                    for (j, resp) in resp.iter_mut().enumerate() {
+                        *resp = resp.wrapping_add(area(j));
+                    }
+                } else {
+                    for (j, resp) in resp.iter_mut().enumerate() {
+                        *resp = resp.wrapping_add(weight.wrapping_mul(area(j)));
+                    }
+                }
+            }
+            for j in 0..N {
+                sums[j] += if resp[j] < stump.threshold { stump.left } else { stump.right };
+            }
+        }
+        sums
+    }
+}
+
+/// Precompile `cascade` for tile-relative evaluation: once per pipeline,
+/// shared by every kernel launched from it.
+pub(crate) fn precompile(cascade: &Cascade) -> Arc<Vec<PreStage>> {
+    assert_eq!(cascade.window, CascadeKernel::BLOCK, "kernel is specialized for 24-px windows");
+    let tile_w = CascadeKernel::TILE;
+    let stages = cascade
+        .stages
+        .iter()
+        .map(|st| PreStage {
+            threshold: st.threshold,
+            rects: st.stumps.iter().map(|s| s.feature.rects().len() as u64).sum(),
+            stumps: st
+                .stumps
+                .iter()
+                .map(|s| {
+                    let mut offs = [[0u32; 4]; 4];
+                    let mut weights = [0i32; 4];
+                    for (i, r) in s.feature.rects().iter().enumerate() {
+                        let (rx, ry) = (r.x as u32, r.y as u32);
+                        let (rw, rh) = (r.w as u32, r.h as u32);
+                        let [dd, du, ld, lu] = [
+                            (ry + rh) * tile_w + rx + rw,
+                            ry * tile_w + rx + rw,
+                            (ry + rh) * tile_w + rx,
+                            ry * tile_w + rx,
+                        ];
+                        offs[i] = if r.weight < 0 { [du, dd, lu, ld] } else { [dd, du, ld, lu] };
+                        weights[i] = (r.weight as i32).abs();
+                    }
+                    PreStump {
+                        offs,
+                        weights,
+                        nrects: s.feature.rects().len() as u32,
+                        threshold: s.threshold,
+                        left: s.left,
+                        right: s.right,
+                    }
+                })
+                .collect(),
+        })
+        .collect();
+    Arc::new(stages)
 }
 
 /// One launch per pyramid level.
@@ -120,9 +223,10 @@ impl CascadeKernel {
     /// byte — is identical across the family.
     pub const BLOCK_HEIGHTS: [u32; 5] = [24, 20, 16, 12, 8];
 
-    /// Precompile `cascade` for this level. The cascade must already be
-    /// quantized to the constant-memory grid (so the functional results
-    /// equal what the device would compute from `const_ptr`).
+    /// [`Self::with_stages`] over a freshly [`precompile`]d `cascade`,
+    /// which must already be quantized to the constant-memory grid (so the
+    /// functional results equal what the device would compute from
+    /// `const_ptr`).
     pub fn new(
         cascade: &Cascade,
         integral: DevBuf<u32>,
@@ -132,48 +236,25 @@ impl CascadeKernel {
         score_out: DevBuf<f32>,
         const_ptr: ConstPtr,
     ) -> Self {
-        assert_eq!(cascade.window, Self::BLOCK, "kernel is specialized for 24-px windows");
         debug_assert_eq!(
             quantize_cascade(cascade),
             *cascade,
             "cascade must be pre-quantized to the constant-memory grid"
         );
-        let tile_w = Self::TILE;
-        let stages = cascade
-            .stages
-            .iter()
-            .map(|st| PreStage {
-                threshold: st.threshold,
-                rects: st.stumps.iter().map(|s| s.feature.rects().len() as u64).sum(),
-                stumps: st
-                    .stumps
-                    .iter()
-                    .map(|s| {
-                        let mut offs = [[0u32; 4]; 4];
-                        let mut weights = [0i32; 4];
-                        for (i, r) in s.feature.rects().iter().enumerate() {
-                            let (rx, ry) = (r.x as u32, r.y as u32);
-                            let (rw, rh) = (r.w as u32, r.h as u32);
-                            offs[i] = [
-                                (ry + rh) * tile_w + rx + rw,
-                                ry * tile_w + rx + rw,
-                                (ry + rh) * tile_w + rx,
-                                ry * tile_w + rx,
-                            ];
-                            weights[i] = r.weight as i32;
-                        }
-                        PreStump {
-                            offs,
-                            weights,
-                            nrects: s.feature.rects().len() as u32,
-                            threshold: s.threshold,
-                            left: s.left,
-                            right: s.right,
-                        }
-                    })
-                    .collect(),
-            })
-            .collect();
+        let stages = precompile(cascade);
+        Self::with_stages(stages, integral, width, height, depth_out, score_out, const_ptr)
+    }
+
+    /// The kernel of one level over an already precompiled cascade.
+    pub(crate) fn with_stages(
+        stages: Arc<Vec<PreStage>>,
+        integral: DevBuf<u32>,
+        width: usize,
+        height: usize,
+        depth_out: DevBuf<u32>,
+        score_out: DevBuf<f32>,
+        const_ptr: ConstPtr,
+    ) -> Self {
         Self {
             integral,
             width,
@@ -181,7 +262,7 @@ impl CascadeKernel {
             depth_out,
             score_out,
             const_ptr,
-            stages: Arc::new(stages),
+            stages,
             window: Self::BLOCK as usize,
             const_words_per_stump: 3,
             use_shared_tile: true,
@@ -272,15 +353,36 @@ impl Kernel for CascadeKernel {
             ctx.syncthreads();
         }
 
-        // ---- Warp-granular cascade evaluation, lane-major inside a
-        // stage (module docs). Per-thread results of the whole block;
-        // threads without a whole window in the image keep these values.
+        // ---- Cascade evaluation (module docs). Per-thread results of the
+        // whole block; threads without a whole window in the image keep
+        // these values.
         let mut depth = [0u32; (Self::BLOCK * Self::BLOCK) as usize];
         let mut score = [f32::NEG_INFINITY; (Self::BLOCK * Self::BLOCK) as usize];
         // Window origins `(bx + tx, by + ty)` with `tx < valid_w` and
         // `ty < valid_h` are the block's valid ones.
         let valid_w = (w + 1).saturating_sub(bx + self.window).min(b);
         let valid_h = (h + 1).saturating_sub(by + self.window).min(bh);
+
+        // Dense stage 0: a block row is one run of 24 adjacent windows.
+        // The run always fits the 48-wide tile; sums past `valid_w` are
+        // computed from staged zeros and dropped. `passed[ty]` has bit
+        // `tx` set for the row's valid windows that passed.
+        let mut passed = [0u32; Self::BLOCK as usize];
+        for ty in 0..valid_h {
+            let row = ty * b..ty * b + valid_w;
+            score[row.clone()].fill(0.0);
+            if let Some(stage) = self.stages.first() {
+                let sums = stage.sums::<{ Self::BLOCK as usize }>(&tile[ty * tile_w..]);
+                for (tx, ((score, depth), sum)) in
+                    score[row.clone()].iter_mut().zip(&mut depth[row]).zip(sums).enumerate()
+                {
+                    let pass = sum >= stage.threshold;
+                    *score += sum - stage.threshold;
+                    *depth = pass as u32;
+                    passed[ty] |= (pass as u32) << tx;
+                }
+            }
+        }
 
         // Local metering accumulators (flushed once per block).
         let mut m_const = 0u64;
@@ -291,23 +393,31 @@ impl Kernel for CascadeKernel {
         let mut m_divergent = 0u64;
 
         ctx.for_each_warp(|_, lanes| {
-            // The warp's lanes still in the cascade, in lane order: thread
-            // id and tile offset of the window origin.
+            // The warp's lanes that passed stage 0, in lane order (thread
+            // id and tile offset of the window origin), and how many
+            // entered it. Its 32 lanes cover parts of two or three block
+            // rows: columns `c0..c1` of row `ty`.
             let mut alive = [(0u16, 0u16); 32];
             let mut n_alive = 0usize;
-            for t in lanes {
-                let (tx, ty) = (t as usize % b, t as usize / b);
-                if tx < valid_w && ty < valid_h {
-                    alive[n_alive] = (t as u16, (ty * tile_w + tx) as u16);
-                    score[t as usize] = 0.0;
+            let mut entrants = 0usize;
+            let (lo, hi) = (lanes.start as usize, lanes.end as usize);
+            let rows = &passed[..hi.div_ceil(b).min(valid_h)];
+            for (ty, &row_passed) in rows.iter().enumerate().skip(lo / b) {
+                let (c0, c1) = (lo.max(ty * b) - ty * b, hi.min(ty * b + b) - ty * b);
+                entrants += c1.min(valid_w) - c0.min(valid_w);
+                let mut bits = row_passed & (u32::MAX << c0) & !(u32::MAX << c1);
+                while bits != 0 {
+                    let tx = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    alive[n_alive] = ((ty * b + tx) as u16, (ty * tile_w + tx) as u16);
                     n_alive += 1;
                 }
             }
             // Lanes that started the cascade: the no-tile ablation fetches
             // corners for all of them at every stage the warp executes.
-            let n_active = n_alive as u64;
+            let n_active = entrants as u64;
             for (si, stage) in self.stages.iter().enumerate() {
-                if n_alive == 0 {
+                if entrants == 0 {
                     break;
                 }
                 // The warp executes every stump of a stage it enters, so
@@ -328,38 +438,25 @@ impl Kernel for CascadeKernel {
                 m_alu += 4 * stage.rects + 6 * n_stumps + 3;
                 m_branches += n_stumps + 1;
 
-                let entrants = n_alive;
-                n_alive = 0;
-                for i in 0..entrants {
-                    let (t, base) = alive[i];
-                    let win = &tile[base as usize..];
-                    let mut sum = 0.0f32;
-                    for stump in &stage.stumps {
-                        let mut resp = 0i64;
-                        for r in 0..stump.nrects as usize {
-                            let o = &stump.offs[r];
-                            let s = win[o[0] as usize] as i64
-                                - win[o[1] as usize] as i64
-                                - win[o[2] as usize] as i64
-                                + win[o[3] as usize] as i64;
-                            resp += stump.weights[r] as i64 * s;
+                // Stage 0 was decided by the dense pass; later stages run
+                // per surviving lane, survivors compacted in place.
+                if si > 0 {
+                    n_alive = 0;
+                    for i in 0..entrants {
+                        let (t, base) = alive[i];
+                        let [sum] = stage.sums::<1>(&tile[base as usize..]);
+                        score[t as usize] += sum - stage.threshold;
+                        if sum >= stage.threshold {
+                            depth[t as usize] = si as u32 + 1;
+                            alive[n_alive] = (t, base);
+                            n_alive += 1;
                         }
-                        sum += if (resp as i32) < stump.threshold {
-                            stump.left
-                        } else {
-                            stump.right
-                        };
-                    }
-                    score[t as usize] += sum - stage.threshold;
-                    if sum >= stage.threshold {
-                        depth[t as usize] = si as u32 + 1;
-                        alive[n_alive] = (t, base);
-                        n_alive += 1;
                     }
                 }
                 if 0 < n_alive && n_alive < entrants {
                     m_divergent += 1;
                 }
+                entrants = n_alive;
             }
         });
 

@@ -46,25 +46,25 @@ impl Kernel for DisplayKernel {
         if base >= n {
             return;
         }
+        // One warp per `warp_size` run of the block's elements (the last
+        // may be short): a hit word per element, a divergent exit where
+        // some but not all of the warp's lanes hit.
+        let warp = ctx.warp_size() as usize;
         let mut warp_divergent = 0u64;
-        let mut warps = 0u64;
         {
             let depth = ctx.mem.read(self.depth);
             let mut hits = ctx.mem.write(self.hits);
-            for ws in (base..end).step_by(ctx.warp_size() as usize) {
-                let we = (ws + ctx.warp_size() as usize).min(end);
-                let mut lane_hits = 0u64;
-                for i in ws..we {
-                    let hit = depth[i] >= self.required_depth;
-                    hits[i] = hit as u32;
-                    lane_hits += hit as u64;
+            let warps_of = depth[base..end].chunks(warp).zip(hits[base..end].chunks_mut(warp));
+            for (lane_depths, lane_hits) in warps_of {
+                let mut n_hits = 0usize;
+                for (hit, &reached) in lane_hits.iter_mut().zip(lane_depths) {
+                    *hit = (reached >= self.required_depth) as u32;
+                    n_hits += *hit as usize;
                 }
-                warps += 1;
-                if lane_hits > 0 && lane_hits < (we - ws) as u64 {
-                    warp_divergent += 1;
-                }
+                warp_divergent += (0 < n_hits && n_hits < lane_depths.len()) as u64;
             }
         }
+        let warps = (end - base).div_ceil(warp) as u64;
         let covered = (end - base) as u64;
         ctx.meter.global_load(4 * covered);
         ctx.meter.global_store(4 * covered);

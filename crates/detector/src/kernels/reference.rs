@@ -1,7 +1,7 @@
 //! Differential oracle for the kernel bodies.
 //!
-//! The `run_block` bodies of the cascade, filter, scale, scan and
-//! transpose kernels as they were before they were rewritten for host
+//! The `run_block` bodies of the cascade, filter, scale, scan, transpose
+//! and display kernels as they were before they were rewritten for host
 //! speed (element-wise staging, stump-major SIMT iteration, per-pixel
 //! metering), kept verbatim as [`ReferenceBody::reference_run_block`].
 //! The sweeps below run both bodies block by block over generated
@@ -16,8 +16,11 @@ use fd_gpu::{
 use fd_haar::encode::{encode_cascade, quantize_cascade};
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 
+use super::cascade::precompile;
 use super::scan::{quantize_luma, ScanInput};
-use super::{CascadeKernel, FilterKernel, ScaleKernel, ScanRowsKernel, TransposeKernel};
+use super::{
+    CascadeKernel, DisplayKernel, FilterKernel, ScaleKernel, ScanRowsKernel, TransposeKernel,
+};
 
 /// A kernel that still carries its pre-rewrite body.
 trait ReferenceBody: Kernel {
@@ -418,6 +421,42 @@ impl ReferenceBody for TransposeKernel {
     }
 }
 
+impl ReferenceBody for DisplayKernel {
+    fn reference_run_block(&self, ctx: &mut BlockCtx<'_>) {
+        let n = self.width * self.height;
+        let tpb = Self::THREADS as usize;
+        let base = ctx.block_idx.x as usize * tpb;
+        let end = (base + tpb).min(n);
+        if base >= n {
+            return;
+        }
+        let mut warp_divergent = 0u64;
+        let mut warps = 0u64;
+        {
+            let depth = ctx.mem.read(self.depth);
+            let mut hits = ctx.mem.write(self.hits);
+            for ws in (base..end).step_by(ctx.warp_size() as usize) {
+                let we = (ws + ctx.warp_size() as usize).min(end);
+                let mut lane_hits = 0u64;
+                for i in ws..we {
+                    let hit = depth[i] >= self.required_depth;
+                    hits[i] = hit as u32;
+                    lane_hits += hit as u64;
+                }
+                warps += 1;
+                if lane_hits > 0 && lane_hits < (we - ws) as u64 {
+                    warp_divergent += 1;
+                }
+            }
+        }
+        let covered = (end - base) as u64;
+        ctx.meter.global_load(4 * covered);
+        ctx.meter.global_store(4 * covered);
+        ctx.meter.alu(2 * warps);
+        ctx.meter.branches(warps, warp_divergent);
+    }
+}
+
 /// Runs one of `kernel`'s two bodies and logs every block's counters.
 struct Probe<K> {
     kernel: K,
@@ -527,6 +566,10 @@ fn geometry(rng: &mut Rng, i: usize) -> (usize, usize) {
 
 fn random_stump(rng: &mut Rng) -> Stump {
     let kind = FeatureKind::ALL[rng.below(FeatureKind::ALL.len())];
+    random_stump_of(rng, kind)
+}
+
+fn random_stump_of(rng: &mut Rng, kind: FeatureKind) -> Stump {
     // Cells per feature along each axis; the feature must fit the window.
     let (cols, rows) = match kind {
         FeatureKind::EdgeH => (2, 1),
@@ -552,57 +595,174 @@ fn random_stage(rng: &mut Rng, threshold: f32) -> Stage {
     Stage { stumps: (0..1 + rng.below(6)).map(|_| random_stump(rng)).collect(), threshold }
 }
 
-/// A quantized cascade of one of four profiles: stages that split warps,
-/// a stage every lane fails behind one every lane passes, stages every
-/// lane passes, and a single one-stump stage.
+/// Stages that split warps.
+fn splitting_stages(rng: &mut Rng, c: &mut Cascade) {
+    for _ in 0..2 + rng.below(4) {
+        let threshold = rng.below(1025) as f32 / 1024.0 - 0.75;
+        c.stages.push(random_stage(rng, threshold));
+    }
+}
+
+/// Cascade profiles of the sweep, [`random_cascade`]'s `profile`.
+const PROFILES: usize = 9;
+const ALL_PASS_THEN_NONE: usize = 1;
+const ALL_PASS: usize = 2;
+const ONE_STUMP: usize = 3;
+const NO_STAGE: usize = 4;
+const FOUR_RECT_STAGE_0: usize = 5;
+const NONE_PASS_STAGE_0: usize = 6;
+const ZERO_THRESHOLDS: usize = 7;
+const OFF_GRID: usize = 8;
+
+/// A cascade of one of [`PROFILES`] profiles: stages that split warps (0);
+/// a stage every lane fails behind one every lane passes; stages every
+/// lane passes; a single one-stump stage; no stage at all; a stage 0 of
+/// 4-rectangle stumps only; a stage 0 no lane passes; stump thresholds
+/// all zero and stage thresholds the sum of the right leaves (on a flat
+/// image every response and every stage sum equals its threshold); leaves
+/// and stage thresholds off the constant-memory grid, where the order of
+/// an `f32` sum shows (on the grid every partial sum is exact). All but
+/// the last are quantized.
 fn random_cascade(rng: &mut Rng, profile: usize) -> Cascade {
     let mut c = Cascade::new("oracle", 24);
     match profile {
-        0 => {
-            for _ in 0..2 + rng.below(4) {
-                let threshold = rng.below(1025) as f32 / 1024.0 - 0.75;
-                c.stages.push(random_stage(rng, threshold));
-            }
-        }
-        1 => {
+        ALL_PASS_THEN_NONE => {
             c.stages.push(random_stage(rng, -31.0));
             c.stages.push(random_stage(rng, 31.0));
             c.stages.push(random_stage(rng, 0.0));
         }
-        2 => {
+        ALL_PASS => {
             for _ in 0..3 {
                 c.stages.push(random_stage(rng, -31.0));
             }
         }
-        _ => c.stages.push(Stage { stumps: vec![random_stump(rng)], threshold: 0.0 }),
+        ONE_STUMP => c.stages.push(Stage { stumps: vec![random_stump(rng)], threshold: 0.0 }),
+        NO_STAGE => {}
+        FOUR_RECT_STAGE_0 => {
+            let stumps = (0..1 + rng.below(6))
+                .map(|_| random_stump_of(rng, FeatureKind::Diagonal))
+                .collect();
+            c.stages.push(Stage { stumps, threshold: rng.below(1025) as f32 / 1024.0 - 0.75 });
+            splitting_stages(rng, &mut c);
+        }
+        NONE_PASS_STAGE_0 => {
+            c.stages.push(random_stage(rng, 31.0));
+            c.stages.push(random_stage(rng, -31.0));
+        }
+        ZERO_THRESHOLDS => {
+            splitting_stages(rng, &mut c);
+            for stage in &mut c.stages {
+                // A zero response takes the right leaf: the stage sum of
+                // a flat image equals the stage threshold, too.
+                stage.threshold = stage.stumps.iter().fold(0.0, |sum, stump| sum + stump.right);
+                for stump in &mut stage.stumps {
+                    stump.threshold = 0;
+                }
+            }
+        }
+        OFF_GRID => {
+            splitting_stages(rng, &mut c);
+            let mut unit = || (rng.next() >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0;
+            for stage in &mut c.stages {
+                stage.threshold = unit() * 0.5;
+                for stump in &mut stage.stumps {
+                    (stump.left, stump.right) = (unit(), unit());
+                }
+            }
+            return c;
+        }
+        _ => splitting_stages(rng, &mut c),
     }
     quantize_cascade(&c)
 }
+
+/// The exact response of `stump` for the window at `(ox, oy)` of a device
+/// (inclusive) integral image.
+fn exact_response(integral: &[u32], w: usize, stump: &Stump, ox: usize, oy: usize) -> i64 {
+    let at = |x: usize, y: usize| match (x, y) {
+        (0, _) | (_, 0) => 0,
+        _ => integral[(y - 1) * w + x - 1] as i64,
+    };
+    stump
+        .feature
+        .rects()
+        .iter()
+        .map(|r| {
+            let (x0, y0) = (ox + r.x as usize, oy + r.y as usize);
+            let (x1, y1) = (x0 + r.w as usize, y0 + r.h as usize);
+            r.weight as i64 * (at(x1, y1) - at(x1, y0) - at(x0, y1) + at(x0, y0))
+        })
+        .sum()
+}
+
+/// Extents whose last block column or row holds 0, 1 and 23 valid window
+/// origins: `24 = 23 + 1`, `46 = 23 + 23`, `48 = 24 + 23 + 1` and
+/// `70 = 24 + 23 + 23`.
+const EDGE_DIMS: [usize; 4] = [24, 46, 48, 70];
 
 #[test]
 fn cascade_body_matches_reference() {
     let mut rng = Rng(0xCA5C_ADE0);
     let mut divergent = 0u64;
-    let (mut all_failed_a_stage, mut all_passed) = (false, false);
+    let (mut all_failed_a_stage, mut all_passed, mut none_passed_stage_0) = (false, false, false);
+    let mut profiles_with_windows = [false; PROFILES];
     let mut rects_seen = [false; 5];
-    for case in 0..320 {
-        let (w, h) = geometry(&mut rng, case);
+    // Valid window origins per block column / row, and per block height a
+    // last block row that is neither empty nor full.
+    let (mut valid_w_seen, mut valid_h_seen) = ([false; 25], [false; 25]);
+    let mut short_last_row = [false; 5];
+    let (mut wrapped, mut tied, mut stages_tied) = (false, false, false);
+    for case in 0..PROFILES * 80 {
+        let (w, h) = if case % 4 == 3 {
+            (EDGE_DIMS[rng.below(4)], EDGE_DIMS[rng.below(4)])
+        } else {
+            geometry(&mut rng, case)
+        };
         let block_h = CascadeKernel::BLOCK_HEIGHTS[case % 5];
         let (uncompressed, no_tile) = ((case / 5) % 2 == 1, (case / 10) % 2 == 1);
-        let profile = (case / 20) % 4;
+        let profile = (case / 20) % PROFILES;
         let cascade = random_cascade(&mut rng, profile);
         for stump in cascade.stages.iter().flat_map(|s| &s.stumps) {
             rects_seen[stump.feature.rects().len()] = true;
         }
-        // Every other case feeds a true integral image of random pixels;
-        // the rest feed arbitrary words, where responses wrap `i32`.
+        // By turns a true integral image of random pixels, arbitrary
+        // words, and words in the top eighth of `u32` — in both of which
+        // responses wrap `i32`; the zero-threshold profile gets the
+        // integral of a flat image, where every response is zero.
+        let flat = 1 + rng.below(255) as u32;
         let mut integral = vec![0u32; w * h];
         for y in 0..h {
             let mut acc = 0u32;
             for x in 0..w {
                 acc += rng.below(256) as u32;
                 let above = if y > 0 { integral[(y - 1) * w + x] } else { 0 };
-                integral[y * w + x] = if case % 2 == 0 { acc + above } else { rng.next() as u32 };
+                integral[y * w + x] = match case % 3 {
+                    _ if profile == ZERO_THRESHOLDS => flat * (x as u32 + 1) * (y as u32 + 1),
+                    0 => acc + above,
+                    1 => rng.next() as u32,
+                    _ => u32::MAX - (rng.next() % (1 << 29)) as u32,
+                };
+            }
+        }
+
+        let (windows_w, windows_h) = ((w + 1).saturating_sub(24), (h + 1).saturating_sub(24));
+        let windows = windows_w * windows_h;
+        profiles_with_windows[profile] |= windows > 0;
+        for bx in (0..w).step_by(24) {
+            valid_w_seen[windows_w.saturating_sub(bx).min(24)] = true;
+        }
+        for by in (0..h).step_by(block_h as usize) {
+            let valid_h = windows_h.saturating_sub(by).min(block_h as usize);
+            valid_h_seen[valid_h] = true;
+            short_last_row[case % 5] |= windows_w > 0 && 0 < valid_h && valid_h < block_h as usize;
+        }
+        if let (Some(stage), true) = (cascade.stages.first(), windows > 0) {
+            for stump in &stage.stumps {
+                for (ox, oy) in [(0, 0), (windows_w - 1, windows_h - 1)] {
+                    let exact = exact_response(&integral, w, stump, ox, oy);
+                    wrapped |= exact != exact as i32 as i64;
+                    tied |= exact as i32 == stump.threshold;
+                }
             }
         }
 
@@ -611,7 +771,9 @@ fn cascade_body_matches_reference() {
         let const_ptr = gpu.const_upload(&encode_cascade(&cascade));
         let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
             let (depth, score) = (gpu.mem.alloc::<u32>(w * h), gpu.mem.alloc::<f32>(w * h));
-            let k = CascadeKernel::new(&cascade, integral, w, h, depth, score, const_ptr)
+            // Not `CascadeKernel::new`: it insists on grid leaves.
+            let stages = precompile(&cascade);
+            let k = CascadeKernel::with_stages(stages, integral, w, h, depth, score, const_ptr)
                 .with_block_h(block_h);
             let k = if uncompressed { k.with_uncompressed_records() } else { k };
             let k = if no_tile { k.without_shared_tile() } else { k };
@@ -622,20 +784,34 @@ fn cascade_body_matches_reference() {
             (counters, bits)
         };
         let new = observe(&mut gpu, false);
-        let windows = (w + 1).saturating_sub(24) * (h + 1).saturating_sub(24);
         divergent += new.0.iter().map(|c| c.divergent_branches).sum::<u64>();
         let depths = &new.1[..w * h];
-        all_failed_a_stage |= profile == 1 && windows > 0 && depths.iter().all(|&d| d <= 1);
-        all_passed |= profile == 2 && depths.iter().filter(|&&d| d == 3).count() == windows;
+        all_failed_a_stage |=
+            profile == ALL_PASS_THEN_NONE && windows > 0 && depths.iter().all(|&d| d <= 1);
+        all_passed |= profile == ALL_PASS && depths.iter().filter(|&&d| d == 3).count() == windows;
+        none_passed_stage_0 |=
+            profile == NONE_PASS_STAGE_0 && windows > 0 && depths.iter().all(|&d| d == 0);
+        let deepest = cascade.stages.len() as u32;
+        stages_tied |= profile == ZERO_THRESHOLDS
+            && windows > 0
+            && depths.iter().filter(|&&d| d == deepest).count() == windows;
         let label = format!(
             "case {case}: {w}x{h}, block_h {block_h}, uncompressed {uncompressed}, \
-             no tile {no_tile}"
+             no tile {no_tile}, profile {profile}"
         );
         assert_same(new, observe(&mut gpu, true), &label);
     }
     assert!(divergent > 0, "the sweep must split warps");
     assert!(all_failed_a_stage && all_passed, "a stage no lane passes, stages every lane passes");
+    assert!(none_passed_stage_0, "a stage 0 no lane passes");
     assert!(rects_seen[2] && rects_seen[3] && rects_seen[4], "2-, 3- and 4-rect stumps");
+    assert_eq!(profiles_with_windows, [true; PROFILES], "every profile meets a whole window");
+    for n in [0, 1, 23, 24] {
+        assert!(valid_w_seen[n] && valid_h_seen[n], "blocks with {n} valid columns, with {n} rows");
+    }
+    assert_eq!(short_last_row, [true; 5], "a short last block row at every block height");
+    assert!(wrapped && tied, "a response that wraps i32, one equal to its stump threshold");
+    assert!(stages_tied, "windows that pass every stage with a sum equal to its threshold");
 }
 
 #[test]
@@ -738,6 +914,48 @@ fn transpose_body_matches_reference() {
         let label = format!("case {case}: {w}x{h}");
         assert_same(observe(&mut gpu, false), observe(&mut gpu, true), &label);
     }
+}
+
+#[test]
+fn display_body_matches_reference() {
+    // Around multiples of the warp and of the 256-thread block, so that
+    // the last warp and the last block are short, full or a single lane.
+    const LENGTHS: [usize; 18] =
+        [1, 2, 31, 32, 33, 63, 64, 65, 255, 256, 257, 287, 288, 289, 511, 512, 513, 1031];
+    let mut rng = Rng(0xD15B_1A70);
+    let mut divergent = 0u64;
+    let (mut none_hit, mut all_hit) = (false, false);
+    for case in 0..360 {
+        let n = if case % 2 == 0 { LENGTHS[(case / 2) % 18] } else { 1 + rng.below(1500) };
+        let required = rng.below(4) as u32;
+        // No hit, all hits, a coin per element, hits up to a split point
+        // (inside a warp, mostly), one hit in a hundred.
+        let split = rng.below(n + 1);
+        let depth: Vec<u32> = (0..n)
+            .map(|i| match (case / 2) % 5 {
+                0 => required.saturating_sub(1),
+                1 => required + rng.below(3) as u32,
+                2 => required + rng.below(2) as u32 - (required > 0) as u32,
+                3 => required + (i < split) as u32 - (required > 0) as u32,
+                _ => if rng.below(100) == 0 { required } else { required.saturating_sub(1) },
+            })
+            .collect();
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let depth = gpu.mem.upload(&depth);
+        let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
+            let hits = gpu.mem.alloc::<u32>(n);
+            let k = DisplayKernel { depth, hits, width: n, height: 1, required_depth: required };
+            let cfg = k.config();
+            (per_block(gpu, k, cfg, reference), gpu.mem.download(hits))
+        };
+        let new = observe(&mut gpu, false);
+        divergent += new.0.iter().map(|c| c.divergent_branches).sum::<u64>();
+        none_hit |= new.1.iter().all(|&hit| hit == 0);
+        all_hit |= new.1.iter().all(|&hit| hit == 1);
+        let label = format!("case {case}: {n} elements, required depth {required}");
+        assert_same(new, observe(&mut gpu, true), &label);
+    }
+    assert!(divergent > 0 && none_hit && all_hit, "split warps, a mask without hits, a full one");
 }
 
 /// `quantize_luma` replaced a call into libm: it must equal the std

@@ -23,6 +23,8 @@
 //! explicitly. Steady-state frames perform **zero** device allocations
 //! (asserted via [`fd_gpu::DeviceMemory::alloc_count`] in tests).
 
+use std::sync::Arc;
+
 use fd_gpu::{
     BatchedKernel, ConstPtr, DevBuf, FusedChain, GeomClass, Gpu, Kernel, LaunchConfig,
     LaunchError, Readback, ShapeCache, StreamId, TexId, Texture2D, Timeline,
@@ -32,6 +34,7 @@ use fd_haar::Cascade;
 use fd_imgproc::{GrayImage, Pyramid};
 
 use crate::error::DetectorError;
+use crate::kernels::cascade::{precompile, PreStage};
 use crate::kernels::scan::ScanInput;
 use crate::kernels::{
     CascadeKernel, DisplayKernel, FilterKernel, ScaleKernel, ScanRowsKernel, TransposeKernel,
@@ -161,6 +164,9 @@ pub struct FramePipeline {
     /// The simulated device (public for profiler access).
     pub gpu: Gpu,
     cascade: Cascade,
+    /// `cascade` precompiled for the cascade kernel, shared by every
+    /// level's and slot's launch.
+    stages: Arc<Vec<PreStage>>,
     const_ptr: ConstPtr,
     scale_factor: f64,
     pool: Option<FramePool>,
@@ -220,6 +226,14 @@ impl FramePipeline {
                 reason: "the cascade kernel is specialized for 24-px windows",
             });
         }
+        // Its block family (`24 x h` threads, whole warps only at 32
+        // lanes) and its 32-entry lane lists: any other warp size panics
+        // or never terminates inside a launch.
+        if gpu.spec.warp_size != 32 {
+            return Err(DetectorError::InvalidConfig {
+                reason: "the cascade kernel is specialized for 32-lane warps",
+            });
+        }
         let quantized = quantize_cascade(cascade);
         gpu.const_clear();
         let const_ptr = gpu
@@ -231,6 +245,7 @@ impl FramePipeline {
         let shapes = ShapeCache::new(gpu.spec.clone(), gpu.cost.clone());
         Ok(Self {
             gpu,
+            stages: precompile(&quantized),
             cascade: quantized,
             const_ptr,
             scale_factor,
@@ -640,8 +655,8 @@ impl FramePipeline {
             let mut cascades: Vec<_> = slots
                 .iter()
                 .map(|slot| {
-                    CascadeKernel::new(
-                        &self.cascade,
+                    CascadeKernel::with_stages(
+                        Arc::clone(&self.stages),
                         slot[level].integral,
                         w,
                         h,

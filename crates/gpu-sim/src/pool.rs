@@ -13,8 +13,9 @@
 //! Determinism is structural: which worker runs which chunk when is
 //! scheduler noise, but every chunk's results land in a slot keyed by
 //! (launch, chunk id), per-launch costs are stitched in linear block
-//! order, counters are reduced by one ordered fold, and the drain returns
-//! results in launch order. Memory effects match serial issue order
+//! order, counters (`u64` sums, so grouping cannot matter) are summed per
+//! chunk and then over chunks, and the drain returns results in launch
+//! order. Memory effects match serial issue order
 //! because hazardous launches are ordered by graph edges and unordered
 //! launches are confluent. The result — block costs, profiler counters
 //! and (through the cost model) the timing simulation — is byte-for-byte
@@ -82,11 +83,12 @@ pub(crate) fn resolve_host_threads(override_threads: Option<usize>) -> usize {
         .max(1)
 }
 
-/// Everything the functional phase produces for one launch.
+/// Everything the functional phase produces for one launch, or for one
+/// chunk of its blocks.
 pub(crate) struct FunctionalResult {
-    /// Per-block timing costs, indexed by linear block id.
+    /// Per-block timing costs, in linear block order.
     pub block_costs: Vec<BlockCost>,
-    /// Counters summed over blocks in linear order.
+    /// Counters summed over the blocks.
     pub totals: KernelCounters,
 }
 
@@ -100,32 +102,37 @@ pub(crate) struct LaunchEnv<'a> {
 }
 
 impl LaunchEnv<'_> {
-    fn run_block(
-        &self,
-        kernel: &dyn Kernel,
-        cfg: &LaunchConfig,
-        lin: u64,
-    ) -> (BlockCost, KernelCounters) {
-        let meter = Meter::new();
-        let mut ctx = BlockCtx::new(
-            cfg.grid.from_linear(lin),
-            cfg.grid,
-            cfg.block,
-            self.mem,
-            &meter,
-            self.constants,
-            self.textures,
-            self.warp_size,
-            cfg.shared_mem_bytes,
-        );
-        kernel.run_block(&mut ctx);
-        let c = meter.snapshot();
-        let bc = BlockCost {
-            issue_cycles: self.cost.issue_cycles(&c),
-            mem_latency_cycles: self.cost.mem_latency_cycles(&c),
-            mem_bytes: c.global_bytes(),
-        };
-        (bc, c)
+    /// Run blocks `range` (linear ids relative to the node's
+    /// `block_offset`) of `node`: their costs in block order and their
+    /// counters summed. Counters are `u64` sums, so summing per range and
+    /// then over ranges equals one fold over all blocks.
+    fn run_blocks(&self, node: &Node<'_>, range: std::ops::Range<u64>) -> FunctionalResult {
+        let cfg = node.cfg;
+        let mut block_costs = Vec::with_capacity((range.end - range.start) as usize);
+        let mut totals = KernelCounters::default();
+        for lin in range {
+            let meter = Meter::new();
+            let mut ctx = BlockCtx::new(
+                cfg.grid.from_linear(node.block_offset + lin),
+                cfg.grid,
+                cfg.block,
+                self.mem,
+                &meter,
+                self.constants,
+                self.textures,
+                self.warp_size,
+                cfg.shared_mem_bytes,
+            );
+            node.kernel.run_block(&mut ctx);
+            let c = meter.snapshot();
+            block_costs.push(BlockCost {
+                issue_cycles: self.cost.issue_cycles(&c),
+                mem_latency_cycles: self.cost.mem_latency_cycles(&c),
+                mem_bytes: c.global_bytes(),
+            });
+            totals.add(&c);
+        }
+        FunctionalResult { block_costs, totals }
     }
 }
 
@@ -172,8 +179,9 @@ struct SchedState {
     panic: Option<(usize, Box<dyn Any + Send>)>,
 }
 
-/// Write-once result slot for one chunk's per-block costs and counters.
-type ChunkSlot = OnceLock<Vec<(BlockCost, KernelCounters)>>;
+/// Write-once result slot for one chunk: its blocks' costs and their
+/// counters summed.
+type ChunkSlot = OnceLock<FunctionalResult>;
 
 /// Everything one drain shares between workers.
 struct DrainJob<'a> {
@@ -298,15 +306,7 @@ impl<'a> DrainJob<'a> {
             let end = (start + self.chunk[n]).min(node.total_blocks as usize);
             let t0 = self.elapsed_us();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut local = Vec::with_capacity(end - start);
-                for lin in start..end {
-                    local.push(self.env.run_block(
-                        node.kernel,
-                        node.cfg,
-                        node.block_offset + lin as u64,
-                    ));
-                }
-                local
+                self.env.run_blocks(node, start as u64..end as u64)
             }));
             let t1 = self.elapsed_us();
             match cur {
@@ -373,10 +373,8 @@ impl<'a> DrainJob<'a> {
             let mut totals = KernelCounters::default();
             for slot in node_slots {
                 let part = slot.into_inner().expect("completed node with an unset chunk");
-                for (bc, c) in part {
-                    block_costs.push(bc);
-                    totals.add(&c);
-                }
+                block_costs.extend(part.block_costs);
+                totals.add(&part.totals);
             }
             results.push(FunctionalResult { block_costs, totals });
         }
@@ -548,13 +546,7 @@ fn drain_serial(
     let mut spans = Vec::with_capacity(nodes.len());
     for node in nodes {
         let t0 = epoch.elapsed().as_secs_f64() * 1e6;
-        let mut block_costs = Vec::with_capacity(node.total_blocks as usize);
-        let mut totals = KernelCounters::default();
-        for lin in 0..node.total_blocks {
-            let (bc, c) = env.run_block(node.kernel, node.cfg, node.block_offset + lin);
-            block_costs.push(bc);
-            totals.add(&c);
-        }
+        let result = env.run_blocks(node, 0..node.total_blocks);
         let t1 = epoch.elapsed().as_secs_f64() * 1e6;
         spans.push(HostSpan {
             worker: 0,
@@ -564,7 +556,7 @@ fn drain_serial(
             t_end_us: t1,
             blocks: node.total_blocks,
         });
-        results.push(FunctionalResult { block_costs, totals });
+        results.push(result);
     }
     (results, spans)
 }

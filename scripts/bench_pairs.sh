@@ -14,9 +14,15 @@
 #     CARGO_TARGET_DIR=/tmp/parent_target cargo build --release --offline \
 #       --manifest-path benchmark/Cargo.toml)
 # Run from the repo root (the binaries read assets/), never next to
-# another benchmark run (each uses every core). The last line printed is
-# one JSON object with both sides' medians of the nine end-to-end metrics,
-# in the shape of a results/TRAJECTORY.jsonl workload entry.
+# another benchmark run (each uses every core). After the pairs, one
+# traced run per side gives the per-layer attribution: every
+# `gpu.<stage>.host_us`, `gpu.host_us_per_block` and
+# `gpu.overhead.host_us_per_launch` side by side (one run each, so read
+# them against the spread of the pairs above), and whether the
+# deterministic `gpu.*` rows (launches, blocks, virtual time, bytes,
+# branch efficiency, timeline) are equal. The last line printed is one
+# JSON object with both sides' medians of the nine end-to-end metrics, in
+# the shape of a results/TRAJECTORY.jsonl workload entry.
 set -euo pipefail
 [ $# -ge 3 ] || { echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD [PAIRS=10] [SEED=1]" >&2; exit 2; }
 parent="$1" change="$2" workload="$3" pairs="${4:-10}" seed="${5:-1}"
@@ -26,7 +32,8 @@ unset FD_SIM_THREADS FD_SIM_HOST_EXEC FD_SIM_FUSION FD_SIM_AUTOTUNE
 
 runs="$(mktemp)"
 log="$(mktemp)"
-trap 'rm -f "$runs" "$log"' EXIT
+traced="$(mktemp)"
+trap 'rm -f "$runs" "$log" "$traced"' EXIT
 one() { # side binary -> "side <TAB> det_digest <TAB> result JSON (the run's last line)"
     "$2" --workload "$workload" --seed "$seed" --trace 0 >"$log"
     printf '%s\t%s\t%s\n' "$1" "$(awk '$1 == "det_digest" { print $2 }' "$log")" \
@@ -40,11 +47,15 @@ for i in $(seq 1 "$pairs"); do
     fi
     echo "pair $i/$pairs done" >&2
 done
+for side in "$parent" "$change"; do # traced result JSON, parent's line first
+    "$side" --workload "$workload" --seed "$seed" --trace 1 | tail -n 1 >>"$traced"
+done
 
-python3 - "$runs" "$workload" "$pairs" "$seed" <<'PY'
+python3 - "$runs" "$workload" "$pairs" "$seed" "$traced" <<'PY'
 import json, statistics, sys
 
 path, workload, pairs, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+traced_parent, traced_change = (json.loads(line)["metrics"] for line in open(sys.argv[5]))
 sides = {"parent": [], "change": []}
 digests = {"parent": set(), "change": set()}
 for line in open(path):
@@ -81,6 +92,17 @@ print(f"change faster in {wins} of {pairs} pairs ({ties} ties); medians {pm:.3f}
       f"({(cm / pm - 1) * 100:+.1f} % of the parent); parent interquartile distance {pq3 - pq1:.3f} ms")
 print(f"det_digest parent {sorted(digests['parent'])} change {sorted(digests['change'])}"
       + ("" if digests["parent"] == digests["change"] else "  <- DIFFERS"))
+print("per layer, one traced run per side: parent -> change")
+host_rows = [n for n in traced_parent if n.startswith("gpu.") and n.endswith(".host_us")]
+for name in host_rows + ["gpu.host_us_per_block", "gpu.overhead.host_us_per_launch"]:
+    pv, cv = traced_parent[name]["value"], traced_change[name]["value"]
+    moved = f"{(cv / pv - 1) * 100:+.1f} %" if pv else "-"
+    print(f"  {name:<34} {pv:>14.3f} -> {cv:>14.3f} {traced_parent[name]['unit']:<3} {moved}")
+moved_rows = [n for n in traced_parent
+              if n.startswith("gpu.") and "host" not in n
+              and traced_parent[n]["value"] != traced_change[n]["value"]]
+print("  deterministic gpu.* rows (launches, blocks, virt_us, global_bytes, branch_eff, timeline): "
+      + ("equal" if not moved_rows else "DIFFER " + " ".join(moved_rows)))
 names = ["setup_s", "virt_ms_p50", "virt_ms_tail", "virt_ops_per_s", "virt_concurrency_speedup",
          "slo_met_share", "ok_share", "host_ms_p50", "host_peak_rss_mb"]
 print(json.dumps({side: {workload: {"runs": len(sides[side]),
