@@ -26,8 +26,8 @@
 //! # The functional body is a model, not an emulation
 //!
 //! The device walks a stage stump by stump with all 32 lanes in lockstep.
-//! `run_block` computes the same bytes and the same counters in a cheaper
-//! order (DESIGN.md `#functional-bodies`):
+//! `run_blocks` computes the same bytes and the same counters in a cheaper
+//! order, a grid row of blocks at a time (DESIGN.md `#functional-bodies`):
 //!
 //! * **Per warp:** which stages it executes (every stage up to and
 //!   including the one its last lane fails) and whether each stage-exit
@@ -48,6 +48,12 @@
 //!   depth. Lanes do not interact, so each surviving lane runs the whole
 //!   stage in one loop over its stumps and survivors are compacted in
 //!   place, in lane order.
+//! * **In place:** a block whose 48-wide tile lies inside the image has
+//!   every window valid and reads every corner straight from the integral
+//!   image, at the image's stride; such blocks of a grid row run stage 0
+//!   row-major across the whole run, so integral rows are read and result
+//!   rows written left to right. Only blocks at the image's border stage
+//!   the zero-bordered tile, as the device does for every block.
 //!
 //! Both passes are [`PreStage::sums`], generic over the run width (24 for
 //! a block row, 1 for a lane): leaves are added to `0.0f32` in stump order
@@ -57,25 +63,34 @@
 //! weight into its corner order, so most weights are 1 and cost no
 //! multiply.
 //!
-//! The pre-rewrite stump-major body lives on in `kernels/reference.rs` as
-//! the test oracle: equal output bits and equal counters per block.
+//! The stump-major per-block body lives on in `kernels/reference.rs` as
+//! the test oracle: equal output bits and equal counters per block,
+//! however a launch is cut into ranges.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use fd_gpu::{BlockCtx, ConstPtr, DevBuf, Kernel, LaunchConfig};
+use fd_gpu::{BlockCtx, ConstPtr, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 use fd_haar::encode::quantize_cascade;
 use fd_haar::Cascade;
 
-/// A stump precompiled for tile-relative evaluation: per rectangle the
-/// four corner offsets within the 48-wide shared tile, plus its weight.
+use super::{mutated, Mutation};
+
+/// Per rectangle of a stump, the offsets of its four corners from a
+/// window's origin in an array of some row stride (see
+/// [`PreStage::offsets_at`]).
+pub(super) type CornerOffsets = [[u32; 4]; 4];
+
+/// A stump precompiled for evaluation relative to a window origin.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct PreStump {
-    /// Corner offsets `[dd, du, ld, lu]` per rectangle: its weighted sum
-    /// is `weight * (T[dd] - T[du] - T[ld] + T[lu])`. A rectangle of
-    /// negative weight is stored as `|weight|` with each corner pair
-    /// swapped (`-w * (dd - du - ld + lu) = w * (du - dd - lu + ld)`), so
-    /// that nearly every weight of a Haar feature is exactly 1.
-    pub(super) offs: [[u32; 4]; 4],
+    /// Corners `[dd, du, ld, lu]` per rectangle as `(x, y)` from the
+    /// window origin: its weighted sum is `weight * (I[dd] - I[du] -
+    /// I[ld] + I[lu])`. A rectangle of negative weight is stored as
+    /// `|weight|` with each corner pair swapped (`-w * (dd - du - ld +
+    /// lu) = w * (du - dd - lu + ld)`), so that nearly every weight of a
+    /// Haar feature is exactly 1.
+    corners: [[(u8, u8); 4]; 4],
     pub(super) weights: [i32; 4],
     pub(super) nrects: u32,
     pub(super) threshold: i32,
@@ -86,6 +101,8 @@ pub(super) struct PreStump {
 #[derive(Debug, Clone)]
 pub(crate) struct PreStage {
     pub(super) stumps: Vec<PreStump>,
+    /// The stumps' corner offsets in the 48-wide shared tile.
+    pub(super) tile_offs: Vec<CornerOffsets>,
     pub(super) threshold: f32,
     /// Rectangles over all of the stage's stumps: with the stump count,
     /// everything a warp's pass through the stage is metered from.
@@ -93,17 +110,26 @@ pub(crate) struct PreStage {
 }
 
 impl PreStage {
+    /// Every stump's corner offsets in an array of `stride` words per row:
+    /// the shared tile's 48, or a level's width for windows evaluated
+    /// straight from its integral image.
+    fn offsets_at(&self, stride: usize) -> Vec<CornerOffsets> {
+        let at = |(x, y): (u8, u8)| (y as usize * stride + x as usize) as u32;
+        self.stumps.iter().map(|stump| stump.corners.map(|rect| rect.map(at))).collect()
+    }
+
     /// The stage sums of the `N` windows whose origins are `win[0..N]`
-    /// (`win`: the tile from the first origin on): per window the leaves
-    /// added to `0.0f32` in stump order. A rectangle corner of `N`
-    /// adjacent windows is `N` adjacent tile words, so every inner loop
-    /// is unit-stride over `[_; N]`. The response wraps `i32` — equal mod
-    /// 2³² to the exact sum truncated, which is what the device compares.
-    fn sums<const N: usize>(&self, win: &[u32]) -> [f32; N] {
+    /// (`win`: the array from the first origin on, `offs` this stage's
+    /// offsets at its stride): per window the leaves added to `0.0f32` in
+    /// stump order. A rectangle corner of `N` adjacent windows is `N`
+    /// adjacent words, so every inner loop is unit-stride over `[_; N]`.
+    /// The response wraps `i32` — equal mod 2³² to the exact sum
+    /// truncated, which is what the device compares.
+    fn sums<const N: usize>(&self, offs: &[CornerOffsets], win: &[u32]) -> [f32; N] {
         let mut sums = [0.0f32; N];
-        for stump in &self.stumps {
+        for (stump, offs) in self.stumps.iter().zip(offs) {
             let mut resp = [0i32; N];
-            let rects = stump.offs.iter().zip(stump.weights).take(stump.nrects as usize);
+            let rects = offs.iter().zip(stump.weights).take(stump.nrects as usize);
             for (offs, weight) in rects {
                 // One range check per corner (`o..` then `..N` would be two,
                 // which costs the one-window case a third of its time).
@@ -113,7 +139,7 @@ impl PreStage {
                 };
                 // The default target has no 32-bit vector multiply; its
                 // emulation is two fifths of a rectangle's instructions,
-                // and most weights are 1 (see `PreStump::offs`).
+                // and most weights are 1 (see `PreStump::corners`).
                 if weight == 1 {
                     for (j, resp) in resp.iter_mut().enumerate() {
                         *resp = resp.wrapping_add(area(j));
@@ -124,45 +150,40 @@ impl PreStage {
                     }
                 }
             }
+            // The leaf as a mask select on the bit patterns: the branchy
+            // form compiles to a scalar pick per window.
+            let (left, right) = (stump.left.to_bits(), stump.right.to_bits());
             for j in 0..N {
-                sums[j] += if resp[j] < stump.threshold { stump.left } else { stump.right };
+                let below = ((resp[j] < stump.threshold) as u32).wrapping_neg();
+                sums[j] += f32::from_bits((left & below) | (right & !below));
             }
         }
         sums
     }
 }
 
-/// Precompile `cascade` for tile-relative evaluation: once per pipeline,
+/// Precompile `cascade` for window-relative evaluation: once per pipeline,
 /// shared by every kernel launched from it.
 pub(crate) fn precompile(cascade: &Cascade) -> Arc<Vec<PreStage>> {
     assert_eq!(cascade.window, CascadeKernel::BLOCK, "kernel is specialized for 24-px windows");
-    let tile_w = CascadeKernel::TILE;
     let stages = cascade
         .stages
         .iter()
-        .map(|st| PreStage {
-            threshold: st.threshold,
-            rects: st.stumps.iter().map(|s| s.feature.rects().len() as u64).sum(),
-            stumps: st
+        .map(|st| {
+            let stumps = st
                 .stumps
                 .iter()
                 .map(|s| {
-                    let mut offs = [[0u32; 4]; 4];
+                    let mut corners = [[(0u8, 0u8); 4]; 4];
                     let mut weights = [0i32; 4];
                     for (i, r) in s.feature.rects().iter().enumerate() {
-                        let (rx, ry) = (r.x as u32, r.y as u32);
-                        let (rw, rh) = (r.w as u32, r.h as u32);
-                        let [dd, du, ld, lu] = [
-                            (ry + rh) * tile_w + rx + rw,
-                            ry * tile_w + rx + rw,
-                            (ry + rh) * tile_w + rx,
-                            ry * tile_w + rx,
-                        ];
-                        offs[i] = if r.weight < 0 { [du, dd, lu, ld] } else { [dd, du, ld, lu] };
+                        let (x0, y0, x1, y1) = (r.x, r.y, r.x + r.w, r.y + r.h);
+                        let [dd, du, ld, lu] = [(x1, y1), (x1, y0), (x0, y1), (x0, y0)];
+                        corners[i] = if r.weight < 0 { [du, dd, lu, ld] } else { [dd, du, ld, lu] };
                         weights[i] = (r.weight as i32).abs();
                     }
                     PreStump {
-                        offs,
+                        corners,
                         weights,
                         nrects: s.feature.rects().len() as u32,
                         threshold: s.threshold,
@@ -170,10 +191,36 @@ pub(crate) fn precompile(cascade: &Cascade) -> Arc<Vec<PreStage>> {
                         right: s.right,
                     }
                 })
-                .collect(),
+                .collect();
+            let mut stage = PreStage {
+                stumps,
+                tile_offs: Vec::new(),
+                threshold: st.threshold,
+                rects: st.stumps.iter().map(|s| s.feature.rects().len() as u64).sum(),
+            };
+            stage.tile_offs = stage.offsets_at(CascadeKernel::TILE as usize);
+            stage
         })
         .collect();
     Arc::new(stages)
+}
+
+/// Per stage of a precompiled cascade, its stumps' corner offsets at one
+/// row stride.
+pub(crate) type StageOffsets = Vec<Vec<CornerOffsets>>;
+
+/// `stages`' corner offsets at the stride of a `width x height` integral
+/// image: once per pyramid level, shared by every kernel launched on it.
+/// Empty for a level too small for any block's tile to lie inside it
+/// (every block then stages its tile), which is every level of a small
+/// frame.
+pub(crate) fn image_offsets(stages: &[PreStage], width: usize, height: usize) -> Arc<StageOffsets> {
+    let (tile, block) = (CascadeKernel::TILE as usize, CascadeKernel::BLOCK as usize);
+    let lowest = CascadeKernel::BLOCK_HEIGHTS.into_iter().min().unwrap_or(CascadeKernel::BLOCK) as usize;
+    // The second block of the second block row is the first candidate.
+    let room = width >= block - 1 + tile && height >= lowest - 1 + lowest + block;
+    let stages = if room { stages } else { &[] };
+    Arc::new(stages.iter().map(|stage| stage.offsets_at(width)).collect())
 }
 
 /// One launch per pyramid level.
@@ -191,6 +238,9 @@ pub struct CascadeKernel {
     /// values — enforced in [`CascadeKernel::new`]).
     pub const_ptr: ConstPtr,
     pub(super) stages: Arc<Vec<PreStage>>,
+    /// `stages`' corner offsets at the integral image's own stride:
+    /// blocks whose tile lies inside the image read it in place.
+    image_offs: Arc<StageOffsets>,
     pub(super) window: usize,
     /// Ablation: constant-memory words fetched per stump record
     /// (3 = the paper's compressed encoding; 10 = naive uncompressed
@@ -242,12 +292,18 @@ impl CascadeKernel {
             "cascade must be pre-quantized to the constant-memory grid"
         );
         let stages = precompile(cascade);
-        Self::with_stages(stages, integral, width, height, depth_out, score_out, const_ptr)
+        let image_offs = image_offsets(&stages, width, height);
+        Self::with_stages(
+            stages, image_offs, integral, width, height, depth_out, score_out, const_ptr,
+        )
     }
 
-    /// The kernel of one level over an already precompiled cascade.
+    /// The kernel of one level over an already precompiled cascade and its
+    /// [`image_offsets`] at `width`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn with_stages(
         stages: Arc<Vec<PreStage>>,
+        image_offs: Arc<StageOffsets>,
         integral: DevBuf<u32>,
         width: usize,
         height: usize,
@@ -262,6 +318,7 @@ impl CascadeKernel {
             depth_out,
             score_out,
             const_ptr,
+            image_offs,
             stages,
             window: Self::BLOCK as usize,
             const_words_per_stump: 3,
@@ -309,95 +366,104 @@ impl CascadeKernel {
     }
 }
 
-impl Kernel for CascadeKernel {
-    fn name(&self) -> &'static str {
-        "cascade_eval"
+/// Where a block's windows are read from: the array, its row stride, the
+/// index of the block's tile entry (0, 0) — integral entry `(bx - 1, by -
+/// 1)` — and, for the integral image, every stage's corner offsets at its
+/// stride (the tile's are the stages' own).
+#[derive(Clone, Copy)]
+struct WindowSource<'a> {
+    data: &'a [u32],
+    stride: usize,
+    origin: usize,
+    image_offs: Option<&'a StageOffsets>,
+}
+
+impl WindowSource<'_> {
+    /// The sums of stage `si` for the `N` adjacent windows from `(tx, ty)`
+    /// of the block on.
+    fn sums<const N: usize>(&self, si: usize, stage: &PreStage, (tx, ty): (usize, usize)) -> [f32; N] {
+        let offs = self.image_offs.map_or(&stage.tile_offs, |offs| &offs[si]);
+        stage.sums(offs, &self.data[self.origin + ty * self.stride + tx..])
+    }
+}
+
+/// The launch's two result arrays, `width x height` each.
+struct Results<'a> {
+    depth: &'a mut [u32],
+    score: &'a mut [f32],
+}
+
+/// Survivor masks of one block's dense stage 0: bit `tx` of entry `ty` is
+/// set when the valid window at `(tx, ty)` passed.
+type Passed = [u32; CascadeKernel::BLOCK as usize];
+
+impl CascadeKernel {
+    /// Dense stage 0 of block row `ty` of the block at pixel `(bx, by)`:
+    /// the row's `valid_w` windows are one run of 24 adjacent ones
+    /// (sums past `valid_w` are computed from staged zeros and dropped).
+    /// Writes their depth and score and returns the row's survivor mask.
+    fn dense_row(
+        &self,
+        src: WindowSource<'_>,
+        (bx, by): (usize, usize),
+        ty: usize,
+        valid_w: usize,
+        out: &mut Results<'_>,
+    ) -> u32 {
+        let row = (by + ty) * self.width + bx..(by + ty) * self.width + bx + valid_w;
+        let (depth, score) = (&mut out.depth[row.clone()], &mut out.score[row]);
+        let Some(stage) = self.stages.first() else {
+            depth.fill(0);
+            score.fill(0.0);
+            return 0;
+        };
+        let sums = src.sums::<{ Self::BLOCK as usize }>(0, stage, (0, ty));
+        let mut passed = 0;
+        for (tx, ((score, depth), sum)) in score.iter_mut().zip(depth).zip(sums).enumerate() {
+            let pass = sum >= stage.threshold;
+            *score = 0.0 + (sum - stage.threshold);
+            *depth = pass as u32;
+            passed |= (pass as u32) << tx;
+        }
+        passed
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+    /// Stages 1… for the survivors of [`Self::dense_row`] (lane by lane,
+    /// updating their depth and score in place) and the counters of the
+    /// whole block: what each of its warps is charged for the stages it
+    /// executes, tile staging and the result stores.
+    fn finish_block(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        src: WindowSource<'_>,
+        (bx, by): (usize, usize),
+        (valid_w, valid_h): (usize, usize),
+        passed: &Passed,
+        out: &mut Results<'_>,
+    ) -> KernelCounters {
         let b = Self::BLOCK as usize;
         let bh = self.block_h as usize;
-        let tile_w = Self::TILE as usize;
-        let tile_h = bh + b;
-        let bx = ctx.block_idx.x as usize * b;
-        let by = ctx.block_idx.y as usize * bh;
         let (w, h) = (self.width, self.height);
+        let mut c = KernelCounters::default();
 
-        // ---- Cooperative tile load (Eqs. 1-4): the block stages the
-        // `48 x (block_h + 24)` neighbourhood its windows touch. At the
-        // default square shape thread (x, y) brings the four pixels
-        // (x,y), (x+n,y), (x,y+m), (x+n,y+m); narrower blocks spread the
-        // same entries over fewer threads. Tile (0,0) maps to integral
-        // entry (bx-1, by-1); entries outside the image keep the zero of
-        // the allocation, the in-image span of each row is one copy.
-        let mut tile = ctx.shared_alloc_u32(tile_w * tile_h);
-        {
-            let integral = ctx.mem.read(self.integral);
-            let (gx0, gy0) = (bx.saturating_sub(1), by.saturating_sub(1));
-            let gx1 = (bx + tile_w - 1).min(w);
-            let gy1 = (by + tile_h - 1).min(h);
-            for gy in gy0..gy1 {
-                let t0 = (gy + 1 - by) * tile_w + (gx0 + 1 - bx);
-                tile[t0..t0 + (gx1 - gx0)].copy_from_slice(&integral[gy * w + gx0..gy * w + gx1]);
-            }
-        }
-        // Coalesced 4-byte loads covering the tile + the matching shared
-        // stores (whole-warp transactions, `loads_per_thread` rounds).
+        // Coalesced 4-byte loads covering the `48 x (block_h + 24)` tile +
+        // the matching shared stores (whole-warp transactions,
+        // `loads_per_thread` rounds), then the barrier.
         let threads = (b * bh) as u64;
-        let warp = ctx.warp_size() as u64;
-        let block_warps = threads.div_ceil(warp);
+        let block_warps = threads.div_ceil(ctx.warp_size() as u64);
         if self.use_shared_tile {
-            let tile_entries = (tile_w * tile_h) as u64;
-            ctx.meter.global_load(4 * tile_entries);
-            ctx.meter.shared(tile_entries.div_ceil(threads) * block_warps);
-            ctx.syncthreads();
+            let tile_entries = (Self::TILE as usize * (bh + b)) as u64;
+            c.global_bytes_read += 4 * tile_entries;
+            c.shared_transactions += tile_entries.div_ceil(threads) * block_warps;
+            c.barriers += ctx.warps_in_block();
         }
-
-        // ---- Cascade evaluation (module docs). Per-thread results of the
-        // whole block; threads without a whole window in the image keep
-        // these values.
-        let mut depth = [0u32; (Self::BLOCK * Self::BLOCK) as usize];
-        let mut score = [f32::NEG_INFINITY; (Self::BLOCK * Self::BLOCK) as usize];
-        // Window origins `(bx + tx, by + ty)` with `tx < valid_w` and
-        // `ty < valid_h` are the block's valid ones.
-        let valid_w = (w + 1).saturating_sub(bx + self.window).min(b);
-        let valid_h = (h + 1).saturating_sub(by + self.window).min(bh);
-
-        // Dense stage 0: a block row is one run of 24 adjacent windows.
-        // The run always fits the 48-wide tile; sums past `valid_w` are
-        // computed from staged zeros and dropped. `passed[ty]` has bit
-        // `tx` set for the row's valid windows that passed.
-        let mut passed = [0u32; Self::BLOCK as usize];
-        for ty in 0..valid_h {
-            let row = ty * b..ty * b + valid_w;
-            score[row.clone()].fill(0.0);
-            if let Some(stage) = self.stages.first() {
-                let sums = stage.sums::<{ Self::BLOCK as usize }>(&tile[ty * tile_w..]);
-                for (tx, ((score, depth), sum)) in
-                    score[row.clone()].iter_mut().zip(&mut depth[row]).zip(sums).enumerate()
-                {
-                    let pass = sum >= stage.threshold;
-                    *score += sum - stage.threshold;
-                    *depth = pass as u32;
-                    passed[ty] |= (pass as u32) << tx;
-                }
-            }
-        }
-
-        // Local metering accumulators (flushed once per block).
-        let mut m_const = 0u64;
-        let mut m_shared = 0u64;
-        let mut m_global_scatter = 0u64;
-        let mut m_alu = 0u64;
-        let mut m_branches = 0u64;
-        let mut m_divergent = 0u64;
 
         ctx.for_each_warp(|_, lanes| {
-            // The warp's lanes that passed stage 0, in lane order (thread
-            // id and tile offset of the window origin), and how many
-            // entered it. Its 32 lanes cover parts of two or three block
-            // rows: columns `c0..c1` of row `ty`.
-            let mut alive = [(0u16, 0u16); 32];
+            // The warp's lanes that passed stage 0, in lane order (window
+            // position in the block), and how many entered it. Its 32 lanes
+            // cover parts of two or three block rows: columns `c0..c1` of
+            // row `ty`.
+            let mut alive = [(0u8, 0u8); 32];
             let mut n_alive = 0usize;
             let mut entrants = 0usize;
             let (lo, hi) = (lanes.start as usize, lanes.end as usize);
@@ -409,7 +475,7 @@ impl Kernel for CascadeKernel {
                 while bits != 0 {
                     let tx = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    alive[n_alive] = ((ty * b + tx) as u16, (ty * tile_w + tx) as u16);
+                    alive[n_alive] = (tx as u8, ty as u8);
                     n_alive += 1;
                 }
             }
@@ -429,53 +495,162 @@ impl Kernel for CascadeKernel {
                 // tile), `4 * nrects + 6` ALU ops and the uniform
                 // loop-control branch; then the stage-exit branch.
                 let n_stumps = stage.stumps.len() as u64;
-                m_const += self.const_words_per_stump * n_stumps;
+                c.const_broadcasts += self.const_words_per_stump * n_stumps;
                 if self.use_shared_tile {
-                    m_shared += 4 * stage.rects;
+                    c.shared_transactions += 4 * stage.rects;
                 } else {
-                    m_global_scatter += 16 * stage.rects * n_active;
+                    c.global_bytes_read += 16 * stage.rects * n_active;
                 }
-                m_alu += 4 * stage.rects + 6 * n_stumps + 3;
-                m_branches += n_stumps + 1;
+                c.alu_ops += 4 * stage.rects + 6 * n_stumps + 3;
+                c.branches += n_stumps + 1;
 
                 // Stage 0 was decided by the dense pass; later stages run
                 // per surviving lane, survivors compacted in place.
                 if si > 0 {
                     n_alive = 0;
                     for i in 0..entrants {
-                        let (t, base) = alive[i];
-                        let [sum] = stage.sums::<1>(&tile[base as usize..]);
-                        score[t as usize] += sum - stage.threshold;
+                        let (tx, ty) = (alive[i].0 as usize, alive[i].1 as usize);
+                        let [sum] = src.sums::<1>(si, stage, (tx, ty));
+                        let at = (by + ty) * w + bx + tx;
+                        out.score[at] += sum - stage.threshold;
                         if sum >= stage.threshold {
-                            depth[t as usize] = si as u32 + 1;
-                            alive[n_alive] = (t, base);
+                            out.depth[at] = si as u32 + 1;
+                            alive[n_alive] = alive[i];
                             n_alive += 1;
                         }
                     }
                 }
                 if 0 < n_alive && n_alive < entrants {
-                    m_divergent += 1;
+                    c.divergent_branches += 1;
                 }
                 entrants = n_alive;
             }
         });
 
-        ctx.meter.constant(m_const);
-        ctx.meter.shared(m_shared);
-        ctx.meter.global_load(m_global_scatter);
-        ctx.meter.alu(m_alu);
-        ctx.meter.branches(m_branches, m_divergent);
         // Depth + score stores: 8 bytes per covered pixel.
-        let covered_w = (w - bx).min(b);
-        let covered_h = (h - by).min(bh);
-        ctx.meter.global_store(8 * (covered_w * covered_h) as u64);
+        let covered = (w - bx).min(b) * (h - by).min(bh);
+        c.global_bytes_written += 8 * covered as u64;
+        c
+    }
 
+    /// The block at pixel `(bx, by)` through the staged tile, as the
+    /// device runs every block: the form for blocks whose tile reaches
+    /// past the image, where the staged zeros stand in for the integral's
+    /// zero border and for the windows that do not exist.
+    fn staged_block(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        integral: &[u32],
+        tile: &mut [u32],
+        (bx, by): (usize, usize),
+        out: &mut Results<'_>,
+    ) -> KernelCounters {
+        let b = Self::BLOCK as usize;
+        let bh = self.block_h as usize;
+        let (tile_w, tile_h) = (Self::TILE as usize, bh + b);
+        let (w, h) = (self.width, self.height);
+        // ---- Cooperative tile load (Eqs. 1-4): the block stages the
+        // `48 x (block_h + 24)` neighbourhood its windows touch. Tile
+        // (0,0) maps to integral entry (bx-1, by-1); entries outside the
+        // image are zero, the in-image span of each row is one copy.
+        tile.fill(0);
+        let (gx0, gy0) = (bx.saturating_sub(1), by.saturating_sub(1));
+        let gx1 = (bx + tile_w - 1).min(w);
+        let gy1 = (by + tile_h - 1).min(h);
+        for gy in gy0..gy1 {
+            let t0 = (gy + 1 - by) * tile_w + (gx0 + 1 - bx);
+            tile[t0..t0 + (gx1 - gx0)].copy_from_slice(&integral[gy * w + gx0..gy * w + gx1]);
+        }
+        // Threads without a whole window in the image report depth 0 and
+        // no score; window origins `(bx + tx, by + ty)` with `tx <
+        // valid_w` and `ty < valid_h` are the valid ones.
+        let (covered_w, covered_h) = ((w - bx).min(b), (h - by).min(bh));
+        for y in by..by + covered_h {
+            out.depth[y * w + bx..][..covered_w].fill(0);
+            out.score[y * w + bx..][..covered_w].fill(f32::NEG_INFINITY);
+        }
+        let valid_w = (w + 1).saturating_sub(bx + self.window).min(b);
+        let valid_h = (h + 1).saturating_sub(by + self.window).min(bh);
+        let src = WindowSource { data: tile, stride: tile_w, origin: 0, image_offs: None };
+        let mut passed = [0u32; Self::BLOCK as usize];
+        if valid_w > 0 {
+            for (ty, passed) in passed.iter_mut().enumerate().take(valid_h) {
+                *passed = self.dense_row(src, (bx, by), ty, valid_w, out);
+            }
+        }
+        self.finish_block(ctx, src, (bx, by), (valid_w, valid_h), &passed, out)
+    }
+}
+
+impl Kernel for CascadeKernel {
+    fn name(&self) -> &'static str {
+        "cascade_eval"
+    }
+
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        let b = Self::BLOCK as usize;
+        let bh = self.block_h as usize;
+        let tile_w = Self::TILE as usize;
+        let tile_h = bh + b;
+        let (w, h) = (self.width, self.height);
+        ctx.require_shared(tile_w * tile_h * 4);
+
+        let integral = ctx.mem.read(self.integral);
         let mut depth_out = ctx.mem.write(self.depth_out);
         let mut score_out = ctx.mem.write(self.score_out);
-        for ty in 0..covered_h {
-            let out = (by + ty) * w + bx;
-            depth_out[out..out + covered_w].copy_from_slice(&depth[ty * b..ty * b + covered_w]);
-            score_out[out..out + covered_w].copy_from_slice(&score[ty * b..ty * b + covered_w]);
+        let out = &mut Results { depth: &mut depth_out, score: &mut score_out };
+        let mut tile = vec![0u32; tile_w * tile_h];
+        let mut passed: Vec<Passed> = Vec::new();
+
+        for (first, len) in ctx.bands(blocks) {
+            let by = first.y as usize * bh;
+            let xs = first.x as usize..first.x as usize + len as usize;
+            // Blocks whose tile — integral entries `(bx - 1, by - 1)` to
+            // `(bx + 46, by + block_h + 22)` — lies inside the image: every
+            // window valid, every corner read in place.
+            let past = mutated(Mutation::InsideRow) as usize;
+            let rows_inside = by >= 1 && by - 1 + tile_h <= h + past;
+            let inside = if rows_inside && w >= tile_w && !self.image_offs.is_empty() {
+                let inside = xs.start.max(1)..xs.end.min((w - tile_w + 1) / b + 1);
+                inside.start..inside.end.max(inside.start)
+            } else {
+                xs.start..xs.start
+            };
+
+            for x in xs.start..inside.start {
+                sink(&self.staged_block(ctx, &integral, &mut tile, (x * b, by), out));
+            }
+            // The run of inside blocks, stage 0 row-major across the whole
+            // run: integral rows are read and result rows written left to
+            // right, full width.
+            let at = |x: usize| WindowSource {
+                data: &integral,
+                stride: w,
+                origin: (by - 1) * w + x * b - 1,
+                image_offs: Some(&self.image_offs),
+            };
+            passed.clear();
+            passed.resize(inside.len(), [0; Self::BLOCK as usize]);
+            for ty in 0..bh {
+                for (x, passed) in inside.clone().zip(&mut passed) {
+                    passed[ty] = self.dense_row(at(x), (x * b, by), ty, b, out);
+                }
+            }
+            for (x, passed) in inside.clone().zip(&passed) {
+                sink(&self.finish_block(ctx, at(x), (x * b, by), (b, bh), passed, out));
+            }
+            for x in inside.end..xs.end {
+                sink(&self.staged_block(ctx, &integral, &mut tile, (x * b, by), out));
+            }
         }
     }
 

@@ -12,7 +12,9 @@
 //! downscale factor, §III-D) and draws rectangles — see
 //! [`crate::group`] and `fd_imgproc::draw`.
 
-use fd_gpu::{BlockCtx, DevBuf, Kernel, LaunchConfig};
+use std::ops::Range;
+
+use fd_gpu::{BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 
 pub struct DisplayKernel {
     /// Deepest-stage array from the cascade kernel.
@@ -39,23 +41,35 @@ impl Kernel for DisplayKernel {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
         let n = self.width * self.height;
         let tpb = Self::THREADS as usize;
-        let base = ctx.block_idx.x as usize * tpb;
-        let end = (base + tpb).min(n);
-        if base >= n {
-            return;
-        }
-        // One warp per `warp_size` run of the block's elements (the last
-        // may be short): a hit word per element, a divergent exit where
-        // some but not all of the warp's lanes hit.
         let warp = ctx.warp_size() as usize;
-        let mut warp_divergent = 0u64;
-        {
-            let depth = ctx.mem.read(self.depth);
-            let mut hits = ctx.mem.write(self.hits);
-            let warps_of = depth[base..end].chunks(warp).zip(hits[base..end].chunks_mut(warp));
-            for (lane_depths, lane_hits) in warps_of {
+        // The range is one run of elements; a block is `tpb` of them (the
+        // last may be short, one past the end has none).
+        let span = (blocks.start as usize * tpb).min(n)..(blocks.end as usize * tpb).min(n);
+        let depth = ctx.mem.read(self.depth);
+        let mut hits = ctx.mem.write(self.hits);
+        let mut block_hits = hits[span.clone()].chunks_mut(tpb);
+        let mut block_depths = depth[span].chunks(tpb);
+        for _ in blocks {
+            let (Some(depths), Some(hits)) = (block_depths.next(), block_hits.next()) else {
+                sink(&KernelCounters::default());
+                continue;
+            };
+            // One warp per `warp_size` run of the block's elements (the
+            // last may be short): a hit word per element, a divergent exit
+            // where some but not all of the warp's lanes hit.
+            let mut warp_divergent = 0u64;
+            for (lane_depths, lane_hits) in depths.chunks(warp).zip(hits.chunks_mut(warp)) {
                 let mut n_hits = 0usize;
                 for (hit, &reached) in lane_hits.iter_mut().zip(lane_depths) {
                     *hit = (reached >= self.required_depth) as u32;
@@ -63,13 +77,17 @@ impl Kernel for DisplayKernel {
                 }
                 warp_divergent += (0 < n_hits && n_hits < lane_depths.len()) as u64;
             }
+            let warps = depths.len().div_ceil(warp) as u64;
+            let covered = depths.len() as u64;
+            sink(&KernelCounters {
+                global_bytes_read: 4 * covered,
+                global_bytes_written: 4 * covered,
+                alu_ops: 2 * warps,
+                branches: warps,
+                divergent_branches: warp_divergent,
+                ..KernelCounters::default()
+            });
         }
-        let warps = (end - base).div_ceil(warp) as u64;
-        let covered = (end - base) as u64;
-        ctx.meter.global_load(4 * covered);
-        ctx.meter.global_store(4 * covered);
-        ctx.meter.alu(2 * warps);
-        ctx.meter.branches(warps, warp_divergent);
     }
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {

@@ -3,10 +3,15 @@
 //! A 3x3 binomial smoothing (separable 1/4-1/2-1/4) applied to every
 //! pyramid level after scaling. The device version stages an 18x18 halo
 //! tile in shared memory per 16x16 block, so each input pixel is read from
-//! DRAM once; the functional body matches
+//! DRAM once — that is what is metered; the functional body filters whole
+//! rows of a grid row of blocks and matches
 //! `fd_imgproc::filter::antialias_3tap` bit-for-bit (clamped borders).
 
-use fd_gpu::{BlockCtx, DevBuf, Kernel, LaunchConfig};
+use std::ops::Range;
+
+use fd_gpu::{BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
+
+use super::Band;
 
 pub struct FilterKernel {
     pub src: DevBuf<f32>,
@@ -38,72 +43,93 @@ impl FilterKernel {
     }
 }
 
+/// `out[i]` is the 1/4-1/2-1/4 blend around column `cols.start + i` of
+/// `row`, columns clamped to the row.
+fn binomial_row(row: &[f32], cols: Range<usize>, out: &mut [f32]) {
+    let last = row.len() - 1;
+    let at = |x: usize| 0.25 * row[x.saturating_sub(1)] + 0.5 * row[x] + 0.25 * row[(x + 1).min(last)];
+    // Columns with both neighbours in the row, as three aligned slices.
+    let (lo, hi) = (cols.start.max(1), cols.end.min(last));
+    if lo < hi {
+        let inner = &mut out[lo - cols.start..hi - cols.start];
+        let (left, mid, right) = (&row[lo - 1..hi - 1], &row[lo..hi], &row[lo + 1..hi + 1]);
+        for (((o, l), m), r) in inner.iter_mut().zip(left).zip(mid).zip(right) {
+            *o = 0.25 * l + 0.5 * m + 0.25 * r;
+        }
+    }
+    for x in [cols.start, cols.end - 1] {
+        out[x - cols.start] = at(x);
+    }
+}
+
 impl Kernel for FilterKernel {
     fn name(&self) -> &'static str {
         "filter"
     }
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
         // Block shape comes from the launch config (the autotuner may
         // re-tile); each output pixel only reads its clamped 3x3 source
-        // neighbourhood, so any tiling computes identical bytes.
-        let bw = ctx.block_dim.x as usize;
-        let bh = ctx.block_dim.y as usize;
-        let bx = ctx.block_idx.x as usize * bw;
-        let by = ctx.block_idx.y as usize * bh;
+        // neighbourhood, so any tiling computes identical bytes and a grid
+        // row of blocks is a band of whole image rows.
+        let shape = (ctx.block_dim.x as usize, ctx.block_dim.y as usize);
         let (w, h) = (self.width, self.height);
+        // What the device stages per block: the (bw+2)x(bh+2) halo tile
+        // (clamped at image borders), one coalesced read per element.
+        let tile = (shape.0 + 2) * (shape.1 + 2);
+        ctx.require_shared(tile * 4);
+        let warp = ctx.warp_size() as u64;
+        let class = |cw: usize, ch: usize| {
+            let covered = (cw * ch) as u64;
+            let warps = covered.div_ceil(warp);
+            let mut c = KernelCounters {
+                // Halo stores, then 9 shared reads + ~10 FLOPs per pixel.
+                shared_transactions: tile as u64 / 8 + 9 * warps,
+                alu_ops: 10 * warps,
+                barriers: ctx.warps_in_block(),
+                ..KernelCounters::default()
+            };
+            // Buffer-tagged so a fused launch credits fusion-local traffic
+            // to on-chip rates.
+            ctx.count_load(&mut c, self.src, 4 * tile as u64);
+            ctx.count_store(&mut c, self.dst, 4 * covered);
+            c
+        };
 
-        // Stage the (bw+2)x(bh+2) halo tile (clamped at image borders).
-        let tile_w = bw + 2;
-        let tile_h = bh + 2;
-        let mut tile = ctx.shared_alloc_f32(tile_w * tile_h);
-        {
-            let src = ctx.mem.read(self.src);
-            // Tile column 0 is source column bx-1. Blocks whose halo lies
-            // inside the image copy whole rows; border blocks clamp per
-            // element.
-            let interior_x = bx >= 1 && bx + bw < w;
-            for (ty, tile_row) in tile.chunks_exact_mut(tile_w).enumerate() {
-                let gy = (by + ty).saturating_sub(1).min(h - 1);
-                let src_row = &src[gy * w..(gy + 1) * w];
-                if interior_x {
-                    tile_row.copy_from_slice(&src_row[bx - 1..bx + bw + 1]);
-                } else {
-                    for (tx, t) in tile_row.iter_mut().enumerate() {
-                        *t = src_row[(bx + tx).saturating_sub(1).min(w - 1)];
-                    }
+        // Separable binomial, rows then columns: source row `y`'s
+        // horizontal pass lives in `passes[y % 3]` while the output rows
+        // next to it need it.
+        let (src, mut dst) = (ctx.mem.read(self.src), ctx.mem.write(self.dst));
+        let (src, dst) = (&src[..], &mut dst[..]);
+        let mut passes: [Vec<f32>; 3] = std::array::from_fn(|_| vec![0.0; w]);
+        for rect in ctx.rectangles(blocks) {
+            let band = Band::of(rect, shape, (w, h));
+            let n = band.cols.len();
+            let mut next_pass = band.rows.start.saturating_sub(1);
+            for y in band.rows.clone() {
+                while next_pass <= (y + 1).min(h - 1) {
+                    let row = &src[next_pass * w..][..w];
+                    binomial_row(row, band.cols.clone(), &mut passes[next_pass % 3][..n]);
+                    next_pass += 1;
+                }
+                let [above, at, below] =
+                    [y.saturating_sub(1), y, (y + 1).min(h - 1)].map(|r| &passes[r % 3][..n]);
+                let out = &mut dst[y * w..][band.cols.clone()];
+                for (((o, a), b), c) in out.iter_mut().zip(above).zip(at).zip(below) {
+                    *o = 0.25 * a + 0.5 * b + 0.25 * c;
                 }
             }
+            band.emit(class, sink);
         }
-        ctx.syncthreads();
-
-        // Separable binomial: rows then columns over the tile.
-        let covered_w = (w - bx).min(bw);
-        let covered_h = (h - by).min(bh);
-        let mut dst = ctx.mem.write(self.dst);
-        for ty in 0..covered_h {
-            let rows = &tile[ty * tile_w..(ty + 3) * tile_w];
-            let (r0, rest) = rows.split_at(tile_w);
-            let (r1, r2) = rest.split_at(tile_w);
-            let out = &mut dst[(by + ty) * w + bx..][..covered_w];
-            for (tx, o) in out.iter_mut().enumerate() {
-                let row = |r: &[f32]| 0.25 * r[tx] + 0.5 * r[tx + 1] + 0.25 * r[tx + 2];
-                *o = 0.25 * row(r0) + 0.5 * row(r1) + 0.25 * row(r2);
-            }
-        }
-        drop(dst);
-        let covered = (covered_w * covered_h) as u64;
-
-        let warp = ctx.warp_size() as u64;
-        let warps = covered.div_ceil(warp);
-        // Halo load: one coalesced read per tile element. Buffer-tagged
-        // so a fused launch credits fusion-local traffic to on-chip rates.
-        ctx.global_load_buf(self.src, (tile_w * tile_h * 4) as u64);
-        ctx.meter.shared((tile_w * tile_h) as u64 / 8);
-        // Compute: 9 shared reads + ~10 FLOPs per pixel.
-        ctx.meter.shared(9 * warps);
-        ctx.meter.alu(10 * warps);
-        ctx.global_store_buf(self.dst, 4 * covered);
     }
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {

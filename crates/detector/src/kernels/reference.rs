@@ -1,25 +1,32 @@
 //! Differential oracle for the kernel bodies.
 //!
-//! The `run_block` bodies of the cascade, filter, scale, scan, transpose
-//! and display kernels as they were before they were rewritten for host
-//! speed (element-wise staging, stump-major SIMT iteration, per-pixel
-//! metering), kept verbatim as [`ReferenceBody::reference_run_block`].
-//! The sweeps below run both bodies block by block over generated
-//! geometries, cascades and launch shapes and demand equal output bytes
-//! and equal [`KernelCounters`] for every block.
+//! The per-block bodies of the cascade, filter, scale, scan, transpose and
+//! display kernels as they were before they were rewritten for host speed
+//! (element-wise staging, stump-major SIMT iteration, per-pixel metering),
+//! kept as [`ReferenceBody::reference_run_block`]. The kernels' one body is
+//! now [`Kernel::run_blocks`], which works on whole grid rows; the sweeps
+//! below run it over generated geometries, cascades and launch shapes in
+//! every way the simulator can call it — the launch as one range, cut at
+//! random blocks (inside grid rows too), one block at a time, stacked in a
+//! [`BatchedKernel`], as stages of the pipeline's two fused chains — and
+//! demand the reference body's output bytes, its counters for every block
+//! and the same timeline (block costs and their sum, through the
+//! scheduler).
 
 use std::sync::{Arc, Mutex};
 
 use fd_gpu::{
-    BlockCtx, DeviceSpec, ExecMode, Gpu, Kernel, KernelCounters, LaunchConfig, Texture2D,
+    BatchedKernel, BlockCtx, DeviceSpec, ExecMode, FusedChain, Gpu, Kernel, KernelCounters,
+    LaunchConfig, LaunchCtx, Meter, StreamId, Texture2D, Timeline,
 };
 use fd_haar::encode::{encode_cascade, quantize_cascade};
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 
-use super::cascade::precompile;
+use super::cascade::{image_offsets, precompile};
 use super::scan::{quantize_luma, ScanInput};
 use super::{
-    CascadeKernel, DisplayKernel, FilterKernel, ScaleKernel, ScanRowsKernel, TransposeKernel,
+    with_mutation, CascadeKernel, DisplayKernel, FilterKernel, Mutation, ScaleKernel,
+    ScanRowsKernel, TransposeKernel,
 };
 
 /// A kernel that still carries its pre-rewrite body.
@@ -104,7 +111,7 @@ impl ReferenceBody for CascadeKernel {
             if n_active > 0 {
                 'stages: for (si, stage) in self.stages.iter().enumerate() {
                     let mut sums = [0.0f32; 32];
-                    for stump in &stage.stumps {
+                    for (stump, offs) in stage.stumps.iter().zip(&stage.tile_offs) {
                         // Stump record broadcast from constant memory
                         // (3 words compressed, 10 uncompressed).
                         m_const += self.const_words_per_stump;
@@ -128,13 +135,13 @@ impl ReferenceBody for CascadeKernel {
                             let ty = (t as usize) / b;
                             let base = ty * tile_w + tx;
                             let mut resp = 0i64;
-                            for r in 0..stump.nrects as usize {
-                                let o = &stump.offs[r];
+                            let rects = offs.iter().zip(stump.weights);
+                            for (o, weight) in rects.take(stump.nrects as usize) {
                                 let s = tile[base + o[0] as usize] as i64
                                     - tile[base + o[1] as usize] as i64
                                     - tile[base + o[2] as usize] as i64
                                     + tile[base + o[3] as usize] as i64;
-                                resp += stump.weights[r] as i64 * s;
+                                resp += weight as i64 * s;
                             }
                             sums[li] += if (resp as i32) < stump.threshold {
                                 stump.left
@@ -457,11 +464,31 @@ impl ReferenceBody for DisplayKernel {
     }
 }
 
-/// Runs one of `kernel`'s two bodies and logs every block's counters.
+/// How a [`Probe`] runs the blocks the drain hands it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    /// The reference body, block by block.
+    Reference,
+    /// `run_blocks` over the range as given.
+    Whole,
+    /// `run_blocks` over pieces of the range cut at random blocks.
+    Chunked(u64),
+    /// `run_block` for every block.
+    Blockwise,
+}
+
+/// The ways the new body is called for every case; `Chunked` draws its
+/// cuts from the case number.
+fn modes(case: usize) -> [Mode; 3] {
+    [Mode::Whole, Mode::Chunked(case as u64), Mode::Blockwise]
+}
+
+/// Runs `kernel` in one [`Mode`] and logs every block's counters, in the
+/// order they were reported.
 struct Probe<K> {
     kernel: K,
-    reference: bool,
-    log: Arc<Mutex<Vec<(u64, KernelCounters)>>>,
+    mode: Mode,
+    log: Arc<Mutex<Vec<KernelCounters>>>,
 }
 
 impl<K: ReferenceBody> Kernel for Probe<K> {
@@ -470,45 +497,139 @@ impl<K: ReferenceBody> Kernel for Probe<K> {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let lin = ctx.grid_dim.linear_index(ctx.block_idx);
-        if self.reference {
-            self.kernel.reference_run_block(ctx);
-        } else {
-            self.kernel.run_block(ctx);
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: std::ops::Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        let mut report = |c: &KernelCounters| {
+            self.log.lock().unwrap().push(*c);
+            sink(c);
+        };
+        match self.mode {
+            Mode::Whole => self.kernel.run_blocks(ctx, blocks, &mut report),
+            Mode::Chunked(seed) => {
+                // Pieces of one block up to a few grid rows.
+                let mut rng = Rng(seed ^ blocks.start.wrapping_mul(0x9E37_79B9));
+                let mut lin = blocks.start;
+                while lin < blocks.end {
+                    let longest = (3 * ctx.grid_dim.x as u64).min(blocks.end - lin);
+                    let end = lin + 1 + rng.next() % longest;
+                    self.kernel.run_blocks(ctx, lin..end, &mut report);
+                    lin = end;
+                }
+            }
+            Mode::Reference | Mode::Blockwise => {
+                for lin in blocks {
+                    let meter = Meter::new();
+                    let block = &mut ctx.block(lin, &meter);
+                    if self.mode == Mode::Reference {
+                        self.kernel.reference_run_block(block);
+                    } else {
+                        self.kernel.run_block(block);
+                    }
+                    report(&meter.snapshot());
+                }
+            }
         }
-        self.log.lock().unwrap().push((lin, ctx.meter.snapshot()));
+    }
+
+    fn access(&self, set: &mut fd_gpu::AccessSet) {
+        self.kernel.access(set);
+    }
+
+    fn fusion_traits(&self) -> Option<fd_gpu::FusionTraits> {
+        self.kernel.fusion_traits()
     }
 }
 
-/// Launch one body of `kernel` over `cfg` and return the counters of
-/// every block, by linear block id.
-fn per_block<K: ReferenceBody + 'static>(
-    gpu: &mut Gpu,
-    kernel: K,
-    cfg: LaunchConfig,
-    reference: bool,
-) -> Vec<KernelCounters> {
-    let log = Arc::new(Mutex::new(Vec::new()));
-    gpu.launch_default(Probe { kernel, reference, log: Arc::clone(&log) }, cfg).unwrap();
-    gpu.synchronize();
-    let mut log = std::mem::take(&mut *log.lock().unwrap());
-    log.sort_by_key(|&(lin, _)| lin);
-    assert_eq!(log.len() as u64, cfg.total_blocks(), "every block ran once");
-    log.into_iter().map(|(_, counters)| counters).collect()
+/// A device whose drain hands every launch to its kernel as one range on
+/// the calling thread (so [`with_mutation`] reaches the bodies).
+fn device() -> Gpu {
+    Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_threads(1)
 }
 
-/// What a body did: every block's counters and every output element's
-/// bits.
-type Observed = (Vec<KernelCounters>, Vec<u32>);
+/// Every block's counters, probe by probe; filled in by a drain.
+type Logs = Vec<Arc<Mutex<Vec<KernelCounters>>>>;
 
-fn assert_same((c_new, out_new): Observed, (c_ref, out_ref): Observed, case: &str) {
+/// `kernels` as probes in `mode`, and their logs.
+fn probes<K: ReferenceBody>(kernels: Vec<K>, mode: Mode, logs: &mut Logs) -> Vec<Probe<K>> {
+    kernels
+        .into_iter()
+        .map(|kernel| {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            logs.push(Arc::clone(&log));
+            Probe { kernel, mode, log }
+        })
+        .collect()
+}
+
+/// What the scheduler made of the launches: per launch its blocks, span
+/// and summed counters, then the busy time of every SM — block costs and
+/// totals, seen from outside.
+fn timeline_bits(t: &Timeline) -> Vec<u64> {
+    let launches = t.events.iter().flat_map(|e| {
+        let c = &e.counters;
+        [e.blocks, e.t_start_us.to_bits(), e.t_end_us.to_bits(), c.alu_ops, c.global_bytes()]
+            .into_iter()
+            .chain([c.fused_bytes(), c.shared_transactions, c.barriers, c.branches])
+    });
+    launches.chain(t.sm_busy_us.iter().map(|us| us.to_bits())).collect()
+}
+
+/// Launch `kernels` (one plainly, several as one batched launch) over
+/// `cfg` in `mode`, drain, and return every block's counters — part after
+/// part, each by linear block id — followed by the timeline.
+fn run_probed<K: ReferenceBody + 'static>(
+    gpu: &mut Gpu,
+    mut kernels: Vec<K>,
+    cfg: LaunchConfig,
+    mode: Mode,
+) -> (Vec<KernelCounters>, Vec<u64>) {
+    let mut logs = Logs::new();
+    let parts = kernels.len() as u64;
+    if parts == 1 {
+        let probe = probes(vec![kernels.remove(0)], mode, &mut logs).remove(0);
+        gpu.launch_default(probe, cfg).unwrap();
+    } else {
+        gpu.launch_batched(probes(kernels, mode, &mut logs), cfg, StreamId::DEFAULT).unwrap();
+    }
+    let timeline = gpu.synchronize();
+    let counters: Vec<_> = logs.iter().flat_map(|log| std::mem::take(&mut *log.lock().unwrap())).collect();
+    assert_eq!(counters.len() as u64, parts * cfg.total_blocks(), "every block reported once");
+    (counters, timeline_bits(&timeline))
+}
+
+/// What a body did: every block's counters, the timeline and every output
+/// element's bits.
+type Observed = ((Vec<KernelCounters>, Vec<u64>), Vec<u32>);
+
+fn assert_same(((c_new, t_new), out_new): Observed, ((c_ref, t_ref), out_ref): &Observed, case: &str) {
     assert_eq!(c_new.len(), c_ref.len(), "{case}: block count");
-    for (block, (a, b)) in c_new.iter().zip(&c_ref).enumerate() {
+    for (block, (a, b)) in c_new.iter().zip(c_ref).enumerate() {
         assert_eq!(a, b, "{case}: counters of block {block}");
     }
+    assert_eq!(&t_new, t_ref, "{case}: timeline");
     assert_eq!(out_new.len(), out_ref.len(), "{case}: output length");
-    for (i, (a, b)) in out_new.iter().zip(&out_ref).enumerate() {
+    for (i, (a, b)) in out_new.iter().zip(out_ref).enumerate() {
         assert_eq!(a, b, "{case}: output element {i}");
+    }
+}
+
+/// The sweep of one case: `observe(mode, parts)` launches `parts` fresh
+/// kernels over the case's input (one plainly, more as a batch) and
+/// returns what they did. The new body must equal the reference body in
+/// every mode, alone and batched.
+fn check_case(case: usize, label: &str, mut observe: impl FnMut(Mode, usize) -> Observed) {
+    for parts in [1, 2 + case % 2] {
+        let reference = observe(Mode::Reference, parts);
+        for mode in modes(case) {
+            assert_same(observe(mode, parts), &reference, &format!("{label}, {mode:?} x{parts}"));
+        }
     }
 }
 
@@ -700,8 +821,9 @@ fn exact_response(integral: &[u32], w: usize, stump: &Stump, ox: usize, oy: usiz
 /// `70 = 24 + 23 + 23`.
 const EDGE_DIMS: [usize; 4] = [24, 46, 48, 70];
 
-#[test]
-fn cascade_body_matches_reference() {
+/// The cascade sweep over cases `0..cases` of [`PROFILES`]` * 80`; with all
+/// of them, checks that every situation the bodies distinguish occurred.
+fn cascade_sweep(cases: usize) {
     let mut rng = Rng(0xCA5C_ADE0);
     let mut divergent = 0u64;
     let (mut all_failed_a_stage, mut all_passed, mut none_passed_stage_0) = (false, false, false);
@@ -712,7 +834,8 @@ fn cascade_body_matches_reference() {
     let (mut valid_w_seen, mut valid_h_seen) = ([false; 25], [false; 25]);
     let mut short_last_row = [false; 5];
     let (mut wrapped, mut tied, mut stages_tied) = (false, false, false);
-    for case in 0..PROFILES * 80 {
+    let (mut tile_ends_on_last_row, mut tile_ends_past_last_row) = (false, false);
+    for case in 0..cases {
         let (w, h) = if case % 4 == 3 {
             (EDGE_DIMS[rng.below(4)], EDGE_DIMS[rng.below(4)])
         } else {
@@ -766,26 +889,48 @@ fn cascade_body_matches_reference() {
             }
         }
 
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let mut gpu = device();
         let integral = gpu.mem.upload(&integral);
         let const_ptr = gpu.const_upload(&encode_cascade(&cascade));
-        let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
-            let (depth, score) = (gpu.mem.alloc::<u32>(w * h), gpu.mem.alloc::<f32>(w * h));
-            // Not `CascadeKernel::new`: it insists on grid leaves.
-            let stages = precompile(&cascade);
-            let k = CascadeKernel::with_stages(stages, integral, w, h, depth, score, const_ptr)
-                .with_block_h(block_h);
-            let k = if uncompressed { k.with_uncompressed_records() } else { k };
-            let k = if no_tile { k.without_shared_tile() } else { k };
-            let cfg = k.config();
-            let counters = per_block(gpu, k, cfg, reference);
-            let mut bits = gpu.mem.download(depth);
-            bits.extend(f32_bits(gpu.mem.download(score)));
+        // Not `CascadeKernel::new`: it insists on grid leaves.
+        let stages = precompile(&cascade);
+        let offs = image_offsets(&stages, w, h);
+        let mut depths = Vec::new();
+        let mut observe = |mode: Mode, parts: usize| -> Observed {
+            let outputs: Vec<_> =
+                (0..parts).map(|_| (gpu.mem.alloc::<u32>(w * h), gpu.mem.alloc::<f32>(w * h))).collect();
+            let kernels: Vec<_> = outputs
+                .iter()
+                .map(|&(depth, score)| {
+                    let (stages, offs) = (Arc::clone(&stages), Arc::clone(&offs));
+                    let k = CascadeKernel::with_stages(
+                        stages, offs, integral, w, h, depth, score, const_ptr,
+                    )
+                    .with_block_h(block_h);
+                    let k = if uncompressed { k.with_uncompressed_records() } else { k };
+                    if no_tile { k.without_shared_tile() } else { k }
+                })
+                .collect();
+            let cfg = kernels[0].config();
+            let counters = run_probed(&mut gpu, kernels, cfg, mode);
+            let mut bits = Vec::new();
+            for (depth, score) in outputs {
+                bits.extend(gpu.mem.download(depth));
+                bits.extend(f32_bits(gpu.mem.download(score)));
+                gpu.mem.free(depth);
+                gpu.mem.free(score);
+            }
+            if mode == Mode::Reference && parts == 1 {
+                divergent += counters.0.iter().map(|c| c.divergent_branches).sum::<u64>();
+                depths = bits[..w * h].to_vec();
+            }
             (counters, bits)
         };
-        let new = observe(&mut gpu, false);
-        divergent += new.0.iter().map(|c| c.divergent_branches).sum::<u64>();
-        let depths = &new.1[..w * h];
+        let label = format!(
+            "case {case}: {w}x{h}, block_h {block_h}, uncompressed {uncompressed}, \
+             no tile {no_tile}, profile {profile}"
+        );
+        check_case(case, &label, &mut observe);
         all_failed_a_stage |=
             profile == ALL_PASS_THEN_NONE && windows > 0 && depths.iter().all(|&d| d <= 1);
         all_passed |= profile == ALL_PASS && depths.iter().filter(|&&d| d == 3).count() == windows;
@@ -795,11 +940,16 @@ fn cascade_body_matches_reference() {
         stages_tied |= profile == ZERO_THRESHOLDS
             && windows > 0
             && depths.iter().filter(|&&d| d == deepest).count() == windows;
-        let label = format!(
-            "case {case}: {w}x{h}, block_h {block_h}, uncompressed {uncompressed}, \
-             no tile {no_tile}, profile {profile}"
-        );
-        assert_same(new, observe(&mut gpu, true), &label);
+        // A band whose tile ends on the image's last row, and one whose
+        // tile ends one row past it.
+        for by in (block_h as usize..h).step_by(block_h as usize) {
+            let tile_end = by - 1 + block_h as usize + 24;
+            tile_ends_on_last_row |= w >= 72 && tile_end == h;
+            tile_ends_past_last_row |= w >= 72 && tile_end == h + 1;
+        }
+    }
+    if cases < PROFILES * 80 {
+        return;
     }
     assert!(divergent > 0, "the sweep must split warps");
     assert!(all_failed_a_stage && all_passed, "a stage no lane passes, stages every lane passes");
@@ -812,49 +962,71 @@ fn cascade_body_matches_reference() {
     assert_eq!(short_last_row, [true; 5], "a short last block row at every block height");
     assert!(wrapped && tied, "a response that wraps i32, one equal to its stump threshold");
     assert!(stages_tied, "windows that pass every stage with a sum equal to its threshold");
+    assert!(
+        tile_ends_on_last_row && tile_ends_past_last_row,
+        "block rows with blocks wholly inside the image whose tile ends on its last row, and one row past"
+    );
 }
 
 #[test]
-fn filter_body_matches_reference() {
+fn cascade_body_matches_reference() {
+    cascade_sweep(PROFILES * 80);
+}
+
+fn filter_sweep(cases: usize) {
     let mut rng = Rng(0xF117_E200);
-    for case in 0..330 {
+    for case in 0..cases {
         let (w, h) = geometry(&mut rng, case / 3);
         let shape = FilterKernel::BLOCKS[case % 3];
         let pixels: Vec<f32> = (0..w * h).map(|_| rng.pixel()).collect();
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let mut gpu = device();
         let src = gpu.mem.upload(&pixels);
-        let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
-            let dst = gpu.mem.alloc::<f32>(w * h);
-            let k = FilterKernel { src, dst, width: w, height: h };
-            let cfg = k.config_for(shape);
-            (per_block(gpu, k, cfg, reference), f32_bits(gpu.mem.download(dst)))
+        let observe = |mode: Mode, parts: usize| -> Observed {
+            let dsts: Vec<_> = (0..parts).map(|_| gpu.mem.alloc::<f32>(w * h)).collect();
+            let kernels: Vec<_> =
+                dsts.iter().map(|&dst| FilterKernel { src, dst, width: w, height: h }).collect();
+            let cfg = kernels[0].config_for(shape);
+            let counters = run_probed(&mut gpu, kernels, cfg, mode);
+            (counters, dsts.iter().flat_map(|&dst| f32_bits(gpu.mem.download(dst))).collect())
         };
-        let label = format!("case {case}: {w}x{h}, block {shape:?}");
-        assert_same(observe(&mut gpu, false), observe(&mut gpu, true), &label);
+        check_case(case, &format!("case {case}: {w}x{h}, block {shape:?}"), observe);
     }
 }
 
 #[test]
-fn scale_body_matches_reference() {
+fn filter_body_matches_reference() {
+    filter_sweep(330);
+}
+
+fn scale_sweep(cases: usize) {
     let mut rng = Rng(0x5CA1_E000);
-    for case in 0..320 {
+    for case in 0..cases {
         let (src_w, src_h) = geometry(&mut rng, case / 2);
         // Up- and downscaling, and the identity of pyramid level 0.
         let (dst_w, dst_h) =
             if case % 8 < 2 { (src_w, src_h) } else { (1 + rng.below(130), 1 + rng.below(130)) };
         let shape = ScaleKernel::BLOCKS[case % 2];
         let texels: Vec<f32> = (0..src_w * src_h).map(|_| rng.pixel()).collect();
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let mut gpu = device();
         let tex = gpu.bind_texture(Texture2D::from_data(src_w, src_h, texels));
-        let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
-            let dst = gpu.mem.alloc::<f32>(dst_w * dst_h);
-            let k = ScaleKernel { src: tex, src_w, src_h, dst, dst_w, dst_h };
-            let cfg = k.config_for(shape);
-            (per_block(gpu, k, cfg, reference), f32_bits(gpu.mem.download(dst)))
+        let observe = |mode: Mode, parts: usize| -> Observed {
+            let dsts: Vec<_> = (0..parts).map(|_| gpu.mem.alloc::<f32>(dst_w * dst_h)).collect();
+            let kernels: Vec<_> = dsts
+                .iter()
+                .map(|&dst| ScaleKernel { src: tex, src_w, src_h, dst, dst_w, dst_h })
+                .collect();
+            let cfg = kernels[0].config_for(shape);
+            let counters = run_probed(&mut gpu, kernels, cfg, mode);
+            (counters, dsts.iter().flat_map(|&dst| f32_bits(gpu.mem.download(dst))).collect())
         };
         let label = format!("case {case}: {src_w}x{src_h} -> {dst_w}x{dst_h}, block {shape:?}");
-        assert_same(observe(&mut gpu, false), observe(&mut gpu, true), &label);
+        check_case(case, &label, observe);
     }
+}
+
+#[test]
+fn scale_body_matches_reference() {
+    scale_sweep(320);
 }
 
 #[test]
@@ -870,7 +1042,7 @@ fn scan_body_matches_reference() {
         };
         let threads = ScanRowsKernel::THREAD_OPTIONS[case % 3];
         let quantize = (case / 3) % 2 == 0;
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let mut gpu = device();
         let input = if quantize {
             let pixels: Vec<f32> = (0..w * h)
                 .map(|_| match rng.below(16) {
@@ -886,34 +1058,43 @@ fn scan_body_matches_reference() {
             let words: Vec<u32> = (0..w * h).map(|_| rng.below(1 << 16) as u32).collect();
             ScanInput::U32(gpu.mem.upload(&words))
         };
-        let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
-            let output = gpu.mem.alloc::<u32>(w * h);
-            let k = ScanRowsKernel { input, output, width: w, height: h };
-            let cfg = k.config_for(threads);
-            (per_block(gpu, k, cfg, reference), gpu.mem.download(output))
+        let observe = |mode: Mode, parts: usize| -> Observed {
+            let outputs: Vec<_> = (0..parts).map(|_| gpu.mem.alloc::<u32>(w * h)).collect();
+            let kernels: Vec<_> = outputs
+                .iter()
+                .map(|&output| ScanRowsKernel { input, output, width: w, height: h })
+                .collect();
+            let cfg = kernels[0].config_for(threads);
+            let counters = run_probed(&mut gpu, kernels, cfg, mode);
+            (counters, outputs.iter().flat_map(|&output| gpu.mem.download(output)).collect())
         };
         let label = format!("case {case}: {w}x{h}, {threads} threads, quantize {quantize}");
-        assert_same(observe(&mut gpu, false), observe(&mut gpu, true), &label);
+        check_case(case, &label, observe);
+    }
+}
+
+fn transpose_sweep(cases: usize) {
+    let mut rng = Rng(0x7245_0000);
+    for case in 0..cases {
+        let (w, h) = geometry(&mut rng, case);
+        let words: Vec<u32> = (0..w * h).map(|_| rng.next() as u32).collect();
+        let mut gpu = device();
+        let src = gpu.mem.upload(&words);
+        let observe = |mode: Mode, parts: usize| -> Observed {
+            let dsts: Vec<_> = (0..parts).map(|_| gpu.mem.alloc::<u32>(w * h)).collect();
+            let kernels: Vec<_> =
+                dsts.iter().map(|&dst| TransposeKernel { src, dst, width: w, height: h }).collect();
+            let cfg = kernels[0].config();
+            let counters = run_probed(&mut gpu, kernels, cfg, mode);
+            (counters, dsts.iter().flat_map(|&dst| gpu.mem.download(dst)).collect())
+        };
+        check_case(case, &format!("case {case}: {w}x{h}"), observe);
     }
 }
 
 #[test]
 fn transpose_body_matches_reference() {
-    let mut rng = Rng(0x7245_0000);
-    for case in 0..320 {
-        let (w, h) = geometry(&mut rng, case);
-        let words: Vec<u32> = (0..w * h).map(|_| rng.next() as u32).collect();
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
-        let src = gpu.mem.upload(&words);
-        let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
-            let dst = gpu.mem.alloc::<u32>(w * h);
-            let k = TransposeKernel { src, dst, width: w, height: h };
-            let cfg = k.config();
-            (per_block(gpu, k, cfg, reference), gpu.mem.download(dst))
-        };
-        let label = format!("case {case}: {w}x{h}");
-        assert_same(observe(&mut gpu, false), observe(&mut gpu, true), &label);
-    }
+    transpose_sweep(320);
 }
 
 #[test]
@@ -940,22 +1121,152 @@ fn display_body_matches_reference() {
                 _ => if rng.below(100) == 0 { required } else { required.saturating_sub(1) },
             })
             .collect();
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let mut gpu = device();
         let depth = gpu.mem.upload(&depth);
-        let observe = |gpu: &mut Gpu, reference: bool| -> Observed {
-            let hits = gpu.mem.alloc::<u32>(n);
-            let k = DisplayKernel { depth, hits, width: n, height: 1, required_depth: required };
-            let cfg = k.config();
-            (per_block(gpu, k, cfg, reference), gpu.mem.download(hits))
+        let mut observe = |mode: Mode, parts: usize| -> Observed {
+            let outputs: Vec<_> = (0..parts).map(|_| gpu.mem.alloc::<u32>(n)).collect();
+            let kernels: Vec<_> = outputs
+                .iter()
+                .map(|&hits| DisplayKernel { depth, hits, width: n, height: 1, required_depth: required })
+                .collect();
+            let cfg = kernels[0].config();
+            let counters = run_probed(&mut gpu, kernels, cfg, mode);
+            let hits: Vec<u32> = outputs.iter().flat_map(|&hits| gpu.mem.download(hits)).collect();
+            if mode == Mode::Reference {
+                divergent += counters.0.iter().map(|c| c.divergent_branches).sum::<u64>();
+                none_hit |= hits.iter().all(|&hit| hit == 0);
+                all_hit |= hits.iter().all(|&hit| hit == 1);
+            }
+            (counters, hits)
         };
-        let new = observe(&mut gpu, false);
-        divergent += new.0.iter().map(|c| c.divergent_branches).sum::<u64>();
-        none_hit |= new.1.iter().all(|&hit| hit == 0);
-        all_hit |= new.1.iter().all(|&hit| hit == 1);
         let label = format!("case {case}: {n} elements, required depth {required}");
-        assert_same(new, observe(&mut gpu, true), &label);
+        check_case(case, &label, &mut observe);
     }
     assert!(divergent > 0 && none_hit && all_hit, "split warps, a mask without hits, a full one");
+}
+
+/// The pipeline's two fused chains (scale + filter + scan + transpose,
+/// then scan + transpose: a level's integral image from the frame
+/// texture), every stage stacked over `slots` request slots as the
+/// pipeline stacks them, every stage kernel a [`Probe`].
+#[test]
+fn fused_chains_match_reference() {
+    let mut rng = Rng(0xF05E_D000);
+    for case in 0..120 {
+        let (fw, fh) = geometry(&mut rng, case);
+        let (w, h) = if case % 4 == 0 { (fw, fh) } else { geometry(&mut rng, case + 3) };
+        let slots = 1 + case % 3;
+        let mut gpu = device();
+        let texs: Vec<_> = (0..slots)
+            .map(|_| {
+                let texels = (0..fw * fh).map(|_| rng.pixel()).collect();
+                gpu.bind_texture(Texture2D::from_data(fw, fh, texels))
+            })
+            .collect();
+        let mut observe = |mode: Mode| -> Observed {
+            let n = w * h;
+            let bufs: Vec<_> = (0..slots)
+                .map(|_| {
+                    let floats = [gpu.mem.alloc::<f32>(n), gpu.mem.alloc::<f32>(n)];
+                    (floats, [gpu.mem.alloc::<u32>(n), gpu.mem.alloc::<u32>(n), gpu.mem.alloc::<u32>(n)])
+                })
+                .collect();
+            let mut logs = Logs::new();
+            // One stage of a chain: its kernels over the slots, probed and
+            // stacked.
+            macro_rules! stage {
+                ($kernels:expr) => {{
+                    let kernels: Vec<_> = $kernels;
+                    let cfg = kernels[0].config();
+                    let stacked = BatchedKernel::new(probes(kernels, mode, &mut logs), cfg);
+                    let cfg = stacked.stacked_config(cfg);
+                    (stacked, cfg)
+                }};
+            }
+            let slot = |i: usize| (texs[i], bufs[i].0, bufs[i].1);
+            let over_slots = || (0..slots).map(slot);
+            let scale = stage!(over_slots()
+                .map(|(src, [dst, _], _)| ScaleKernel { src, src_w: fw, src_h: fh, dst, dst_w: w, dst_h: h })
+                .collect());
+            let filter = stage!(over_slots()
+                .map(|(_, [src, dst], _)| FilterKernel { src, dst, width: w, height: h })
+                .collect());
+            let scan1 = stage!(over_slots()
+                .map(|(_, [_, filtered], [output, ..])| ScanRowsKernel {
+                    input: ScanInput::QuantizeF32(filtered),
+                    output,
+                    width: w,
+                    height: h,
+                })
+                .collect());
+            let t1 = stage!(over_slots()
+                .map(|(_, _, [src, dst, _])| TransposeKernel { src, dst, width: w, height: h })
+                .collect());
+            let scan2 = stage!(over_slots()
+                .map(|(_, _, [output, src, _])| ScanRowsKernel {
+                    input: ScanInput::U32(src),
+                    output,
+                    width: h,
+                    height: w,
+                })
+                .collect());
+            let t2 = stage!(over_slots()
+                .map(|(_, _, [src, _, dst])| TransposeKernel { src, dst, width: h, height: w })
+                .collect());
+            let chain_a = FusedChain::new("scale+filter+scan+transpose")
+                .then(scale.0, scale.1)
+                .then(filter.0, filter.1)
+                .then(scan1.0, scan1.1)
+                .then(t1.0, t1.1);
+            gpu.launch_fused(chain_a, StreamId::DEFAULT).unwrap();
+            let chain_b = FusedChain::new("scan+transpose").then(scan2.0, scan2.1).then(t2.0, t2.1);
+            gpu.launch_fused(chain_b, StreamId::DEFAULT).unwrap();
+            let timeline = timeline_bits(&gpu.synchronize());
+            let counters: Vec<_> =
+                logs.iter().flat_map(|log| std::mem::take(&mut *log.lock().unwrap())).collect();
+            let mut bits = Vec::new();
+            for (floats, words) in bufs {
+                for buf in floats {
+                    bits.extend(f32_bits(gpu.mem.download(buf)));
+                    gpu.mem.free(buf);
+                }
+                for buf in words {
+                    bits.extend(gpu.mem.download(buf));
+                    gpu.mem.free(buf);
+                }
+            }
+            ((counters, timeline), bits)
+        };
+        let reference = observe(Mode::Reference);
+        assert!(reference.0 .0.iter().any(|c| c.fused_bytes() > 0), "case {case}: fused traffic");
+        for mode in modes(case) {
+            let label = format!("case {case}: {fw}x{fh} -> {w}x{h}, {slots} slots, {mode:?}");
+            assert_same(observe(mode), &reference, &label);
+        }
+    }
+}
+
+/// The sweeps must notice (as a difference from the reference body, not a
+/// crash) a band that stops one column short of the image's right edge …
+#[test]
+#[should_panic(expected = "case ")]
+fn sweep_catches_a_band_edge_off_by_one() {
+    with_mutation(Mutation::BandEdge, || filter_sweep(60));
+}
+
+/// … the last block of a grid row metered like a full one …
+#[test]
+#[should_panic(expected = "case ")]
+fn sweep_catches_the_wrong_cost_class_for_an_edge_block() {
+    with_mutation(Mutation::EdgeCostClass, || scale_sweep(60));
+}
+
+/// … and a cascade block row taken for inside the image whose tile ends
+/// one row past it (a read past the integral image, or zeros missed).
+#[test]
+#[should_panic]
+fn sweep_catches_an_inside_test_off_by_one_row() {
+    with_mutation(Mutation::InsideRow, || cascade_sweep(PROFILES * 80));
 }
 
 /// `quantize_luma` replaced a call into libm: it must equal the std

@@ -5,7 +5,11 @@
 //! single `tex2D` fetch with linear filtering (paper §III-A) — the
 //! fixed-function interpolator does the 4-tap blend.
 
-use fd_gpu::{BlockCtx, DevBuf, Kernel, LaunchConfig, TexId};
+use std::ops::Range;
+
+use fd_gpu::{BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx, TexId};
+
+use super::Band;
 
 /// One launch per pyramid level.
 pub struct ScaleKernel {
@@ -44,38 +48,76 @@ impl Kernel for ScaleKernel {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
         // Block shape comes from the launch config (the autotuner may
-        // re-tile); each output pixel is an independent texture gather.
-        let bw = ctx.block_dim.x as usize;
-        let bh = ctx.block_dim.y as usize;
-        let bx = ctx.block_idx.x as usize * bw;
-        let by = ctx.block_idx.y as usize * bh;
+        // re-tile); each output pixel is an independent texture gather, so
+        // a grid row of blocks is a band of whole output rows.
+        let shape = (ctx.block_dim.x as usize, ctx.block_dim.y as usize);
+        let dims = (self.dst_w, self.dst_h);
         let sx = self.src_w as f32 / self.dst_w as f32;
         let sy = self.src_h as f32 / self.dst_h as f32;
-
-        // The block's columns sample the same source columns on every
-        // row: one horizontal tap per column, one row fetch per row.
         let tex = ctx.texture(self.src);
-        let covered_w = (self.dst_w - bx).min(bw);
-        let covered_h = (self.dst_h - by).min(bh);
-        let taps: Vec<_> =
-            (bx..bx + covered_w).map(|x| tex.tap_x((x as f32 + 0.5) * sx)).collect();
-        let mut dst = ctx.mem.write(self.dst);
-        for y in by..by + covered_h {
-            let out = &mut dst[y * self.dst_w + bx..][..covered_w];
-            tex.fetch_bilinear_row(&taps, (y as f32 + 0.5) * sy, out);
-        }
-        drop(dst);
-        let covered = (covered_w * covered_h) as u64;
-        ctx.meter.tex(covered);
-
-        // Per covered thread: ~6 address ALU ops (as warp instructions) and
-        // a 4-byte store, next to the texture fetch metered above. The store
-        // is buffer-tagged so a fused chain can keep the scaled level
-        // on-chip for its consumer.
         let warp = ctx.warp_size() as u64;
-        ctx.meter.alu(6 * covered.div_ceil(warp));
-        ctx.global_store_buf(self.dst, 4 * covered);
+        // Per covered thread: the texture fetch, ~6 address ALU ops (as
+        // warp instructions) and a 4-byte store. The store is
+        // buffer-tagged so a fused chain can keep the scaled level on-chip
+        // for its consumer.
+        let class = |cw: usize, ch: usize| {
+            let covered = (cw * ch) as u64;
+            let mut c = KernelCounters {
+                tex_fetches: covered,
+                alu_ops: 6 * covered.div_ceil(warp),
+                ..KernelCounters::default()
+            };
+            ctx.count_store(&mut c, self.dst, 4 * covered);
+            c
+        };
+
+        // Every row samples the same source columns: one horizontal tap
+        // per column the range touches. Going down a band, a texel row's
+        // horizontal blends serve every output row that samples it — two
+        // of them wherever the level is larger than half the frame.
+        let bands: Vec<_> = ctx.rectangles(blocks).map(|rect| Band::of(rect, shape, dims)).collect();
+        let tap_cols = match &bands[..] {
+            [only] => only.cols.clone(),
+            _ => 0..self.dst_w,
+        };
+        let taps: Vec<_> = tap_cols.clone().map(|x| tex.tap_x((x as f32 + 0.5) * sx)).collect();
+        let mut blends = [vec![0.0f32; tap_cols.len()], vec![0.0f32; tap_cols.len()]];
+        let mut dst = ctx.mem.write(self.dst);
+        let dst = &mut dst[..];
+        for band in bands {
+            let taps = &taps[band.cols.start - tap_cols.start..][..band.cols.len()];
+            // The texel rows `blends` holds, for this band's columns.
+            let mut held = [usize::MAX; 2];
+            for y in band.rows.clone() {
+                let ty = tex.tap_y((y as f32 + 0.5) * sy);
+                if held[1] == ty.lo() {
+                    blends.swap(0, 1);
+                    held.swap(0, 1);
+                }
+                for (k, row) in [ty.lo(), ty.hi()].into_iter().enumerate() {
+                    if held[k] != row {
+                        tex.blend_row(row, taps, &mut blends[k][..taps.len()]);
+                        held[k] = row;
+                    }
+                }
+                let out = &mut dst[y * self.dst_w..][band.cols.clone()];
+                let (top, bot) = (&blends[0][..out.len()], &blends[1][..out.len()]);
+                for ((o, &top), &bot) in out.iter_mut().zip(top).zip(bot) {
+                    *o = ty.blend(top, bot);
+                }
+            }
+            band.emit(class, sink);
+        }
     }
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {

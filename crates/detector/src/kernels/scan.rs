@@ -11,7 +11,9 @@
 //! filtered pixels ([`ScanInput::QuantizeF32`]), matching
 //! `IntegralImage::from_gray`.
 
-use fd_gpu::{BlockCtx, DevBuf, Kernel, LaunchConfig};
+use std::ops::Range;
+
+use fd_gpu::{BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 
 /// Where the scan reads its input from.
 #[derive(Debug, Clone, Copy)]
@@ -54,14 +56,25 @@ impl ScanRowsKernel {
 
 /// `v.round().clamp(0.0, 255.0) as u32` — the 8-bit quantization of
 /// `IntegralImage::from_gray` — without the call into libm that
-/// `f32::round` is on baseline x86-64: clamping first leaves `[0, 255]`
-/// or NaN, where truncation and the remainder are exact, and halves round
-/// away from zero as `round` does. NaN quantizes to 0 either way.
+/// `f32::round` is on baseline x86-64: clamping first leaves `[0, 255]`,
+/// where truncation and the remainder are exact, and halves round away
+/// from zero as `round` does. NaN fails the comparison and quantizes to 0
+/// either way. Signed conversions and no NaN past the first line keep a
+/// row of these one vector loop.
 #[inline]
 pub(super) fn quantize_luma(v: f32) -> u32 {
-    let c = v.clamp(0.0, 255.0);
-    let whole = c as u32;
-    whole + (c - whole as f32 >= 0.5) as u32
+    let c = if v > 0.0 { v.min(255.0) } else { 0.0 };
+    let whole = c as i32;
+    (whole + (c - whole as f32 >= 0.5) as i32) as u32
+}
+
+/// Inclusive prefix sums in place, wrapping like the device's `u32` adds.
+fn prefix_sum(row: &mut [u32]) {
+    let mut acc = 0u32;
+    for v in row {
+        acc = acc.wrapping_add(*v);
+        *v = acc;
+    }
 }
 
 impl Kernel for ScanRowsKernel {
@@ -70,61 +83,72 @@ impl Kernel for ScanRowsKernel {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let row = ctx.block_idx.y as usize;
-        if row >= self.height {
-            return;
-        }
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
         let w = self.width;
         // Block width comes from the launch config (the autotuner may
         // re-tile); the sequential row scan below is identical for any
-        // width, only the work model changes. The reservation asserts
-        // the launch requested the scratch the real block scan needs at
-        // this width; the sequential scan itself never touches it.
-        let threads = ctx.block_dim.x;
-        ctx.shared_reserve(2 * threads as usize * 4);
+        // width, only the work model changes. The launch must have
+        // requested the scratch the real block scan needs at this width;
+        // the sequential scan itself never touches it.
+        let t = ctx.block_dim.x as u64;
+        ctx.require_shared(2 * t as usize * 4);
 
-        {
-            let mut out = ctx.mem.write(self.output);
-            let dst = &mut out[row * w..(row + 1) * w];
-            let mut acc = 0u32;
-            match self.input {
-                ScanInput::QuantizeF32(src) => {
-                    let src = ctx.mem.read(src);
-                    for (d, &s) in dst.iter_mut().zip(&src[row * w..(row + 1) * w]) {
-                        acc += quantize_luma(s);
-                        *d = acc;
-                    }
-                }
-                ScanInput::U32(src) => {
-                    let src = ctx.mem.read(src);
-                    for (d, &s) in dst.iter_mut().zip(&src[row * w..(row + 1) * w]) {
-                        acc += s;
-                        *d = acc;
-                    }
-                }
-            }
-        }
-
-        // Work model: the row is processed in ceil(w / threads) segments;
-        // each segment does an up-sweep + down-sweep over `threads`
-        // elements in shared memory (~2*threads shared accesses,
-        // 2*log2(threads) warp instruction steps per warp) plus the
-        // carry add.
-        let t = threads as u64;
-        let warps = t.div_ceil(ctx.warp_size() as u64);
+        // Work model, the same for every row: the row is processed in
+        // ceil(w / threads) segments; each segment does an up-sweep +
+        // down-sweep over `threads` elements in shared memory (~2*threads
+        // shared accesses, 2*log2(threads) warp instruction steps per
+        // warp, a barrier after each sweep) plus the carry add.
+        let warp = ctx.warp_size() as u64;
         let segments = (w as u64).div_ceil(t);
-        let log_t = t.ilog2() as u64;
+        let mut row_counters = KernelCounters {
+            shared_transactions: segments * 2 * t / warp,
+            alu_ops: segments * t.div_ceil(warp) * 2 * t.ilog2() as u64,
+            barriers: segments * 2 * ctx.warps_in_block(),
+            ..KernelCounters::default()
+        };
         // Buffer-tagged traffic: credited to on-chip rates when the scan
         // runs fused behind its producer.
         match self.input {
-            ScanInput::QuantizeF32(src) => ctx.global_load_buf(src, 4 * w as u64),
-            ScanInput::U32(src) => ctx.global_load_buf(src, 4 * w as u64),
+            ScanInput::QuantizeF32(src) => ctx.count_load(&mut row_counters, src, 4 * w as u64),
+            ScanInput::U32(src) => ctx.count_load(&mut row_counters, src, 4 * w as u64),
         }
-        ctx.global_store_buf(self.output, 4 * w as u64);
-        ctx.meter.shared(segments * 2 * t / ctx.warp_size() as u64);
-        ctx.meter.alu(segments * warps * 2 * log_t);
-        for _ in 0..segments * 2 {
-            ctx.syncthreads();
+        ctx.count_store(&mut row_counters, self.output, 4 * w as u64);
+
+        // grid.y indexes rows, one block each: the range is a run of rows.
+        let rows = (blocks.start as usize).min(self.height)..(blocks.end as usize).min(self.height);
+        let mut out = ctx.mem.write(self.output);
+        let out = &mut out[rows.start * w..rows.end * w];
+        match self.input {
+            ScanInput::QuantizeF32(src) => {
+                let src = ctx.mem.read(src);
+                for (dst, src) in out.chunks_exact_mut(w).zip(src[rows.start * w..].chunks_exact(w)) {
+                    for (d, &s) in dst.iter_mut().zip(src) {
+                        *d = quantize_luma(s);
+                    }
+                    prefix_sum(dst);
+                }
+            }
+            ScanInput::U32(src) => {
+                let src = ctx.mem.read(src);
+                for (dst, src) in out.chunks_exact_mut(w).zip(src[rows.start * w..].chunks_exact(w)) {
+                    dst.copy_from_slice(src);
+                    prefix_sum(dst);
+                }
+            }
+        }
+        // A block past the last row (no launch of `config` has one) does
+        // nothing.
+        let idle = KernelCounters::default();
+        for row in blocks {
+            sink(if (row as usize) < self.height { &row_counters } else { &idle });
         }
     }
 

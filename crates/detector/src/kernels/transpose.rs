@@ -3,9 +3,14 @@
 //!
 //! 16x16 tiles staged through shared memory (padded to 16x17 in the real
 //! kernel to avoid bank conflicts) so both the read and the write side are
-//! coalesced.
+//! coalesced. That is what is metered; the functional body moves the same
+//! elements output row by output row (DESIGN.md `#functional-bodies`).
 
-use fd_gpu::{BlockCtx, DevBuf, Kernel, LaunchConfig};
+use std::ops::Range;
+
+use fd_gpu::{BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
+
+use super::Band;
 
 pub struct TransposeKernel {
     /// Input: `width x height`, row-major.
@@ -33,44 +38,55 @@ impl Kernel for TransposeKernel {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let t = Self::TILE as usize;
-        let bx = ctx.block_idx.x as usize * t;
-        let by = ctx.block_idx.y as usize * t;
-        let (w, h) = (self.width, self.height);
+        ctx.run_as_range(self);
+    }
 
-        // The block's part of the matrix: `cw x ch` elements.
-        let cw = (w - bx).min(t);
-        let ch = (h - by).min(t);
-        let loaded = (cw * ch) as u64;
-        let mut tile = ctx.shared_alloc_u32(t * (t + 1));
-        {
-            let src = ctx.mem.read(self.src);
-            for (ty, tile_row) in tile.chunks_exact_mut(t + 1).take(ch).enumerate() {
-                tile_row[..cw].copy_from_slice(&src[(by + ty) * w + bx..][..cw]);
-            }
-        }
-        ctx.syncthreads();
-        {
-            let mut dst = ctx.mem.write(self.dst);
-            for tx in 0..cw {
-                // dst is h x w: row `bx + tx` takes the tile's column `tx`.
-                let out = &mut dst[(bx + tx) * h + by..][..ch];
-                for (o, tile_row) in out.iter_mut().zip(tile.chunks_exact(t + 1)) {
-                    *o = tile_row[tx];
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        const T: usize = TransposeKernel::TILE as usize;
+        let (w, h) = (self.width, self.height);
+        ctx.require_shared(Self::SHARED_BYTES as usize);
+        let warps = (T * T) as u64 / ctx.warp_size() as u64;
+        let class = |cw: usize, ch: usize| {
+            let mut c = KernelCounters {
+                // One shared store and one shared load per element — one
+                // transaction per warp each way, conflict-free thanks to
+                // the padding.
+                shared_transactions: 2 * warps,
+                alu_ops: 4 * warps,
+                barriers: ctx.warps_in_block(),
+                ..KernelCounters::default()
+            };
+            // Buffer-tagged traffic: fusion-local intermediates are
+            // credited to on-chip rates inside a fused chain.
+            ctx.count_load(&mut c, self.src, 4 * (cw * ch) as u64);
+            ctx.count_store(&mut c, self.dst, 4 * (cw * ch) as u64);
+            c
+        };
+
+        // Plain slices: indexing a guard re-reads the buffer's pointer and
+        // length on every access.
+        let (src, mut dst) = (ctx.mem.read(self.src), ctx.mem.write(self.dst));
+        let (src, dst) = (&src[..], &mut dst[..]);
+        for rect in ctx.rectangles(blocks) {
+            let band = Band::of(rect, (T, T), (w, h));
+            // dst is `h x w`: its row `x` takes source column `x`. Written
+            // row by row, each as one run as long as the rectangle is high
+            // (the writes are what misses: a column's reads come back from
+            // the lines its left neighbours already fetched).
+            let (y0, ch) = (band.rows.start, band.rows.len());
+            for x in band.cols.clone() {
+                let out = &mut dst[x * h + y0..][..ch];
+                for (o, row) in out.iter_mut().zip(src[y0 * w..].chunks(w)) {
+                    *o = row[x];
                 }
             }
+            band.emit(class, sink);
         }
-
-        let warps = (t * t) as u64 / ctx.warp_size() as u64;
-        // Buffer-tagged traffic: fusion-local intermediates are credited
-        // to on-chip rates when this transpose runs inside a fused chain.
-        ctx.global_load_buf(self.src, 4 * loaded);
-        ctx.global_store_buf(self.dst, 4 * loaded);
-        // One shared store and one shared load per element — one
-        // transaction per warp each way, conflict-free thanks to the
-        // padding.
-        ctx.meter.shared(2 * warps);
-        ctx.meter.alu(4 * warps);
     }
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {

@@ -34,7 +34,7 @@ use fd_haar::Cascade;
 use fd_imgproc::{GrayImage, Pyramid};
 
 use crate::error::DetectorError;
-use crate::kernels::cascade::{precompile, PreStage};
+use crate::kernels::cascade::{image_offsets, precompile, PreStage, StageOffsets};
 use crate::kernels::scan::ScanInput;
 use crate::kernels::{
     CascadeKernel, DisplayKernel, FilterKernel, ScaleKernel, ScanRowsKernel, TransposeKernel,
@@ -148,6 +148,11 @@ struct FramePool {
     /// One stream per pyramid level, shared by every request slot (the
     /// batched launch path fuses the slots of one level into one grid).
     streams: Vec<StreamId>,
+    /// Per level, the cascade's corner offsets at the level's width.
+    image_offs: Vec<Arc<StageOffsets>>,
+    /// The frame texture of each request slot that has had one: bound
+    /// once, refilled in place by every later submission.
+    texs: Vec<TexId>,
     slots: Vec<Vec<LevelBufs>>,
     bytes: usize,
 }
@@ -337,6 +342,7 @@ impl FramePipeline {
     /// memory. The next [`Self::run_frame`] rebuilds it.
     pub fn release_pool(&mut self) {
         if let Some(pool) = self.pool.take() {
+            self.gpu.clear_textures();
             for slot in pool.slots {
                 for bufs in slot {
                     bufs.free(&mut self.gpu.mem);
@@ -361,6 +367,8 @@ impl FramePipeline {
                 frame_dims: (fw, fh),
                 plan: plan.to_vec(),
                 streams,
+                image_offs: plan.iter().map(|&(w, h)| image_offsets(&self.stages, w, h)).collect(),
+                texs: Vec::new(),
                 slots: Vec::new(),
                 bytes: 0,
             });
@@ -611,21 +619,25 @@ impl FramePipeline {
             return Err(DetectorError::InvalidConfig { reason: "empty pyramid plan" });
         }
         self.ensure_pool(fw, fh, plan, frames.len());
-        let Some(pool) = self.pool.as_ref() else {
+        let Some(pool) = self.pool.as_mut() else {
             return Err(DetectorError::InvalidConfig { reason: "buffer pool missing" });
         };
         let gpu = &mut self.gpu;
 
-        gpu.clear_textures();
-        let mut texs = Vec::with_capacity(frames.len());
-        for frame in frames {
-            let tex_data = Texture2D::try_from_data(fw, fh, frame.as_slice().to_vec())
-                .map_err(|source| DetectorError::Memory {
-                    context: "binding the frame texture",
-                    source,
-                })?;
-            texs.push(gpu.bind_texture(tex_data));
+        // Slot `i`'s texture is the `i`-th bound; its storage stays with
+        // the pool and takes each new frame in place.
+        for (slot, frame) in frames.iter().enumerate() {
+            let upload = match pool.texs.get(slot) {
+                Some(&tex) => gpu.refill_texture(tex, frame.as_slice()),
+                None => Texture2D::try_from_data(fw, fh, frame.as_slice().to_vec())
+                    .map(|tex| pool.texs.push(gpu.bind_texture(tex))),
+            };
+            upload.map_err(|source| DetectorError::Memory {
+                context: "binding the frame texture",
+                source,
+            })?;
         }
+        let texs = &pool.texs[..frames.len()];
 
         // A launch failure aborts the whole batch: cancel everything still
         // queued so the device (and its profiler) is clean for a retry.
@@ -639,7 +651,7 @@ impl FramePipeline {
         for (level, (&(w, h), &stream)) in plan.iter().zip(&pool.streams).enumerate() {
             if let Err((kernel, e)) = Self::launch_level_pyramid_stages(
                 gpu,
-                &texs,
+                texs,
                 (fw, fh),
                 slots,
                 level,
@@ -657,6 +669,7 @@ impl FramePipeline {
                 .map(|slot| {
                     CascadeKernel::with_stages(
                         Arc::clone(&self.stages),
+                        Arc::clone(&pool.image_offs[level]),
                         slot[level].integral,
                         w,
                         h,

@@ -17,14 +17,18 @@
 //! bit-identical (results, counters, timeline) to the plain launch, which
 //! the serving layer's determinism guarantees build on.
 //!
-//! Each block's context is remapped before the part kernel runs: the part
-//! sees `block_idx.z == 0` and the *per-part* grid extent, so existing
-//! kernels batch without modification. The parts must be independent
+//! A range of the stacked grid is cut at the part borders and each piece
+//! goes to its part's [`Kernel::run_blocks`] as a range of the *per-part*
+//! grid, so existing kernels batch without modification and a part that
+//! works band by band keeps doing so. The parts must be independent
 //! (they are separate requests' kernels over disjoint buffers), which is
 //! exactly the disjoint-write contract blocks already obey.
 
+use std::ops::Range;
+
 use crate::dim::Dim3;
-use crate::kernel::{BlockCtx, Kernel, LaunchConfig};
+use crate::kernel::{BlockCtx, Kernel, LaunchConfig, LaunchCtx};
+use crate::meter::KernelCounters;
 
 /// N homogeneous kernels presented to the device as one launch, with the
 /// batch dimension stacked on `grid.z`. Built by
@@ -67,12 +71,27 @@ impl<K: Kernel> Kernel for BatchedKernel<K> {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let part = ctx.block_idx.z as usize;
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
         // The part kernel must observe standalone-launch geometry so its
         // per-block work (and metering) is identical to an unbatched run.
-        ctx.block_idx.z = 0;
-        ctx.grid_dim = self.part_grid;
-        self.parts[part].run_block(ctx);
+        let part_ctx = ctx.retiled(self.part_grid, ctx.block_dim);
+        let per_part = self.part_grid.count();
+        let mut lin = blocks.start;
+        while lin < blocks.end {
+            let part = lin / per_part;
+            let end = blocks.end.min((part + 1) * per_part);
+            let local = lin - part * per_part..end - part * per_part;
+            self.parts[part as usize].run_blocks(&part_ctx, local, sink);
+            lin = end;
+        }
     }
 
     fn access(&self, set: &mut crate::memory::AccessSet) {

@@ -42,18 +42,21 @@
 //! # Execution
 //!
 //! The fused launch concatenates the stage grids on a 1-D grid;
-//! [`FusedKernel::run_block`] maps a linear block id back to its stage
-//! and remaps the context's geometry before delegating, exactly like
-//! [`crate::BatchedKernel`] does for grid-`z` stacking. Stage starts are
+//! [`FusedKernel::run_blocks`] cuts a range at the stage starts and hands
+//! each piece to its stage as a range of the stage's own grid, exactly
+//! like [`crate::BatchedKernel`] does for grid-`z` stacking. Stage starts are
 //! exposed as [`Kernel::phase_boundaries`]: the host drain executes the
 //! phases in order without interleaving blocks across a boundary, which
 //! preserves the memory effects of separate launches (and keeps the
 //! arena's read-while-write checker quiet). Results are bit-identical to
 //! the unfused pipeline at any host thread count.
 
+use std::ops::Range;
+
 use crate::dim::Dim3;
-use crate::kernel::{BlockCtx, Kernel, LaunchConfig};
+use crate::kernel::{BlockCtx, Kernel, LaunchConfig, LaunchCtx};
 use crate::memory::AccessSet;
+use crate::meter::KernelCounters;
 
 /// No longer read; kept because the repo benchmark refuses to run with it
 /// set. Consumers switch fusion on through their own configuration.
@@ -342,11 +345,10 @@ impl FusedKernel {
         &self.fusion_local
     }
 
+    /// The last stage starting at or before `lin` (a stage without blocks
+    /// shares its start with its successor and owns nothing).
     fn stage_of(&self, lin: u64) -> usize {
-        match self.block_bases.binary_search(&lin) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        }
+        self.block_bases.partition_point(|&base| base <= lin) - 1
     }
 }
 
@@ -356,17 +358,25 @@ impl Kernel for FusedKernel {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        // The fused grid is 1-D: the linear block id is the x coordinate.
-        let lin = ctx.block_idx.x as u64;
-        let stage = self.stage_of(lin);
-        let s = &self.stages[stage];
-        let mut stage_ctx = ctx.for_fused_stage(
-            s.cfg.grid.from_linear(lin - self.block_bases[stage]),
-            s.cfg.grid,
-            s.cfg.block,
-            &self.fusion_local,
-        );
-        s.kernel.run_block(&mut stage_ctx);
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        let mut lin = blocks.start;
+        while lin < blocks.end {
+            let stage = self.stage_of(lin);
+            let s = &self.stages[stage];
+            let base = self.block_bases[stage];
+            let end = blocks.end.min(base + s.cfg.total_blocks());
+            let stage_ctx = ctx.retiled(s.cfg.grid, s.cfg.block).fusing(&self.fusion_local);
+            s.kernel.run_blocks(&stage_ctx, lin - base..end - base, sink);
+            lin = end;
+        }
     }
 
     /// The union of the stages' access sets. Intermediates stay declared:

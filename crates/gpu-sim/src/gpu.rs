@@ -390,6 +390,15 @@ impl Gpu {
         TexId(self.textures.len() - 1)
     }
 
+    /// Replace the texels of a bound texture with `data` (same extent),
+    /// keeping its storage: the per-frame upload of a texture that stays
+    /// bound. Flushes queued launches first, like every host-side
+    /// mutation of texture state.
+    pub fn refill_texture(&mut self, tex: TexId, data: &[f32]) -> Result<(), MemoryError> {
+        self.flush_functional();
+        self.textures[tex.0].refill(data)
+    }
+
     /// Unbind all textures (handles become invalid). Flushes queued
     /// launches first — binding is append-only (safe under deferral), but
     /// unbinding invalidates handles deferred kernels may still hold.

@@ -1,9 +1,11 @@
 //! Kernel trait, launch configuration and the per-block execution context.
 
+use std::ops::Range;
+
 use crate::dim::{div_ceil, Dim3};
 use crate::fuse::FusionTraits;
 use crate::memory::{ConstBank, DevBuf, DeviceMemory, DeviceScalar, TexId, Texture2D};
-use crate::meter::Meter;
+use crate::meter::{KernelCounters, Meter};
 
 /// Grid/block geometry and shared-memory request for a launch, mirroring the
 /// CUDA `<<<grid, block, sharedMem>>>` triple.
@@ -55,7 +57,8 @@ impl LaunchConfig {
     }
 }
 
-/// A device kernel. Implementations execute *one thread block at a time* and
+/// A device kernel. Implementations execute thread blocks — one at a time
+/// ([`Kernel::run_block`]) or a run of them ([`Kernel::run_blocks`]) — and
 /// meter the SIMT work they represent.
 ///
 /// Blocks of one launch may execute concurrently on host worker threads
@@ -70,8 +73,30 @@ pub trait Kernel: Send + Sync {
     /// Kernel name for profiling and traces.
     fn name(&self) -> &'static str;
 
-    /// Execute one block.
+    /// Execute one block. A kernel whose body is [`Self::run_blocks`]
+    /// implements this as [`BlockCtx::run_as_range`].
     fn run_block(&self, ctx: &mut BlockCtx<'_>);
+
+    /// Execute the blocks with linear ids `blocks` of the grid in `ctx`
+    /// and hand each block's counters to `sink`, in block order. This is
+    /// what the host drain calls, once per chunk of a launch. The default
+    /// runs [`Self::run_block`] per block on a fresh [`Meter`]; kernels
+    /// whose blocks share work (a grid row of tiles is a band of whole
+    /// image rows) override it and must produce, for any split of a launch
+    /// into ranges, the bytes and the per-block counters of the per-block
+    /// form.
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        for lin in blocks {
+            let meter = Meter::new();
+            self.run_block(&mut ctx.block(lin, &meter));
+            sink(&meter.snapshot());
+        }
+    }
 
     /// Declare which device buffers this launch reads and writes so the
     /// host drain can order it against other launches (see
@@ -133,70 +158,107 @@ pub trait Kernel: Send + Sync {
     }
 }
 
-/// Execution context for one thread block: geometry, memory spaces and the
-/// work meter.
-pub struct BlockCtx<'a> {
-    /// Index of this block within the grid.
-    pub block_idx: Dim3,
+/// What every block of a launch shares: geometry, memory spaces and
+/// limits. The context of [`Kernel::run_blocks`]; a [`BlockCtx`] derefs
+/// to it.
+#[derive(Clone, Copy)]
+pub struct LaunchCtx<'a> {
     /// Grid extent.
     pub grid_dim: Dim3,
     /// Block extent (threads).
     pub block_dim: Dim3,
     /// Global memory arena.
     pub mem: &'a DeviceMemory,
-    /// Work meter for this block.
-    pub meter: &'a Meter,
     constants: &'a ConstBank,
     textures: &'a [Texture2D],
     warp_size: u32,
     shared_limit_bytes: u32,
-    shared_used_bytes: u32,
     /// Arena ids of buffers that are fusion-local in the current launch:
     /// traffic on them is metered as on-chip, not global (see
     /// [`crate::fuse`]). Empty for plain launches.
     fusion_local: &'a [usize],
 }
 
-impl<'a> BlockCtx<'a> {
-    #[allow(clippy::too_many_arguments)]
+impl<'a> LaunchCtx<'a> {
     pub(crate) fn new(
-        block_idx: Dim3,
-        grid_dim: Dim3,
-        block_dim: Dim3,
+        cfg: &LaunchConfig,
         mem: &'a DeviceMemory,
-        meter: &'a Meter,
         constants: &'a ConstBank,
         textures: &'a [Texture2D],
         warp_size: u32,
-        shared_limit_bytes: u32,
     ) -> Self {
         Self {
-            block_idx,
-            grid_dim,
-            block_dim,
+            grid_dim: cfg.grid,
+            block_dim: cfg.block,
             mem,
-            meter,
             constants,
             textures,
             warp_size,
-            shared_limit_bytes,
-            shared_used_bytes: 0,
+            shared_limit_bytes: cfg.shared_mem_bytes,
             fusion_local: &[],
         }
     }
 
-    /// The context one stage of a fused launch runs its block in: the
-    /// stage's own geometry, `ids` as the fusion-local buffers, the same
-    /// memory spaces, meter and shared-memory budget. Called by
-    /// [`crate::FusedKernel`] before delegating to a stage.
-    pub(crate) fn for_fused_stage<'b>(
-        &'b self,
-        block_idx: Dim3,
-        grid_dim: Dim3,
-        block_dim: Dim3,
-        ids: &'b [usize],
-    ) -> BlockCtx<'b> {
-        BlockCtx { block_idx, grid_dim, block_dim, fusion_local: ids, ..*self }
+    /// The same launch as one of its constituents sees it: a batch part
+    /// its own flat grid, a fused stage its own geometry.
+    pub(crate) fn retiled(&self, grid_dim: Dim3, block_dim: Dim3) -> Self {
+        Self { grid_dim, block_dim, ..*self }
+    }
+
+    /// The same launch with `ids` as the fusion-local buffers.
+    pub(crate) fn fusing<'b>(&self, ids: &'b [usize]) -> LaunchCtx<'b>
+    where
+        'a: 'b,
+    {
+        LaunchCtx { fusion_local: ids, ..*self }
+    }
+
+    /// The context of the block with linear id `lin`, metering into `meter`.
+    pub fn block<'b>(&'b self, lin: u64, meter: &'b Meter) -> BlockCtx<'b> {
+        BlockCtx {
+            launch: *self,
+            block_idx: self.grid_dim.from_linear(lin),
+            meter,
+            shared_used_bytes: 0,
+        }
+    }
+
+    /// `blocks` cut into runs of blocks adjacent in `x`: the first block
+    /// of each run and its length. A run is a grid row, or the part of
+    /// one the range covers.
+    pub fn bands(&self, blocks: Range<u64>) -> impl Iterator<Item = (Dim3, u32)> {
+        let grid = self.grid_dim;
+        let mut lin = blocks.start;
+        std::iter::from_fn(move || {
+            (lin < blocks.end).then(|| {
+                let first = grid.from_linear(lin);
+                let len = ((grid.x - first.x) as u64).min(blocks.end - lin);
+                lin += len;
+                (first, len as u32)
+            })
+        })
+    }
+
+    /// `blocks` as at most three rectangles of blocks: the rest of the grid
+    /// row it starts in, the whole grid rows it covers (as one rectangle),
+    /// the start of the row it ends in. Each is its first block, its
+    /// width in blocks and its height in grid rows; block order is row by
+    /// row inside a rectangle, rectangle after rectangle.
+    pub fn rectangles(&self, blocks: Range<u64>) -> impl Iterator<Item = (Dim3, u32, u32)> {
+        let row = self.grid_dim.x;
+        let mut merged: Vec<(Dim3, u32, u32)> = Vec::with_capacity(3);
+        for (first, len) in self.bands(blocks) {
+            match merged.last_mut() {
+                // Whole rows stack while they stay in one `z` slice.
+                Some((top, width, rows))
+                    if len == row && *width == row && top.z == first.z && top.y + *rows == first.y =>
+                {
+                    *rows += 1;
+                }
+                _ => merged.push((first, len, 1)),
+            }
+        }
+        merged.into_iter()
     }
 
     /// SIMT width of the device.
@@ -204,9 +266,114 @@ impl<'a> BlockCtx<'a> {
         self.warp_size
     }
 
-    /// Number of warps this block occupies (rounded up).
+    /// Number of warps a block occupies (rounded up).
     pub fn warps_in_block(&self) -> u64 {
         div_ceil(self.block_dim.count() as u32, self.warp_size) as u64
+    }
+
+    /// Read access to a staged constant-memory region.
+    pub fn constant(&self, ptr: crate::memory::ConstPtr) -> &[u32] {
+        self.constants.slice(ptr)
+    }
+
+    /// A bound texture, for kernels that fetch a whole tile through it and
+    /// meter the fetches themselves ([`Meter::tex`]) in one call.
+    pub fn texture(&self, tex: TexId) -> &'a Texture2D {
+        &self.textures[tex.0]
+    }
+
+    /// Panics, like a CUDA launch failure would, unless the launch
+    /// requested at least `bytes` of shared memory per block: the check of
+    /// the `shared_alloc_*` family for bodies that stage nothing per block.
+    pub fn require_shared(&self, bytes: usize) {
+        assert!(
+            bytes as u64 <= self.shared_limit_bytes as u64,
+            "kernel allocated {} B of shared memory but the launch requested only {} B",
+            bytes,
+            self.shared_limit_bytes
+        );
+    }
+
+    /// Whether `buf` is an intermediate the current (fused) launch keeps
+    /// on-chip.
+    pub fn is_fusion_local<T: DeviceScalar>(&self, buf: DevBuf<T>) -> bool {
+        self.fusion_local.contains(&buf.raw_id())
+    }
+
+    /// Add a read of `bytes` bytes from `buf` to `counters`: fused traffic
+    /// when `buf` is fusion-local in this launch, global otherwise. What
+    /// [`BlockCtx::global_load_buf`] meters, for closed-form counters.
+    pub fn count_load<T: DeviceScalar>(
+        &self,
+        counters: &mut KernelCounters,
+        buf: DevBuf<T>,
+        bytes: u64,
+    ) {
+        if self.is_fusion_local(buf) {
+            counters.fused_bytes_read += bytes;
+        } else {
+            counters.global_bytes_read += bytes;
+        }
+    }
+
+    /// Add a write of `bytes` bytes to `buf` to `counters`; see
+    /// [`Self::count_load`].
+    pub fn count_store<T: DeviceScalar>(
+        &self,
+        counters: &mut KernelCounters,
+        buf: DevBuf<T>,
+        bytes: u64,
+    ) {
+        if self.is_fusion_local(buf) {
+            counters.fused_bytes_written += bytes;
+        } else {
+            counters.global_bytes_written += bytes;
+        }
+    }
+
+    /// Iterate a block's threads in warp order, invoking `f(lane_set)` for
+    /// each warp with the linear thread ids of its lanes. Convenience for
+    /// kernels whose metering is warp-structured.
+    pub fn for_each_warp(&self, mut f: impl FnMut(u32, std::ops::Range<u32>)) {
+        let threads = self.block_dim.count() as u32;
+        let mut warp = 0;
+        let mut start = 0;
+        while start < threads {
+            let end = (start + self.warp_size).min(threads);
+            f(warp, start..end);
+            warp += 1;
+            start = end;
+        }
+    }
+}
+
+/// Execution context for one thread block: the launch it belongs to
+/// (geometry and memory spaces, through `Deref`), its index and the work
+/// meter.
+pub struct BlockCtx<'a> {
+    launch: LaunchCtx<'a>,
+    /// Index of this block within the grid.
+    pub block_idx: Dim3,
+    /// Work meter for this block.
+    pub meter: &'a Meter,
+    shared_used_bytes: u32,
+}
+
+impl<'a> std::ops::Deref for BlockCtx<'a> {
+    type Target = LaunchCtx<'a>;
+    fn deref(&self) -> &LaunchCtx<'a> {
+        &self.launch
+    }
+}
+
+impl BlockCtx<'_> {
+    /// Run this block as the one-block range of `kernel`'s
+    /// [`Kernel::run_blocks`]: the `run_block` of a kernel whose one body
+    /// is the range form.
+    pub fn run_as_range<K: Kernel + ?Sized>(&mut self, kernel: &K) {
+        let lin = self.grid_dim.linear_index(self.block_idx);
+        let meter = self.meter;
+        kernel.run_blocks(&self.launch, lin..lin + 1, &mut |c| meter.add(c));
     }
 
     /// Allocate a block-local shared-memory array of `len` `u32` words.
@@ -244,12 +411,7 @@ impl<'a> BlockCtx<'a> {
         // Widened so an absurd request saturates into the assert instead
         // of wrapping past it.
         let used = (self.shared_used_bytes as u64).saturating_add(bytes as u64);
-        assert!(
-            used <= self.shared_limit_bytes as u64,
-            "kernel allocated {} B of shared memory but the launch requested only {} B",
-            used,
-            self.shared_limit_bytes
-        );
+        self.launch.require_shared(used.min(usize::MAX as u64) as usize);
         self.shared_used_bytes = used as u32;
     }
 
@@ -258,29 +420,18 @@ impl<'a> BlockCtx<'a> {
         self.shared_used_bytes
     }
 
-    /// Read access to a staged constant-memory region.
-    pub fn constant(&self, ptr: crate::memory::ConstPtr) -> &[u32] {
-        self.constants.slice(ptr)
-    }
-
-    /// A bound texture, for kernels that fetch a whole tile through it and
-    /// meter the fetches themselves ([`Meter::tex`]) in one call.
-    pub fn texture(&self, tex: TexId) -> &'a Texture2D {
-        &self.textures[tex.0]
-    }
-
     /// Bilinear texture fetch; meters one texture transaction.
     #[inline]
     pub fn tex2d(&self, tex: TexId, x: f32, y: f32) -> f32 {
         self.meter.tex(1);
-        self.textures[tex.0].fetch_bilinear(x, y)
+        self.texture(tex).fetch_bilinear(x, y)
     }
 
     /// Point-filtered texture fetch; meters one texture transaction.
     #[inline]
     pub fn tex2d_point(&self, tex: TexId, x: f32, y: f32) -> f32 {
         self.meter.tex(1);
-        self.textures[tex.0].fetch_point(x, y)
+        self.texture(tex).fetch_point(x, y)
     }
 
     /// Record a `__syncthreads()` executed by all warps of the block.
@@ -295,7 +446,7 @@ impl<'a> BlockCtx<'a> {
     /// credited when a chain keeps them on-chip.
     #[inline]
     pub fn global_load_buf<T: DeviceScalar>(&self, buf: DevBuf<T>, bytes: u64) {
-        if self.fusion_local.contains(&buf.raw_id()) {
+        if self.is_fusion_local(buf) {
             self.meter.fused_load(bytes);
         } else {
             self.meter.global_load(bytes);
@@ -306,25 +457,10 @@ impl<'a> BlockCtx<'a> {
     /// [`Self::global_load_buf`].
     #[inline]
     pub fn global_store_buf<T: DeviceScalar>(&self, buf: DevBuf<T>, bytes: u64) {
-        if self.fusion_local.contains(&buf.raw_id()) {
+        if self.is_fusion_local(buf) {
             self.meter.fused_store(bytes);
         } else {
             self.meter.global_store(bytes);
-        }
-    }
-
-    /// Iterate the block's threads in warp order, invoking `f(lane_set)` for
-    /// each warp with the linear thread ids of its lanes. Convenience for
-    /// kernels whose metering is warp-structured.
-    pub fn for_each_warp(&self, mut f: impl FnMut(u32, std::ops::Range<u32>)) {
-        let threads = self.block_dim.count() as u32;
-        let mut warp = 0;
-        let mut start = 0;
-        while start < threads {
-            let end = (start + self.warp_size).min(threads);
-            f(warp, start..end);
-            warp += 1;
-            start = end;
         }
     }
 }
@@ -332,6 +468,14 @@ impl<'a> BlockCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn launch_ctx<'a>(
+        cfg: LaunchConfig,
+        mem: &'a DeviceMemory,
+        bank: &'a ConstBank,
+    ) -> LaunchCtx<'a> {
+        LaunchCtx::new(&cfg, mem, bank, &[], 32)
+    }
 
     #[test]
     fn linear_launch_covers_domain() {
@@ -355,17 +499,9 @@ mod tests {
         let mem = DeviceMemory::new();
         let meter = Meter::new();
         let bank = ConstBank::new(1024);
-        let mut ctx = BlockCtx::new(
-            Dim3::d1(0),
-            Dim3::d1(1),
-            Dim3::d1(64),
-            &mem,
-            &meter,
-            &bank,
-            &[],
-            32,
-            16, // only 16 bytes allowed
-        );
+        // Only 16 bytes allowed.
+        let launch = launch_ctx(LaunchConfig::new(1u32, 64u32).with_shared_mem(16), &mem, &bank);
+        let mut ctx = launch.block(0, &meter);
         let _ok = ctx.shared_alloc_u32(4);
         assert_eq!(ctx.shared_used_bytes(), 16);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -379,8 +515,8 @@ mod tests {
         let mem = DeviceMemory::new();
         let meter = Meter::new();
         let bank = ConstBank::new(0);
-        let mut ctx =
-            BlockCtx::new(Dim3::d1(0), Dim3::d1(1), Dim3::d1(64), &mem, &meter, &bank, &[], 32, 16);
+        let launch = launch_ctx(LaunchConfig::new(1u32, 64u32).with_shared_mem(16), &mem, &bank);
+        let mut ctx = launch.block(0, &meter);
         // 2^30 words are 2^32 bytes: 0 once truncated to `u32`.
         for request in [1usize << 30, usize::MAX / 4, usize::MAX] {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -400,17 +536,9 @@ mod tests {
         let mem = DeviceMemory::new();
         let meter = Meter::new();
         let bank = ConstBank::new(0);
-        let ctx = BlockCtx::new(
-            Dim3::d1(0),
-            Dim3::d1(1),
-            Dim3::d2(24, 3), // 72 threads -> 3 warps: 32, 32, 8
-            &mem,
-            &meter,
-            &bank,
-            &[],
-            32,
-            0,
-        );
+        // 72 threads -> 3 warps: 32, 32, 8.
+        let launch = launch_ctx(LaunchConfig::new(1u32, (24u32, 3u32)), &mem, &bank);
+        let ctx = launch.block(0, &meter);
         let mut sizes = Vec::new();
         ctx.for_each_warp(|_, lanes| sizes.push(lanes.len()));
         assert_eq!(sizes, vec![32, 32, 8]);
@@ -422,17 +550,8 @@ mod tests {
         let mem = DeviceMemory::new();
         let meter = Meter::new();
         let bank = ConstBank::new(0);
-        let ctx = BlockCtx::new(
-            Dim3::d1(0),
-            Dim3::d1(1),
-            Dim3::d1(128),
-            &mem,
-            &meter,
-            &bank,
-            &[],
-            32,
-            0,
-        );
+        let launch = launch_ctx(LaunchConfig::new(1u32, 128u32), &mem, &bank);
+        let ctx = launch.block(0, &meter);
         ctx.syncthreads();
         assert_eq!(meter.snapshot().barriers, 4);
     }

@@ -113,7 +113,7 @@ pub use dim::Dim3;
 pub use fault::{FaultCursor, FaultPlan, FaultStats};
 pub use fuse::{FusedChain, FusedKernel, FusionError, FusionTraits, FUSION_ENV_VAR};
 pub use gpu::{Gpu, LaunchError, MAX_FUNCTIONAL_BLOCKS};
-pub use kernel::{BlockCtx, Kernel, LaunchConfig};
+pub use kernel::{BlockCtx, Kernel, LaunchConfig, LaunchCtx};
 pub use memory::{
     AccessSet, BilinearTap, ConstPtr, CopyFault, CopyFaultConfig, DevBuf, DevRead, DevWrite,
     DeviceMemory, MemoryError, Readback, TexId, Texture2D,

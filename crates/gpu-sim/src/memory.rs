@@ -750,35 +750,49 @@ impl Texture2D {
     /// integer + 0.5 coordinates, following the CUDA convention.
     #[inline]
     pub fn fetch_bilinear(&self, x: f32, y: f32) -> f32 {
-        let mut out = [0.0];
-        self.fetch_bilinear_row(&[self.tap_x(x)], y, &mut out);
-        out[0]
+        let (tx, ty) = (self.tap_x(x), self.tap_y(y));
+        let mut rows = [0.0; 2];
+        self.blend_row(ty.lo(), &[tx], &mut rows[..1]);
+        self.blend_row(ty.hi(), &[tx], &mut rows[1..]);
+        ty.blend(rows[0], rows[1])
     }
 
     /// The horizontal half of a bilinear fetch at sample coordinate `x`.
     /// A tile that samples the same columns on every row computes its
-    /// taps once and passes them to [`Self::fetch_bilinear_row`].
+    /// taps once and passes them to [`Self::blend_row`].
     #[inline]
     pub fn tap_x(&self, x: f32) -> BilinearTap {
         BilinearTap::at(x, self.width)
     }
 
-    /// Bilinear fetches along one sample row `y`: `out[i]` is
-    /// `fetch_bilinear(x_i, y)` for the `x_i` that `taps[i]` was built
-    /// from, bit for bit — the vertical tap is computed once for the row
-    /// and the two texel rows are sliced once.
+    /// The vertical half of a bilinear fetch at sample coordinate `y`.
     #[inline]
-    pub fn fetch_bilinear_row(&self, taps: &[BilinearTap], y: f32, out: &mut [f32]) {
-        let ty = BilinearTap::at(y, self.height);
-        let top = &self.data[ty.lo * self.width..][..self.width];
-        let bot = &self.data[ty.hi * self.width..][..self.width];
-        for (o, tx) in out.iter_mut().zip(taps) {
-            let (t00, t10) = (top[tx.lo], top[tx.hi]);
-            let (t01, t11) = (bot[tx.lo], bot[tx.hi]);
-            let t = t00 + (t10 - t00) * tx.frac;
-            let b = t01 + (t11 - t01) * tx.frac;
-            *o = t + (b - t) * ty.frac;
+    pub fn tap_y(&self, y: f32) -> BilinearTap {
+        BilinearTap::at(y, self.height)
+    }
+
+    /// The horizontal blends of texel row `row` at `taps`. The bilinear
+    /// fetch at `(x_i, y)` is `tap_y(y).blend(top[i], bot[i])` over the
+    /// blends of rows `tap_y(y).lo()` and `.hi()`, bit for bit; a body
+    /// that walks sample rows downwards reuses a texel row's blends for
+    /// every sample row that falls next to it.
+    #[inline]
+    pub fn blend_row(&self, row: usize, taps: &[BilinearTap], out: &mut [f32]) {
+        let texels = &self.data[row * self.width..][..self.width];
+        for (o, tap) in out.iter_mut().zip(taps) {
+            *o = tap.blend(texels[tap.lo()], texels[tap.hi()]);
         }
+    }
+
+    /// Replace the texels in place, keeping the storage; `data` must have
+    /// the texture's extent.
+    pub fn refill(&mut self, data: &[f32]) -> Result<(), MemoryError> {
+        if data.len() != self.data.len() {
+            let (width, height) = (self.width, self.height);
+            return Err(MemoryError::BadTexture { width, height, data_len: data.len() });
+        }
+        self.data.copy_from_slice(data);
+        Ok(())
     }
 }
 
@@ -786,8 +800,8 @@ impl Texture2D {
 /// falls between and the blend weight of the second.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BilinearTap {
-    lo: usize,
-    hi: usize,
+    lo: u32,
+    hi: u32,
     frac: f32,
 }
 
@@ -798,7 +812,25 @@ impl BilinearTap {
         let c0 = c.floor();
         let i = c0 as isize;
         let last = extent as isize - 1;
-        Self { lo: i.clamp(0, last) as usize, hi: (i + 1).clamp(0, last) as usize, frac: c - c0 }
+        Self { lo: i.clamp(0, last) as u32, hi: (i + 1).clamp(0, last) as u32, frac: c - c0 }
+    }
+
+    /// The texel index at or before the sample.
+    #[inline]
+    pub fn lo(&self) -> usize {
+        self.lo as usize
+    }
+
+    /// The texel index after the sample (`lo` again at the far border).
+    #[inline]
+    pub fn hi(&self) -> usize {
+        self.hi as usize
+    }
+
+    /// The value at the sample between the values at `lo` and `hi`.
+    #[inline]
+    pub fn blend(&self, lo: f32, hi: f32) -> f32 {
+        lo + (hi - lo) * self.frac
     }
 }
 
@@ -1054,9 +1086,12 @@ mod tests {
             let xs: Vec<f32> = (0..33).map(|_| coord(w)).collect();
             let taps: Vec<_> = xs.iter().map(|&x| tex.tap_x(x)).collect();
             let y = coord(h);
-            let mut row = vec![0.0f32; xs.len()];
-            tex.fetch_bilinear_row(&taps, y, &mut row);
-            for (&x, &got) in xs.iter().zip(&row) {
+            let ty = tex.tap_y(y);
+            let (mut top, mut bot) = (vec![0.0f32; xs.len()], vec![0.0f32; xs.len()]);
+            tex.blend_row(ty.lo(), &taps, &mut top);
+            tex.blend_row(ty.hi(), &taps, &mut bot);
+            for (i, &x) in xs.iter().enumerate() {
+                let got = ty.blend(top[i], bot[i]);
                 let want = tex.fetch_bilinear_reference(x, y);
                 assert_eq!(got.to_bits(), want.to_bits(), "{w}x{h} at ({x}, {y})");
                 assert_eq!(tex.fetch_bilinear(x, y).to_bits(), want.to_bits());

@@ -175,6 +175,20 @@ impl Meter {
         self.divergent_branches.set(self.divergent_branches.get() + divergent);
     }
 
+    /// Record everything `c` counts, as the calls that produced it would.
+    pub fn add(&self, c: &KernelCounters) {
+        self.alu(c.alu_ops);
+        self.shared(c.shared_transactions);
+        self.constant(c.const_broadcasts);
+        self.tex(c.tex_fetches);
+        self.global_load(c.global_bytes_read);
+        self.global_store(c.global_bytes_written);
+        self.fused_load(c.fused_bytes_read);
+        self.fused_store(c.fused_bytes_written);
+        self.barrier(c.barriers);
+        self.branches(c.branches, c.divergent_branches);
+    }
+
     /// Snapshot the counters.
     pub fn snapshot(&self) -> KernelCounters {
         KernelCounters {

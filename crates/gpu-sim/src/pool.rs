@@ -40,9 +40,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::cost::CostModel;
-use crate::kernel::{BlockCtx, Kernel, LaunchConfig};
+use crate::kernel::{Kernel, LaunchConfig, LaunchCtx};
 use crate::memory::{ConstBank, DeviceMemory, KernelScope, Texture2D};
-use crate::meter::{KernelCounters, Meter};
+use crate::meter::KernelCounters;
 use crate::profiler::HostSpan;
 use crate::sched::BlockCost;
 
@@ -103,35 +103,41 @@ pub(crate) struct LaunchEnv<'a> {
 
 impl LaunchEnv<'_> {
     /// Run blocks `range` (linear ids relative to the node's
-    /// `block_offset`) of `node`: their costs in block order and their
-    /// counters summed. Counters are `u64` sums, so summing per range and
-    /// then over ranges equals one fold over all blocks.
+    /// `block_offset`) of `node` as one [`Kernel::run_blocks`] call: their
+    /// costs in block order and their counters summed. Counters are `u64`
+    /// sums, so summing per range and then over ranges equals one fold
+    /// over all blocks.
     fn run_blocks(&self, node: &Node<'_>, range: std::ops::Range<u64>) -> FunctionalResult {
-        let cfg = node.cfg;
+        let ctx =
+            LaunchCtx::new(node.cfg, self.mem, self.constants, self.textures, self.warp_size);
         let mut block_costs = Vec::with_capacity((range.end - range.start) as usize);
         let mut totals = KernelCounters::default();
-        for lin in range {
-            let meter = Meter::new();
-            let mut ctx = BlockCtx::new(
-                cfg.grid.from_linear(node.block_offset + lin),
-                cfg.grid,
-                cfg.block,
-                self.mem,
-                &meter,
-                self.constants,
-                self.textures,
-                self.warp_size,
-                cfg.shared_mem_bytes,
-            );
-            node.kernel.run_block(&mut ctx);
-            let c = meter.snapshot();
-            block_costs.push(BlockCost {
-                issue_cycles: self.cost.issue_cycles(&c),
-                mem_latency_cycles: self.cost.mem_latency_cycles(&c),
-                mem_bytes: c.global_bytes(),
-            });
-            totals.add(&c);
-        }
+        // Band bodies hand back the same few counter sets block after
+        // block; the cost of a repeated set is the cost just computed.
+        let mut last: Option<(KernelCounters, BlockCost)> = None;
+        node.kernel.run_blocks(
+            &ctx,
+            node.block_offset + range.start..node.block_offset + range.end,
+            &mut |c| {
+                let cost = match last {
+                    Some((seen, cost)) if seen == *c => cost,
+                    _ => BlockCost {
+                        issue_cycles: self.cost.issue_cycles(c),
+                        mem_latency_cycles: self.cost.mem_latency_cycles(c),
+                        mem_bytes: c.global_bytes(),
+                    },
+                };
+                last = Some((*c, cost));
+                block_costs.push(cost);
+                totals.add(c);
+            },
+        );
+        assert_eq!(
+            block_costs.len() as u64,
+            range.end - range.start,
+            "{}: run_blocks must report every block of its range once",
+            node.name
+        );
         FunctionalResult { block_costs, totals }
     }
 }
@@ -215,7 +221,18 @@ impl<'a> DrainJob<'a> {
             .iter()
             .map(|nd| {
                 let total = nd.total_blocks as usize;
-                (total / (threads * 8)).clamp(1, MAX_CHUNK_BLOCKS)
+                let chunk = (total / (threads * 8)).clamp(1, MAX_CHUNK_BLOCKS);
+                // Whole grid rows where the grid has rows and one fits a
+                // chunk: kernels that process a row of blocks as one band
+                // then see no cut inside a row. (One-row grids, a fused
+                // launch's among them, stay cut by count; bands cope
+                // with any cut.)
+                let row = nd.cfg.grid.x as usize;
+                if row < total && row <= MAX_CHUNK_BLOCKS {
+                    chunk.next_multiple_of(row)
+                } else {
+                    chunk
+                }
             })
             .collect();
         let n_chunks: Vec<usize> =
@@ -565,6 +582,7 @@ fn drain_serial(
 mod tests {
     use super::*;
     use crate::dim::Dim3;
+    use crate::kernel::BlockCtx;
     use crate::memory::DevBuf;
 
     #[derive(Clone)]

@@ -263,16 +263,13 @@ struct SmState {
 /// "No edge" in the reverse-dependency lists.
 const NO_EDGE: usize = usize::MAX;
 
-/// One launch's footprint, dependency bookkeeping and progress. The
-/// footprint is copied out of the [`LaunchRecord`] so the event loop
-/// walks one dense array.
+/// One launch's size, dependency bookkeeping and progress, copied out of
+/// the [`LaunchRecord`] so the event loop walks one dense array.
 #[derive(Debug)]
 struct LaunchState {
     blocks: usize,
-    warps: u32,
-    threads: u32,
-    shared: u32,
-    registers: u32,
+    /// Index of its blocks' footprint in [`SchedScratch::demands`].
+    demand: usize,
     /// Dependencies (stream predecessor, serial predecessor, awaited
     /// events) that have not ended yet.
     unmet_deps: usize,
@@ -280,9 +277,6 @@ struct LaunchState {
     deps_end_us: f64,
     /// Head of this launch's list in [`SchedScratch::edges`].
     first_dependent: usize,
-    /// Whether the next placement attempt must look at every SM (see
-    /// the dirty-SM invariant on [`SchedScratch::dirty`]).
-    full_scan: bool,
     ready_us: Option<f64>,
     next_block: usize,
     completed_blocks: usize,
@@ -298,31 +292,30 @@ struct Edge {
     next: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Completion {
-    time_us: f64,
-    sm: usize,
-    launch: usize,
-    warps: u32,
-    threads: u32,
-    shared: u32,
-    registers: u32,
-}
+/// A block leaving its SM (what it gives back is its launch's footprint),
+/// ordered by time, then launch index, then SM — the three packed into one
+/// integer, most significant first. Completion times are sums of
+/// non-negative terms, and among such floats the order of the bit
+/// patterns is the numeric order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Completion(u128);
 
-impl Eq for Completion {}
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl Completion {
+    fn new(time_us: f64, launch: usize, sm: usize) -> Self {
+        debug_assert!(time_us >= 0.0, "completion at {time_us}");
+        Self((time_us.to_bits() as u128) << 64 | (launch as u32 as u128) << 32 | sm as u32 as u128)
     }
-}
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Total order: by time, then launch index, then SM (deterministic).
-        self.time_us
-            .partial_cmp(&other.time_us)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(self.launch.cmp(&other.launch))
-            .then(self.sm.cmp(&other.sm))
+
+    fn time_us(self) -> f64 {
+        f64::from_bits((self.0 >> 64) as u64)
+    }
+
+    fn launch(self) -> usize {
+        (self.0 >> 32) as u32 as usize
+    }
+
+    fn sm(self) -> usize {
+        self.0 as u32 as usize
     }
 }
 
@@ -346,6 +339,20 @@ impl Ord for Arrival {
     }
 }
 
+/// A launch in the issue walk, with what a round needs to decide whether
+/// to visit it.
+#[derive(Debug, Clone, Copy)]
+struct Issuable {
+    launch: u32,
+    /// [`LaunchState::demand`].
+    demand: u32,
+    /// Whether it has placed a block (and so counts as an active kernel).
+    started: bool,
+    /// Whether the next placement attempt must look at every SM (see
+    /// the dirty-SM invariant on [`SchedScratch::dirty`]).
+    full_scan: bool,
+}
+
 /// Working storage of [`simulate`], kept by [`crate::Gpu`] across
 /// synchronization scopes so short scopes (a served batch is a few dozen
 /// launches) do not re-allocate it every time. Holds no state between
@@ -365,12 +372,71 @@ pub(crate) struct SchedScratch {
     /// Launches with a ready time in the future.
     arriving: BinaryHeap<Reverse<Arrival>>,
     /// Launches that are ready and have blocks left to place, ascending.
-    issuable: Vec<usize>,
+    issuable: Vec<Issuable>,
     /// SMs on which a launch that found no SM at its previous attempt
     /// may fit now: the SM the last completion freed, and every SM that
     /// lost a reservation this round. Any other SM has only filled up
     /// or become reserved since that attempt.
     dirty: Vec<usize>,
+    /// The distinct block footprints of the launch set, and for each
+    /// whether some dirty SM not reserved for anyone has room for it. A
+    /// `false` is exact (SMs only fill up between refreshes), a `true` may
+    /// be stale: it costs a visit that finds nothing, never a missed one.
+    demands: Vec<Demand>,
+    admits: Vec<bool>,
+}
+
+/// What one block of a launch takes from its SM.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Demand {
+    warps: u32,
+    threads: u32,
+    shared: u32,
+    registers: u32,
+}
+
+impl Demand {
+    /// Whether a block of this footprint fits into `room`.
+    fn within(&self, room: &Demand) -> bool {
+        self.warps <= room.warps
+            && self.threads <= room.threads
+            && self.shared <= room.shared
+            && self.registers <= room.registers
+    }
+}
+
+impl SmState {
+    /// What the SM has left of every budget, or `None` when it holds as
+    /// many blocks as it can.
+    fn room(&self, spec: &DeviceSpec) -> Option<Demand> {
+        (self.blocks < spec.max_blocks_per_sm).then(|| Demand {
+            warps: spec.max_warps_per_sm - self.warps,
+            threads: spec.max_threads_per_sm - self.threads,
+            shared: spec.shared_mem_per_sm - self.shared,
+            registers: spec.registers_per_sm - self.registers,
+        })
+    }
+}
+
+/// Recomputes `admits` (see [`SchedScratch::admits`]) after `dirty`, the
+/// SMs' load or the reservation changed.
+fn refresh_admits(
+    spec: &DeviceSpec,
+    sms: &[SmState],
+    dirty: &[usize],
+    reservation: Option<(usize, usize)>,
+    demands: &[Demand],
+    admits: &mut [bool],
+) {
+    let reserved = reservation.map(|(_, s)| s);
+    admits.fill(false);
+    for &s in dirty.iter().filter(|&&s| Some(s) != reserved) {
+        if let Some(room) = sms[s].room(spec) {
+            for (admit, demand) in admits.iter_mut().zip(demands) {
+                *admit |= demand.within(&room);
+            }
+        }
+    }
 }
 
 /// Simulates the execution of `launches` on `spec` under `mode`.
@@ -411,23 +477,18 @@ fn end_launch(
 }
 
 /// The SM among `candidates` with the most free warps that fits a block
-/// of `l` (lowest index on ties), skipping `reserved_for_other`.
+/// of `demand` (lowest index on ties), skipping `reserved_for_other`.
 fn best_sm(
     spec: &DeviceSpec,
     sms: &[SmState],
     candidates: impl Iterator<Item = usize>,
-    l: &LaunchState,
+    demand: &Demand,
     reserved_for_other: Option<usize>,
 ) -> Option<usize> {
     candidates
         .filter(|&s| {
-            let sm = &sms[s];
             Some(s) != reserved_for_other
-                && sm.blocks < spec.max_blocks_per_sm
-                && sm.warps + l.warps <= spec.max_warps_per_sm
-                && sm.threads + l.threads <= spec.max_threads_per_sm
-                && sm.shared + l.shared <= spec.shared_mem_per_sm
-                && sm.registers + l.registers <= spec.registers_per_sm
+                && sms[s].room(spec).is_some_and(|room| demand.within(&room))
         })
         .max_by_key(|&s| (spec.max_warps_per_sm - sms[s].warps, Reverse(s)))
 }
@@ -452,8 +513,12 @@ impl SchedScratch {
             arriving,
             issuable,
             dirty,
+            demands,
+            admits,
         } = self;
         let n = launches.len();
+        // Launch and SM indices travel as `u32` (`Completion`, `Issuable`).
+        assert!(n <= u32::MAX as usize, "{n} launches in one scope");
         sms.clear();
         sms.resize(spec.sm_count as usize, SmState::default());
         running.clear();
@@ -461,6 +526,7 @@ impl SchedScratch {
         arriving.clear();
         issuable.clear();
         dirty.clear();
+        demands.clear();
 
         // Map every event to the launch that records it.
         event_source.clear();
@@ -479,16 +545,22 @@ impl SchedScratch {
         edges.clear();
         last_in_stream.clear();
         for (i, l) in launches.iter().enumerate() {
-            states.push(LaunchState {
-                blocks: l.block_costs.len(),
+            let demand = Demand {
                 warps: l.warps_per_block,
                 threads: l.threads_per_block,
                 shared: l.shared_mem_bytes,
                 registers: l.registers_per_thread.saturating_mul(l.threads_per_block),
+            };
+            let known = demands.iter().position(|d| *d == demand);
+            states.push(LaunchState {
+                blocks: l.block_costs.len(),
+                demand: known.unwrap_or_else(|| {
+                    demands.push(demand);
+                    demands.len() - 1
+                }),
                 unmet_deps: 0,
                 deps_end_us: 0.0,
                 first_dependent: NO_EDGE,
-                full_scan: true,
                 ready_us: None,
                 next_block: 0,
                 completed_blocks: 0,
@@ -517,6 +589,9 @@ impl SchedScratch {
                 unblocked.push(Reverse(i));
             }
         }
+
+        admits.clear();
+        admits.resize(demands.len(), false);
 
         let bw_per_sm = spec.dram_bytes_per_cycle() / spec.sm_count as f64;
         // Launch overhead charged to every launch, reported on the trace
@@ -569,28 +644,53 @@ impl SchedScratch {
                     break;
                 }
                 arriving.pop();
-                issuable.insert(issuable.partition_point(|&j| j < a.launch), a.launch);
+                issuable.insert(
+                    issuable.partition_point(|w| (w.launch as usize) < a.launch),
+                    Issuable {
+                        launch: a.launch as u32,
+                        demand: states[a.launch].demand as u32,
+                        started: false,
+                        full_scan: true,
+                    },
+                );
             }
 
             // Issue blocks from ready launches, in launch order, respecting
-            // the concurrent-kernel limit.
-            issuable.retain(|&i| {
-                let l = &mut states[i];
-                if l.next_block == 0 && active_kernels >= kernel_cap {
+            // the concurrent-kernel limit. Only a launch that can do
+            // something is visited: start (or be told to rescan), look at
+            // every SM, place on a dirty SM, or move the reservation.
+            refresh_admits(spec, sms, dirty, reservation, demands, admits);
+            let mut k = 0;
+            while k < issuable.len() {
+                let w = &mut issuable[k];
+                k += 1;
+                if !w.started && active_kernels >= kernel_cap {
                     // Cannot start a new kernel yet. It misses this
                     // round's dirty SMs, so it rescans when admitted.
-                    l.full_scan = true;
-                    return true;
+                    w.full_scan = true;
+                    continue;
                 }
+                let i = w.launch as usize;
+                if !w.full_scan
+                    && !admits[w.demand as usize]
+                    && reservation.is_some_and(|(holder, _)| holder < i)
+                {
+                    // Stalled since an earlier round, no dirty SM has room
+                    // and an older launch holds the reservation: the visit
+                    // would find nothing and change nothing.
+                    continue;
+                }
+                let l = &mut states[i];
+                let demand = demands[w.demand as usize];
                 while l.next_block < l.blocks {
                     // Find the SM with the most free warps that fits this
                     // block, skipping an SM reserved for a starving older
                     // launch.
                     let reserved_for_other = reservation.filter(|&(h, _)| h != i).map(|(_, s)| s);
-                    let found = if l.full_scan {
-                        best_sm(spec, sms, 0..sms.len(), l, reserved_for_other)
+                    let found = if w.full_scan {
+                        best_sm(spec, sms, 0..sms.len(), &demand, reserved_for_other)
                     } else {
-                        best_sm(spec, sms, dirty.iter().copied(), l, reserved_for_other)
+                        best_sm(spec, sms, dirty.iter().copied(), &demand, reserved_for_other)
                     };
                     let Some(s) = found else {
                         // Could not place the next block. The oldest stalled
@@ -601,7 +701,7 @@ impl SchedScratch {
                         // Every launch visited later this round is younger,
                         // so the reservation now stays put until the next
                         // completion: only dirty SMs can admit this launch.
-                        l.full_scan = false;
+                        w.full_scan = false;
                         match reservation {
                             Some((holder, _)) if holder <= i => {}
                             _ => {
@@ -616,9 +716,10 @@ impl SchedScratch {
                                         // launch, which was locked out of it
                                         // and only looks again next round.
                                         dirty.push(lost);
-                                        l.full_scan = true;
+                                        w.full_scan = true;
                                     }
                                     reservation = Some((i, s));
+                                    refresh_admits(spec, sms, dirty, reservation, demands, admits);
                                 }
                             }
                         }
@@ -633,10 +734,10 @@ impl SchedScratch {
                     let bc = launches[i].block_costs[l.next_block];
                     let sm = &mut sms[s];
                     sm.blocks += 1;
-                    sm.warps += l.warps;
-                    sm.threads += l.threads;
-                    sm.shared += l.shared;
-                    sm.registers += l.registers;
+                    sm.warps += demand.warps;
+                    sm.threads += demand.threads;
+                    sm.shared += demand.shared;
+                    sm.registers += demand.registers;
                     // The SM's DRAM share is split among its resident blocks
                     // (sm.blocks already includes this one), so co-resident
                     // streaming blocks cannot jointly exceed card bandwidth.
@@ -650,28 +751,25 @@ impl SchedScratch {
                         bc.mem_latency_cycles,
                         bw_cycles,
                         sm.warps,
-                        l.warps,
+                        demand.warps,
                     );
                     let dur_us = spec.cycles_to_us(cycles);
                     sm.busy_us += dur_us;
-                    sm.warp_us += dur_us * l.warps as f64;
-                    running.push(Reverse(Completion {
-                        time_us: now + dur_us,
-                        sm: s,
-                        launch: i,
-                        warps: l.warps,
-                        threads: l.threads,
-                        shared: l.shared,
-                        registers: l.registers,
-                    }));
-                    if l.next_block == 0 {
+                    sm.warp_us += dur_us * demand.warps as f64;
+                    running.push(Reverse(Completion::new(now + dur_us, i, s)));
+                    if !w.started {
+                        w.started = true;
                         l.start_us = Some(now);
                         active_kernels += 1;
                     }
                     l.next_block += 1;
+                    refresh_admits(spec, sms, dirty, reservation, demands, admits);
                 }
-                l.next_block < l.blocks
-            });
+                if l.next_block == l.blocks {
+                    k -= 1;
+                    issuable.remove(k);
+                }
+            }
 
             if completed == n {
                 break;
@@ -682,18 +780,20 @@ impl SchedScratch {
             dirty.clear();
             match running.pop() {
                 Some(Reverse(c)) => {
-                    now = c.time_us.max(now);
-                    let sm = &mut sms[c.sm];
+                    now = c.time_us().max(now);
+                    let (launch, s) = (c.launch(), c.sm());
+                    let l = &mut states[launch];
+                    let demand = &demands[l.demand];
+                    let sm = &mut sms[s];
                     sm.blocks -= 1;
-                    sm.warps -= c.warps;
-                    sm.threads -= c.threads;
-                    sm.shared -= c.shared;
-                    sm.registers -= c.registers;
-                    dirty.push(c.sm);
-                    let l = &mut states[c.launch];
+                    sm.warps -= demand.warps;
+                    sm.threads -= demand.threads;
+                    sm.shared -= demand.shared;
+                    sm.registers -= demand.registers;
+                    dirty.push(s);
                     l.completed_blocks += 1;
                     if l.completed_blocks == l.blocks {
-                        end_launch(states, edges, unblocked, c.launch, now);
+                        end_launch(states, edges, unblocked, launch, now);
                         active_kernels -= 1;
                         completed += 1;
                     }

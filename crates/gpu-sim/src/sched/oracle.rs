@@ -1,8 +1,39 @@
-//! Differential oracle for [`simulate`]: the pre-rewrite event loop, a
-//! seeded generator of launch sets, and the hand-built cases in which a
-//! launch that rescans only the dirty SMs would miss one that admits it.
+//! Differential oracle for [`simulate`]: the pre-rewrite event loop, two
+//! seeded generators of launch sets (a broad one, and one that keeps many
+//! launches stalled at once, which is where the issue walk skips visits),
+//! and the hand-built cases in which a launch that rescans only the dirty
+//! SMs would miss one that admits it.
 
 use super::*;
+
+/// A block leaving its SM, carrying what it gives back.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Completion {
+    time_us: f64,
+    sm: usize,
+    launch: usize,
+    warps: u32,
+    threads: u32,
+    shared: u32,
+    registers: u32,
+}
+
+impl Eq for Completion {}
+impl PartialOrd for Completion {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Completion {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Total order: by time, then launch index, then SM (deterministic).
+        self.time_us
+            .partial_cmp(&other.time_us)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(self.launch.cmp(&other.launch))
+            .then(self.sm.cmp(&other.sm))
+    }
+}
 
 #[derive(Debug)]
 struct LaunchState {
@@ -463,6 +494,59 @@ fn generate(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
     (spec, launches)
 }
 
+/// A scenario with many launches stalled at once: 16 to 40 streams with
+/// one or two launches each, all issuable from the start (no overhead, a
+/// kernel cap above the stream count), a few dozen to a few hundred blocks
+/// per launch, and five block footprints that compete for different
+/// budgets on a device of 2 to 14 SMs — narrow blocks backfill around
+/// wide ones, so the reservation is claimed, taken over by older launches
+/// and handed back inside rounds all the time.
+fn generate_stalled(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
+    let mut rng = Rng(seed);
+    let mut spec = DeviceSpec::gtx470();
+    spec.sm_count = rng.pick(&[2, 3, 5, 14]);
+    spec.launch_overhead_us = rng.pick(&[0.0, 0.0, 0.5]);
+    spec.max_concurrent_kernels = rng.pick(&[64, 64, 20]);
+    let streams = 16 + rng.below(25) as u32;
+    // (warps, shared memory, registers per thread)
+    const FOOTPRINTS: [(u32, u32, u32); 5] =
+        [(8, 0, 16), (8, 1296, 16), (18, 9216, 22), (48, 0, 0), (4, 20 * 1024, 63)];
+    let mut launches = Vec::new();
+    for round in 0..1 + rng.below(2) {
+        for stream in 0..streams {
+            if round > 0 && rng.chance(50) {
+                continue;
+            }
+            let (warps, shared, regs) = rng.pick(&FOOTPRINTS);
+            let uniform = rng.chance(60);
+            let cost = |rng: &mut Rng| BlockCost {
+                issue_cycles: (300 + rng.below(4000)) as f64,
+                mem_latency_cycles: if rng.chance(50) { (400 * rng.below(20)) as f64 } else { 0.0 },
+                mem_bytes: if rng.chance(50) { 128 * rng.below(64) } else { 0 },
+            };
+            let first = cost(&mut rng);
+            let most = if rng.chance(20) { 600 } else { 120 };
+            let blocks = 20 + rng.below(most);
+            launches.push(LaunchRecord {
+                launch_idx: launches.len(),
+                kernel_name: "k",
+                stream: StreamId(stream),
+                shared_mem_bytes: shared,
+                threads_per_block: warps * 32,
+                warps_per_block: warps,
+                registers_per_thread: regs,
+                block_costs: (0..blocks)
+                    .map(|_| if uniform { first } else { cost(&mut rng) })
+                    .collect(),
+                counters: KernelCounters::default(),
+                wait_events: vec![],
+                record_events: vec![],
+            });
+        }
+    }
+    (spec, launches)
+}
+
 /// Field-by-field equality; floats by bit pattern.
 fn assert_identical(got: &Timeline, want: &Timeline, what: &str) {
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -490,13 +574,20 @@ fn outcome(run: impl FnOnce() -> Timeline) -> Result<Timeline, String> {
         .map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default())
 }
 
-fn differential(mode: ExecMode) {
+/// Both loops over `seeds` scenarios of `generate`: equal timelines, or the
+/// same stall; at least `min_compared` must run to completion.
+fn differential(
+    mode: ExecMode,
+    generate: fn(u64) -> (DeviceSpec, Vec<LaunchRecord>),
+    seeds: u64,
+    min_compared: usize,
+) {
     let cost = CostModel::default();
     // One scratch for the whole sweep, as `Gpu` keeps one across scopes:
     // nothing of one scenario may leak into the next, a stalled one included.
     let mut scratch = SchedScratch::default();
     let mut compared = 0;
-    for seed in 0..640u64 {
+    for seed in 0..seeds {
         let (spec, launches) = generate(seed ^ 0x5eed_0000);
         let want = outcome(|| simulate_reference(&spec, &cost, mode, &launches));
         let got = outcome(|| scratch.simulate(&spec, &cost, mode, &launches));
@@ -521,17 +612,30 @@ fn differential(mode: ExecMode) {
             ),
         }
     }
-    assert!(compared >= 500, "only {compared} launch sets ran to completion");
+    assert!(compared >= min_compared, "only {compared} launch sets ran to completion");
 }
 
 #[test]
 fn event_driven_loop_matches_reference_concurrent() {
-    differential(ExecMode::Concurrent);
+    differential(ExecMode::Concurrent, generate, 640, 500);
 }
 
 #[test]
 fn event_driven_loop_matches_reference_serial() {
-    differential(ExecMode::Serial);
+    differential(ExecMode::Serial, generate, 640, 500);
+}
+
+#[test]
+fn many_stalled_launches_match_reference() {
+    // The generator does what it says: streams, footprints, launches
+    // waiting side by side.
+    let (_, launches) = generate_stalled(0x5eed_0000);
+    let streams: std::collections::HashSet<_> = launches.iter().map(|l| l.stream).collect();
+    let footprints: std::collections::HashSet<_> =
+        launches.iter().map(|l| (l.warps_per_block, l.shared_mem_bytes)).collect();
+    assert!(streams.len() >= 16 && footprints.len() >= 3, "{streams:?} {footprints:?}");
+    differential(ExecMode::Concurrent, generate_stalled, 200, 200);
+    differential(ExecMode::Serial, generate_stalled, 40, 40);
 }
 
 /// Two SMs, no launch overhead, every launch in its own stream.

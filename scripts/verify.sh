@@ -4,18 +4,31 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo build --release =="
+# Every gate reports its wall time when the next one starts, the last one
+# and the whole run at the end (bash counts SECONDS from the script's start).
+gate=""
+gate_start=0
+gate() {
+  if [ -n "$gate" ]; then
+    echo "-- $((SECONDS - gate_start)) s: $gate"
+  fi
+  gate="$1"
+  gate_start=$SECONDS
+  [ -z "$gate" ] || echo "== $gate =="
+}
+
+gate "cargo build --release"
 cargo build --release --offline
 
-echo "== repo benchmark crate builds (its own workspace; fails here if a public name it uses is gone) =="
+gate "repo benchmark crate builds (its own workspace; fails here if a public name it uses is gone)"
 # Same target dir benchmark/run.sh uses, so the benchmark gate below
 # finds this build warm.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== cargo test -q =="
+gate "cargo test -q"
 cargo test -q --offline --workspace
 
-echo "== simulator test matrix across host thread counts =="
+gate "simulator test matrix across host thread counts"
 # The functional phase must be bit-identical whether the drain runs the
 # launches in issue order on the host thread (1, the reference schedule)
 # or the worker pool claims chunks in parallel (4).
@@ -24,7 +37,7 @@ for t in 1 4; do
   FD_SIM_THREADS=$t cargo test -q --offline -p fd-gpu -p fd-detector
 done
 
-echo "== kernel fusion (asserts >= 1.2x end-to-end speedup, >= 1.15x batched, bit-identical detections) =="
+gate "kernel fusion (asserts >= 1.2x end-to-end speedup, >= 1.15x batched, bit-identical detections)"
 # The bench's identity check compares 4 host threads against 1 via
 # DetectorConfig (the FD_SIM_THREADS matrix above additionally runs the
 # fusion_identity proptests under both env settings). Scratch results
@@ -32,7 +45,7 @@ echo "== kernel fusion (asserts >= 1.2x end-to-end speedup, >= 1.15x batched, bi
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin fusion -- --assert-min-speedup-pct 120 --assert-min-batched-pct 115
 
-echo "== occupancy autotune (asserts >= 1.1x autotuned batched speedup, byte-identical detections, live limiting-factor counters) =="
+gate "occupancy autotune (asserts >= 1.1x autotuned batched speedup, byte-identical detections, live limiting-factor counters)"
 # Scratch results dir: the committed results/BENCH_occupancy.json stays
 # the reference run. The bench itself asserts the detection byte-identity
 # across {autotune} x {fusion} x host threads {1, 4} and fails on
@@ -40,46 +53,46 @@ echo "== occupancy autotune (asserts >= 1.1x autotuned batched speedup, byte-ide
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin occupancy -- --assert-min-batched-pct 110
 
-echo "== fault matrix (every fault kind x pipeline stage) =="
+gate "fault matrix (every fault kind x pipeline stage)"
 cargo test -q --offline -p fd-detector --test fault_matrix
 
-echo "== supervisor soak (breakers must recover; asserts zero stuck in Quarantined) =="
+gate "supervisor soak (breakers must recover; asserts zero stuck in Quarantined)"
 # Scratch results dir: the soak step validates invariants, it must not
 # clobber the committed full-length results/BENCH_supervisor_soak.json.
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin supervisor_soak -- --sessions 3 --frames 120
 
-echo "== serve load (asserts batched p99 <= unbatched p99 and >= 1.5x throughput at saturation) =="
+gate "serve load (asserts batched p99 <= unbatched p99 and >= 1.5x throughput at saturation)"
 # Scratch results dir, same reasoning as the soak step: the committed
 # results/BENCH_serve_load.json stays the full-length run.
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin serve_load -- --requests 150
 
-echo "== serve faults (asserts zero-fault byte-identity, goodput >= 0.9 and p99 <= 1.5x fault-free under chaos) =="
+gate "serve faults (asserts zero-fault byte-identity, goodput >= 0.9 and p99 <= 1.5x fault-free under chaos)"
 # Scratch results dir: the committed results/BENCH_serve_faults.json
 # stays the full-length run.
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin serve_faults -- --requests 150
 
-echo "== serve fleet (asserts >= 3x throughput at 4 devices, kill-one goodput >= 0.70 with p99 <= 1.5x baseline, fleet-of-1 byte-identity) =="
+gate "serve fleet (asserts >= 3x throughput at 4 devices, kill-one goodput >= 0.70 with p99 <= 1.5x baseline, fleet-of-1 byte-identity)"
 # Scratch results dir: the committed results/BENCH_serve_fleet.json
 # stays the full-length run.
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin serve_fleet -- --requests 200
 
-echo "== serve mixed (asserts haar-tier throughput >= 0.9x haar-only under CNN co-tenancy, cnn-tier p99 <= 10ms budget, fleet-of-1 byte-identity to the pre-trait server) =="
+gate "serve mixed (asserts haar-tier throughput >= 0.9x haar-only under CNN co-tenancy, cnn-tier p99 <= 10ms budget, fleet-of-1 byte-identity to the pre-trait server)"
 # Scratch results dir: the committed results/BENCH_serve_mixed.json
 # stays the full-length run.
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin serve_mixed -- --requests 120
 
-echo "== cnn eval (asserts cnn pre-final rejection >= 0.90, cnn TPR >= 0.90, and a real accuracy/latency front vs haar) =="
+gate "cnn eval (asserts cnn pre-final rejection >= 0.90, cnn TPR >= 0.90, and a real accuracy/latency front vs haar)"
 # Scratch results dir: the committed results/BENCH_cnn_eval.json stays
 # the full-length run.
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin cnn_eval -- --faces 24 --backgrounds 96
 
-echo "== repo benchmark (virtual clock, shares, counts and det_digest equal to benchmark/baseline/seed1.jsonl; host clock printed, not gated) =="
+gate "repo benchmark (virtual clock, shares, counts and det_digest equal to benchmark/baseline/seed1.jsonl; host clock printed, not gated)"
 # The virtual clock is deterministic per seed, so any DIFFERS row is a
 # behaviour change and fails the gate. The host rows (setup_s, host_ms_p50,
 # host_peak_rss_mb) are printed for the reader only: one run on a shared
@@ -95,7 +108,8 @@ if grep '^FAIL:' "$bench_cmp" | grep -v 'WORSE >'; then
   exit 1
 fi
 
-echo "== cargo clippy --all-targets -- -D warnings =="
+gate "cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 
-echo "verify: OK"
+gate ""
+echo "verify: OK in $SECONDS s"
