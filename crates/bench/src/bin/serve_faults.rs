@@ -19,14 +19,13 @@
 //! Writes `results/BENCH_serve_faults.json`.
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
-use fd_bench::loadgen::{pattern_frame, submit_open_loop};
+use fd_bench::loadgen::{completion_fingerprint, pattern_frame, submit_open_loop};
 use fd_bench::out::{arg_usize, render_table, write_text};
 use fd_detector::{DetectorConfig, FaceDetector, RecoveryPolicy};
 use fd_gpu::FaultPlan;
 use fd_haar::Cascade;
 use fd_serve::{
-    BatchPolicy, DetectionServer, HealthPolicy, Priority, RequestOutcome, RetryPolicy,
-    ServeConfig, ServeStats,
+    BatchPolicy, DetectionServer, HealthPolicy, Priority, RetryPolicy, ServeConfig, ServeStats,
 };
 
 const SEED: u64 = 42;
@@ -84,41 +83,6 @@ fn launches_per_request(cascade: &Cascade) -> u64 {
     d.fault_stats().launch_attempts
 }
 
-/// FNV-1a over every observable bit of every completion, in completion
-/// order: ids, outcome kinds, latency bits, raw windows and groups.
-fn fingerprint(server: &DetectionServer) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut eat = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for c in server.completed() {
-        eat(c.id.0);
-        match &c.outcome {
-            RequestOutcome::Served { completed_us, result, .. }
-            | RequestOutcome::Degraded { completed_us, result, .. } => {
-                eat(completed_us.to_bits());
-                eat(result.raw.len() as u64);
-                eat(result.detections.len() as u64);
-                for d in &result.detections {
-                    eat(d.rect.x as u64);
-                    eat(d.rect.y as u64);
-                    eat(d.rect.w as u64);
-                    eat(d.neighbors as u64);
-                }
-            }
-            RequestOutcome::ShedLate { shed_us } => eat(1000 ^ shed_us.to_bits()),
-            RequestOutcome::RejectedQueueFull => eat(1001),
-            RequestOutcome::RejectedBrownOut => eat(1002),
-            RequestOutcome::RejectedFailFast => eat(1003),
-            RequestOutcome::Failed { attempts, .. } => eat(1004 ^ u64::from(*attempts)),
-            RequestOutcome::Expired { expired_us, .. } => eat(1005 ^ expired_us.to_bits()),
-            RequestOutcome::Evicted { evicted_us } => eat(1006 ^ evicted_us.to_bits()),
-        }
-    }
-    h
-}
-
 fn run_cell(
     label: &str,
     cascade: &Cascade,
@@ -129,7 +93,7 @@ fn run_cell(
     let mut s = server(cascade, plan, tolerant);
     submit_open_loop(&mut s, SEED, requests, RATE_RPS, 64, 48, Priority::Standard, SLO_US);
     s.run();
-    let fingerprint = fingerprint(&s);
+    let fingerprint = completion_fingerprint(s.completed());
     Cell { label: label.to_string(), stats: s.stats().clone(), fingerprint }
 }
 

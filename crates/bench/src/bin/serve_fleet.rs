@@ -19,15 +19,12 @@
 //! Writes `results/BENCH_serve_fleet.json`.
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
-use fd_bench::loadgen::{submit_open_loop, submit_open_loop_fleet};
+use fd_bench::loadgen::{completion_fingerprint, submit_open_loop, submit_open_loop_fleet};
 use fd_bench::out::{arg_usize, render_table, write_text};
 use fd_detector::DetectorConfig;
 use fd_gpu::FaultPlan;
 use fd_haar::Cascade;
-use fd_serve::{
-    CompletedRequest, DetectionServer, FleetConfig, FleetServer, Priority, RequestOutcome,
-    ServeConfig, ServeStats,
-};
+use fd_serve::{DetectionServer, FleetConfig, FleetServer, Priority, ServeConfig, ServeStats};
 
 const SEED: u64 = 42;
 const FAULT_SEED: u64 = 7;
@@ -98,41 +95,6 @@ fn cell(label: &str, f: &FleetServer) -> Cell {
     }
 }
 
-/// FNV-1a over every observable bit of every completion, in completion
-/// order (same scheme as the serve_faults bench).
-fn fingerprint(completed: &[CompletedRequest]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut eat = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for c in completed {
-        eat(c.id.0);
-        match &c.outcome {
-            RequestOutcome::Served { completed_us, result, .. }
-            | RequestOutcome::Degraded { completed_us, result, .. } => {
-                eat(completed_us.to_bits());
-                eat(result.raw.len() as u64);
-                eat(result.detections.len() as u64);
-                for d in &result.detections {
-                    eat(d.rect.x as u64);
-                    eat(d.rect.y as u64);
-                    eat(d.rect.w as u64);
-                    eat(d.neighbors as u64);
-                }
-            }
-            RequestOutcome::ShedLate { shed_us } => eat(1000 ^ shed_us.to_bits()),
-            RequestOutcome::RejectedQueueFull => eat(1001),
-            RequestOutcome::RejectedBrownOut => eat(1002),
-            RequestOutcome::RejectedFailFast => eat(1003),
-            RequestOutcome::Failed { attempts, .. } => eat(1004 ^ u64::from(*attempts)),
-            RequestOutcome::Expired { expired_us, .. } => eat(1005 ^ expired_us.to_bits()),
-            RequestOutcome::Evicted { evicted_us } => eat(1006 ^ evicted_us.to_bits()),
-        }
-    }
-    h
-}
-
 fn main() {
     let requests = arg_usize("--requests", 400);
     let pair = trained_cascade_pair(&TrainingBudget::tiny());
@@ -186,7 +148,8 @@ fn main() {
         &mut one, SEED, requests, CHAOS_RATE_RPS, 64, 48, Priority::Standard, SLO_US,
     );
     one.run();
-    let zero_fault_identical = fingerprint(single.completed()) == fingerprint(one.completed());
+    let zero_fault_identical =
+        completion_fingerprint(single.completed()) == completion_fingerprint(one.completed());
     cells.push(cell("fleet_of_1", &one));
 
     let rows: Vec<Vec<String>> = cells

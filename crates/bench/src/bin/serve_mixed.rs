@@ -24,8 +24,8 @@
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
 use fd_bench::loadgen::{
-    backend_sequence, exponential_arrivals_us, pattern_frame, submit_open_loop,
-    submit_open_loop_fleet, submit_open_loop_fleet_mixed, Lcg,
+    backend_sequence, completion_fingerprint, exponential_arrivals_us, pattern_frame,
+    submit_open_loop, submit_open_loop_fleet, submit_open_loop_fleet_mixed, Lcg,
 };
 use fd_bench::out::{arg_usize, render_table, write_text};
 use fd_cnn::{CnnDetector, CnnModel};
@@ -95,42 +95,6 @@ fn tier_throughput(completed: &[CompletedRequest], backend: Backend) -> f64 {
         return 0.0;
     }
     served as f64 / (span_us / 1e6)
-}
-
-/// FNV-1a over every observable bit of every completion, in completion
-/// order (the serve_fleet bench's scheme).
-fn fingerprint(completed: &[CompletedRequest]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut eat = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for c in completed {
-        eat(c.id.0);
-        eat(c.backend.index() as u64);
-        match &c.outcome {
-            RequestOutcome::Served { completed_us, result, .. }
-            | RequestOutcome::Degraded { completed_us, result, .. } => {
-                eat(completed_us.to_bits());
-                eat(result.raw.len() as u64);
-                eat(result.detections.len() as u64);
-                for d in &result.detections {
-                    eat(d.rect.x as u64);
-                    eat(d.rect.y as u64);
-                    eat(d.rect.w as u64);
-                    eat(d.neighbors as u64);
-                }
-            }
-            RequestOutcome::ShedLate { shed_us } => eat(1000 ^ shed_us.to_bits()),
-            RequestOutcome::RejectedQueueFull => eat(1001),
-            RequestOutcome::RejectedBrownOut => eat(1002),
-            RequestOutcome::RejectedFailFast => eat(1003),
-            RequestOutcome::Failed { attempts, .. } => eat(1004 ^ u64::from(*attempts)),
-            RequestOutcome::Expired { expired_us, .. } => eat(1005 ^ expired_us.to_bits()),
-            RequestOutcome::Evicted { evicted_us } => eat(1006 ^ evicted_us.to_bits()),
-        }
-    }
-    h
 }
 
 fn stats_row(label: &str, stats: &ServeStats) -> Vec<String> {
@@ -217,7 +181,8 @@ fn main() {
         .expect("fleet of one");
     submit_open_loop_fleet(&mut one, SEED, requests, RATE_RPS, 64, 48, Priority::Standard, SLO_US);
     one.run();
-    let identical = fingerprint(single.completed()) == fingerprint(one.completed());
+    let identical =
+        completion_fingerprint(single.completed()) == completion_fingerprint(one.completed());
 
     let rows = vec![
         stats_row("haar_only", &baseline_stats),

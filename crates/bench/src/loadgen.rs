@@ -16,7 +16,7 @@
 
 use fd_detector::{Backend, Detector};
 use fd_imgproc::GrayImage;
-use fd_serve::{DetectionServer, FleetServer, Priority, RequestOutcome};
+use fd_serve::{CompletedRequest, DetectionServer, FleetServer, Priority, RequestOutcome};
 
 /// Minimal 64-bit LCG (Knuth's MMIX multiplier), good enough for
 /// inter-arrival sampling and frame variation without pulling a full
@@ -288,6 +288,43 @@ pub fn run_closed_loop_fleet_mixed<D: Detector>(
         }
     }
     served
+}
+
+/// FNV-1a over every observable bit of every completion, in completion
+/// order: ids, backend classes, outcome kinds, latency bits, raw windows
+/// and groups. The identity the serving benches assert between runs.
+pub fn completion_fingerprint(completed: &[CompletedRequest]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    let mut eat = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x100000001b3);
+    };
+    for c in completed {
+        eat(c.id.0);
+        eat(c.backend.index() as u64);
+        match &c.outcome {
+            RequestOutcome::Served { completed_us, result, .. }
+            | RequestOutcome::Degraded { completed_us, result, .. } => {
+                eat(completed_us.to_bits());
+                eat(result.raw.len() as u64);
+                eat(result.detections.len() as u64);
+                for d in &result.detections {
+                    eat(d.rect.x as u64);
+                    eat(d.rect.y as u64);
+                    eat(d.rect.w as u64);
+                    eat(d.neighbors as u64);
+                }
+            }
+            RequestOutcome::ShedLate { shed_us } => eat(1000 ^ shed_us.to_bits()),
+            RequestOutcome::RejectedQueueFull => eat(1001),
+            RequestOutcome::RejectedBrownOut => eat(1002),
+            RequestOutcome::RejectedFailFast => eat(1003),
+            RequestOutcome::Failed { attempts, .. } => eat(1004 ^ u64::from(*attempts)),
+            RequestOutcome::Expired { expired_us, .. } => eat(1005 ^ expired_us.to_bits()),
+            RequestOutcome::Evicted { evicted_us } => eat(1006 ^ evicted_us.to_bits()),
+        }
+    }
+    h
 }
 
 #[cfg(test)]

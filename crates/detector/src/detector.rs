@@ -213,14 +213,6 @@ impl FaceDetector {
         self.pipeline.gpu.seek_fault_cursor(cursor);
     }
 
-    /// Quarantine hygiene: cancel pending device work and drain latched
-    /// copy faults so a recovering session restarts clean. Returns the
-    /// number of discarded queued launches. Deliberately leaves the fault
-    /// cursor untouched — the draw sequence keeps its position.
-    pub fn cool_down(&mut self) -> usize {
-        self.pipeline.gpu.cool_down()
-    }
-
     /// Device bytes this detector currently holds (buffer pool + staged
     /// constant memory).
     pub fn device_bytes(&self) -> usize {

@@ -40,7 +40,6 @@ pub mod kernels;
 pub mod multi_gpu;
 pub mod pipeline;
 pub mod stream_detector;
-pub mod supervisor;
 
 pub use backend::{Backend, Detector};
 pub use detector::{DetectorConfig, FaceDetector, FrameResult, RejectionHistogram};
@@ -49,10 +48,6 @@ pub use group::{group_detections, s_eyes, Detection, GroupedDetection};
 pub use multi_gpu::{detect_multi_gpu, MultiGpuFrame};
 pub use pipeline::{FramePipeline, ScaleOutput, ScaleView};
 pub use stream_detector::{
-    DegradeReason, FrameOutcome, FrameReport, RecoveryPolicy, RecoverySnapshot, SkipReason,
-    StreamStats, VideoDetector,
-};
-pub use supervisor::{
-    CheckpointError, CheckpointHealth, HealthState, SessionCheckpoint, SessionId,
-    StreamSupervisor, SupervisorConfig, SupervisorError, SupervisorStats,
+    CheckpointError, DegradeReason, FrameOutcome, FrameReport, RecoveryPolicy, RecoverySnapshot,
+    SkipReason, StreamCheckpoint, StreamStats, VideoDetector,
 };

@@ -28,9 +28,20 @@
 //!   predictably) and restores them when headroom returns. Disabled by
 //!   default (`max_shed_levels == 0`), so a fault-free run is
 //!   bit-identical to the pre-recovery detector.
+//!
+//! # Checkpoint and resume
+//!
+//! [`VideoDetector::checkpoint`] captures everything mutable about a
+//! stream as a [`StreamCheckpoint`] — a line-oriented text format with
+//! bit-exact `f64` encoding — and [`VideoDetector::resume`] rebuilds the
+//! detector from it. Killing a stream at an arbitrary frame and resuming
+//! yields [`StreamStats`] bit-identical to the uninterrupted run. Many
+//! streams sharing devices are `fd-serve`'s `FleetServer`'s job.
 
 use std::collections::VecDeque;
+use std::fmt;
 
+use fd_gpu::FaultCursor;
 use fd_haar::Cascade;
 use fd_imgproc::GrayImage;
 use fd_video::{DecodeFault, DecodedFrame};
@@ -230,10 +241,6 @@ impl VideoDetector {
     pub fn with_policy(mut self, policy: RecoveryPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    pub fn policy(&self) -> &RecoveryPolicy {
-        &self.policy
     }
 
     /// Process one decoded frame (luma plane + its decode latency).
@@ -444,33 +451,50 @@ impl VideoDetector {
         &self.detector
     }
 
-    /// Capture the mutable streaming state for a checkpoint. Together
-    /// with the construction inputs (cascade, config, playback fps,
-    /// policy) and the device fault cursor, this is everything needed to
-    /// rebuild a `VideoDetector` that continues bit-identically.
-    pub fn snapshot(&self) -> RecoverySnapshot {
-        RecoverySnapshot {
-            stats: self.stats.clone(),
-            shed: self.shed,
-            missed_deadlines: self.missed_deadlines,
-            window: self.window.iter().copied().collect(),
+    /// Capture the stream's resumable state: the recovery policy, the
+    /// mutable streaming state and the device's position in its
+    /// deterministic fault-draw sequence.
+    pub fn checkpoint(&self) -> StreamCheckpoint {
+        StreamCheckpoint {
+            fault_cursor: self.detector.fault_cursor(),
+            policy: self.policy.clone(),
+            snapshot: RecoverySnapshot {
+                stats: self.stats.clone(),
+                shed: self.shed,
+                missed_deadlines: self.missed_deadlines,
+                window: self.window.iter().copied().collect(),
+            },
         }
     }
 
-    /// Restore streaming state captured by [`Self::snapshot`] into a
-    /// freshly constructed detector (the resume half of checkpointing).
-    pub fn restore(&mut self, snap: &RecoverySnapshot) {
-        self.stats = snap.stats.clone();
-        self.shed = snap.shed;
-        self.missed_deadlines = snap.missed_deadlines;
-        self.window = snap.window.iter().copied().collect();
+    /// Rebuild a stream from a checkpoint. The caller supplies the same
+    /// construction inputs (cascade, config, fps) used originally; the
+    /// checkpoint restores the policy, the streaming state and the fault
+    /// cursor, so the resumed detector continues the fault sequence and
+    /// the stream stats bit-identically. Device `FaultStats` restart from
+    /// zero — only the *draw sequence* position is part of the
+    /// determinism contract.
+    pub fn resume(
+        checkpoint: &StreamCheckpoint,
+        cascade: &Cascade,
+        config: DetectorConfig,
+        playback_fps: f64,
+    ) -> Result<Self, DetectorError> {
+        let mut vd = Self::new(cascade, config, playback_fps)?;
+        let snap = &checkpoint.snapshot;
+        vd.policy = checkpoint.policy.clone();
+        vd.stats = snap.stats.clone();
+        vd.shed = snap.shed;
+        vd.missed_deadlines = snap.missed_deadlines;
+        vd.window = snap.window.iter().copied().collect();
+        vd.detector.seek_fault_cursor(checkpoint.fault_cursor);
+        Ok(vd)
     }
 }
 
-/// The mutable streaming state of a [`VideoDetector`], as captured by
-/// [`VideoDetector::snapshot`]. Everything else about a session is either
-/// a construction input or deterministic device state reachable through
-/// [`fd_gpu::FaultCursor`].
+/// The mutable streaming state of a [`VideoDetector`]. Everything else
+/// about a stream is either a construction input or deterministic device
+/// state reachable through [`FaultCursor`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoverySnapshot {
     pub stats: StreamStats,
@@ -480,6 +504,197 @@ pub struct RecoverySnapshot {
     pub missed_deadlines: usize,
     /// Deadline controller's sliding window of effective detect times.
     pub window: Vec<f64>,
+}
+
+/// Everything mutable about a stream, sufficient — together with the
+/// construction inputs (cascade, [`DetectorConfig`], playback fps) — to
+/// resume it bit-identically ([`VideoDetector::resume`]).
+///
+/// `snapshot.stats.frames` is the number of frames the stream has
+/// *accounted* (every frame fed to it yields exactly one report); a
+/// caller feeding a monotone stream seeks its decoder there on resume.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamCheckpoint {
+    /// Position in the device's deterministic fault-draw sequence.
+    pub fault_cursor: FaultCursor,
+    pub policy: RecoveryPolicy,
+    pub snapshot: RecoverySnapshot,
+}
+
+/// Error parsing a [`StreamCheckpoint`] text blob.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CheckpointError {
+    /// 1-based line of the offending text (one past the last line when
+    /// the input ends early).
+    pub line: usize,
+    pub message: String,
+}
+
+impl fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+/// First line of the text format.
+const CHECKPOINT_HEADER: &str = "stream-checkpoint";
+
+/// Bit-exact `f64` encoding for the checkpoint format.
+fn f64_hex(v: f64) -> String {
+    format!("{:016x}", v.to_bits())
+}
+
+/// Only the spelling [`f64_hex`] writes is accepted, so a parsed text is
+/// the text its checkpoint serialises to.
+fn parse_f64_hex(tok: &str, line: usize) -> Result<f64, CheckpointError> {
+    u64::from_str_radix(tok, 16)
+        .map(f64::from_bits)
+        .ok()
+        .filter(|v| f64_hex(*v) == tok)
+        .ok_or_else(|| CheckpointError { line, message: format!("bad f64 bits `{tok}`") })
+}
+
+/// Canonical decimal only (no sign, no leading zeros), as for the floats.
+fn parse_num<T>(tok: &str, line: usize, what: &str) -> Result<T, CheckpointError>
+where
+    T: std::str::FromStr + ToString,
+{
+    tok.parse()
+        .ok()
+        .filter(|v: &T| v.to_string() == tok)
+        .ok_or_else(|| CheckpointError { line, message: format!("bad {what} `{tok}`") })
+}
+
+impl StreamCheckpoint {
+    /// Render the checkpoint as its line-oriented text format. All `f64`
+    /// fields are written as hex bit patterns, so a round-trip is
+    /// bit-exact.
+    pub fn to_text(&self) -> String {
+        let mut out = format!("{CHECKPOINT_HEADER} v1\n");
+        out.push_str(&format!(
+            "fault_cursor {} {}\n",
+            self.fault_cursor.launch_attempts, self.fault_cursor.copy_draws
+        ));
+        let p = &self.policy;
+        out.push_str(&format!(
+            "policy {} {} {} {} {} {}\n",
+            p.max_retries,
+            f64_hex(p.backoff_base_ms),
+            p.max_shed_levels,
+            p.deadline_window,
+            f64_hex(p.shed_miss_fraction),
+            f64_hex(p.restore_headroom_fraction),
+        ));
+        let s = &self.snapshot.stats;
+        out.push_str(&format!(
+            "stats {} {} {} {} {} {} {} {} {} {} {} {}\n",
+            s.frames,
+            f64_hex(s.total_decode_ms),
+            f64_hex(s.total_detect_ms),
+            f64_hex(s.total_period_ms),
+            f64_hex(s.max_detect_ms),
+            s.total_detections,
+            s.ok_frames,
+            s.degraded_frames,
+            s.skipped_frames,
+            s.retries,
+            f64_hex(s.total_backoff_ms),
+            s.shed_frames,
+        ));
+        out.push_str(&format!("shed {}\n", self.snapshot.shed));
+        out.push_str(&format!("missed_deadlines {}\n", self.snapshot.missed_deadlines));
+        out.push_str(&format!("window {}", self.snapshot.window.len()));
+        for v in &self.snapshot.window {
+            out.push(' ');
+            out.push_str(&f64_hex(*v));
+        }
+        out.push('\n');
+        out
+    }
+
+    /// Parse the text format back into a checkpoint. Blank lines and `#`
+    /// comments are skipped; anything else that [`Self::to_text`] would
+    /// not have written is rejected with the line it stands on.
+    pub fn from_text(text: &str) -> Result<Self, CheckpointError> {
+        let err = |line: usize, m: String| CheckpointError { line, message: m };
+        let mut lines = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| (i + 1, l.trim()))
+            .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
+        // The next line must be `key` followed by exactly `values` values
+        // (`None`: at least one). Returns the line number and the values.
+        let mut field = |key: &str, values: Option<usize>| {
+            let (n, l) = lines.next().ok_or_else(|| {
+                err(text.lines().count() + 1, format!("input ends where `{key}` should be"))
+            })?;
+            let mut toks = l.split_whitespace();
+            let found = toks.next().unwrap_or_default();
+            if found != key {
+                return Err(err(n, format!("expected `{key}`, found `{found}`")));
+            }
+            let vals: Vec<&str> = toks.collect();
+            if values.map_or(vals.is_empty(), |want| vals.len() != want) {
+                let want = values.map_or("a count".to_string(), |w| format!("{w} value(s)"));
+                return Err(err(n, format!("`{key}` needs {want}, found {} token(s)", vals.len())));
+            }
+            Ok((n, vals))
+        };
+
+        let (n, v) = field(CHECKPOINT_HEADER, Some(1))?;
+        if v[0] != "v1" {
+            return Err(err(n, format!("unsupported checkpoint version `{}`", v[0])));
+        }
+        let (n, v) = field("fault_cursor", Some(2))?;
+        let fault_cursor = FaultCursor {
+            launch_attempts: parse_num(v[0], n, "launch cursor")?,
+            copy_draws: parse_num(v[1], n, "copy cursor")?,
+        };
+        let (n, v) = field("policy", Some(6))?;
+        let policy = RecoveryPolicy {
+            max_retries: parse_num(v[0], n, "max_retries")?,
+            backoff_base_ms: parse_f64_hex(v[1], n)?,
+            max_shed_levels: parse_num(v[2], n, "max_shed_levels")?,
+            deadline_window: parse_num(v[3], n, "deadline_window")?,
+            shed_miss_fraction: parse_f64_hex(v[4], n)?,
+            restore_headroom_fraction: parse_f64_hex(v[5], n)?,
+        };
+        let (n, v) = field("stats", Some(12))?;
+        let stats = StreamStats {
+            frames: parse_num(v[0], n, "frames")?,
+            total_decode_ms: parse_f64_hex(v[1], n)?,
+            total_detect_ms: parse_f64_hex(v[2], n)?,
+            total_period_ms: parse_f64_hex(v[3], n)?,
+            max_detect_ms: parse_f64_hex(v[4], n)?,
+            total_detections: parse_num(v[5], n, "detections")?,
+            ok_frames: parse_num(v[6], n, "ok frames")?,
+            degraded_frames: parse_num(v[7], n, "degraded frames")?,
+            skipped_frames: parse_num(v[8], n, "skipped frames")?,
+            retries: parse_num(v[9], n, "retries")?,
+            total_backoff_ms: parse_f64_hex(v[10], n)?,
+            shed_frames: parse_num(v[11], n, "shed frames")?,
+        };
+        let (n, v) = field("shed", Some(1))?;
+        let shed = parse_num(v[0], n, "shed")?;
+        let (n, v) = field("missed_deadlines", Some(1))?;
+        let missed_deadlines = parse_num(v[0], n, "missed deadlines")?;
+        let (n, v) = field("window", None)?;
+        let len: usize = parse_num(v[0], n, "window length")?;
+        if len != v.len() - 1 {
+            return Err(err(n, "window length does not match its entries".to_string()));
+        }
+        let window = v[1..].iter().map(|t| parse_f64_hex(t, n)).collect::<Result<Vec<f64>, _>>()?;
+        if let Some((n, _)) = lines.next() {
+            return Err(err(n, "text after the last field".to_string()));
+        }
+        Ok(Self {
+            fault_cursor,
+            policy,
+            snapshot: RecoverySnapshot { stats, shed, missed_deadlines, window },
+        })
+    }
 }
 
 #[cfg(test)]
@@ -702,5 +917,63 @@ mod tests {
             vd.process(&frame(), 1.0).unwrap();
         }
         assert_eq!(vd.shed_levels(), 0, "shedding is opt-in");
+    }
+
+    fn decoded(i: usize) -> DecodedFrame {
+        DecodedFrame { index: i, luma: frame(), decode_ms: 9.0, pts_ms: 0.0, fault: None }
+    }
+
+    #[test]
+    fn corrupt_checkpoints_are_rejected_with_line_numbers() {
+        let text = detector(24.0).checkpoint().to_text();
+        let rejected = |bad: &str| {
+            let e = StreamCheckpoint::from_text(bad).unwrap_err();
+            assert!(e.line > 0, "{e}");
+            e
+        };
+        // Version mismatch, and the header the deleted per-session
+        // supervisor wrote.
+        assert_eq!(rejected(&text.replace("checkpoint v1", "checkpoint v9")).line, 1);
+        let old = text.replace("stream-checkpoint v1", "supervisor-checkpoint v1\nsession 0");
+        assert_eq!(rejected(&old).line, 1);
+        // Truncation: the error names the line after the last one.
+        let cut: String = text.lines().take(4).collect::<Vec<_>>().join("\n");
+        assert_eq!(rejected(&cut).line, 5);
+        // A key with no value, on every key line.
+        for (i, line) in text.lines().enumerate() {
+            let key = line.split(' ').next().unwrap();
+            assert_eq!(rejected(&text.replacen(line, key, 1)).line, i + 1, "`{key}`");
+        }
+        // Mangled f64 bits, a window count beyond its entries (also at
+        // `usize::MAX`, where adding to it would wrap), text after the
+        // last field.
+        assert_eq!(rejected(&text.replacen("policy 3 ", "policy 3 zz", 1)).line, 3);
+        assert_eq!(rejected(&text.replace("window 0", "window 3")).line, 7);
+        assert_eq!(rejected(&text.replace("window 0", &format!("window {}", usize::MAX))).line, 7);
+        assert_eq!(rejected(&format!("{text}shed 0\n")).line, 8);
+    }
+
+    #[test]
+    fn resume_restores_the_checkpoint_or_fails_like_new() {
+        let config = || DetectorConfig {
+            fault_plan: Some(fd_gpu::FaultPlan::seeded(4).with_transient_launch_failures(0.01)),
+            ..DetectorConfig::default()
+        };
+        let policy = RecoveryPolicy { max_retries: 5, ..RecoveryPolicy::default() };
+        let mut vd = VideoDetector::new(&cascade(), config(), 24.0).unwrap().with_policy(policy);
+        for i in 0..4 {
+            vd.process_decoded(&decoded(i));
+        }
+        let ckpt = vd.checkpoint();
+        let resumed = VideoDetector::resume(&ckpt, &cascade(), config(), 24.0).unwrap();
+        assert_eq!(resumed.checkpoint(), ckpt, "policy, state and cursor are all restored");
+        assert!(matches!(
+            VideoDetector::resume(&ckpt, &cascade(), config(), 0.0),
+            Err(DetectorError::BadPlaybackFps { .. })
+        ));
+        assert!(matches!(
+            VideoDetector::resume(&ckpt, &Cascade::new("empty", 24), config(), 24.0),
+            Err(DetectorError::InvalidCascade { .. })
+        ));
     }
 }

@@ -170,7 +170,7 @@ impl FaultPlan {
 /// capturing the counters and seeking a fresh device to them replays the
 /// *remaining* fault sequence exactly — the primitive that makes
 /// checkpoint/resume of a faulted stream bit-identical to the
-/// uninterrupted run (see `fd-detector`'s `SessionCheckpoint`).
+/// uninterrupted run (see `fd-detector`'s `StreamCheckpoint`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCursor {
     /// Launch attempts drawn against the plan ([`crate::Gpu`] side).

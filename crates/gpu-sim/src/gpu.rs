@@ -276,22 +276,8 @@ impl Gpu {
         self.mem.seek_copy_fault_draws(cursor.copy_draws);
     }
 
-    /// Quarantine hook for a stream supervisor's circuit breaker: discard
-    /// everything queued on the sick device (launches, pending waits) and
-    /// drop stale, unattributed copy-fault records. The fault cursor is
-    /// deliberately *not* touched — cooling down must not shift the
-    /// deterministic fault sequence of subsequent work. Returns the
-    /// number of launches discarded.
-    pub fn cool_down(&mut self) -> usize {
-        let discarded = self.pending.len();
-        self.cancel_pending();
-        self.mem.drain_copy_faults();
-        discarded
-    }
-
     /// Device memory currently in use: global-memory arena bytes plus the
-    /// staged constant-memory words. The admission-control measure a
-    /// multi-session supervisor charges against its device budget.
+    /// staged constant-memory words.
     pub fn device_bytes_in_use(&self) -> usize {
         self.mem.live_bytes() + self.constants.used_words() * 4
     }

@@ -9,8 +9,8 @@
 //!
 //! * **Routing** — submissions are placed by the [`crate::Router`]:
 //!   geometry affinity (so per-device batches still fill), then least
-//!   load, with per-device memory-budget admission (the supervisor's
-//!   projected-bytes accounting, applied per lane).
+//!   load, with per-device memory-budget admission (each geometry's
+//!   projected device bytes, charged once per lane).
 //! * **Failover** — when a device's breaker opens, its queued,
 //!   not-yet-launched requests migrate to healthy replicas with
 //!   deadlines intact; the broken lane keeps cooling down and rejoins

@@ -1,11 +1,9 @@
 //! Server health machine: brown-out admission and a fail-fast breaker.
 //!
-//! The per-stream supervisor (`fd_detector::supervisor`) already showed
-//! that a consecutive-fault circuit breaker with tick-based cool-down
-//! and half-open probes keeps a faulting pipeline from burning its
-//! budget on doomed work. This module ports that machine to the serving
-//! layer, where the reaction is *admission control* rather than session
-//! quarantine:
+//! A consecutive-fault circuit breaker with a cool-down and half-open
+//! probes keeps a faulting device from burning its budget on doomed
+//! work. It is the repository's only breaker, and its reaction is
+//! *admission control*:
 //!
 //! * **Healthy** — full batching, every class admitted;
 //! * **BrownOut** — after `brownout_after` consecutive device faults the

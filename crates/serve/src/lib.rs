@@ -1,8 +1,8 @@
 //! fd-serve: deterministic request-serving frontend for the detector.
 //!
-//! Where `fd_detector::StreamSupervisor` manages long-lived *video
-//! streams*, this crate serves independent one-shot detection
-//! *requests*, the way an inference service would:
+//! This crate serves independent one-shot detection *requests*, the way
+//! an inference service would — a video stream is a client that submits
+//! frame `k` at `k` periods with one period of SLO:
 //!
 //! * [`RequestQueue`] — bounded admission per [`Priority`] class, so
 //!   bulk traffic cannot crowd out interactive requests;

@@ -214,9 +214,7 @@ impl CompletedRequest {
 /// Deterministic request-serving frontend over one detector/device (see
 /// module docs). Generic over the detection engine; the default is the
 /// Haar [`FaceDetector`], and serving it through the generic loop is
-/// byte-identical to the pre-trait concrete server. One-shot requests
-/// only; long-lived video sessions stay with
-/// `fd_detector::StreamSupervisor`.
+/// byte-identical to the pre-trait concrete server.
 pub struct DetectionServer<D: Detector = FaceDetector> {
     detector: D,
     queue: RequestQueue,

@@ -19,8 +19,9 @@ use fd_imgproc::GrayImage;
 use fd_serve::{
     BatchPolicy, CompletedRequest, DetectionServer, DeviceState, FleetConfig, FleetServer,
     HealthPolicy, Priority, RequestOutcome, RetryPolicy, RoutePolicy, ServeConfig, ServeStats,
-    StealPolicy,
+    ServerHealth, StealPolicy,
 };
+use fd_video::{DecodeFault, DecodeFaultPlan, HwDecoder, Trailer, TrailerSpec};
 
 fn edge_cascade() -> Cascade {
     let f = HaarFeature::from_params(FeatureKind::EdgeH, 6, 4, 6, 8);
@@ -545,4 +546,109 @@ fn stolen_work_is_bit_identical_across_host_threads() {
         (fingerprint_log(f.completed()), devices, f.router_stats().steals)
     };
     assert_eq!(run(4), run(1), "steals must reproduce at 4 host threads");
+}
+
+#[test]
+fn video_streams_soak_a_faulty_fleet_within_budget_and_breakers_recover() {
+    // Three 24 fps camera streams through one three-lane fleet: frame k
+    // of every stream arrives at k periods and is due one period later.
+    // Lane 0 is a clean control; device and decode fault rates escalate
+    // with the index. Least-loaded routing without affinity hands each
+    // round's three simultaneous frames to three different lanes, so
+    // every lane admits the geometry and charges its budget.
+    const STREAMS: usize = 3;
+    const FRAMES: usize = 60;
+    const SEED: u64 = 42;
+    let period_us = 1e6 / 24.0;
+    let cooldown_us = 6.0 * period_us;
+    let run = |threads: usize| {
+        let detectors: Vec<FaceDetector> = (0..STREAMS)
+            .map(|i| {
+                let plan = (i > 0).then(|| {
+                    FaultPlan::seeded(SEED + i as u64)
+                        .with_transient_launch_failures(0.002 * i as f64)
+                        .with_launch_timeouts(0.001 * i as f64)
+                });
+                let det = DetectorConfig {
+                    min_neighbors: 1,
+                    fault_plan: plan,
+                    host_threads: Some(threads),
+                    ..DetectorConfig::default()
+                };
+                FaceDetector::try_new(&edge_cascade(), det).expect("lane detector")
+            })
+            .collect();
+        let budget = detectors[0].projected_device_bytes(160, 120).expect("plannable geometry");
+        let mut f = FleetServer::from_detectors(
+            detectors,
+            FleetConfig {
+                serve: ServeConfig {
+                    health: HealthPolicy { open_after: 3, cooldown_us, ..HealthPolicy::default() },
+                    ..ServeConfig::default()
+                },
+                route: RoutePolicy { geometry_affinity: false, ..RoutePolicy::default() },
+                device_memory_budget: Some(budget),
+                ..FleetConfig::default()
+            },
+        );
+        let mut decoders: Vec<HwDecoder> = (0..STREAMS)
+            .map(|i| {
+                let mut dec = HwDecoder::new(Trailer::generate(TrailerSpec {
+                    width: 160,
+                    height: 120,
+                    n_frames: FRAMES,
+                    seed: 21 + i as u64,
+                    face_size: (26.0, 60.0),
+                    ..TrailerSpec::default()
+                }));
+                dec.set_fault_plan((i > 0).then(|| {
+                    DecodeFaultPlan::seeded(SEED + i as u64)
+                        .with_corrupt_frames(0.02 * i as f64)
+                        .with_dropped_frames(0.01 * i as f64)
+                }));
+                dec
+            })
+            .collect();
+        // A frame the decoder dropped never reaches the server: that is
+        // its one terminal outcome. Everything else is a request.
+        let (mut submitted, mut dropped) = (0u64, 0u64);
+        for k in 0..FRAMES {
+            for dec in &mut decoders {
+                let frame = dec.next().expect("frame in range");
+                if frame.fault == Some(DecodeFault::Dropped) {
+                    dropped += 1;
+                    continue;
+                }
+                f.submit(frame.luma, Priority::Standard, k as f64 * period_us, period_us)
+                    .expect("the budget admits the one geometry");
+                submitted += 1;
+            }
+        }
+        assert_eq!(submitted + dropped, (STREAMS * FRAMES) as u64);
+        while f.step() {
+            for d in 0..STREAMS {
+                let held = f.device(d).detector().device_bytes();
+                assert!(held <= budget, "lane {d} holds {held} of {budget} budgeted bytes");
+            }
+        }
+        assert_fleet_accounting(&f, submitted);
+        assert_eq!(f.router_stats().admission_rejected, 0);
+        let routed = &f.router_stats().routed_per_device;
+        assert!(routed.iter().all(|&n| n > 0), "every lane takes stream work: {routed:?}");
+        // One cool-down after the last completion no breaker is still open.
+        let idle_at = f.now_us() + cooldown_us;
+        let health: Vec<ServerHealth> = (0..STREAMS).map(|d| f.device(d).health()).collect();
+        for (d, h) in health.iter().enumerate() {
+            if let ServerHealth::Open { until_us } = h {
+                assert!(*until_us <= idle_at, "lane {d} open until {until_us}, idle at {idle_at}");
+            }
+        }
+        let st = f.stats();
+        assert!(st.retries_issued > 0, "the escalating plans must fault somewhere");
+        assert!(st.breaker_trips > 0, "and trip a breaker, or the check above is vacuous");
+        assert_eq!(f.device_stats(0).retries_issued, 0, "lane 0 is the clean control");
+        (fingerprint_log(f.completed()), f.completed_device().to_vec(), health, st.breaker_trips)
+    };
+    let reference = run(1);
+    assert_eq!(run(4), reference, "the soak must reproduce at 4 host threads");
 }

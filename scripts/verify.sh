@@ -56,15 +56,9 @@ FD_RESULTS_DIR="$(mktemp -d)" \
 gate "fault matrix (every fault kind x pipeline stage)"
 cargo test -q --offline -p fd-detector --test fault_matrix
 
-gate "supervisor soak (breakers must recover; asserts zero stuck in Quarantined)"
-# Scratch results dir: the soak step validates invariants, it must not
-# clobber the committed full-length results/BENCH_supervisor_soak.json.
-FD_RESULTS_DIR="$(mktemp -d)" \
-  cargo run --release --offline -q -p fd-bench --bin supervisor_soak -- --sessions 3 --frames 120
-
 gate "serve load (asserts batched p99 <= unbatched p99 and >= 1.5x throughput at saturation)"
-# Scratch results dir, same reasoning as the soak step: the committed
-# results/BENCH_serve_load.json stays the full-length run.
+# Scratch results dir: the committed results/BENCH_serve_load.json stays
+# the full-length run.
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin serve_load -- --requests 150
 
