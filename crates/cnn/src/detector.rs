@@ -75,6 +75,11 @@ impl CnnDetector {
         self.pipeline.gpu.profiler()
     }
 
+    /// Reset profiler statistics.
+    pub fn reset_profiler(&mut self) {
+        self.pipeline.gpu.reset_profiler();
+    }
+
     /// Device bytes this detector currently holds.
     pub fn device_bytes(&self) -> usize {
         self.pipeline.gpu.device_bytes_in_use()
@@ -237,6 +242,14 @@ impl Detector for CnnDetector {
             .map(|d| Box::new(d) as Box<dyn Detector>)
             .collect())
     }
+
+    fn profiler(&self) -> &fd_gpu::Profiler {
+        CnnDetector::profiler(self)
+    }
+
+    fn reset_profiler(&mut self) {
+        CnnDetector::reset_profiler(self)
+    }
 }
 
 #[cfg(test)]
@@ -305,6 +318,10 @@ mod tests {
         let frame = face_frame();
         let r = det.detect(&frame).unwrap();
         assert!(!r.raw.is_empty());
+        // The boxed lane's host spans, and a reset that clears them.
+        assert!(det.profiler().host_spans().iter().any(|s| s.kernel_name == "cnn_conv1"));
+        det.reset_profiler();
+        assert!(det.profiler().host_spans().is_empty() && det.profiler().traces().is_empty());
         let replicas = det.try_replicas(2).unwrap();
         assert_eq!(replicas.len(), 2);
         assert!(replicas.iter().all(|r| r.backend() == Backend::Cnn));

@@ -4,14 +4,21 @@
 //! [`crate::model`]):
 //!
 //! * [`ConvReluKernel`] — 3x3 fixed-point convolution + ReLU over one or
-//!   several input planes, staging a per-channel 18x18 halo tile in
-//!   shared memory per 16x16 block (the `FilterKernel` idiom);
+//!   several input planes; the device stages a per-channel 18x18 halo tile
+//!   in shared memory per 16x16 block (the `FilterKernel` idiom);
 //! * [`MaxPoolKernel`] — 2x2 stride-2 max pooling, plane by plane;
 //! * [`WindowScoreKernel`] — one cascade stage of the sliding-window
 //!   classifier: an 8x8-window block stages the region of the feature
 //!   map its windows cover, then scores each window and applies the
 //!   stage's early-rejection threshold with warp-granular divergence
 //!   accounting (the `CascadeKernel` idiom).
+//!
+//! That is what is metered, in closed form per block. The functional
+//! bodies are [`Kernel::run_blocks`]: a rectangle of blocks is a
+//! [`Band`] of whole rows, convolved, pooled and scored row by row
+//! straight from the source planes (DESIGN.md `#functional-bodies`); the
+//! per-block bodies they replaced are the oracle of the sweeps in
+//! `kernels/reference.rs`.
 //!
 //! Every kernel declares its [`fd_gpu::AccessSet`] so per-level streams
 //! overlap across pyramid levels and batch slots, and the conv/pool
@@ -27,15 +34,50 @@
 //! copy-through of rejected windows keeps every output total — pooled
 //! buffers never need clearing between frames.
 
+#[cfg(test)]
+mod reference;
+
+use std::ops::Range;
 use std::sync::Arc;
 
-use fd_gpu::{BlockCtx, ConstPtr, DevBuf, Kernel, LaunchConfig};
+use fd_gpu::{
+    Band, BlockCtx, ConstPtr, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx,
+};
 
-use crate::model::{sat, CnnModel, REGION1, REGION2, TAPS3X3};
+use crate::model::{sat, CnnModel, REGION1, REGION2};
+
+/// Deliberate bugs in the band bodies that the oracle sweep of
+/// `reference.rs` must catch, besides those of [`fd_gpu::BandMutation`];
+/// only a test build can switch one on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mutation {
+    /// The halo column right of the image's last column repeats the one
+    /// before the last.
+    HaloClamp,
+    /// The gate's box sums stop one column short.
+    GateWindow,
+}
+
+#[cfg(test)]
+thread_local! {
+    static MUTATION: std::cell::Cell<Option<Mutation>> = const { std::cell::Cell::new(None) };
+}
+
+/// Whether `mutation` is switched on: never outside a test build.
+fn mutated(mutation: Mutation) -> bool {
+    #[cfg(test)]
+    return MUTATION.get() == Some(mutation);
+    #[cfg(not(test))]
+    {
+        let _ = mutation;
+        false
+    }
+}
 
 /// Input to a [`ConvReluKernel`]: the scaled luma plane (quantized to
 /// integers at load, like the integral scan's `QuantizeF32` input) or a
 /// previous layer's multi-channel feature maps.
+#[derive(Clone, Copy)]
 pub enum ConvSrc {
     /// `width x height` luma, quantized `round()` per pixel at tile load.
     Pixels(DevBuf<f32>),
@@ -93,99 +135,258 @@ impl ConvReluKernel {
     }
 }
 
+/// `v.round() as i32` — the quantization of the host reference — without
+/// the call into libm that `f32::round` is on baseline x86-64: below 2^23
+/// truncation and the remainder are exact and halves round away from zero
+/// as `round` does; from there on every `f32` is an integer. The cast
+/// saturates and takes NaN to 0 either way.
+#[inline]
+fn round_luma(v: f32) -> i32 {
+    let whole = v as i32;
+    let rest = if v.abs() < 8_388_608.0 { v - whole as f32 } else { 0.0 };
+    whole + (rest >= 0.5) as i32 - (rest <= -0.5) as i32
+}
+
+/// `halo_row[1 + i] = quantize(row[cols.start + i])` with one more column
+/// on either side, column index clamped to the row.
+fn fill_halo_row<T: Copy>(
+    row: &[T],
+    cols: &Range<usize>,
+    halo_row: &mut [i32],
+    quantize: impl Fn(T) -> i32,
+) {
+    let last = row.len() - 1;
+    let short = mutated(Mutation::HaloClamp) && cols.end > last && last > 0;
+    halo_row[0] = quantize(row[cols.start.saturating_sub(1)]);
+    for (q, &v) in halo_row[1..].iter_mut().zip(&row[cols.clone()]) {
+        *q = quantize(v);
+    }
+    halo_row[cols.len() + 1] = quantize(row[cols.end.min(last) - short as usize]);
+}
+
+/// Every integer below this magnitude is an `f32`, and so are the sums and
+/// differences of two of them: `f32` lanes whose partial sums all stay below
+/// it compute integers exactly.
+const F32_LANE_LIMIT: u64 = 1 << 23;
+
+/// An accumulator lane of a convolved row. The meaning is `i64`, which
+/// holds any sum of `i16` taps times `i32` inputs; `f32` lanes compute the
+/// same integers wherever every partial sum stays below
+/// [`F32_LANE_LIMIT`].
+trait Lane: Copy + std::ops::AddAssign + std::ops::Mul<Output = Self> {
+    fn of(v: i32) -> Self;
+    /// ReLU, then saturation to `i32`.
+    fn relu(self) -> i32;
+}
+
+impl Lane for f32 {
+    fn of(v: i32) -> Self {
+        v as f32
+    }
+
+    fn relu(self) -> i32 {
+        // An integer in 0..2^23 plus 2^23 is exact and carries the integer
+        // in its mantissa bits: a conversion a row of lanes takes as one
+        // vector loop, which the saturating `as i32` is not on baseline
+        // x86-64.
+        ((self.max(0.0) + F32_LANE_LIMIT as f32).to_bits() as i32).wrapping_sub(0x4B00_0000)
+    }
+}
+
+impl Lane for i64 {
+    fn of(v: i32) -> Self {
+        v.into()
+    }
+
+    fn relu(self) -> i32 {
+        sat(self.max(0))
+    }
+}
+
+/// The rolling input rows of [`InputRows`] in one lane type, and the
+/// accumulators of an output row.
+#[derive(Default)]
+struct Lanes<L> {
+    rows: Vec<L>,
+    acc: Vec<L>,
+}
+
+impl<L: Lane> Lanes<L> {
+    /// `out[i] = relu(bias + the taps' weighted sum around column i)`, the
+    /// three input rows in `slots`: per tap one multiply-add over the row.
+    fn convolve(
+        &mut self,
+        bias: i32,
+        taps: &[(usize, usize, usize, i32)],
+        slots: [usize; 3],
+        out: &mut [i32],
+    ) {
+        let n = out.len();
+        let acc = &mut self.acc[..n];
+        acc.fill(L::of(bias));
+        for &(plane, dy, dx, tap) in taps {
+            let row = &self.rows[(plane * 3 + slots[dy]) * (n + 2) + dx..][..n];
+            let tap = L::of(tap);
+            for (a, &x) in acc.iter_mut().zip(row) {
+                *a += tap * x;
+            }
+        }
+        for (o, a) in out.iter_mut().zip(acc) {
+            *o = a.relu();
+        }
+    }
+}
+
+/// The input rows a band's output rows read, with their halo columns:
+/// row `r` of plane `p` at `(p * 3 + r % 3) * (n + 2)` of either lane
+/// type, for a band `n` columns wide.
+#[derive(Default)]
+struct InputRows {
+    exact: Lanes<f32>,
+    wide: Lanes<i64>,
+    /// The row each slot holds and its largest magnitude over the planes.
+    held: [usize; 3],
+    peak: [u32; 3],
+    halo_row: Vec<i32>,
+}
+
+impl InputRows {
+    fn reset(&mut self, planes: usize, n: usize) {
+        self.exact.rows.resize(planes * 3 * (n + 2), 0.0);
+        self.wide.rows.resize(planes * 3 * (n + 2), 0);
+        self.exact.acc.resize(n, 0.0);
+        self.wide.acc.resize(n, 0);
+        self.halo_row.resize(n + 2, 0);
+        self.held = [usize::MAX; 3];
+    }
+
+    /// Take row `r` of every plane from `fill(plane, halo_row)`.
+    fn stage(&mut self, r: usize, planes: usize, fill: impl Fn(usize, &mut [i32])) {
+        let width = self.halo_row.len();
+        let mut peak = 0;
+        for plane in 0..planes {
+            fill(plane, &mut self.halo_row);
+            let at = (plane * 3 + r % 3) * width;
+            let exact = self.exact.rows[at..][..width].iter_mut();
+            let lanes = exact.zip(&mut self.wide.rows[at..][..width]);
+            for (&v, (exact, wide)) in self.halo_row.iter().zip(lanes) {
+                (*exact, *wide) = (v as f32, v.into());
+                peak = peak.max(v.unsigned_abs());
+            }
+        }
+        self.held[r % 3] = r;
+        self.peak[r % 3] = peak;
+    }
+}
+
 impl Kernel for ConvReluKernel {
     fn name(&self) -> &'static str {
         self.layer_name
     }
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let b = Self::BLOCK as usize;
-        let tile_side = b + 2;
-        let bx = ctx.block_idx.x as usize * b;
-        let by = ctx.block_idx.y as usize * b;
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        const B: usize = ConvReluKernel::BLOCK as usize;
         let (w, h) = (self.width, self.height);
-        let in_ch = self.src.channels();
-
-        // Stage the halo tile of every input plane (clamped borders,
-        // matching the host reference's per-tap clamp).
-        let mut tile = ctx.shared_alloc_i32(in_ch * tile_side * tile_side);
-        match &self.src {
-            ConvSrc::Pixels(buf) => {
-                let src = ctx.mem.read(*buf);
-                for ty in 0..tile_side {
-                    let gy = (by as isize + ty as isize - 1).clamp(0, h as isize - 1) as usize;
-                    for tx in 0..tile_side {
-                        let gx = (bx as isize + tx as isize - 1).clamp(0, w as isize - 1) as usize;
-                        tile[ty * tile_side + tx] = src[gy * w + gx].round() as i32;
-                    }
-                }
-            }
-            ConvSrc::Maps { buf, channels } => {
-                let src = ctx.mem.read(*buf);
-                let plane = w * h;
-                for ic in 0..*channels {
-                    let t0 = ic * tile_side * tile_side;
-                    for ty in 0..tile_side {
-                        let gy = (by as isize + ty as isize - 1).clamp(0, h as isize - 1) as usize;
-                        for tx in 0..tile_side {
-                            let gx =
-                                (bx as isize + tx as isize - 1).clamp(0, w as isize - 1) as usize;
-                            tile[t0 + ty * tile_side + tx] = src[ic * plane + gy * w + gx];
-                        }
-                    }
-                }
-            }
-        }
-        ctx.syncthreads();
-
         let plane = w * h;
-        let mut dst = ctx.mem.write(self.dst);
-        let mut covered = 0u64;
-        for ty in 0..b {
-            let y = by + ty;
-            if y >= h {
-                continue;
-            }
-            for tx in 0..b {
-                let x = bx + tx;
-                if x >= w {
-                    continue;
-                }
-                for oc in 0..self.out_channels {
-                    let mut acc = i64::from(self.bias[oc]);
-                    for ic in 0..in_ch {
-                        let base =
-                            (ic * tile_side + ty + 1) * tile_side + tx + 1;
-                        for (t, &(dy, dx)) in TAPS3X3.iter().enumerate() {
-                            let ti = (base as isize + dy * tile_side as isize + dx) as usize;
-                            acc += i64::from(self.taps[(oc * in_ch + ic) * 9 + t])
-                                * i64::from(tile[ti]);
-                        }
-                    }
-                    dst[oc * plane + y * w + x] = sat(acc.max(0));
-                }
-                covered += 1;
-            }
-        }
-        drop(dst);
-
+        let in_ch = self.src.channels();
+        // What the device stages per block: the 18x18 halo tile of every
+        // input plane (clamped at the borders), one coalesced read and one
+        // shared store per element.
+        let tile_elems = (in_ch * (B + 2) * (B + 2)) as u64;
+        ctx.require_shared(4 * tile_elems as usize);
         let warp = ctx.warp_size() as u64;
-        let warps = covered.div_ceil(warp);
-        let tile_elems = (in_ch * tile_side * tile_side) as u64;
-        match &self.src {
-            ConvSrc::Pixels(buf) => ctx.global_load_buf(*buf, 4 * tile_elems),
-            ConvSrc::Maps { buf, .. } => ctx.global_load_buf(*buf, 4 * tile_elems),
-        }
-        // Halo staging: coalesced stores into shared.
-        ctx.meter.shared(tile_elems / 8);
-        // Tap broadcasts from constant memory, once per warp.
-        ctx.meter.constant(warps * self.const_words());
-        // Per output channel: 9 shared reads per input plane and a
-        // multiply-add pair per tap, plus the ReLU/store address math.
         let oc = self.out_channels as u64;
-        ctx.meter.shared(oc * 9 * in_ch as u64 * warps);
-        ctx.meter.alu(oc * (2 * 9 * in_ch as u64 + 4) * warps);
-        ctx.global_store_buf(self.dst, 4 * covered * oc);
+        let class = |cw: usize, ch: usize| {
+            let covered = (cw * ch) as u64;
+            let warps = covered.div_ceil(warp);
+            let mut c = KernelCounters {
+                // Per output channel: 9 shared reads per input plane and a
+                // multiply-add pair per tap, plus the ReLU/store address
+                // math; the taps are broadcast once per warp.
+                shared_transactions: tile_elems / 8 + oc * 9 * in_ch as u64 * warps,
+                const_broadcasts: warps * self.const_words(),
+                alu_ops: oc * (2 * 9 * in_ch as u64 + 4) * warps,
+                barriers: ctx.warps_in_block(),
+                ..KernelCounters::default()
+            };
+            match &self.src {
+                ConvSrc::Pixels(buf) => ctx.count_load(&mut c, *buf, 4 * tile_elems),
+                ConvSrc::Maps { buf, .. } => ctx.count_load(&mut c, *buf, 4 * tile_elems),
+            }
+            ctx.count_store(&mut c, self.dst, 4 * covered * oc);
+            c
+        };
+
+        // A zero tap adds nothing: per output channel, the taps that do,
+        // as (input plane, tap row, tap column, tap).
+        let filters = self.taps.chunks(in_ch * 9);
+        let taps: Vec<Vec<(usize, usize, usize, i32)>> = filters
+            .clone()
+            .map(|filter| {
+                let taps = filter.iter().enumerate().filter(|(_, &tap)| tap != 0);
+                taps.map(|(i, &tap)| (i / 9, i % 9 / 3, i % 3, i32::from(tap))).collect()
+            })
+            .collect();
+        // No partial sum of an output exceeds the largest input magnitude
+        // times `tap_sum`, plus `bias_peak`.
+        let magnitude = |v: i32| u64::from(v.unsigned_abs());
+        let tap_sum = |filter: &[i16]| filter.iter().map(|&t| magnitude(t.into())).sum::<u64>();
+        let tap_sum = filters.map(tap_sum).max().unwrap_or(0);
+        let bias_peak = self.bias.iter().map(|&b| magnitude(b)).max().unwrap_or(0);
+
+        enum Planes<'a> {
+            Luma(fd_gpu::DevRead<'a, f32>),
+            Maps(fd_gpu::DevRead<'a, i32>),
+        }
+        let src = match &self.src {
+            ConvSrc::Pixels(buf) => Planes::Luma(ctx.mem.read(*buf)),
+            ConvSrc::Maps { buf, .. } => Planes::Maps(ctx.mem.read(*buf)),
+        };
+        let mut dst = ctx.mem.write(self.dst);
+        let dst = &mut dst[..];
+        let mut rows = InputRows::default();
+        for rect in ctx.rectangles(blocks) {
+            let band = Band::of(rect, (B, B), (w, h));
+            rows.reset(in_ch, band.cols.len());
+            for y in band.rows.clone() {
+                // The three input rows around `y`, row index clamped.
+                let around = [y.saturating_sub(1), y, (y + 1).min(h - 1)];
+                for r in around {
+                    if rows.held[r % 3] != r {
+                        rows.stage(r, in_ch, |ic, halo_row| match &src {
+                            Planes::Luma(luma) => {
+                                fill_halo_row(&luma[r * w..][..w], &band.cols, halo_row, round_luma)
+                            }
+                            Planes::Maps(maps) => {
+                                let row = &maps[ic * plane + r * w..][..w];
+                                fill_halo_row(row, &band.cols, halo_row, |v| v)
+                            }
+                        });
+                    }
+                }
+                let slots = around.map(|r| r % 3);
+                let peak = slots.iter().map(|&slot| rows.peak[slot]).max().unwrap_or(0);
+                let exact = u64::from(peak) * tap_sum + bias_peak < F32_LANE_LIMIT;
+                for (oc, taps) in taps.iter().enumerate() {
+                    let out = &mut dst[oc * plane + y * w..][band.cols.clone()];
+                    if exact {
+                        rows.exact.convolve(self.bias[oc], taps, slots, out);
+                    } else {
+                        rows.wide.convolve(self.bias[oc], taps, slots, out);
+                    }
+                }
+            }
+            band.emit(class, sink);
+        }
     }
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {
@@ -240,44 +441,51 @@ impl Kernel for MaxPoolKernel {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let b = Self::BLOCK as usize;
-        let bx = ctx.block_idx.x as usize * b;
-        let by = ctx.block_idx.y as usize * b;
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        const B: usize = MaxPoolKernel::BLOCK as usize;
         let (dw, dh) = (self.dst_w(), self.dst_h());
         let (sw, sh) = (self.src_w, self.src_h);
-
-        let src = ctx.mem.read(self.src);
-        let mut dst = ctx.mem.write(self.dst);
-        let mut covered = 0u64;
-        for ty in 0..b {
-            let y = by + ty;
-            if y >= dh {
-                continue;
-            }
-            for tx in 0..b {
-                let x = bx + tx;
-                if x >= dw {
-                    continue;
-                }
-                for c in 0..self.channels {
-                    let i = c * sw * sh + 2 * y * sw + 2 * x;
-                    dst[c * dw * dh + y * dw + x] =
-                        src[i].max(src[i + 1]).max(src[i + sw]).max(src[i + sw + 1]);
-                }
-                covered += 1;
-            }
-        }
-        drop(dst);
-        drop(src);
-
         let warp = ctx.warp_size() as u64;
-        let warps = covered.div_ceil(warp);
-        let ch = self.channels as u64;
-        // Four coalesced 4-byte loads and three max ops per output
-        // element per plane.
-        ctx.global_load_buf(self.src, 16 * covered * ch);
-        ctx.meter.alu(ch * 5 * warps);
-        ctx.global_store_buf(self.dst, 4 * covered * ch);
+        let planes = self.channels as u64;
+        // Four coalesced 4-byte loads and three max ops per output element
+        // per plane.
+        let class = |cw: usize, ch: usize| {
+            let covered = (cw * ch) as u64;
+            let mut c = KernelCounters {
+                alu_ops: planes * 5 * covered.div_ceil(warp),
+                ..KernelCounters::default()
+            };
+            ctx.count_load(&mut c, self.src, 16 * covered * planes);
+            ctx.count_store(&mut c, self.dst, 4 * covered * planes);
+            c
+        };
+
+        let (src, mut dst) = (ctx.mem.read(self.src), ctx.mem.write(self.dst));
+        let (src, dst) = (&src[..], &mut dst[..]);
+        for rect in ctx.rectangles(blocks) {
+            let band = Band::of(rect, (B, B), (dw, dh));
+            let pairs = 2 * band.cols.start..2 * band.cols.end;
+            for c in 0..self.channels {
+                for y in band.rows.clone() {
+                    let top = &src[c * sw * sh + 2 * y * sw..][pairs.clone()];
+                    let bottom = &src[c * sw * sh + (2 * y + 1) * sw..][pairs.clone()];
+                    let out = &mut dst[c * dw * dh + y * dw..][band.cols.clone()];
+                    let pairs = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+                    for (o, (t, b)) in out.iter_mut().zip(pairs) {
+                        *o = t[0].max(t[1]).max(b[0]).max(b[1]);
+                    }
+                }
+            }
+            band.emit(class, sink);
+        }
     }
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {
@@ -351,6 +559,89 @@ impl WindowScoreKernel {
         LaunchConfig::tile2d(self.nx, self.ny, Self::BLOCK, Self::BLOCK)
             .with_shared_mem(Self::shared_bytes(self.stage, self.channels))
     }
+
+    /// The dense template's sum for window `(gx, gy)`, straight from the
+    /// maps.
+    fn template(&self, maps: &[i32], gx: usize, gy: usize) -> i64 {
+        let (region, stride) = Self::geometry(self.stage);
+        let mut sum = 0i64;
+        for plane in 0..self.channels {
+            for dy in 0..region {
+                let y = gy * stride + dy;
+                let cells = &maps[plane * self.map_w * self.map_h + y * self.map_w + gx * stride..];
+                let weights = &self.weights[(plane * region + dy) * region..][..region];
+                for (&weight, &cell) in weights.iter().zip(cells) {
+                    sum += i64::from(weight) * i64::from(cell);
+                }
+            }
+        }
+        sum
+    }
+}
+
+/// The stage-1 gate's sums over one row of a band's windows, from running
+/// column sums: going down a window row drops `stride` map rows and takes
+/// `stride` new ones.
+#[derive(Default)]
+struct GateSums {
+    /// The window row the column sums hold; `None` at the start of a band.
+    held: Option<usize>,
+    /// Per plane, per map column of the band, the sum over the region's rows.
+    columns: Vec<i64>,
+    prefix: Vec<i64>,
+    /// Per window of the row, the weighted sum of the planes' box sums.
+    scores: Vec<i64>,
+}
+
+impl GateSums {
+    fn score_row(&mut self, k: &WindowScoreKernel, maps: &[i32], gy: usize, cols: &Range<usize>) {
+        let (region, stride) = WindowScoreKernel::geometry(k.stage);
+        let span = (cols.len() - 1) * stride + region;
+        let map_row = |plane: usize, y: usize| {
+            &maps[plane * k.map_w * k.map_h + y * k.map_w + cols.start * stride..][..span]
+        };
+        let slide = self.held.is_some_and(|held| held + 1 == gy);
+        if !slide {
+            self.columns.clear();
+            self.columns.resize(k.channels * span, 0);
+        }
+        // The map rows that leave the region, and those that enter it.
+        let (dropped, taken) = match slide {
+            true => ((gy - 1) * stride..gy * stride, (gy - 1) * stride + region..gy * stride + region),
+            false => (0..0, gy * stride..gy * stride + region),
+        };
+        for (plane, columns) in self.columns.chunks_exact_mut(span).enumerate() {
+            for y in dropped.clone() {
+                for (sum, &v) in columns.iter_mut().zip(map_row(plane, y)) {
+                    *sum -= i64::from(v);
+                }
+            }
+            for y in taken.clone() {
+                for (sum, &v) in columns.iter_mut().zip(map_row(plane, y)) {
+                    *sum += i64::from(v);
+                }
+            }
+        }
+        self.held = Some(gy);
+
+        // A window's box sum is the difference of two prefix sums over its
+        // plane's column sums.
+        let reach = region - mutated(Mutation::GateWindow) as usize;
+        self.scores.clear();
+        self.scores.resize(cols.len(), 0);
+        self.prefix.resize(span + 1, 0);
+        for (columns, &weight) in self.columns.chunks_exact(span).zip(k.weights.iter()) {
+            let mut sum = 0;
+            for (p, &column) in self.prefix[1..].iter_mut().zip(columns) {
+                sum += column;
+                *p = sum;
+            }
+            for (window, score) in self.scores.iter_mut().enumerate() {
+                let at = window * stride;
+                *score += i64::from(weight) * (self.prefix[at + reach] - self.prefix[at]);
+            }
+        }
+    }
 }
 
 impl Kernel for WindowScoreKernel {
@@ -363,176 +654,130 @@ impl Kernel for WindowScoreKernel {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let b = Self::BLOCK as usize;
-        let (region, stride) = Self::geometry(self.stage);
-        let ts = Self::tile_side(self.stage);
-        let bx0 = ctx.block_idx.x as usize * b; // window coords
-        let by0 = ctx.block_idx.y as usize * b;
-        let (mw, mh) = (self.map_w, self.map_h);
-        let plane = mw * mh;
+        ctx.run_as_range(self);
+    }
 
-        // Stage the block's span of every plane (zero beyond the map;
-        // valid windows never reach those cells).
-        let mut tile = ctx.shared_alloc_i32(self.channels * ts * ts);
-        {
-            let maps = ctx.mem.read(self.maps);
-            let (x0, y0) = (bx0 * stride, by0 * stride);
-            for c in 0..self.channels {
-                let t0 = c * ts * ts;
-                for ty in 0..ts {
-                    let gy = y0 + ty;
-                    if gy >= mh {
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        const B: usize = WindowScoreKernel::BLOCK as usize;
+        let (region, _) = Self::geometry(self.stage);
+        let ts = Self::tile_side(self.stage);
+        let (nx, stage) = (self.nx, self.stage);
+        // What the device stages per block: its span of every plane, one
+        // coalesced read and one shared store per element.
+        let tile_elems = (self.channels * ts * ts) as u64;
+        ctx.require_shared(4 * tile_elems as usize);
+        // The part of a block's counters that its window count decides.
+        let class = |cw: usize, ch: usize| {
+            let valid = (cw * ch) as u64;
+            let mut c = KernelCounters {
+                shared_transactions: tile_elems / 8,
+                barriers: ctx.warps_in_block(),
+                ..KernelCounters::default()
+            };
+            ctx.count_load(&mut c, self.maps, 4 * tile_elems);
+            if let Some((d, s)) = self.src {
+                ctx.count_load(&mut c, d, 4 * valid);
+                ctx.count_load(&mut c, s, 4 * valid);
+            }
+            ctx.count_store(&mut c, self.dst_depth, 4 * valid);
+            ctx.count_store(&mut c, self.dst_score, 4 * valid);
+            c
+        };
+        // What a warp with a window to score adds: the weight broadcasts
+        // (plus the two threshold words), a shared read and a multiply-add
+        // pair per cell and plane.
+        let cells = (region * region * self.channels) as u64;
+        let scoring = KernelCounters {
+            const_broadcasts: self.weights.len() as u64 + 2,
+            shared_transactions: cells,
+            alu_ops: 2 * cells + 6,
+            ..KernelCounters::default()
+        };
+
+        let maps = ctx.mem.read(self.maps);
+        let src = self.src.map(|(d, s)| (ctx.mem.read(d), ctx.mem.read(s)));
+        let src = src.as_ref().map(|(d, s)| (&d[..], &s[..]));
+        let (mut dst_depth, mut dst_score) =
+            (ctx.mem.write(self.dst_depth), ctx.mem.write(self.dst_score));
+        let (dst_depth, dst_score) = (&mut dst_depth[..], &mut dst_score[..]);
+        let mut gate = GateSums::default();
+        for rect in ctx.rectangles(blocks) {
+            let band = Band::of(rect, (B, B), (nx, self.ny));
+            gate.held = None;
+            for gy in band.rows.clone() {
+                let row = gy * nx + band.cols.start..gy * nx + band.cols.end;
+                let (depth, score) = (&mut dst_depth[row.clone()], &mut dst_score[row.clone()]);
+                // Windows an earlier stage rejected keep their rejection.
+                if let Some((src_depth, src_score)) = src {
+                    depth.copy_from_slice(&src_depth[row.clone()]);
+                    score.copy_from_slice(&src_score[row]);
+                }
+                if stage == 1 {
+                    gate.score_row(self, &maps, gy, &band.cols);
+                }
+                for (k, (d, s)) in depth.iter_mut().zip(score).enumerate() {
+                    if src.is_some() && *d != stage - 1 {
                         continue;
                     }
-                    for tx in 0..ts {
-                        let gx = x0 + tx;
-                        if gx < mw {
-                            tile[t0 + ty * ts + tx] = maps[c * plane + gy * mw + gx];
-                        }
+                    let sum = match stage {
+                        1 => gate.scores[k],
+                        _ => self.template(&maps, band.cols.start + k, gy),
+                    };
+                    let margin = sum - self.threshold;
+                    if margin >= 0 {
+                        let earlier = if src.is_some() { i64::from(*s) } else { 0 };
+                        (*d, *s) = (stage, sat(earlier + margin));
+                    } else if src.is_none() {
+                        (*d, *s) = (0, sat(margin));
                     }
                 }
             }
-        }
-        ctx.syncthreads();
-
-        let src = self.src.map(|(d, s)| (ctx.mem.read(d), ctx.mem.read(s)));
-        let mut dst_depth = ctx.mem.write(self.dst_depth);
-        let mut dst_score = ctx.mem.write(self.dst_score);
-
-        let mut m_const = 0u64;
-        let mut m_shared = 0u64;
-        let mut m_alu = 0u64;
-        let mut m_branches = 0u64;
-        let mut m_divergent = 0u64;
-        let mut valid_windows = 0u64;
-
-        let cells = region * region;
-        ctx.for_each_warp(|_, lanes| {
-            let mut valid = [false; 32];
-            let mut active = [false; 32];
-            let mut n_valid = 0usize;
-            let mut n_active = 0usize;
-            for (li, t) in lanes.clone().enumerate() {
-                let gx = bx0 + (t as usize) % b;
-                let gy = by0 + (t as usize) / b;
-                valid[li] = gx < self.nx && gy < self.ny;
-                if !valid[li] {
-                    continue;
-                }
-                n_valid += 1;
-                active[li] = match &src {
-                    None => true,
-                    Some((depth, _)) => depth[gy * self.nx + gx] == self.stage - 1,
-                };
-                if active[li] {
-                    n_active += 1;
-                }
-            }
-            valid_windows += n_valid as u64;
-            if self.src.is_some() && n_valid > 0 {
-                // Activity-mask branch: divergent when the warp mixes
-                // surviving and already-rejected windows.
-                m_branches += 1;
-                if n_active > 0 && n_active < n_valid {
-                    m_divergent += 1;
-                }
-            }
-            if n_active > 0 {
-                // Weight broadcasts (plus the two threshold words).
-                m_const += self.weights.len() as u64 + 2;
-                m_shared += (cells * self.channels) as u64;
-                m_alu += (2 * cells * self.channels + 6) as u64;
-            }
-
-            let mut passed = 0usize;
-            let mut failed = 0usize;
-            for (li, t) in lanes.clone().enumerate() {
-                if !valid[li] {
-                    continue;
-                }
-                let gxw = bx0 + (t as usize) % b;
-                let gyw = by0 + (t as usize) / b;
-                let i = gyw * self.nx + gxw;
-                if !active[li] {
-                    // Copy the earlier rejection through (stage >= 2).
-                    let (depth, score) = src.as_ref().expect("inactive lanes imply a source");
-                    dst_depth[i] = depth[i];
-                    dst_score[i] = score[i];
-                    continue;
-                }
-                // Score this window from the staged tile, in the exact
-                // channel-major / row-major order of the host reference.
-                let lx = (gxw - bx0) * stride;
-                let ly = (gyw - by0) * stride;
-                let mut s = 0i64;
-                if self.stage == 1 {
-                    for (c, &wc) in self.weights.iter().enumerate() {
-                        let mut sum = 0i64;
-                        for dy in 0..region {
-                            let row = c * ts * ts + (ly + dy) * ts + lx;
-                            for dx in 0..region {
-                                sum += i64::from(tile[row + dx]);
+            // Per block, per warp: the activity-mask branch of a stage with
+            // a source (divergent where the warp mixes windows that passed
+            // the stage before with rejected ones), then for a warp with a
+            // window to score the stage-exit branch, divergent where
+            // outcomes mix.
+            let mut outcomes = Vec::with_capacity(band.len * band.rows.len().div_ceil(B));
+            for by0 in band.rows.clone().step_by(B) {
+                for bx0 in (0..band.len).map(|k| band.cols.start + k * B) {
+                    let mut c = KernelCounters::default();
+                    ctx.for_each_warp(|_, lanes| {
+                        let (mut valid, mut active, mut passed) = (0, 0, 0);
+                        for t in lanes {
+                            let (gx, gy) = (bx0 + t as usize % B, by0 + t as usize / B);
+                            if gx < nx && gy < self.ny {
+                                let i = gy * nx + gx;
+                                let alive = src.is_none_or(|(depth, _)| depth[i] == stage - 1);
+                                valid += 1;
+                                active += alive as u64;
+                                passed += (alive && dst_depth[i] == stage) as u64;
                             }
                         }
-                        s += i64::from(wc) * sum;
-                    }
-                } else {
-                    for c in 0..self.channels {
-                        for dy in 0..region {
-                            let row = c * ts * ts + (ly + dy) * ts + lx;
-                            for dx in 0..region {
-                                s += i64::from(self.weights[c * cells + dy * region + dx])
-                                    * i64::from(tile[row + dx]);
-                            }
+                        if src.is_some() && valid > 0 {
+                            c.branches += 1;
+                            c.divergent_branches += (0 < active && active < valid) as u64;
                         }
-                    }
-                }
-                let margin = s - self.threshold;
-                let prev_score =
-                    src.as_ref().map_or(0i64, |(_, score)| i64::from(score[i]));
-                if margin >= 0 {
-                    dst_depth[i] = self.stage;
-                    dst_score[i] = sat(prev_score + margin);
-                    passed += 1;
-                } else {
-                    match &src {
-                        None => {
-                            dst_depth[i] = 0;
-                            dst_score[i] = sat(margin);
+                        if active > 0 {
+                            c.add(&scoring);
+                            c.branches += 1;
+                            c.divergent_branches += (0 < passed && passed < active) as u64;
                         }
-                        Some((depth, score)) => {
-                            dst_depth[i] = depth[i];
-                            dst_score[i] = score[i];
-                        }
-                    }
-                    failed += 1;
+                    });
+                    outcomes.push(c);
                 }
             }
-            if n_active > 0 {
-                // Stage-exit branch, divergent when outcomes mix.
-                m_branches += 1;
-                if passed > 0 && failed > 0 {
-                    m_divergent += 1;
-                }
-            }
-        });
-        drop(dst_depth);
-        drop(dst_score);
-        drop(src);
-
-        let tile_elems = (self.channels * ts * ts) as u64;
-        ctx.global_load_buf(self.maps, 4 * tile_elems);
-        ctx.meter.shared(tile_elems / 8);
-        if let Some((d, s)) = self.src {
-            ctx.global_load_buf(d, 4 * valid_windows);
-            ctx.global_load_buf(s, 4 * valid_windows);
+            let mut outcomes = outcomes.iter();
+            band.emit(class, &mut |geometry| {
+                let mut c = *outcomes.next().expect("an outcome per block");
+                c.add(geometry);
+                sink(&c);
+            });
         }
-        ctx.meter.constant(m_const);
-        ctx.meter.shared(m_shared);
-        ctx.meter.alu(m_alu);
-        ctx.meter.branches(m_branches, m_divergent);
-        ctx.global_store_buf(self.dst_depth, 4 * valid_windows);
-        ctx.global_store_buf(self.dst_score, 4 * valid_windows);
     }
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {
@@ -695,10 +940,19 @@ impl Kernel for ChainKernel {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
         match self {
-            ChainKernel::Conv(k) => k.run_block(ctx),
-            ChainKernel::Pool(k) => k.run_block(ctx),
-            ChainKernel::Score(k) => k.run_block(ctx),
+            ChainKernel::Conv(k) => k.run_blocks(ctx, blocks, sink),
+            ChainKernel::Pool(k) => k.run_blocks(ctx, blocks, sink),
+            ChainKernel::Score(k) => k.run_blocks(ctx, blocks, sink),
         }
     }
 
@@ -774,7 +1028,8 @@ mod tests {
     use super::*;
     use fd_gpu::{DeviceSpec, ExecMode, Gpu};
 
-    use crate::model::{C1, C2};
+    use crate::model::C1;
+    use crate::pipeline::alloc_level;
 
     fn test_luma(w: usize, h: usize) -> Vec<f32> {
         (0..w * h)
@@ -785,31 +1040,12 @@ mod tests {
             .collect()
     }
 
-    fn alloc_level(gpu: &mut Gpu, w: usize, h: usize) -> LevelDeviceBufs {
-        let (p1w, p1h) = (w / 2, h / 2);
-        let (p2w, p2h) = (p1w / 2, p1h / 2);
-        let (nx, ny) = window_grid(w, h);
-        LevelDeviceBufs {
-            scaled: gpu.mem.alloc::<f32>(w * h),
-            conv1: gpu.mem.alloc::<i32>(C1 * w * h),
-            pooled1: gpu.mem.alloc::<i32>(C1 * p1w * p1h),
-            conv2: gpu.mem.alloc::<i32>(C2 * p1w * p1h),
-            pooled2: gpu.mem.alloc::<i32>(C2 * p2w * p2h),
-            depth_a: gpu.mem.alloc::<u32>(nx * ny),
-            score_a: gpu.mem.alloc::<i32>(nx * ny),
-            depth_b: gpu.mem.alloc::<u32>(nx * ny),
-            score_b: gpu.mem.alloc::<i32>(nx * ny),
-            depth: gpu.mem.alloc::<u32>(nx * ny),
-            score: gpu.mem.alloc::<i32>(nx * ny),
-        }
-    }
-
     /// Run the whole per-level chain on the device and return the final
     /// depth/score grids.
     fn run_chain(model: &CnnModel, luma: &[f32], w: usize, h: usize) -> (Vec<u32>, Vec<i32>) {
         let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
         let cp = gpu.const_upload(&model.encode());
-        let mut bufs = alloc_level(&mut gpu, w, h);
+        let mut bufs = alloc_level(&mut gpu.mem, w, h);
         bufs.scaled = gpu.mem.upload(luma);
         let tensors = ModelTensors::from_model(model);
         for k in level_chain(&tensors, &bufs, w, h, cp) {
@@ -909,7 +1145,7 @@ mod tests {
             .collect();
         let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
         let cp = gpu.const_upload(&model.encode());
-        let mut bufs = alloc_level(&mut gpu, w, h);
+        let mut bufs = alloc_level(&mut gpu.mem, w, h);
         bufs.scaled = gpu.mem.upload(&luma);
         let tensors = ModelTensors::from_model(&model);
         for k in level_chain(&tensors, &bufs, w, h, cp) {

@@ -57,7 +57,7 @@ pub struct CnnLevelOutput {
     pub score: Vec<i32>,
 }
 
-fn alloc_level(mem: &mut fd_gpu::DeviceMemory, w: usize, h: usize) -> LevelDeviceBufs {
+pub(crate) fn alloc_level(mem: &mut fd_gpu::DeviceMemory, w: usize, h: usize) -> LevelDeviceBufs {
     let (p1w, p1h) = (w / 2, h / 2);
     let (p2w, p2h) = (p1w / 2, p1h / 2);
     let (nx, ny) = window_grid(w, h);
@@ -104,6 +104,9 @@ struct CnnPool {
     frame_dims: (usize, usize),
     plan: Vec<(usize, usize)>,
     streams: Vec<StreamId>,
+    /// Slot `i`'s frame texture, the `i`-th bound: bound once, refilled
+    /// in place by every batch.
+    texs: Vec<TexId>,
     slots: Vec<Vec<LevelDeviceBufs>>,
     bytes: usize,
 }
@@ -186,6 +189,7 @@ impl CnnPipeline {
     /// Free the frame-persistent buffer pool.
     pub fn release_pool(&mut self) {
         if let Some(pool) = self.pool.take() {
+            self.gpu.clear_textures();
             for slot in pool.slots {
                 for bufs in slot {
                     free_level(&mut self.gpu.mem, bufs);
@@ -207,6 +211,7 @@ impl CnnPipeline {
                 frame_dims: (fw, fh),
                 plan: plan.to_vec(),
                 streams,
+                texs: Vec::new(),
                 slots: Vec::new(),
                 bytes: 0,
             });
@@ -253,21 +258,23 @@ impl CnnPipeline {
             return Err(DetectorError::InvalidConfig { reason: "empty pyramid plan" });
         }
         self.ensure_pool(fw, fh, plan, frames.len());
-        let Some(pool) = self.pool.as_ref() else {
+        let Some(pool) = self.pool.as_mut() else {
             return Err(DetectorError::InvalidConfig { reason: "buffer pool missing" });
         };
         let gpu = &mut self.gpu;
 
-        gpu.clear_textures();
-        let mut texs: Vec<TexId> = Vec::with_capacity(frames.len());
-        for frame in frames {
-            let tex_data = Texture2D::try_from_data(fw, fh, frame.as_slice().to_vec())
-                .map_err(|source| DetectorError::Memory {
-                    context: "binding the frame texture",
-                    source,
-                })?;
-            texs.push(gpu.bind_texture(tex_data));
+        for (slot, frame) in frames.iter().enumerate() {
+            let upload = match pool.texs.get(slot) {
+                Some(&tex) => gpu.refill_texture(tex, frame.as_slice()),
+                None => Texture2D::try_from_data(fw, fh, frame.as_slice().to_vec())
+                    .map(|tex| pool.texs.push(gpu.bind_texture(tex))),
+            };
+            upload.map_err(|source| DetectorError::Memory {
+                context: "binding the frame texture",
+                source,
+            })?;
         }
+        let texs = &pool.texs[..frames.len()];
 
         let fail = |gpu: &mut Gpu, kernel, level, source: LaunchError| {
             gpu.cancel_pending();
@@ -408,8 +415,14 @@ mod tests {
             let _ = p.run_batch_with_plan(&[&frame], &plan).unwrap();
         }
         assert_eq!(p.gpu.mem.alloc_count(), allocs, "steady-state frames are allocation-free");
+        let (before, _) = p.run_batch_with_plan(&[&frame], &plan).unwrap();
         p.release_pool();
         assert_eq!(p.gpu.mem.live_bytes(), 0);
+        // Releasing unbinds the frame textures; the next batch binds anew.
+        let (after, _) = p.run_batch_with_plan(&[&frame], &plan).unwrap();
+        for (a, b) in before[0].iter().zip(&after[0]) {
+            assert_eq!((&a.depth, &a.score), (&b.depth, &b.score));
+        }
     }
 
     #[test]

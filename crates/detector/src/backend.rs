@@ -95,6 +95,14 @@ pub trait Detector {
     /// so a 1-replica fleet is identical to the original detector).
     fn try_replicas(&self, n: usize) -> Result<Vec<Box<dyn Detector>>, DetectorError>;
 
+    /// The engine's device profiler (every frame since the last reset):
+    /// what a boxed lane of a fleet did, launch by launch and host span
+    /// by host span.
+    fn profiler(&self) -> &fd_gpu::Profiler;
+
+    /// Reset the profiler statistics.
+    fn reset_profiler(&mut self);
+
     /// Detect faces in one luma frame (plan + single-frame batch).
     fn detect(&mut self, frame: &GrayImage) -> Result<FrameResult, DetectorError> {
         let plan = self.pyramid_plan(frame)?;
@@ -164,6 +172,14 @@ impl Detector for FaceDetector {
             .collect())
     }
 
+    fn profiler(&self) -> &fd_gpu::Profiler {
+        FaceDetector::profiler(self)
+    }
+
+    fn reset_profiler(&mut self) {
+        FaceDetector::reset_profiler(self)
+    }
+
     // The provided `detect`/`detect_with_plan`/`detect_batch` bodies are
     // not overridden: they recompose exactly the inherent methods'
     // plan-then-batch structure, and a batch of one is bit-identical to
@@ -208,6 +224,14 @@ impl Detector for Box<dyn Detector> {
 
     fn try_replicas(&self, n: usize) -> Result<Vec<Box<dyn Detector>>, DetectorError> {
         (**self).try_replicas(n)
+    }
+
+    fn profiler(&self) -> &fd_gpu::Profiler {
+        (**self).profiler()
+    }
+
+    fn reset_profiler(&mut self) {
+        (**self).reset_profiler()
     }
 
     fn detect(&mut self, frame: &GrayImage) -> Result<FrameResult, DetectorError> {
@@ -307,5 +331,17 @@ mod tests {
         );
         assert_eq!(via_trait.const_bytes(), det.const_bytes());
         assert_eq!(via_trait.device_bytes(), det.device_bytes());
+    }
+
+    #[test]
+    fn a_boxed_lane_reaches_its_profiler() {
+        let cfg = DetectorConfig { min_neighbors: 1, ..DetectorConfig::default() };
+        let mut lane: Box<dyn Detector> =
+            Box::new(FaceDetector::try_new(&edge_cascade(), cfg).unwrap());
+        assert!(lane.profiler().host_spans().is_empty());
+        lane.detect(&frame()).unwrap();
+        assert!(lane.profiler().host_spans().iter().any(|s| s.kernel_name == "cascade_eval"));
+        lane.reset_profiler();
+        assert!(lane.profiler().host_spans().is_empty() && lane.profiler().traces().is_empty());
     }
 }

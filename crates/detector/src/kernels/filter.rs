@@ -9,9 +9,7 @@
 
 use std::ops::Range;
 
-use fd_gpu::{BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
-
-use super::Band;
+use fd_gpu::{Band, BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 
 pub struct FilterKernel {
     pub src: DevBuf<f32>,

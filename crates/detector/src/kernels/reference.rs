@@ -13,11 +13,14 @@
 //! and the same timeline (block costs and their sum, through the
 //! scheduler).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use fd_gpu::probe::{
+    assert_same, check_case, f32_bits, modes, probes, run_probed, take_counters, timeline_bits,
+    Mode, Observed, ReferenceBody, Rng,
+};
 use fd_gpu::{
-    BatchedKernel, BlockCtx, DeviceSpec, ExecMode, FusedChain, Gpu, Kernel, KernelCounters,
-    LaunchConfig, LaunchCtx, Meter, StreamId, Texture2D, Timeline,
+    with_band_mutation, BandMutation, BatchedKernel, BlockCtx, FusedChain, Gpu, StreamId, Texture2D,
 };
 use fd_haar::encode::{encode_cascade, quantize_cascade};
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
@@ -29,9 +32,10 @@ use super::{
     ScanRowsKernel, TransposeKernel,
 };
 
-/// A kernel that still carries its pre-rewrite body.
-trait ReferenceBody: Kernel {
-    fn reference_run_block(&self, ctx: &mut BlockCtx<'_>);
+/// The sweeps' device: one host thread, so the mutation switches reach
+/// the bodies.
+fn device() -> Gpu {
+    fd_gpu::probe::device(1)
 }
 
 impl ReferenceBody for CascadeKernel {
@@ -461,206 +465,6 @@ impl ReferenceBody for DisplayKernel {
         ctx.meter.global_store(4 * covered);
         ctx.meter.alu(2 * warps);
         ctx.meter.branches(warps, warp_divergent);
-    }
-}
-
-/// How a [`Probe`] runs the blocks the drain hands it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Mode {
-    /// The reference body, block by block.
-    Reference,
-    /// `run_blocks` over the range as given.
-    Whole,
-    /// `run_blocks` over pieces of the range cut at random blocks.
-    Chunked(u64),
-    /// `run_block` for every block.
-    Blockwise,
-}
-
-/// The ways the new body is called for every case; `Chunked` draws its
-/// cuts from the case number.
-fn modes(case: usize) -> [Mode; 3] {
-    [Mode::Whole, Mode::Chunked(case as u64), Mode::Blockwise]
-}
-
-/// Runs `kernel` in one [`Mode`] and logs every block's counters, in the
-/// order they were reported.
-struct Probe<K> {
-    kernel: K,
-    mode: Mode,
-    log: Arc<Mutex<Vec<KernelCounters>>>,
-}
-
-impl<K: ReferenceBody> Kernel for Probe<K> {
-    fn name(&self) -> &'static str {
-        self.kernel.name()
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
-    }
-
-    fn run_blocks(
-        &self,
-        ctx: &LaunchCtx<'_>,
-        blocks: std::ops::Range<u64>,
-        sink: &mut dyn FnMut(&KernelCounters),
-    ) {
-        let mut report = |c: &KernelCounters| {
-            self.log.lock().unwrap().push(*c);
-            sink(c);
-        };
-        match self.mode {
-            Mode::Whole => self.kernel.run_blocks(ctx, blocks, &mut report),
-            Mode::Chunked(seed) => {
-                // Pieces of one block up to a few grid rows.
-                let mut rng = Rng(seed ^ blocks.start.wrapping_mul(0x9E37_79B9));
-                let mut lin = blocks.start;
-                while lin < blocks.end {
-                    let longest = (3 * ctx.grid_dim.x as u64).min(blocks.end - lin);
-                    let end = lin + 1 + rng.next() % longest;
-                    self.kernel.run_blocks(ctx, lin..end, &mut report);
-                    lin = end;
-                }
-            }
-            Mode::Reference | Mode::Blockwise => {
-                for lin in blocks {
-                    let meter = Meter::new();
-                    let block = &mut ctx.block(lin, &meter);
-                    if self.mode == Mode::Reference {
-                        self.kernel.reference_run_block(block);
-                    } else {
-                        self.kernel.run_block(block);
-                    }
-                    report(&meter.snapshot());
-                }
-            }
-        }
-    }
-
-    fn access(&self, set: &mut fd_gpu::AccessSet) {
-        self.kernel.access(set);
-    }
-
-    fn fusion_traits(&self) -> Option<fd_gpu::FusionTraits> {
-        self.kernel.fusion_traits()
-    }
-}
-
-/// A device whose drain hands every launch to its kernel as one range on
-/// the calling thread (so [`with_mutation`] reaches the bodies).
-fn device() -> Gpu {
-    Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_threads(1)
-}
-
-/// Every block's counters, probe by probe; filled in by a drain.
-type Logs = Vec<Arc<Mutex<Vec<KernelCounters>>>>;
-
-/// `kernels` as probes in `mode`, and their logs.
-fn probes<K: ReferenceBody>(kernels: Vec<K>, mode: Mode, logs: &mut Logs) -> Vec<Probe<K>> {
-    kernels
-        .into_iter()
-        .map(|kernel| {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            logs.push(Arc::clone(&log));
-            Probe { kernel, mode, log }
-        })
-        .collect()
-}
-
-/// What the scheduler made of the launches: per launch its blocks, span
-/// and summed counters, then the busy time of every SM — block costs and
-/// totals, seen from outside.
-fn timeline_bits(t: &Timeline) -> Vec<u64> {
-    let launches = t.events.iter().flat_map(|e| {
-        let c = &e.counters;
-        [e.blocks, e.t_start_us.to_bits(), e.t_end_us.to_bits(), c.alu_ops, c.global_bytes()]
-            .into_iter()
-            .chain([c.fused_bytes(), c.shared_transactions, c.barriers, c.branches])
-    });
-    launches.chain(t.sm_busy_us.iter().map(|us| us.to_bits())).collect()
-}
-
-/// Launch `kernels` (one plainly, several as one batched launch) over
-/// `cfg` in `mode`, drain, and return every block's counters — part after
-/// part, each by linear block id — followed by the timeline.
-fn run_probed<K: ReferenceBody + 'static>(
-    gpu: &mut Gpu,
-    mut kernels: Vec<K>,
-    cfg: LaunchConfig,
-    mode: Mode,
-) -> (Vec<KernelCounters>, Vec<u64>) {
-    let mut logs = Logs::new();
-    let parts = kernels.len() as u64;
-    if parts == 1 {
-        let probe = probes(vec![kernels.remove(0)], mode, &mut logs).remove(0);
-        gpu.launch_default(probe, cfg).unwrap();
-    } else {
-        gpu.launch_batched(probes(kernels, mode, &mut logs), cfg, StreamId::DEFAULT).unwrap();
-    }
-    let timeline = gpu.synchronize();
-    let counters: Vec<_> = logs.iter().flat_map(|log| std::mem::take(&mut *log.lock().unwrap())).collect();
-    assert_eq!(counters.len() as u64, parts * cfg.total_blocks(), "every block reported once");
-    (counters, timeline_bits(&timeline))
-}
-
-/// What a body did: every block's counters, the timeline and every output
-/// element's bits.
-type Observed = ((Vec<KernelCounters>, Vec<u64>), Vec<u32>);
-
-fn assert_same(((c_new, t_new), out_new): Observed, ((c_ref, t_ref), out_ref): &Observed, case: &str) {
-    assert_eq!(c_new.len(), c_ref.len(), "{case}: block count");
-    for (block, (a, b)) in c_new.iter().zip(c_ref).enumerate() {
-        assert_eq!(a, b, "{case}: counters of block {block}");
-    }
-    assert_eq!(&t_new, t_ref, "{case}: timeline");
-    assert_eq!(out_new.len(), out_ref.len(), "{case}: output length");
-    for (i, (a, b)) in out_new.iter().zip(out_ref).enumerate() {
-        assert_eq!(a, b, "{case}: output element {i}");
-    }
-}
-
-/// The sweep of one case: `observe(mode, parts)` launches `parts` fresh
-/// kernels over the case's input (one plainly, more as a batch) and
-/// returns what they did. The new body must equal the reference body in
-/// every mode, alone and batched.
-fn check_case(case: usize, label: &str, mut observe: impl FnMut(Mode, usize) -> Observed) {
-    for parts in [1, 2 + case % 2] {
-        let reference = observe(Mode::Reference, parts);
-        for mode in modes(case) {
-            assert_same(observe(mode, parts), &reference, &format!("{label}, {mode:?} x{parts}"));
-        }
-    }
-}
-
-fn f32_bits(values: Vec<f32>) -> Vec<u32> {
-    values.into_iter().map(f32::to_bits).collect()
-}
-
-/// SplitMix64: the sweeps' only source of randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    /// A finite pixel-like value: negative, above 255 and exact halves
-    /// all occur.
-    fn pixel(&mut self) -> f32 {
-        match self.below(4) {
-            0 => self.below(300) as f32 - 20.0 + 0.5,
-            1 => self.below(256) as f32,
-            _ => (self.next() % 3_000_000) as f32 / 10_000.0 - 20.0,
-        }
     }
 }
 
@@ -1171,7 +975,7 @@ fn fused_chains_match_reference() {
                     (floats, [gpu.mem.alloc::<u32>(n), gpu.mem.alloc::<u32>(n), gpu.mem.alloc::<u32>(n)])
                 })
                 .collect();
-            let mut logs = Logs::new();
+            let mut logs = Vec::new();
             // One stage of a chain: its kernels over the slots, probed and
             // stacked.
             macro_rules! stage {
@@ -1222,8 +1026,7 @@ fn fused_chains_match_reference() {
             let chain_b = FusedChain::new("scan+transpose").then(scan2.0, scan2.1).then(t2.0, t2.1);
             gpu.launch_fused(chain_b, StreamId::DEFAULT).unwrap();
             let timeline = timeline_bits(&gpu.synchronize());
-            let counters: Vec<_> =
-                logs.iter().flat_map(|log| std::mem::take(&mut *log.lock().unwrap())).collect();
+            let counters = take_counters(&logs);
             let mut bits = Vec::new();
             for (floats, words) in bufs {
                 for buf in floats {
@@ -1251,14 +1054,14 @@ fn fused_chains_match_reference() {
 #[test]
 #[should_panic(expected = "case ")]
 fn sweep_catches_a_band_edge_off_by_one() {
-    with_mutation(Mutation::BandEdge, || filter_sweep(60));
+    with_band_mutation(BandMutation::BandEdge, || filter_sweep(60));
 }
 
 /// … the last block of a grid row metered like a full one …
 #[test]
 #[should_panic(expected = "case ")]
 fn sweep_catches_the_wrong_cost_class_for_an_edge_block() {
-    with_mutation(Mutation::EdgeCostClass, || scale_sweep(60));
+    with_band_mutation(BandMutation::EdgeCostClass, || scale_sweep(60));
 }
 
 /// … and a cascade block row taken for inside the image whose tile ends

@@ -7,9 +7,7 @@
 
 use std::ops::Range;
 
-use fd_gpu::{BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx, TexId};
-
-use super::Band;
+use fd_gpu::{Band, BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx, TexId};
 
 /// One launch per pyramid level.
 pub struct ScaleKernel {

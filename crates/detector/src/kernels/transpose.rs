@@ -8,9 +8,7 @@
 
 use std::ops::Range;
 
-use fd_gpu::{BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
-
-use super::Band;
+use fd_gpu::{Band, BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 
 pub struct TransposeKernel {
     /// Input: `width x height`, row-major.

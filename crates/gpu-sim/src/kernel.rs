@@ -347,6 +347,91 @@ impl<'a> LaunchCtx<'a> {
     }
 }
 
+/// Deliberate bugs in [`Band`] that the kernel crates' oracle sweeps must
+/// catch; see [`with_band_mutation`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BandMutation {
+    /// A band that reaches the right edge of an image wider than a block
+    /// stops one column short.
+    BandEdge,
+    /// The last block of a grid row is metered like a full one.
+    EdgeCostClass,
+}
+
+thread_local! {
+    static BAND_MUTATION: std::cell::Cell<Option<BandMutation>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Run `sweep` on this thread with `mutation` switched on: for the
+/// `#[should_panic]` tests that prove a sweep would notice the bug. Nothing
+/// else calls it.
+#[doc(hidden)]
+pub fn with_band_mutation(mutation: BandMutation, sweep: impl FnOnce()) {
+    BAND_MUTATION.set(Some(mutation));
+    sweep();
+    BAND_MUTATION.set(None);
+}
+
+fn mutated(mutation: BandMutation) -> bool {
+    BAND_MUTATION.get() == Some(mutation)
+}
+
+/// The part of a `w x h` image that a rectangle of blocks covers when `bw
+/// x bh` blocks tile it: what [`LaunchCtx::rectangles`] yields, in pixels.
+/// The tiled kernels process it as whole image rows.
+pub struct Band {
+    pub rows: Range<usize>,
+    pub cols: Range<usize>,
+    /// Blocks per grid row of the rectangle, and the shape of one.
+    pub len: usize,
+    pub bw: usize,
+    pub bh: usize,
+}
+
+impl Band {
+    pub fn of(
+        (first, len, rows): (Dim3, u32, u32),
+        (bw, bh): (usize, usize),
+        (w, h): (usize, usize),
+    ) -> Self {
+        let (x0, y0) = (first.x as usize * bw, first.y as usize * bh);
+        let w = w - (mutated(BandMutation::BandEdge) && w > bw) as usize;
+        Self {
+            rows: y0..(y0 + rows as usize * bh).min(h),
+            cols: x0..(x0 + len as usize * bw).min(w),
+            len: len as usize,
+            bw,
+            bh,
+        }
+    }
+
+    /// Hand `sink` the counters of every block of the rectangle, row by
+    /// row, left to right: `class(cw, ch)` for a block that covers `cw x
+    /// ch` pixels. Only the last block of a row can be narrower and only
+    /// the last row shorter than the others, so a launch has at most four
+    /// classes.
+    pub fn emit(
+        &self,
+        class: impl Fn(usize, usize) -> KernelCounters,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        let mut last_cw = self.cols.len() - (self.len - 1) * self.bw;
+        if mutated(BandMutation::EdgeCostClass) {
+            last_cw = self.bw;
+        }
+        for y0 in self.rows.clone().step_by(self.bh) {
+            let ch = (self.rows.end - y0).min(self.bh);
+            let full = class(self.bw, ch);
+            for _ in 1..self.len {
+                sink(&full);
+            }
+            sink(&if last_cw == self.bw { full } else { class(last_cw, ch) });
+        }
+    }
+}
+
 /// Execution context for one thread block: the launch it belongs to
 /// (geometry and memory spaces, through `Deref`), its index and the work
 /// meter.

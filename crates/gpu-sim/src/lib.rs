@@ -97,6 +97,8 @@ pub mod kernel;
 pub mod memory;
 pub mod meter;
 pub mod pcie;
+#[doc(hidden)]
+pub mod probe;
 pub mod profiler;
 pub mod sched;
 pub mod stream;
@@ -113,7 +115,9 @@ pub use dim::Dim3;
 pub use fault::{FaultCursor, FaultPlan, FaultStats};
 pub use fuse::{FusedChain, FusedKernel, FusionError, FusionTraits, FUSION_ENV_VAR};
 pub use gpu::{Gpu, LaunchError, MAX_FUNCTIONAL_BLOCKS};
-pub use kernel::{BlockCtx, Kernel, LaunchConfig, LaunchCtx};
+pub use kernel::{
+    with_band_mutation, Band, BandMutation, BlockCtx, Kernel, LaunchConfig, LaunchCtx,
+};
 pub use memory::{
     AccessSet, BilinearTap, ConstPtr, CopyFault, CopyFaultConfig, DevBuf, DevRead, DevWrite,
     DeviceMemory, MemoryError, Readback, TexId, Texture2D,

@@ -31,10 +31,11 @@ cargo test -q --offline --workspace
 gate "simulator test matrix across host thread counts"
 # The functional phase must be bit-identical whether the drain runs the
 # launches in issue order on the host thread (1, the reference schedule)
-# or the worker pool claims chunks in parallel (4).
+# or the worker pool claims chunks in parallel (4): the simulator and both
+# kernel crates, whose launches the pool cuts into block ranges.
 for t in 1 4; do
   echo "-- FD_SIM_THREADS=$t --"
-  FD_SIM_THREADS=$t cargo test -q --offline -p fd-gpu -p fd-detector
+  FD_SIM_THREADS=$t cargo test -q --offline -p fd-gpu -p fd-detector -p fd-cnn
 done
 
 gate "kernel fusion (asserts >= 1.2x end-to-end speedup, >= 1.15x batched, bit-identical detections)"
