@@ -13,9 +13,9 @@ use crate::memory::{
     Texture2D,
 };
 use crate::meter::KernelCounters;
-use crate::pool::{resolve_host_threads, LaunchEnv, Node, WorkerPool};
+use crate::pool::{resolve_host_threads, DrainJob, LaunchEnv, Node, WorkerPool};
 use crate::profiler::Profiler;
-use crate::sched::{ExecMode, LaunchRecord, SchedScratch, Timeline};
+use crate::sched::{BlockCost, BlockCosts, ExecMode, LaunchRecord, SchedScratch, Timeline};
 use crate::stream::{EventId, StreamId};
 
 /// Most blocks a single launch may execute functionally. Far beyond any
@@ -179,6 +179,197 @@ fn phase_segments(boundaries: Vec<u64>, total_blocks: u64) -> Vec<(u64, u64)> {
         segments.push((first, end - first));
     }
     segments
+}
+
+/// The deferred launches `pending[base..]` as the pool's dependency graph,
+/// and each one's first and last node.
+///
+/// Dependencies on already-executed launches (`d < base`) are satisfied by
+/// definition and drop out of the node graph. Fused launches expand into
+/// one node per phase, chained by deps, so the pool never interleaves a
+/// consumer stage's blocks with its producer's. External deps attach to
+/// the first phase; downstream launches depending on the fused launch
+/// point at its last phase.
+fn drain_graph(pending: &[PendingLaunch], base: usize) -> (Vec<Node<'_>>, Vec<(usize, usize)>) {
+    let mut nodes: Vec<Node<'_>> = Vec::with_capacity(pending.len() - base);
+    let mut node_span: Vec<(usize, usize)> = Vec::with_capacity(pending.len() - base);
+    for p in &pending[base..] {
+        let kernel = &**p.kernel.as_ref().expect("unexecuted launch retains its kernel");
+        let first = nodes.len();
+        for (block_offset, count) in phase_segments(kernel.phase_boundaries(), p.total_blocks) {
+            let deps = if nodes.len() == first {
+                p.deps.iter().filter(|&&d| d >= base).map(|&d| node_span[d - base].1).collect()
+            } else {
+                vec![nodes.len() - 1]
+            };
+            nodes.push(Node {
+                kernel,
+                cfg: &p.cfg,
+                total_blocks: count,
+                block_offset,
+                deps,
+                launch_idx: p.record.launch_idx as u64,
+                name: p.record.kernel_name,
+            });
+        }
+        node_span.push((first, nodes.len() - 1));
+    }
+    (nodes, node_span)
+}
+
+/// The drain that is running `pending[base..]`, and each of those
+/// launches' first and last node in it.
+type Pulled<'a> = (&'a DrainJob<'a>, &'a [(usize, usize)]);
+
+/// What [`Gpu::synchronize`] tells the timing simulation about the queue.
+/// Launches whose functional phase has run (`pending[..base]`) answer from
+/// their records. The others are being run by the `pulled` drain while the
+/// simulation asks: the first question about one — at its first placement
+/// — waits until its nodes are complete, with the host thread as a drain
+/// worker meanwhile, and its block costs are then read where the drain
+/// left them, chunk by chunk.
+struct QueueCosts<'a> {
+    pending: &'a [PendingLaunch],
+    base: usize,
+    pulled: Option<Pulled<'a>>,
+    /// Per launch, the costs last read from — a chunk's, or a record's —
+    /// and the launch's block they start at: a launch's blocks are asked
+    /// for in order, so all but the first question about a chunk end here.
+    /// Empty until the launch's nodes are known to be complete.
+    at: Vec<(usize, &'a [BlockCost])>,
+    epoch: Instant,
+    /// Start of the stretch of simulating under way, and the stretches
+    /// before it: between them the host ran kernel bodies.
+    since_us: f64,
+    simulated: Vec<(f64, f64)>,
+}
+
+impl<'a> QueueCosts<'a> {
+    fn new(
+        pending: &'a [PendingLaunch],
+        base: usize,
+        pulled: Option<Pulled<'a>>,
+        epoch: Instant,
+    ) -> Self {
+        let since_us = epoch.elapsed().as_secs_f64() * 1e6;
+        let at = vec![(0, &[][..]); pending.len()];
+        Self { pending, base, pulled, at, epoch, since_us, simulated: Vec::new() }
+    }
+
+    fn now_us(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64() * 1e6
+    }
+
+    /// The timeline of the queue, and the stretches of host time the
+    /// simulation took.
+    fn simulate(
+        mut self,
+        scratch: &mut SchedScratch,
+        spec: &DeviceSpec,
+        cost: &CostModel,
+        mode: ExecMode,
+    ) -> (Timeline, Vec<(f64, f64)>) {
+        let records = self.pending.iter().map(|p| &p.record);
+        let timeline = scratch.simulate_from(spec, cost, mode, records, &mut self);
+        self.simulated.push((self.since_us, self.now_us()));
+        (timeline, self.simulated)
+    }
+
+    /// [`BlockCosts::cost`] for the first block of a launch or of a chunk.
+    fn seek(&mut self, launch: usize, block: usize) -> BlockCost {
+        let p = &self.pending[launch];
+        let Some(k) = launch.checked_sub(self.base) else {
+            self.at[launch] = (0, &p.record.block_costs);
+            return p.record.block_costs[block];
+        };
+        let (drain, node_span) = self.pulled.expect("a deferred launch is being drained");
+        let (nodes, (first, last)) = (drain.nodes(), node_span[k]);
+        if block == 0 && !drain.done(last) {
+            self.simulated.push((self.since_us, self.now_us()));
+            drain.help_until((first, last));
+            self.since_us = self.now_us();
+        }
+        // The phase that holds the block (a plain launch has one), the
+        // chunk of that phase, the block within the chunk.
+        let mut node = first;
+        while block as u64 >= nodes[node].block_offset + nodes[node].total_blocks {
+            node += 1;
+        }
+        let in_phase = block - nodes[node].block_offset as usize;
+        if mutated(Mutation::FirstPhaseSlots) {
+            node = first;
+        }
+        let per_chunk = match mutated(Mutation::OtherChunkSize) {
+            false => drain.chunk_blocks(node),
+            true => drain.chunk_blocks((node + 1) % nodes.len()),
+        };
+        let costs = &drain.chunk(node, in_phase / per_chunk).block_costs[..];
+        self.at[launch] = (block - in_phase % per_chunk, costs);
+        let mut cost = costs[in_phase % per_chunk];
+        if block == 0 && p.stall_cycles > 0.0 && !mutated(Mutation::StallDropped) {
+            // A stream stall pins the launch's first block for the
+            // stall duration. Charged as issue cycles so warp
+            // residency cannot hide it (the engine is stalled, not
+            // waiting on DRAM); the timing phase stretches the
+            // launch's span while functional results stay untouched.
+            cost.issue_cycles += p.stall_cycles;
+        }
+        cost
+    }
+}
+
+impl BlockCosts for QueueCosts<'_> {
+    fn blocks(&self, launch: usize) -> usize {
+        self.pending[launch].total_blocks as usize
+    }
+
+    fn cost(&mut self, launch: usize, block: usize) -> BlockCost {
+        let (first, costs) = self.at[launch];
+        match costs.get(block.wrapping_sub(first)) {
+            Some(cost) => *cost,
+            None => self.seek(launch, block),
+        }
+    }
+
+    fn counters(&mut self, launch: usize) -> KernelCounters {
+        let Some(k) = launch.checked_sub(self.base) else {
+            return self.pending[launch].record.counters;
+        };
+        let (drain, node_span) = self.pulled.expect("a deferred launch is being drained");
+        let mut totals = KernelCounters::default();
+        for node in node_span[k].0..=node_span[k].1 {
+            totals.add(&drain.totals(node));
+        }
+        totals
+    }
+}
+
+/// Deliberate bugs in [`QueueCosts`] that the identity sweep must catch;
+/// only a test build can switch one on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mutation {
+    /// A stalled launch's first block is read without the stall penalty.
+    StallDropped,
+    /// A fused launch's later phases are read at the first phase's slots.
+    FirstPhaseSlots,
+    /// The chunk of a block is found with another node's chunk size.
+    OtherChunkSize,
+}
+
+#[cfg(test)]
+thread_local! {
+    static MUTATION: std::cell::Cell<Option<Mutation>> = const { std::cell::Cell::new(None) };
+}
+
+/// Whether `mutation` is switched on: never outside a test build.
+fn mutated(mutation: Mutation) -> bool {
+    #[cfg(test)]
+    return MUTATION.get() == Some(mutation);
+    #[cfg(not(test))]
+    {
+        let _ = mutation;
+        false
+    }
 }
 
 /// Per-device fault-injection state: the plan plus the monotone attempt
@@ -537,65 +728,19 @@ impl Gpu {
             cost: &self.cost,
             warp_size: self.spec.warp_size,
         };
-        // Dependencies on already-executed launches (`d < base`) are
-        // satisfied by definition and drop out of the node graph.
-        //
-        // Fused launches expand into one node per phase, chained by
-        // deps, so the pool never interleaves a consumer stage's blocks
-        // with its producer's. External deps attach to the first phase;
-        // downstream launches depending on the fused launch point at its
-        // last phase.
-        let mut segments: Vec<Vec<(u64, u64)>> = Vec::with_capacity(self.pending.len() - base);
-        let mut node_span: Vec<(usize, usize)> = Vec::with_capacity(self.pending.len() - base);
-        let mut next_node = 0usize;
-        for p in &self.pending[base..] {
-            let kernel = p.kernel.as_ref().expect("unexecuted launch retains its kernel");
-            let segs = phase_segments(kernel.phase_boundaries(), p.total_blocks);
-            node_span.push((next_node, next_node + segs.len() - 1));
-            next_node += segs.len();
-            segments.push(segs);
-        }
-        let mut nodes: Vec<Node<'_>> = Vec::with_capacity(next_node);
-        for (k, p) in self.pending[base..].iter().enumerate() {
-            let kernel = &**p.kernel.as_ref().expect("unexecuted launch retains its kernel");
-            for (si, &(block_offset, count)) in segments[k].iter().enumerate() {
-                let deps = if si == 0 {
-                    p.deps
-                        .iter()
-                        .filter(|&&d| d >= base)
-                        .map(|&d| node_span[d - base].1)
-                        .collect()
-                } else {
-                    vec![node_span[k].0 + si - 1]
-                };
-                nodes.push(Node {
-                    kernel,
-                    cfg: &p.cfg,
-                    total_blocks: count,
-                    block_offset,
-                    deps,
-                    launch_idx: p.record.launch_idx as u64,
-                    name: p.record.kernel_name,
-                });
-            }
-        }
+        let (nodes, node_span) = drain_graph(&self.pending, base);
         let (results, spans) = self.pool.drain(&env, &nodes, threads, self.host_epoch);
         drop(nodes);
         let mut results = results.into_iter();
-        for (k, p) in self.pending[base..].iter_mut().enumerate() {
+        for (p, &(first, last)) in self.pending[base..].iter_mut().zip(&node_span) {
             let mut block_costs = Vec::with_capacity(p.total_blocks as usize);
             let mut totals = KernelCounters::default();
-            for _ in &segments[k] {
-                let r = results.next().expect("one functional result per node");
+            for r in results.by_ref().take(last - first + 1) {
                 block_costs.extend(r.block_costs);
                 totals.add(&r.totals);
             }
             if p.stall_cycles > 0.0 {
-                // A stream stall pins the launch's first block for the
-                // stall duration. Charged as issue cycles so warp
-                // residency cannot hide it (the engine is stalled, not
-                // waiting on DRAM); the timing phase stretches the
-                // launch's span while functional results stay untouched.
+                // The stall penalty: see `QueueCosts::seek`.
                 block_costs[0].issue_cycles += p.stall_cycles;
             }
             p.record.block_costs = block_costs;
@@ -704,10 +849,61 @@ impl Gpu {
     /// Run the timing simulation over all queued launches, feed the
     /// profiler, clear the queue and return the timeline. The timeline's
     /// origin (t = 0) is this synchronization scope's start.
+    ///
+    /// With two or more host threads the simulation runs on this thread
+    /// *while* the pool drains the deferred launches and pulls the drain
+    /// along (see [`QueueCosts`]); with one it follows the drain. The
+    /// simulation performs the same operations on the same numbers in the
+    /// same order either way — only when on the host clock differs.
     pub fn synchronize(&mut self) -> Timeline {
-        self.flush_functional();
-        let launches: Vec<LaunchRecord> =
-            self.pending.drain(..).map(|p| p.record).collect();
+        let threads = resolve_host_threads(self.host_threads);
+        let base = self.first_deferred;
+        let overlapped = if threads > 1 && base < self.pending.len() {
+            let env = LaunchEnv {
+                mem: &self.mem,
+                constants: &self.constants,
+                textures: &self.textures,
+                cost: &self.cost,
+                warp_size: self.spec.warp_size,
+            };
+            let (nodes, node_span) = drain_graph(&self.pending, base);
+            self.pool.drain_pulling(&env, &nodes, threads, self.host_epoch, |drain| {
+                let pulled = Some((drain, &node_span[..]));
+                QueueCosts::new(&self.pending, base, pulled, self.host_epoch).simulate(
+                    &mut self.sched_scratch,
+                    &self.spec,
+                    &self.cost,
+                    self.mode,
+                )
+            })
+        } else {
+            None
+        };
+        let (timeline, simulated) = match overlapped {
+            Some((simulation, spans)) => {
+                self.mem.set_deferred_launches(0);
+                self.profiler.absorb_host_spans(spans);
+                simulation
+            }
+            None => {
+                // The in-issue-order reference: drain, then simulate over
+                // the records.
+                self.flush_functional();
+                QueueCosts::new(&self.pending, self.pending.len(), None, self.host_epoch).simulate(
+                    &mut self.sched_scratch,
+                    &self.spec,
+                    &self.cost,
+                    self.mode,
+                )
+            }
+        };
+        for (t0, t1) in simulated {
+            self.profiler.absorb_timing_span(t0, t1);
+        }
+        // All recorded events fire within this scope.
+        for p in self.pending.drain(..) {
+            self.fired_events.extend(p.record.record_events);
+        }
         self.first_deferred = 0;
         // Harvest the opaque-launch count before the tracker forgets it:
         // undeclared access sets silently forbid both overlap and fusion,
@@ -718,16 +914,6 @@ impl Gpu {
         // Waits registered but never attached to a launch are dropped, like
         // a cudaStreamWaitEvent on a stream that never launches again.
         self.pending_waits.clear();
-        // All recorded events fire within this scope.
-        for l in &launches {
-            for &e in &l.record_events {
-                self.fired_events.insert(e);
-            }
-        }
-        let t0 = self.host_epoch.elapsed().as_secs_f64() * 1e6;
-        let timeline = self.sched_scratch.simulate(&self.spec, &self.cost, self.mode, &launches);
-        let t1 = self.host_epoch.elapsed().as_secs_f64() * 1e6;
-        self.profiler.absorb_timing_span(t0, t1);
         self.profiler.absorb(&timeline.events);
         timeline
     }
@@ -742,6 +928,9 @@ impl Gpu {
         self.profiler.reset();
     }
 }
+
+#[cfg(test)]
+mod sweep;
 
 #[cfg(test)]
 mod tests {
@@ -1158,6 +1347,169 @@ mod tests {
             overlapping,
             "independent launches must overlap across workers: {spans:?}"
         );
+    }
+
+    /// The host lane of the chrome trace (`pid 1, tid 0`) as `(name, start,
+    /// end)` intervals, cut out of the rendered text.
+    fn host_lane(trace: &str) -> Vec<(String, f64, f64)> {
+        let field = |line: &str, key: &str| -> String {
+            let rest = &line[line.find(key).expect(key) + key.len()..];
+            rest[..rest.find([',', '}', '"']).expect("a field ends")].to_string()
+        };
+        trace
+            .lines()
+            .filter(|l| l.contains("\"pid\":1,\"tid\":0"))
+            .map(|l| {
+                let ts: f64 = field(l, "\"ts\":").parse().unwrap();
+                let dur: f64 = field(l, "\"dur\":").parse().unwrap();
+                (field(l, "\"name\":\""), ts, ts + dur)
+            })
+            .collect()
+    }
+
+    /// At two host threads the application thread alternates between
+    /// simulating and running bodies: its lane shows one `sched.simulate`
+    /// slice per stretch of simulating, none of them over a body span, and
+    /// `timing_host_us` is their sum — simulator time, bodies excluded.
+    #[test]
+    fn simulate_slices_and_host_bodies_never_overlap_on_the_host_lane() {
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_threads(2);
+        let n = 32 * 1024usize;
+        let cfg = LaunchConfig::linear(n, 128);
+        let streams: Vec<_> = (0..4).map(|_| gpu.create_stream()).collect();
+        for round in 0..3 {
+            for &s in &streams {
+                let buf = gpu.mem.upload(&vec![round; n]);
+                gpu.launch(SlowDoubleKernel { buf }, cfg, s).unwrap();
+            }
+        }
+        gpu.synchronize();
+        let lane = host_lane(&gpu.profiler().render_chrome_trace_with_host());
+        let (simulate, bodies): (Vec<_>, Vec<_>) =
+            lane.iter().partition(|(name, ..)| name == "sched.simulate");
+        assert!(
+            simulate.len() >= 2 && !bodies.is_empty(),
+            "the host must both simulate and help: {lane:?}"
+        );
+        // Rendered to the nanosecond: allow one of rounding.
+        for (_, s0, s1) in &simulate {
+            for (name, b0, b1) in &bodies {
+                let apart = *s1 <= b0 + 0.002 || *b1 <= s0 + 0.002;
+                assert!(apart, "simulate {s0}..{s1} over {name} {b0}..{b1}");
+            }
+        }
+        let rendered: f64 = simulate.iter().map(|(_, s0, s1)| s1 - s0).sum();
+        let timing = gpu.profiler().timing_host_us();
+        let rounding = 0.002 * simulate.len() as f64;
+        assert!((rendered - timing).abs() < rounding, "{rendered} vs {timing}");
+        // The bodies dominate this queue (200 000 multiplies a block): had
+        // the slices covered the waits, they would sum to the whole scope.
+        let scope = lane.iter().map(|l| l.2).fold(0.0, f64::max)
+            - lane.iter().map(|l| l.1).fold(f64::INFINITY, f64::min);
+        assert!(timing < 0.5 * scope, "simulating took {timing} of {scope} us");
+    }
+
+    /// `dst[i] = src[i] * 3 + 1`; the first block of an armed kernel that
+    /// a pool worker runs panics, once. On the application thread a block
+    /// waits for that instead, so the panic always arrives from the pool
+    /// while the application thread is inside the simulation (or helping
+    /// it along).
+    #[derive(Clone)]
+    struct BoomKernel {
+        src: DevBuf<u32>,
+        dst: DevBuf<u32>,
+        armed: bool,
+        blown: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Kernel for BoomKernel {
+        fn name(&self) -> &'static str {
+            "boom"
+        }
+        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+            use std::sync::atomic::Ordering::SeqCst;
+            if self.armed && !self.blown.load(SeqCst) {
+                let pooled =
+                    std::thread::current().name().is_some_and(|n| n.starts_with("fd-sim-worker"));
+                if pooled && !self.blown.swap(true, SeqCst) {
+                    panic!("injected failure in launch {}", self.src.raw_id());
+                }
+                let waiting = Instant::now();
+                while !self.blown.load(SeqCst) {
+                    assert!(waiting.elapsed().as_secs() < 60, "no pool worker reached the launch");
+                    std::thread::yield_now();
+                }
+            }
+            let tpb = ctx.block_dim.count() as usize;
+            let base = ctx.block_idx.x as usize * tpb;
+            let src = ctx.mem.read(self.src);
+            let mut dst = ctx.mem.write(self.dst);
+            for i in base..base + tpb {
+                dst[i] = src[i].wrapping_mul(3).wrapping_add(1);
+            }
+            ctx.meter.alu(ctx.warps_in_block() * (1 + ctx.block_idx.x as u64 % 5));
+        }
+        fn access(&self, set: &mut AccessSet) {
+            set.reads(self.src).writes(self.dst);
+        }
+    }
+
+    /// A body that panics on a pool worker while the application thread
+    /// simulates: the panic surfaces from `synchronize` with the body's
+    /// payload once every worker has left the job, and the device — queue,
+    /// pool, memory — is usable afterwards: disarmed, the same queue gives
+    /// the timeline and buffers of a device that never panicked.
+    #[test]
+    fn worker_panic_during_the_simulation_surfaces_and_the_device_stays_usable() {
+        let n = 64 * 1024usize; // 512 blocks of 128 threads: four chunks at two threads
+        let cfg = LaunchConfig::linear(n, 128);
+        // Three streams of three launches, stream after stream.
+        let build = |threads: usize, armed: Option<usize>| {
+            let mut gpu =
+                Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_threads(threads);
+            let blown = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let mut outs = Vec::new();
+            let mut kernels = Vec::new();
+            for _ in 0..3 {
+                let s = gpu.create_stream();
+                let mut src = gpu.mem.upload(&(0..n as u32).collect::<Vec<_>>());
+                for _ in 0..3 {
+                    let dst = gpu.mem.alloc::<u32>(n);
+                    kernels.push((BoomKernel { src, dst, armed: false, blown: blown.clone() }, s));
+                    src = dst;
+                }
+                outs.push(src);
+            }
+            for (i, (mut k, s)) in kernels.into_iter().enumerate() {
+                k.armed = armed == Some(i);
+                gpu.launch(k, cfg, s).unwrap();
+            }
+            (gpu, outs, blown)
+        };
+        let observe = |gpu: &mut Gpu, outs: &[DevBuf<u32>]| {
+            let timeline = gpu.synchronize();
+            let buffers: Vec<_> = outs.iter().map(|&b| gpu.mem.download(b)).collect();
+            (crate::probe::timeline_bits(&timeline), buffers)
+        };
+        let (mut clean, outs, _) = build(1, None);
+        let reference = observe(&mut clean, &outs);
+        for threads in [2, 4] {
+            for armed in [0, 4, 8] {
+                let (mut gpu, outs, blown) = build(threads, Some(armed));
+                let caught =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| gpu.synchronize()));
+                let payload = caught.expect_err("the body's panic must surface");
+                let message = payload.downcast_ref::<String>().expect("the body's own payload");
+                assert!(message.starts_with("injected failure in launch"), "{message}");
+                assert_eq!(gpu.pending_launches(), 9, "the scope did not end");
+                assert!(blown.load(std::sync::atomic::Ordering::SeqCst));
+                let again = observe(&mut gpu, &outs);
+                assert!(again == reference, "{threads} threads, launch {armed} armed");
+                // And the next scope is a scope like any other.
+                gpu.launch(DoubleKernel { buf: outs[0] }, cfg, StreamId::DEFAULT).unwrap();
+                assert_eq!(gpu.synchronize().events.len(), 1);
+            }
+        }
     }
 
     /// `dst[i] = src[i] * k + add`, one block per 256 elements; meters its

@@ -44,7 +44,11 @@
 //! 2. **Timing phase** — each launch yields per-block cycle costs. At
 //!    synchronization points a discrete-event scheduler places blocks onto
 //!    SMs subject to residency limits and stream ordering, producing kernel
-//!    start/end timestamps and the total elapsed device time.
+//!    start/end timestamps and the total elapsed device time. On the host
+//!    clock the two phases overlap: with two or more host threads the
+//!    scheduler runs on the calling thread while the pool drains, asks for
+//!    a launch's costs when it first places one of its blocks, and joins
+//!    the drain whenever it has to wait for them.
 //!
 //! The cost model ([`CostModel`]) is documented and deliberately simple; the
 //! quantities the reproduction depends on (SM idleness under serial small

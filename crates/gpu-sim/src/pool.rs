@@ -28,10 +28,17 @@
 //! [`PARALLEL_MIN_WORK`] run serially regardless, as hand-off overhead
 //! would dominate.
 //!
-//! The queue borrows live only for the duration of one [`WorkerPool::drain`]
-//! call: the job is published to the workers as a lifetime-erased pointer
-//! and the host does not return (or touch the queue again) until every
-//! worker has checked out of the generation.
+//! The host thread is worker 0 of every drain. In [`WorkerPool::drain`]
+//! that is all it does; in [`WorkerPool::drain_pulling`] it runs the
+//! caller's consumer of the results — the timing simulation — and turns
+//! worker only while the consumer waits for a launch that has not run yet
+//! ([`DrainJob::help_until`]), so the consumer's time overlaps the drain
+//! instead of following it.
+//!
+//! The queue borrows live only for the duration of one such call: the job
+//! is published to the workers as a lifetime-erased pointer and the host
+//! does not return (or touch the queue again) until every worker has
+//! checked out of the generation.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,11 +53,13 @@ use crate::meter::KernelCounters;
 use crate::profiler::HostSpan;
 use crate::sched::BlockCost;
 
-/// Drains whose estimated work (blocks × threads-per-block) falls below
-/// this run serially. 16 Ki ≈ the `64 blocks × 256 threads` break-even
-/// point measured for the detector's mid-pyramid kernels: below it,
-/// chunk-claim and hand-off costs exceed the block work even on a warm
-/// persistent pool.
+/// The work (blocks × threads-per-block) below which splitting does not
+/// pay, and so both floors: a drain with less runs serially, and no launch
+/// is cut into chunks of less — one too small to split is one chunk, and
+/// the parallelism comes from the other streams' launches. 16 Ki ≈ the
+/// `64 blocks × 256 threads` break-even point measured for the detector's
+/// mid-pyramid kernels: below it, chunk-claim and hand-off costs exceed
+/// the block work even on a warm persistent pool.
 const PARALLEL_MIN_WORK: u64 = 16_384;
 
 /// Upper bound on blocks per chunk; small enough to balance load on the
@@ -189,8 +198,12 @@ struct SchedState {
 /// counters summed.
 type ChunkSlot = OnceLock<FunctionalResult>;
 
+/// The host left [`WorkerPool::drain_pulling`]'s consumer because a body
+/// panicked elsewhere; the body's payload is the one that surfaces.
+struct DrainAborted;
+
 /// Everything one drain shares between workers.
-struct DrainJob<'a> {
+pub(crate) struct DrainJob<'a> {
     env: &'a LaunchEnv<'a>,
     nodes: &'a [Node<'a>],
     /// Blocks per chunk, per node.
@@ -221,7 +234,8 @@ impl<'a> DrainJob<'a> {
             .iter()
             .map(|nd| {
                 let total = nd.total_blocks as usize;
-                let chunk = (total / (threads * 8)).clamp(1, MAX_CHUNK_BLOCKS);
+                let floor = (PARALLEL_MIN_WORK / nd.cfg.threads_per_block().max(1) as u64) as usize;
+                let chunk = (total / (threads * 8)).max(floor).clamp(1, MAX_CHUNK_BLOCKS);
                 // Whole grid rows where the grid has rows and one fits a
                 // chunk: kernels that process a row of blocks as one band
                 // then see no cut inside a row. (One-row grids, a fused
@@ -267,9 +281,52 @@ impl<'a> DrainJob<'a> {
         self.epoch.elapsed().as_secs_f64() * 1e6
     }
 
+    pub(crate) fn nodes(&self) -> &'a [Node<'a>] {
+        self.nodes
+    }
+
+    /// Whether every chunk of `node` has run.
+    pub(crate) fn done(&self, node: usize) -> bool {
+        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.node[node].done_chunks == self.n_chunks[node]
+    }
+
+    /// The host thread as a worker until the launch whose nodes are
+    /// `first..=last` has run: it takes that launch's chunks when they are
+    /// ready and anyone's otherwise, so whoever waits for a launch is
+    /// draining towards it. Unwinds (silently: the body's own panic is the
+    /// one to report) if the drain was aborted instead.
+    pub(crate) fn help_until(&self, (first, last): (usize, usize)) {
+        self.run_worker(0, Some((first, last)));
+        if !self.done(last) {
+            std::panic::resume_unwind(Box::new(DrainAborted));
+        }
+    }
+
+    /// Blocks per chunk of `node`, and its `idx`-th chunk's results: where
+    /// a completed node's block costs are read in place.
+    pub(crate) fn chunk_blocks(&self, node: usize) -> usize {
+        self.chunk[node]
+    }
+
+    pub(crate) fn chunk(&self, node: usize, idx: usize) -> &FunctionalResult {
+        self.slots[node][idx].get().expect("chunk of a completed node")
+    }
+
+    /// Counters summed over the blocks of (completed) `node`.
+    pub(crate) fn totals(&self, node: usize) -> KernelCounters {
+        let mut totals = KernelCounters::default();
+        for slot in &self.slots[node] {
+            totals.add(&slot.get().expect("chunk of a completed node").totals);
+        }
+        totals
+    }
+
     /// Worker body. `worker` 0 is the host thread; pool workers get
     /// 1..; ids beyond `participants` check in and straight back out.
-    fn run_worker(&self, worker: usize) {
+    /// With `until`, returns as soon as those nodes (one launch's phases,
+    /// first to last) are complete and prefers them while they are not.
+    fn run_worker(&self, worker: usize, until: Option<(usize, usize)>) {
         if worker >= self.participants {
             return;
         }
@@ -297,11 +354,15 @@ impl<'a> DrainJob<'a> {
             if guard.aborted || guard.completed == self.nodes.len() {
                 break;
             }
-            let pick = guard
-                .ready
-                .iter()
-                .copied()
-                .min_by_key(|&n| (guard.node[n].active_claims, n));
+            if until.is_some_and(|(_, last)| guard.node[last].done_chunks == self.n_chunks[last]) {
+                break;
+            }
+            let wanted = until.and_then(|(first, last)| {
+                guard.ready.iter().copied().find(|n| (first..=last).contains(n))
+            });
+            let pick = wanted.or_else(|| {
+                guard.ready.iter().copied().min_by_key(|&n| (guard.node[n].active_claims, n))
+            });
             let Some(n) = pick else {
                 // Chunks are in flight elsewhere; their completion will
                 // either ready a successor or finish the drain.
@@ -376,31 +437,20 @@ impl<'a> DrainJob<'a> {
         }
     }
 
-    /// Stitch per-chunk results back into launch order. Panics (with the
-    /// recorded payload) if any worker panicked.
-    fn finish(self) -> (Vec<FunctionalResult>, Vec<HostSpan>) {
+    /// The chunk slots, node by node, and the spans sorted by (worker,
+    /// start). Panics (with the recorded payload) if any worker panicked.
+    fn finish(self) -> (Vec<Vec<ChunkSlot>>, Vec<HostSpan>) {
         let state = self.state.into_inner().unwrap_or_else(|e| e.into_inner());
         if let Some((_, payload)) = state.panic {
             std::panic::resume_unwind(payload);
         }
         assert_eq!(state.completed, self.nodes.len(), "drain exited with unexecuted launches");
-        let mut results = Vec::with_capacity(self.nodes.len());
-        for (n, node_slots) in self.slots.into_iter().enumerate() {
-            let mut block_costs = Vec::with_capacity(self.nodes[n].total_blocks as usize);
-            let mut totals = KernelCounters::default();
-            for slot in node_slots {
-                let part = slot.into_inner().expect("completed node with an unset chunk");
-                block_costs.extend(part.block_costs);
-                totals.add(&part.totals);
-            }
-            results.push(FunctionalResult { block_costs, totals });
-        }
         let mut spans = self.spans.into_inner().unwrap_or_else(|e| e.into_inner());
         spans.sort_by(|a, b| {
             (a.worker, a.t_start_us.to_bits(), a.launch_idx)
                 .cmp(&(b.worker, b.t_start_us.to_bits(), b.launch_idx))
         });
-        (results, spans)
+        (self.slots, spans)
     }
 }
 
@@ -410,7 +460,8 @@ impl<'a> DrainJob<'a> {
 struct JobPtr(*const ());
 // SAFETY: the pointer is only dereferenced by pool workers between
 // publication and checkout, a window during which the host keeps the
-// pointee alive on its stack; DrainJob's shared state is Sync.
+// pointee alive on its stack (`WorkerPool::run` returns only after the
+// checkout, whatever its host closure does); DrainJob's shared state is Sync.
 unsafe impl Send for JobPtr {}
 
 struct PoolState {
@@ -479,25 +530,89 @@ impl WorkerPool {
         threads: usize,
         epoch: Instant,
     ) -> (Vec<FunctionalResult>, Vec<HostSpan>) {
+        let Some(job) = self.job(env, nodes, threads, epoch) else {
+            return drain_serial(env, nodes, epoch);
+        };
+        let _ = self.run(&job, || ());
+        let (slots, spans) = job.finish();
+        // Stitch per-chunk results back into launch order.
+        let results = slots
+            .into_iter()
+            .zip(nodes)
+            .map(|(node_slots, node)| {
+                let mut block_costs = Vec::with_capacity(node.total_blocks as usize);
+                let mut totals = KernelCounters::default();
+                for slot in node_slots {
+                    let part = slot.into_inner().expect("completed node with an unset chunk");
+                    block_costs.extend(part.block_costs);
+                    totals.add(&part.totals);
+                }
+                FunctionalResult { block_costs, totals }
+            })
+            .collect();
+        (results, spans)
+    }
+
+    /// [`WorkerPool::drain`] with the host thread running `consume`
+    /// meanwhile: the pool workers drain `nodes`, `consume` reads
+    /// completed nodes' results in place from the job and calls
+    /// [`DrainJob::help_until`] for those it has to wait for. Whatever
+    /// `consume` did not wait for has run too when this returns. `None`
+    /// (nothing run, `consume` not called) when the drain would be serial:
+    /// the caller then drains first and consumes after.
+    pub(crate) fn drain_pulling<R>(
+        &mut self,
+        env: &LaunchEnv<'_>,
+        nodes: &[Node<'_>],
+        threads: usize,
+        epoch: Instant,
+        consume: impl FnOnce(&DrainJob<'_>) -> R,
+    ) -> Option<(R, Vec<HostSpan>)> {
+        let job = self.job(env, nodes, threads, epoch)?;
+        let consumed = self.run(&job, || consume(&job));
+        // A body's panic first: it is why the consumer gave up.
+        let (_, spans) = job.finish();
+        match consumed {
+            Ok(result) => Some((result, spans)),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+
+    /// The job of draining `nodes` on `threads` host threads, workers
+    /// spawned; `None` when one thread or too little work makes it serial.
+    fn job<'a>(
+        &mut self,
+        env: &'a LaunchEnv<'a>,
+        nodes: &'a [Node<'a>],
+        threads: usize,
+        epoch: Instant,
+    ) -> Option<DrainJob<'a>> {
         let total_work: u64 = nodes
             .iter()
             .map(|n| n.total_blocks.saturating_mul(n.cfg.threads_per_block() as u64))
             .sum();
         if threads <= 1 || total_work < PARALLEL_MIN_WORK {
-            return drain_serial(env, nodes, epoch);
+            return None;
         }
         self.ensure_workers(threads - 1);
-        let job = DrainJob::new(env, nodes, threads.min(self.handles.len() + 1), epoch);
+        Some(DrainJob::new(env, nodes, threads.min(self.handles.len() + 1), epoch))
+    }
 
+    /// Publish `job` to the pool workers, run `host` and then the rest of
+    /// the drain on the calling thread (worker 0), and return once every
+    /// worker has checked out — also when `host` panicked, whose payload
+    /// is handed back instead of resumed.
+    fn run<R>(&mut self, job: &DrainJob<'_>, host: impl FnOnce() -> R) -> std::thread::Result<R> {
         {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             debug_assert!(state.job.is_none(), "drain is not reentrant");
             state.generation += 1;
-            state.job = Some(JobPtr(&job as *const DrainJob<'_> as *const ()));
+            state.job = Some(JobPtr(job as *const DrainJob<'_> as *const ()));
             state.active = self.handles.len();
             self.shared.cv.notify_all();
         }
-        job.run_worker(0);
+        let result = catch_unwind(AssertUnwindSafe(host));
+        job.run_worker(0, None);
         {
             // Checkout barrier: `job` (and the env/node borrows inside
             // it) must outlive every worker's reference.
@@ -507,7 +622,7 @@ impl WorkerPool {
             }
             state.job = None;
         }
-        job.finish()
+        result
     }
 }
 
@@ -535,10 +650,11 @@ fn worker_main(shared: &PoolShared, id: usize) {
             seen_generation = state.generation;
             if let Some(ptr) = state.job {
                 drop(state);
-                // SAFETY: the publishing drain() call blocks until we
-                // decrement `active` below, keeping the job alive.
+                // SAFETY: the publishing `WorkerPool::run` call blocks
+                // until we decrement `active` below — also when its host
+                // closure panicked — keeping the job alive.
                 let job = unsafe { &*(ptr.0 as *const DrainJob<'_>) };
-                job.run_worker(id);
+                job.run_worker(id, None);
                 state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
             }
             state.active -= 1;
@@ -634,8 +750,27 @@ mod tests {
         )
     }
 
-    /// Build a chain a -> b (RAW) plus an independent c, drain at the
-    /// given thread count and return the final buffers + results.
+    fn node<'a>(
+        kernel: &'a dyn Kernel,
+        cfg: &'a LaunchConfig,
+        deps: Vec<usize>,
+        launch_idx: u64,
+    ) -> Node<'a> {
+        Node {
+            kernel,
+            cfg,
+            total_blocks: cfg.total_blocks(),
+            block_offset: 0,
+            deps,
+            launch_idx,
+            name: "k",
+        }
+    }
+
+    /// Build a chain a -> b (RAW), an independent c and a small d that
+    /// follows c (b and c are cut into chunks, a — 64-thread blocks — and
+    /// d stay below the chunk floor), drain at the given thread count and
+    /// return the final buffers + results.
     fn run_graph(threads: usize) -> (Vec<u32>, Vec<u32>, Vec<FunctionalResult>) {
         let mut mem = DeviceMemory::new();
         let n = 64 * 1024usize;
@@ -644,43 +779,49 @@ mod tests {
         let a_out = mem.alloc::<u32>(n);
         let c_in = mem.upload(&(0..n as u32).rev().collect::<Vec<_>>());
         let c_out = mem.alloc::<u32>(n);
+        let d_out = mem.alloc::<u32>(36 * 128);
         let (env, _) = env(&mem);
         let cfg = LaunchConfig::linear(n, 128);
+        let narrow = LaunchConfig::linear(n / 8, 64);
+        let small = LaunchConfig::linear(36 * 128, 128);
         let k1 = AffineKernel { src: a_in, dst: a_mid, mul: 3, add: 1 };
         let k2 = AffineKernel { src: a_mid, dst: a_out, mul: 5, add: 7 };
         let k3 = AffineKernel { src: c_in, dst: c_out, mul: 11, add: 13 };
+        let k4 = AffineKernel { src: c_out, dst: d_out, mul: 3, add: 5 };
         let nodes = vec![
-            Node {
-                kernel: &k1,
-                cfg: &cfg,
-                total_blocks: cfg.total_blocks(),
-                block_offset: 0,
-                deps: vec![],
-                launch_idx: 0,
-                name: "k1",
-            },
-            Node {
-                kernel: &k2,
-                cfg: &cfg,
-                total_blocks: cfg.total_blocks(),
-                block_offset: 0,
-                deps: vec![0],
-                launch_idx: 1,
-                name: "k2",
-            },
-            Node {
-                kernel: &k3,
-                cfg: &cfg,
-                total_blocks: cfg.total_blocks(),
-                block_offset: 0,
-                deps: vec![],
-                launch_idx: 2,
-                name: "k3",
-            },
+            node(&k1, &narrow, vec![], 0),
+            node(&k2, &cfg, vec![0], 1),
+            node(&k3, &cfg, vec![], 2),
+            node(&k4, &small, vec![2], 3),
         ];
+        if threads > 1 {
+            let job = DrainJob::new(&env, &nodes, threads, Instant::now());
+            assert_eq!(job.n_chunks[0], 1, "128 blocks x 64 threads: half the floor");
+            assert!(job.n_chunks[1] > 1 && job.n_chunks[2] > 1, "{:?}", job.n_chunks);
+            assert_eq!(job.n_chunks[3], 1, "36 blocks");
+        }
         let mut pool = WorkerPool::new();
         let (results, _spans) = pool.drain(&env, &nodes, threads, Instant::now());
-        (mem.download(a_out), mem.download(c_out), results)
+        (mem.download(a_out), [mem.download(c_out), mem.download(d_out)].concat(), results)
+    }
+
+    /// [`PARALLEL_MIN_WORK`] as the chunk floor: a launch too small to
+    /// split is one chunk, a large one is cut as it always was.
+    #[test]
+    fn small_launches_are_one_chunk_and_large_ones_cut_as_before() {
+        let mut mem = DeviceMemory::new();
+        let buf = mem.alloc::<u32>(1);
+        let (env, _) = env(&mem);
+        let k = AffineKernel { src: buf, dst: buf, mul: 1, add: 0 };
+        let small = LaunchConfig::tile2d(9 * 16, 4 * 16, 16, 16);
+        let large = LaunchConfig::tile2d(1920, 1088, 16, 16);
+        let nodes = vec![node(&k, &small, vec![], 0), node(&k, &large, vec![], 1)];
+        for (threads, large_chunks) in [(2, 14), (4, 23), (8, 34)] {
+            let job = DrainJob::new(&env, &nodes, threads, Instant::now());
+            assert_eq!((job.chunk[0], job.n_chunks[0]), (72, 1), "36 blocks, {threads} threads");
+            // 8 160 / (threads x 8) blocks, rounded up to whole 120-block rows.
+            assert_eq!(job.n_chunks[1], large_chunks, "8 160 blocks, {threads} threads");
+        }
     }
 
     #[test]

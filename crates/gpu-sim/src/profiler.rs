@@ -110,8 +110,10 @@ pub struct Profiler {
     traces: Vec<TraceEvent>,
     per_kernel: BTreeMap<&'static str, KernelProfile>,
     host_spans: Vec<HostSpan>,
-    /// `(start, end)` of every timing simulation, wall-clock µs on the
-    /// host spans' clock.
+    /// `(start, end)` of every stretch the application thread spent in the
+    /// timing simulation, wall-clock µs on the host spans' clock: one per
+    /// scope when the simulation follows the drain, one per stretch
+    /// between two turns as a drain worker when it pulls the drain.
     timing_spans: Vec<(f64, f64)>,
     opaque_launches: u64,
 }
@@ -152,15 +154,16 @@ impl Profiler {
         self.host_spans.extend(spans);
     }
 
-    /// Ingest the wall-clock interval one timing simulation took.
+    /// Ingest one stretch of the application thread simulating.
     pub(crate) fn absorb_timing_span(&mut self, t_start_us: f64, t_end_us: f64) {
         self.timing_spans.push((t_start_us, t_end_us));
     }
 
-    /// Host wall-clock µs spent in the timing phase ([`crate::sched::simulate`])
-    /// across all synchronization scopes. Kept apart from
-    /// [`Profiler::host_spans`], which are kernel bodies only: the timing
-    /// phase is simulator overhead, not simulated work.
+    /// Host wall-clock µs the application thread spent in the timing
+    /// simulation ([`crate::sched::simulate`]) across all synchronization
+    /// scopes, the bodies it ran as a drain worker in between excluded.
+    /// Kept apart from [`Profiler::host_spans`], which are kernel bodies
+    /// only: the simulation is simulator overhead, not simulated work.
     pub fn timing_host_us(&self) -> f64 {
         self.timing_spans.iter().map(|(t0, t1)| t1 - t0).sum()
     }
@@ -305,9 +308,11 @@ impl Profiler {
     /// every host worker becomes a row under `pid:1` showing which
     /// launch's block-chunks it ran when (wall-clock µs). Two spans from
     /// different launches overlapping on different rows is asynchronous
-    /// launch overlap, visible at a glance. Each timing simulation adds a
-    /// `sched.simulate` slice on the application thread's row, after the
-    /// drain it follows. Kept out of the default renderer so device-only
+    /// launch overlap, visible at a glance. The timing simulation shows on
+    /// the application thread's row as `sched.simulate` slices: one after
+    /// the drain at one host thread, and at more one per stretch between
+    /// the bodies that thread ran while the simulation waited for their
+    /// launch — never over one. Kept out of the default renderer so device-only
     /// traces stay byte-identical across host thread counts (host spans
     /// are wall-clock and inherently not).
     pub fn render_chrome_trace_with_host(&self) -> String {

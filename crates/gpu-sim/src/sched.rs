@@ -439,6 +439,32 @@ fn refresh_admits(
     }
 }
 
+/// What the functional phase produced, as the event loop reads it: a
+/// launch's block count when the launch set is laid out, a block's cost
+/// when the loop places that block — a launch's blocks in order, so the
+/// first question about a launch comes at its first placement — and a
+/// launch's counters once every block is placed. Recorded launches answer
+/// from their [`LaunchRecord`]; [`crate::Gpu::synchronize`] answers from
+/// the drain that is still producing them, which is why the costs are
+/// asked for this late.
+pub(crate) trait BlockCosts {
+    fn blocks(&self, launch: usize) -> usize;
+    fn cost(&mut self, launch: usize, block: usize) -> BlockCost;
+    fn counters(&mut self, launch: usize) -> KernelCounters;
+}
+
+impl BlockCosts for &[LaunchRecord] {
+    fn blocks(&self, launch: usize) -> usize {
+        self[launch].block_costs.len()
+    }
+    fn cost(&mut self, launch: usize, block: usize) -> BlockCost {
+        self[launch].block_costs[block]
+    }
+    fn counters(&mut self, launch: usize) -> KernelCounters {
+        self[launch].counters
+    }
+}
+
 /// Simulates the execution of `launches` on `spec` under `mode`.
 ///
 /// `launches` must be in launch order (`launch_idx` ascending). Event ids
@@ -500,7 +526,21 @@ impl SchedScratch {
         spec: &DeviceSpec,
         cost: &CostModel,
         mode: ExecMode,
-        launches: &[LaunchRecord],
+        mut launches: &[LaunchRecord],
+    ) -> Timeline {
+        self.simulate_from(spec, cost, mode, launches.iter(), &mut launches)
+    }
+
+    /// The event loop. `launches` says who runs where and waits on whom
+    /// (their `block_costs` and `counters` are not read); `costs` says
+    /// what their blocks cost.
+    pub(crate) fn simulate_from<'a>(
+        &mut self,
+        spec: &DeviceSpec,
+        cost: &CostModel,
+        mode: ExecMode,
+        launches: impl ExactSizeIterator<Item = &'a LaunchRecord> + Clone,
+        costs: &mut impl BlockCosts,
     ) -> Timeline {
         let Self {
             event_source,
@@ -530,7 +570,7 @@ impl SchedScratch {
 
         // Map every event to the launch that records it.
         event_source.clear();
-        for (i, l) in launches.iter().enumerate() {
+        for (i, l) in launches.clone().enumerate() {
             for &e in &l.record_events {
                 event_source.insert(e, i);
             }
@@ -544,7 +584,7 @@ impl SchedScratch {
         states.clear();
         edges.clear();
         last_in_stream.clear();
-        for (i, l) in launches.iter().enumerate() {
+        for (i, l) in launches.clone().enumerate() {
             let demand = Demand {
                 warps: l.warps_per_block,
                 threads: l.threads_per_block,
@@ -553,7 +593,7 @@ impl SchedScratch {
             };
             let known = demands.iter().position(|d| *d == demand);
             states.push(LaunchState {
-                blocks: l.block_costs.len(),
+                blocks: costs.blocks(i),
                 demand: known.unwrap_or_else(|| {
                     demands.push(demand);
                     demands.len() - 1
@@ -731,7 +771,7 @@ impl SchedScratch {
                         dirty.push(freed);
                         reservation = None;
                     }
-                    let bc = launches[i].block_costs[l.next_block];
+                    let bc = costs.cost(i, l.next_block);
                     let sm = &mut sms[s];
                     sm.blocks += 1;
                     sm.warps += demand.warps;
@@ -818,7 +858,7 @@ impl SchedScratch {
 
         let mut events = Vec::with_capacity(n);
         let mut end_us = 0.0f64;
-        for (l, st) in launches.iter().zip(states.iter()) {
+        for (i, (l, st)) in launches.zip(states.iter()).enumerate() {
             let start = st.start_us.expect("launch never started");
             let end = st.end_us.expect("launch never finished");
             end_us = end_us.max(end);
@@ -829,7 +869,7 @@ impl SchedScratch {
                 t_start_us: start,
                 t_end_us: end,
                 overhead_us: overhead,
-                blocks: l.block_costs.len() as u64,
+                blocks: st.blocks as u64,
                 occupancy: launch_occupancy(
                     spec,
                     l.threads_per_block,
@@ -837,7 +877,7 @@ impl SchedScratch {
                     l.shared_mem_bytes,
                     l.registers_per_thread,
                 ),
-                counters: l.counters,
+                counters: costs.counters(i),
             });
         }
         Timeline {

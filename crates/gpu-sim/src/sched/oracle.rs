@@ -1,8 +1,9 @@
 //! Differential oracle for [`simulate`]: the pre-rewrite event loop, two
 //! seeded generators of launch sets (a broad one, and one that keeps many
 //! launches stalled at once, which is where the issue walk skips visits),
-//! and the hand-built cases in which a launch that rescans only the dirty
-//! SMs would miss one that admits it.
+//! the hand-built cases in which a launch that rescans only the dirty
+//! SMs would miss one that admits it, and a cost source that checks the
+//! loop asks for a launch's costs no sooner than it places the launch.
 
 use super::*;
 
@@ -758,4 +759,83 @@ fn launch_that_moves_the_reservation_rescans_the_sm_it_was_locked_out_of() {
     let t = both(&two_sms(16), &launches, "mover rescans");
     assert!(t.events[4].t_end_us > t.events[2].t_end_us);
     assert_eq!(t.events[3].t_start_us, t.events[4].t_end_us, "placed on the SM it unlocked");
+}
+
+/// The recorded costs of a launch set, checking what the loop asks and
+/// when: [`crate::Gpu::synchronize`] answers from a drain that is still
+/// running, so a question asked early is host time spent waiting.
+struct Counting<'a> {
+    launches: &'a [LaunchRecord],
+    /// Per launch, the launches it waits on.
+    deps: Vec<Vec<usize>>,
+    /// Per launch, how many of its blocks' costs were asked for.
+    asked: Vec<usize>,
+}
+
+impl<'a> Counting<'a> {
+    fn new(mode: ExecMode, launches: &'a [LaunchRecord]) -> Self {
+        let mut last_in_stream = HashMap::new();
+        let deps = launches
+            .iter()
+            .enumerate()
+            .map(|(i, l)| {
+                let events = l.wait_events.iter().map(|e| {
+                    launches.iter().position(|s| s.record_events.contains(e)).expect("recorded")
+                });
+                let serial = (mode == ExecMode::Serial && i > 0).then(|| i - 1);
+                last_in_stream.insert(l.stream, i).into_iter().chain(serial).chain(events).collect()
+            })
+            .collect();
+        Self { launches, deps, asked: vec![0; launches.len()] }
+    }
+}
+
+impl BlockCosts for Counting<'_> {
+    fn blocks(&self, launch: usize) -> usize {
+        self.launches[launch].block_costs.len()
+    }
+
+    fn cost(&mut self, launch: usize, block: usize) -> BlockCost {
+        assert!(block < self.blocks(launch), "launch {launch} has no block {block}");
+        assert_eq!(block, self.asked[launch], "launch {launch}: blocks in order, each once");
+        if block == 0 {
+            // The first placement: everything the launch waits on has
+            // ended, so all of that was placed — and asked for — before.
+            for &d in &self.deps[launch] {
+                assert_eq!(self.asked[d], self.blocks(d), "launch {launch} asked before {d} ended");
+            }
+        }
+        self.asked[launch] += 1;
+        self.launches[launch].block_costs[block]
+    }
+
+    fn counters(&mut self, launch: usize) -> KernelCounters {
+        assert_eq!(self.asked[launch], self.blocks(launch), "launch {launch}: counters come last");
+        self.launches[launch].counters
+    }
+}
+
+#[test]
+fn costs_are_first_asked_for_at_a_launchs_first_placement() {
+    let cost = CostModel::default();
+    let mut scratch = SchedScratch::default();
+    let mut checked = 0;
+    for (generate, seeds) in [(generate as fn(u64) -> _, 200), (generate_stalled, 60)] {
+        for seed in 0..seeds {
+            let (spec, launches): (DeviceSpec, Vec<LaunchRecord>) = generate(seed ^ 0x5eed_0000);
+            for mode in [ExecMode::Concurrent, ExecMode::Serial] {
+                let Ok(want) = outcome(|| simulate(&spec, &cost, mode, &launches)) else {
+                    continue;
+                };
+                let mut counting = Counting::new(mode, &launches);
+                let got =
+                    scratch.simulate_from(&spec, &cost, mode, launches.iter(), &mut counting);
+                assert_identical(&got, &want, &format!("seed {seed} {mode:?}"));
+                // Every block was asked for (a zero-block launch has none).
+                assert!(counting.asked.iter().enumerate().all(|(i, &a)| a == counting.blocks(i)));
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 400, "only {checked} launch sets ran to completion");
 }

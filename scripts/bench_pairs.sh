@@ -16,9 +16,10 @@
 # Run from the repo root (the binaries read assets/), never next to
 # another benchmark run (each uses every core). After the pairs, one
 # traced run per side gives the per-layer attribution: every
-# `gpu.<stage>.host_us`, `gpu.host_us_per_block` and
-# `gpu.overhead.host_us_per_launch` side by side (one run each, so read
-# them against the spread of the pairs above), and whether the
+# `gpu.<stage>.host_us`, `gpu.host_us_per_block`,
+# `gpu.overhead.host_us_per_launch` and `gpu.kernel_body.host_share` side
+# by side (one run each, so read them against the spread of the pairs
+# above), and whether the
 # deterministic `gpu.*` rows (launches, blocks, virtual time, bytes,
 # branch efficiency, timeline) are equal. The last line printed is one
 # JSON object with both sides' medians of the nine end-to-end metrics, in
@@ -94,7 +95,8 @@ print(f"det_digest parent {sorted(digests['parent'])} change {sorted(digests['ch
       + ("" if digests["parent"] == digests["change"] else "  <- DIFFERS"))
 print("per layer, one traced run per side: parent -> change")
 host_rows = [n for n in traced_parent if n.startswith("gpu.") and n.endswith(".host_us")]
-for name in host_rows + ["gpu.host_us_per_block", "gpu.overhead.host_us_per_launch"]:
+for name in host_rows + ["gpu.host_us_per_block", "gpu.overhead.host_us_per_launch",
+                         "gpu.kernel_body.host_share"]:
     pv, cv = traced_parent[name]["value"], traced_change[name]["value"]
     moved = f"{(cv / pv - 1) * 100:+.1f} %" if pv else "-"
     print(f"  {name:<34} {pv:>14.3f} -> {cv:>14.3f} {traced_parent[name]['unit']:<3} {moved}")
