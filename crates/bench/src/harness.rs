@@ -219,7 +219,7 @@ pub fn run_counters(cascade: &Cascade, info: &TrailerInfo, n_frames: usize) -> C
         .map(|(_, k)| k.total_time_us)
         .sum();
     // The packed size: re-encode to count (the detector holds it staged).
-    let const_bytes = fd_haar::encode::packed_bytes(detector.cascade());
+    let const_bytes = fd_haar::encode::packed_bytes(detector.model());
     CountersReport {
         branch_efficiency_cascade: kernels["cascade_eval"].branch_efficiency(),
         branch_efficiency_overall: prof.branch_efficiency(),

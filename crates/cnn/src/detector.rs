@@ -1,261 +1,222 @@
-//! The public CNN detector API — the second engine behind
+//! The CNN cascade's stage list — the second engine behind
 //! [`fd_detector::Detector`].
 //!
-//! Shares everything user-visible with [`fd_detector::FaceDetector`]:
-//! the [`DetectorConfig`] vocabulary (device, exec mode, pyramid ratio,
-//! grouping, determinism and fault-injection knobs), the [`FrameResult`]
-//! shape, per-stage rejection histograms, batched submissions and
-//! replica construction. The `fusion` knob is accepted but inert — the
-//! CNN chain launches unfused (its kernels declare fusion traits, but
-//! the pipeline does not yet build chains).
+//! Per pyramid level, the shared bilinear [`ScaleKernel`] followed by the
+//! seven CNN-chain kernels of [`level_chain`], each batched across
+//! request slots; a readback views each level's window-grid depth and
+//! score maps. Everything else — the [`DetectorConfig`] vocabulary, the
+//! [`FrameResult`] shape, pooling, batching, grouping and replicas — is
+//! `fd_detector`'s [`PyramidDetector`].
+//!
+//! [`ScaleKernel`]: fd_detector::kernels::ScaleKernel
+//! [`DetectorConfig`]: fd_detector::DetectorConfig
+//! [`FrameResult`]: fd_detector::FrameResult
 
-use fd_detector::detector::{DetectorConfig, FrameResult, RejectionHistogram};
-use fd_detector::group::{group_detections, Detection};
-use fd_detector::{Backend, Detector, DetectorError};
-use fd_gpu::Gpu;
-use fd_imgproc::{GrayImage, Rect};
+use fd_detector::detector::RejectionHistogram;
+use fd_detector::group::Detection;
+use fd_detector::{
+    stage_constants, Backend, DetectorError, LevelGeom, LevelLaunch, PyramidDetector, StageList,
+};
+use fd_gpu::{ConstPtr, DeviceMemory, Gpu, LaunchError, Readback};
+use fd_imgproc::Rect;
 
-use crate::model::{CnnModel, SCORE_SCALE, STAGES, WINDOW, WINDOW_STRIDE};
-use crate::pipeline::{CnnLevelOutput, CnnPipeline};
+use crate::kernels::{level_chain, window_grid, ChainKernel, LevelDeviceBufs, ModelTensors};
+use crate::model::{CnnModel, CnnModelError, C1, C2, SCORE_SCALE, STAGES, WINDOW, WINDOW_STRIDE};
 
 /// GPU CNN-cascade detector bound to a model and configuration.
-pub struct CnnDetector {
-    pipeline: CnnPipeline,
-    /// Kept for replica construction.
+pub type CnnDetector = PyramidDetector<CnnStages>;
+
+/// The CNN cascade as a [`StageList`].
+pub struct CnnStages {
+    /// The validated model (replicas are built from it).
     model: CnnModel,
-    config: DetectorConfig,
+    tensors: ModelTensors,
+    const_ptr: ConstPtr,
 }
 
-impl CnnDetector {
-    /// Build a detector, validating the model before any device state
-    /// exists (the hardened asset path: corrupt weights surface as a
-    /// typed [`DetectorError`], never as a device panic).
-    pub fn try_new(model: &CnnModel, config: DetectorConfig) -> Result<Self, DetectorError> {
-        let mut gpu = Gpu::new(config.device.clone(), config.exec_mode);
-        gpu.set_host_threads(config.host_threads);
-        gpu.set_fault_plan(config.fault_plan.clone());
-        let pipeline = CnnPipeline::try_new(gpu, model, config.scale_factor)?;
-        Ok(Self { pipeline, model: model.clone(), config })
-    }
+/// One level's window-grid maps, borrowed from device memory.
+pub struct CnnView<'a> {
+    at: LevelGeom,
+    /// Window grid width (stride-4 sliding windows).
+    nx: usize,
+    /// Deepest cascade stage reached per window ([`STAGES`] = detection).
+    depth: Readback<'a, u32>,
+    /// Accumulated integer stage margin per window.
+    score: Readback<'a, i32>,
+}
 
-    /// Build `n` detectors over `n` independent simulated devices,
-    /// forking any fault plan per replica (replica 0 verbatim, matching
-    /// `FaceDetector::try_new_replicas`).
-    pub fn try_new_replicas(
-        model: &CnnModel,
-        config: DetectorConfig,
-        n: usize,
-    ) -> Result<Vec<Self>, DetectorError> {
-        if n == 0 {
-            return Err(DetectorError::InvalidConfig {
-                reason: "a fleet needs at least one device replica",
-            });
+/// Map a model-validation failure onto the detector error vocabulary
+/// (static reasons, like every other `InvalidConfig`).
+fn model_error_reason(e: &CnnModelError) -> &'static str {
+    match e {
+        CnnModelError::BadWindow { .. } => "the CNN kernels are specialized for 24-px windows",
+        CnnModelError::TensorLen { .. } => "a CNN model tensor has the wrong shape",
+        CnnModelError::WeightOutOfRange { .. } => {
+            "a CNN model weight is outside its fixed-point range"
         }
-        (0..n)
-            .map(|i| {
-                let mut cfg = config.clone();
-                cfg.fault_plan = config.fault_plan.as_ref().map(|p| p.for_replica(i as u64));
-                Self::try_new(model, cfg)
-            })
-            .collect()
+        CnnModelError::Conv1NotZeroSum { .. } => "a luma-facing conv filter is not DC-free",
+        CnnModelError::BadStageGate => "the stage-1 gate weights are not a valid energy gate",
+        CnnModelError::UniformResponsePasses { .. } => {
+            "a stage template would pass spatially uniform responses"
+        }
+        CnnModelError::AllZeroStage { .. } => "a stage template is identically zero",
+    }
+}
+
+impl StageList for CnnStages {
+    const BACKEND: Backend = Backend::Cnn;
+    type Model = CnnModel;
+    type LevelBufs = LevelDeviceBufs;
+    type View<'a> = CnnView<'a>;
+
+    /// Validates the model before any device state exists (the hardened
+    /// asset path: corrupt weights surface as a typed [`DetectorError`],
+    /// never as a device panic) and stages its tensors.
+    fn stage(gpu: &mut Gpu, model: &CnnModel) -> Result<Self, DetectorError> {
+        model
+            .validate()
+            .map_err(|e| DetectorError::InvalidConfig { reason: model_error_reason(&e) })?;
+        let const_ptr =
+            stage_constants(gpu, &model.encode(), "staging the CNN model in constant memory")?;
+        Ok(Self { model: model.clone(), tensors: ModelTensors::from_model(model), const_ptr })
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.config
-    }
-
-    /// The validated model in use.
-    pub fn model(&self) -> &CnnModel {
+    fn model(&self) -> &CnnModel {
         &self.model
     }
 
-    /// Accumulated profiler (all frames so far).
-    pub fn profiler(&self) -> &fd_gpu::Profiler {
-        self.pipeline.gpu.profiler()
+    fn window(&self) -> usize {
+        WINDOW
     }
 
-    /// Reset profiler statistics.
-    pub fn reset_profiler(&mut self) {
-        self.pipeline.gpu.reset_profiler();
+    fn level_bytes(w: usize, h: usize) -> usize {
+        let (p1, p2) = ((w / 2) * (h / 2), (w / 4) * (h / 4));
+        let (nx, ny) = window_grid(w, h);
+        4 * (w * h + C1 * w * h + C1 * p1 + C2 * p1 + C2 * p2 + 6 * nx * ny)
     }
 
-    /// Device bytes this detector currently holds.
-    pub fn device_bytes(&self) -> usize {
-        self.pipeline.gpu.device_bytes_in_use()
+    fn alloc_level(mem: &mut DeviceMemory, w: usize, h: usize) -> LevelDeviceBufs {
+        let (p1w, p1h) = (w / 2, h / 2);
+        let (p2w, p2h) = (p1w / 2, p1h / 2);
+        let (nx, ny) = window_grid(w, h);
+        LevelDeviceBufs {
+            scaled: mem.alloc::<f32>(w * h),
+            conv1: mem.alloc::<i32>(C1 * w * h),
+            pooled1: mem.alloc::<i32>(C1 * p1w * p1h),
+            conv2: mem.alloc::<i32>(C2 * p1w * p1h),
+            pooled2: mem.alloc::<i32>(C2 * p2w * p2h),
+            depth_a: mem.alloc::<u32>(nx * ny),
+            score_a: mem.alloc::<i32>(nx * ny),
+            depth_b: mem.alloc::<u32>(nx * ny),
+            score_b: mem.alloc::<i32>(nx * ny),
+            depth: mem.alloc::<u32>(nx * ny),
+            score: mem.alloc::<i32>(nx * ny),
+        }
     }
 
-    /// Geometry-independent constant-memory footprint (the staged model
-    /// tensors).
-    pub fn const_bytes(&self) -> usize {
-        self.pipeline.const_bytes()
+    fn free_level(mem: &mut DeviceMemory, bufs: LevelDeviceBufs) {
+        mem.free(bufs.scaled);
+        mem.free(bufs.conv1);
+        mem.free(bufs.pooled1);
+        mem.free(bufs.conv2);
+        mem.free(bufs.pooled2);
+        mem.free(bufs.depth_a);
+        mem.free(bufs.score_a);
+        mem.free(bufs.depth_b);
+        mem.free(bufs.score_b);
+        mem.free(bufs.depth);
+        mem.free(bufs.score);
     }
 
-    /// Device bytes a `width x height` stream will hold at steady
-    /// state, without allocating.
-    pub fn projected_device_bytes(
+    fn launch_level(
+        &mut self,
+        gpu: &mut Gpu,
+        lv: &LevelLaunch<'_, LevelDeviceBufs>,
+    ) -> Result<(), (&'static str, LaunchError)> {
+        let scales = lv.scale_kernels(|b| b.scaled);
+        let cfg = scales[0].config();
+        gpu.launch_batched(scales, cfg, lv.stream).map_err(|e| ("scale_bilinear", e))?;
+
+        // The seven chain kernels, each batched across request slots.
+        let mut per_slot: Vec<std::vec::IntoIter<ChainKernel>> = lv
+            .bufs()
+            .map(|b| level_chain(&self.tensors, b, lv.w, lv.h, self.const_ptr).into_iter())
+            .collect();
+        loop {
+            let stage: Vec<ChainKernel> = per_slot.iter_mut().filter_map(|it| it.next()).collect();
+            if stage.is_empty() {
+                return Ok(());
+            }
+            let cfg = stage[0].config();
+            let name = stage[0].kernel_name();
+            gpu.launch_batched(stage, cfg, lv.stream).map_err(|e| (name, e))?;
+        }
+    }
+
+    /// Depth, then score.
+    fn view<'a>(
         &self,
-        width: usize,
-        height: usize,
-    ) -> Result<usize, DetectorError> {
-        Ok(self.pipeline.projected_pool_bytes(width, height)? + self.pipeline.const_bytes())
+        mem: &'a DeviceMemory,
+        at: LevelGeom,
+        bufs: &LevelDeviceBufs,
+    ) -> CnnView<'a> {
+        CnnView {
+            at,
+            nx: window_grid(at.width, at.height).0,
+            depth: mem.download_view(bufs.depth),
+            score: mem.download_view(bufs.score),
+        }
     }
 
-    /// The full pyramid plan for a frame (largest level first) — shared
-    /// with the Haar backend, both slide 24-px windows.
-    pub fn pyramid_plan(&self, frame: &GrayImage) -> Result<Vec<(usize, usize)>, DetectorError> {
-        self.pipeline.plan_for(frame)
-    }
-
-    /// Detect faces in one luma frame.
-    pub fn detect(&mut self, frame: &GrayImage) -> Result<FrameResult, DetectorError> {
-        let plan = self.pipeline.plan_for(frame)?;
-        self.detect_with_plan(frame, &plan)
-    }
-
-    /// [`Self::detect`] over a prefix of the pyramid plan.
-    pub fn detect_with_plan(
-        &mut self,
-        frame: &GrayImage,
-        plan: &[(usize, usize)],
-    ) -> Result<FrameResult, DetectorError> {
-        let mut results = self.detect_batch_with_plan(&[frame], plan)?;
-        results.pop().ok_or(DetectorError::InvalidConfig {
-            reason: "batch execution returned no result for its single frame",
-        })
-    }
-
-    /// Detect over a batch of same-geometry frames as one device
-    /// submission (the serving layer's entry point); a batch of one is
-    /// bit-identical to [`Self::detect`].
-    pub fn detect_batch_with_plan(
-        &mut self,
-        frames: &[&GrayImage],
-        plan: &[(usize, usize)],
-    ) -> Result<Vec<FrameResult>, DetectorError> {
-        let (batch_outputs, timeline) = self.pipeline.run_batch_with_plan(frames, plan)?;
-        Ok(batch_outputs
-            .iter()
-            .map(|outputs| {
-                let raw = extract_raw(outputs);
-                let detections = group_detections(
-                    &raw,
-                    self.config.overlap_threshold,
-                    self.config.min_neighbors,
-                );
-                let rejection =
-                    self.config.collect_rejection_stats.then(|| histogram(outputs));
-                FrameResult {
-                    detections,
-                    raw,
-                    detect_ms: timeline.span_us() / 1000.0,
-                    timeline: timeline.clone(),
-                    rejection,
-                }
-            })
-            .collect())
-    }
-}
-
-/// Windows that reached the final stage become raw detections in frame
-/// coordinates (the Haar pipeline's extraction, at window-grid
-/// granularity).
-fn extract_raw(outputs: &[CnnLevelOutput]) -> Vec<Detection> {
-    let mut raw = Vec::new();
-    for out in outputs {
-        for gy in 0..out.ny {
-            for gx in 0..out.nx {
-                let i = gy * out.nx + gx;
-                if out.depth[i] == STAGES {
-                    let size = (WINDOW as f64 * out.scale).round() as u32;
-                    raw.push(Detection {
-                        rect: Rect::new(
-                            ((gx * WINDOW_STRIDE) as f64 * out.scale).round() as i32,
-                            ((gy * WINDOW_STRIDE) as f64 * out.scale).round() as i32,
-                            size,
-                            size,
-                        ),
-                        score: out.score[i] as f32 / SCORE_SCALE,
-                        scale: out.level,
-                    });
-                }
+    /// Windows that reached the final stage, at window-grid granularity.
+    fn extract_raw(&self, views: &[CnnView<'_>]) -> Vec<Detection> {
+        let mut raw = Vec::new();
+        for out in views {
+            let scale = out.at.scale;
+            let size = (WINDOW as f64 * scale).round() as u32;
+            for (i, _) in out.depth.iter().enumerate().filter(|&(_, &d)| d == STAGES) {
+                let (gx, gy) = (i % out.nx, i / out.nx);
+                raw.push(Detection {
+                    rect: Rect::new(
+                        ((gx * WINDOW_STRIDE) as f64 * scale).round() as i32,
+                        ((gy * WINDOW_STRIDE) as f64 * scale).round() as i32,
+                        size,
+                        size,
+                    ),
+                    score: out.score[i] as f32 / SCORE_SCALE,
+                    scale: out.at.level,
+                });
             }
         }
+        raw
     }
-    raw
-}
 
-/// Per-stage rejection histogram at window granularity: `counts[level]`
-/// has [`STAGES`]` + 1` bins, bin `d` counting windows whose cascade
-/// ended at depth `d`.
-fn histogram(outputs: &[CnnLevelOutput]) -> RejectionHistogram {
-    let n_stages = STAGES as usize;
-    let mut counts = Vec::with_capacity(outputs.len());
-    let mut windows = Vec::with_capacity(outputs.len());
-    for out in outputs {
-        let mut hist = vec![0u64; n_stages + 1];
-        for &d in &out.depth {
-            hist[(d as usize).min(n_stages)] += 1;
+    /// `counts[level]` has [`STAGES`]` + 1` bins, bin `d` counting windows
+    /// whose cascade ended at depth `d`.
+    fn histogram(&self, views: &[CnnView<'_>]) -> RejectionHistogram {
+        let n_stages = STAGES as usize;
+        let mut counts = Vec::with_capacity(views.len());
+        let mut windows = Vec::with_capacity(views.len());
+        for out in views {
+            let mut hist = vec![0u64; n_stages + 1];
+            for &d in out.depth.iter() {
+                hist[(d as usize).min(n_stages)] += 1;
+            }
+            counts.push(hist);
+            windows.push(out.depth.len() as u64);
         }
-        counts.push(hist);
-        windows.push(out.depth.len() as u64);
-    }
-    RejectionHistogram { counts, windows_per_level: windows }
-}
-
-impl Detector for CnnDetector {
-    fn backend(&self) -> Backend {
-        Backend::Cnn
-    }
-
-    fn pyramid_plan(&self, frame: &GrayImage) -> Result<Vec<(usize, usize)>, DetectorError> {
-        CnnDetector::pyramid_plan(self, frame)
-    }
-
-    fn detect_batch_with_plan(
-        &mut self,
-        frames: &[&GrayImage],
-        plan: &[(usize, usize)],
-    ) -> Result<Vec<FrameResult>, DetectorError> {
-        CnnDetector::detect_batch_with_plan(self, frames, plan)
-    }
-
-    fn projected_device_bytes(
-        &self,
-        width: usize,
-        height: usize,
-    ) -> Result<usize, DetectorError> {
-        CnnDetector::projected_device_bytes(self, width, height)
-    }
-
-    fn const_bytes(&self) -> usize {
-        CnnDetector::const_bytes(self)
-    }
-
-    fn device_bytes(&self) -> usize {
-        CnnDetector::device_bytes(self)
-    }
-
-    fn try_replicas(&self, n: usize) -> Result<Vec<Box<dyn Detector>>, DetectorError> {
-        Ok(CnnDetector::try_new_replicas(&self.model, self.config.clone(), n)?
-            .into_iter()
-            .map(|d| Box::new(d) as Box<dyn Detector>)
-            .collect())
-    }
-
-    fn profiler(&self) -> &fd_gpu::Profiler {
-        CnnDetector::profiler(self)
-    }
-
-    fn reset_profiler(&mut self) {
-        CnnDetector::reset_profiler(self)
+        RejectionHistogram { counts, windows_per_level: windows }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fd_detector::{Detector, DetectorConfig, Pipeline};
+    use fd_gpu::{DeviceSpec, ExecMode};
+    use fd_imgproc::resize::resize_bilinear;
     use fd_imgproc::synth::{render_background, BackgroundKind, FaceParams};
+    use fd_imgproc::GrayImage;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -267,6 +228,36 @@ mod tests {
         let patch = FaceParams::nominal().render(40);
         img.blit(&patch, 12, 10);
         img
+    }
+
+    #[test]
+    fn levels_match_the_host_reference() {
+        let frame = GrayImage::from_fn(96, 72, |x, y| {
+            ((x as u32 * 37 + y as u32 * 101).wrapping_mul(2654435761) >> 24) as f32
+        });
+        let model = CnnModel::seeded(7);
+        let gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let mut p = Pipeline::<CnnStages>::try_new(gpu, &model, 1.25).unwrap();
+        let plan = p.plan_for(&frame).unwrap();
+        assert!(p.submit_batch_with_plan(&[&frame], &plan).unwrap().span_us() > 0.0);
+        for out in p.readback(0) {
+            let (w, h) = (out.at.width, out.at.height);
+            let scaled =
+                if out.at.level == 0 { frame.clone() } else { resize_bilinear(&frame, w, h) };
+            let host = model.eval_level_host(scaled.as_slice(), w, h);
+            assert_eq!(*out.depth, host.depth, "level {}", out.at.level);
+            assert_eq!(*out.score, host.score, "level {}", out.at.level);
+        }
+    }
+
+    #[test]
+    fn rejects_invalid_models() {
+        let mut bad = CnnModel::seeded(0);
+        bad.conv1[0] += 1;
+        assert!(matches!(
+            CnnDetector::try_new(&bad, DetectorConfig::default()),
+            Err(DetectorError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -1006,7 +1006,7 @@ impl ModelTensors {
 }
 
 /// The device buffers one request slot holds for one pyramid level
-/// (allocation and sizing live in [`crate::pipeline`]; kernels and tests
+/// (allocation and sizing live in [`crate::detector`]; kernels and tests
 /// share this shape through [`level_chain`]).
 #[derive(Clone, Copy)]
 pub struct LevelDeviceBufs {
@@ -1026,10 +1026,11 @@ pub struct LevelDeviceBufs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fd_detector::StageList;
     use fd_gpu::{DeviceSpec, ExecMode, Gpu};
 
+    use crate::detector::CnnStages;
     use crate::model::C1;
-    use crate::pipeline::alloc_level;
 
     fn test_luma(w: usize, h: usize) -> Vec<f32> {
         (0..w * h)
@@ -1045,7 +1046,7 @@ mod tests {
     fn run_chain(model: &CnnModel, luma: &[f32], w: usize, h: usize) -> (Vec<u32>, Vec<i32>) {
         let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
         let cp = gpu.const_upload(&model.encode());
-        let mut bufs = alloc_level(&mut gpu.mem, w, h);
+        let mut bufs = CnnStages::alloc_level(&mut gpu.mem, w, h);
         bufs.scaled = gpu.mem.upload(luma);
         let tensors = ModelTensors::from_model(model);
         for k in level_chain(&tensors, &bufs, w, h, cp) {
@@ -1145,7 +1146,7 @@ mod tests {
             .collect();
         let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
         let cp = gpu.const_upload(&model.encode());
-        let mut bufs = alloc_level(&mut gpu.mem, w, h);
+        let mut bufs = CnnStages::alloc_level(&mut gpu.mem, w, h);
         bufs.scaled = gpu.mem.upload(&luma);
         let tensors = ModelTensors::from_model(&model);
         for k in level_chain(&tensors, &bufs, w, h, cp) {

@@ -19,14 +19,15 @@ use fd_gpu::probe::{
     assert_same, check_case, device, f32_bits, modes, probes, run_probed, take_counters,
     timeline_bits, Mode, Observed, ReferenceBody, Rng,
 };
+use fd_detector::StageList;
 use fd_gpu::{with_band_mutation, BandMutation, BlockCtx, Gpu, StreamId};
 
 use super::{
     level_chain, round_luma, window_grid, ChainKernel, ConvReluKernel, ConvSrc, LevelDeviceBufs,
     MaxPoolKernel, ModelTensors, Mutation, WindowScoreKernel, MUTATION,
 };
+use crate::detector::CnnStages;
 use crate::model::{sat, CnnModel, C1, C2, C2A, REGION2, TAPS3X3};
-use crate::pipeline::alloc_level;
 
 impl ReferenceBody for ConvReluKernel {
     fn reference_run_block(&self, ctx: &mut BlockCtx<'_>) {
@@ -469,7 +470,7 @@ fn chain_sweep(cases: usize) {
             let levels: Vec<_> = lumas
                 .iter()
                 .map(|luma| {
-                    let b = alloc_level(&mut gpu.mem, w, h);
+                    let b = CnnStages::alloc_level(&mut gpu.mem, w, h);
                     gpu.mem.upload_into(b.scaled, luma);
                     for buf in [b.conv1, b.pooled1, b.conv2, b.pooled2, b.score_a, b.score_b, b.score] {
                         poison(&gpu, buf, POISON as i32);

@@ -10,15 +10,15 @@
 //! are bit-identical at any host thread count and on either host
 //! execution engine.
 //!
-//! [`CnnDetector`] implements [`fd_detector::Detector`], making it
-//! interchangeable with the Haar [`fd_detector::FaceDetector`] behind
-//! the serving layer's request classes.
+//! [`CnnStages`] is the cascade's stage list for `fd_detector`'s pipeline
+//! skeleton; [`CnnDetector`], that skeleton's detector over it,
+//! implements [`fd_detector::Detector`], making it interchangeable with
+//! the Haar [`fd_detector::FaceDetector`] behind the serving layer's
+//! request classes.
 
 pub mod detector;
 pub mod kernels;
 pub mod model;
-pub mod pipeline;
 
-pub use detector::CnnDetector;
+pub use detector::{CnnDetector, CnnStages};
 pub use model::{CnnModel, CnnModelError, ParseError, SCORE_SCALE, STAGES, WINDOW, WINDOW_STRIDE};
-pub use pipeline::{CnnLevelOutput, CnnPipeline};

@@ -1,12 +1,13 @@
 //! Backend abstraction over detection engines.
 //!
 //! The serving layer (`fd-serve`) originally hard-wired
-//! [`FaceDetector`] — the paper's Haar cascade. A second engine (the
-//! compact CNN cascade of `fd-cnn`) offers a different accuracy/latency
-//! point, and the server routes *per request* between them. [`Detector`]
-//! captures exactly the surface the server consumes: planning, batched
-//! execution over a plan prefix (deadline shedding), memory projection
-//! for admission control, and replica construction for fleets.
+//! [`FaceDetector`](crate::FaceDetector) — the paper's Haar cascade. A
+//! second engine (the compact CNN cascade of `fd-cnn`) offers a different
+//! accuracy/latency point, and the server routes *per request* between
+//! them. [`Detector`] captures exactly the surface the server consumes:
+//! planning, batched execution over a plan prefix (deadline shedding),
+//! memory projection for admission control, and replica construction
+//! for fleets.
 //!
 //! The trait is object-safe so a mixed fleet can hold
 //! `Box<dyn Detector>` lanes of different engines behind one device
@@ -15,8 +16,9 @@
 
 use fd_imgproc::GrayImage;
 
-use crate::detector::{FaceDetector, FrameResult};
+use crate::detector::{FrameResult, PyramidDetector};
 use crate::error::DetectorError;
+use crate::pipeline::StageList;
 
 /// Which detection engine serves a request. A third axis of the request
 /// class alongside [`Priority`](../fd_serve) and geometry: backends
@@ -51,15 +53,14 @@ impl Backend {
     }
 }
 
-/// A detection engine the serving layer can drive. Implemented by the
-/// Haar [`FaceDetector`] and the CNN cascade (`fd_cnn::CnnDetector`);
+/// A detection engine the serving layer can drive. Implemented by
+/// [`PyramidDetector`] — the Haar [`FaceDetector`](crate::FaceDetector)
+/// and the CNN cascade (`fd_cnn::CnnDetector`) alike;
 /// `DetectionServer`/`FleetServer` are generic over it.
 ///
-/// The contract mirrors `FaceDetector`'s inherent API bit for bit: for
-/// the Haar backend every default method forwards to the pre-trait
-/// implementation, so serving through the trait is byte-identical to
-/// serving the concrete type (asserted by `fd-bench`'s `serve_mixed`
-/// identity gate).
+/// The contract mirrors the detector's inherent API bit for bit, so
+/// serving through the trait is byte-identical to serving the concrete
+/// type (asserted by `fd-bench`'s `serve_mixed` identity gate).
 pub trait Detector {
     /// The request class this engine serves.
     fn backend(&self) -> Backend;
@@ -132,13 +133,18 @@ pub trait Detector {
     }
 }
 
-impl Detector for FaceDetector {
+/// Every backend's detector is the one generic front, so the trait is
+/// implemented once: each method forwards to the inherent method of the
+/// same name, and the provided `detect`/`detect_with_plan`/`detect_batch`
+/// bodies recompose exactly the inherent methods' plan-then-batch
+/// structure (a batch of one is bit-identical to a single detect).
+impl<S: StageList + 'static> Detector for PyramidDetector<S> {
     fn backend(&self) -> Backend {
-        Backend::Haar
+        S::BACKEND
     }
 
     fn pyramid_plan(&self, frame: &GrayImage) -> Result<Vec<(usize, usize)>, DetectorError> {
-        FaceDetector::pyramid_plan(self, frame)
+        PyramidDetector::pyramid_plan(self, frame)
     }
 
     fn detect_batch_with_plan(
@@ -146,7 +152,7 @@ impl Detector for FaceDetector {
         frames: &[&GrayImage],
         plan: &[(usize, usize)],
     ) -> Result<Vec<FrameResult>, DetectorError> {
-        FaceDetector::detect_batch_with_plan(self, frames, plan)
+        PyramidDetector::detect_batch_with_plan(self, frames, plan)
     }
 
     fn projected_device_bytes(
@@ -154,36 +160,31 @@ impl Detector for FaceDetector {
         width: usize,
         height: usize,
     ) -> Result<usize, DetectorError> {
-        FaceDetector::projected_device_bytes(self, width, height)
+        PyramidDetector::projected_device_bytes(self, width, height)
     }
 
     fn const_bytes(&self) -> usize {
-        FaceDetector::const_bytes(self)
+        PyramidDetector::const_bytes(self)
     }
 
     fn device_bytes(&self) -> usize {
-        FaceDetector::device_bytes(self)
+        PyramidDetector::device_bytes(self)
     }
 
     fn try_replicas(&self, n: usize) -> Result<Vec<Box<dyn Detector>>, DetectorError> {
-        Ok(FaceDetector::try_new_replicas(self.cascade(), self.config().clone(), n)?
+        Ok(Self::try_new_replicas(self.model(), self.config().clone(), n)?
             .into_iter()
             .map(|d| Box::new(d) as Box<dyn Detector>)
             .collect())
     }
 
     fn profiler(&self) -> &fd_gpu::Profiler {
-        FaceDetector::profiler(self)
+        PyramidDetector::profiler(self)
     }
 
     fn reset_profiler(&mut self) {
-        FaceDetector::reset_profiler(self)
+        PyramidDetector::reset_profiler(self)
     }
-
-    // The provided `detect`/`detect_with_plan`/`detect_batch` bodies are
-    // not overridden: they recompose exactly the inherent methods'
-    // plan-then-batch structure, and a batch of one is bit-identical to
-    // a single detect (the pipeline's documented invariant).
 }
 
 /// Boxed engines forward everything, so a heterogeneous fleet can hold
@@ -256,7 +257,7 @@ mod tests {
     use super::*;
     use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 
-    use crate::detector::DetectorConfig;
+    use crate::detector::{DetectorConfig, FaceDetector};
 
     fn edge_cascade() -> Cascade {
         let f = HaarFeature::from_params(FeatureKind::EdgeH, 6, 4, 6, 8);

@@ -1,16 +1,18 @@
-//! The public face-detector API.
+//! The public detector API, written once for every backend.
 //!
-//! Wraps [`crate::FramePipeline`] with detection extraction, grouping and
-//! the per-frame statistics the paper's evaluation consumes (latency,
-//! per-stage rejection histograms, profiler counters).
+//! [`PyramidDetector`] wraps a backend's [`Pipeline`] with detection
+//! extraction, grouping and the per-frame statistics the paper's
+//! evaluation consumes (latency, per-stage rejection histograms, profiler
+//! counters). [`FaceDetector`] is the paper's Haar cascade; `fd-cnn`'s
+//! `CnnDetector` is the same front over the CNN stage list.
 
 use fd_gpu::{DeviceSpec, ExecMode, FaultPlan, Gpu, Timeline};
-use fd_haar::Cascade;
-use fd_imgproc::{GrayImage, Rect};
+use fd_imgproc::GrayImage;
 
 use crate::error::DetectorError;
 use crate::group::{group_detections, Detection, GroupedDetection};
-use crate::pipeline::{FramePipeline, ScaleView};
+use crate::haar::HaarStages;
+use crate::pipeline::{Pipeline, StageList};
 
 /// Detector configuration.
 #[derive(Debug, Clone)]
@@ -36,16 +38,20 @@ pub struct DetectorConfig {
     /// `None` — and any inert plan — leaves behaviour bit-identical to a
     /// fault-free device.
     pub fault_plan: Option<FaultPlan>,
-    /// Fuse the smoothing/integral pipeline stages into combined
+    /// Fuse the Haar pipeline's smoothing/integral stages into combined
     /// launches (see [`fd_gpu::fuse`]). `None` means off (the unfused
     /// paper baseline). Detections are bit-identical either way; fused
     /// frames pay fewer launch overheads and keep chain-internal
-    /// intermediates off the global traffic ledger.
+    /// intermediates off the global traffic ledger. The CNN backend
+    /// ignores it: its kernels declare fusion traits, but its stage list
+    /// builds no chains.
     pub fusion: Option<bool>,
-    /// Autotune launch shapes through the scheduler's occupancy model
-    /// (see [`fd_gpu::tune`]). `None` means off (the fixed-shape
-    /// baseline). Detections are byte-identical either way; only block
-    /// shapes and timing change.
+    /// Autotune the Haar pipeline's launch shapes through the scheduler's
+    /// occupancy model (see [`fd_gpu::tune`]). `None` means off (the
+    /// fixed-shape baseline). Detections are byte-identical either way;
+    /// only block shapes and timing change. Fused chains keep their
+    /// stacked default shapes (one thread count across a chain is part of
+    /// the fusion contract). The CNN backend ignores it.
     pub autotune: Option<bool>,
 }
 
@@ -80,23 +86,15 @@ pub struct RejectionHistogram {
 impl RejectionHistogram {
     /// Fraction of windows rejected exactly at `stage` (1-based, i.e.
     /// stage 1 rejects windows with depth 0), aggregated over all levels.
+    /// There is no stage 0: it rejects nothing.
     pub fn rejection_rate_at_stage(&self, stage: usize) -> f64 {
-        assert!(stage >= 1);
         let total: u64 = self.windows_per_level.iter().sum();
+        let Some(depth) = stage.checked_sub(1) else { return 0.0 };
         if total == 0 {
             return 0.0;
         }
-        let rejected: u64 = self.counts.iter().map(|c| c.get(stage - 1).copied().unwrap_or(0)).sum();
+        let rejected: u64 = self.counts.iter().map(|c| c.get(depth).copied().unwrap_or(0)).sum();
         rejected as f64 / total as f64
-    }
-
-    /// Per-level rejection fraction at a 1-based stage.
-    pub fn per_level_rate(&self, level: usize, stage: usize) -> f64 {
-        let n = self.windows_per_level[level];
-        if n == 0 {
-            return 0.0;
-        }
-        self.counts[level].get(stage - 1).copied().unwrap_or(0) as f64 / n as f64
     }
 }
 
@@ -115,53 +113,58 @@ pub struct FrameResult {
     pub rejection: Option<RejectionHistogram>,
 }
 
-/// GPU face detector bound to a cascade and configuration.
-pub struct FaceDetector {
-    pipeline: FramePipeline,
+/// A GPU detector: one backend's stage list on its own simulated device,
+/// bound to a model and configuration.
+pub struct PyramidDetector<S: StageList> {
+    pipeline: Pipeline<S>,
     config: DetectorConfig,
 }
 
-impl FaceDetector {
+/// The paper's GPU face detector: the Haar cascade.
+pub type FaceDetector = PyramidDetector<HaarStages>;
+
+impl<S: StageList> PyramidDetector<S> {
     /// Panicking form of [`Self::try_new`] for static configurations.
-    pub fn new(cascade: &Cascade, config: DetectorConfig) -> Self {
-        Self::try_new(cascade, config).unwrap()
+    pub fn new(model: &S::Model, config: DetectorConfig) -> Self {
+        Self::try_new(model, config).expect("a valid model and configuration")
     }
 
-    /// Build a detector, validating the configuration and staging the
-    /// cascade on the device. The cascade is semantically validated first
-    /// ([`Cascade::validate`]) so a corrupt or hand-edited model is
-    /// rejected with a typed error before any device state exists.
-    pub fn try_new(cascade: &Cascade, config: DetectorConfig) -> Result<Self, DetectorError> {
-        cascade.validate().map_err(|source| DetectorError::InvalidCascade { source })?;
+    /// Build a detector, validating the configuration and the model and
+    /// staging the model on the device: a corrupt or hand-edited model is
+    /// rejected with a typed error, never a device panic.
+    pub fn try_new(model: &S::Model, config: DetectorConfig) -> Result<Self, DetectorError> {
         let mut gpu = Gpu::new(config.device.clone(), config.exec_mode);
         gpu.set_host_threads(config.host_threads);
         gpu.set_fault_plan(config.fault_plan.clone());
-        let mut pipeline = FramePipeline::try_new(gpu, cascade, config.scale_factor)?;
-        pipeline.set_fusion(config.fusion.unwrap_or(false));
-        pipeline.set_autotune(config.autotune.unwrap_or(false));
+        let mut pipeline = Pipeline::<S>::try_new(gpu, model, config.scale_factor)?;
+        pipeline.stages_mut().configure(&config);
         Ok(Self { pipeline, config })
     }
 
-    /// Whether the smoothing/integral stages launch fused.
-    pub fn fusion(&self) -> bool {
-        self.pipeline.fusion()
-    }
-
-    /// Enable or disable kernel fusion (takes effect next frame).
-    pub fn set_fusion(&mut self, fusion: bool) {
-        self.config.fusion = Some(fusion);
-        self.pipeline.set_fusion(fusion);
-    }
-
-    /// Whether launch shapes are autotuned.
-    pub fn autotune(&self) -> bool {
-        self.pipeline.autotune()
-    }
-
-    /// Enable or disable launch-shape autotuning (takes effect next frame).
-    pub fn set_autotune(&mut self, autotune: bool) {
-        self.config.autotune = Some(autotune);
-        self.pipeline.set_autotune(autotune);
+    /// Build `n` detectors over `n` independent simulated devices — the
+    /// per-device handles of a serving fleet. Every replica shares the
+    /// configuration, but an attached fault plan is forked per replica
+    /// via [`FaultPlan::for_replica`], so device faults strike the fleet
+    /// independently instead of in lockstep (replica 0 keeps the plan
+    /// verbatim, making a 1-replica fleet identical to a single
+    /// detector).
+    pub fn try_new_replicas(
+        model: &S::Model,
+        config: DetectorConfig,
+        n: usize,
+    ) -> Result<Vec<Self>, DetectorError> {
+        if n == 0 {
+            return Err(DetectorError::InvalidConfig {
+                reason: "a fleet needs at least one device replica",
+            });
+        }
+        (0..n)
+            .map(|i| {
+                let mut cfg = config.clone();
+                cfg.fault_plan = config.fault_plan.as_ref().map(|p| p.for_replica(i as u64));
+                Self::try_new(model, cfg)
+            })
+            .collect()
     }
 
     /// The active configuration.
@@ -169,9 +172,9 @@ impl FaceDetector {
         &self.config
     }
 
-    /// The quantized cascade in use.
-    pub fn cascade(&self) -> &Cascade {
-        self.pipeline.cascade()
+    /// The model as the device evaluates it (a Haar cascade quantized).
+    pub fn model(&self) -> &S::Model {
+        self.pipeline.stages().model()
     }
 
     /// Switch execution mode (takes effect next frame).
@@ -188,12 +191,6 @@ impl FaceDetector {
     /// Reset profiler statistics.
     pub fn reset_profiler(&mut self) {
         self.pipeline.gpu.reset_profiler();
-    }
-
-    /// Attach (or clear) a device fault plan mid-stream.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.config.fault_plan = plan.clone();
-        self.pipeline.gpu.set_fault_plan(plan);
     }
 
     /// Device fault statistics since plan attachment.
@@ -220,7 +217,7 @@ impl FaceDetector {
     }
 
     /// Device bytes a `width x height` stream will hold at steady state
-    /// (projected buffer pool + staged cascade), without allocating.
+    /// (projected buffer pool + staged model), without allocating.
     pub fn projected_device_bytes(
         &self,
         width: usize,
@@ -229,38 +226,10 @@ impl FaceDetector {
         Ok(self.pipeline.projected_pool_bytes(width, height)? + self.pipeline.const_bytes())
     }
 
-    /// Geometry-independent constant-memory footprint (the staged
-    /// cascade tables), the one-time part of
-    /// [`Self::projected_device_bytes`].
+    /// Geometry-independent constant-memory footprint (the staged model
+    /// tables), the one-time part of [`Self::projected_device_bytes`].
     pub fn const_bytes(&self) -> usize {
         self.pipeline.const_bytes()
-    }
-
-    /// Build `n` detectors over `n` independent simulated devices — the
-    /// per-device handles of a serving fleet. Every replica shares the
-    /// configuration, but an attached fault plan is forked per replica
-    /// via [`FaultPlan::for_replica`], so device faults strike the fleet
-    /// independently instead of in lockstep (replica 0 keeps the plan
-    /// verbatim, making a 1-replica fleet identical to a single
-    /// detector).
-    pub fn try_new_replicas(
-        cascade: &Cascade,
-        config: DetectorConfig,
-        n: usize,
-    ) -> Result<Vec<Self>, DetectorError> {
-        if n == 0 {
-            return Err(DetectorError::InvalidConfig {
-                reason: "a fleet needs at least one device replica",
-            });
-        }
-        (0..n)
-            .map(|i| {
-                let mut cfg = config.clone();
-                cfg.fault_plan =
-                    config.fault_plan.as_ref().map(|p| p.for_replica(i as u64));
-                Self::try_new(cascade, cfg)
-            })
-            .collect()
     }
 
     /// The full pyramid plan for a frame (largest level first). A
@@ -287,9 +256,8 @@ impl FaceDetector {
     }
 
     /// Detect faces in a batch of same-geometry luma frames submitted as
-    /// **one** device submission: per pyramid level, each kernel is
-    /// launched once for the whole batch ([`fd_gpu::Gpu::launch_batched`])
-    /// so the batch pays a single launch-overhead chain and its blocks
+    /// **one** device submission ([`Pipeline::submit_batch_with_plan`]):
+    /// the batch pays a single launch-overhead chain and its blocks
     /// co-schedule across SMs. This is the entry point `fd-serve`'s
     /// dynamic batcher drives; a batch of one is bit-identical to
     /// [`Self::detect`].
@@ -320,18 +288,16 @@ impl FaceDetector {
         frames: &[&GrayImage],
         plan: &[(usize, usize)],
     ) -> Result<Vec<FrameResult>, DetectorError> {
-        if frames.is_empty() {
-            return Err(DetectorError::InvalidConfig { reason: "empty frame batch" });
-        }
         let timeline = self.pipeline.submit_batch_with_plan(frames, plan)?;
         Ok((0..frames.len())
             .map(|slot| {
-                // The result maps stay on the device: extraction reads
-                // the hit mask and the scores under the hits.
+                // The result maps stay on the device: the stage list reads
+                // what it needs of them through the views.
                 let views = self.pipeline.readback(slot);
-                let raw = self.extract_raw(&views);
+                let stages = self.pipeline.stages();
+                let raw = stages.extract_raw(&views);
                 let rejection =
-                    self.config.collect_rejection_stats.then(|| self.histogram(&views));
+                    self.config.collect_rejection_stats.then(|| stages.histogram(&views));
                 drop(views);
                 let detections = group_detections(
                     &raw,
@@ -348,72 +314,15 @@ impl FaceDetector {
             })
             .collect())
     }
-
-    fn extract_raw(&self, outputs: &[ScaleView<'_>]) -> Vec<Detection> {
-        let window = self.pipeline.cascade().window as usize;
-        let mut raw = Vec::new();
-        for out in outputs {
-            let size = (window as f64 * out.scale).round() as u32;
-            for_each_hit(&out.hits, |i| {
-                let (ox, oy) = (i % out.width, i / out.width);
-                raw.push(Detection {
-                    rect: Rect::new(
-                        (ox as f64 * out.scale).round() as i32,
-                        (oy as f64 * out.scale).round() as i32,
-                        size,
-                        size,
-                    ),
-                    score: out.score[i],
-                    scale: out.level,
-                });
-            });
-        }
-        raw
-    }
-
-    fn histogram(&self, outputs: &[ScaleView<'_>]) -> RejectionHistogram {
-        let n_stages = self.pipeline.cascade().depth() as usize;
-        let window = self.pipeline.cascade().window as usize;
-        let mut counts = Vec::with_capacity(outputs.len());
-        let mut windows = Vec::with_capacity(outputs.len());
-        for out in outputs {
-            let mut hist = vec![0u64; n_stages + 1];
-            let mut total = 0u64;
-            if out.width >= window && out.height >= window {
-                for oy in 0..=out.height - window {
-                    for ox in 0..=out.width - window {
-                        let d = out.depth[oy * out.width + ox] as usize;
-                        hist[d.min(n_stages)] += 1;
-                        total += 1;
-                    }
-                }
-            }
-            counts.push(hist);
-            windows.push(total);
-        }
-        RejectionHistogram { counts, windows_per_level: windows }
-    }
-}
-
-/// Call `f` with the index of every nonzero word of a hit mask, in order.
-/// A 1080p frame's masks hold 5.7 M words and about a hundred hits, so
-/// the mask is walked in chunks and a chunk whose words OR to zero is
-/// skipped without looking at its elements one by one.
-fn for_each_hit(hits: &[u32], mut f: impl FnMut(usize)) {
-    const CHUNK: usize = 64;
-    for (c, chunk) in hits.chunks(CHUNK).enumerate() {
-        if chunk.iter().fold(0, |any, &hit| any | hit) != 0 {
-            for (j, _) in chunk.iter().enumerate().filter(|&(_, &hit)| hit != 0) {
-                f(c * CHUNK + j);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_haar::{FeatureKind, HaarFeature, Stage, Stump};
+    use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
+    use fd_imgproc::Rect;
+
+    use crate::haar::FramePipeline;
 
     /// A cascade accepting strong left-dark/right-bright vertical edges.
     fn edge_cascade(stages: usize) -> Cascade {
@@ -479,6 +388,9 @@ mod tests {
         // Flat regions die at stage 1: the aggregate stage-1 rejection
         // rate must dominate.
         assert!(hist.rejection_rate_at_stage(1) > 0.8);
+        // There is no stage 0, and nothing past the last stage.
+        assert_eq!(hist.rejection_rate_at_stage(0), 0.0);
+        assert_eq!(hist.rejection_rate_at_stage(usize::MAX), 0.0);
     }
 
     #[test]
@@ -583,39 +495,6 @@ mod tests {
             corrupted_frames += (raw != clean) as usize;
         }
         assert!(corrupted_frames > 0, "the plan must corrupt some readback that matters");
-    }
-
-    #[test]
-    fn chunked_hit_walk_equals_the_element_walk() {
-        // Hits on both sides of every chunk border, in a short last chunk,
-        // nowhere, everywhere, and at random densities and lengths.
-        let mut x = 0x5EED_u64;
-        let mut next = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (x >> 33) as usize
-        };
-        let mut masks: Vec<Vec<u32>> = vec![vec![], vec![0; 200], vec![1; 200], vec![7; 1]];
-        for len in [63, 64, 65, 127, 128, 129, 130, 1000] {
-            let mut borders = vec![0u32; len];
-            for i in (0..len).filter(|i| i % 64 == 0 || i % 64 == 63 || i + 1 == len) {
-                borders[i] = 1 + i as u32;
-            }
-            masks.push(borders);
-            let mut last_only = vec![0u32; len];
-            last_only[len - 1] = u32::MAX;
-            masks.push(last_only);
-        }
-        for _ in 0..200 {
-            let (len, one_in) = (next() % 700, 1 + next() % 300);
-            masks.push((0..len).map(|_| (next() % one_in == 0) as u32).collect());
-        }
-        for mask in masks {
-            let want: Vec<usize> =
-                mask.iter().enumerate().filter(|&(_, &hit)| hit != 0).map(|(i, _)| i).collect();
-            let mut got = Vec::new();
-            for_each_hit(&mask, |i| got.push(i));
-            assert_eq!(got, want, "mask of {} words", mask.len());
-        }
     }
 
     #[test]

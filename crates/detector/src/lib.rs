@@ -20,11 +20,15 @@
 //!
 //! * [`kernels`] — the six device kernels, each metering the SIMT work it
 //!   performs;
-//! * [`pipeline`] — per-frame orchestration: buffer management, stream
-//!   assignment, launches and readback;
+//! * [`pipeline`] — the per-frame skeleton every backend shares: pyramid
+//!   plan, buffer pool, per-level streams, launches and readback, around
+//!   a backend's [`StageList`];
+//! * [`haar`] — the paper's stage list ([`HaarStages`]), run by
+//!   [`FramePipeline`];
 //! * [`group`] — detection grouping with the paper's `S_eyes` metric
 //!   (Eq. 6) and the iterative averaging procedure of §VI-B;
-//! * [`detector`] — the public [`FaceDetector`] API;
+//! * [`detector`] — the public detector API, [`PyramidDetector`], written
+//!   once for every stage list; [`FaceDetector`] is the Haar one;
 //! * [`backend`] — the [`Detector`] trait and [`Backend`] request class
 //!   the serving layer dispatches on, abstracting this engine alongside
 //!   the compact CNN cascade of `fd-cnn`;
@@ -36,17 +40,21 @@ pub mod cpu_ref;
 pub mod detector;
 pub mod error;
 pub mod group;
+pub mod haar;
 pub mod kernels;
 pub mod multi_gpu;
 pub mod pipeline;
 pub mod stream_detector;
 
 pub use backend::{Backend, Detector};
-pub use detector::{DetectorConfig, FaceDetector, FrameResult, RejectionHistogram};
+pub use detector::{
+    DetectorConfig, FaceDetector, FrameResult, PyramidDetector, RejectionHistogram,
+};
 pub use error::DetectorError;
 pub use group::{group_detections, s_eyes, Detection, GroupedDetection};
 pub use multi_gpu::{detect_multi_gpu, MultiGpuFrame};
-pub use pipeline::{FramePipeline, ScaleOutput, ScaleView};
+pub use haar::{FramePipeline, HaarStages, ScaleOutput, ScaleView};
+pub use pipeline::{stage_constants, LevelGeom, LevelLaunch, Pipeline, StageList};
 pub use stream_detector::{
     CheckpointError, DegradeReason, FrameOutcome, FrameReport, RecoveryPolicy, RecoverySnapshot,
     SkipReason, StreamCheckpoint, StreamStats, VideoDetector,

@@ -19,7 +19,7 @@ use fd_haar::Cascade;
 use fd_imgproc::{GrayImage, Pyramid};
 
 use crate::error::DetectorError;
-use crate::pipeline::FramePipeline;
+use crate::haar::FramePipeline;
 
 /// Result of one multi-GPU frame.
 #[derive(Debug, Clone)]

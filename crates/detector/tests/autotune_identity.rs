@@ -97,7 +97,6 @@ fn autotune_knob_reaches_the_pipeline_and_retiles_launches() {
     let frames: Vec<_> = HwDecoder::new(trailer(11, 1)).collect();
     let run = |autotune: bool| {
         let mut det = FaceDetector::try_new(&cascade(), config(autotune, false, 1)).unwrap();
-        assert_eq!(det.autotune(), autotune);
         let r = det.detect(&frames[0].luma).unwrap();
         // Fingerprint each launch's geometry: block count + residency.
         r.timeline

@@ -17,6 +17,17 @@ gate() {
   [ -z "$gate" ] || echo "== $gate =="
 }
 
+gate "non-test lines under crates/*/src against the change's parent (scripts/loc.sh)"
+# Uncommitted work is a change on top of HEAD; a clean tree is HEAD's
+# change on top of HEAD~1.
+if ! git diff --quiet HEAD; then
+  scripts/loc.sh HEAD
+elif git rev-parse -q --verify 'HEAD~1^{commit}' >/dev/null; then
+  scripts/loc.sh HEAD~1
+else
+  scripts/loc.sh
+fi
+
 gate "cargo build --release"
 cargo build --release --offline
 

@@ -3,7 +3,7 @@
 //! consistent across execution modes.
 
 use facedet::detector::cpu_ref::{depth_maps_cpu, detect_cpu};
-use facedet::detector::pipeline::FramePipeline;
+use facedet::detector::FramePipeline;
 use facedet::prelude::*;
 use facedet::imgproc::synth::FaceParams;
 
