@@ -1,14 +1,73 @@
 //! Developer probe: times one 1080p frame through the pipeline and prints
 //! the simulated device timeline summary. Used to size the experiment
 //! defaults; not part of the paper's tables.
+//!
+//! `probe --sim [--ops N]` instead prints what the timing simulation
+//! costs the host per placed block, on the shipped cascade (no training).
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
-use fd_bench::out::arg_usize;
+use fd_bench::out::{arg_flag, arg_usize};
 use fd_detector::{DetectorConfig, FaceDetector};
 use fd_gpu::ExecMode;
-use fd_video::movie_trailers;
+use fd_imgproc::synth::render_random_background;
+use fd_imgproc::GrayImage;
+use fd_video::{movie_trailers, Trailer, TrailerSpec};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// `--sim`: host ns of `sched::simulate` per placed block — the profiler's
+/// `timing_host_us` over the blocks of the timelines it absorbed — for one
+/// 1080p frame and for a batch of six 64×48 frames, at one host thread
+/// (the simulation then follows the drain, so its spans hold nothing
+/// else). Prints the median and quartiles over `--ops` detects (50).
+fn sim_cost() {
+    let path = "assets/ours-gentle.cascade";
+    let cascade = fd_haar::io::load(path)
+        .unwrap_or_else(|e| panic!("cannot load {path} (run from the repo root): {e}"));
+    let config = DetectorConfig { host_threads: Some(1), ..DetectorConfig::default() };
+    let ops = arg_usize("--ops", 50).max(1);
+    for (shape, (width, height), count) in
+        [("one 1080p frame", (1920, 1080), 1), ("six 64x48 frames", (64, 48), 6)]
+    {
+        // A trailer scene at 1080p; trailers start at 64 px, so the
+        // serving-sized frames are bare backgrounds.
+        let frames: Vec<GrayImage> = (0..count)
+            .map(|seed| {
+                if height < 64 {
+                    return render_random_background(&mut StdRng::seed_from_u64(seed), width, height);
+                }
+                let spec = TrailerSpec { width, height, n_frames: 1, seed, ..Default::default() };
+                Trailer::generate(spec).render_frame(0)
+            })
+            .collect();
+        let frames: Vec<&GrayImage> = frames.iter().collect();
+        let mut det = FaceDetector::try_new(&cascade, config.clone()).expect("shipped cascade");
+        det.detect_batch(&frames).expect("warm-up detect");
+        let (mut ns_per_block, mut launches, mut blocks) = (Vec::with_capacity(ops), 0, 0);
+        for _ in 0..ops {
+            det.reset_profiler();
+            det.detect_batch(&frames).expect("detect");
+            let traces = det.profiler().traces();
+            launches = traces.len();
+            blocks = traces.iter().map(|e| e.blocks).sum::<u64>();
+            ns_per_block.push(det.profiler().timing_host_us() * 1e3 / blocks as f64);
+        }
+        ns_per_block.sort_by(f64::total_cmp);
+        let at = |q: usize| ns_per_block[(ns_per_block.len() - 1) * q / 4];
+        println!(
+            "{shape}: {launches} launches, {blocks} blocks, {:.0} ns per block \
+             (median of {ops}; quartiles {:.0} / {:.0})",
+            at(2),
+            at(1),
+            at(3)
+        );
+    }
+}
 
 fn main() {
+    if arg_flag("--sim") {
+        return sim_cost();
+    }
     let frames = arg_usize("--frames", 2);
     let budget = if std::env::args().any(|a| a == "--tiny") {
         TrainingBudget::tiny()

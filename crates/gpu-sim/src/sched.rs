@@ -379,11 +379,13 @@ pub(crate) struct SchedScratch {
     /// or become reserved since that attempt.
     dirty: Vec<usize>,
     /// The distinct block footprints of the launch set, and for each
-    /// whether some dirty SM not reserved for anyone has room for it. A
-    /// `false` is exact (SMs only fill up between refreshes), a `true` may
-    /// be stale: it costs a visit that finds nothing, never a missed one.
+    /// whether some dirty SM not reserved for anyone has room for it,
+    /// recomputed when a skip decision is about to read it and something
+    /// changed since. A `false` read that way is exact, and so is a `true`.
     demands: Vec<Demand>,
     admits: Vec<bool>,
+    /// Block durations already computed, by what they were computed from.
+    durations: DurationMemo,
 }
 
 /// What one block of a launch takes from its SM.
@@ -418,8 +420,8 @@ impl SmState {
     }
 }
 
-/// Recomputes `admits` (see [`SchedScratch::admits`]) after `dirty`, the
-/// SMs' load or the reservation changed.
+/// Recomputes `admits` (see [`SchedScratch::admits`]) from `dirty`, the
+/// SMs' load and the reservation; returns whether any flag is set.
 fn refresh_admits(
     spec: &DeviceSpec,
     sms: &[SmState],
@@ -427,15 +429,107 @@ fn refresh_admits(
     reservation: Option<(usize, usize)>,
     demands: &[Demand],
     admits: &mut [bool],
-) {
+) -> bool {
     let reserved = reservation.map(|(_, s)| s);
     admits.fill(false);
-    for &s in dirty.iter().filter(|&&s| Some(s) != reserved) {
-        if let Some(room) = sms[s].room(spec) {
-            for (admit, demand) in admits.iter_mut().zip(demands) {
-                *admit |= demand.within(&room);
+    let mut any = false;
+    for &s in dirty {
+        if Some(s) == reserved {
+            continue;
+        }
+        let Some(room) = sms[s].room(spec) else { continue };
+        for d in 0..demands.len() {
+            let fits = demands[d].within(&room);
+            admits[d] |= fits;
+            any |= fits;
+        }
+    }
+    any
+}
+
+/// Everything a block's duration is computed from besides the device and
+/// the cost model, which are fixed for one simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DurationKey {
+    /// The block's [`BlockCost`], floats as bit patterns.
+    issue_cycles: u64,
+    mem_latency_cycles: u64,
+    mem_bytes: u64,
+    /// Its SM's resident blocks and warps, itself included.
+    sm_blocks: u32,
+    sm_warps: u32,
+    /// Its launch's warps per block.
+    block_warps: u32,
+}
+
+impl DurationKey {
+    fn slot(&self) -> usize {
+        let residency =
+            (self.sm_blocks as u64) << 48 | (self.sm_warps as u64) << 24 | self.block_warps as u64;
+        let h = self.issue_cycles
+            ^ self.mem_latency_cycles.rotate_left(21)
+            ^ self.mem_bytes.rotate_left(42)
+            ^ residency.rotate_left(7);
+        (h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - DurationMemo::BITS)) as usize
+    }
+}
+
+/// A direct-mapped table of block durations. A launch's blocks mostly cost
+/// the same and land on SMs in a few load states, so most placements find
+/// their duration here instead of dividing it out again; a hit compares the
+/// whole key, so it returns the very number the computation would.
+#[derive(Debug, Default)]
+struct DurationMemo {
+    slots: Vec<Option<(DurationKey, f64)>>,
+}
+
+impl DurationMemo {
+    const BITS: u32 = 8;
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.slots.resize(1 << Self::BITS, None);
+    }
+
+    fn get_or_insert(&mut self, key: DurationKey, compute: impl FnOnce() -> f64) -> f64 {
+        let slot = &mut self.slots[key.slot()];
+        match slot {
+            Some((k, dur_us)) if *k == key => *dur_us,
+            _ => {
+                let dur_us = compute();
+                *slot = Some((key, dur_us));
+                dur_us
             }
         }
+    }
+}
+
+/// Deliberate changes to the event loop for `sched/oracle.rs` to judge;
+/// only a test build can switch one on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mutation {
+    /// A bug: the duration memo is keyed without the SM's resident blocks.
+    MemoWithoutResidentBlocks,
+    /// A bug: the completion that starts a round does not mark the
+    /// footprint flags stale, so skip decisions read the previous round's.
+    FlagsKeptAcrossRounds,
+    /// Not a bug: a placement does not mark the flags stale (see `stale`).
+    FlagsKeptAcrossPlacements,
+}
+
+#[cfg(test)]
+thread_local! {
+    static MUTATION: std::cell::Cell<Option<Mutation>> = const { std::cell::Cell::new(None) };
+}
+
+/// Whether `mutation` is switched on: never outside a test build.
+fn mutated(mutation: Mutation) -> bool {
+    #[cfg(test)]
+    return MUTATION.get() == Some(mutation);
+    #[cfg(not(test))]
+    {
+        let _ = mutation;
+        false
     }
 }
 
@@ -507,16 +601,20 @@ fn end_launch(
 fn best_sm(
     spec: &DeviceSpec,
     sms: &[SmState],
-    candidates: impl Iterator<Item = usize>,
+    candidates: impl IntoIterator<Item = usize>,
     demand: &Demand,
     reserved_for_other: Option<usize>,
 ) -> Option<usize> {
-    candidates
-        .filter(|&s| {
-            Some(s) != reserved_for_other
-                && sms[s].room(spec).is_some_and(|room| demand.within(&room))
-        })
-        .max_by_key(|&s| (spec.max_warps_per_sm - sms[s].warps, Reverse(s)))
+    // The least (resident warps, index) among the SMs that fit, as one
+    // integer.
+    let mut best = u64::MAX;
+    for s in candidates {
+        let sm = &sms[s];
+        if Some(s) != reserved_for_other && sm.room(spec).is_some_and(|room| demand.within(&room)) {
+            best = best.min((sm.warps as u64) << 32 | s as u64);
+        }
+    }
+    (best != u64::MAX).then_some(best as u32 as usize)
 }
 
 impl SchedScratch {
@@ -555,6 +653,7 @@ impl SchedScratch {
             dirty,
             demands,
             admits,
+            durations,
         } = self;
         let n = launches.len();
         // Launch and SM indices travel as `u32` (`Completion`, `Issuable`).
@@ -567,6 +666,7 @@ impl SchedScratch {
         issuable.clear();
         dirty.clear();
         demands.clear();
+        durations.clear();
 
         // Map every event to the launch that records it.
         event_source.clear();
@@ -663,6 +763,20 @@ impl SchedScratch {
         // kernel instead. A single slot with age preemption keeps the rest of
         // the device free for backfill while the reserved SM drains.
         let mut reservation: Option<(usize, usize)> = None; // (launch, sm)
+        // Whether `admits` may disagree with `dirty`, the SMs' load or the
+        // reservation. A skip decision refreshes the flags first if so;
+        // `any_admit` is whether that refresh set one. The decisions need
+        // only the mark of the completion that starts a round: within a
+        // round placements and new reservations only take room away, and
+        // what gives room back — the holder placing a block, an older launch
+        // taking the reservation over — comes before the round's first skip
+        // decision, which is about a launch younger than the holder and so
+        // visited after it. Marking those changes too keeps a `true` from
+        // outliving its room, which would cost visits that find nothing.
+        let mut stale = true;
+        let mut any_admit = false;
+        // Issuable launches whose `full_scan` is set.
+        let mut rescans = 0usize;
 
         loop {
             // Ready times, in launch order. A launch with zero blocks
@@ -693,33 +807,48 @@ impl SchedScratch {
                         full_scan: true,
                     },
                 );
+                rescans += 1;
             }
 
             // Issue blocks from ready launches, in launch order, respecting
             // the concurrent-kernel limit. Only a launch that can do
             // something is visited: start (or be told to rescan), look at
             // every SM, place on a dirty SM, or move the reservation.
-            refresh_admits(spec, sms, dirty, reservation, demands, admits);
+            // `ahead` counts the rescanning launches after the current one.
+            let mut ahead = rescans;
             let mut k = 0;
             while k < issuable.len() {
                 let w = &mut issuable[k];
                 k += 1;
+                let rescanned = w.full_scan;
+                ahead -= rescanned as usize;
                 if !w.started && active_kernels >= kernel_cap {
-                    // Cannot start a new kernel yet. It misses this
-                    // round's dirty SMs, so it rescans when admitted.
-                    w.full_scan = true;
+                    // Cannot start a new kernel yet (and rescans already,
+                    // see `cap_reached` below).
+                    debug_assert!(w.full_scan);
                     continue;
                 }
                 let i = w.launch as usize;
-                if !w.full_scan
-                    && !admits[w.demand as usize]
-                    && reservation.is_some_and(|(holder, _)| holder < i)
-                {
-                    // Stalled since an earlier round, no dirty SM has room
-                    // and an older launch holds the reservation: the visit
-                    // would find nothing and change nothing.
-                    continue;
+                if !w.full_scan && reservation.is_some_and(|(holder, _)| holder < i) {
+                    if stale {
+                        any_admit = refresh_admits(spec, sms, dirty, reservation, demands, admits);
+                        stale = false;
+                    }
+                    if !admits[w.demand as usize] {
+                        // Stalled since an earlier round, no dirty SM has
+                        // room and an older launch holds the reservation:
+                        // the visit would find nothing and change nothing.
+                        if ahead == 0 && !any_admit {
+                            // Nor would the visit of any launch after it:
+                            // none rescans, all are younger, none is
+                            // admitted, and the kernel cap holds back only
+                            // rescanning ones.
+                            break;
+                        }
+                        continue;
+                    }
                 }
+                let mut cap_reached = false;
                 let l = &mut states[i];
                 let demand = demands[w.demand as usize];
                 while l.next_block < l.blocks {
@@ -745,9 +874,10 @@ impl SchedScratch {
                         match reservation {
                             Some((holder, _)) if holder <= i => {}
                             _ => {
-                                let pick = (0..sms.len()).max_by_key(|&s| {
-                                    (spec.max_warps_per_sm - sms[s].warps, Reverse(s))
-                                });
+                                // The SM with the most free warps, lowest
+                                // index on a tie.
+                                let pick = (0..sms.len())
+                                    .reduce(|b, s| if sms[s].warps < sms[b].warps { s } else { b });
                                 if let Some(s) = pick {
                                     if let Some((_, lost)) = reservation {
                                         // The preempted holder's SM opens up:
@@ -759,7 +889,7 @@ impl SchedScratch {
                                         w.full_scan = true;
                                     }
                                     reservation = Some((i, s));
-                                    refresh_admits(spec, sms, dirty, reservation, demands, admits);
+                                    stale = true;
                                 }
                             }
                         }
@@ -778,22 +908,33 @@ impl SchedScratch {
                     sm.threads += demand.threads;
                     sm.shared += demand.shared;
                     sm.registers += demand.registers;
-                    // The SM's DRAM share is split among its resident blocks
-                    // (sm.blocks already includes this one), so co-resident
-                    // streaming blocks cannot jointly exceed card bandwidth.
-                    let bw_cycles = if bw_per_sm > 0.0 {
-                        bc.mem_bytes as f64 * sm.blocks as f64 / bw_per_sm
-                    } else {
-                        0.0
+                    let (sm_blocks, sm_warps) = (sm.blocks, sm.warps);
+                    let key = DurationKey {
+                        issue_cycles: bc.issue_cycles.to_bits(),
+                        mem_latency_cycles: bc.mem_latency_cycles.to_bits(),
+                        mem_bytes: bc.mem_bytes,
+                        sm_blocks: sm_blocks * !mutated(Mutation::MemoWithoutResidentBlocks) as u32,
+                        sm_warps,
+                        block_warps: demand.warps,
                     };
-                    let cycles = cost.block_cycles(
-                        bc.issue_cycles,
-                        bc.mem_latency_cycles,
-                        bw_cycles,
-                        sm.warps,
-                        demand.warps,
-                    );
-                    let dur_us = spec.cycles_to_us(cycles);
+                    let dur_us = durations.get_or_insert(key, || {
+                        // The SM's DRAM share is split among its resident
+                        // blocks (this one included), so co-resident
+                        // streaming blocks cannot jointly exceed card
+                        // bandwidth.
+                        let bw_cycles = if bw_per_sm > 0.0 {
+                            bc.mem_bytes as f64 * sm_blocks as f64 / bw_per_sm
+                        } else {
+                            0.0
+                        };
+                        spec.cycles_to_us(cost.block_cycles(
+                            bc.issue_cycles,
+                            bc.mem_latency_cycles,
+                            bw_cycles,
+                            sm_warps,
+                            demand.warps,
+                        ))
+                    });
                     sm.busy_us += dur_us;
                     sm.warp_us += dur_us * demand.warps as f64;
                     running.push(Reverse(Completion::new(now + dur_us, i, s)));
@@ -801,13 +942,31 @@ impl SchedScratch {
                         w.started = true;
                         l.start_us = Some(now);
                         active_kernels += 1;
+                        cap_reached = active_kernels == kernel_cap;
                     }
                     l.next_block += 1;
-                    refresh_admits(spec, sms, dirty, reservation, demands, admits);
+                    stale |= !mutated(Mutation::FlagsKeptAcrossPlacements);
                 }
-                if l.next_block == l.blocks {
+                let done = l.next_block == l.blocks;
+                rescans = rescans + (!done && w.full_scan) as usize - rescanned as usize;
+                if done {
                     k -= 1;
                     issuable.remove(k);
+                }
+                if cap_reached {
+                    // No launch can start until a kernel ends, which takes
+                    // a completion: every launch that has not started
+                    // misses the dirty SMs of the rounds until then, so it
+                    // rescans when the cap admits it. (One that failed
+                    // earlier in this round would not have to, but a full
+                    // scan finds what the dirty SMs would.)
+                    for (at, e) in issuable.iter_mut().enumerate() {
+                        if !e.started && !e.full_scan {
+                            e.full_scan = true;
+                            rescans += 1;
+                            ahead += (at >= k) as usize;
+                        }
+                    }
                 }
             }
 
@@ -818,6 +977,7 @@ impl SchedScratch {
             // Advance to the next completion; if none is in flight the only
             // remaining progress source is a pending ready time in the future.
             dirty.clear();
+            stale |= !mutated(Mutation::FlagsKeptAcrossRounds);
             match running.pop() {
                 Some(Reverse(c)) => {
                     now = c.time_us().max(now);

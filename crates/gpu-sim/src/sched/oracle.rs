@@ -1,9 +1,11 @@
-//! Differential oracle for [`simulate`]: the pre-rewrite event loop, two
-//! seeded generators of launch sets (a broad one, and one that keeps many
-//! launches stalled at once, which is where the issue walk skips visits),
-//! the hand-built cases in which a launch that rescans only the dirty
-//! SMs would miss one that admits it, and a cost source that checks the
-//! loop asks for a launch's costs no sooner than it places the launch.
+//! Differential oracle for [`simulate`]: the pre-rewrite event loop, three
+//! seeded generators of launch sets (a broad one, one that keeps many
+//! launches stalled at once, which is where the issue walk skips visits,
+//! and one shaped like a served batch, whose repeating costs are where the
+//! duration memo answers), the hand-built cases in which a launch that
+//! rescans only the dirty SMs would miss one that admits it, a cost source
+//! that checks the loop asks for a launch's costs no sooner than it places
+//! the launch, and the tests that switch on the loop's [`Mutation`]s.
 
 use super::*;
 
@@ -548,6 +550,79 @@ fn generate_stalled(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
     (spec, launches)
 }
 
+/// A served batch: 3 to 5 pyramid levels of 1 to 8 stacked frames, each
+/// level's eight launches (scale, filter, two scans and two transposes,
+/// cascade, display) in the level's own stream, a block one 16 × 16 tile or
+/// one image row of every frame, the frames stacked on `grid.z`. Costs
+/// repeat: every launch draws its cost from a pool shared by the whole set,
+/// and its edge blocks (last tile column, last tile row, last row) carry a
+/// copy with one field changed. One cost thus lands on SMs in many load
+/// states, from launches of different widths side by side — what a
+/// duration memo keyed on too little would answer wrongly.
+fn generate_served(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
+    let mut rng = Rng(seed);
+    let mut spec = DeviceSpec::gtx470();
+    spec.launch_overhead_us = rng.pick(&[0.0, spec.launch_overhead_us]);
+    let frames = 1 + rng.below(8) as u32;
+    let (mut width, mut height): (u32, u32) = rng.pick(&[(64, 48), (80, 60), (96, 72)]);
+    let pool: Vec<BlockCost> = (0..4)
+        .map(|_| BlockCost {
+            issue_cycles: (100 + rng.below(3000)) as f64,
+            mem_latency_cycles: if rng.chance(50) { (400 * rng.below(8)) as f64 } else { 0.0 },
+            mem_bytes: 128 * rng.below(48),
+        })
+        .collect();
+    // (16 × 16 tiles, else rows; rows along the frame's width; shared
+    // memory per tile or per row element; registers per thread)
+    const KERNELS: [(bool, bool, u32, u32); 8] = [
+        (true, true, 0, 16),
+        (true, true, 1296, 16),
+        (false, true, 4, 12),
+        (true, true, 1088, 12),
+        (false, false, 4, 12),
+        (true, true, 1088, 12),
+        (true, true, 9216, 22),
+        (false, true, 0, 8),
+    ];
+    let mut launches = Vec::new();
+    for level in 0..3 + rng.below(3) {
+        for (tiles, along_width, shared, regs) in KERNELS {
+            let (threads, cols, rows) = match (tiles, along_width) {
+                (true, _) => (256, width.div_ceil(16), height.div_ceil(16)),
+                (false, true) => (width, 1, height),
+                (false, false) => (height, 1, width),
+            };
+            let shared = if tiles { shared } else { shared * threads };
+            let base = rng.pick(&pool);
+            let mut edge = base;
+            match rng.below(3) {
+                0 => edge.issue_cycles += (1 + rng.below(200)) as f64,
+                1 => edge.mem_latency_cycles += 400.0,
+                _ => edge.mem_bytes += 128,
+            }
+            let frame: Vec<BlockCost> = (0..rows)
+                .flat_map(|y| (0..cols).map(move |x| (x, y)))
+                .map(|(x, y)| if x + 1 == cols || y + 1 == rows { edge } else { base })
+                .collect();
+            launches.push(LaunchRecord {
+                launch_idx: launches.len(),
+                kernel_name: "k",
+                stream: StreamId(level as u32),
+                shared_mem_bytes: shared,
+                threads_per_block: threads,
+                warps_per_block: threads.div_ceil(32),
+                registers_per_thread: regs,
+                block_costs: frame.repeat(frames as usize),
+                counters: KernelCounters::default(),
+                wait_events: vec![],
+                record_events: vec![],
+            });
+        }
+        (width, height) = (width * 4 / 5, height * 4 / 5);
+    }
+    (spec, launches)
+}
+
 /// Field-by-field equality; floats by bit pattern.
 fn assert_identical(got: &Timeline, want: &Timeline, what: &str) {
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -595,7 +670,7 @@ fn differential(
         let what = format!("seed {seed} {mode:?}");
         match (got, want) {
             (Ok(got), Ok(want)) => {
-                assert_identical(&got, &want, &what);
+                assert_identical(&got, &want, &format!("timeline of {what}"));
                 compared += 1;
             }
             // The scheduling rules themselves can wedge a tiny device: an
@@ -637,6 +712,71 @@ fn many_stalled_launches_match_reference() {
     assert!(streams.len() >= 16 && footprints.len() >= 3, "{streams:?} {footprints:?}");
     differential(ExecMode::Concurrent, generate_stalled, 200, 200);
     differential(ExecMode::Serial, generate_stalled, 40, 40);
+}
+
+#[test]
+fn served_batches_match_reference() {
+    // The generator does what it says: one cost on launches of different
+    // widths, and a pair of costs that differ in one field.
+    let (_, launches) = generate_served(0x5eed_0000);
+    let widths_of = |c: &BlockCost| {
+        let on = launches.iter().filter(|l| l.block_costs.contains(c));
+        on.map(|l| l.warps_per_block).collect::<std::collections::HashSet<_>>().len()
+    };
+    assert!(launches.iter().any(|l| widths_of(&l.block_costs[0]) > 1));
+    let fields = |a: &BlockCost, b: &BlockCost| {
+        (a.issue_cycles != b.issue_cycles) as u32
+            + (a.mem_latency_cycles != b.mem_latency_cycles) as u32
+            + (a.mem_bytes != b.mem_bytes) as u32
+    };
+    assert!(launches
+        .iter()
+        .all(|l| l.block_costs.iter().all(|c| fields(c, &l.block_costs[0]) <= 1)));
+    differential(ExecMode::Concurrent, generate_served, 200, 200);
+    differential(ExecMode::Serial, generate_served, 40, 40);
+}
+
+/// The served sweep the mutation tests run.
+fn served_sweep() {
+    differential(ExecMode::Concurrent, generate_served, 60, 60);
+}
+
+/// Run `sweep` on this thread with `mutation` switched on.
+fn with_mutation(mutation: Mutation, sweep: impl FnOnce()) {
+    MUTATION.set(Some(mutation));
+    sweep();
+    MUTATION.set(None);
+}
+
+/// The served sweep must notice (as a different timeline, not a crash) a
+/// duration memo that answers for a block on an SM with other resident
+/// blocks …
+#[test]
+#[should_panic(expected = "timeline of")]
+fn served_sweep_catches_a_memo_key_without_resident_blocks() {
+    with_mutation(Mutation::MemoWithoutResidentBlocks, served_sweep);
+}
+
+/// … and skip decisions that read footprint flags computed before the
+/// completion that started the round.
+#[test]
+#[should_panic(expected = "timeline of")]
+fn served_sweep_catches_flags_kept_across_rounds() {
+    with_mutation(Mutation::FlagsKeptAcrossRounds, served_sweep);
+}
+
+/// A placement that does not mark the flags stale changes no decision: a
+/// placement only takes room away (a `true` gone stale costs a visit that
+/// finds nothing), and the one that gives room back — the holder's, which
+/// hands back its reserved SM — comes before the round's first skip
+/// decision, as does a reservation taken over. If a change of the rules
+/// makes the mark load-bearing, this test says so.
+#[test]
+fn flags_kept_across_placements_change_no_decision() {
+    with_mutation(Mutation::FlagsKeptAcrossPlacements, || {
+        served_sweep();
+        differential(ExecMode::Concurrent, generate_stalled, 60, 60);
+    });
 }
 
 /// Two SMs, no launch overhead, every launch in its own stream.
