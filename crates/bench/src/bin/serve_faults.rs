@@ -1,17 +1,15 @@
 //! Fault-tolerant serving bench: open-loop traffic against the
-//! [`fd_serve::DetectionServer`] with the retry/health stack on, under
+//! [`fd_serve::DetectionServer`] and its retry/health stack, under
 //! seeded device fault plans.
 //!
 //! Four cells share one arrival pattern:
 //!
-//! * `plain`      — fault tolerance off, no fault plan (the baseline);
-//! * `ft_zero`    — fault tolerance on, *inert* seeded plan: must be
-//!   byte-identical to `plain` (the zero-cost gate);
-//! * `ft_chaos`   — fault tolerance on, transient launch faults tuned so
-//!   ~2% of requests suffer one: goodput must stay >= 0.9 and the p99 of
-//!   successful requests within 1.5x of `plain`;
-//! * `chaos_off`  — the same chaos plan with fault tolerance off, as the
-//!   ablation row (whole batches die with their poisoned member);
+//! * `plain`      — no fault plan (the baseline);
+//! * `ft_zero`    — an *inert* seeded plan: must be byte-identical to
+//!   `plain` (the zero-cost gate);
+//! * `ft_chaos`   — transient launch faults tuned so ~2% of requests
+//!   suffer one: goodput must stay >= 0.9 and the p99 of successful
+//!   requests within 1.5x of `plain`;
 //! * `ft_surge`   — 10x the chaos fault pressure, report-only: shows the
 //!   isolation/bisection and breaker paths working in the artifact.
 //!
@@ -24,9 +22,7 @@ use fd_bench::out::{arg_usize, render_table, write_text};
 use fd_detector::{DetectorConfig, FaceDetector, RecoveryPolicy};
 use fd_gpu::FaultPlan;
 use fd_haar::Cascade;
-use fd_serve::{
-    BatchPolicy, DetectionServer, HealthPolicy, Priority, RetryPolicy, ServeConfig, ServeStats,
-};
+use fd_serve::{DetectionServer, Priority, ServeConfig, ServeStats};
 
 const SEED: u64 = 42;
 const FAULT_SEED: u64 = 7;
@@ -41,19 +37,16 @@ struct Cell {
     fingerprint: u64,
 }
 
-/// Serving retry policy for the chaos cells: the stream-oriented default
-/// backoff (2 ms, sized for video frame periods) would dominate request
-/// latency here, so the serving bench backs off in the 250 µs range —
-/// injected transients clear by the next attempt, and deadline-aware
-/// retries should not burn SLO budget sleeping.
-fn serve_retry() -> RetryPolicy {
-    RetryPolicy {
-        recovery: RecoveryPolicy { backoff_base_ms: 0.25, ..RetryPolicy::default().recovery },
-        ..RetryPolicy::default()
-    }
+/// Serving retry policy: the stream-oriented default backoff (2 ms, sized
+/// for video frame periods) would dominate request latency here, so the
+/// serving bench backs off in the 250 µs range — injected transients
+/// clear by the next attempt, and deadline-aware retries should not burn
+/// SLO budget sleeping.
+fn serve_retry() -> RecoveryPolicy {
+    RecoveryPolicy { backoff_base_ms: 0.25, ..Default::default() }
 }
 
-fn server(cascade: &Cascade, plan: Option<FaultPlan>, tolerant: bool) -> DetectionServer {
+fn server(cascade: &Cascade, plan: Option<FaultPlan>) -> DetectionServer {
     let det = DetectorConfig {
         min_neighbors: 1,
         fault_plan: plan,
@@ -61,9 +54,7 @@ fn server(cascade: &Cascade, plan: Option<FaultPlan>, tolerant: bool) -> Detecti
     };
     let cfg = ServeConfig {
         queue_depth_per_class: 4096,
-        batch: BatchPolicy::default(),
-        retry: if tolerant { serve_retry() } else { RetryPolicy::disabled() },
-        health: if tolerant { HealthPolicy::default() } else { HealthPolicy::disabled() },
+        retry: serve_retry(),
         shed_late: false,
         ..ServeConfig::default()
     };
@@ -83,14 +74,8 @@ fn launches_per_request(cascade: &Cascade) -> u64 {
     d.fault_stats().launch_attempts
 }
 
-fn run_cell(
-    label: &str,
-    cascade: &Cascade,
-    plan: Option<FaultPlan>,
-    tolerant: bool,
-    requests: usize,
-) -> Cell {
-    let mut s = server(cascade, plan, tolerant);
+fn run_cell(label: &str, cascade: &Cascade, plan: Option<FaultPlan>, requests: usize) -> Cell {
+    let mut s = server(cascade, plan);
     submit_open_loop(&mut s, SEED, requests, RATE_RPS, 64, 48, Priority::Standard, SLO_US);
     s.run();
     let fingerprint = completion_fingerprint(s.completed());
@@ -116,11 +101,10 @@ fn main() {
     );
 
     let cells = [
-        run_cell("plain", cascade, None, false, requests),
-        run_cell("ft_zero", cascade, Some(FaultPlan::seeded(FAULT_SEED)), true, requests),
-        run_cell("ft_chaos", cascade, Some(chaos.clone()), true, requests),
-        run_cell("chaos_off", cascade, Some(chaos), false, requests),
-        run_cell("ft_surge", cascade, Some(surge), true, requests),
+        run_cell("plain", cascade, None, requests),
+        run_cell("ft_zero", cascade, Some(FaultPlan::seeded(FAULT_SEED)), requests),
+        run_cell("ft_chaos", cascade, Some(chaos), requests),
+        run_cell("ft_surge", cascade, Some(surge), requests),
     ];
 
     let rows: Vec<Vec<String>> = cells
@@ -151,15 +135,11 @@ fn main() {
     println!("{table}");
 
     let by = |label: &str| cells.iter().find(|c| c.label == label).expect("cell exists");
-    let (plain, ft_zero, ft_chaos, chaos_off) =
-        (by("plain"), by("ft_zero"), by("ft_chaos"), by("chaos_off"));
+    let (plain, ft_zero, ft_chaos) = (by("plain"), by("ft_zero"), by("ft_chaos"));
 
     // Gate 1: the fault-tolerance stack is free when nothing faults.
     let zero_fault_identical = ft_zero.fingerprint == plain.fingerprint;
-    assert!(
-        zero_fault_identical,
-        "fault tolerance + inert plan must be byte-identical to the plain server"
-    );
+    assert!(zero_fault_identical, "an inert plan must be byte-identical to no plan");
 
     // Gate 2: under ~2% request-level transients, goodput holds.
     let goodput = ft_chaos.stats.goodput();
@@ -173,10 +153,9 @@ fn main() {
     // p99 of successful completions within 1.5x of the fault-free run.
     let p99_ratio = ft_chaos.stats.latency.p99_us() / plain.stats.latency.p99_us();
     println!(
-        "p99 {:.0} -> {:.0} us ({p99_ratio:.2}x), goodput {goodput:.4}, ablation goodput {:.4}",
+        "p99 {:.0} -> {:.0} us ({p99_ratio:.2}x), goodput {goodput:.4}",
         plain.stats.latency.p99_us(),
         ft_chaos.stats.latency.p99_us(),
-        chaos_off.stats.goodput()
     );
     assert!(
         p99_ratio <= 1.5,

@@ -40,9 +40,10 @@ struct Cell {
 
 fn server(cascade: &Cascade, batched: bool, depth: usize) -> DetectionServer {
     let det = DetectorConfig { min_neighbors: 1, ..DetectorConfig::default() };
+    let unbatched = BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() };
     let cfg = ServeConfig {
         queue_depth_per_class: depth,
-        batch: BatchPolicy { enabled: batched, ..BatchPolicy::default() },
+        batch: if batched { BatchPolicy::default() } else { unbatched },
         // The sweep measures raw capacity and queueing latency; shedding
         // would censor exactly the saturated tail we want to see. The
         // default retry/health layers are inert without injected faults.

@@ -32,6 +32,9 @@
 //! * [`backend`] — the [`Detector`] trait and [`Backend`] request class
 //!   the serving layer dispatches on, abstracting this engine alongside
 //!   the compact CNN cascade of `fd-cnn`;
+//! * [`recovery`] — the one fault-recovery policy: retry, isolate or
+//!   bisect a failed attempt, and shed scales from a late re-attempt,
+//!   for [`VideoDetector`] and the serving layer alike;
 //! * [`cpu_ref`] — a pure-CPU reference detector the GPU pipeline is
 //!   verified against, window for window.
 
@@ -44,6 +47,7 @@ pub mod haar;
 pub mod kernels;
 pub mod multi_gpu;
 pub mod pipeline;
+pub mod recovery;
 pub mod stream_detector;
 
 pub use backend::{Backend, Detector};
@@ -55,7 +59,8 @@ pub use group::{group_detections, s_eyes, Detection, GroupedDetection};
 pub use multi_gpu::{detect_multi_gpu, MultiGpuFrame};
 pub use haar::{FramePipeline, HaarStages, ScaleOutput, ScaleView};
 pub use pipeline::{stage_constants, LevelGeom, LevelLaunch, Pipeline, StageList};
+pub use recovery::{RecoveryPolicy, RecoveryStep};
 pub use stream_detector::{
-    CheckpointError, DegradeReason, FrameOutcome, FrameReport, RecoveryPolicy, RecoverySnapshot,
-    SkipReason, StreamCheckpoint, StreamStats, VideoDetector,
+    CheckpointError, DegradeReason, FrameOutcome, FrameReport, RecoverySnapshot, SkipReason,
+    StreamCheckpoint, StreamStats, VideoDetector,
 };

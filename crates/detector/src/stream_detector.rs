@@ -11,34 +11,38 @@
 //! # Recovery and graceful degradation
 //!
 //! A production stream must survive the faults the simulator can inject
-//! (fd-gpu's `FaultPlan`, fd-video's `DecodeFaultPlan`) without aborting:
+//! (fd-gpu's `FaultPlan`, fd-video's `DecodeFaultPlan`) without aborting.
+//! It asks the same [`RecoveryPolicy`] rules as `fd-serve`'s server, with
+//! a frame as a group of one:
 //!
 //! * **Bounded retry** — a *transient* launch failure is retried up to
 //!   [`RecoveryPolicy::max_retries`] times with deterministic exponential
 //!   backoff; every kernel fully overwrites its outputs, so a retried
 //!   frame is unaffected by the aborted attempt.
+//! * **Deadline shedding** — a re-attempt that would end at or past the
+//!   playback deadline on the frame's own clock (backoff charged so far
+//!   plus the last successful frame's span) drops up to
+//!   [`RecoveryPolicy::max_shed_levels`] of the smallest pyramid scales
+//!   (the plan's tail — exactly the levels whose concurrent execution the
+//!   paper shows are cheap, so shedding them trades recall for latency
+//!   predictably). A first attempt never sheds, so a fault-free run is
+//!   bit-identical to a detector without the recovery layer.
 //! * **Skip-and-report** — unrecoverable frames (launch timeouts, retry
 //!   exhaustion, dropped decodes) are skipped; the stream keeps going and
 //!   the frame is accounted as [`FrameOutcome::Skipped`] in
 //!   [`StreamStats`].
-//! * **Deadline shedding** — when a sliding window of frames misses the
-//!   playback deadline, the controller sheds the smallest pyramid scales
-//!   (the plan's tail — exactly the levels whose concurrent execution the
-//!   paper shows are cheap, so shedding them trades recall for latency
-//!   predictably) and restores them when headroom returns. Disabled by
-//!   default (`max_shed_levels == 0`), so a fault-free run is
-//!   bit-identical to the pre-recovery detector.
 //!
 //! # Checkpoint and resume
 //!
-//! [`VideoDetector::checkpoint`] captures everything mutable about a
-//! stream as a [`StreamCheckpoint`] — a line-oriented text format with
-//! bit-exact `f64` encoding — and [`VideoDetector::resume`] rebuilds the
-//! detector from it. Killing a stream at an arbitrary frame and resuming
-//! yields [`StreamStats`] bit-identical to the uninterrupted run. Many
-//! streams sharing devices are `fd-serve`'s `FleetServer`'s job.
+//! [`VideoDetector::checkpoint`] captures the stream's mutable state as a
+//! [`StreamCheckpoint`] — a line-oriented text format with bit-exact
+//! `f64` encoding — and [`VideoDetector::resume`] rebuilds the detector
+//! from it and the construction inputs (cascade, config, fps, and the
+//! policy set with [`VideoDetector::with_policy`]). Killing a stream at an
+//! arbitrary frame and resuming yields [`StreamStats`] bit-identical to
+//! the uninterrupted run. Many streams sharing devices are `fd-serve`'s
+//! `FleetServer`'s job.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use fd_gpu::FaultCursor;
@@ -48,6 +52,7 @@ use fd_video::{DecodeFault, DecodedFrame};
 
 use crate::detector::{DetectorConfig, FaceDetector, FrameResult};
 use crate::error::DetectorError;
+use crate::recovery::{RecoveryPolicy, RecoveryStep};
 
 /// How a frame left the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +73,7 @@ pub enum DegradeReason {
     CorruptInput,
     /// One or more launch attempts failed transiently and were retried.
     RetriedLaunches { retries: u32 },
-    /// The deadline controller ran a truncated pyramid plan.
+    /// A re-attempt under deadline pressure ran a truncated pyramid plan.
     ShedScales { shed_levels: usize },
 }
 
@@ -93,53 +98,10 @@ pub struct FrameReport {
     pub retries: u32,
     /// Deterministic backoff charged to this frame, milliseconds.
     pub backoff_ms: f64,
-    /// Pyramid levels shed by the deadline controller for this frame.
+    /// Pyramid levels shed from this frame's last attempt.
     pub shed_levels: usize,
     /// Detection results (`None` when skipped).
     pub result: Option<FrameResult>,
-}
-
-/// Retry / backoff / shedding parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Retries allowed per frame for transient launch failures.
-    pub max_retries: u32,
-    /// Backoff before retry `k` (0-based) is `backoff_base_ms * 2^k` —
-    /// deterministic, no jitter, so fault runs reproduce exactly.
-    pub backoff_base_ms: f64,
-    /// Most pyramid levels the deadline controller may shed (0 disables
-    /// shedding entirely; at least one level always runs).
-    pub max_shed_levels: usize,
-    /// Sliding-window length, in frames, for deadline monitoring.
-    pub deadline_window: usize,
-    /// Shed one more level when at least this fraction of the window
-    /// missed the playback deadline.
-    pub shed_miss_fraction: f64,
-    /// Restore one level when the window's mean detect time falls below
-    /// this fraction of the deadline.
-    pub restore_headroom_fraction: f64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            backoff_base_ms: 2.0,
-            max_shed_levels: 0,
-            deadline_window: 12,
-            shed_miss_fraction: 0.5,
-            restore_headroom_fraction: 0.6,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// Deterministic backoff before retry `k` (0-based):
-    /// `backoff_base_ms * 2^k`. Shared by the streaming retry loop and
-    /// `fd-serve`'s batch recovery so both charge identical virtual time.
-    pub fn backoff_ms(&self, retry: u32) -> f64 {
-        self.backoff_base_ms * f64::powi(2.0, retry as i32)
-    }
 }
 
 /// Accumulated streaming statistics.
@@ -209,10 +171,9 @@ pub struct VideoDetector {
     deadline_ms: f64,
     missed_deadlines: usize,
     policy: RecoveryPolicy,
-    /// Levels currently shed by the deadline controller.
-    shed: usize,
-    /// Sliding window of recent effective detect times, milliseconds.
-    window: VecDeque<f64>,
+    /// Device span of the last frame that produced results, ms: how long
+    /// a re-attempt is expected to take.
+    last_span_ms: f64,
 }
 
 impl VideoDetector {
@@ -232,12 +193,12 @@ impl VideoDetector {
             deadline_ms: 1000.0 / playback_fps,
             missed_deadlines: 0,
             policy: RecoveryPolicy::default(),
-            shed: 0,
-            window: VecDeque::new(),
+            last_span_ms: 0.0,
         })
     }
 
-    /// Replace the recovery policy (builder style).
+    /// Replace the recovery policy (builder style, after [`Self::new`] or
+    /// [`Self::resume`]).
     pub fn with_policy(mut self, policy: RecoveryPolicy) -> Self {
         self.policy = policy;
         self
@@ -293,7 +254,7 @@ impl VideoDetector {
             skipped: None,
             retries: 0,
             backoff_ms: 0.0,
-            shed_levels: self.shed,
+            shed_levels: 0,
             result: None,
         };
 
@@ -308,7 +269,6 @@ impl VideoDetector {
             report.degraded.push(DegradeReason::CorruptInput);
         }
 
-        // Shed the plan's tail (the smallest scales); always keep level 0.
         let plan = match self.detector.pyramid_plan(luma) {
             Ok(p) => p,
             Err(e) => {
@@ -318,20 +278,28 @@ impl VideoDetector {
                 return report;
             }
         };
-        let full_len = plan.len();
-        let keep = full_len.saturating_sub(self.shed).max(1);
-        let plan = &plan[..keep];
-        report.shed_levels = full_len - keep;
 
-        // Bounded retry with deterministic exponential backoff.
+        // Bounded retry with deterministic exponential backoff; a
+        // re-attempt that would miss the deadline sheds the plan's tail.
         let result = loop {
-            match self.detector.detect_with_plan(luma, plan) {
+            let attempt = &plan[..plan.len() - report.shed_levels];
+            match self.detector.detect_with_plan(luma, attempt) {
                 Ok(r) => break Ok(r),
-                Err(e) if e.is_transient() && report.retries < self.policy.max_retries => {
-                    report.backoff_ms += self.policy.backoff_ms(report.retries);
-                    report.retries += 1;
-                }
-                Err(e) => break Err(e),
+                Err(e) => match self.policy.next_step(&e, report.retries, 1) {
+                    // Charged in ms from the schedule itself: the step's µs
+                    // figure divided back by 1000 need not round-trip.
+                    RecoveryStep::RetrySame { .. } => {
+                        report.backoff_ms += self.policy.backoff_ms(report.retries);
+                        report.retries += 1;
+                        report.shed_levels = self.policy.shed_levels(
+                            report.backoff_ms,
+                            self.last_span_ms,
+                            self.deadline_ms,
+                            plan.len(),
+                        );
+                    }
+                    _ => break Err(e),
+                },
             }
         };
 
@@ -353,6 +321,7 @@ impl VideoDetector {
                     FrameOutcome::Degraded
                 };
                 let detect_ms = r.detect_ms;
+                self.last_span_ms = detect_ms;
                 report.result = Some(r);
                 self.account(&report, decode_ms, detect_ms);
             }
@@ -365,7 +334,7 @@ impl VideoDetector {
         report
     }
 
-    /// Fold one frame into the stats and advance the deadline controller.
+    /// Fold one frame into the stats.
     fn account(&mut self, report: &FrameReport, decode_ms: f64, detect_ms: f64) {
         // Backoff is wall-clock the frame spent waiting on the device.
         let effective_detect = detect_ms + report.backoff_ms;
@@ -392,43 +361,10 @@ impl VideoDetector {
         if missed && report.result.is_some() {
             self.missed_deadlines += 1;
         }
-
-        // Deadline controller: only frames that actually ran detection
-        // inform the shed/restore decision.
-        if self.policy.max_shed_levels == 0 || report.result.is_none() {
-            return;
-        }
-        self.window.push_back(effective_detect);
-        while self.window.len() > self.policy.deadline_window {
-            self.window.pop_front();
-        }
-        if self.window.len() < self.policy.deadline_window {
-            return;
-        }
-        let misses =
-            self.window.iter().filter(|&&ms| ms > self.deadline_ms).count() as f64;
-        let miss_fraction = misses / self.window.len() as f64;
-        let mean_ms: f64 = self.window.iter().sum::<f64>() / self.window.len() as f64;
-        if miss_fraction >= self.policy.shed_miss_fraction
-            && self.shed < self.policy.max_shed_levels
-        {
-            self.shed += 1;
-            self.window.clear();
-        } else if self.shed > 0
-            && mean_ms <= self.policy.restore_headroom_fraction * self.deadline_ms
-        {
-            self.shed -= 1;
-            self.window.clear();
-        }
     }
 
     pub fn stats(&self) -> &StreamStats {
         &self.stats
-    }
-
-    /// Pyramid levels the deadline controller is currently shedding.
-    pub fn shed_levels(&self) -> usize {
-        self.shed
     }
 
     /// Frames whose detection missed the playback deadline.
@@ -451,29 +387,27 @@ impl VideoDetector {
         &self.detector
     }
 
-    /// Capture the stream's resumable state: the recovery policy, the
-    /// mutable streaming state and the device's position in its
-    /// deterministic fault-draw sequence.
+    /// Capture the stream's resumable state: the mutable streaming state
+    /// and the device's position in its deterministic fault-draw
+    /// sequence.
     pub fn checkpoint(&self) -> StreamCheckpoint {
         StreamCheckpoint {
             fault_cursor: self.detector.fault_cursor(),
-            policy: self.policy.clone(),
             snapshot: RecoverySnapshot {
                 stats: self.stats.clone(),
-                shed: self.shed,
                 missed_deadlines: self.missed_deadlines,
-                window: self.window.iter().copied().collect(),
+                last_span_ms: self.last_span_ms,
             },
         }
     }
 
     /// Rebuild a stream from a checkpoint. The caller supplies the same
-    /// construction inputs (cascade, config, fps) used originally; the
-    /// checkpoint restores the policy, the streaming state and the fault
-    /// cursor, so the resumed detector continues the fault sequence and
-    /// the stream stats bit-identically. Device `FaultStats` restart from
-    /// zero — only the *draw sequence* position is part of the
-    /// determinism contract.
+    /// construction inputs (cascade, config, fps, and the policy through
+    /// [`Self::with_policy`]) used originally; the checkpoint restores the
+    /// streaming state and the fault cursor, so the resumed detector
+    /// continues the fault sequence and the stream stats bit-identically.
+    /// Device `FaultStats` restart from zero — only the *draw sequence*
+    /// position is part of the determinism contract.
     pub fn resume(
         checkpoint: &StreamCheckpoint,
         cascade: &Cascade,
@@ -482,11 +416,9 @@ impl VideoDetector {
     ) -> Result<Self, DetectorError> {
         let mut vd = Self::new(cascade, config, playback_fps)?;
         let snap = &checkpoint.snapshot;
-        vd.policy = checkpoint.policy.clone();
         vd.stats = snap.stats.clone();
-        vd.shed = snap.shed;
         vd.missed_deadlines = snap.missed_deadlines;
-        vd.window = snap.window.iter().copied().collect();
+        vd.last_span_ms = snap.last_span_ms;
         vd.detector.seek_fault_cursor(checkpoint.fault_cursor);
         Ok(vd)
     }
@@ -498,17 +430,16 @@ impl VideoDetector {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoverySnapshot {
     pub stats: StreamStats,
-    /// Pyramid levels currently shed by the deadline controller.
-    pub shed: usize,
     /// Frames that missed the playback deadline so far.
     pub missed_deadlines: usize,
-    /// Deadline controller's sliding window of effective detect times.
-    pub window: Vec<f64>,
+    /// Device span of the last frame that produced results, ms.
+    pub last_span_ms: f64,
 }
 
 /// Everything mutable about a stream, sufficient — together with the
-/// construction inputs (cascade, [`DetectorConfig`], playback fps) — to
-/// resume it bit-identically ([`VideoDetector::resume`]).
+/// construction inputs (cascade, [`DetectorConfig`], playback fps,
+/// [`RecoveryPolicy`]) — to resume it bit-identically
+/// ([`VideoDetector::resume`]).
 ///
 /// `snapshot.stats.frames` is the number of frames the stream has
 /// *accounted* (every frame fed to it yields exactly one report); a
@@ -517,7 +448,6 @@ pub struct RecoverySnapshot {
 pub struct StreamCheckpoint {
     /// Position in the device's deterministic fault-draw sequence.
     pub fault_cursor: FaultCursor,
-    pub policy: RecoveryPolicy,
     pub snapshot: RecoverySnapshot,
 }
 
@@ -572,20 +502,10 @@ impl StreamCheckpoint {
     /// fields are written as hex bit patterns, so a round-trip is
     /// bit-exact.
     pub fn to_text(&self) -> String {
-        let mut out = format!("{CHECKPOINT_HEADER} v1\n");
+        let mut out = format!("{CHECKPOINT_HEADER} v2\n");
         out.push_str(&format!(
             "fault_cursor {} {}\n",
             self.fault_cursor.launch_attempts, self.fault_cursor.copy_draws
-        ));
-        let p = &self.policy;
-        out.push_str(&format!(
-            "policy {} {} {} {} {} {}\n",
-            p.max_retries,
-            f64_hex(p.backoff_base_ms),
-            p.max_shed_levels,
-            p.deadline_window,
-            f64_hex(p.shed_miss_fraction),
-            f64_hex(p.restore_headroom_fraction),
         ));
         let s = &self.snapshot.stats;
         out.push_str(&format!(
@@ -603,14 +523,8 @@ impl StreamCheckpoint {
             f64_hex(s.total_backoff_ms),
             s.shed_frames,
         ));
-        out.push_str(&format!("shed {}\n", self.snapshot.shed));
         out.push_str(&format!("missed_deadlines {}\n", self.snapshot.missed_deadlines));
-        out.push_str(&format!("window {}", self.snapshot.window.len()));
-        for v in &self.snapshot.window {
-            out.push(' ');
-            out.push_str(&f64_hex(*v));
-        }
-        out.push('\n');
+        out.push_str(&format!("last_span {}\n", f64_hex(self.snapshot.last_span_ms)));
         out
     }
 
@@ -624,9 +538,9 @@ impl StreamCheckpoint {
             .enumerate()
             .map(|(i, l)| (i + 1, l.trim()))
             .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-        // The next line must be `key` followed by exactly `values` values
-        // (`None`: at least one). Returns the line number and the values.
-        let mut field = |key: &str, values: Option<usize>| {
+        // The next line must be `key` followed by exactly `values` values.
+        // Returns the line number and the values.
+        let mut field = |key: &str, values: usize| {
             let (n, l) = lines.next().ok_or_else(|| {
                 err(text.lines().count() + 1, format!("input ends where `{key}` should be"))
             })?;
@@ -636,32 +550,25 @@ impl StreamCheckpoint {
                 return Err(err(n, format!("expected `{key}`, found `{found}`")));
             }
             let vals: Vec<&str> = toks.collect();
-            if values.map_or(vals.is_empty(), |want| vals.len() != want) {
-                let want = values.map_or("a count".to_string(), |w| format!("{w} value(s)"));
-                return Err(err(n, format!("`{key}` needs {want}, found {} token(s)", vals.len())));
+            if vals.len() != values {
+                return Err(err(
+                    n,
+                    format!("`{key}` needs {values} value(s), found {} token(s)", vals.len()),
+                ));
             }
             Ok((n, vals))
         };
 
-        let (n, v) = field(CHECKPOINT_HEADER, Some(1))?;
-        if v[0] != "v1" {
+        let (n, v) = field(CHECKPOINT_HEADER, 1)?;
+        if v[0] != "v2" {
             return Err(err(n, format!("unsupported checkpoint version `{}`", v[0])));
         }
-        let (n, v) = field("fault_cursor", Some(2))?;
+        let (n, v) = field("fault_cursor", 2)?;
         let fault_cursor = FaultCursor {
             launch_attempts: parse_num(v[0], n, "launch cursor")?,
             copy_draws: parse_num(v[1], n, "copy cursor")?,
         };
-        let (n, v) = field("policy", Some(6))?;
-        let policy = RecoveryPolicy {
-            max_retries: parse_num(v[0], n, "max_retries")?,
-            backoff_base_ms: parse_f64_hex(v[1], n)?,
-            max_shed_levels: parse_num(v[2], n, "max_shed_levels")?,
-            deadline_window: parse_num(v[3], n, "deadline_window")?,
-            shed_miss_fraction: parse_f64_hex(v[4], n)?,
-            restore_headroom_fraction: parse_f64_hex(v[5], n)?,
-        };
-        let (n, v) = field("stats", Some(12))?;
+        let (n, v) = field("stats", 12)?;
         let stats = StreamStats {
             frames: parse_num(v[0], n, "frames")?,
             total_decode_ms: parse_f64_hex(v[1], n)?,
@@ -676,23 +583,16 @@ impl StreamCheckpoint {
             total_backoff_ms: parse_f64_hex(v[10], n)?,
             shed_frames: parse_num(v[11], n, "shed frames")?,
         };
-        let (n, v) = field("shed", Some(1))?;
-        let shed = parse_num(v[0], n, "shed")?;
-        let (n, v) = field("missed_deadlines", Some(1))?;
+        let (n, v) = field("missed_deadlines", 1)?;
         let missed_deadlines = parse_num(v[0], n, "missed deadlines")?;
-        let (n, v) = field("window", None)?;
-        let len: usize = parse_num(v[0], n, "window length")?;
-        if len != v.len() - 1 {
-            return Err(err(n, "window length does not match its entries".to_string()));
-        }
-        let window = v[1..].iter().map(|t| parse_f64_hex(t, n)).collect::<Result<Vec<f64>, _>>()?;
+        let (n, v) = field("last_span", 1)?;
+        let last_span_ms = parse_f64_hex(v[0], n)?;
         if let Some((n, _)) = lines.next() {
             return Err(err(n, "text after the last field".to_string()));
         }
         Ok(Self {
             fault_cursor,
-            policy,
-            snapshot: RecoverySnapshot { stats, shed, missed_deadlines, window },
+            snapshot: RecoverySnapshot { stats, missed_deadlines, last_span_ms },
         })
     }
 }
@@ -872,55 +772,43 @@ mod tests {
         assert!(s.all_frames_accounted());
     }
 
-    #[test]
-    fn deadline_controller_sheds_and_restores_scales() {
-        let mut vd = detector(24.0).with_policy(RecoveryPolicy {
-            max_shed_levels: 2,
-            deadline_window: 4,
-            shed_miss_fraction: 0.5,
-            restore_headroom_fraction: 0.9,
-            ..RecoveryPolicy::default()
-        });
-        // Force misses: shrink the deadline far below any real detect time.
-        vd.deadline_ms = 1e-6;
-        for _ in 0..8 {
-            vd.process(&frame(), 1.0).unwrap();
-        }
-        assert!(vd.shed_levels() > 0, "sustained misses must shed scales");
-        let full_levels = vd.detector().pyramid_plan(&frame()).unwrap().len();
-        let report_plan_len = {
-            let f = DecodedFrame {
-                index: 99,
-                luma: frame(),
-                decode_ms: 1.0,
-                pts_ms: 0.0,
-                fault: None,
-            };
-            let r = vd.process_decoded(&f);
-            r.result.unwrap().timeline.events.len() / 8
-        };
-        assert!(report_plan_len < full_levels, "shed frames run fewer levels");
-
-        // Headroom returns: a huge deadline restores the shed levels.
-        vd.deadline_ms = 1e9;
-        let shed_before = vd.shed_levels();
-        for _ in 0..12 {
-            vd.process(&frame(), 1.0).unwrap();
-        }
-        assert!(vd.shed_levels() < shed_before, "headroom must restore scales");
-    }
-
-    #[test]
-    fn default_policy_never_sheds() {
-        let mut vd = detector(1e9); // every frame misses the deadline
-        for _ in 0..20 {
-            vd.process(&frame(), 1.0).unwrap();
-        }
-        assert_eq!(vd.shed_levels(), 0, "shedding is opt-in");
-    }
-
     fn decoded(i: usize) -> DecodedFrame {
         DecodedFrame { index: i, luma: frame(), decode_ms: 9.0, pts_ms: 0.0, fault: None }
+    }
+
+    /// The first frame whose first attempt faults transiently, on a stream
+    /// at `fps` under `policy`.
+    fn first_retried_frame(fps: f64, policy: RecoveryPolicy) -> FrameReport {
+        let plan = fd_gpu::FaultPlan::seeded(11).with_transient_launch_failures(0.01);
+        let config = DetectorConfig { fault_plan: Some(plan), ..DetectorConfig::default() };
+        let mut vd = VideoDetector::new(&cascade(), config, fps).unwrap().with_policy(policy);
+        (0..20)
+            .map(|i| vd.process_decoded(&decoded(i)))
+            .find(|r| r.retries > 0)
+            .expect("a 1% per-launch rate over 20 frames must fire")
+    }
+
+    #[test]
+    fn re_attempts_past_the_playback_deadline_shed_scales() {
+        // At 1e9 fps the deadline has passed once any backoff is charged.
+        let levels = detector(1e9).detector().pyramid_plan(&frame()).unwrap().len();
+        let shed = first_retried_frame(1e9, RecoveryPolicy::default());
+        assert_eq!(shed.outcome, FrameOutcome::Degraded);
+        assert_eq!(shed.shed_levels, 2.min(levels - 1));
+        assert!(shed.shed_levels > 0);
+        let reason = DegradeReason::ShedScales { shed_levels: shed.shed_levels };
+        assert!(shed.degraded.contains(&reason), "{:?}", shed.degraded);
+
+        // No levels may go: the same frame re-runs the full plan.
+        let none = RecoveryPolicy { max_shed_levels: 0, ..RecoveryPolicy::default() };
+        let kept = first_retried_frame(1e9, none);
+        assert_eq!(kept.frame, shed.frame);
+        assert_eq!(kept.shed_levels, 0);
+        assert!(!kept.degraded.iter().any(|d| matches!(d, DegradeReason::ShedScales { .. })));
+
+        // At 24 fps backoff plus span stays inside the period.
+        let relaxed = first_retried_frame(24.0, RecoveryPolicy::default());
+        assert_eq!((relaxed.frame, relaxed.shed_levels), (shed.frame, 0));
     }
 
     #[test]
@@ -931,10 +819,11 @@ mod tests {
             assert!(e.line > 0, "{e}");
             e
         };
-        // Version mismatch, and the header the deleted per-session
-        // supervisor wrote.
-        assert_eq!(rejected(&text.replace("checkpoint v1", "checkpoint v9")).line, 1);
-        let old = text.replace("stream-checkpoint v1", "supervisor-checkpoint v1\nsession 0");
+        // Version mismatch, the v1 format (which carried the policy), and
+        // the header the deleted per-session supervisor wrote.
+        assert_eq!(rejected(&text.replace("checkpoint v2", "checkpoint v9")).line, 1);
+        assert_eq!(rejected(&text.replace("checkpoint v2", "checkpoint v1")).line, 1);
+        let old = text.replace("stream-checkpoint v2", "supervisor-checkpoint v1\nsession 0");
         assert_eq!(rejected(&old).line, 1);
         // Truncation: the error names the line after the last one.
         let cut: String = text.lines().take(4).collect::<Vec<_>>().join("\n");
@@ -944,13 +833,11 @@ mod tests {
             let key = line.split(' ').next().unwrap();
             assert_eq!(rejected(&text.replacen(line, key, 1)).line, i + 1, "`{key}`");
         }
-        // Mangled f64 bits, a window count beyond its entries (also at
-        // `usize::MAX`, where adding to it would wrap), text after the
-        // last field.
-        assert_eq!(rejected(&text.replacen("policy 3 ", "policy 3 zz", 1)).line, 3);
-        assert_eq!(rejected(&text.replace("window 0", "window 3")).line, 7);
-        assert_eq!(rejected(&text.replace("window 0", &format!("window {}", usize::MAX))).line, 7);
-        assert_eq!(rejected(&format!("{text}shed 0\n")).line, 8);
+        // Mangled f64 bits, a non-canonical count, text after the last
+        // field.
+        assert_eq!(rejected(&text.replacen("last_span ", "last_span zz", 1)).line, 5);
+        assert_eq!(rejected(&text.replace("missed_deadlines 0", "missed_deadlines 00")).line, 4);
+        assert_eq!(rejected(&format!("{text}missed_deadlines 0\n")).line, 6);
     }
 
     #[test]
@@ -966,7 +853,7 @@ mod tests {
         }
         let ckpt = vd.checkpoint();
         let resumed = VideoDetector::resume(&ckpt, &cascade(), config(), 24.0).unwrap();
-        assert_eq!(resumed.checkpoint(), ckpt, "policy, state and cursor are all restored");
+        assert_eq!(resumed.checkpoint(), ckpt, "state and cursor are restored");
         assert!(matches!(
             VideoDetector::resume(&ckpt, &cascade(), config(), 0.0),
             Err(DetectorError::BadPlaybackFps { .. })

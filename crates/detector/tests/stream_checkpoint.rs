@@ -169,17 +169,11 @@ fn canonical(text: &str) -> String {
 
 #[test]
 fn parser_survives_every_cut_and_token_mutation() {
-    // A checkpoint taken mid-stream under faults, with the deadline
-    // controller on so the window line carries entries.
-    let mut vd = start(7, true, None).with_policy(fd_detector::RecoveryPolicy {
-        max_shed_levels: 2,
-        deadline_window: 6,
-        ..Default::default()
-    });
+    // A checkpoint taken mid-stream under faults.
+    let mut vd = start(7, true, None);
     feed(&mut vd, &mut decoder(7, true), N_FRAMES / 2);
     let ckpt = vd.checkpoint();
     let text = ckpt.to_text();
-    assert!(!ckpt.snapshot.window.is_empty(), "the window must have entries to mutate");
     assert_eq!(StreamCheckpoint::from_text(&text).as_ref(), Ok(&ckpt));
 
     let mut mutants: Vec<String> = Vec::new();

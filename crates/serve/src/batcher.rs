@@ -18,8 +18,8 @@
 //! * otherwise **wait** until the earliest of the forced-dispatch time
 //!   and the next arrival.
 //!
-//! With batching disabled the effective batch size is 1 and dispatch is
-//! immediate, which degenerates to plain EDF serving — the baseline the
+//! With `max_batch_size: 1` every head is a full batch, so dispatch is
+//! immediate and serving degenerates to plain EDF — the baseline the
 //! determinism proptests compare against bit-for-bit.
 
 use crate::queue::RequestQueue;
@@ -28,10 +28,8 @@ use crate::request::DetectionRequest;
 /// Batch-formation policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchPolicy {
-    /// Master switch; `false` serves strictly one request per submission
-    /// with no added waiting.
-    pub enabled: bool,
-    /// Most requests fused into one device submission.
+    /// Most requests fused into one device submission (1: unbatched, no
+    /// added waiting; 0 counts as 1).
     pub max_batch_size: usize,
     /// Longest a queued request may wait for co-batchable arrivals
     /// before the head is dispatched regardless, in virtual µs.
@@ -40,18 +38,7 @@ pub struct BatchPolicy {
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        Self { enabled: true, max_batch_size: 8, max_wait_us: 2000.0 }
-    }
-}
-
-impl BatchPolicy {
-    /// The batch-size cap this policy actually enforces.
-    pub fn effective_max(&self) -> usize {
-        if self.enabled {
-            self.max_batch_size.max(1)
-        } else {
-            1
-        }
+        Self { max_batch_size: 8, max_wait_us: 2000.0 }
     }
 }
 
@@ -85,7 +72,7 @@ impl DynamicBatcher {
     /// The batch-size limit after an external cap (e.g. the health
     /// machine's brown-out shrink) is applied on top of the policy.
     fn capped_max(&self, cap: Option<usize>) -> usize {
-        let max = self.policy.effective_max();
+        let max = self.policy.max_batch_size.max(1);
         cap.map_or(max, |c| max.min(c.max(1)))
     }
 
@@ -105,7 +92,7 @@ impl DynamicBatcher {
             return BatchDecision::Dispatch; // vacuous; the server never asks
         };
         let max = self.capped_max(cap);
-        if !self.policy.enabled || queue.count_geometry(head.geometry()) >= max {
+        if queue.count_geometry(head.geometry()) >= max {
             return BatchDecision::Dispatch;
         }
         let oldest = queue.earliest_arrival_us().unwrap_or(now_us);
@@ -188,8 +175,7 @@ mod tests {
 
     #[test]
     fn disabled_batching_is_immediate_single_dispatch() {
-        let b = DynamicBatcher::new(BatchPolicy { enabled: false, ..BatchPolicy::default() });
-        assert_eq!(b.policy().effective_max(), 1);
+        let b = DynamicBatcher::new(BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() });
         let mut q = queue_with(vec![req(0, 0.0, 1e6, 8), req(1, 0.0, 2e6, 8)]);
         assert_eq!(b.decide(&q, 0.0, Some(10.0), None), BatchDecision::Dispatch);
         let batch = b.form(&mut q, None);

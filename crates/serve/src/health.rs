@@ -20,8 +20,7 @@
 //! Every transition is driven by the virtual clock and the deterministic
 //! fault sequence, so health trajectories are bit-identical across runs
 //! and host-thread settings. Under a zero-fault plan the machine never
-//! leaves Healthy and the server's behavior is byte-identical to one
-//! without a health layer.
+//! leaves Healthy.
 
 use crate::request::Priority;
 
@@ -44,8 +43,6 @@ pub enum ServerHealth {
 /// Thresholds and reactions for the health machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthPolicy {
-    /// Master switch; `false` pins the machine to Healthy forever.
-    pub enabled: bool,
     /// Consecutive device faults before entering BrownOut.
     pub brownout_after: u32,
     /// Consecutive device faults before the breaker trips Open.
@@ -59,20 +56,7 @@ pub struct HealthPolicy {
 
 impl Default for HealthPolicy {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            brownout_after: 2,
-            open_after: 4,
-            brownout_batch_cap: 2,
-            cooldown_us: 20_000.0,
-        }
-    }
-}
-
-impl HealthPolicy {
-    /// A policy that never reacts (the machine stays Healthy).
-    pub fn disabled() -> Self {
-        Self { enabled: false, ..Self::default() }
+        Self { brownout_after: 2, open_after: 4, brownout_batch_cap: 2, cooldown_us: 20_000.0 }
     }
 }
 
@@ -162,9 +146,6 @@ impl HealthMachine {
     /// Report a device fault (an injected launch failure — request-caused
     /// errors must not reach here).
     pub fn on_device_fault(&mut self, now_us: f64) -> FaultReaction {
-        if !self.policy.enabled {
-            return FaultReaction::None;
-        }
         self.consecutive_faults = self.consecutive_faults.saturating_add(1);
         match self.state {
             ServerHealth::HalfOpen => {
@@ -276,16 +257,5 @@ mod tests {
         assert!(m.tick(until2));
         assert!(m.on_ok(), "probe success");
         assert_eq!(m.state(), ServerHealth::Healthy);
-    }
-
-    #[test]
-    fn disabled_policy_never_leaves_healthy() {
-        let mut m = HealthMachine::new(HealthPolicy::disabled());
-        for i in 0..50 {
-            assert_eq!(m.on_device_fault(i as f64), FaultReaction::None);
-        }
-        assert_eq!(m.state(), ServerHealth::Healthy);
-        assert_eq!(m.batch_cap(), None);
-        assert!(m.admits(Priority::Bulk));
     }
 }

@@ -20,10 +20,11 @@
 //! * fault tolerance — under an injected `fd_gpu::FaultPlan`, faulted
 //!   batches are retried with bounded deterministic backoff, poisoned
 //!   requests are isolated by device attribution or bisection so their
-//!   batchmates still complete ([`RetryPolicy`]), deadline pressure
-//!   degrades re-attempts to shed-scale plans, and sustained faults
-//!   drive brown-out admission and a fail-fast breaker with half-open
-//!   probes ([`HealthPolicy`]).
+//!   batchmates still complete, deadline pressure degrades re-attempts
+//!   to shed-scale plans (all three the rules of
+//!   `fd_detector::RecoveryPolicy`, which the video stream uses too),
+//!   and sustained faults drive brown-out admission and a fail-fast
+//!   breaker with half-open probes ([`HealthPolicy`]).
 //!
 //! * fleet serving — [`FleetServer`] shards requests across N simulated
 //!   devices behind one front door: geometry-affine routing with
@@ -72,7 +73,6 @@ pub mod batcher;
 pub mod fleet;
 pub mod health;
 pub mod queue;
-pub mod recovery;
 pub mod request;
 pub mod router;
 pub mod server;
@@ -83,7 +83,6 @@ pub use fd_detector::{Backend, Detector};
 pub use fleet::{DeviceState, FleetConfig, FleetServer, StealPolicy};
 pub use health::{FaultReaction, HealthMachine, HealthPolicy, ServerHealth};
 pub use queue::RequestQueue;
-pub use recovery::{RecoveryStep, RetryPolicy};
 pub use request::{DetectionRequest, Priority, RequestId};
 pub use router::{LaneView, RoutePolicy, Router, RouterStats};
 pub use server::{

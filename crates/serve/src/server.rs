@@ -14,24 +14,26 @@
 //! `FD_SIM_THREADS`.
 //!
 //! Under an injected [`fd_gpu::FaultPlan`] the loop additionally runs a
-//! fault-tolerance layer (see [`crate::recovery`] and [`crate::health`]):
-//! faulted batches are retried, bisected or slot-isolated so one
-//! poisoned request cannot fail its batchmates; retries are bounded and
-//! deadline-aware, degrading to shed-scale plans under pressure; and
-//! sustained faults drive brown-out admission and a fail-fast breaker.
-//! All of it engages only on error paths, so a zero-fault configuration
-//! is byte-identical to a server without the layer.
+//! fault-tolerance layer (see [`fd_detector::recovery`] and
+//! [`crate::health`]): faulted batches are retried, bisected or
+//! slot-isolated so one poisoned request cannot fail its batchmates;
+//! retries are bounded and deadline-aware, degrading to shed-scale plans
+//! under pressure; and sustained faults drive brown-out admission and a
+//! fail-fast breaker. All of it engages only on error paths, so a run
+//! with an inert fault plan is byte-identical to one without a plan.
 
 use std::collections::VecDeque;
 
-use fd_detector::{Backend, Detector, DetectorConfig, DetectorError, FaceDetector, FrameResult};
+use fd_detector::{
+    Backend, Detector, DetectorConfig, DetectorError, FaceDetector, FrameResult, RecoveryPolicy,
+    RecoveryStep,
+};
 use fd_haar::Cascade;
 use fd_imgproc::GrayImage;
 
 use crate::batcher::{BatchDecision, BatchPolicy, DynamicBatcher};
 use crate::health::{FaultReaction, HealthMachine, HealthPolicy, ServerHealth};
 use crate::queue::RequestQueue;
-use crate::recovery::{RecoveryStep, RetryPolicy};
 use crate::request::{DetectionRequest, Priority, RequestId};
 use crate::stats::ServeStats;
 
@@ -41,18 +43,20 @@ use crate::stats::ServeStats;
 pub struct ServeConfig {
     /// Queue slots per priority class.
     pub queue_depth_per_class: usize,
-    /// Dynamic batching policy.
+    /// Dynamic batching policy; `max_batch_size: 1` serves one request
+    /// per submission.
     pub batch: BatchPolicy,
     /// Shed queued requests whose deadline has passed instead of running
     /// them late (deterministic load shedding). Disabling serves
     /// everything, however late.
     pub shed_late: bool,
-    /// Fault recovery for batched submissions (retries, isolation,
-    /// degraded completions). [`RetryPolicy::disabled`] reproduces the
-    /// legacy fail-the-batch behavior.
-    pub retry: RetryPolicy,
+    /// Fault recovery for batched submissions: transient retries with
+    /// backoff, isolation or bisection of poisoned members, and degraded
+    /// (shed-scale) re-attempts under deadline pressure.
+    /// `max_retries: 0` isolates at the first fault.
+    pub retry: RecoveryPolicy,
     /// Health machine driving brown-out admission and the fail-fast
-    /// breaker. [`HealthPolicy::disabled`] pins the server Healthy.
+    /// breaker.
     pub health: HealthPolicy,
 }
 
@@ -62,7 +66,7 @@ impl Default for ServeConfig {
             queue_depth_per_class: 64,
             batch: BatchPolicy::default(),
             shed_late: true,
-            retry: RetryPolicy::default(),
+            retry: RecoveryPolicy::default(),
             health: HealthPolicy::default(),
         }
     }
@@ -147,7 +151,7 @@ pub enum RequestOutcome {
     /// Refused at arrival fail-fast: the breaker was open.
     RejectedFailFast,
     /// Its batch's device submission failed (after `attempts`
-    /// submissions when recovery was enabled).
+    /// submissions).
     Failed {
         dispatched_us: f64,
         /// Device submissions that included this request.
@@ -213,14 +217,13 @@ impl CompletedRequest {
 
 /// Deterministic request-serving frontend over one detector/device (see
 /// module docs). Generic over the detection engine; the default is the
-/// Haar [`FaceDetector`], and serving it through the generic loop is
-/// byte-identical to the pre-trait concrete server.
+/// Haar [`FaceDetector`].
 pub struct DetectionServer<D: Detector = FaceDetector> {
     detector: D,
     queue: RequestQueue,
     batcher: DynamicBatcher,
     shed_late: bool,
-    retry: RetryPolicy,
+    retry: RecoveryPolicy,
     health: HealthMachine,
     now_us: f64,
     next_seq: u64,
@@ -243,7 +246,7 @@ struct RecoveryGroup {
     attempts: u32,
     /// The most recent fault of this lineage; `None` marks a fault-free
     /// first attempt, which gates the expiry filter and shed decision so
-    /// fault-free dispatches stay byte-identical to the legacy path.
+    /// fault-free dispatches never consult a deadline.
     last_error: Option<DetectorError>,
 }
 
@@ -586,58 +589,28 @@ impl<D: Detector> DetectionServer<D> {
         while let Some(mut group) = groups.pop_front() {
             // Deadline-aware recovery: once a lineage has faulted,
             // members whose deadline already passed expire instead of
-            // burning further submissions. Never applied on the
-            // fault-free first attempt, so zero-fault runs stay
-            // byte-identical to the legacy path.
-            if self.retry.enabled && self.retry.deadline_aware {
-                if let Some(err) = group.last_error.clone() {
-                    let now = self.now_us;
-                    let attempts = group.attempts;
-                    let mut live = Vec::with_capacity(group.reqs.len());
-                    for req in group.reqs.drain(..) {
-                        if req.deadline_us > now {
-                            live.push(req);
-                        } else {
-                            self.stats.expired += 1;
-                            self.finish(
-                                req,
-                                RequestOutcome::Expired {
-                                    expired_us: now,
-                                    attempts,
-                                    error: err.clone(),
-                                },
-                            );
-                        }
-                    }
-                    group.reqs = live;
+            // burning further submissions, and a re-attempt that
+            // projects to finish past its earliest deadline sheds the
+            // finest scales. The fault-free first attempt does neither.
+            let mut shed = 0;
+            if let Some(err) = &group.last_error {
+                let now = self.now_us;
+                let attempts = group.attempts;
+                let (live, expired): (Vec<_>, Vec<_>) =
+                    group.reqs.drain(..).partition(|r| r.deadline_us > now);
+                for req in expired {
+                    self.stats.expired += 1;
+                    let error = err.clone();
+                    self.finish(req, RequestOutcome::Expired { expired_us: now, attempts, error });
                 }
+                group.reqs = live;
+                let earliest =
+                    group.reqs.iter().map(|r| r.deadline_us).fold(f64::INFINITY, f64::min);
+                shed = self.retry.shed_levels(now, self.last_span_us, earliest, full_plan.len());
             }
             if group.reqs.is_empty() {
                 continue;
             }
-
-            // Degraded re-attempt: a faulted lineage that projects to
-            // finish past its earliest deadline sheds the finest scales
-            // (bounded by the policy; at least one level always runs).
-            let max_shed = self.retry.recovery.max_shed_levels;
-            let shed = if group.last_error.is_some()
-                && self.retry.enabled
-                && self.retry.deadline_aware
-                && max_shed > 0
-            {
-                let earliest = group
-                    .reqs
-                    .iter()
-                    .map(|r| r.deadline_us)
-                    .fold(f64::INFINITY, f64::min);
-                if self.now_us + self.last_span_us >= earliest {
-                    max_shed.min(full_plan.len().saturating_sub(1))
-                } else {
-                    0
-                }
-            } else {
-                0
-            };
             let plan = &full_plan[..full_plan.len() - shed];
 
             let dispatched_us = self.now_us;
@@ -861,7 +834,7 @@ mod tests {
     #[test]
     fn edf_dispatches_tightest_deadline_first() {
         let mut s = server(ServeConfig {
-            batch: BatchPolicy { enabled: false, ..BatchPolicy::default() },
+            batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
             ..ServeConfig::default()
         });
         let loose = s.submit(pattern_frame(64, 48, 0), Priority::Bulk, 0.0, 9e8).unwrap();
@@ -874,7 +847,7 @@ mod tests {
     #[test]
     fn late_requests_are_shed_deterministically() {
         let mut s = server(ServeConfig {
-            batch: BatchPolicy { enabled: false, ..BatchPolicy::default() },
+            batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
             ..ServeConfig::default()
         });
         // The first request's service time pushes the clock well past the
@@ -894,7 +867,7 @@ mod tests {
     fn shedding_disabled_serves_late_requests() {
         let mut s = server(ServeConfig {
             shed_late: false,
-            batch: BatchPolicy { enabled: false, ..BatchPolicy::default() },
+            batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
             ..ServeConfig::default()
         });
         s.submit(pattern_frame(96, 72, 0), Priority::Standard, 0.0, 1e9).unwrap();
@@ -909,7 +882,7 @@ mod tests {
     fn full_class_queue_rejects_at_arrival() {
         let mut s = server(ServeConfig {
             queue_depth_per_class: 2,
-            batch: BatchPolicy { max_batch_size: 2, max_wait_us: 1e9, enabled: true },
+            batch: BatchPolicy { max_batch_size: 2, max_wait_us: 1e9 },
             ..ServeConfig::default()
         });
         // Four bulk arrivals at t=0; depth 2 → two rejected. Interactive
@@ -943,7 +916,7 @@ mod tests {
         // A frame smaller than the 24-px cascade window fails planning at
         // dispatch; the next request still gets served.
         let mut s = server(ServeConfig {
-            batch: BatchPolicy { enabled: false, ..BatchPolicy::default() },
+            batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
             ..ServeConfig::default()
         });
         let bad = s

@@ -1,7 +1,7 @@
-//! Chaos matrix: seeded fault plans × batching × retry policy.
+//! Chaos matrix: seeded fault plans × batching × retry budget.
 //!
 //! Sweeps the serving loop's fault-tolerance layer across injected
-//! fault kinds, batching on/off and retry on/off, asserting on every
+//! fault kinds, batch sizes 1 and 8 and retry budgets 0 and 3, asserting on every
 //! cell that (a) accounting is exact — each submitted request gets
 //! exactly one terminal outcome and the stats counters tile the
 //! submission count, (b) the run is deterministic — an identical
@@ -12,14 +12,14 @@
 //! everything.
 
 use fd_cnn::{CnnDetector, CnnModel};
-use fd_detector::{Backend, Detector, DetectorConfig, FaceDetector};
+use fd_detector::{Backend, Detector, DetectorConfig, FaceDetector, RecoveryPolicy};
 use fd_gpu::FaultPlan;
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 use fd_imgproc::GrayImage;
 use fd_serve::{
     BatchPolicy, CompletedRequest, DetectionServer, DeviceState, FleetConfig, FleetServer,
-    HealthPolicy, Priority, RequestOutcome, RetryPolicy, RoutePolicy, ServeConfig, ServeStats,
-    ServerHealth, StealPolicy,
+    HealthPolicy, Priority, RequestOutcome, RoutePolicy, ServeConfig, ServeStats, ServerHealth,
+    StealPolicy,
 };
 use fd_video::{DecodeFault, DecodeFaultPlan, HwDecoder, Trailer, TrailerSpec};
 
@@ -46,14 +46,19 @@ fn pattern_frame(w: usize, h: usize, shift: usize) -> GrayImage {
     })
 }
 
-fn server(plan: Option<FaultPlan>, batched: bool, retry: RetryPolicy) -> DetectionServer {
+/// No transient retries: every device fault goes straight to isolation.
+fn no_retries() -> RecoveryPolicy {
+    RecoveryPolicy { max_retries: 0, ..RecoveryPolicy::default() }
+}
+
+fn server(plan: Option<FaultPlan>, max_batch_size: usize, retry: RecoveryPolicy) -> DetectionServer {
     let det = DetectorConfig {
         min_neighbors: 1,
         fault_plan: plan,
         ..DetectorConfig::default()
     };
     let cfg = ServeConfig {
-        batch: BatchPolicy { enabled: batched, ..BatchPolicy::default() },
+        batch: BatchPolicy { max_batch_size, ..BatchPolicy::default() },
         retry,
         ..ServeConfig::default()
     };
@@ -174,10 +179,10 @@ fn chaos_matrix_accounts_exactly_and_reproduces() {
         ),
     ];
     for (name, plan) in &plans {
-        for batched in [false, true] {
-            for retry in [RetryPolicy::disabled(), RetryPolicy::default()] {
+        for batch in [1, 8] {
+            for retry in [no_retries(), RecoveryPolicy::default()] {
                 let run = || {
-                    let mut s = server(plan.clone(), batched, retry.clone());
+                    let mut s = server(plan.clone(), batch, retry.clone());
                     submit_wave(&mut s, n, 400.0, 1e6);
                     s.run();
                     assert_accounting(&s, n);
@@ -186,8 +191,8 @@ fn chaos_matrix_accounts_exactly_and_reproduces() {
                 assert_eq!(
                     run(),
                     run(),
-                    "cell (plan={name}, batched={batched}, retry={}) must reproduce",
-                    retry.enabled
+                    "cell (plan={name}, batch={batch}, max_retries={}) must reproduce",
+                    retry.max_retries
                 );
             }
         }
@@ -198,15 +203,15 @@ fn chaos_matrix_accounts_exactly_and_reproduces() {
 fn stall_only_plans_serve_every_request() {
     // Stalls stretch the timeline but never reject a launch: no retries,
     // no failures, everything served (the SLO is generous).
-    for batched in [false, true] {
+    for batch in [1, 8] {
         let mut s = server(
             Some(FaultPlan::seeded(21).with_stream_stalls(0.2, 400.0)),
-            batched,
-            RetryPolicy::default(),
+            batch,
+            RecoveryPolicy::default(),
         );
         submit_wave(&mut s, 16, 400.0, 1e6);
         s.run();
-        assert_eq!(s.stats().served, 16, "batched={batched}");
+        assert_eq!(s.stats().served, 16, "batch={batch}");
         assert_eq!(s.stats().failed, 0);
         assert_eq!(s.stats().retries_issued, 0);
     }
@@ -216,8 +221,8 @@ fn stall_only_plans_serve_every_request() {
 fn transient_faults_recover_to_high_goodput() {
     let mut s = server(
         Some(FaultPlan::seeded(42).with_transient_launch_failures(0.02)),
-        true,
-        RetryPolicy::default(),
+        8,
+        RecoveryPolicy::default(),
     );
     submit_wave(&mut s, 40, 400.0, 1e6);
     s.run();
@@ -228,18 +233,18 @@ fn transient_faults_recover_to_high_goodput() {
         "bounded retries must absorb transients: goodput {:.3}",
         st.goodput()
     );
-    // Without retries, the same plan loses whole batches.
-    let mut legacy = server(
+    // Without retries, the same plan loses every request it faults.
+    let mut unretried = server(
         Some(FaultPlan::seeded(42).with_transient_launch_failures(0.02)),
-        true,
-        RetryPolicy::disabled(),
+        8,
+        no_retries(),
     );
-    submit_wave(&mut legacy, 40, 400.0, 1e6);
-    legacy.run();
+    submit_wave(&mut unretried, 40, 400.0, 1e6);
+    unretried.run();
     assert!(
-        legacy.stats().failed > st.failed,
+        unretried.stats().failed > st.failed,
         "retries must strictly reduce failures ({} vs {})",
-        legacy.stats().failed,
+        unretried.stats().failed,
         st.failed
     );
 }
@@ -253,7 +258,7 @@ fn poisoned_batch_fails_at_most_the_poisoned_member() {
     let mut saw_single_poison = false;
     for seed in 0..24u64 {
         let plan = FaultPlan::seeded(seed).with_launch_timeouts(0.002);
-        let mut s = server(Some(plan), true, RetryPolicy::default());
+        let mut s = server(Some(plan), 8, RecoveryPolicy::default());
         for i in 0..6u64 {
             s.submit(pattern_frame(64, 48, (i % 4) as usize), Priority::Standard, 0.0, 1e9)
                 .expect("valid submission");
@@ -296,8 +301,8 @@ fn sustained_timeouts_trip_brownout_then_open_then_recover() {
         ..DetectorConfig::default()
     };
     let cfg = ServeConfig {
-        batch: BatchPolicy { enabled: false, ..BatchPolicy::default() },
-        retry: RetryPolicy::default(),
+        batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
+        retry: RecoveryPolicy::default(),
         health: HealthPolicy { cooldown_us: 5_000.0, ..HealthPolicy::default() },
         ..ServeConfig::default()
     };
@@ -324,7 +329,7 @@ fn brownout_rejects_only_the_lowest_class() {
         ..DetectorConfig::default()
     };
     let cfg = ServeConfig {
-        batch: BatchPolicy { enabled: false, ..BatchPolicy::default() },
+        batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
         // No Open state in this run: trip threshold out of reach.
         health: HealthPolicy { open_after: u32::MAX, ..HealthPolicy::default() },
         ..ServeConfig::default()
@@ -427,7 +432,7 @@ fn open_breaker_migrates_the_backlog_to_the_healthy_replica() {
             detectors,
             FleetConfig {
                 serve: ServeConfig {
-                    batch: BatchPolicy { enabled: false, ..BatchPolicy::default() },
+                    batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
                     ..ServeConfig::default()
                 },
                 steal: StealPolicy::disabled(),

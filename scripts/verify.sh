@@ -35,6 +35,14 @@ gate "repo benchmark crate builds (its own workspace; fails here if a public nam
 # Same target dir benchmark/run.sh uses, so the benchmark gate below
 # finds this build warm.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# Cargo rewrites benchmark/Cargo.lock whenever a path crate's normal
+# dependencies change, and only a benchmark-only change may commit that
+# file: a dependency edge between workspace crates has to wait for one.
+if ! git diff --quiet -- benchmark/Cargo.lock; then
+  git diff --stat -- benchmark/Cargo.lock
+  echo "verify: building the benchmark rewrote benchmark/Cargo.lock; a crate's [dependencies] changed, which only a benchmark-only change may commit" >&2
+  exit 1
+fi
 
 gate "cargo test -q"
 cargo test -q --offline --workspace
@@ -77,9 +85,11 @@ gate "serve load (asserts batched p99 <= unbatched p99 and >= 1.5x throughput at
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin serve_load -- --requests 150
 
-gate "serve faults (asserts zero-fault byte-identity, goodput >= 0.9 and p99 <= 1.5x fault-free under chaos)"
-# Scratch results dir: the committed results/BENCH_serve_faults.json
-# stays the full-length run.
+gate "serve faults (asserts an inert plan is byte-identical to no plan, goodput >= 0.9 and p99 <= 1.5x fault-free under chaos)"
+# Every cell runs the one recovery stack; they differ only in the fault
+# plan (none, inert, ~2 % request-level transients, 10x that). Scratch
+# results dir: the committed results/BENCH_serve_faults.json stays the
+# full-length run.
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin serve_faults -- --requests 150
 

@@ -84,6 +84,6 @@ pub mod prelude {
     pub use fd_imgproc::{GrayImage, IntegralImage, Rect, RgbImage};
     pub use fd_serve::{
         BatchPolicy, DetectionServer, FleetConfig, FleetServer, HealthPolicy, Priority,
-        RetryPolicy, RoutePolicy, ServeConfig, ServeStats, ServerHealth, StealPolicy,
+        RoutePolicy, ServeConfig, ServeStats, ServerHealth, StealPolicy,
     };
 }

@@ -68,8 +68,9 @@ fn detector_config(plan_seed: u64, host_threads: usize) -> DetectorConfig {
 }
 
 fn serve_config(batched: bool) -> ServeConfig {
+    let unbatched = BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() };
     ServeConfig {
-        batch: BatchPolicy { enabled: batched, ..BatchPolicy::default() },
+        batch: if batched { BatchPolicy::default() } else { unbatched },
         ..ServeConfig::default()
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the serving layer's headline guarantee:
-//! with batching effectively off (disabled, or capped at batch size 1),
-//! a [`facedet::serve::DetectionServer`] run is *bit-identical* to
+//! with batches capped at one request (`max_batch_size: 1`), a
+//! [`facedet::serve::DetectionServer`] run is *bit-identical* to
 //! calling [`FaceDetector::detect`] per request in arrival order — same
 //! raw windows, same grouped detections, same simulated latency bits —
 //! and the whole run is invariant to the functional phase's host thread
@@ -52,7 +52,7 @@ type Served = (u64, Vec<facedet::detector::Detection>, Vec<GroupedDetection>, u6
 /// completion in completion order. All requests share one SLO, so EDF
 /// order equals arrival order and nothing is ever late.
 fn run_server(
-    batch: facedet::serve::BatchPolicy,
+    batch: BatchPolicy,
     host_threads: usize,
     pattern: &[(u32, u8)],
 ) -> Vec<Served> {
@@ -90,9 +90,8 @@ fn run_server(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Batching disabled == per-request detector calls in arrival order,
-    /// bit for bit; max-batch-size 1 == batching disabled; and the whole
-    /// run is host-thread invariant.
+    /// Max-batch-size 1 == per-request detector calls in arrival order,
+    /// bit for bit, and the whole run is host-thread invariant.
     #[test]
     fn unbatched_serving_is_bitwise_per_request_detection(
         pattern in proptest::collection::vec((0u32..4000, 0u8..6), 1..6),
@@ -110,23 +109,12 @@ proptest! {
             })
             .collect();
 
-        let disabled = facedet::serve::BatchPolicy {
-            enabled: false,
-            ..facedet::serve::BatchPolicy::default()
-        };
-        let size_one = facedet::serve::BatchPolicy {
-            enabled: true,
-            max_batch_size: 1,
-            ..facedet::serve::BatchPolicy::default()
-        };
+        let size_one = BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() };
 
-        let served_disabled = run_server(disabled.clone(), 1, &pattern);
-        prop_assert_eq!(&served_disabled, &baseline, "disabled == per-request detect");
+        let served = run_server(size_one.clone(), 1, &pattern);
+        prop_assert_eq!(&served, &baseline, "max_batch_size 1 == per-request detect");
 
-        let served_size_one = run_server(size_one, 1, &pattern);
-        prop_assert_eq!(&served_size_one, &baseline, "max_batch_size 1 == disabled");
-
-        let served_threaded = run_server(disabled, threads, &pattern);
+        let served_threaded = run_server(size_one, threads, &pattern);
         prop_assert_eq!(&served_threaded, &baseline, "host-thread invariant");
     }
 }

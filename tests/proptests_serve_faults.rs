@@ -1,9 +1,8 @@
 //! Property-based tests for the fault-tolerance layer's zero-cost
 //! guarantee: when no fault can fire, the retry/health machinery is
-//! *inert* — a server with the full fault-tolerance stack enabled (and
-//! an inert seeded `FaultPlan` attached) completes bit-identically to
-//! one with retries and health tracking disabled and no plan at all,
-//! across host thread counts.
+//! *inert* — a server with an inert seeded `FaultPlan` attached
+//! completes bit-identically to the same server with no plan at all,
+//! across host thread counts and batch sizes.
 
 use proptest::prelude::*;
 
@@ -40,10 +39,9 @@ fn frame(variant: u8) -> GrayImage {
 type Fingerprint = (u64, u8, Vec<GroupedDetection>, u64, u64);
 
 fn run_server(
-    fault_tolerant: bool,
     plan_seed: Option<u64>,
     host_threads: usize,
-    batched: bool,
+    max_batch_size: usize,
     pattern: &[(u32, u8)],
 ) -> Vec<Fingerprint> {
     let det = DetectorConfig {
@@ -53,12 +51,7 @@ fn run_server(
         ..DetectorConfig::default()
     };
     let cfg = ServeConfig {
-        batch: facedet::serve::BatchPolicy {
-            enabled: batched,
-            ..facedet::serve::BatchPolicy::default()
-        },
-        retry: if fault_tolerant { RetryPolicy::default() } else { RetryPolicy::disabled() },
-        health: if fault_tolerant { HealthPolicy::default() } else { HealthPolicy::disabled() },
+        batch: BatchPolicy { max_batch_size, ..BatchPolicy::default() },
         ..ServeConfig::default()
     };
     let mut server =
@@ -93,23 +86,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// With an inert fault plan, the fault-tolerance stack adds nothing:
-    /// retries+health enabled completes bit-identically to both layers
-    /// disabled with no plan attached — at 1 and 4 host threads, batching
-    /// on and off.
+    /// the run completes bit-identically to one with no plan attached —
+    /// at 1 and 4 host threads, batch sizes 1 and 8.
     #[test]
     fn inert_fault_plans_leave_serving_byte_identical(
         pattern in proptest::collection::vec((0u32..4000, 0u8..6), 1..6),
         plan_seed in 0u64..1_000_000,
-        batched in any::<bool>(),
     ) {
-        let baseline = run_server(false, None, 1, batched, &pattern);
-        for threads in [1usize, 4] {
-            let ft = run_server(true, Some(plan_seed), threads, batched, &pattern);
-            prop_assert_eq!(
-                &ft, &baseline,
-                "inert plan + fault tolerance must be invisible (threads={}, batched={})",
-                threads, batched
-            );
+        for batch in [1usize, 8] {
+            let baseline = run_server(None, 1, batch, &pattern);
+            for threads in [1usize, 4] {
+                let ft = run_server(Some(plan_seed), threads, batch, &pattern);
+                prop_assert_eq!(
+                    &ft, &baseline,
+                    "an inert plan must be invisible (threads={}, batch={})",
+                    threads, batch
+                );
+            }
         }
     }
 }
