@@ -23,11 +23,12 @@
 //! the rejection gate measures the cascade against the traffic shape it
 //! exists for.
 //!
-//! Usage: `cnn_eval [--faces N] [--backgrounds M] [--side S]`.
-//! Writes `results/BENCH_cnn_eval.json`.
+//! Usage: `cnn_eval` (no options). Writes `results/BENCH_cnn_eval.json`;
+//! virtual time, so a run reproduces the committed file byte for byte.
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
-use fd_bench::out::{arg_usize, render_table, write_text};
+use fd_bench::out::{num, Report, Table};
+use fd_bench::row;
 use fd_cnn::{CnnDetector, CnnModel};
 use fd_detector::{Detector, DetectorConfig, FaceDetector};
 use fd_eval::roc::{roc_curve, BackendEval};
@@ -36,6 +37,9 @@ use fd_eval::{evaluate_backend, RocPoint};
 
 const MODEL_SEED: u64 = 0;
 const CORPUS_SEED: u64 = 0x5CFA;
+const FACES: usize = 40;
+const BACKGROUNDS: usize = 160;
+const SIDE: usize = 96;
 const MIN_PRE_FINAL_REJECTION: f64 = 0.90;
 const MIN_CNN_TPR: f64 = 0.90;
 
@@ -52,17 +56,14 @@ fn measure(name: &'static str, det: &mut dyn Detector, ds: &MugshotDataset) -> R
 }
 
 fn main() {
-    let n_faces = arg_usize("--faces", 40);
-    let n_bg = arg_usize("--backgrounds", 160);
-    let side = arg_usize("--side", 96);
-    let ds = MugshotDataset::generate(n_faces, n_bg, side, CORPUS_SEED);
+    let ds = MugshotDataset::generate(FACES, BACKGROUNDS, SIDE, CORPUS_SEED);
     let cfg = DetectorConfig {
         min_neighbors: 1,
         collect_rejection_stats: true,
         ..DetectorConfig::default()
     };
     println!(
-        "[cnn_eval] {n_faces} mug shots + {n_bg} backgrounds ({side}x{side}), both backends"
+        "[cnn_eval] {FACES} mug shots + {BACKGROUNDS} backgrounds ({SIDE}x{SIDE}), both backends"
     );
 
     let pair = trained_cascade_pair(&TrainingBudget::tiny());
@@ -72,27 +73,26 @@ fn main() {
     let rows = [measure("haar", &mut haar, &ds), measure("cnn", &mut cnn, &ds)];
 
     let loosest = |r: &Row| *r.curve.last().expect("non-degenerate curve");
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let p = loosest(r);
-            vec![
-                r.backend.to_string(),
-                format!("{:.3}", p.tpr),
-                p.fp.to_string(),
-                format!("{:.3}", r.eval.mean_detect_ms()),
-                format!("{:.1}", r.eval.total_detect_ms),
-                format!("{:.4}", r.eval.pre_final_rejection()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["backend", "tpr", "fp", "mean_ms", "total_ms", "pre_final_rej"],
-            &table_rows,
-        )
-    );
+    let mut backends = Table::new(&[
+        "backend", "tpr_loosest", "fp_loosest", "mean_detect_ms", "total_detect_ms",
+        "pre_final_rejection",
+    ]);
+    let mut roc = Table::new(&["backend", "threshold", "tp", "fp", "tpr"]);
+    for r in &rows {
+        let p = loosest(r);
+        backends.push(row![
+            r.backend,
+            num(p.tpr, 5),
+            p.fp,
+            num(r.eval.mean_detect_ms(), 5),
+            num(r.eval.total_detect_ms, 3),
+            num(r.eval.pre_final_rejection(), 5),
+        ]);
+        for p in &r.curve {
+            roc.push(row![r.backend, num(f64::from(p.threshold), 5), p.tp, p.fp, num(p.tpr, 5)]);
+        }
+    }
+    print!("{}", backends.render());
 
     let (haar_row, cnn_row) = (&rows[0], &rows[1]);
     let rejection = cnn_row.eval.pre_final_rejection();
@@ -118,40 +118,14 @@ fn main() {
         cnn_ms / haar_ms,
     );
 
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let points: Vec<String> = r
-                .curve
-                .iter()
-                .map(|p| {
-                    format!(
-                        "      {{\"threshold\": {:.5}, \"tp\": {}, \"fp\": {}, \"tpr\": {:.5}}}",
-                        p.threshold, p.tp, p.fp, p.tpr
-                    )
-                })
-                .collect();
-            format!(
-                "    {{\"backend\": \"{}\", \"tpr_loosest\": {:.5}, \"fp_loosest\": {}, \
-                 \"mean_detect_ms\": {:.5}, \"total_detect_ms\": {:.3}, \
-                 \"pre_final_rejection\": {:.5}, \"roc\": [\n{}\n    ]}}",
-                r.backend,
-                loosest(r).tpr,
-                loosest(r).fp,
-                r.eval.mean_detect_ms(),
-                r.eval.total_detect_ms,
-                r.eval.pre_final_rejection(),
-                points.join(",\n"),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"cnn_eval\",\n  \"faces\": {n_faces},\n  \
-         \"backgrounds\": {n_bg},\n  \"side\": {side},\n  \
-         \"cnn_latency_ratio\": {:.4},\n  \"backends\": [\n{}\n  ]\n}}\n",
-        cnn_ms / haar_ms,
-        json_rows.join(",\n")
-    );
-    let path = write_text("BENCH_cnn_eval.json", &json).expect("write results");
+    let report = Report::new()
+        .field("bench", "cnn_eval")
+        .field("faces", FACES)
+        .field("backgrounds", BACKGROUNDS)
+        .field("side", SIDE)
+        .field("cnn_latency_ratio", num(cnn_ms / haar_ms, 4))
+        .table("backends", backends)
+        .table("roc", roc);
+    let path = report.write("BENCH_cnn_eval.json").expect("write results");
     println!("wrote {}", path.display());
 }

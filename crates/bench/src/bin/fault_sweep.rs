@@ -6,16 +6,19 @@
 //! scenario), and reports ok/degraded/skipped counts, retries, backoff
 //! and pipelined fps.
 //!
-//! Usage: `fault_sweep [--frames N]` (default 60).
-//! Writes `results/BENCH_fault_sweep.json`.
+//! Usage: `fault_sweep` (no options). Writes
+//! `results/BENCH_fault_sweep.json`; virtual time, so a run reproduces
+//! the committed file byte for byte.
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
-use fd_bench::out::{arg_usize, render_table, write_text};
+use fd_bench::out::{num, Report, Table};
+use fd_bench::row;
 use fd_detector::{DetectorConfig, VideoDetector};
 use fd_gpu::FaultPlan;
 use fd_video::{DecodeFaultPlan, HwDecoder, Trailer, TrailerSpec};
 
 const SEED: u64 = 42;
+const FRAMES: usize = 60;
 const RATES: [f64; 5] = [0.0, 0.005, 0.01, 0.02, 0.05];
 
 fn trailer(n_frames: usize) -> Trailer {
@@ -30,11 +33,12 @@ fn trailer(n_frames: usize) -> Trailer {
 }
 
 fn main() {
-    let frames = arg_usize("--frames", 60);
     let pair = trained_cascade_pair(&TrainingBudget::tiny());
 
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
+    let mut sweep = Table::new(&[
+        "transient_launch_rate", "corrupt_frame_rate", "pipelined_fps", "ok", "degraded",
+        "skipped", "retries", "backoff_ms",
+    ]);
     for rate in RATES {
         let device = if rate > 0.0 {
             Some(FaultPlan::seeded(SEED).with_transient_launch_failures(rate))
@@ -47,7 +51,7 @@ fn main() {
             None
         };
 
-        let mut decoder = HwDecoder::new(trailer(frames));
+        let mut decoder = HwDecoder::new(trailer(FRAMES));
         decoder.set_fault_plan(decode);
         let mut vd = VideoDetector::new(
             &pair.ours,
@@ -56,47 +60,29 @@ fn main() {
         )
         .expect("video detector");
         let reports = vd.run_stream(decoder);
-        assert_eq!(reports.len(), frames, "every decoded frame must be reported");
+        assert_eq!(reports.len(), FRAMES, "every decoded frame must be reported");
         let s = vd.stats();
         assert!(s.all_frames_accounted(), "ok + degraded + skipped must equal frames");
 
-        rows.push(vec![
-            format!("{rate:.3}"),
-            format!("{:.2}", s.pipelined_fps()),
-            s.ok_frames.to_string(),
-            s.degraded_frames.to_string(),
-            s.skipped_frames.to_string(),
-            s.retries.to_string(),
-            format!("{:.1}", s.total_backoff_ms),
-        ]);
-        json_rows.push(format!(
-            "    {{ \"transient_launch_rate\": {rate}, \"corrupt_frame_rate\": {}, \
-             \"pipelined_fps\": {:.3}, \"ok\": {}, \"degraded\": {}, \"skipped\": {}, \
-             \"retries\": {}, \"backoff_ms\": {:.2} }}",
+        sweep.push(row![
+            rate,
             rate * 0.4,
-            s.pipelined_fps(),
+            num(s.pipelined_fps(), 3),
             s.ok_frames,
             s.degraded_frames,
             s.skipped_frames,
             s.retries,
-            s.total_backoff_ms,
-        ));
+            num(s.total_backoff_ms, 2),
+        ]);
     }
 
-    println!("fault-injection sweep: {frames} frames per point, seed {SEED}\n");
-    println!(
-        "{}",
-        render_table(
-            &["fault rate", "pipelined fps", "ok", "degraded", "skipped", "retries", "backoff ms"],
-            &rows
-        )
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"fault_sweep\",\n  \"frames\": {frames},\n  \"seed\": {SEED},\n  \
-         \"sweep\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    let path = write_text("BENCH_fault_sweep.json", &json).unwrap();
+    println!("fault-injection sweep: {FRAMES} frames per point, seed {SEED}\n");
+    print!("{}", sweep.render());
+    let report = Report::new()
+        .field("bench", "fault_sweep")
+        .field("frames", FRAMES)
+        .field("seed", SEED)
+        .table("sweep", sweep);
+    let path = report.write("BENCH_fault_sweep.json").expect("write results");
     println!("\nwrote {}", path.display());
 }

@@ -1,26 +1,34 @@
 //! # fd-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md `#experiment-index`):
+//! Six binaries (see DESIGN.md `#experiment-index`):
 //!
-//! | target | regenerates |
+//! | binary | regenerates |
 //! |---|---|
-//! | `table1` | Table I — Haar feature combination counts |
-//! | `table2` | Table II — ms/frame, 10 trailers x 2 cascades x 2 modes |
-//! | `fig5` | Fig. 5 — per-frame latency series for the "50/50" trailer |
-//! | `fig6` | Fig. 6 — kernel execution trace across streams |
-//! | `fig7` | Fig. 7 — rejection rate per stage and scale |
-//! | `fig8` | Fig. 8 — GentleBoost iteration time vs threads (SMP model) |
-//! | `fig9` | Fig. 9 — TPR/FP curves at 15/20/25-equivalent stages |
-//! | `counters` | §VI-A text figures: branch efficiency, DRAM throughput, stage shares |
-//! | `repro_all` | runs everything above in sequence |
+//! | `repro_all [TARGET…]` | the paper's tables and figures, all targets by default: |
+//! | ↳ `table1` | Table I — Haar feature combination counts |
+//! | ↳ `table2` | Table II — ms/frame, 10 trailers x 2 cascades x 2 modes |
+//! | ↳ `fig5` | Fig. 5 — per-frame latency series for the "50/50" trailer |
+//! | ↳ `fig6` | Fig. 6 — kernel execution trace across streams |
+//! | ↳ `fig7` | Fig. 7 — rejection rate per stage and scale |
+//! | ↳ `fig8` | Fig. 8 — GentleBoost iteration time vs threads (SMP model) |
+//! | ↳ `fig9` | Fig. 9 — TPR/FP curves at 15/20/25-equivalent stages |
+//! | ↳ `counters` | §VI-A text figures: branch efficiency, DRAM throughput, stage shares |
+//! | ↳ `ablations`, `ablation_rearrange`, `ablation_softcascade`, `ablation_multigpu` | design ablations and §II alternatives |
+//! | `fusion_autotune` | the {fusion} x {autotune} grid at two sizes |
+//! | `serve [load\|faults\|fleet\|mixed]` | the serving benches |
+//! | `fault_sweep` | stream throughput and frame accounting vs fault rate |
+//! | `cnn_eval` | the Haar/CNN accuracy/latency front |
+//! | `probe` | developer probe of one 1080p frame (or `--sim`: simulator host cost) |
 //!
-//! All binaries accept `--frames N` / size flags where applicable, print
-//! the paper's rows to stdout and write machine-readable CSVs under
-//! `results/`.
+//! `repro_all` targets take `--frames N` / size flags where applicable
+//! and write CSVs under `results/`. The other four benches take no
+//! options: their committed `results/BENCH_*.json` is their one
+//! configuration, all virtual time, and `scripts/verify.sh` requires a
+//! fresh run to reproduce it byte for byte.
 //!
 //! The library part holds the shared machinery: cached cascade training
-//! ([`cascades`]), benchmark runners ([`harness`]) and result formatting
-//! ([`out`]).
+//! ([`cascades`]), benchmark runners ([`harness`]), the serving load
+//! generators ([`loadgen`]) and result formatting ([`out`]).
 
 pub mod cascades;
 pub mod harness;

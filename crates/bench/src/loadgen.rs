@@ -1,6 +1,7 @@
 //! Deterministic load generators for the serving benchmarks.
 //!
-//! Two standard shapes drive [`fd_serve::DetectionServer`]:
+//! Two standard shapes drive [`fd_serve::FleetServer`] (a fleet of one is
+//! a single server), each request classed Haar or CNN:
 //!
 //! * **open loop** — arrivals follow a Poisson process of a fixed
 //!   offered rate, independent of completions (models external traffic;
@@ -10,13 +11,13 @@
 //!   request in flight and resubmit after an optional think time
 //!   (models a worker pool; throughput self-limits at capacity).
 //!
-//! Both are seeded and purely arithmetic, so a given (seed, rate, n)
-//! always produces the identical arrival pattern and therefore — by the
-//! server's determinism — the identical serving run.
+//! Both are seeded and purely arithmetic, so a given (seed, rate, n,
+//! CNN fraction) always produces the identical arrival pattern and
+//! therefore — by the server's determinism — the identical serving run.
 
 use fd_detector::{Backend, Detector};
 use fd_imgproc::GrayImage;
-use fd_serve::{CompletedRequest, DetectionServer, FleetServer, Priority, RequestOutcome};
+use fd_serve::{FleetServer, Priority, RequestOutcome};
 
 /// Minimal 64-bit LCG (Knuth's MMIX multiplier), good enough for
 /// inter-arrival sampling and frame variation without pulling a full
@@ -97,169 +98,78 @@ pub fn backend_sequence(seed: u64, n: usize, cnn_fraction: f64) -> Vec<Backend> 
         .collect()
 }
 
-/// Submit an open-loop request pattern: `n` frames of `w`x`h` arriving
-/// per [`exponential_arrivals_us`], all in `priority` with a fixed
-/// `slo_us`. Call before `server.run()`. The request class is the
-/// server's own backend (a single server owns one detector); mixed
-/// traffic goes through [`submit_open_loop_fleet_mixed`].
-pub fn submit_open_loop<D: Detector>(
-    server: &mut DetectionServer<D>,
+/// Every generated request carries a frame of this size: one geometry
+/// class, so requests can share a batch.
+pub const FRAME: (usize, usize) = (64, 48);
+
+/// The open-loop request stream: `n` requests arriving per
+/// [`exponential_arrivals_us`] at `rate_rps`, each with its
+/// [`pattern_frame`] and its [`backend_sequence`] class, as
+/// `(arrival µs, frame, class)`. With `cnn_fraction == 0.0` every
+/// request is Haar-classed.
+pub fn open_loop_requests(
     seed: u64,
     n: usize,
     rate_rps: f64,
-    w: usize,
-    h: usize,
-    priority: Priority,
+    cnn_fraction: f64,
+) -> impl Iterator<Item = (f64, GrayImage, Backend)> {
+    let mut frames = Lcg::new(seed ^ 0xF0F0);
+    exponential_arrivals_us(seed, n, rate_rps)
+        .into_iter()
+        .zip(backend_sequence(seed, n, cnn_fraction))
+        .map(move |(arrival, backend)| {
+            (arrival, pattern_frame(FRAME.0, FRAME.1, frames.next_u64()), backend)
+        })
+}
+
+/// Submit [`open_loop_requests`] to `fleet`, all in the standard
+/// priority class with a fixed `slo_us`. Call before `fleet.run()`.
+pub fn submit_open_loop<D: Detector>(
+    fleet: &mut FleetServer<D>,
+    seed: u64,
+    n: usize,
+    rate_rps: f64,
     slo_us: f64,
+    cnn_fraction: f64,
 ) {
-    let mut rng = Lcg::new(seed ^ 0xF0F0);
-    for arrival in exponential_arrivals_us(seed, n, rate_rps) {
-        let frame = pattern_frame(w, h, rng.next_u64());
-        server
-            .submit(frame, priority, arrival, slo_us)
+    for (arrival, frame, backend) in open_loop_requests(seed, n, rate_rps, cnn_fraction) {
+        fleet
+            .submit_to_backend(frame, Priority::Standard, arrival, slo_us, backend)
             .expect("open-loop submission is valid");
     }
 }
 
-/// The fleet twin of [`submit_open_loop`]: the identical seeded arrival
-/// pattern and frame sequence, submitted through the [`FleetServer`]
-/// front door (which routes each request to a device lane). A fleet of
-/// one therefore receives bit-identical traffic to a single server.
-#[allow(clippy::too_many_arguments)]
-pub fn submit_open_loop_fleet<D: Detector>(
-    fleet: &mut FleetServer<D>,
-    seed: u64,
-    n: usize,
-    rate_rps: f64,
-    w: usize,
-    h: usize,
-    priority: Priority,
-    slo_us: f64,
-) {
-    let mut rng = Lcg::new(seed ^ 0xF0F0);
-    for arrival in exponential_arrivals_us(seed, n, rate_rps) {
-        let frame = pattern_frame(w, h, rng.next_u64());
-        fleet
-            .submit(frame, priority, arrival, slo_us)
-            .expect("open-loop fleet submission is valid");
-    }
-}
-
-/// [`submit_open_loop_fleet`] with a per-request backend class: the
-/// identical seeded arrival and frame streams, each request classed
-/// Haar or CNN by [`backend_sequence`] and submitted through
-/// [`FleetServer::submit_to_backend`]. With `cnn_fraction == 0.0` every
-/// request is Haar-classed and the traffic is bit-identical to
-/// [`submit_open_loop_fleet`] against a Haar fleet.
-#[allow(clippy::too_many_arguments)]
-pub fn submit_open_loop_fleet_mixed<D: Detector>(
-    fleet: &mut FleetServer<D>,
-    seed: u64,
-    n: usize,
-    rate_rps: f64,
-    w: usize,
-    h: usize,
-    priority: Priority,
-    slo_us: f64,
-    cnn_fraction: f64,
-) {
-    let mut rng = Lcg::new(seed ^ 0xF0F0);
-    let backends = backend_sequence(seed, n, cnn_fraction);
-    for (arrival, backend) in exponential_arrivals_us(seed, n, rate_rps).into_iter().zip(backends)
-    {
-        let frame = pattern_frame(w, h, rng.next_u64());
-        fleet
-            .submit_to_backend(frame, priority, arrival, slo_us, backend)
-            .expect("mixed open-loop fleet submission is valid");
-    }
-}
-
-/// Drive `clients` virtual clients through the server until
+/// Drive `clients` virtual clients through the fleet until
 /// `total_requests` have been submitted and every outcome is in: each
 /// client keeps one request in flight, resubmitting `think_us` after its
-/// previous completion. Returns the number of requests that were served
-/// (vs shed/rejected/failed).
-#[allow(clippy::too_many_arguments)]
+/// previous completion. Each submission is classed Haar or CNN by
+/// [`backend_sequence`] in submission order (independent of which client
+/// resubmits). Returns the number of requests served per backend.
 pub fn run_closed_loop<D: Detector>(
-    server: &mut DetectionServer<D>,
-    seed: u64,
-    clients: usize,
-    total_requests: usize,
-    think_us: f64,
-    w: usize,
-    h: usize,
-    priority: Priority,
-    slo_us: f64,
-) -> usize {
-    assert!(clients > 0, "need at least one client");
-    let mut rng = Lcg::new(seed);
-    let mut submitted = 0usize;
-    let mut in_flight = 0usize;
-    let mut served = 0usize;
-    let mut done = 0usize;
-    while submitted < clients.min(total_requests) {
-        server
-            .submit(pattern_frame(w, h, rng.next_u64()), priority, server.now_us(), slo_us)
-            .expect("closed-loop submission is valid");
-        submitted += 1;
-        in_flight += 1;
-    }
-    while done < total_requests && in_flight > 0 {
-        while server.step() {}
-        for c in server.take_completed() {
-            in_flight -= 1;
-            done += 1;
-            if matches!(c.outcome, RequestOutcome::Served { .. }) {
-                served += 1;
-            }
-            if submitted < total_requests {
-                let arrival = server.now_us() + think_us;
-                server
-                    .submit(pattern_frame(w, h, rng.next_u64()), priority, arrival, slo_us)
-                    .expect("closed-loop resubmission is valid");
-                submitted += 1;
-                in_flight += 1;
-            }
-        }
-    }
-    served
-}
-
-/// The closed loop's mixed fleet twin: `clients` virtual clients drive a
-/// fleet until `total_requests` have been submitted, each submission
-/// classed Haar or CNN by [`backend_sequence`] in submission order (the
-/// per-request backend class, independent of which client resubmits).
-/// Returns the number of requests served per backend.
-#[allow(clippy::too_many_arguments)]
-pub fn run_closed_loop_fleet_mixed<D: Detector>(
     fleet: &mut FleetServer<D>,
     seed: u64,
     clients: usize,
     total_requests: usize,
     think_us: f64,
-    w: usize,
-    h: usize,
-    priority: Priority,
     slo_us: f64,
     cnn_fraction: f64,
 ) -> [usize; 2] {
     assert!(clients > 0, "need at least one client");
-    let mut rng = Lcg::new(seed);
+    let mut frames = Lcg::new(seed);
     let backends = backend_sequence(seed, total_requests, cnn_fraction);
+    let mut submit = |fleet: &mut FleetServer<D>, arrival: f64, backend: Backend| {
+        let frame = pattern_frame(FRAME.0, FRAME.1, frames.next_u64());
+        fleet
+            .submit_to_backend(frame, Priority::Standard, arrival, slo_us, backend)
+            .expect("closed-loop submission is valid");
+    };
     let mut submitted = 0usize;
     let mut in_flight = 0usize;
     let mut served = [0usize; 2];
     let mut done = 0usize;
     while submitted < clients.min(total_requests) {
-        fleet
-            .submit_to_backend(
-                pattern_frame(w, h, rng.next_u64()),
-                priority,
-                fleet.now_us(),
-                slo_us,
-                backends[submitted],
-            )
-            .expect("closed-loop fleet submission is valid");
+        let now = fleet.now_us();
+        submit(fleet, now, backends[submitted]);
         submitted += 1;
         in_flight += 1;
     }
@@ -273,15 +183,7 @@ pub fn run_closed_loop_fleet_mixed<D: Detector>(
             }
             if submitted < total_requests {
                 let arrival = fleet.now_us() + think_us;
-                fleet
-                    .submit_to_backend(
-                        pattern_frame(w, h, rng.next_u64()),
-                        priority,
-                        arrival,
-                        slo_us,
-                        backends[submitted],
-                    )
-                    .expect("closed-loop fleet resubmission is valid");
+                submit(fleet, arrival, backends[submitted]);
                 submitted += 1;
                 in_flight += 1;
             }
@@ -290,50 +192,13 @@ pub fn run_closed_loop_fleet_mixed<D: Detector>(
     served
 }
 
-/// FNV-1a over every observable bit of every completion, in completion
-/// order: ids, backend classes, outcome kinds, latency bits, raw windows
-/// and groups. The identity the serving benches assert between runs.
-pub fn completion_fingerprint(completed: &[CompletedRequest]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut eat = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for c in completed {
-        eat(c.id.0);
-        eat(c.backend.index() as u64);
-        match &c.outcome {
-            RequestOutcome::Served { completed_us, result, .. }
-            | RequestOutcome::Degraded { completed_us, result, .. } => {
-                eat(completed_us.to_bits());
-                eat(result.raw.len() as u64);
-                eat(result.detections.len() as u64);
-                for d in &result.detections {
-                    eat(d.rect.x as u64);
-                    eat(d.rect.y as u64);
-                    eat(d.rect.w as u64);
-                    eat(d.neighbors as u64);
-                }
-            }
-            RequestOutcome::ShedLate { shed_us } => eat(1000 ^ shed_us.to_bits()),
-            RequestOutcome::RejectedQueueFull => eat(1001),
-            RequestOutcome::RejectedBrownOut => eat(1002),
-            RequestOutcome::RejectedFailFast => eat(1003),
-            RequestOutcome::Failed { attempts, .. } => eat(1004 ^ u64::from(*attempts)),
-            RequestOutcome::Expired { expired_us, .. } => eat(1005 ^ expired_us.to_bits()),
-            RequestOutcome::Evicted { evicted_us } => eat(1006 ^ evicted_us.to_bits()),
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fd_cnn::{CnnDetector, CnnModel};
     use fd_detector::{DetectorConfig, FaceDetector};
     use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
-    use fd_serve::{FleetConfig, ServeConfig};
+    use fd_serve::FleetConfig;
 
     fn edge_cascade() -> Cascade {
         let f = HaarFeature::from_params(FeatureKind::EdgeH, 6, 4, 6, 8);
@@ -345,9 +210,9 @@ mod tests {
         c
     }
 
-    fn server() -> DetectionServer {
+    fn server() -> FleetServer {
         let det = DetectorConfig { min_neighbors: 1, ..DetectorConfig::default() };
-        DetectionServer::new(&edge_cascade(), det, ServeConfig::default()).unwrap()
+        FleetServer::new(&edge_cascade(), det, 1, FleetConfig::default()).unwrap()
     }
 
     #[test]
@@ -366,7 +231,7 @@ mod tests {
     #[test]
     fn open_loop_run_serves_every_request() {
         let mut s = server();
-        submit_open_loop(&mut s, 11, 20, 2000.0, 64, 48, Priority::Standard, 1e9);
+        submit_open_loop(&mut s, 11, 20, 2000.0, 1e9, 0.0);
         s.run();
         assert_eq!(s.stats().served, 20);
         assert!(s.stats().throughput_rps() > 0.0);
@@ -399,9 +264,7 @@ mod tests {
     #[test]
     fn mixed_open_loop_routes_each_class_to_its_lane() {
         let mut f = mixed_fleet();
-        submit_open_loop_fleet_mixed(
-            &mut f, 11, 16, 2000.0, 64, 48, Priority::Standard, 1e9, 0.5,
-        );
+        submit_open_loop(&mut f, 11, 16, 2000.0, 1e9, 0.5);
         f.run();
         let stats = f.stats();
         let want = backend_sequence(11, 16, 0.5);
@@ -418,8 +281,7 @@ mod tests {
     #[test]
     fn mixed_closed_loop_serves_the_quota_per_backend() {
         let mut f = mixed_fleet();
-        let served =
-            run_closed_loop_fleet_mixed(&mut f, 3, 4, 20, 0.0, 64, 48, Priority::Standard, 1e9, 0.4);
+        let served = run_closed_loop(&mut f, 3, 4, 20, 0.0, 1e9, 0.4);
         assert_eq!(served.iter().sum::<usize>(), 20);
         let want = backend_sequence(3, 20, 0.4);
         let want_cnn = want.iter().filter(|b| **b == Backend::Cnn).count();
@@ -430,9 +292,8 @@ mod tests {
     #[test]
     fn closed_loop_self_limits_and_serves_the_quota() {
         let mut s = server();
-        let served =
-            run_closed_loop(&mut s, 3, 4, 25, 0.0, 64, 48, Priority::Standard, 1e9);
-        assert_eq!(served, 25);
+        let served = run_closed_loop(&mut s, 3, 4, 25, 0.0, 1e9, 0.0);
+        assert_eq!(served, [25, 0]);
         assert_eq!(s.stats().served, 25);
         assert_eq!(s.stats().submitted, 25);
         assert!(s.stats().max_queue_depth <= 4, "never more than the client count");

@@ -60,7 +60,7 @@ impl Backend {
 ///
 /// The contract mirrors the detector's inherent API bit for bit, so
 /// serving through the trait is byte-identical to serving the concrete
-/// type (asserted by `fd-bench`'s `serve_mixed` identity gate).
+/// type (asserted by `trait_detect_matches_inherent_detect_exactly`).
 pub trait Detector {
     /// The request class this engine serves.
     fn backend(&self) -> Backend;

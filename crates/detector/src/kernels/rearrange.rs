@@ -17,7 +17,7 @@
 //! tile of the blocked kernel no longer applies — every rectangle corner
 //! becomes an uncoalesced global load — and each relaunch adds a
 //! compaction kernel plus launch latency. The ablation binary
-//! (`fd-bench --bin ablation_rearrange`) quantifies both effects against
+//! (`fd-bench`'s `repro_all ablation_rearrange`) quantifies both effects against
 //! the paper's concurrent-kernel approach.
 
 use std::sync::Arc;

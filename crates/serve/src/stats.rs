@@ -149,7 +149,7 @@ pub struct ServeStats {
     /// Degraded completions per backend.
     pub degraded_per_backend: [u64; 2],
     /// Per-backend latency of completed requests (served and degraded),
-    /// the mixed-traffic tiering the `serve_mixed` bench gates on.
+    /// the mixed-traffic tiering the `serve mixed` bench gates on.
     pub latency_per_backend: [LatencyHistogram; 2],
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the measured sections of EXPERIMENTS.md from results/*.csv.
 
-Run after `cargo run -p fd-bench --release --bin repro_all`.
+Run after `cargo run -p fd-bench --release --bin repro_all` (every target).
 """
 import csv, io, math, os, re, sys
 

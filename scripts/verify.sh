@@ -60,56 +60,29 @@ for t in 1 2 4; do
   FD_SIM_THREADS=$t cargo test -q --offline -p fd-gpu -p fd-detector -p fd-cnn
 done
 
-gate "kernel fusion (asserts >= 1.2x end-to-end speedup, >= 1.15x batched, bit-identical detections)"
-# The bench's identity check compares 4 host threads against 1 via
-# DetectorConfig (the FD_SIM_THREADS matrix above additionally runs the
-# fusion_identity proptests under both env settings). Scratch results
-# dir: the committed results/BENCH_fusion.json stays the reference run.
-FD_RESULTS_DIR="$(mktemp -d)" \
-  cargo run --release --offline -q -p fd-bench --bin fusion -- --assert-min-speedup-pct 120 --assert-min-batched-pct 115
-
-gate "occupancy autotune (asserts >= 1.1x autotuned batched speedup, byte-identical detections, live limiting-factor counters)"
-# Scratch results dir: the committed results/BENCH_occupancy.json stays
-# the reference run. The bench itself asserts the detection byte-identity
-# across {autotune} x {fusion} x host threads {1, 4} and fails on
-# degenerate occupancy accounting.
-FD_RESULTS_DIR="$(mktemp -d)" \
-  cargo run --release --offline -q -p fd-bench --bin occupancy -- --assert-min-batched-pct 110
+gate "bench equality (fusion_autotune, serve, fault_sweep, cnn_eval reproduce results/BENCH_*.json byte for byte)"
+# Each bench has one configuration, the committed JSON, and reports only
+# virtual time, so a fresh run must equal the committed file byte for
+# byte. Each also asserts its floors on every run: fused >= 1.2x single
+# and >= 1.15x batched, autotuned >= 1.1x batched, live occupancy
+# counters; batching >= 1.5x at saturation with no worse p99, chaos
+# goodput >= 0.9 with p99 <= 1.5x fault-free, >= 3x at 4 devices,
+# kill-one goodput and p99, Haar tier >= 0.9x under CNN co-tenancy with
+# the CNN tier inside its p99 budget; CNN pre-final rejection and TPR
+# >= 0.9. To re-record after an intended change, run the binary without
+# FD_RESULTS_DIR and commit the diff.
+bench_dir="$(mktemp -d)"
+for bench in fusion_autotune serve fault_sweep cnn_eval; do
+  FD_RESULTS_DIR="$bench_dir" cargo run --release --offline -q -p fd-bench --bin "$bench"
+  if ! cmp "results/BENCH_$bench.json" "$bench_dir/BENCH_$bench.json"; then
+    diff -u "results/BENCH_$bench.json" "$bench_dir/BENCH_$bench.json" || true
+    echo "verify: $bench no longer reproduces results/BENCH_$bench.json" >&2
+    exit 1
+  fi
+done
 
 gate "fault matrix (every fault kind x pipeline stage)"
 cargo test -q --offline -p fd-detector --test fault_matrix
-
-gate "serve load (asserts batched p99 <= unbatched p99 and >= 1.5x throughput at saturation)"
-# Scratch results dir: the committed results/BENCH_serve_load.json stays
-# the full-length run.
-FD_RESULTS_DIR="$(mktemp -d)" \
-  cargo run --release --offline -q -p fd-bench --bin serve_load -- --requests 150
-
-gate "serve faults (asserts an inert plan is byte-identical to no plan, goodput >= 0.9 and p99 <= 1.5x fault-free under chaos)"
-# Every cell runs the one recovery stack; they differ only in the fault
-# plan (none, inert, ~2 % request-level transients, 10x that). Scratch
-# results dir: the committed results/BENCH_serve_faults.json stays the
-# full-length run.
-FD_RESULTS_DIR="$(mktemp -d)" \
-  cargo run --release --offline -q -p fd-bench --bin serve_faults -- --requests 150
-
-gate "serve fleet (asserts >= 3x throughput at 4 devices, kill-one goodput >= 0.70 with p99 <= 1.5x baseline, fleet-of-1 byte-identity)"
-# Scratch results dir: the committed results/BENCH_serve_fleet.json
-# stays the full-length run.
-FD_RESULTS_DIR="$(mktemp -d)" \
-  cargo run --release --offline -q -p fd-bench --bin serve_fleet -- --requests 200
-
-gate "serve mixed (asserts haar-tier throughput >= 0.9x haar-only under CNN co-tenancy, cnn-tier p99 <= 10ms budget, fleet-of-1 byte-identity to the pre-trait server)"
-# Scratch results dir: the committed results/BENCH_serve_mixed.json
-# stays the full-length run.
-FD_RESULTS_DIR="$(mktemp -d)" \
-  cargo run --release --offline -q -p fd-bench --bin serve_mixed -- --requests 120
-
-gate "cnn eval (asserts cnn pre-final rejection >= 0.90, cnn TPR >= 0.90, and a real accuracy/latency front vs haar)"
-# Scratch results dir: the committed results/BENCH_cnn_eval.json stays
-# the full-length run.
-FD_RESULTS_DIR="$(mktemp -d)" \
-  cargo run --release --offline -q -p fd-bench --bin cnn_eval -- --faces 24 --backgrounds 96
 
 gate "repo benchmark (virtual clock, shares, counts and det_digest equal to benchmark/baseline/seed1.jsonl)"
 # The virtual clock is deterministic per seed, so any DIFFERS row is a
