@@ -7,7 +7,7 @@
 //! The comparison is in *simulated device time* (`Timeline::span_us`),
 //! which is deterministic, so a run reproduces the committed JSON byte for
 //! byte. Detections are bit-identical in every cell (asserted by the
-//! `fusion_identity` and `autotune_identity` tests of fd-detector).
+//! identity lattice, `tests/lattice`).
 //!
 //! * **Fusion** (scale+filter+scan+transpose and scan+transpose as single
 //!   launches, 2 per level instead of 6) pays fewer launch overheads and

@@ -30,7 +30,7 @@ pub struct DetectorConfig {
     /// Collect per-stage/per-scale rejection histograms (Fig. 7).
     pub collect_rejection_stats: bool,
     /// Host worker threads for the simulator's functional phase. `None`
-    /// defers to `FD_SIM_THREADS` or the machine's core count; `Some(1)`
+    /// defers to the process's available parallelism; `Some(1)`
     /// runs the launches in issue order on the host thread (the reference
     /// schedule). Results are identical either way.
     pub host_threads: Option<usize>,

@@ -648,14 +648,21 @@ mod tests {
             let mut p = pipeline();
             p.stages_mut().autotune = autotune;
             p.stages_mut().fusion = fusion;
-            let (outputs, _) = p.run_frame(&frame).unwrap();
-            (outputs, p.stages().shapes.len())
+            let (outputs, t) = p.run_frame(&frame).unwrap();
+            // Each launch's geometry: block count and residency.
+            let shapes: Vec<_> =
+                t.events.iter().map(|e| (e.blocks, e.occupancy.resident_warps)).collect();
+            (outputs, p.stages().shapes.len(), shapes)
         };
-        let (base, n_off) = run(false, false);
+        let (base, n_off, fixed) = run(false, false);
         assert_eq!(n_off, 0, "autotune off must not touch the shape cache");
         for fusion in [false, true] {
-            let (tuned, n_on) = run(true, fusion);
+            let (tuned, n_on, shapes) = run(true, fusion);
             assert!(n_on > 0, "autotune must resolve at least one class");
+            if !fusion {
+                assert_eq!(shapes.len(), fixed.len(), "same launch count either way");
+                assert_ne!(shapes, fixed, "autotune must re-tile at least one launch");
+            }
             for (a, b) in base.iter().zip(&tuned) {
                 assert_eq!(a.depth, b.depth, "level {}", a.level);
                 assert_eq!(

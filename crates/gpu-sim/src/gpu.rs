@@ -140,7 +140,7 @@ pub struct Gpu {
     textures: Vec<Texture2D>,
     mode: ExecMode,
     /// Host worker threads for the functional phase; `None` defers to
-    /// `FD_SIM_THREADS` / host parallelism (see [`crate::pool`]).
+    /// host parallelism (see [`crate::pool`]).
     host_threads: Option<usize>,
     next_stream: u32,
     next_event: u32,
@@ -479,14 +479,14 @@ impl Gpu {
     }
 
     /// Pin the functional phase to `threads` host workers (builder form).
-    /// `1` selects the serial reference schedule; overrides `FD_SIM_THREADS`.
+    /// `1` selects the serial reference schedule.
     pub fn with_host_threads(mut self, threads: usize) -> Self {
         self.set_host_threads(Some(threads));
         self
     }
 
     /// Set or clear the host-thread override for the functional phase.
-    /// `None` defers to `FD_SIM_THREADS`, then to host parallelism.
+    /// `None` defers to host parallelism.
     /// Flushes queued launches first so every span in a drain is
     /// attributed to one thread-count regime.
     pub fn set_host_threads(&mut self, threads: Option<usize>) {

@@ -39,8 +39,9 @@
 //!    block-chunks of *independent* launches across host threads — the
 //!    host-side analogue of the SM backfilling the timing model
 //!    reproduces. Results are bit-exact and independent of the thread
-//!    count and the timing mode; one host thread (`FD_SIM_THREADS=1`)
-//!    runs the launches in issue order and is the reference schedule.
+//!    count and the timing mode; one host thread
+//!    ([`Gpu::set_host_threads`]`(Some(1))`) runs the launches in issue
+//!    order and is the reference schedule.
 //! 2. **Timing phase** — each launch yields per-block cycle costs. At
 //!    synchronization points a discrete-event scheduler places blocks onto
 //!    SMs subject to residency limits and stream ordering, producing kernel

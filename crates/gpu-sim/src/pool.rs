@@ -23,10 +23,9 @@
 //! runs the launches in issue order on the host thread.
 //!
 //! Thread count resolution: explicit override
-//! ([`crate::Gpu::set_host_threads`]) → the `FD_SIM_THREADS` environment
-//! variable → `std::thread::available_parallelism()`. Queues below
-//! [`PARALLEL_MIN_WORK`] run serially regardless, as hand-off overhead
-//! would dominate.
+//! ([`crate::Gpu::set_host_threads`]) → `std::thread::available_parallelism()`.
+//! Queues below [`PARALLEL_MIN_WORK`] run serially regardless, as hand-off
+//! overhead would dominate.
 //!
 //! The host thread is worker 0 of every drain. In [`WorkerPool::drain`]
 //! that is all it does; in [`WorkerPool::drain_pulling`] it runs the
@@ -66,8 +65,9 @@ const PARALLEL_MIN_WORK: u64 = 16_384;
 /// largest realistic grids, large enough to amortize the atomic claim.
 const MAX_CHUNK_BLOCKS: usize = 1024;
 
-/// Environment variable selecting the host thread count (`1` forces the
-/// serial reference schedule).
+/// No longer read: the host thread count is `DetectorConfig::host_threads`
+/// / [`crate::Gpu::set_host_threads`]. Kept because the repo benchmark
+/// refuses to run with it set.
 pub const THREADS_ENV_VAR: &str = "FD_SIM_THREADS";
 
 /// No longer read; kept because the repo benchmark refuses to run with it
@@ -75,19 +75,16 @@ pub const THREADS_ENV_VAR: &str = "FD_SIM_THREADS";
 pub const HOST_EXEC_ENV_VAR: &str = "FD_SIM_HOST_EXEC";
 
 /// Resolve the effective host thread count for the functional phase.
-/// Without an override the answer is fixed once per process (`OnceLock`):
-/// the resolver runs on every drain, `std::env::var` takes a process lock,
-/// and `available_parallelism` re-reads the cgroup quota on every call.
+/// Without an override it is the process's available parallelism (which
+/// honours the affinity mask: `taskset -c 0` runs one thread), fixed once
+/// per process (`OnceLock`): the resolver runs on every drain, and
+/// `available_parallelism` re-reads the cgroup quota on every call.
 pub(crate) fn resolve_host_threads(override_threads: Option<usize>) -> usize {
     static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
     override_threads
         .unwrap_or_else(|| {
-            *DEFAULT_THREADS.get_or_init(|| {
-                std::env::var(THREADS_ENV_VAR)
-                    .ok()
-                    .and_then(|v| v.trim().parse::<usize>().ok())
-                    .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            })
+            *DEFAULT_THREADS
+                .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         })
         .max(1)
 }

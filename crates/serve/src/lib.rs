@@ -46,7 +46,7 @@
 //!
 //! Everything runs on a virtual clock against the simulated GPU: a
 //! serving run is a pure function of its submissions and configuration,
-//! bit-identical across runs and across `FD_SIM_THREADS` settings.
+//! bit-identical across runs and at any `DetectorConfig::host_threads`.
 //!
 //! ```
 //! use fd_serve::{DetectionServer, Priority, ServeConfig};

@@ -45,20 +45,9 @@ if ! git diff --quiet -- benchmark/Cargo.lock; then
 fi
 
 gate "cargo test -q"
+# Host threads are a configuration axis: the identity lattice
+# (tests/lattice) runs 1, 2 and 4 of them in process.
 cargo test -q --offline --workspace
-
-gate "simulator test matrix across host thread counts"
-# Everything must be bit-identical whether the drain runs the launches in
-# issue order on the host thread and the timing simulation follows it (1,
-# the reference schedule) or the worker pool claims chunks in parallel
-# while the host thread simulates and helps (4; 2 is the benchmark host's
-# count, and the only one where the host thread alternates between
-# simulating and being half the drain): the simulator and both kernel
-# crates, whose launches the pool cuts into block ranges.
-for t in 1 2 4; do
-  echo "-- FD_SIM_THREADS=$t --"
-  FD_SIM_THREADS=$t cargo test -q --offline -p fd-gpu -p fd-detector -p fd-cnn
-done
 
 gate "bench equality (fusion_autotune, serve, fault_sweep, cnn_eval reproduce results/BENCH_*.json byte for byte)"
 # Each bench has one configuration, the committed JSON, and reports only
@@ -80,9 +69,6 @@ for bench in fusion_autotune serve fault_sweep cnn_eval; do
     exit 1
   fi
 done
-
-gate "fault matrix (every fault kind x pipeline stage)"
-cargo test -q --offline -p fd-detector --test fault_matrix
 
 gate "repo benchmark (virtual clock, shares, counts and det_digest equal to benchmark/baseline/seed1.jsonl)"
 # The virtual clock is deterministic per seed, so any DIFFERS row is a

@@ -10,6 +10,10 @@ use facedet::haar::{enumerate_features, EnumerationRule, FeatureKind, HaarFeatur
 use facedet::imgproc::scan::{integral_via_scan, scan_rows_inclusive, transpose};
 use facedet::imgproc::{GrayImage, IntegralImage};
 
+mod lattice;
+
+use lattice::Front;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -175,74 +179,35 @@ proptest! {
         let buf = gpu.mem.upload(&data);
         prop_assert_eq!(gpu.mem.download(buf), data);
     }
+}
+
+/// The identity lattice's thread axis over every device configuration:
+/// `detect` at 2 and 4 host threads, one batch of every frame and the
+/// stream at 4, each against its one-thread cell.
+fn thread_axis(seed: u64) {
+    let mut hosts = lattice::cells(&[Front::Detect], &[2, 4], &[None]);
+    hosts.extend(lattice::cells(&[Front::Batch, Front::Stream], &[4], &[None]));
+    lattice::slice(seed, &lattice::devices(), &hosts);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// The parallel functional phase is bit-identical to the sequential
-    /// one: for random frames and cascades, a multi-threaded run produces
-    /// the same per-level outputs, the same timeline and the same
-    /// profiler counters (including branch efficiency) as one host
-    /// thread.
+    /// one: detections, latency bits, timelines, profiler and stream
+    /// statistics at 2 and 4 host threads are one thread's, for both
+    /// backends at every execution mode, fusion and autotune setting.
     #[test]
-    fn parallel_functional_phase_is_deterministic(
-        w in 48usize..144,
-        h in 48usize..144,
-        stages in 1usize..4,
-        thr in 2_000i32..20_000,
-        seed in any::<u32>(),
-        threads in 2usize..8,
-    ) {
-        use facedet::detector::FramePipeline;
-        use facedet::haar::{Cascade, Stage as CStage, Stump as CStump};
-
-        let f = HaarFeature::from_params(FeatureKind::EdgeH, 6, 4, 6, 8);
-        let mut cascade = Cascade::new("prop", 24);
-        for s in 0..stages {
-            cascade.stages.push(CStage {
-                stumps: vec![CStump {
-                    feature: f,
-                    threshold: thr + s as i32 * 512,
-                    left: -1.0,
-                    right: 1.0,
-                }],
-                threshold: 0.5,
-            });
-        }
-        let frame = GrayImage::from_fn(w, h, |x, y| {
-            (((x as u32 * 31 + y as u32 * 17).wrapping_mul(seed | 1)) >> 24) as f32
-        });
-
-        let run = |host_threads: usize| {
-            let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
-            gpu.set_host_threads(Some(host_threads));
-            let mut p = FramePipeline::new(gpu, &cascade, 1.25);
-            let (outputs, timeline) = p.run_frame(&frame).expect("run_frame");
-            let counters = p.gpu.profiler().kernels().clone();
-            let eff = p.gpu.profiler().branch_efficiency();
-            (outputs, timeline, counters, eff)
-        };
-        let (seq_out, seq_tl, seq_prof, seq_eff) = run(1);
-        let (par_out, par_tl, par_prof, par_eff) = run(threads);
-
-        prop_assert_eq!(seq_out.len(), par_out.len());
-        for (a, b) in seq_out.iter().zip(&par_out) {
-            prop_assert_eq!(&a.depth, &b.depth);
-            prop_assert_eq!(&a.hits, &b.hits);
-            let score_bits =
-                |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(score_bits(&a.score), score_bits(&b.score));
-        }
-        prop_assert_eq!(seq_tl.span_us().to_bits(), par_tl.span_us().to_bits());
-        prop_assert_eq!(seq_tl.events.len(), par_tl.events.len());
-        for (a, b) in seq_tl.events.iter().zip(&par_tl.events) {
-            prop_assert_eq!(a.t_start_us.to_bits(), b.t_start_us.to_bits());
-            prop_assert_eq!(a.t_end_us.to_bits(), b.t_end_us.to_bits());
-            prop_assert_eq!(&a.counters, &b.counters);
-        }
-        for (name, sp) in &seq_prof {
-            let pp = &par_prof[name];
-            prop_assert_eq!(sp.blocks, pp.blocks);
-            prop_assert_eq!(&sp.counters, &pp.counters);
-            prop_assert_eq!(sp.total_time_us.to_bits(), pp.total_time_us.to_bits());
-        }
-        prop_assert_eq!(seq_eff.to_bits(), par_eff.to_bits());
+    fn parallel_functional_phase_is_deterministic(seed in any::<u64>()) {
+        thread_axis(seed);
     }
+}
+
+/// The thread axis notices a band that stops one column short of the
+/// image's right edge. The switch is thread-local: the blocks the calling
+/// thread runs are mutated, the pool workers' are not.
+#[test]
+#[should_panic(expected = "lattice cell")]
+fn lattice_catches_a_band_edge_mutation() {
+    facedet::gpu::with_band_mutation(facedet::gpu::BandMutation::BandEdge, || thread_axis(0));
 }
