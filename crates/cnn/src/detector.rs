@@ -17,7 +17,7 @@ use fd_detector::group::Detection;
 use fd_detector::{
     stage_constants, Backend, DetectorError, LevelGeom, LevelLaunch, PyramidDetector, StageList,
 };
-use fd_gpu::{ConstPtr, DeviceMemory, Gpu, LaunchError, Readback};
+use fd_gpu::{BufSource, ConstPtr, DeviceMemory, Gpu, LaunchError, Readback};
 use fd_imgproc::Rect;
 
 use crate::kernels::{level_chain, window_grid, ChainKernel, LevelDeviceBufs, ModelTensors};
@@ -89,43 +89,23 @@ impl StageList for CnnStages {
         WINDOW
     }
 
-    fn level_bytes(w: usize, h: usize) -> usize {
-        let (p1, p2) = ((w / 2) * (h / 2), (w / 4) * (h / 4));
-        let (nx, ny) = window_grid(w, h);
-        4 * (w * h + C1 * w * h + C1 * p1 + C2 * p1 + C2 * p2 + 6 * nx * ny)
-    }
-
-    fn alloc_level(mem: &mut DeviceMemory, w: usize, h: usize) -> LevelDeviceBufs {
+    fn level_bufs(src: &mut impl BufSource, w: usize, h: usize) -> LevelDeviceBufs {
         let (p1w, p1h) = (w / 2, h / 2);
         let (p2w, p2h) = (p1w / 2, p1h / 2);
         let (nx, ny) = window_grid(w, h);
         LevelDeviceBufs {
-            scaled: mem.alloc::<f32>(w * h),
-            conv1: mem.alloc::<i32>(C1 * w * h),
-            pooled1: mem.alloc::<i32>(C1 * p1w * p1h),
-            conv2: mem.alloc::<i32>(C2 * p1w * p1h),
-            pooled2: mem.alloc::<i32>(C2 * p2w * p2h),
-            depth_a: mem.alloc::<u32>(nx * ny),
-            score_a: mem.alloc::<i32>(nx * ny),
-            depth_b: mem.alloc::<u32>(nx * ny),
-            score_b: mem.alloc::<i32>(nx * ny),
-            depth: mem.alloc::<u32>(nx * ny),
-            score: mem.alloc::<i32>(nx * ny),
+            scaled: src.buf(w * h),
+            conv1: src.buf(C1 * w * h),
+            pooled1: src.buf(C1 * p1w * p1h),
+            conv2: src.buf(C2 * p1w * p1h),
+            pooled2: src.buf(C2 * p2w * p2h),
+            depth_a: src.buf(nx * ny),
+            score_a: src.buf(nx * ny),
+            depth_b: src.buf(nx * ny),
+            score_b: src.buf(nx * ny),
+            depth: src.buf(nx * ny),
+            score: src.buf(nx * ny),
         }
-    }
-
-    fn free_level(mem: &mut DeviceMemory, bufs: LevelDeviceBufs) {
-        mem.free(bufs.scaled);
-        mem.free(bufs.conv1);
-        mem.free(bufs.pooled1);
-        mem.free(bufs.conv2);
-        mem.free(bufs.pooled2);
-        mem.free(bufs.depth_a);
-        mem.free(bufs.score_a);
-        mem.free(bufs.depth_b);
-        mem.free(bufs.score_b);
-        mem.free(bufs.depth);
-        mem.free(bufs.score);
     }
 
     fn launch_level(

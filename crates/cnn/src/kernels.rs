@@ -1046,7 +1046,7 @@ mod tests {
     fn run_chain(model: &CnnModel, luma: &[f32], w: usize, h: usize) -> (Vec<u32>, Vec<i32>) {
         let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
         let cp = gpu.const_upload(&model.encode());
-        let mut bufs = CnnStages::alloc_level(&mut gpu.mem, w, h);
+        let mut bufs = CnnStages::level_bufs(&mut gpu.mem, w, h);
         bufs.scaled = gpu.mem.upload(luma);
         let tensors = ModelTensors::from_model(model);
         for k in level_chain(&tensors, &bufs, w, h, cp) {
@@ -1146,7 +1146,7 @@ mod tests {
             .collect();
         let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
         let cp = gpu.const_upload(&model.encode());
-        let mut bufs = CnnStages::alloc_level(&mut gpu.mem, w, h);
+        let mut bufs = CnnStages::level_bufs(&mut gpu.mem, w, h);
         bufs.scaled = gpu.mem.upload(&luma);
         let tensors = ModelTensors::from_model(&model);
         for k in level_chain(&tensors, &bufs, w, h, cp) {

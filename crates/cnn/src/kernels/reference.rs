@@ -470,7 +470,7 @@ fn chain_sweep(cases: usize) {
             let levels: Vec<_> = lumas
                 .iter()
                 .map(|luma| {
-                    let b = CnnStages::alloc_level(&mut gpu.mem, w, h);
+                    let b = CnnStages::level_bufs(&mut gpu.mem, w, h);
                     gpu.mem.upload_into(b.scaled, luma);
                     for buf in [b.conv1, b.pooled1, b.conv2, b.pooled2, b.score_a, b.score_b, b.score] {
                         poison(&gpu, buf, POISON as i32);

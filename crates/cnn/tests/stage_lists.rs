@@ -13,7 +13,7 @@ use fd_detector::{DetectorError, HaarStages, Pipeline, StageList};
 use fd_gpu::{DeviceSpec, ExecMode, Gpu, Timeline};
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 use fd_imgproc::synth::FaceParams;
-use fd_imgproc::GrayImage;
+use fd_imgproc::{GrayImage, Rect};
 
 /// A stage list under test: its model and frames it detects something in.
 trait Subject: StageList {
@@ -131,6 +131,52 @@ fn steady_state_is_allocation_free_and_release_returns_everything<S: Subject>() 
     assert_eq!(first, again);
 }
 
+/// Submit `frames` as one batch under `plan`; every slot's fingerprint.
+fn run_plan<S: StageList>(
+    p: &mut Pipeline<S>,
+    frames: &[&GrayImage],
+    plan: &[(usize, usize)],
+) -> Vec<Fingerprint> {
+    p.submit_batch_with_plan(frames, plan).unwrap();
+    (0..frames.len()).map(|slot| fingerprint(p, slot)).collect()
+}
+
+fn mixed_geometries_share_one_pool_grown_to_the_largest<S: Subject>() {
+    let large: Vec<GrayImage> = (0..2).map(S::frame).collect();
+    let small: Vec<GrayImage> = large.iter().map(|f| f.crop(Rect::new(8, 6, 64, 48))).collect();
+    let (large, small): (Vec<&GrayImage>, Vec<&GrayImage>) =
+        (large.iter().collect(), small.iter().collect());
+    let mut p = pipeline::<S>(ExecMode::Concurrent);
+    let (large_plan, small_plan) = (p.plan_for(large[0]).unwrap(), p.plan_for(small[0]).unwrap());
+    // Small first, so the large frames grow the pool; then back, and a
+    // shed prefix of the large plan.
+    let cycle = [
+        (&small, &small_plan[..]),
+        (&large, &large_plan[..]),
+        (&small, &small_plan[..]),
+        (&large, &large_plan[..2]),
+    ];
+    let fresh: Vec<Vec<Fingerprint>> = cycle
+        .iter()
+        .map(|(frames, plan)| run_plan(&mut pipeline::<S>(ExecMode::Concurrent), frames, plan))
+        .collect();
+    assert!(fresh[1].iter().all(|f| !f.0.is_empty()), "the large frames must fire windows");
+    let largest = 2 * p.projected_pool_bytes(large[0].width(), large[0].height()).unwrap();
+    let mut allocs = None;
+    for pass in 0..3 {
+        for ((frames, plan), want) in cycle.iter().zip(&fresh) {
+            assert_eq!(&run_plan(&mut p, frames, plan), want, "pass {pass}, plan {plan:?}");
+            if pass > 0 {
+                assert_eq!(Some(p.gpu.mem.alloc_count()), allocs, "pass {pass}: no allocation");
+            }
+        }
+        allocs = Some(p.gpu.mem.alloc_count());
+        assert_eq!(p.gpu.mem.live_bytes(), largest, "the largest geometry's pool");
+        assert_eq!(p.pooled_bytes(), largest);
+        assert_eq!(p.gpu.mem.peak_bytes(), largest, "growth frees before it allocates");
+    }
+}
+
 fn batch_matches_per_frame_runs<S: Subject>() {
     let frames: Vec<GrayImage> = (0..3).map(S::frame).collect();
     let mut p = pipeline::<S>(ExecMode::Concurrent);
@@ -204,6 +250,7 @@ macro_rules! for_each_stage_list {
 for_each_stage_list!(
     serial_and_concurrent_agree_functionally,
     steady_state_is_allocation_free_and_release_returns_everything,
+    mixed_geometries_share_one_pool_grown_to_the_largest,
     batch_matches_per_frame_runs,
     projection_matches_pooled_bytes,
     rejects_mixed_geometry_empty_batches_and_empty_plans,

@@ -139,12 +139,105 @@ impl Cluster {
     }
 }
 
+/// `S_eyes` of every pair of clusters, stored once per unordered pair.
+struct PairTable {
+    n: usize,
+    s: Vec<f64>,
+}
+
+impl PairTable {
+    fn idx(&self, a: usize, b: usize) -> usize {
+        let (a, b) = (a.min(b), a.max(b));
+        a * (2 * self.n - a - 1) / 2 + b - a - 1
+    }
+
+    fn get(&self, a: usize, b: usize) -> f64 {
+        self.s[self.idx(a, b)]
+    }
+
+    fn set(&mut self, a: usize, b: usize, v: f64) {
+        let i = self.idx(a, b);
+        self.s[i] = v;
+    }
+}
+
+/// The exact phase: merge the most-overlapping pair of clusters — the
+/// smallest `S_eyes` below `threshold`, the first in `(i, j)` order among
+/// equals — until no pair overlaps. Each pair's `S_eyes` is computed once,
+/// and again only after a merge changes one of its clusters (quadratic
+/// overall); each row keeps its best partner to the right, so picking a
+/// pair is linear and a merge rescans only the rows whose best partner it
+/// changed. The merges are those of the full rescan, in the same order.
+fn merge_exact(clusters: &mut Vec<Cluster>, threshold: f64) {
+    let mut means: Vec<Detection> = clusters.iter().map(Cluster::mean).collect();
+    let mut n = clusters.len();
+    let mut pairs = PairTable { n, s: vec![0.0; n * n.saturating_sub(1) / 2] };
+    for a in 0..n {
+        for b in a + 1..n {
+            pairs.set(a, b, s_eyes(&means[a], &means[b]));
+        }
+    }
+    let row_best = |pairs: &PairTable, k: usize, n: usize| {
+        let mut best: Option<(usize, f64)> = None;
+        for c in k + 1..n {
+            let s = pairs.get(k, c);
+            if s < threshold && best.is_none_or(|(_, bs)| s < bs) {
+                best = Some((c, s));
+            }
+        }
+        best
+    };
+    let mut best: Vec<Option<(usize, f64)>> = (0..n).map(|k| row_best(&pairs, k, n)).collect();
+    loop {
+        let mut pick: Option<(usize, usize, f64)> = None;
+        for (k, row) in best[..n].iter().enumerate() {
+            if let Some((c, s)) = *row {
+                if pick.is_none_or(|(_, _, ps)| s < ps) {
+                    pick = Some((k, c, s));
+                }
+            }
+        }
+        let Some((i, j, _)) = pick else { break };
+        let other = clusters.swap_remove(j);
+        clusters[i].absorb(&other);
+        means.swap_remove(j);
+        means[i] = clusters[i].mean();
+        let last = n - 1;
+        // The last cluster moved to `j`: its pairs move with it.
+        if j != last {
+            for c in (0..last).filter(|&c| c != j) {
+                pairs.set(j, c, pairs.get(last, c));
+            }
+        }
+        n = last;
+        for c in (0..n).filter(|&c| c != i) {
+            let (a, b) = (i.min(c), i.max(c));
+            pairs.set(a, b, s_eyes(&means[a], &means[b]));
+        }
+        // A row whose best partner changed or moved is rescanned; any
+        // other row only has new values in columns `i` and `j`.
+        for (k, row) in best[..n].iter_mut().enumerate() {
+            let moved = |c: usize| c == i || c == j || c == last;
+            if k == i || k == j || row.is_some_and(|(c, _)| moved(c)) {
+                *row = row_best(&pairs, k, n);
+                continue;
+            }
+            for c in [i, j].into_iter().filter(|&c| c > k && c < n) {
+                let s = pairs.get(k, c);
+                if s < threshold && row.is_none_or(|(bc, bs)| s < bs || (s == bs && c < bc)) {
+                    *row = Some((c, s));
+                }
+            }
+        }
+    }
+}
+
 /// Group raw detections by iteratively averaging the most-overlapping
 /// pairs (S_eyes < `overlap_threshold`, paper uses 0.5), then drop groups
 /// with fewer than `min_neighbors` members.
 ///
-/// The exact best-pair iteration is cubic in the number of clusters, so
-/// large raw sets (possible with heavily truncated cascades) first go
+/// The exact best-pair iteration is quadratic in the number of clusters,
+/// so large raw sets (possible with heavily truncated cascades) first go
 /// through a linear greedy pass that folds each detection into the first
 /// cluster whose running mean it overlaps; the paper's iterative
 /// averaging then runs over the resulting cluster means.
@@ -152,6 +245,16 @@ pub fn group_detections(
     detections: &[Detection],
     overlap_threshold: f64,
     min_neighbors: usize,
+) -> Vec<GroupedDetection> {
+    group_with(detections, overlap_threshold, min_neighbors, merge_exact)
+}
+
+/// [`group_detections`] with its exact phase, `exact`, as a parameter.
+fn group_with(
+    detections: &[Detection],
+    overlap_threshold: f64,
+    min_neighbors: usize,
+    exact: fn(&mut Vec<Cluster>, f64),
 ) -> Vec<GroupedDetection> {
     // Greedy pre-clustering keeps the exact phase tractable.
     const EXACT_LIMIT: usize = 192;
@@ -171,10 +274,10 @@ pub fn group_detections(
         detections.iter().map(Cluster::from_detection).collect()
     };
 
-    // Exact phase: repeatedly merge the most-overlapping pair. Cubic in
-    // the cluster count, so when pre-clustering still leaves a very large
-    // set (degenerate cascades that accept almost everything), fall back
-    // to greedy cluster-into-cluster folding first.
+    // Exact phase: repeatedly merge the most-overlapping pair. Quadratic
+    // in the cluster count, so when pre-clustering still leaves a very
+    // large set (degenerate cascades that accept almost everything), fall
+    // back to greedy cluster-into-cluster folding first.
     if clusters.len() > EXACT_LIMIT {
         let mut folded: Vec<Cluster> = Vec::new();
         for c in clusters {
@@ -188,25 +291,9 @@ pub fn group_detections(
         }
         clusters = folded;
     }
-    loop {
-        if clusters.len() > 2 * EXACT_LIMIT {
-            break; // degenerate input: greedy result stands
-        }
-        // Find the pair with the smallest S_eyes below the threshold.
-        let mut best: Option<(usize, usize, f64)> = None;
-        for i in 0..clusters.len() {
-            let di = clusters[i].mean();
-            for (j, cj) in clusters.iter().enumerate().skip(i + 1) {
-                let s = s_eyes(&di, &cj.mean());
-                if s < overlap_threshold && best.is_none_or(|(_, _, bs)| s < bs) {
-                    best = Some((i, j, s));
-                }
-            }
-        }
-        let Some((i, j, _)) = best else { break };
-        let other = clusters.swap_remove(j);
-        clusters[i].absorb(&other);
-    }
+    if clusters.len() <= 2 * EXACT_LIMIT {
+        exact(&mut clusters, overlap_threshold);
+    } // else degenerate input: the greedy result stands
 
     let mut out: Vec<GroupedDetection> = clusters
         .into_iter()
@@ -230,6 +317,79 @@ pub fn group_detections(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The exact phase as it was before the pair table: every pair
+    /// rescanned, with fresh means, after each merge.
+    fn merge_exact_reference(clusters: &mut Vec<Cluster>, threshold: f64) {
+        loop {
+            let mut best: Option<(usize, usize, f64)> = None;
+            for i in 0..clusters.len() {
+                let di = clusters[i].mean();
+                for (j, cj) in clusters.iter().enumerate().skip(i + 1) {
+                    let s = s_eyes(&di, &cj.mean());
+                    if s < threshold && best.is_none_or(|(_, _, bs)| s < bs) {
+                        best = Some((i, j, s));
+                    }
+                }
+            }
+            let Some((i, j, _)) = best else { break };
+            let other = clusters.swap_remove(j);
+            clusters[i].absorb(&other);
+        }
+    }
+
+    /// A raw set of `n` windows from `seed`: origins on a grid of pitch
+    /// `pitch` (1 px gives near-duplicates, 64 px isolated windows), a
+    /// few sizes and scores, so equal `S_eyes` values and equal pairs are
+    /// common.
+    fn raw_set(n: usize, pitch: i32, seed: u64) -> Vec<Detection> {
+        let mut x = seed | 1;
+        let mut next = move |m: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        };
+        (0..n)
+            .map(|_| {
+                let (gx, gy) = (next(24) as i32 * pitch, next(16) as i32 * pitch);
+                let size = [24, 30, 48][next(3) as usize];
+                det(gx, gy, size, next(5) as f32)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The pair table merges the same pairs in the same order as the
+        /// rescan: the exact phase on raw sets up to the 384-cluster
+        /// limit, and whole groupings around the 192 / 384 limits, where
+        /// the greedy pre-pass and the fold run first.
+        #[test]
+        fn pair_table_merges_like_the_full_rescan(
+            band in 0usize..4,
+            offset in 0usize..200,
+            pitch in 0usize..4,
+            seed in any::<u64>(),
+            min_neighbors in 1usize..3,
+        ) {
+            // Below the pre-pass, around the 192 limit, around 384, far
+            // past both.
+            let n = [offset % 48, 186 + offset % 14, 378 + offset % 14, 700 + offset][band];
+            let raw = raw_set(n, [1, 3, 9, 64][pitch], seed);
+            if n <= 384 {
+                let fold = |exact: fn(&mut Vec<Cluster>, f64)| {
+                    let mut c: Vec<Cluster> = raw.iter().map(Cluster::from_detection).collect();
+                    exact(&mut c, 0.5);
+                    c.iter().map(|c| (c.sx, c.sy, c.sw, c.sh, c.n, c.score)).collect::<Vec<_>>()
+                };
+                prop_assert_eq!(fold(merge_exact), fold(merge_exact_reference));
+            }
+            prop_assert_eq!(
+                group_with(&raw, 0.5, min_neighbors, merge_exact),
+                group_with(&raw, 0.5, min_neighbors, merge_exact_reference)
+            );
+        }
+    }
 
     fn det(x: i32, y: i32, s: u32, score: f32) -> Detection {
         Detection { rect: Rect::new(x, y, s, s, ), score, scale: 0 }

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use fd_gpu::{
-    BatchedKernel, ConstPtr, DevBuf, DeviceMemory, FusedChain, GeomClass, Gpu, Kernel,
+    BatchedKernel, BufSource, ConstPtr, DevBuf, DeviceMemory, FusedChain, GeomClass, Gpu, Kernel,
     LaunchConfig, LaunchError, Readback, ShapeCache, Timeline,
 };
 use fd_haar::encode::{encode_cascade, quantize_cascade};
@@ -276,33 +276,18 @@ impl StageList for HaarStages {
     }
 
     /// Eight `w * h` buffers of 4-byte elements.
-    fn level_bytes(w: usize, h: usize) -> usize {
-        8 * 4 * w * h
-    }
-
-    fn alloc_level(mem: &mut DeviceMemory, w: usize, h: usize) -> LevelBufs {
+    fn level_bufs(src: &mut impl BufSource, w: usize, h: usize) -> LevelBufs {
         let n = w * h;
         LevelBufs {
-            scaled: mem.alloc::<f32>(n),
-            filtered: mem.alloc::<f32>(n),
-            buf_a: mem.alloc::<u32>(n),
-            buf_b: mem.alloc::<u32>(n),
-            integral: mem.alloc::<u32>(n),
-            depth: mem.alloc::<u32>(n),
-            score: mem.alloc::<f32>(n),
-            hits: mem.alloc::<u32>(n),
+            scaled: src.buf(n),
+            filtered: src.buf(n),
+            buf_a: src.buf(n),
+            buf_b: src.buf(n),
+            integral: src.buf(n),
+            depth: src.buf(n),
+            score: src.buf(n),
+            hits: src.buf(n),
         }
-    }
-
-    fn free_level(mem: &mut DeviceMemory, bufs: LevelBufs) {
-        mem.free(bufs.scaled);
-        mem.free(bufs.filtered);
-        mem.free(bufs.buf_a);
-        mem.free(bufs.buf_b);
-        mem.free(bufs.integral);
-        mem.free(bufs.depth);
-        mem.free(bufs.score);
-        mem.free(bufs.hits);
     }
 
     fn bind_plan(&mut self, plan: &[(usize, usize)]) {
@@ -677,29 +662,40 @@ mod tests {
     }
 
     #[test]
-    fn pool_rebuilds_on_frame_geometry_change() {
+    fn pool_grows_to_the_largest_geometry_and_switches_without_allocating() {
+        let (small, large) = (GrayImage::from_fn(64, 48, |x, _| (x * 3) as f32), test_frame());
+        let fresh = |frame: &GrayImage| pipeline().run_frame(frame).unwrap().0;
+        let (want_small, want_large) = (fresh(&small), fresh(&large));
+        assert!(want_small.len() < want_large.len(), "the smaller frame has fewer levels");
+        let same = |got: &[ScaleOutput], want: &[ScaleOutput]| {
+            assert_eq!(got.len(), want.len());
+            for (x, y) in got.iter().zip(want) {
+                assert_eq!((x.width, x.height), (y.width, y.height));
+                assert_eq!(x.depth, y.depth, "level {}", x.level);
+                let bits =
+                    |o: &ScaleOutput| o.score.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(x), bits(y), "level {}", x.level);
+                assert_eq!(x.hits, y.hits, "level {}", x.level);
+            }
+        };
+
+        // The small frame first: the large one then grows the pool once.
         let mut p = pipeline();
-        let (a, _) = p.run_frame(&test_frame()).unwrap();
-        let pool_96x72 = p.pooled_bytes();
+        same(&p.run_frame(&small).unwrap().0, &want_small);
+        same(&p.run_frame(&large).unwrap().0, &want_large);
         let allocs = p.gpu.mem.alloc_count();
+        let largest = p.projected_pool_bytes(96, 72).unwrap();
+        assert_eq!(p.pooled_bytes(), largest, "the pool holds the largest geometry's buffers");
+        assert_eq!(p.gpu.mem.peak_bytes(), largest, "growth frees before it allocates");
 
-        // A differently sized frame frees the old pool and builds a new one.
-        let small = GrayImage::from_fn(64, 48, |x, _| (x * 3) as f32);
-        let (b, _) = p.run_frame(&small).unwrap();
-        assert!(p.gpu.mem.alloc_count() > allocs, "geometry change reallocates");
-        assert_eq!(p.gpu.mem.live_bytes(), p.pooled_bytes(), "old pool was freed");
-        assert!(p.pooled_bytes() < pool_96x72);
-        assert!(b.len() < a.len(), "smaller frame has fewer levels");
-
-        // Returning to the original geometry rebuilds and still matches the
-        // first run's results exactly.
-        let (c, _) = p.run_frame(&test_frame()).unwrap();
-        assert_eq!(a.len(), c.len());
-        for (x, y) in a.iter().zip(&c) {
-            assert_eq!(x.depth, y.depth);
-            assert_eq!(x.score, y.score);
-            assert_eq!(x.hits, y.hits);
+        // Switching back and forth rebinds views and allocates nothing;
+        // no level reads an element past its view.
+        for _ in 0..2 {
+            same(&p.run_frame(&small).unwrap().0, &want_small);
+            same(&p.run_frame(&large).unwrap().0, &want_large);
         }
+        assert_eq!(p.gpu.mem.alloc_count(), allocs, "a geometry switch allocates nothing");
+        assert_eq!(p.gpu.mem.live_bytes(), largest);
     }
 
     #[test]

@@ -139,8 +139,12 @@ impl Kernel for ScanRowsKernel {
             ScanInput::U32(src) => {
                 let src = ctx.mem.read(src);
                 for (dst, src) in out.chunks_exact_mut(w).zip(src[rows.start * w..].chunks_exact(w)) {
-                    dst.copy_from_slice(src);
-                    prefix_sum(dst);
+                    // Copy and scan in one pass.
+                    let mut acc = 0u32;
+                    for (d, &s) in dst.iter_mut().zip(src) {
+                        acc = acc.wrapping_add(s);
+                        *d = acc;
+                    }
                 }
             }
         }

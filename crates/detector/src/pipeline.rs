@@ -20,20 +20,28 @@
 //!
 //! # Frame-persistent buffer pool
 //!
-//! Device buffers and streams are pooled across frames, keyed by the
-//! pyramid plan: the first frame of a given geometry allocates one set of
-//! per-level buffers, and every following frame of the same geometry
-//! reuses them without touching the allocator (every kernel in a stage
-//! list fully overwrites its outputs, so no clearing is needed either).
-//! This mirrors how a production video detector holds its workspaces for
-//! the stream's lifetime — `cudaMalloc`/`cudaFree` per frame would
-//! serialize against the device. A frame-size change frees the old pool
-//! and builds a new one; [`Pipeline::release_pool`] returns the memory
-//! explicitly. Steady-state frames perform **zero** device allocations
-//! (asserted via [`fd_gpu::DeviceMemory::alloc_count`] in tests).
+//! One pool per pipeline holds the device buffers, streams and frame
+//! textures across frames. Each request slot's buffers are a
+//! [`fd_gpu::Workspace`]: every buffer holds the most elements its
+//! position in the stage list's level layout has needed so far, and a
+//! submission works on exact-length prefix views of them
+//! ([`fd_gpu::DevBuf::prefix`]). A switch of frame geometry or pyramid
+//! plan (a shed prefix) only rebinds the views and the stages'
+//! plan-bound state; the pool grows — freeing a buffer before allocating
+//! its larger successor — only for a larger geometry or batch than any
+//! before, so it settles at the largest geometry's size. This mirrors
+//! how a production video detector holds its workspaces for the stream's
+//! lifetime: `cudaMalloc`/`cudaFree` per frame would serialize against
+//! the device. Every kernel in a stage list fully overwrites its outputs,
+//! so stale elements are never read and no clearing is needed.
+//! [`Pipeline::release_pool`] returns the memory explicitly. Steady-state
+//! serving, of one geometry or a mix, performs **zero** device
+//! allocations (asserted via [`fd_gpu::DeviceMemory::alloc_count`] in
+//! tests).
 
 use fd_gpu::{
-    ConstPtr, DevBuf, DeviceMemory, Gpu, LaunchError, StreamId, TexId, Texture2D, Timeline,
+    BufSource, ByteTally, ConstPtr, DevBuf, DeviceMemory, Gpu, LaunchError, StreamId, TexId,
+    Texture2D, Timeline, Workspace,
 };
 use fd_imgproc::{GrayImage, Pyramid};
 
@@ -67,17 +75,13 @@ pub trait StageList: Sized {
     /// before a level gets smaller.
     fn window(&self) -> usize;
 
-    /// Device bytes of one `w x h` level's workspaces.
-    fn level_bytes(w: usize, h: usize) -> usize;
-
-    /// Allocate one `w x h` level's workspaces.
-    fn alloc_level(mem: &mut DeviceMemory, w: usize, h: usize) -> Self::LevelBufs;
-
-    /// Free what [`Self::alloc_level`] allocated.
-    fn free_level(mem: &mut DeviceMemory, bufs: Self::LevelBufs);
+    /// One `w x h` level's workspaces, taken from `src` in a fixed
+    /// order: the pool reuses a buffer for the same position at every
+    /// geometry.
+    fn level_bufs(src: &mut impl BufSource, w: usize, h: usize) -> Self::LevelBufs;
 
     /// Rebuild what the stages derive from the pyramid plan; called each
-    /// time the pool is built for a new plan, before any launch on it.
+    /// time the pool switches to a plan, before any launch on it.
     fn bind_plan(&mut self, _plan: &[(usize, usize)]) {}
 
     /// Issue one level's launches, each batched across request slots,
@@ -168,75 +172,71 @@ impl<'a, B> LevelLaunch<'a, B> {
     }
 }
 
-/// The frame-persistent buffer pool (module docs): per-level streams and
-/// per-request-slot workspaces, valid for one frame geometry.
+/// The frame-persistent buffer pool (module docs): per-level streams,
+/// per-request-slot workspaces and frame textures, bound to one plan at
+/// a time.
 ///
-/// `slots[s][level]` holds the workspaces request-slot `s` uses at
-/// pyramid level `level`. Single-frame detection only ever touches slot
-/// 0; a batched submission of B frames occupies slots `0..B`, and the
-/// pool grows (and then keeps) as many slots as the largest batch seen,
-/// so steady-state serving is allocation-free just like steady-state
-/// video decoding.
+/// Single-frame detection only ever touches slot 0; a batched submission
+/// of B frames occupies slots `0..B`, and the pool grows (and then keeps)
+/// as many slots as the largest batch seen, so steady-state serving is
+/// allocation-free just like steady-state video decoding.
 struct FramePool<S: StageList> {
-    frame_dims: (usize, usize),
+    /// The plan `views` are bound to.
     plan: Vec<(usize, usize)>,
-    /// One stream per pyramid level, shared by every request slot (the
-    /// batched launch path fuses the slots of one level into one grid).
+    /// One stream per pyramid level of the deepest plan so far, shared
+    /// by every request slot (the batched launch path fuses the slots of
+    /// one level into one grid).
     streams: Vec<StreamId>,
     /// The frame texture of each request slot that has had one: bound
     /// once, refilled in place by every later submission.
     texs: Vec<TexId>,
-    slots: Vec<Vec<S::LevelBufs>>,
-    bytes: usize,
+    /// Every buffer each request slot holds, its levels' in plan order.
+    spaces: Vec<Workspace>,
+    /// `views[s][level]`: request slot `s`'s workspaces at `level` of
+    /// `plan`, prefix views into `spaces[s]`; the first slots only, as
+    /// many as a submission under `plan` has used.
+    views: Vec<Vec<S::LevelBufs>>,
 }
 
 impl<S: StageList> FramePool<S> {
+    fn new() -> Self {
+        Self {
+            plan: Vec::new(),
+            streams: Vec::new(),
+            texs: Vec::new(),
+            spaces: Vec::new(),
+            views: Vec::new(),
+        }
+    }
+
+    /// Bind the pool to a batch of `batch` frames under `plan`: a plan
+    /// switch (a new geometry or a shed prefix) rebinds `stages` and the
+    /// views, and a buffer or slot is only added or grown past its
+    /// largest use.
+    fn bind(&mut self, gpu: &mut Gpu, stages: &mut S, plan: &[(usize, usize)], batch: usize) {
+        if self.plan != plan {
+            stages.bind_plan(plan);
+            self.plan = plan.to_vec();
+            self.views.clear();
+        }
+        while self.streams.len() < plan.len() {
+            self.streams.push(gpu.create_stream());
+        }
+        if self.spaces.len() < batch {
+            self.spaces.resize_with(batch, Workspace::new);
+        }
+        for slot in self.views.len()..batch {
+            let mut src = self.spaces[slot].fill(&mut gpu.mem);
+            self.views.push(plan.iter().map(|&(w, h)| S::level_bufs(&mut src, w, h)).collect());
+        }
+    }
+
     fn free(self, gpu: &mut Gpu) {
         gpu.clear_textures();
-        for bufs in self.slots.into_iter().flatten() {
-            S::free_level(&mut gpu.mem, bufs);
+        for space in self.spaces {
+            space.free(&mut gpu.mem);
         }
     }
-}
-
-/// Device bytes of one request slot under `plan`.
-fn slot_bytes<S: StageList>(plan: &[(usize, usize)]) -> usize {
-    plan.iter().map(|&(w, h)| S::level_bytes(w, h)).sum()
-}
-
-/// The pool for a `frame`-sized batch of `batch` frames under `plan`:
-/// the one `held` if it was built for that geometry, a new one (the old
-/// one freed) otherwise; grown, never shrunk, to `batch` slots.
-fn ensure_pool<'p, S: StageList>(
-    held: &'p mut Option<FramePool<S>>,
-    gpu: &mut Gpu,
-    stages: &mut S,
-    frame: (usize, usize),
-    plan: &[(usize, usize)],
-    batch: usize,
-) -> &'p mut FramePool<S> {
-    let pool = match held.take() {
-        Some(pool) if pool.frame_dims == frame && pool.plan == plan => held.insert(pool),
-        stale => {
-            if let Some(stale) = stale {
-                stale.free(gpu);
-            }
-            stages.bind_plan(plan);
-            held.insert(FramePool {
-                frame_dims: frame,
-                plan: plan.to_vec(),
-                streams: plan.iter().map(|_| gpu.create_stream()).collect(),
-                texs: Vec::new(),
-                slots: Vec::new(),
-                bytes: 0,
-            })
-        }
-    };
-    while pool.slots.len() < batch {
-        pool.slots.push(plan.iter().map(|&(w, h)| S::alloc_level(&mut gpu.mem, w, h)).collect());
-        pool.bytes += slot_bytes::<S>(plan);
-    }
-    pool
 }
 
 /// One backend's [`StageList`] on one simulated device.
@@ -245,7 +245,7 @@ pub struct Pipeline<S: StageList> {
     pub gpu: Gpu,
     stages: S,
     scale_factor: f64,
-    pool: Option<FramePool<S>>,
+    pool: FramePool<S>,
 }
 
 impl<S: StageList> Pipeline<S> {
@@ -266,7 +266,7 @@ impl<S: StageList> Pipeline<S> {
             return Err(DetectorError::BadScaleFactor { scale_factor });
         }
         let stages = S::stage(&mut gpu, model)?;
-        Ok(Self { gpu, stages, scale_factor, pool: None })
+        Ok(Self { gpu, stages, scale_factor, pool: FramePool::new() })
     }
 
     /// The backend's stage list.
@@ -287,28 +287,31 @@ impl<S: StageList> Pipeline<S> {
     /// Device bytes held by the frame-persistent buffer pool (0 until the
     /// first frame, or after [`Self::release_pool`]).
     pub fn pooled_bytes(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.bytes)
+        self.pool.spaces.iter().map(Workspace::bytes).sum()
     }
 
-    /// Device bytes the buffer pool *would* hold for a `width x height`
-    /// frame, computed without allocating anything. Admission control
-    /// charges sessions against a memory budget with this projection
-    /// before committing device state.
+    /// Device bytes a fresh buffer pool would hold for one `width x
+    /// height` frame, computed without allocating anything. Admission
+    /// control charges sessions against a memory budget with this
+    /// projection before committing device state; a pool that has served
+    /// several geometries holds at most the sum of theirs.
     pub fn projected_pool_bytes(
         &self,
         width: usize,
         height: usize,
     ) -> Result<usize, DetectorError> {
-        Ok(slot_bytes::<S>(&self.plan(width, height)?))
+        let mut tally = ByteTally::default();
+        for (w, h) in self.plan(width, height)? {
+            S::level_bufs(&mut tally, w, h);
+        }
+        Ok(tally.0)
     }
 
     /// Free the frame-persistent buffer pool, returning its device
     /// memory and unbinding the frame textures. The next submission
     /// rebuilds it.
     pub fn release_pool(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.free(&mut self.gpu);
-        }
+        std::mem::replace(&mut self.pool, FramePool::new()).free(&mut self.gpu);
     }
 
     fn plan(&self, width: usize, height: usize) -> Result<Vec<(usize, usize)>, DetectorError> {
@@ -337,8 +340,8 @@ impl<S: StageList> Pipeline<S> {
     /// `i` — until the next submission overwrites them, and
     /// [`Self::readback`] reads them.
     ///
-    /// Steady-state batches (same geometry as the previous one) reuse the
-    /// pooled buffers and perform no device allocations. A failed launch
+    /// Batches of any geometry and plan the pool has grown to hold reuse
+    /// its buffers and perform no device allocations. A failed launch
     /// cancels the batch's queued work ([`Gpu::cancel_pending`]) so the
     /// device is clean for a retry; every kernel fully overwrites its
     /// outputs, so a retried batch is unaffected by the aborted one.
@@ -360,13 +363,13 @@ impl<S: StageList> Pipeline<S> {
             return Err(DetectorError::InvalidConfig { reason: "empty pyramid plan" });
         }
         let Self { gpu, stages, pool, .. } = self;
-        let pool = ensure_pool(pool, gpu, stages, (fw, fh), plan, frames.len());
+        pool.bind(gpu, stages, plan, frames.len());
 
         // Slot `i`'s texture is the `i`-th bound; its storage stays with
         // the pool and takes each new frame in place.
         for (slot, frame) in frames.iter().enumerate() {
             let upload = match pool.texs.get(slot) {
-                Some(&tex) => gpu.refill_texture(tex, frame.as_slice()),
+                Some(&tex) => gpu.refill_texture(tex, fw, fh, frame.as_slice()),
                 None => Texture2D::try_from_data(fw, fh, frame.as_slice().to_vec())
                     .map(|tex| pool.texs.push(gpu.bind_texture(tex))),
             };
@@ -384,7 +387,7 @@ impl<S: StageList> Pipeline<S> {
                 stream,
                 frame: (fw, fh),
                 texs: &pool.texs[..frames.len()],
-                slots: &pool.slots[..frames.len()],
+                slots: &pool.views[..frames.len()],
             };
             if let Err((kernel, source)) = stages.launch_level(gpu, &launch) {
                 // A launch failure aborts the whole batch: cancel
@@ -408,11 +411,11 @@ impl<S: StageList> Pipeline<S> {
     /// mask and a few scores copies nothing; while a view lives the
     /// pipeline cannot submit (`&self` borrow). Each map is one
     /// device-to-host copy as far as the fault plan is concerned,
-    /// corrupted exactly as an owned download would be. Empty when the
-    /// pool has no such slot.
+    /// corrupted exactly as an owned download would be. Empty for a slot
+    /// no submission under the current plan has used.
     pub fn readback(&self, slot: usize) -> Vec<S::View<'_>> {
-        let Some(pool) = &self.pool else { return Vec::new() };
-        let Some(bufs) = pool.slots.get(slot) else { return Vec::new() };
+        let pool = &self.pool;
+        let Some(bufs) = pool.views.get(slot) else { return Vec::new() };
         pool.plan
             .iter()
             .zip(bufs)

@@ -567,13 +567,19 @@ impl Gpu {
         TexId(self.textures.len() - 1)
     }
 
-    /// Replace the texels of a bound texture with `data` (same extent),
-    /// keeping its storage: the per-frame upload of a texture that stays
-    /// bound. Flushes queued launches first, like every host-side
-    /// mutation of texture state.
-    pub fn refill_texture(&mut self, tex: TexId, data: &[f32]) -> Result<(), MemoryError> {
+    /// Replace the texels of a bound texture with a `width x height`
+    /// image, keeping its storage ([`Texture2D::refill`]): the per-frame
+    /// upload of a texture that stays bound. Flushes queued launches
+    /// first, like every host-side mutation of texture state.
+    pub fn refill_texture(
+        &mut self,
+        tex: TexId,
+        width: usize,
+        height: usize,
+        data: &[f32],
+    ) -> Result<(), MemoryError> {
         self.flush_functional();
-        self.textures[tex.0].refill(data)
+        self.textures[tex.0].refill(width, height, data)
     }
 
     /// Unbind all textures (handles become invalid). Flushes queued

@@ -124,8 +124,9 @@ pub use kernel::{
     with_band_mutation, Band, BandMutation, BlockCtx, Kernel, LaunchConfig, LaunchCtx,
 };
 pub use memory::{
-    AccessSet, BilinearTap, ConstPtr, CopyFault, CopyFaultConfig, DevBuf, DevRead, DevWrite,
-    DeviceMemory, MemoryError, Readback, TexId, Texture2D,
+    AccessSet, BilinearTap, BufSource, ByteTally, ConstPtr, CopyFault, CopyFaultConfig, DevBuf,
+    DevRead, DevWrite, DeviceMemory, MemoryError, Readback, TexId, Texture2D, Workspace,
+    WorkspaceFill,
 };
 pub use meter::{KernelCounters, Meter};
 pub use pcie::PcieModel;

@@ -34,7 +34,7 @@
 //! single-channel surfaces with clamp addressing and optional bilinear
 //! filtering, the `tex2D` path used by the scaling kernel.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -154,6 +154,15 @@ impl<T> DevBuf<T> {
     pub fn raw_id(&self) -> usize {
         self.id
     }
+
+    /// The buffer's first `len` elements as a handle of their own: reads,
+    /// writes, downloads and copy-fault draws through it see exactly
+    /// `len` elements, and access sets name the whole buffer. Panics if
+    /// the buffer is shorter.
+    pub fn prefix(self, len: usize) -> Self {
+        assert!(len <= self.len, "prefix of {len} elements of {self:?}");
+        Self { len, ..self }
+    }
 }
 
 /// The device buffers a kernel launch reads and writes, declared through
@@ -265,14 +274,14 @@ unsafe impl Sync for Slot {}
 /// Shared view of a device buffer, obtained from [`DeviceMemory::read`].
 /// Holding it blocks write views of the same buffer.
 pub struct DevRead<'a, T: DeviceScalar> {
-    vec: &'a Vec<T>,
+    elems: &'a [T],
     readers: &'a AtomicU32,
 }
 
 impl<T: DeviceScalar> Deref for DevRead<'_, T> {
-    type Target = Vec<T>;
-    fn deref(&self) -> &Vec<T> {
-        self.vec
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        self.elems
     }
 }
 
@@ -308,25 +317,25 @@ impl<T: DeviceScalar> Deref for Readback<'_, T> {
 /// the disjoint-write contract (module docs), mirroring how CUDA blocks
 /// of one launch write one output buffer.
 pub struct DevWrite<'a, T: DeviceScalar> {
-    vec: *mut Vec<T>,
+    elems: *mut [T],
     writers: &'a AtomicU32,
-    _marker: PhantomData<&'a mut Vec<T>>,
+    _marker: PhantomData<&'a mut [T]>,
 }
 
 impl<T: DeviceScalar> Deref for DevWrite<'_, T> {
-    type Target = Vec<T>;
-    fn deref(&self) -> &Vec<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
         // SAFETY: the slot is live for 'a and read views are excluded
         // while any write view exists.
-        unsafe { &*self.vec }
+        unsafe { &*self.elems }
     }
 }
 
 impl<T: DeviceScalar> DerefMut for DevWrite<'_, T> {
-    fn deref_mut(&mut self) -> &mut Vec<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
         // SAFETY: see `Deref`; concurrent writers touch disjoint elements
         // per the module-level contract.
-        unsafe { &mut *self.vec }
+        unsafe { &mut *self.elems }
     }
 }
 
@@ -417,15 +426,19 @@ impl DeviceMemory {
     /// Allocate a buffer of `len` default-initialized elements
     /// (`cudaMalloc` + `cudaMemset`).
     pub fn alloc<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T> {
-        self.upload(&vec![T::default(); len])
+        self.insert(vec![T::default(); len])
     }
 
     /// Allocate a buffer initialized from host data (`cudaMemcpyHostToDevice`).
     pub fn upload<T: DeviceScalar>(&mut self, data: &[T]) -> DevBuf<T> {
-        let bytes = std::mem::size_of_val(data);
+        self.insert(data.to_vec())
+    }
+
+    fn insert<T: DeviceScalar>(&mut self, data: Vec<T>) -> DevBuf<T> {
+        let (len, bytes) = (data.len(), std::mem::size_of_val(data.as_slice()));
         let id = self.slots.len();
         self.slots.push(Slot {
-            data: UnsafeCell::new(Box::new(data.to_vec())),
+            data: UnsafeCell::new(Box::new(data)),
             bytes,
             live: true,
             readers: AtomicU32::new(0),
@@ -434,19 +447,24 @@ impl DeviceMemory {
         self.live_bytes += bytes;
         self.peak_bytes = self.peak_bytes.max(self.live_bytes);
         self.alloc_count += 1;
-        DevBuf { id, len: data.len(), _marker: PhantomData }
+        DevBuf { id, len, _marker: PhantomData }
     }
 
-    /// Release a buffer. Its handle becomes invalid; further access panics.
+    /// Release a buffer (all of it, through any prefix handle). Its
+    /// handles become invalid; further access panics.
     pub fn free<T: DeviceScalar>(&mut self, buf: DevBuf<T>) {
+        self.free_slot(buf.id);
+    }
+
+    fn free_slot(&mut self, id: usize) {
         self.assert_host_quiesced();
-        let slot = &mut self.slots[buf.id];
-        assert!(slot.live, "double free of {buf:?}");
+        let slot = &mut self.slots[id];
+        assert!(slot.live, "double free of DevBuf#{id}");
         slot.live = false;
         self.live_bytes -= slot.bytes;
         *slot.data.get_mut() = Box::new(());
         let state = self.copy_faults.get_mut().unwrap_or_else(|e| e.into_inner());
-        state.poisoned.remove(&buf.id);
+        state.poisoned.remove(&id);
     }
 
     /// Shared view of a buffer (`cudaMemcpyDeviceToHost` without the copy).
@@ -465,7 +483,7 @@ impl DeviceMemory {
         // taken while our reader count is registered.
         let vec = unsafe { (*slot.data.get()).downcast_ref::<Vec<T>>() }
             .expect("device buffer type mismatch");
-        DevRead { vec, readers: &slot.readers }
+        DevRead { elems: &vec[..buf.len], readers: &slot.readers }
     }
 
     /// Mutable view of a buffer. Panics if a read view is outstanding;
@@ -483,10 +501,12 @@ impl DeviceMemory {
         );
         // SAFETY: read views are excluded (checked above); overlap between
         // concurrent write views is governed by the disjoint-write
-        // contract. The transient exclusive borrow here only downcasts.
-        let vec: *mut Vec<T> = unsafe { (*slot.data.get()).downcast_mut::<Vec<T>>() }
+        // contract. The transient exclusive borrow here only downcasts and
+        // takes the handle's (bounds-checked) prefix.
+        let vec = unsafe { (*slot.data.get()).downcast_mut::<Vec<T>>() }
             .expect("device buffer type mismatch");
-        DevWrite { vec, writers: &slot.writers, _marker: PhantomData }
+        let elems: *mut [T] = &mut vec[..buf.len];
+        DevWrite { elems, writers: &slot.writers, _marker: PhantomData }
     }
 
     /// Attach (or detach) deterministic copy-corruption injection.
@@ -519,12 +539,12 @@ impl DeviceMemory {
         std::mem::take(&mut state.events)
     }
 
-    /// Whether a buffer currently holds a poisoned region from a
-    /// corrupted `upload_into` (cleared by a clean full overwrite or
-    /// free).
+    /// Whether a buffer's elements (a prefix handle's: its first
+    /// `buf.len()`) hold a poisoned region from a corrupted `upload_into`
+    /// (cleared by a clean overwrite or free).
     pub fn is_poisoned<T: DeviceScalar>(&self, buf: DevBuf<T>) -> bool {
         let state = self.copy_faults.lock().unwrap_or_else(|e| e.into_inner());
-        state.poisoned.get(&buf.id).is_some_and(|r| !r.is_empty())
+        state.poisoned.get(&buf.id).is_some_and(|r| r.iter().any(|&(start, _)| start < buf.len))
     }
 
     /// Draw a corruption verdict for one copy touching `buf_id` over
@@ -570,11 +590,13 @@ impl DeviceMemory {
         }
         dst.copy_from_slice(data);
         drop(dst);
-        // A clean full overwrite clears previous poison; a corrupted one
+        // A clean overwrite clears the poison it covers; a corrupted one
         // re-poisons its region.
         {
             let mut state = self.copy_faults.lock().unwrap_or_else(|e| e.into_inner());
-            state.poisoned.remove(&buf.id);
+            if let Some(regions) = state.poisoned.get_mut(&buf.id) {
+                regions.retain(|&(start, span)| start + span > buf.len);
+            }
         }
         if let Some((start, span)) = self.draw_copy_fault(buf.id, buf.len) {
             let mut dst = self.write(buf);
@@ -593,7 +615,7 @@ impl DeviceMemory {
     /// (the device copy stays intact) and logs a [`CopyFault`].
     pub fn download<T: DeviceScalar>(&self, buf: DevBuf<T>) -> Vec<T> {
         match self.download_view(buf) {
-            Readback::Clean(view) => view.clone(),
+            Readback::Clean(view) => view.to_vec(),
             Readback::Corrupted(copy) => copy,
         }
     }
@@ -607,7 +629,7 @@ impl DeviceMemory {
         match self.draw_copy_fault(buf.id, view.len()) {
             None => Readback::Clean(view),
             Some((start, span)) => {
-                let mut copy = view.clone();
+                let mut copy = view.to_vec();
                 copy[start..start + span].fill(T::default());
                 Readback::Corrupted(copy)
             }
@@ -629,6 +651,95 @@ impl DeviceMemory {
     /// buffer pool) assert this stays constant across iterations.
     pub fn alloc_count(&self) -> u64 {
         self.alloc_count
+    }
+}
+
+/// Where a layout of device buffers comes from: [`DeviceMemory`]
+/// allocates each one afresh, a [`Workspace`] fill reuses its own and a
+/// [`ByteTally`] only counts.
+pub trait BufSource {
+    /// The layout's next buffer, `len` elements long.
+    fn buf<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T>;
+}
+
+impl BufSource for DeviceMemory {
+    fn buf<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T> {
+        self.alloc(len)
+    }
+}
+
+/// Device buffers that serve a layout at changing sizes. The `i`-th
+/// buffer a [`Workspace::fill`] hands out is a [`DevBuf::prefix`] of the
+/// workspace's `i`-th buffer, which only grows — freed, then allocated at
+/// the requested length — when a request is longer than any before it.
+/// A reused buffer keeps its stale contents.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    /// Per layout position: arena slot, element type, length, bytes.
+    held: Vec<(usize, TypeId, usize, usize)>,
+}
+
+impl Workspace {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A [`BufSource`] over this workspace, from its first buffer on.
+    pub fn fill<'a>(&'a mut self, mem: &'a mut DeviceMemory) -> WorkspaceFill<'a> {
+        WorkspaceFill { ws: self, mem, next: 0 }
+    }
+
+    /// Device bytes held.
+    pub fn bytes(&self) -> usize {
+        self.held.iter().map(|h| h.3).sum()
+    }
+
+    /// Free every buffer held.
+    pub fn free(self, mem: &mut DeviceMemory) {
+        for (id, ..) in self.held {
+            mem.free_slot(id);
+        }
+    }
+}
+
+/// A [`Workspace`] handing out its buffers in layout order.
+pub struct WorkspaceFill<'a> {
+    ws: &'a mut Workspace,
+    mem: &'a mut DeviceMemory,
+    next: usize,
+}
+
+impl BufSource for WorkspaceFill<'_> {
+    fn buf<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T> {
+        let (i, ty) = (self.next, TypeId::of::<T>());
+        self.next += 1;
+        match self.ws.held.get(i) {
+            Some(&(id, t, cap, _)) if t == ty && cap >= len => {
+                return DevBuf { id, len, _marker: PhantomData };
+            }
+            Some(&(id, ..)) => self.mem.free_slot(id),
+            None => {}
+        }
+        let buf = self.mem.alloc::<T>(len);
+        let held = (buf.id, ty, len, len * std::mem::size_of::<T>());
+        match self.ws.held.get_mut(i) {
+            Some(slot) => *slot = held,
+            None => self.ws.held.push(held),
+        }
+        buf
+    }
+}
+
+/// A [`BufSource`] that allocates nothing and adds up the bytes asked of
+/// it: a layout's footprint before memory is committed to it. The
+/// handles it returns name no buffer.
+#[derive(Debug, Default)]
+pub struct ByteTally(pub usize);
+
+impl BufSource for ByteTally {
+    fn buf<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T> {
+        self.0 += len * std::mem::size_of::<T>();
+        DevBuf { id: usize::MAX, len, _marker: PhantomData }
     }
 }
 
@@ -784,14 +895,15 @@ impl Texture2D {
         }
     }
 
-    /// Replace the texels in place, keeping the storage; `data` must have
-    /// the texture's extent.
-    pub fn refill(&mut self, data: &[f32]) -> Result<(), MemoryError> {
-        if data.len() != self.data.len() {
-            let (width, height) = (self.width, self.height);
+    /// Replace the texels in place with a `width x height` image, keeping
+    /// the storage (it only grows, for a larger extent than it has held).
+    pub fn refill(&mut self, width: usize, height: usize, data: &[f32]) -> Result<(), MemoryError> {
+        if width == 0 || height == 0 || data.len() != width * height {
             return Err(MemoryError::BadTexture { width, height, data_len: data.len() });
         }
-        self.data.copy_from_slice(data);
+        (self.width, self.height) = (width, height);
+        self.data.clear();
+        self.data.extend_from_slice(data);
         Ok(())
     }
 }
@@ -849,7 +961,7 @@ mod tests {
     impl DeviceMemory {
         /// `download` as it was before it was built on `download_view`.
         fn download_reference<T: DeviceScalar>(&self, buf: DevBuf<T>) -> Vec<T> {
-            let mut out = self.read(buf).clone();
+            let mut out = self.read(buf).to_vec();
             if let Some((start, span)) = self.draw_copy_fault(buf.id, out.len()) {
                 for v in &mut out[start..start + span] {
                     *v = T::default();
@@ -1017,6 +1129,70 @@ mod tests {
         mem.free(a);
         mem.free(b);
         assert_eq!(mem.alloc_count(), 2, "frees do not change the alloc count");
+    }
+
+    #[test]
+    fn a_prefix_handle_sees_exactly_its_elements() {
+        let mut mem = DeviceMemory::new();
+        let b = mem.upload(&[1u32, 2, 3, 4, 5]);
+        let p = b.prefix(3);
+        assert_eq!((p.len(), p.raw_id()), (3, b.raw_id()));
+        assert_eq!(mem.download(p), vec![1, 2, 3]);
+        mem.write(p).copy_from_slice(&[7, 8, 9]);
+        assert_eq!(mem.download(b), vec![7, 8, 9, 4, 5], "the tail is untouched");
+        assert!(mem.try_upload_into(p, &[0; 5]).is_err(), "uploads see the prefix length");
+        // A corrupted copy draws its region inside the prefix.
+        mem.set_copy_faults(Some(CopyFaultConfig { seed: 3, rate: 1.0, region_len: 2 }));
+        for _ in 0..20 {
+            assert_eq!(mem.download_view(p).len(), 3);
+        }
+        assert!(mem.drain_copy_faults().iter().all(|f| f.start + f.len <= 3));
+    }
+
+    #[test]
+    fn a_workspace_grows_a_buffer_only_past_its_longest_request() {
+        let mut mem = DeviceMemory::new();
+        let mut ws = Workspace::new();
+        let layout = |ws: &mut Workspace, mem: &mut DeviceMemory, n: usize| {
+            let mut src = ws.fill(mem);
+            (src.buf::<u32>(n), src.buf::<f32>(2 * n))
+        };
+        let (a, b) = layout(&mut ws, &mut mem, 10);
+        assert_eq!((mem.alloc_count(), ws.bytes(), mem.live_bytes()), (2, 120, 120));
+        // Shorter requests are prefixes of the same buffers.
+        let (a2, b2) = layout(&mut ws, &mut mem, 4);
+        assert_eq!((a2.raw_id(), a2.len(), b2.raw_id(), b2.len()), (a.raw_id(), 4, b.raw_id(), 8));
+        assert_eq!(mem.alloc_count(), 2);
+        // A longer one frees and reallocates each buffer in turn.
+        let (a3, _) = layout(&mut ws, &mut mem, 20);
+        assert_ne!(a3.raw_id(), a.raw_id());
+        assert_eq!((mem.alloc_count(), ws.bytes(), mem.live_bytes()), (4, 240, 240));
+        assert_eq!(mem.peak_bytes(), 240, "each buffer is freed before its successor");
+        // The same position at another element type is a new buffer.
+        let mut src = ws.fill(&mut mem);
+        let c = src.buf::<u8>(4);
+        assert_eq!((mem.alloc_count(), mem.live_bytes()), (5, 160 + 4));
+        assert_eq!(mem.download(c), vec![0; 4]);
+        ws.free(&mut mem);
+        assert_eq!(mem.live_bytes(), 0);
+    }
+
+    #[test]
+    fn a_texture_refill_may_change_its_extent() {
+        let mut t = Texture2D::from_data(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        t.refill(3, 1, &[5.0, 6.0, 7.0]).unwrap();
+        assert_eq!((t.width, t.height, t.fetch_point(2.0, 0.0)), (3, 1, 7.0));
+        assert_eq!(t.fetch_point(0.0, 5.0), 5.0, "clamped to the new extent");
+        assert!(t.refill(2, 2, &[0.0; 3]).is_err());
+        assert!(t.refill(0, 3, &[]).is_err());
+    }
+
+    #[test]
+    fn a_byte_tally_counts_what_a_layout_would_allocate() {
+        let mut tally = ByteTally::default();
+        let _: DevBuf<u32> = tally.buf(10);
+        let _: DevBuf<u8> = tally.buf(3);
+        assert_eq!(tally.0, 43);
     }
 
     #[test]

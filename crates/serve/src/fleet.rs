@@ -95,6 +95,9 @@ pub struct FleetConfig {
     /// Per-device memory budget, bytes: a lane only admits a frame
     /// geometry while its projected steady-state footprint (buffer
     /// pools + staged cascade) stays within budget. `None` = unlimited.
+    /// The ledger charges each admitted geometry its own pool: the sum
+    /// bounds the one pool a lane holds, which every geometry shares
+    /// and which grows only to the largest of them.
     pub device_memory_budget: Option<usize>,
 }
 
@@ -710,7 +713,8 @@ impl<D: Detector> FleetServer<D> {
 
     /// Device bytes admitting `geometry` would add to a lane's ledger:
     /// the projected buffer pool, plus the constant-memory footprint on
-    /// the lane's first geometry. Zero if already admitted.
+    /// the lane's first geometry. Zero if already admitted. An upper
+    /// bound on what the lane's shared pool grows by.
     fn charge_for(&self, lane: &Lane<D>, geometry: GeomClass) -> Option<usize> {
         if lane.geometries.iter().any(|(g, _)| *g == geometry) {
             return Some(0);

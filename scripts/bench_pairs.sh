@@ -5,7 +5,9 @@
 # `fd-benchmark` binaries (parent commit, change) turn by turn on one
 # workload, untraced, alternating which side goes first, and report each
 # side's host_ms_p50 (median and quartiles over the runs), in how many
-# pairs the change was faster, setup_s and host_peak_rss_mb. Single runs
+# pairs the change was faster; every run's host_ms_p50, host_peak_rss_mb
+# and setup_s; and a verdict per end-to-end metric of BENCHMARK.json: the
+# change's median against the parent's and the metric's bound. Single runs
 # of host_ms_p50 spread a few percent on this box and slow phases last a
 # whole run, so only alternating pairs separate a change from the noise.
 #
@@ -79,11 +81,10 @@ for side in ("parent", "change"):
         if not r["correct"]:
             print(f"{side}: a run failed its output checks", file=sys.stderr)
             sys.exit(1)
-    q1, med, q3 = quartiles(values(side, "host_ms_p50"))
-    print(f"{side:<7} host_ms_p50 median {med:.3f} ms, quartiles {q1:.3f} / {q3:.3f}, runs "
-          + " ".join(f"{v:.3f}" for v in values(side, "host_ms_p50")))
-    print(f"{side:<7} host_peak_rss_mb median {statistics.median(values(side, 'host_peak_rss_mb')):.1f}, "
-          f"setup_s median {statistics.median(values(side, 'setup_s')):.4f}")
+    for name, fmt in (("host_ms_p50", ".3f"), ("host_peak_rss_mb", ".1f"), ("setup_s", ".4f")):
+        q1, med, q3 = quartiles(values(side, name))
+        print(f"{side:<7} {name:<16} median {med:{fmt}}, quartiles {q1:{fmt}} / {q3:{fmt}}, runs "
+              + " ".join(f"{v:{fmt}}" for v in values(side, name)))
 p, c = values("parent", "host_ms_p50"), values("change", "host_ms_p50")
 wins = sum(cv < pv for pv, cv in zip(p, c))
 ties = sum(cv == pv for pv, cv in zip(p, c))
@@ -93,6 +94,14 @@ print(f"change faster in {wins} of {pairs} pairs ({ties} ties); medians {pm:.3f}
       f"({(cm / pm - 1) * 100:+.1f} % of the parent); parent interquartile distance {pq3 - pq1:.3f} ms")
 print(f"det_digest parent {sorted(digests['parent'])} change {sorted(digests['change'])}"
       + ("" if digests["parent"] == digests["change"] else "  <- DIFFERS"))
+print("end to end, change median against parent median and the BENCHMARK.json bound:")
+for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
+    name, bound, lower = metric["name"], metric["bound"], metric["better"] == "lower"
+    pv, cv = statistics.median(values("parent", name)), statistics.median(values("change", name))
+    worse = (cv - pv if lower else pv - cv) / abs(pv) if pv else 0.0
+    verdict = "WORSE than bound" if worse > bound else "better" if worse < 0 else "within bound"
+    print(f"  {name:<26} {pv:>12.4f} -> {cv:>12.4f}  {worse * 100:+6.1f} % worse "
+          f"(bound {bound * 100:.0f} %)  {verdict}")
 print("per layer, one traced run per side: parent -> change")
 host_rows = [n for n in traced_parent if n.startswith("gpu.") and n.endswith(".host_us")]
 for name in host_rows + ["gpu.host_us_per_block", "gpu.overhead.host_us_per_launch",
