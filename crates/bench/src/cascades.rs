@@ -15,7 +15,7 @@ use std::path::PathBuf;
 
 use fd_boost::synthdata::{synth_faces, NegativeSource};
 use fd_boost::trainer::{train_cascade, StageGoals, TrainerConfig};
-use fd_boost::{AdaBoost, GentleBoost};
+use fd_boost::{AdaBoost, GentleBoost, WeakLearner};
 use fd_haar::{enumerate_features, Cascade, EnumerationRule};
 
 /// Sizing of the training run.
@@ -175,51 +175,39 @@ pub fn trained_cascade_pair(budget: &TrainingBudget) -> CascadePair {
         }
     }
 
+    let pair = train_cascade_pair(budget);
+    std::fs::create_dir_all(&dir).ok();
+    fd_haar::io::save(&pair.ours, &ours_path).ok();
+    fd_haar::io::save(&pair.opencv_like, &cv_path).ok();
+    pair
+}
+
+/// Train the GentleBoost/AdaBoost cascade pair afresh (no cache). The
+/// cascades are the same bytes at any feature-sweep width
+/// ([`fd_boost::smp::run_with_threads`]).
+pub fn train_cascade_pair(budget: &TrainingBudget) -> CascadePair {
     let features: Vec<_> = enumerate_features(24, EnumerationRule::Icpp2012)
         .into_iter()
         .step_by(budget.feature_stride)
         .collect();
     let faces = synth_faces(budget.n_faces, budget.seed);
 
-    eprintln!(
-        "[fd-bench] training cascades ({} features, {} faces) — cached afterwards",
-        features.len(),
-        faces.len()
-    );
-    let t0 = std::time::Instant::now();
-    let gentle = GentleBoost::new(features.clone());
-    let mut negs = NegativeSource::new(budget.seed ^ 0xBEEF);
-    let ours =
-        train_cascade(&gentle, "ours-gentle", &faces, &mut negs, &trainer_config(budget, false))
-            .cascade;
-    eprintln!(
-        "[fd-bench] GentleBoost: {} stages, {} stumps ({:.1}s)",
-        ours.depth(),
-        ours.total_stumps(),
-        t0.elapsed().as_secs_f64()
-    );
-
-    let t1 = std::time::Instant::now();
-    let ada = AdaBoost::new(features);
-    let mut negs = NegativeSource::new(budget.seed ^ 0xBEEF);
-    let opencv_like = train_cascade(
-        &ada,
-        "opencv-like-ada",
-        &faces,
-        &mut negs,
-        &trainer_config(budget, true),
-    )
-    .cascade;
-    eprintln!(
-        "[fd-bench] AdaBoost: {} stages, {} stumps ({:.1}s)",
-        opencv_like.depth(),
-        opencv_like.total_stumps(),
-        t1.elapsed().as_secs_f64()
-    );
-
-    std::fs::create_dir_all(&dir).ok();
-    fd_haar::io::save(&ours, &ours_path).ok();
-    fd_haar::io::save(&opencv_like, &cv_path).ok();
+    eprintln!("[fd-bench] training cascades ({} features, {} faces)", features.len(), faces.len());
+    let train = |learner: &dyn WeakLearner, name: &str, baseline: bool| {
+        let t0 = std::time::Instant::now();
+        let mut negs = NegativeSource::new(budget.seed ^ 0xBEEF);
+        let config = trainer_config(budget, baseline);
+        let cascade = train_cascade(learner, name, &faces, &mut negs, &config).cascade;
+        eprintln!(
+            "[fd-bench] {name}: {} stages, {} stumps ({:.1}s)",
+            cascade.depth(),
+            cascade.total_stumps(),
+            t0.elapsed().as_secs_f64()
+        );
+        cascade
+    };
+    let ours = train(&GentleBoost::new(features.clone()), "ours-gentle", false);
+    let opencv_like = train(&AdaBoost::new(features), "opencv-like-ada", true);
     CascadePair { ours, opencv_like }
 }
 
@@ -244,6 +232,22 @@ mod tests {
         let again = trained_cascade_pair(&budget);
         assert_eq!(again.ours, pair.ours);
         assert_eq!(again.opencv_like, pair.opencv_like);
+    }
+
+    #[test]
+    fn training_is_byte_identical_at_any_sweep_width() {
+        let train = |threads| {
+            let pair = fd_boost::smp::run_with_threads(threads, || {
+                train_cascade_pair(&TrainingBudget::tiny())
+            });
+            (fd_haar::io::to_text(&pair.ours), fd_haar::io::to_text(&pair.opencv_like))
+        };
+        let one = train(1);
+        for threads in [2, 4] {
+            let (ours, opencv_like) = train(threads);
+            assert!(ours == one.0, "GentleBoost cascade differs at {threads} threads");
+            assert!(opencv_like == one.1, "AdaBoost cascade differs at {threads} threads");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | ↳ `fig5` | Fig. 5 — per-frame latency series for the "50/50" trailer |
 //! | ↳ `fig6` | Fig. 6 — kernel execution trace across streams |
 //! | ↳ `fig7` | Fig. 7 — rejection rate per stage and scale |
-//! | ↳ `fig8` | Fig. 8 — GentleBoost iteration time vs threads (SMP model) |
+//! | ↳ `fig8` | Fig. 8 — GentleBoost iteration time vs threads: measured on the host's cores, beside the SMP model of the paper's machines |
 //! | ↳ `fig9` | Fig. 9 — TPR/FP curves at 15/20/25-equivalent stages |
 //! | ↳ `counters` | §VI-A text figures: branch efficiency, DRAM throughput, stage shares |
 //! | ↳ `ablations`, `ablation_rearrange`, `ablation_softcascade`, `ablation_multigpu` | design ablations and §II alternatives |

@@ -1,11 +1,9 @@
 //! GentleBoost (Friedman, Hastie & Tibshirani 2000), the paper's learning
 //! algorithm, with the paper's parallelization pattern: the sweep over
-//! feature combinations is task-parallel (Rayon standing in for
+//! feature combinations is task-parallel (scoped threads standing in for
 //! `#pragma omp parallel for`), and each feature's response is evaluated
 //! for the whole training set with contiguous row arithmetic (the SSE4 /
 //! Eigen data parallelism).
-
-use rayon::prelude::*;
 
 use crate::dataset::TrainingSet;
 use crate::lut::FeatureLut;
@@ -31,11 +29,15 @@ pub trait WeakLearner: Sync {
     fn n_features(&self) -> usize;
 }
 
-/// Reduction key: (loss, feature index) with a total order, so the Rayon
-/// reduction is deterministic regardless of split points.
+/// Reduction key: (loss, feature index) with a total order, so the
+/// sweep's reduction is deterministic regardless of split points.
 fn better(a: &(f64, usize, StumpFit), b: &(f64, usize, StumpFit)) -> bool {
     a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
 }
+
+/// Features per chunk of the sweep. Chunk `c` goes to worker `c % threads`,
+/// spreading runs of like-cost neighbours over every worker.
+const SWEEP_CHUNK: usize = 32;
 
 /// The feature pool compiled once, shared by both learners.
 pub struct FeaturePool {
@@ -67,8 +69,10 @@ impl FeaturePool {
             .sum()
     }
 
-    /// Run `fit` over every feature in parallel and return the best
-    /// `(loss, index, fit)` triple. This is the paper's Fig. 4 loop.
+    /// Run `fit` over every feature and return the best `(index, fit)`.
+    /// This is the paper's Fig. 4 loop: fixed chunks of the pool run on
+    /// [`crate::smp::sweep_threads`] scoped threads and are reduced with
+    /// [`better`], so the choice is the same at any thread count.
     pub(crate) fn best_fit(
         &self,
         set: &TrainingSet,
@@ -78,25 +82,34 @@ impl FeaturePool {
         let n = set.len();
         let labels = set.labels();
         let init = || (f64::INFINITY, usize::MAX, StumpFit { threshold: 0, left: 0.0, right: 0.0, loss: f64::INFINITY });
-        let best = self
-            .luts
-            .par_iter()
-            .enumerate()
-            .fold(
-                || (vec![0i32; n], init()),
-                |(mut buf, best), (i, lut)| {
+        let chunks = self.luts.chunks(SWEEP_CHUNK).enumerate();
+        let threads = crate::smp::sweep_threads().min(chunks.len()).max(1);
+        let sweep = |worker: usize| {
+            let mut buf = vec![0i32; n];
+            let mut best = init();
+            for (c, luts) in chunks.clone().skip(worker).step_by(threads) {
+                for (i, lut) in luts.iter().enumerate() {
                     lut.eval_all(set, &mut buf);
                     let f = fit(&buf, labels, weights, self.n_bins);
-                    let cand = (f.loss, i, f);
+                    let cand = (f.loss, c * SWEEP_CHUNK + i, f);
                     if better(&cand, &best) {
-                        (buf, cand)
-                    } else {
-                        (buf, best)
+                        best = cand;
                     }
-                },
-            )
-            .map(|(_, best)| best)
-            .reduce(init, |a, b| if better(&a, &b) { a } else { b });
+                }
+            }
+            best
+        };
+        let best = std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..threads).map(|w| scope.spawn(move || sweep(w))).collect();
+            let mut best = sweep(0);
+            for w in workers {
+                let b = w.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                if better(&b, &best) {
+                    best = b;
+                }
+            }
+            best
+        });
         assert!(best.1 != usize::MAX, "empty feature pool");
         (best.1, best.2)
     }

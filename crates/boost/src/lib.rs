@@ -25,17 +25,17 @@
 //!   "additional bootstrapping routine");
 //! * [`synthdata`] — synthetic training corpora built on
 //!   `fd_imgproc::synth` (see DESIGN.md substitutions);
-//! * [`smp`] — the SMP scaling model behind Fig. 8. The host may have any
-//!   number of cores (the reference machine for this reproduction has
-//!   one), so thread scaling is *modelled*: the iteration's parallel and
-//!   serial work are measured from the real implementation and replayed
-//!   through calibrated machine profiles (dual Xeon E5472, Core
-//!   i7-2600K).
+//! * [`smp`] — Fig. 8: the feature sweep's thread count, set per call
+//!   ([`smp::run_with_threads`]) and measured on the host's cores, beside
+//!   a model of the paper's machines: the iteration's parallel and serial
+//!   work are counted from the real implementation and replayed through
+//!   calibrated machine profiles (dual Xeon E5472, Core i7-2600K).
 //!
-//! Task parallelism over feature combinations uses Rayon
-//! (`#pragma omp parallel for` of the paper's Fig. 4); the bootstrapping
-//! routine overlaps candidate generation with filtering through a
-//! crossbeam channel.
+//! Task parallelism over feature combinations (`#pragma omp parallel for`
+//! of the paper's Fig. 4) runs on `std::thread::scope` workers over fixed
+//! chunks of the feature pool; the bootstrapping routine overlaps
+//! candidate generation with filtering through a bounded
+//! `std::sync::mpsc` channel. The crate needs no threading library.
 
 pub mod ada;
 pub mod dataset;

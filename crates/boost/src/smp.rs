@@ -1,4 +1,4 @@
-//! SMP scaling model for the training loop (paper Fig. 8).
+//! SMP scaling of the training loop (paper Fig. 8).
 //!
 //! The paper measures one GentleBoost iteration — the full sweep over
 //! every Haar combination for every training image — on two machines while
@@ -6,23 +6,21 @@
 //! (~370 s single-threaded) and a Core i7-2600K (~185 s, i.e. 2x faster),
 //! both reaching ~3.5x speedup at 8 threads.
 //!
-//! The reproduction host cannot replay that experiment directly (it may
-//! have a single core; the reference environment for this repository
-//! does), so Fig. 8 is regenerated in two parts:
-//!
-//! 1. the *work* of an iteration (parallelizable row-ops of the feature
-//!    sweep, serial ops of ranking/reweighting) is measured from the real
-//!    implementation ([`IterationWork::from_learner`]);
-//! 2. the work is replayed through calibrated [`MachineProfile`]s whose
-//!    parameters encode documented hardware characteristics: per-core
-//!    effective throughput (anchored so the paper's full workload lands at
-//!    the paper's single-thread times), physical core counts, SMT yield
-//!    (i7: 4 cores + HT), and a per-thread coordination/bandwidth penalty
-//!    (large for the FSB-based Xeon, small for the on-die-controller i7).
-//!
-//! [`run_with_threads`] additionally runs the *real* Rayon sweep under a
-//! pool of any size for wall-clock measurements on hosts that do have
-//! cores to scale across.
+//! Neither machine is at hand, so Fig. 8 is regenerated in two parts: a
+//! *measurement* of one real round ([`measure_round_seconds`]) at each
+//! sweep width [`run_with_threads`] sets, up to the host's cores; and a
+//! *model* of the paper's machines: the work of an iteration
+//! (parallelizable row-ops of the feature sweep, serial ops of
+//! ranking/reweighting) is counted from the real implementation
+//! ([`IterationWork::from_learner`]) and replayed through calibrated
+//! [`MachineProfile`]s whose parameters encode documented hardware
+//! characteristics: per-core effective throughput (anchored so the
+//! paper's full workload lands at the paper's single-thread times),
+//! physical core counts, SMT yield (i7: 4 cores + HT), and a per-thread
+//! coordination/bandwidth penalty (large for the FSB-based Xeon, small for
+//! the on-die-controller i7).
+
+use std::cell::Cell;
 
 use crate::dataset::TrainingSet;
 use crate::gentle::WeakLearner;
@@ -134,14 +132,26 @@ impl MachineProfile {
     }
 }
 
-/// Run `f` inside a Rayon pool of exactly `threads` threads (the
-/// `OMP_NUM_THREADS` sweep of the paper, for hosts with real cores).
+thread_local! {
+    static SWEEP_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Threads a feature sweep called from this thread runs on: the width
+/// [`run_with_threads`] set, else the host's available parallelism.
+pub(crate) fn sweep_threads() -> usize {
+    let host = || std::thread::available_parallelism().map_or(1, usize::from);
+    SWEEP_THREADS.get().unwrap_or_else(host)
+}
+
+/// Run `f` with every feature sweep it makes on this thread `threads`
+/// wide (the `OMP_NUM_THREADS` sweep of the paper). The chosen stumps do
+/// not depend on the width, only the wall time does.
 pub fn run_with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("failed to build thread pool")
-        .install(f)
+    assert!(threads >= 1, "a sweep needs at least one thread");
+    let outer = SWEEP_THREADS.replace(Some(threads));
+    let out = f();
+    SWEEP_THREADS.set(outer);
+    out
 }
 
 /// Wall-clock one real boosting round at a given thread count.
@@ -218,8 +228,21 @@ mod tests {
     }
 
     #[test]
-    fn run_with_threads_executes_in_sized_pool() {
-        let n = run_with_threads(3, rayon::current_num_threads);
-        assert_eq!(n, 3);
+    fn run_with_threads_spreads_the_sweep_over_threads() {
+        use crate::testsupport::{small_pool, toy_set};
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let pool = crate::FeaturePool::new(small_pool(), 256);
+        assert!(pool.len() > 3 * 32, "the pool must span more chunks than threads");
+        let (set, ids) = (toy_set(), Mutex::new(HashSet::new()));
+        let weights = crate::gentle::initial_weights(&set);
+        let traced = |r: &[i32], y: &[f32], w: &[f64], bins| {
+            ids.lock().unwrap().insert(std::thread::current().id());
+            crate::fit_regression_stump(r, y, w, bins)
+        };
+        let (idx, _) = run_with_threads(4, || pool.best_fit(&set, &weights, traced));
+        assert!(ids.lock().unwrap().len() > 1, "the sweep ran on one thread");
+        let (alone, _) = run_with_threads(1, || pool.best_fit(&set, &weights, traced));
+        assert_eq!(idx, alone);
     }
 }

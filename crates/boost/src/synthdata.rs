@@ -8,10 +8,11 @@
 //! paper's "additional bootstrapping routine ... to avoid redundancy in
 //! the set of background images, while improving the discriminative power
 //! of the boosting algorithm". Candidate generation runs in a producer
-//! thread connected by a crossbeam channel so texture synthesis overlaps
-//! cascade filtering.
+//! thread connected by a bounded `std::sync::mpsc` channel so texture
+//! synthesis overlaps cascade filtering.
 
-use crossbeam::channel;
+use std::sync::mpsc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -145,7 +146,7 @@ impl NegativeSource {
     ) -> Vec<GrayImage> {
         let tile = self.tile;
         let seed: u64 = self.rng.random();
-        let (tx, rx) = channel::bounded::<GrayImage>(256);
+        let (tx, rx) = mpsc::sync_channel::<GrayImage>(256);
         let mut kept = Vec::with_capacity(n);
         std::thread::scope(|scope| {
             scope.spawn(move || {

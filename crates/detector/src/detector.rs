@@ -133,6 +133,11 @@ impl<S: StageList> PyramidDetector<S> {
     /// staging the model on the device: a corrupt or hand-edited model is
     /// rejected with a typed error, never a device panic.
     pub fn try_new(model: &S::Model, config: DetectorConfig) -> Result<Self, DetectorError> {
+        if config.device.max_concurrent_kernels == 0 {
+            return Err(DetectorError::InvalidConfig {
+                reason: "the device admits no kernel (max_concurrent_kernels is 0)",
+            });
+        }
         let mut gpu = Gpu::new(config.device.clone(), config.exec_mode);
         gpu.set_host_threads(config.host_threads);
         gpu.set_fault_plan(config.fault_plan.clone());

@@ -42,9 +42,8 @@ pub struct DeviceSpec {
     pub clock_ghz: f64,
     /// Aggregate DRAM bandwidth, GB/s.
     pub dram_bandwidth_gbps: f64,
-    /// Whether the device can co-schedule kernels from different streams.
-    pub concurrent_kernels: bool,
-    /// Maximum number of kernels co-resident when `concurrent_kernels`.
+    /// Most kernels co-resident in [`crate::ExecMode::Concurrent`]; 1 is a
+    /// device without concurrent kernel execution. Must be at least 1.
     pub max_concurrent_kernels: u32,
     /// Fixed per-kernel launch overhead (host enqueue + device dispatch),
     /// microseconds. Fermi-era microbenchmarks put this at 5-10 us; it is
@@ -84,7 +83,6 @@ impl DeviceSpec {
             const_mem_bytes: 64 * 1024,
             clock_ghz: 1.215,
             dram_bandwidth_gbps: 133.9,
-            concurrent_kernels: true,
             max_concurrent_kernels: 16,
             launch_overhead_us: 8.0,
             serial_profiling_overhead_us: 20.0,
@@ -125,7 +123,7 @@ mod tests {
         assert_eq!(d.max_threads_per_sm, 1536);
         assert_eq!(d.registers_per_sm, 32768);
         assert_eq!(d.max_registers_per_thread, 63);
-        assert!(d.concurrent_kernels);
+        assert_eq!(d.max_concurrent_kernels, 16);
     }
 
     #[test]

@@ -33,6 +33,10 @@ pub enum LaunchError {
     SharedMemExceeded { requested: u32, limit: u32 },
     /// Grid or block has a zero extent.
     EmptyLaunch,
+    /// No SM can hold one block of the launch (the device has no SMs, or
+    /// a per-SM budget admits no block), so the timing simulation could
+    /// never place it.
+    BlockDoesNotFit { kernel: &'static str },
     /// Grid exceeds [`MAX_FUNCTIONAL_BLOCKS`] (`requested` saturates at
     /// `u64::MAX` when the block count itself overflows).
     GridTooLarge { requested: u64, limit: u64 },
@@ -82,6 +86,9 @@ impl std::fmt::Display for LaunchError {
                 write!(f, "{requested} B shared memory exceeds per-block limit {limit} B")
             }
             LaunchError::EmptyLaunch => write!(f, "grid and block extents must be non-zero"),
+            LaunchError::BlockDoesNotFit { kernel } => {
+                write!(f, "no SM of the device can hold a block of `{kernel}`")
+            }
             LaunchError::GridTooLarge { requested, limit } => {
                 write!(f, "grid of {requested} blocks exceeds functional-simulation limit {limit}")
             }
@@ -634,6 +641,21 @@ impl Gpu {
                 limit: self.spec.max_shared_mem_per_block,
             });
         }
+        let warps_per_block = cfg.warps_per_block(self.spec.warp_size);
+        // Clamp the declaration like `-maxrregcount` would: above-cap
+        // usage spills rather than failing the launch.
+        let registers_per_thread =
+            kernel.registers_per_thread().min(self.spec.max_registers_per_thread);
+        let occupancy = crate::sched::launch_occupancy(
+            &self.spec,
+            threads,
+            warps_per_block,
+            cfg.shared_mem_bytes,
+            registers_per_thread,
+        );
+        if self.spec.sm_count == 0 || occupancy.blocks_per_sm == 0 {
+            return Err(LaunchError::BlockDoesNotFit { kernel: kernel.name() });
+        }
 
         // Fault injection: each attempt draws an independent verdict per
         // fault domain, keyed on the monotone attempt counter (so a retry
@@ -693,12 +715,8 @@ impl Gpu {
             stream,
             shared_mem_bytes: cfg.shared_mem_bytes,
             threads_per_block: threads,
-            warps_per_block: cfg.warps_per_block(self.spec.warp_size),
-            // Clamp the declaration like `-maxrregcount` would: above-cap
-            // usage spills rather than failing the launch.
-            registers_per_thread: kernel
-                .registers_per_thread()
-                .min(self.spec.max_registers_per_thread),
+            warps_per_block,
+            registers_per_thread,
             block_costs: Vec::new(),
             counters: KernelCounters::default(),
             wait_events,
@@ -1002,6 +1020,26 @@ mod tests {
             gpu.launch_default(k, LaunchConfig::new(0u32, 32u32)),
             Err(LaunchError::EmptyLaunch)
         ));
+    }
+
+    #[test]
+    fn launch_validation_rejects_blocks_no_sm_can_hold() {
+        let zeroed: [fn(&mut DeviceSpec); 4] = [
+            |d| d.sm_count = 0,
+            |d| d.max_blocks_per_sm = 0,
+            |d| d.max_warps_per_sm = 0,
+            |d| d.registers_per_sm = 0,
+        ];
+        for zero in zeroed {
+            let mut spec = DeviceSpec::gtx470();
+            zero(&mut spec);
+            let mut gpu = Gpu::new(spec, ExecMode::Concurrent);
+            let k = DoubleKernel { buf: gpu.mem.alloc::<u32>(16) };
+            let err = gpu.launch_default(k, LaunchConfig::new(1u32, 32u32)).unwrap_err();
+            assert_eq!(err, LaunchError::BlockDoesNotFit { kernel: k.name() });
+            assert!(!err.is_transient());
+            assert_eq!(gpu.synchronize().events.len(), 0, "a refused launch is never queued");
+        }
     }
 
     #[test]

@@ -95,7 +95,8 @@ pub struct LaunchOccupancy {
     /// The budget that bound `blocks_per_sm` (see [`OccupancyLimit`]).
     pub limit: OccupancyLimit,
     /// Blocks of this launch an empty SM can hold. Zero means the launch
-    /// can never place a block (validation rejects such launches).
+    /// can never place a block ([`crate::Gpu::launch`] rejects such
+    /// launches with [`crate::LaunchError::BlockDoesNotFit`]).
     pub blocks_per_sm: u32,
     /// Warps resident at that bound (`blocks_per_sm * warps_per_block`).
     pub resident_warps: u32,
@@ -741,13 +742,7 @@ impl SchedScratch {
             + if mode == ExecMode::Serial { spec.serial_profiling_overhead_us } else { 0.0 };
         let kernel_cap = match mode {
             ExecMode::Serial => 1,
-            ExecMode::Concurrent => {
-                if spec.concurrent_kernels {
-                    spec.max_concurrent_kernels
-                } else {
-                    1
-                }
-            }
+            ExecMode::Concurrent => spec.max_concurrent_kernels,
         };
         let mut now = 0.0f64;
         let mut completed = 0usize;

@@ -198,13 +198,7 @@ fn simulate_reference(
             .count() as u32;
         let kernel_cap = match mode {
             ExecMode::Serial => 1,
-            ExecMode::Concurrent => {
-                if spec.concurrent_kernels {
-                    spec.max_concurrent_kernels
-                } else {
-                    1
-                }
-            }
+            ExecMode::Concurrent => spec.max_concurrent_kernels,
         };
         for i in 0..n {
             let ready = matches!(states[i].ready_us, Some(t) if t <= now);

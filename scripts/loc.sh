@@ -12,6 +12,10 @@
 #     semicolon (a test module, function, statement or macro item), and
 #   - a whole file declared by `#[cfg(test)] mod x;` (x.rs or x/mod.rs
 #     beside the declaring module).
+#
+# A separate total, outside the product: every line of every file under
+# vendor/ and crates/*/benches (the offline stand-ins and micro-benchmarks),
+# for the same sides.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -100,11 +104,26 @@ count() {
     }'
 }
 
+# Lines of the files outside the product, in the working tree or at REV.
+outside='^(vendor/|crates/[^/]+/benches/)'
+outside_tree() {
+    git ls-files --cached --others --exclude-standard -- vendor crates |
+        { grep -E "$outside" || true; } |
+        while read -r f; do if [ -f "$f" ]; then cat "$f"; fi; done | wc -l
+}
+outside_rev() {
+    git ls-tree -r --name-only "$1" -- vendor crates |
+        { grep -E "$outside" || true; } |
+        while read -r f; do git show "$1:$f"; done | wc -l
+}
+
 tree="$(dump_tree | count)"
 if [ $# -eq 0 ]; then
     echo "non-test lines under crates/*/src (working tree)"
     printf '%s\n' "$tree" | sort | awk '$1 != "total" { printf "%-10s %7d\n", $1, $2 }'
     printf '%s\n' "$tree" | awk '$1 == "total" { printf "%-10s %7d\n", $1, $2 }'
+    echo "all lines under vendor/ and crates/*/benches (outside the product)"
+    printf '%-10s %7d\n' total "$(outside_tree)"
     exit 0
 fi
 rev="$1"
@@ -114,3 +133,5 @@ echo "non-test lines under crates/*/src: $rev -> working tree"
 join -a 1 -a 2 -e 0 -o 0,1.2,2.2 <(printf '%s\n' "$old" | sort) <(printf '%s\n' "$tree" | sort) |
     awk '{ row = sprintf("%-10s %7d %7d %+7d", $1, $2, $3, $3 - $2) }
          $1 == "total" { last = row; next } { print row } END { print last }'
+echo "all lines under vendor/ and crates/*/benches (outside the product): $rev -> working tree"
+awk -v a="$(outside_rev "$rev")" -v b="$(outside_tree)" 'BEGIN { printf "%-10s %7d %7d %+7d\n", "total", a, b, b - a }'

@@ -124,3 +124,39 @@ fn timeline_accounts_all_pipeline_kernels() {
     let levels = facedet::imgproc::Pyramid::plan(160, 120, 1.25, 24).len();
     assert_eq!(r.timeline.events.len(), 8 * levels);
 }
+
+/// A device on which no block of the pipeline can be placed — no SMs, or
+/// a per-SM budget of zero — or that admits no kernel at all is refused
+/// with a typed error by `try_new` or `detect`, for both stage lists,
+/// never by a stalled timing simulation.
+#[test]
+fn devices_that_fit_no_block_return_typed_errors() {
+    use facedet::detector::DetectorError;
+    use facedet::gpu::LaunchError;
+    let zeroed: [fn(&mut DeviceSpec); 5] = [
+        |d| d.sm_count = 0,
+        |d| d.max_blocks_per_sm = 0,
+        |d| d.max_warps_per_sm = 0,
+        |d| d.registers_per_sm = 0,
+        |d| d.max_concurrent_kernels = 0,
+    ];
+    let frame = GrayImage::from_fn(64, 48, |x, y| ((x * 7 + y * 13) % 256) as f32);
+    let (cascade, model) = (test_cascade(), CnnModel::seeded(0));
+    for (i, zero) in zeroed.iter().enumerate() {
+        let mut config = DetectorConfig::default();
+        zero(&mut config.device);
+        let haar = FaceDetector::try_new(&cascade, config.clone())
+            .and_then(|mut d| d.detect(&frame).map(drop));
+        let cnn = CnnDetector::try_new(&model, config).and_then(|mut d| d.detect(&frame).map(drop));
+        // The first four specs fail the first launch; a kernel cap of 0
+        // fails `try_new`.
+        for result in [haar, cnn] {
+            match result {
+                Err(DetectorError::InvalidConfig { .. }) if i == 4 => {}
+                Err(DetectorError::Launch { source: LaunchError::BlockDoesNotFit { .. }, .. })
+                    if i < 4 => {}
+                other => panic!("spec {i}: {other:?}"),
+            }
+        }
+    }
+}
