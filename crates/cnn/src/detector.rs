@@ -89,22 +89,31 @@ impl StageList for CnnStages {
         WINDOW
     }
 
+    /// Eleven values in seven slots. A conv or pool output takes the
+    /// slot of the previous one of its kind, dead by then (`conv2` a
+    /// prefix of `conv1`'s, `pooled2` of `pooled1`'s), and stage 3 writes
+    /// the final grids over stage 1's, which stage 2 has consumed. Every
+    /// chain kernel writes every element it covers. `scaled`, the chain's
+    /// input, keeps a slot of its own, so it survives whatever is written
+    /// to the other buffers before the chain runs.
     fn level_bufs(src: &mut impl BufSource, w: usize, h: usize) -> LevelDeviceBufs {
         let (p1w, p1h) = (w / 2, h / 2);
         let (p2w, p2h) = (p1w / 2, p1h / 2);
         let (nx, ny) = window_grid(w, h);
+        let (conv, pooled) = (src.buf(C1 * w * h), src.buf(C1 * p1w * p1h));
+        let (depth, score) = (src.buf(nx * ny), src.buf(nx * ny));
         LevelDeviceBufs {
             scaled: src.buf(w * h),
-            conv1: src.buf(C1 * w * h),
-            pooled1: src.buf(C1 * p1w * p1h),
-            conv2: src.buf(C2 * p1w * p1h),
-            pooled2: src.buf(C2 * p2w * p2h),
-            depth_a: src.buf(nx * ny),
-            score_a: src.buf(nx * ny),
+            conv1: conv,
+            pooled1: pooled,
+            conv2: conv.prefix(C2 * p1w * p1h),
+            pooled2: pooled.prefix(C2 * p2w * p2h),
+            depth_a: depth,
+            score_a: score,
             depth_b: src.buf(nx * ny),
             score_b: src.buf(nx * ny),
-            depth: src.buf(nx * ny),
-            score: src.buf(nx * ny),
+            depth,
+            score,
         }
     }
 

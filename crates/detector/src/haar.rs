@@ -72,15 +72,16 @@ impl ScaleView<'_> {
     }
 }
 
-/// Device workspaces for one pyramid level (each `w * h` elements).
+/// Device workspaces for one pyramid level: eight `w * h` values in four
+/// slots, each pair listed in the order its values are live.
 pub struct LevelBufs {
     scaled: DevBuf<f32>,
-    filtered: DevBuf<f32>,
-    buf_a: DevBuf<u32>,
-    buf_b: DevBuf<u32>,
     integral: DevBuf<u32>,
+    filtered: DevBuf<f32>,
     depth: DevBuf<u32>,
+    buf_a: DevBuf<u32>,
     score: DevBuf<f32>,
+    buf_b: DevBuf<u32>,
     hits: DevBuf<u32>,
 }
 
@@ -275,18 +276,31 @@ impl StageList for HaarStages {
         self.cascade.window as usize
     }
 
-    /// Eight `w * h` buffers of 4-byte elements.
+    /// Four `w * h` slots of 4-byte elements, each holding one value and
+    /// then another once the first is dead:
+    /// - S: `scaled` (scale → filter), then `integral` (→ cascade);
+    /// - F: `filtered` (filter → scan), then `depth` (cascade → display,
+    ///   readback);
+    /// - A: `buf_a` (both scans → transposes), then `score` (cascade →
+    ///   readback);
+    /// - B: `buf_b` (transpose → scan), then `hits` (display → readback).
+    ///
+    /// In both launch orders — eight launches, or the chains
+    /// `scale+filter+scan+transpose` (S, F, A → B) and `scan+transpose`
+    /// (B → A → S) — no launch reads and writes one slot, and the
+    /// cascade and display kernels write every pixel of their outputs.
     fn level_bufs(src: &mut impl BufSource, w: usize, h: usize) -> LevelBufs {
         let n = w * h;
+        let (s, f, a, b) = (src.buf(n), src.buf(n), src.buf(n), src.buf(n));
         LevelBufs {
-            scaled: src.buf(n),
-            filtered: src.buf(n),
-            buf_a: src.buf(n),
-            buf_b: src.buf(n),
-            integral: src.buf(n),
-            depth: src.buf(n),
-            score: src.buf(n),
-            hits: src.buf(n),
+            scaled: s,
+            integral: s.cast(),
+            filtered: f,
+            depth: f.cast(),
+            buf_a: a,
+            score: a.cast(),
+            buf_b: b,
+            hits: b,
         }
     }
 
@@ -696,6 +710,22 @@ mod tests {
         }
         assert_eq!(p.gpu.mem.alloc_count(), allocs, "a geometry switch allocates nothing");
         assert_eq!(p.gpu.mem.live_bytes(), largest);
+    }
+
+    #[test]
+    fn a_level_pool_is_four_slots_of_the_level_area() {
+        for (w, h) in [(1920, 1080), (640, 480), (64, 48)] {
+            let area: usize =
+                fd_imgproc::Pyramid::plan(w, h, 1.25, 24).iter().map(|&(lw, lh)| lw * lh).sum();
+            let frame = GrayImage::from_fn(w, h, |x, y| ((x * 7 + y * 13) % 251) as f32);
+            for fusion in [false, true] {
+                let mut p = pipeline();
+                p.stages_mut().fusion = fusion;
+                assert_eq!(p.projected_pool_bytes(w, h).unwrap(), 16 * area, "{w}x{h}");
+                p.run_frame(&frame).unwrap();
+                assert_eq!(p.pooled_bytes(), 16 * area, "{w}x{h}, fusion {fusion}");
+            }
+        }
     }
 
     #[test]

@@ -78,6 +78,17 @@ pub trait StageList: Sized {
     /// One `w x h` level's workspaces, taken from `src` in a fixed
     /// order: the pool reuses a buffer for the same position at every
     /// geometry.
+    ///
+    /// Every level of every request slot is resident at once (one stream
+    /// per level), so the layout is the pool's footprint. Values may
+    /// share a buffer ([`DevBuf::cast`], [`DevBuf::prefix`]) under three
+    /// rules:
+    /// - they are never live together, in any launch order the list
+    ///   issues (unfused launches or fused chains);
+    /// - no launch or fused chain reads and writes one buffer, except a
+    ///   chain's own intermediates;
+    /// - every output fully overwrites the elements it covers, so no
+    ///   value reads what the buffer held before.
     fn level_bufs(src: &mut impl BufSource, w: usize, h: usize) -> Self::LevelBufs;
 
     /// Rebuild what the stages derive from the pyramid plan; called each

@@ -1,24 +1,32 @@
 //! Device memory spaces: global buffers, constant memory and textures.
 //!
-//! Global memory is a typed arena. Buffers are addressed through copyable
-//! [`DevBuf<T>`] handles so kernels can capture them without borrowing the
-//! device.
+//! Global memory is bytes, as it is on a device. Each allocation is an
+//! arena slot of 8-byte words, so a view of it as any [`DeviceScalar`]
+//! is aligned. Buffers are addressed through copyable [`DevBuf<T>`]
+//! handles so kernels can capture them without borrowing the device; the
+//! element type lives in the handle, not in the slot.
+//! [`DevBuf::cast`] re-types a handle between scalars of one size, like a
+//! `reinterpret_cast` of a CUDA pointer: both handles name the same slot
+//! and see the same bytes. Aliases are what lets a stage list give two
+//! values that are never live together one buffer; every guard, access
+//! set and poisoned region below is per slot, so it covers every alias.
 //!
 //! # Concurrency and the disjoint-write contract
 //!
 //! The functional phase executes thread blocks in parallel across host
 //! threads, so the arena is shared (`DeviceMemory` is `Sync`) and buffer
-//! views are handed out through [`DevRead`]/[`DevWrite`] guards backed by
-//! an `UnsafeCell` per slot. The CUDA memory model is the contract:
+//! views are handed out through [`DevRead`]/[`DevWrite`] guards over a
+//! slot's `UnsafeCell` words. The CUDA memory model is the contract:
 //!
 //! - any number of blocks may *read* a buffer concurrently;
 //! - any number of blocks may *write* a buffer concurrently **only if
 //!   they write disjoint elements** (the standard CUDA requirement for a
 //!   correct kernel — e.g. every block of the cascade kernel writes its
 //!   own output tile);
-//! - a buffer must never be read and written in the same launch.
+//! - a buffer must never be read and written in the same launch, through
+//!   one handle or two aliases of it.
 //!
-//! The guards enforce the checkable part of this at buffer granularity
+//! The guards enforce the checkable part of this at slot granularity
 //! with atomic reader/writer counts: taking a read view while a write
 //! view exists (or vice versa) panics, which corresponds to a data race
 //! under the CUDA memory model. Element-level overlap between concurrent
@@ -34,7 +42,6 @@
 //! single-channel surfaces with clamp addressing and optional bilinear
 //! filtering, the `tex2D` path used by the scaling kernel.
 
-use std::any::{Any, TypeId};
 use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -106,18 +113,24 @@ impl std::fmt::Display for MemoryError {
 
 impl std::error::Error for MemoryError {}
 
-/// Scalar element types storable in device buffers.
-pub trait DeviceScalar: Copy + Default + Send + Sync + 'static {}
-impl DeviceScalar for u8 {}
-impl DeviceScalar for u16 {}
-impl DeviceScalar for u32 {}
-impl DeviceScalar for u64 {}
-impl DeviceScalar for i8 {}
-impl DeviceScalar for i16 {}
-impl DeviceScalar for i32 {}
-impl DeviceScalar for i64 {}
-impl DeviceScalar for f32 {}
-impl DeviceScalar for f64 {}
+mod sealed {
+    /// Plain old data: every bit pattern is a value, all-zero bits are
+    /// the `Default`, and the alignment is at most 8 bytes. What makes a
+    /// slot's words readable as any [`super::DeviceScalar`].
+    pub trait Pod {}
+}
+
+/// Scalar element types storable in device buffers: the sealed set of
+/// plain-old-data integers and floats.
+pub trait DeviceScalar: sealed::Pod + Copy + Default + Send + Sync + 'static {}
+
+macro_rules! device_scalars {
+    ($($t:ty),*) => {$(
+        impl sealed::Pod for $t {}
+        impl DeviceScalar for $t {}
+    )*};
+}
+device_scalars!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
 
 /// Typed handle to a global-memory buffer. Cheap to copy into kernels.
 pub struct DevBuf<T> {
@@ -162,6 +175,18 @@ impl<T> DevBuf<T> {
     pub fn prefix(self, len: usize) -> Self {
         assert!(len <= self.len, "prefix of {len} elements of {self:?}");
         Self { len, ..self }
+    }
+
+    /// The same bytes as elements of `U` (`reinterpret_cast` of a device
+    /// pointer): the handle names the same slot, so views, access sets
+    /// and poisoned regions through either alias are one buffer's. Panics
+    /// unless `U` is as wide as `T`.
+    pub fn cast<U: DeviceScalar>(self) -> DevBuf<U> {
+        assert!(
+            std::mem::size_of::<T>() == std::mem::size_of::<U>(),
+            "cast of {self:?} between element sizes"
+        );
+        DevBuf { id: self.id, len: self.len, _marker: PhantomData }
     }
 }
 
@@ -251,10 +276,11 @@ impl AccessSet {
 }
 
 struct Slot {
-    /// The buffer contents. Shared mutable access from worker threads is
-    /// mediated by the `readers`/`writers` counts below plus the
-    /// module-level disjoint-write contract.
-    data: UnsafeCell<Box<dyn Any + Send + Sync>>,
+    /// The buffer contents, zero-initialized 8-byte words. Shared mutable
+    /// access from worker threads is mediated by the `readers`/`writers`
+    /// counts below plus the module-level disjoint-write contract.
+    words: Box<[UnsafeCell<u64>]>,
+    /// Bytes requested; the words round it up to a multiple of 8.
     bytes: usize,
     live: bool,
     /// Outstanding [`DevRead`] guards.
@@ -263,12 +289,38 @@ struct Slot {
     writers: AtomicU32,
 }
 
-// SAFETY: all access to `data` goes through `DeviceMemory::read`/`write`,
+impl Slot {
+    fn new(bytes: usize) -> Self {
+        let words = vec![0u64; bytes.div_ceil(8)].into_boxed_slice();
+        Self {
+            // SAFETY: `UnsafeCell<u64>` has the layout of `u64`.
+            words: unsafe { Box::from_raw(Box::into_raw(words) as *mut [UnsafeCell<u64>]) },
+            bytes,
+            live: true,
+            readers: AtomicU32::new(0),
+            writers: AtomicU32::new(0),
+        }
+    }
+
+    /// The slot's first `len` elements as `T`s: an in-bounds, aligned
+    /// pointer (the words are 8-byte aligned and `T` is at most that) over
+    /// initialized bytes, any bit pattern of which is a `T`
+    /// ([`sealed::Pod`]). Panics if `len` elements overrun the slot.
+    fn elems<T: DeviceScalar>(&self, len: usize) -> *mut [T] {
+        let fits = len.checked_mul(std::mem::size_of::<T>()).is_some_and(|b| b <= self.bytes);
+        assert!(fits, "a view of {len} elements overruns a {}-byte slot", self.bytes);
+        let first = UnsafeCell::raw_get(self.words.as_ptr()).cast::<T>();
+        std::ptr::slice_from_raw_parts_mut(first, len)
+    }
+}
+
+// SAFETY: all access to `words` goes through `DeviceMemory::read`/`write`,
 // which track outstanding views in `readers`/`writers` and panic on
-// buffer-level read/write races; concurrent writers are only permitted
-// under the documented disjoint-write contract (module docs). Structural
-// mutation (alloc/free) takes `&mut DeviceMemory` and is therefore
-// exclusive.
+// slot-level read/write races, whichever alias a view is taken through;
+// concurrent writers are only permitted under the documented
+// disjoint-write contract (module docs). Structural mutation
+// (alloc/free) takes `&mut DeviceMemory` and is therefore exclusive. The
+// other fields are plain data or atomics.
 unsafe impl Sync for Slot {}
 
 /// Shared view of a device buffer, obtained from [`DeviceMemory::read`].
@@ -325,8 +377,9 @@ pub struct DevWrite<'a, T: DeviceScalar> {
 impl<T: DeviceScalar> Deref for DevWrite<'_, T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
-        // SAFETY: the slot is live for 'a and read views are excluded
-        // while any write view exists.
+        // SAFETY: the pointer is valid for `T`s (`Slot::elems`), the slot
+        // is live for 'a, and read views are excluded while any write view
+        // exists.
         unsafe { &*self.elems }
     }
 }
@@ -423,31 +476,25 @@ impl DeviceMemory {
         }
     }
 
-    /// Allocate a buffer of `len` default-initialized elements
-    /// (`cudaMalloc` + `cudaMemset`).
+    /// Allocate a buffer of `len` zeroed elements (`cudaMalloc` +
+    /// `cudaMemset`).
     pub fn alloc<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T> {
-        self.insert(vec![T::default(); len])
-    }
-
-    /// Allocate a buffer initialized from host data (`cudaMemcpyHostToDevice`).
-    pub fn upload<T: DeviceScalar>(&mut self, data: &[T]) -> DevBuf<T> {
-        self.insert(data.to_vec())
-    }
-
-    fn insert<T: DeviceScalar>(&mut self, data: Vec<T>) -> DevBuf<T> {
-        let (len, bytes) = (data.len(), std::mem::size_of_val(data.as_slice()));
+        let bytes = len.checked_mul(std::mem::size_of::<T>()).expect("allocation size overflow");
         let id = self.slots.len();
-        self.slots.push(Slot {
-            data: UnsafeCell::new(Box::new(data)),
-            bytes,
-            live: true,
-            readers: AtomicU32::new(0),
-            writers: AtomicU32::new(0),
-        });
+        self.slots.push(Slot::new(bytes));
         self.live_bytes += bytes;
         self.peak_bytes = self.peak_bytes.max(self.live_bytes);
         self.alloc_count += 1;
         DevBuf { id, len, _marker: PhantomData }
+    }
+
+    /// Allocate a buffer initialized from host data (`cudaMemcpyHostToDevice`).
+    pub fn upload<T: DeviceScalar>(&mut self, data: &[T]) -> DevBuf<T> {
+        let buf = self.alloc(data.len());
+        // SAFETY: the pointer is valid for `T`s (`Slot::elems`), and the
+        // slot is new, so no view of it exists.
+        unsafe { &mut *self.slots[buf.id].elems(buf.len) }.copy_from_slice(data);
+        buf
     }
 
     /// Release a buffer (all of it, through any prefix handle). Its
@@ -462,7 +509,7 @@ impl DeviceMemory {
         assert!(slot.live, "double free of DevBuf#{id}");
         slot.live = false;
         self.live_bytes -= slot.bytes;
-        *slot.data.get_mut() = Box::new(());
+        slot.words = Box::default();
         let state = self.copy_faults.get_mut().unwrap_or_else(|e| e.into_inner());
         state.poisoned.remove(&id);
     }
@@ -479,11 +526,10 @@ impl DeviceMemory {
             slot.writers.load(Ordering::SeqCst) == 0,
             "read/write race on {buf:?}: a write view is outstanding"
         );
-        // SAFETY: no write view exists (checked above) and none can be
-        // taken while our reader count is registered.
-        let vec = unsafe { (*slot.data.get()).downcast_ref::<Vec<T>>() }
-            .expect("device buffer type mismatch");
-        DevRead { elems: &vec[..buf.len], readers: &slot.readers }
+        // SAFETY: the pointer is valid for `T`s (`Slot::elems`); no write
+        // view of the slot, through any alias, exists (checked above) and
+        // none can be taken while our reader count is registered.
+        DevRead { elems: unsafe { &*slot.elems(buf.len) }, readers: &slot.readers }
     }
 
     /// Mutable view of a buffer. Panics if a read view is outstanding;
@@ -499,14 +545,10 @@ impl DeviceMemory {
             slot.readers.load(Ordering::SeqCst) == 0,
             "read/write race on {buf:?}: a read view is outstanding"
         );
-        // SAFETY: read views are excluded (checked above); overlap between
+        // Read views are excluded (checked above); overlap between
         // concurrent write views is governed by the disjoint-write
-        // contract. The transient exclusive borrow here only downcasts and
-        // takes the handle's (bounds-checked) prefix.
-        let vec = unsafe { (*slot.data.get()).downcast_mut::<Vec<T>>() }
-            .expect("device buffer type mismatch");
-        let elems: *mut [T] = &mut vec[..buf.len];
-        DevWrite { elems, writers: &slot.writers, _marker: PhantomData }
+        // contract. No reference is formed until the guard derefs.
+        DevWrite { elems: slot.elems(buf.len), writers: &slot.writers, _marker: PhantomData }
     }
 
     /// Attach (or detach) deterministic copy-corruption injection.
@@ -669,14 +711,15 @@ impl BufSource for DeviceMemory {
 }
 
 /// Device buffers that serve a layout at changing sizes. The `i`-th
-/// buffer a [`Workspace::fill`] hands out is a [`DevBuf::prefix`] of the
-/// workspace's `i`-th buffer, which only grows — freed, then allocated at
-/// the requested length — when a request is longer than any before it.
+/// buffer a [`Workspace::fill`] hands out is a prefix of the workspace's
+/// `i`-th buffer, as whatever scalar type the request names; a position
+/// is keyed by bytes only, and it grows — freed, then allocated at the
+/// requested size — when a request is longer in bytes than any before it.
 /// A reused buffer keeps its stale contents.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Per layout position: arena slot, element type, length, bytes.
-    held: Vec<(usize, TypeId, usize, usize)>,
+    /// Per layout position: arena slot and bytes.
+    held: Vec<(usize, usize)>,
 }
 
 impl Workspace {
@@ -691,7 +734,7 @@ impl Workspace {
 
     /// Device bytes held.
     pub fn bytes(&self) -> usize {
-        self.held.iter().map(|h| h.3).sum()
+        self.held.iter().map(|h| h.1).sum()
     }
 
     /// Free every buffer held.
@@ -711,17 +754,15 @@ pub struct WorkspaceFill<'a> {
 
 impl BufSource for WorkspaceFill<'_> {
     fn buf<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T> {
-        let (i, ty) = (self.next, TypeId::of::<T>());
+        let (i, bytes) = (self.next, len * std::mem::size_of::<T>());
         self.next += 1;
         match self.ws.held.get(i) {
-            Some(&(id, t, cap, _)) if t == ty && cap >= len => {
-                return DevBuf { id, len, _marker: PhantomData };
-            }
-            Some(&(id, ..)) => self.mem.free_slot(id),
+            Some(&(id, cap)) if cap >= bytes => return DevBuf { id, len, _marker: PhantomData },
+            Some(&(id, _)) => self.mem.free_slot(id),
             None => {}
         }
         let buf = self.mem.alloc::<T>(len);
-        let held = (buf.id, ty, len, len * std::mem::size_of::<T>());
+        let held = (buf.id, bytes);
         match self.ws.held.get_mut(i) {
             Some(slot) => *slot = held,
             None => self.ws.held.push(held),
@@ -1040,12 +1081,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "type mismatch")]
-    fn type_confusion_panics() {
+    fn a_cast_reads_back_the_same_bits() {
         let mut mem = DeviceMemory::new();
-        let b = mem.upload(&[1u32, 2]);
-        let fake = DevBuf::<f32> { id: b.id, len: b.len, _marker: PhantomData };
-        let _ = mem.read(fake);
+        let words = [0x3f80_0000u32, 0xdead_beef, 0, u32::MAX];
+        let b = mem.upload(&words);
+        let f = b.cast::<f32>();
+        assert_eq!((f.raw_id(), f.len()), (b.raw_id(), 4));
+        assert_eq!(mem.read(f)[0], 1.0);
+        mem.write(f)[2] = -2.5;
+        let back = mem.download(f.cast::<u32>());
+        assert_eq!(back, [0x3f80_0000, 0xdead_beef, (-2.5f32).to_bits(), u32::MAX]);
+        assert_eq!(mem.live_bytes(), 16, "an alias allocates nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "between element sizes")]
+    fn a_cast_between_sizes_panics() {
+        let mut mem = DeviceMemory::new();
+        let b = mem.alloc::<u32>(4);
+        let _ = b.cast::<u16>();
+    }
+
+    #[test]
+    #[should_panic(expected = "read/write race")]
+    fn a_read_view_through_one_alias_blocks_a_write_through_another() {
+        let mut mem = DeviceMemory::new();
+        let b = mem.alloc::<u32>(4);
+        let _r = mem.read(b);
+        let _w = mem.write(b.cast::<f32>());
     }
 
     #[test]
@@ -1168,11 +1231,27 @@ mod tests {
         assert_ne!(a3.raw_id(), a.raw_id());
         assert_eq!((mem.alloc_count(), ws.bytes(), mem.live_bytes()), (4, 240, 240));
         assert_eq!(mem.peak_bytes(), 240, "each buffer is freed before its successor");
-        // The same position at another element type is a new buffer.
-        let mut src = ws.fill(&mut mem);
-        let c = src.buf::<u8>(4);
-        assert_eq!((mem.alloc_count(), mem.live_bytes()), (5, 160 + 4));
-        assert_eq!(mem.download(c), vec![0; 4]);
+        ws.free(&mut mem);
+        assert_eq!(mem.live_bytes(), 0);
+    }
+
+    #[test]
+    fn a_workspace_position_serves_equal_size_types_without_allocating() {
+        let mut mem = DeviceMemory::new();
+        let mut ws = Workspace::new();
+        let a = ws.fill(&mut mem).buf::<u32>(6);
+        mem.write(a).copy_from_slice(&[1, 2, 3, 4, 5, 6]);
+        // A position is bytes: the next fill may ask for any scalar type
+        // that fits, and sees the stale bytes.
+        let f = ws.fill(&mut mem).buf::<f32>(6);
+        let i = ws.fill(&mut mem).buf::<i16>(12);
+        assert_eq!((f.raw_id(), i.raw_id()), (a.raw_id(), a.raw_id()));
+        assert_eq!(mem.read(f)[5].to_bits(), 6);
+        assert_eq!((mem.alloc_count(), ws.bytes(), mem.live_bytes()), (1, 24, 24));
+        // More bytes than the position holds grows it.
+        let d = ws.fill(&mut mem).buf::<f64>(4);
+        assert_ne!(d.raw_id(), a.raw_id());
+        assert_eq!((mem.alloc_count(), ws.bytes(), mem.live_bytes()), (2, 32, 32));
         ws.free(&mut mem);
         assert_eq!(mem.live_bytes(), 0);
     }

@@ -3,10 +3,10 @@
 #
 # The procedure behind every host-time claim in CHANGES.md: run two
 # `fd-benchmark` binaries (parent commit, change) turn by turn on one
-# workload, untraced, alternating which side goes first, and report each
-# side's host_ms_p50 (median and quartiles over the runs), in how many
-# pairs the change was faster; every run's host_ms_p50, host_peak_rss_mb
-# and setup_s; and a verdict per end-to-end metric of BENCHMARK.json: the
+# workload, untraced, alternating which side goes first, and report for
+# each host row (host_ms_p50, host_peak_rss_mb, setup_s) every run's
+# value, each side's median and quartiles, and in how many pairs the
+# change was lower; and a verdict per end-to-end metric of BENCHMARK.json: the
 # change's median against the parent's and the metric's bound. Single runs
 # of host_ms_p50 spread a few percent on this box and slow phases last a
 # whole run, so only alternating pairs separate a change from the noise.
@@ -21,9 +21,11 @@
 # `gpu.<stage>.host_us`, `gpu.host_us_per_block`,
 # `gpu.overhead.host_us_per_launch` and `gpu.kernel_body.host_share` side
 # by side (one run each, so read them against the spread of the pairs
-# above), and whether the
-# deterministic `gpu.*` rows (launches, blocks, virtual time, bytes,
-# branch efficiency, timeline) are equal. The last line printed is one
+# above), `detector.pool_bytes` side by side (the device footprint that
+# moves host_peak_rss_mb), and whether the deterministic `gpu.*` and
+# `detector.*` rows (launches, blocks, virtual time, bytes, branch
+# efficiency, timeline, levels, pool bytes, windows) are equal. The last
+# line printed is one
 # JSON object with both sides' medians of the nine end-to-end metrics, in
 # the shape of a results/TRAJECTORY.jsonl workload entry.
 set -euo pipefail
@@ -85,13 +87,15 @@ for side in ("parent", "change"):
         q1, med, q3 = quartiles(values(side, name))
         print(f"{side:<7} {name:<16} median {med:{fmt}}, quartiles {q1:{fmt}} / {q3:{fmt}}, runs "
               + " ".join(f"{v:{fmt}}" for v in values(side, name)))
-p, c = values("parent", "host_ms_p50"), values("change", "host_ms_p50")
-wins = sum(cv < pv for pv, cv in zip(p, c))
-ties = sum(cv == pv for pv, cv in zip(p, c))
-pm, cm = statistics.median(p), statistics.median(c)
-pq1, _, pq3 = quartiles(p)
-print(f"change faster in {wins} of {pairs} pairs ({ties} ties); medians {pm:.3f} -> {cm:.3f} ms "
-      f"({(cm / pm - 1) * 100:+.1f} % of the parent); parent interquartile distance {pq3 - pq1:.3f} ms")
+for name, fmt in (("host_ms_p50", ".3f"), ("host_peak_rss_mb", ".1f"), ("setup_s", ".4f")):
+    p, c = values("parent", name), values("change", name)
+    wins = sum(cv < pv for pv, cv in zip(p, c))
+    ties = sum(cv == pv for pv, cv in zip(p, c))
+    pm, cm = statistics.median(p), statistics.median(c)
+    pq1, _, pq3 = quartiles(p)
+    moved = f"{(cm / pm - 1) * 100:+.1f} %" if pm else "-"
+    print(f"{name}: change lower in {wins} of {pairs} pairs ({ties} ties); medians {pm:{fmt}} -> "
+          f"{cm:{fmt}} ({moved} of the parent); parent interquartile distance {pq3 - pq1:{fmt}}")
 print(f"det_digest parent {sorted(digests['parent'])} change {sorted(digests['change'])}"
       + ("" if digests["parent"] == digests["change"] else "  <- DIFFERS"))
 print("end to end, change median against parent median and the BENCHMARK.json bound:")
@@ -109,10 +113,15 @@ for name in host_rows + ["gpu.host_us_per_block", "gpu.overhead.host_us_per_laun
     pv, cv = traced_parent[name]["value"], traced_change[name]["value"]
     moved = f"{(cv / pv - 1) * 100:+.1f} %" if pv else "-"
     print(f"  {name:<34} {pv:>14.3f} -> {cv:>14.3f} {traced_parent[name]['unit']:<3} {moved}")
+if "detector.pool_bytes" in traced_parent:
+    pv, cv = (t["detector.pool_bytes"]["value"] for t in (traced_parent, traced_change))
+    moved = f"{(cv / pv - 1) * 100:+.1f} %" if pv else "-"
+    print(f"  {'detector.pool_bytes':<34} {pv:>14.0f} -> {cv:>14.0f} B   {moved}")
 moved_rows = [n for n in traced_parent
-              if n.startswith("gpu.") and "host" not in n
+              if n.startswith(("gpu.", "detector.")) and "host" not in n
               and traced_parent[n]["value"] != traced_change[n]["value"]]
-print("  deterministic gpu.* rows (launches, blocks, virt_us, global_bytes, branch_eff, timeline): "
+print("  deterministic gpu.* and detector.* rows (launches, blocks, virt_us, global_bytes, "
+      "branch_eff, timeline, levels, pool_bytes, windows): "
       + ("equal" if not moved_rows else "DIFFER " + " ".join(moved_rows)))
 names = ["setup_s", "virt_ms_p50", "virt_ms_tail", "virt_ops_per_s", "virt_concurrency_speedup",
          "slo_met_share", "ok_share", "host_ms_p50", "host_peak_rss_mb"]
