@@ -3,70 +3,128 @@
 //! defaults; not part of the paper's tables.
 //!
 //! `probe --sim [--ops N]` instead prints what the timing simulation
-//! costs the host per placed block, on the shipped cascade (no training).
+//! costs the host per placed block, on the shipped cascade (no training);
+//! `probe --bodies [--ops N]` what each kernel body costs it.
+
+use std::collections::BTreeMap;
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
 use fd_bench::out::{arg_flag, arg_usize};
 use fd_detector::{DetectorConfig, FaceDetector};
-use fd_gpu::ExecMode;
+use fd_gpu::{ExecMode, Profiler};
 use fd_imgproc::synth::render_random_background;
 use fd_imgproc::GrayImage;
 use fd_video::{movie_trailers, Trailer, TrailerSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// `--sim`: host ns of `sched::simulate` per placed block — the profiler's
-/// `timing_host_us` over the blocks of the timelines it absorbed — for one
-/// 1080p frame and for a batch of six 64×48 frames, at one host thread
-/// (the simulation then follows the drain, so its spans hold nothing
-/// else). Prints the median and quartiles over `--ops` detects (50).
-fn sim_cost() {
+/// `count` frames of `width x height`: trailer scenes, or bare
+/// backgrounds below 64 px (trailers start at 64 px).
+fn frames(width: usize, height: usize, count: u64) -> Vec<GrayImage> {
+    (0..count)
+        .map(|seed| {
+            if height < 64 {
+                return render_random_background(&mut StdRng::seed_from_u64(seed), width, height);
+            }
+            let spec = TrailerSpec { width, height, n_frames: 1, seed, ..Default::default() };
+            Trailer::generate(spec).render_frame(0)
+        })
+        .collect()
+}
+
+/// A detector for the shipped cascade at one host thread (the timing
+/// simulation then follows the drain, so no span holds anything else) that
+/// has seen `frames` once; then `ops` more detects of `frames`, `measure`
+/// reading the profiler after each.
+fn profile_detects(
+    frames: &[GrayImage],
+    config: DetectorConfig,
+    ops: usize,
+    mut measure: impl FnMut(&Profiler),
+) {
     let path = "assets/ours-gentle.cascade";
     let cascade = fd_haar::io::load(path)
         .unwrap_or_else(|e| panic!("cannot load {path} (run from the repo root): {e}"));
-    let config = DetectorConfig { host_threads: Some(1), ..DetectorConfig::default() };
+    let config = DetectorConfig { host_threads: Some(1), ..config };
+    let frames: Vec<&GrayImage> = frames.iter().collect();
+    let mut det = FaceDetector::try_new(&cascade, config).expect("shipped cascade");
+    det.detect_batch(&frames).expect("warm-up detect");
+    for _ in 0..ops {
+        det.reset_profiler();
+        det.detect_batch(&frames).expect("detect");
+        measure(det.profiler());
+    }
+}
+
+/// The median and quartiles of `xs`, to `decimals` places.
+fn quartiles(mut xs: Vec<f64>, decimals: usize) -> String {
+    xs.sort_by(f64::total_cmp);
+    let at = |q: usize| xs[(xs.len() - 1) * q / 4];
+    format!("median {:.*}, quartiles {:.*} / {:.*}", decimals, at(2), decimals, at(1), decimals, at(3))
+}
+
+/// `--sim`: host ns of `sched::simulate` per placed block — the profiler's
+/// `timing_host_us` over the blocks of the timelines it absorbed — for one
+/// 1080p frame and for a batch of six 64×48 frames.
+fn sim_cost() {
     let ops = arg_usize("--ops", 50).max(1);
     for (shape, (width, height), count) in
         [("one 1080p frame", (1920, 1080), 1), ("six 64x48 frames", (64, 48), 6)]
     {
-        // A trailer scene at 1080p; trailers start at 64 px, so the
-        // serving-sized frames are bare backgrounds.
-        let frames: Vec<GrayImage> = (0..count)
-            .map(|seed| {
-                if height < 64 {
-                    return render_random_background(&mut StdRng::seed_from_u64(seed), width, height);
-                }
-                let spec = TrailerSpec { width, height, n_frames: 1, seed, ..Default::default() };
-                Trailer::generate(spec).render_frame(0)
-            })
-            .collect();
-        let frames: Vec<&GrayImage> = frames.iter().collect();
-        let mut det = FaceDetector::try_new(&cascade, config.clone()).expect("shipped cascade");
-        det.detect_batch(&frames).expect("warm-up detect");
         let (mut ns_per_block, mut launches, mut blocks) = (Vec::with_capacity(ops), 0, 0);
-        for _ in 0..ops {
-            det.reset_profiler();
-            det.detect_batch(&frames).expect("detect");
-            let traces = det.profiler().traces();
+        profile_detects(&frames(width, height, count), DetectorConfig::default(), ops, |profiler| {
+            let traces = profiler.traces();
             launches = traces.len();
             blocks = traces.iter().map(|e| e.blocks).sum::<u64>();
-            ns_per_block.push(det.profiler().timing_host_us() * 1e3 / blocks as f64);
-        }
-        ns_per_block.sort_by(f64::total_cmp);
-        let at = |q: usize| ns_per_block[(ns_per_block.len() - 1) * q / 4];
+            ns_per_block.push(profiler.timing_host_us() * 1e3 / blocks as f64);
+        });
         println!(
-            "{shape}: {launches} launches, {blocks} blocks, {:.0} ns per block \
-             (median of {ops}; quartiles {:.0} / {:.0})",
-            at(2),
-            at(1),
-            at(3)
+            "{shape}: {launches} launches, {blocks} blocks; ns per block over {ops} detects: {}",
+            quartiles(ns_per_block, 0)
         );
+    }
+}
+
+/// `--bodies`: host ms per kernel name — the sum of its
+/// [`Profiler::host_spans`] — and of the timing simulation, for one 1080p
+/// frame (the default configuration, as `trailer_1080p` runs it) and for
+/// a batch of eight VGA frames (fused and autotuned, as `batch_vga_fused`
+/// runs it).
+fn body_cost() {
+    let ops = arg_usize("--ops", 50).max(1);
+    let fused = DetectorConfig { fusion: Some(true), autotune: Some(true), ..DetectorConfig::default() };
+    for (shape, (width, height), count, config) in [
+        ("one 1080p frame", (1920, 1080), 1, DetectorConfig::default()),
+        ("eight VGA frames, fused and autotuned", (640, 480), 8, fused),
+    ] {
+        let mut per_kernel: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
+        let (mut bodies, mut timing) = (Vec::with_capacity(ops), Vec::with_capacity(ops));
+        profile_detects(&frames(width, height, count), config, ops, |profiler| {
+            let mut op: BTreeMap<&'static str, f64> = BTreeMap::new();
+            for span in profiler.host_spans() {
+                *op.entry(span.kernel_name).or_default() += span.duration_us() / 1e3;
+            }
+            bodies.push(op.values().sum());
+            for (name, us) in op {
+                per_kernel.entry(name).or_default().push(us);
+            }
+            timing.push(profiler.timing_host_us() / 1e3);
+        });
+        println!("{shape}: host ms per detect over {ops} detects");
+        for (name, ms) in per_kernel {
+            println!("  {name:<30} {}", quartiles(ms, 1));
+        }
+        println!("  {:<30} {}", "all kernel bodies", quartiles(bodies, 1));
+        println!("  {:<30} {}", "timing simulation", quartiles(timing, 1));
     }
 }
 
 fn main() {
     if arg_flag("--sim") {
         return sim_cost();
+    }
+    if arg_flag("--bodies") {
+        return body_cost();
     }
     let frames = arg_usize("--frames", 2);
     let budget = if std::env::args().any(|a| a == "--tiny") {

@@ -63,6 +63,12 @@
 //! weight into its corner order, so most weights are 1 and cost no
 //! multiply.
 //!
+//! The body ([`CascadeKernel::blocks`]) runs at the host's vector width
+//! ([`fd_gpu::at_vector_width`]): compiled twice, its AVX2 copy runs on a
+//! CPU that has AVX2, where stage 0's run of 24 windows is three vectors.
+//! It computes only wrapping integers and `f32` adds, subtracts, compares
+//! and selects in source order, so both copies give the same bytes.
+//!
 //! The stump-major per-block body lives on in `kernels/reference.rs` as
 //! the test oracle: equal output bits and equal counters per block,
 //! however a launch is cut into ranges.
@@ -125,6 +131,7 @@ impl PreStage {
     /// adjacent words, so every inner loop is unit-stride over `[_; N]`.
     /// The response wraps `i32` — equal mod 2³² to the exact sum
     /// truncated, which is what the device compares.
+    #[inline(always)]
     fn sums<const N: usize>(&self, offs: &[CornerOffsets], win: &[u32]) -> [f32; N] {
         let mut sums = [0.0f32; N];
         for (stump, offs) in self.stumps.iter().zip(offs) {
@@ -381,6 +388,7 @@ struct WindowSource<'a> {
 impl WindowSource<'_> {
     /// The sums of stage `si` for the `N` adjacent windows from `(tx, ty)`
     /// of the block on.
+    #[inline(always)]
     fn sums<const N: usize>(&self, si: usize, stage: &PreStage, (tx, ty): (usize, usize)) -> [f32; N] {
         let offs = self.image_offs.map_or(&stage.tile_offs, |offs| &offs[si]);
         stage.sums(offs, &self.data[self.origin + ty * self.stride + tx..])
@@ -402,6 +410,7 @@ impl CascadeKernel {
     /// the row's `valid_w` windows are one run of 24 adjacent ones
     /// (sums past `valid_w` are computed from staged zeros and dropped).
     /// Writes their depth and score and returns the row's survivor mask.
+    #[inline(always)]
     fn dense_row(
         &self,
         src: WindowSource<'_>,
@@ -432,6 +441,7 @@ impl CascadeKernel {
     /// updating their depth and score in place) and the counters of the
     /// whole block: what each of its warps is charged for the stages it
     /// executes, tile staging and the result stores.
+    #[inline(always)]
     fn finish_block(
         &self,
         ctx: &LaunchCtx<'_>,
@@ -458,7 +468,7 @@ impl CascadeKernel {
             c.barriers += ctx.warps_in_block();
         }
 
-        ctx.for_each_warp(|_, lanes| {
+        ctx.for_each_warp(#[inline(always)] |_, lanes| {
             // The warp's lanes that passed stage 0, in lane order (window
             // position in the block), and how many entered it. Its 32 lanes
             // cover parts of two or three block rows: columns `c0..c1` of
@@ -537,6 +547,7 @@ impl CascadeKernel {
     /// device runs every block: the form for blocks whose tile reaches
     /// past the image, where the staged zeros stand in for the integral's
     /// zero border and for the windows that do not exist.
+    #[inline(always)]
     fn staged_block(
         &self,
         ctx: &LaunchCtx<'_>,
@@ -580,18 +591,13 @@ impl CascadeKernel {
         }
         self.finish_block(ctx, src, (bx, by), (valid_w, valid_h), &passed, out)
     }
-}
 
-impl Kernel for CascadeKernel {
-    fn name(&self) -> &'static str {
-        "cascade_eval"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
-    }
-
-    fn run_blocks(
+    /// The launch's blocks `blocks`, grid row by grid row: the one body
+    /// [`Kernel::run_blocks`] runs at the host's vector width
+    /// ([`fd_gpu::at_vector_width`]). Everything on its hot path is
+    /// `#[inline(always)]`, so the AVX2 copy is the whole body.
+    #[inline(always)]
+    pub(super) fn blocks(
         &self,
         ctx: &LaunchCtx<'_>,
         blocks: Range<u64>,
@@ -652,6 +658,25 @@ impl Kernel for CascadeKernel {
                 sink(&self.staged_block(ctx, &integral, &mut tile, (x * b, by), out));
             }
         }
+    }
+}
+
+impl Kernel for CascadeKernel {
+    fn name(&self) -> &'static str {
+        "cascade_eval"
+    }
+
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        fd_gpu::at_vector_width(#[inline(always)] || self.blocks(ctx, blocks, sink));
     }
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {

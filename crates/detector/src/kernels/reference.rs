@@ -11,8 +11,11 @@
 //! [`BatchedKernel`], as stages of the pipeline's two fused chains — and
 //! demand the reference body's output bytes, its counters for every block
 //! and the same timeline (block costs and their sum, through the
-//! scheduler).
+//! scheduler). The cascade sweep runs each case through the kernel, whose
+//! body runs at the host's vector width, and through its portable copy
+//! ([`Portable`]), so both copies are checked on any CPU.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use fd_gpu::probe::{
@@ -20,7 +23,8 @@ use fd_gpu::probe::{
     Mode, Observed, ReferenceBody, Rng,
 };
 use fd_gpu::{
-    with_band_mutation, BandMutation, BatchedKernel, BlockCtx, FusedChain, Gpu, StreamId, Texture2D,
+    with_band_mutation, AccessSet, BandMutation, BatchedKernel, BlockCtx, FusedChain, Gpu, Kernel,
+    KernelCounters, LaunchCtx, StreamId, Texture2D,
 };
 use fd_haar::encode::{encode_cascade, quantize_cascade};
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
@@ -208,6 +212,35 @@ impl ReferenceBody for CascadeKernel {
         let covered_w = (w - bx).min(b);
         let covered_h = (h - by).min(bh);
         ctx.meter.global_store(8 * (covered_w * covered_h) as u64);
+    }
+}
+
+/// The cascade kernel with its body called directly, not through
+/// [`fd_gpu::at_vector_width`]: the portable copy, which a CPU with AVX2
+/// never runs otherwise.
+struct Portable(CascadeKernel);
+
+impl Kernel for Portable {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+        ctx.run_as_range(self);
+    }
+
+    fn run_blocks(&self, ctx: &LaunchCtx<'_>, blocks: Range<u64>, sink: &mut dyn FnMut(&KernelCounters)) {
+        self.0.blocks(ctx, blocks, sink);
+    }
+
+    fn access(&self, set: &mut AccessSet) {
+        self.0.access(set);
+    }
+}
+
+impl ReferenceBody for Portable {
+    fn reference_run_block(&self, ctx: &mut BlockCtx<'_>) {
+        self.0.reference_run_block(ctx);
     }
 }
 
@@ -700,7 +733,7 @@ fn cascade_sweep(cases: usize) {
         let stages = precompile(&cascade);
         let offs = image_offsets(&stages, w, h);
         let mut depths = Vec::new();
-        let mut observe = |mode: Mode, parts: usize| -> Observed {
+        let mut observe = |portable: bool, mode: Mode, parts: usize| -> Observed {
             let outputs: Vec<_> =
                 (0..parts).map(|_| (gpu.mem.alloc::<u32>(w * h), gpu.mem.alloc::<f32>(w * h))).collect();
             let kernels: Vec<_> = outputs
@@ -716,7 +749,11 @@ fn cascade_sweep(cases: usize) {
                 })
                 .collect();
             let cfg = kernels[0].config();
-            let counters = run_probed(&mut gpu, kernels, cfg, mode);
+            let counters = if portable {
+                run_probed(&mut gpu, kernels.into_iter().map(Portable).collect(), cfg, mode)
+            } else {
+                run_probed(&mut gpu, kernels, cfg, mode)
+            };
             let mut bits = Vec::new();
             for (depth, score) in outputs {
                 bits.extend(gpu.mem.download(depth));
@@ -724,7 +761,7 @@ fn cascade_sweep(cases: usize) {
                 gpu.mem.free(depth);
                 gpu.mem.free(score);
             }
-            if mode == Mode::Reference && parts == 1 {
+            if mode == Mode::Reference && parts == 1 && !portable {
                 divergent += counters.0.iter().map(|c| c.divergent_branches).sum::<u64>();
                 depths = bits[..w * h].to_vec();
             }
@@ -734,7 +771,10 @@ fn cascade_sweep(cases: usize) {
             "case {case}: {w}x{h}, block_h {block_h}, uncompressed {uncompressed}, \
              no tile {no_tile}, profile {profile}"
         );
-        check_case(case, &label, &mut observe);
+        // The body as the kernel runs it (compiled for AVX2 where the CPU
+        // has it), then its portable copy: both owe the reference's bytes.
+        check_case(case, &label, |mode, parts| observe(false, mode, parts));
+        check_case(case, &format!("{label}, portable"), |mode, parts| observe(true, mode, parts));
         all_failed_a_stage |=
             profile == ALL_PASS_THEN_NONE && windows > 0 && depths.iter().all(|&d| d <= 1);
         all_passed |= profile == ALL_PASS && depths.iter().filter(|&&d| d == 3).count() == windows;

@@ -55,17 +55,22 @@ impl ScanRowsKernel {
 }
 
 /// `v.round().clamp(0.0, 255.0) as u32` — the 8-bit quantization of
-/// `IntegralImage::from_gray` — without the call into libm that
-/// `f32::round` is on baseline x86-64: clamping first leaves `[0, 255]`,
-/// where truncation and the remainder are exact, and halves round away
-/// from zero as `round` does. NaN fails the comparison and quantizes to 0
-/// either way. Signed conversions and no NaN past the first line keep a
-/// row of these one vector loop.
+/// `IntegralImage::from_gray` — in operations that vectorize: `f32::round`
+/// is a call into libm on baseline x86-64, and a float-to-int `as`
+/// saturates (a compare and select per lane that keeps the row loop
+/// scalar). NaN fails `v > 0.0` and goes to 0; clamping first leaves
+/// `[0, 255]`. Adding 2²³ moves that where the `f32` grid is the integers,
+/// so the add rounds to the nearest integer (ties to even) and the low
+/// mantissa bits hold it; a tie rounded down then goes up, as `round`
+/// takes halves away from zero. Every other step is exact, and a row of
+/// these is one vector loop.
 #[inline]
 pub(super) fn quantize_luma(v: f32) -> u32 {
+    const SHIFT: f32 = 8_388_608.0; // 2^23
     let c = if v > 0.0 { v.min(255.0) } else { 0.0 };
-    let whole = c as i32;
-    (whole + (c - whole as f32 >= 0.5) as i32) as u32
+    let shifted = c + SHIFT;
+    let nearest = shifted.to_bits() - SHIFT.to_bits();
+    nearest + (c - (shifted - SHIFT) == 0.5) as u32
 }
 
 /// Inclusive prefix sums in place, wrapping like the device's `u32` adds.

@@ -333,7 +333,9 @@ impl<'a> LaunchCtx<'a> {
 
     /// Iterate a block's threads in warp order, invoking `f(lane_set)` for
     /// each warp with the linear thread ids of its lanes. Convenience for
-    /// kernels whose metering is warp-structured.
+    /// kernels whose metering is warp-structured. Always inlined, so that
+    /// a body run at the host's vector width keeps `f` in its frame.
+    #[inline(always)]
     pub fn for_each_warp(&self, mut f: impl FnMut(u32, std::ops::Range<u32>)) {
         let threads = self.block_dim.count() as u32;
         let mut warp = 0;

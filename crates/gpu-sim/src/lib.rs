@@ -108,6 +108,7 @@ pub mod profiler;
 pub mod sched;
 pub mod stream;
 pub mod tune;
+pub mod vector;
 
 mod gpu;
 mod graph;
@@ -139,3 +140,4 @@ pub use stream::{EventId, StreamId};
 pub use tune::{
     score_shape, GeomClass, ShapeCache, ShapeCandidate, ShapeFamily, AUTOTUNE_ENV_VAR,
 };
+pub use vector::at_vector_width;

@@ -6,8 +6,11 @@
 # workload, untraced, alternating which side goes first, and report for
 # each host row (host_ms_p50, host_peak_rss_mb, setup_s) every run's
 # value, each side's median and quartiles, and in how many pairs the
-# change was lower; and a verdict per end-to-end metric of BENCHMARK.json: the
-# change's median against the parent's and the metric's bound. Single runs
+# change was lower, and whether the claim rule holds (at least ten pairs,
+# the change lower in at least nine tenths of them, the medians apart by
+# more than the parent's interquartile distance); and a verdict per
+# end-to-end metric of BENCHMARK.json: the change's median against the
+# parent's and the metric's bound. Single runs
 # of host_ms_p50 spread a few percent on this box and slow phases last a
 # whole run, so only alternating pairs separate a change from the noise.
 #
@@ -96,6 +99,16 @@ for name, fmt in (("host_ms_p50", ".3f"), ("host_peak_rss_mb", ".1f"), ("setup_s
     moved = f"{(cm / pm - 1) * 100:+.1f} %" if pm else "-"
     print(f"{name}: change lower in {wins} of {pairs} pairs ({ties} ties); medians {pm:{fmt}} -> "
           f"{cm:{fmt}} ({moved} of the parent); parent interquartile distance {pq3 - pq1:{fmt}}")
+    # The claim rule: at least ten pairs, the change lower in at least nine
+    # tenths of them (ties count for neither side), and its median below
+    # the parent's by more than the parent's interquartile distance.
+    unmet = [why for why, ok in (
+        (f"{pairs} pairs < 10", pairs >= 10),
+        (f"lower in {wins} of {pairs} < 9/10", wins >= 0.9 * pairs),
+        (f"median gap {pm - cm:{fmt}} <= parent interquartile distance {pq3 - pq1:{fmt}}",
+         pm - cm > pq3 - pq1),
+    ) if not ok]
+    print(f"{name}: claim rule " + ("MET" if not unmet else "not met: " + "; ".join(unmet)))
 print(f"det_digest parent {sorted(digests['parent'])} change {sorted(digests['change'])}"
       + ("" if digests["parent"] == digests["change"] else "  <- DIFFERS"))
 print("end to end, change median against parent median and the BENCHMARK.json bound:")
