@@ -68,13 +68,16 @@ fn main() {
 
     let pair = trained_cascade_pair(&TrainingBudget::tiny());
     let mut haar = FaceDetector::try_new(&pair.ours, cfg.clone()).expect("haar detector");
-    let mut cnn =
-        CnnDetector::try_new(&CnnModel::seeded(MODEL_SEED), cfg).expect("cnn detector");
+    let mut cnn = CnnDetector::try_new(&CnnModel::seeded(MODEL_SEED), cfg).expect("cnn detector");
     let rows = [measure("haar", &mut haar, &ds), measure("cnn", &mut cnn, &ds)];
 
     let loosest = |r: &Row| *r.curve.last().expect("non-degenerate curve");
     let mut backends = Table::new(&[
-        "backend", "tpr_loosest", "fp_loosest", "mean_detect_ms", "total_detect_ms",
+        "backend",
+        "tpr_loosest",
+        "fp_loosest",
+        "mean_detect_ms",
+        "total_detect_ms",
         "pre_final_rejection",
     ]);
     let mut roc = Table::new(&["backend", "threshold", "tp", "fp", "tpr"]);

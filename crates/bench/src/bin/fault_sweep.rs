@@ -36,8 +36,14 @@ fn main() {
     let pair = trained_cascade_pair(&TrainingBudget::tiny());
 
     let mut sweep = Table::new(&[
-        "transient_launch_rate", "corrupt_frame_rate", "pipelined_fps", "ok", "degraded",
-        "skipped", "retries", "backoff_ms",
+        "transient_launch_rate",
+        "corrupt_frame_rate",
+        "pipelined_fps",
+        "ok",
+        "degraded",
+        "skipped",
+        "retries",
+        "backoff_ms",
     ]);
     for rate in RATES {
         let device = if rate > 0.0 {

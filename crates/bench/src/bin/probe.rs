@@ -60,7 +60,15 @@ fn profile_detects(
 fn quartiles(mut xs: Vec<f64>, decimals: usize) -> String {
     xs.sort_by(f64::total_cmp);
     let at = |q: usize| xs[(xs.len() - 1) * q / 4];
-    format!("median {:.*}, quartiles {:.*} / {:.*}", decimals, at(2), decimals, at(1), decimals, at(3))
+    format!(
+        "median {:.*}, quartiles {:.*} / {:.*}",
+        decimals,
+        at(2),
+        decimals,
+        at(1),
+        decimals,
+        at(3)
+    )
 }
 
 /// `--sim`: host ns of `sched::simulate` per placed block — the profiler's
@@ -72,12 +80,17 @@ fn sim_cost() {
         [("one 1080p frame", (1920, 1080), 1), ("six 64x48 frames", (64, 48), 6)]
     {
         let (mut ns_per_block, mut launches, mut blocks) = (Vec::with_capacity(ops), 0, 0);
-        profile_detects(&frames(width, height, count), DetectorConfig::default(), ops, |profiler| {
-            let traces = profiler.traces();
-            launches = traces.len();
-            blocks = traces.iter().map(|e| e.blocks).sum::<u64>();
-            ns_per_block.push(profiler.timing_host_us() * 1e3 / blocks as f64);
-        });
+        profile_detects(
+            &frames(width, height, count),
+            DetectorConfig::default(),
+            ops,
+            |profiler| {
+                let traces = profiler.traces();
+                launches = traces.len();
+                blocks = traces.iter().map(|e| e.blocks).sum::<u64>();
+                ns_per_block.push(profiler.timing_host_us() * 1e3 / blocks as f64);
+            },
+        );
         println!(
             "{shape}: {launches} launches, {blocks} blocks; ns per block over {ops} detects: {}",
             quartiles(ns_per_block, 0)
@@ -92,7 +105,8 @@ fn sim_cost() {
 /// runs it).
 fn body_cost() {
     let ops = arg_usize("--ops", 50).max(1);
-    let fused = DetectorConfig { fusion: Some(true), autotune: Some(true), ..DetectorConfig::default() };
+    let fused =
+        DetectorConfig { fusion: Some(true), autotune: Some(true), ..DetectorConfig::default() };
     for (shape, (width, height), count, config) in [
         ("one 1080p frame", (1920, 1080), 1, DetectorConfig::default()),
         ("eight VGA frames, fused and autotuned", (640, 480), 8, fused),
@@ -205,7 +219,11 @@ fn main() {
                 for e in r.timeline.events.iter().filter(|e| e.kernel_name == "cascade_eval") {
                     eprintln!(
                         "    cascade s{:<2} [{:8.1}..{:8.1}] {:7.1} us {} blocks",
-                        e.stream.index(), e.t_start_us, e.t_end_us, e.duration_us(), e.blocks
+                        e.stream.index(),
+                        e.t_start_us,
+                        e.t_end_us,
+                        e.duration_us(),
+                        e.blocks
                     );
                 }
             }

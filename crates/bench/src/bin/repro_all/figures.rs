@@ -33,7 +33,11 @@ pub fn fig5() {
     let (cv_s, _) = detect_series(&pair.opencv_like, &info, ExecMode::Serial, frames);
 
     let mut csv = Table::new(&[
-        "frame", "ours_concurrent_ms", "ours_serial_ms", "cv_concurrent_ms", "cv_serial_ms",
+        "frame",
+        "ours_concurrent_ms",
+        "ours_serial_ms",
+        "cv_concurrent_ms",
+        "cv_serial_ms",
     ]);
     for i in 0..frames {
         csv.push([
@@ -105,7 +109,8 @@ pub fn fig6() {
             100.0 * r.timeline.sm_utilization()
         );
         println!("{}", ascii_lanes(&r.timeline, "cascade_eval"));
-        let mut csv = Table::new(&["launch", "stream", "kernel", "t_start_us", "t_end_us", "blocks"]);
+        let mut csv =
+            Table::new(&["launch", "stream", "kernel", "t_start_us", "t_end_us", "blocks"]);
         for e in &r.timeline.events {
             csv.push([
                 e.launch_idx.to_string(),
@@ -361,7 +366,8 @@ pub fn fig9() {
         pair.opencv_like.depth()
     );
 
-    let mut csv = Table::new(&["paper_stages", "cascade", "actual_stages", "threshold", "fp", "tpr"]);
+    let mut csv =
+        Table::new(&["paper_stages", "cascade", "actual_stages", "threshold", "fp", "tpr"]);
     for paper_stages in [15usize, 20, 25] {
         println!("\n=== {paper_stages}-stage operating point ===");
         for (name, cascade) in [("ours", &pair.ours), ("opencv-like", &pair.opencv_like)] {

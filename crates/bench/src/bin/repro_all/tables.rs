@@ -81,7 +81,13 @@ pub fn table2() {
     let rows = run_table2(&pair, trailers, frames);
 
     let mut shown = Table::new(&[
-        "movie trailer", "ours conc", "ours serial", "cv conc", "cv serial", "combined", "fps",
+        "movie trailer",
+        "ours conc",
+        "ours serial",
+        "cv conc",
+        "cv serial",
+        "combined",
+        "fps",
     ]);
     let mut csv = Table::new(&[
         "trailer",

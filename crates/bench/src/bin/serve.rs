@@ -40,8 +40,8 @@ use fd_detector::{Backend, Detector, DetectorConfig, FaceDetector, RecoveryPolic
 use fd_gpu::FaultPlan;
 use fd_haar::Cascade;
 use fd_serve::{
-    BatchPolicy, CompletedRequest, FleetConfig, FleetServer, Priority, RequestOutcome,
-    ServeConfig, ServeStats,
+    BatchPolicy, CompletedRequest, FleetConfig, FleetServer, Priority, RequestOutcome, ServeConfig,
+    ServeStats,
 };
 
 const SECTIONS: [&str; 4] = ["load", "faults", "fleet", "mixed"];
@@ -107,8 +107,16 @@ fn load(cascade: &Cascade) -> Report {
         haar_fleet(cascade, None, 1, serve)
     };
     let mut cells = Table::new(&[
-        "loop", "offered_rps", "batched", "served", "throughput_rps", "p50_us", "p95_us",
-        "p99_us", "occupancy", "slo_met",
+        "loop",
+        "offered_rps",
+        "batched",
+        "served",
+        "throughput_rps",
+        "p50_us",
+        "p95_us",
+        "p99_us",
+        "occupancy",
+        "slo_met",
     ]);
     let mut push = |label: &str, rps: f64, batched: bool, st: &ServeStats| {
         cells.push(row![
@@ -205,8 +213,18 @@ fn faults(cascade: &Cascade) -> Report {
         .with_launch_timeouts(per_launch * 2.0);
 
     let mut cells = Table::new(&[
-        "cell", "served", "degraded", "failed", "expired", "retries", "poisoned", "bisects",
-        "breaker_trips", "goodput", "p50_us", "p99_us",
+        "cell",
+        "served",
+        "degraded",
+        "failed",
+        "expired",
+        "retries",
+        "poisoned",
+        "bisects",
+        "breaker_trips",
+        "goodput",
+        "p50_us",
+        "p99_us",
     ]);
     let mut run = |label: &str, plan: Option<FaultPlan>| {
         let serve = ServeConfig {
@@ -289,8 +307,17 @@ const KILL_FRACTION: f64 = 0.25;
 
 fn fleet(cascade: &Cascade) -> Report {
     let mut cells = Table::new(&[
-        "cell", "devices", "served", "evicted", "migrations", "steals", "goodput",
-        "throughput_rps", "p50_us", "p99_us", "served_per_device",
+        "cell",
+        "devices",
+        "served",
+        "evicted",
+        "migrations",
+        "steals",
+        "goodput",
+        "throughput_rps",
+        "p50_us",
+        "p99_us",
+        "served_per_device",
     ]);
     let mut push = |label: &str, f: &FleetServer| {
         let st = f.stats();
@@ -437,8 +464,15 @@ fn mixed(cascade: &Cascade) -> Report {
     let n_haar = classes.iter().filter(|b| **b == Backend::Haar).count();
     let n_cnn = MIXED_REQUESTS - n_haar;
     let mut cells = Table::new(&[
-        "cell", "served", "goodput", "throughput_rps", "p99_us", "haar_p99_us", "cnn_p99_us",
-        "served_per_backend", "submitted_per_backend",
+        "cell",
+        "served",
+        "goodput",
+        "throughput_rps",
+        "p99_us",
+        "haar_p99_us",
+        "cnn_p99_us",
+        "served_per_backend",
+        "submitted_per_backend",
     ]);
     let mut push = |label: &str, st: &ServeStats| {
         cells.push(row![

@@ -164,8 +164,7 @@ pub fn trained_cascade_pair(budget: &TrainingBudget) -> CascadePair {
         return CascadePair { ours, opencv_like };
     }
     if *budget == TrainingBudget::default() {
-        let assets = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../assets");
+        let assets = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../assets");
         if let (Ok(ours), Ok(opencv_like)) = (
             fd_haar::io::load(assets.join("ours-gentle.cascade")),
             fd_haar::io::load(assets.join("opencv-like-ada.cascade")),

@@ -17,10 +17,8 @@ pub fn detect_series(
     n_frames: usize,
 ) -> (Vec<f64>, Vec<f64>) {
     let decoder = HwDecoder::new(info.generate(n_frames));
-    let mut detector = FaceDetector::new(
-        cascade,
-        DetectorConfig { exec_mode: mode, ..DetectorConfig::default() },
-    );
+    let mut detector =
+        FaceDetector::new(cascade, DetectorConfig { exec_mode: mode, ..DetectorConfig::default() });
     let mut detect_ms = Vec::with_capacity(n_frames);
     let mut decode_ms = Vec::with_capacity(n_frames);
     for frame in decoder {
@@ -69,11 +67,7 @@ impl Table2Row {
 }
 
 /// Run Table II over `trailers` with `frames` frames each.
-pub fn run_table2(
-    pair: &CascadePair,
-    trailers: &[TrailerInfo],
-    frames: usize,
-) -> Vec<Table2Row> {
+pub fn run_table2(pair: &CascadePair, trailers: &[TrailerInfo], frames: usize) -> Vec<Table2Row> {
     let mut rows = Vec::with_capacity(trailers.len());
     for info in trailers {
         let (ours_c, decode) = detect_series(&pair.ours, info, ExecMode::Concurrent, frames);

@@ -33,10 +33,7 @@ impl Lcg {
     }
 
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self
-            .state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
+        self.state = self.state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         self.state
     }
 
@@ -88,13 +85,7 @@ pub fn backend_sequence(seed: u64, n: usize, cnn_fraction: f64) -> Vec<Backend> 
     assert!((0.0..=1.0).contains(&cnn_fraction), "cnn_fraction must be in [0, 1]");
     let mut rng = Lcg::new(seed ^ 0xBAC0);
     (0..n)
-        .map(|_| {
-            if rng.next_f64() < cnn_fraction {
-                Backend::Cnn
-            } else {
-                Backend::Haar
-            }
-        })
+        .map(|_| if rng.next_f64() < cnn_fraction { Backend::Cnn } else { Backend::Haar })
         .collect()
 }
 

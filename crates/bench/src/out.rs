@@ -210,8 +210,12 @@ impl Table {
             .rows
             .iter()
             .map(|row| {
-                let fields: Vec<String> =
-                    self.columns.iter().zip(row).map(|(c, v)| quote(c) + ": " + &v.json()).collect();
+                let fields: Vec<String> = self
+                    .columns
+                    .iter()
+                    .zip(row)
+                    .map(|(c, v)| quote(c) + ": " + &v.json())
+                    .collect();
                 [&pad, "{", &fields.join(", "), "}"].concat()
             })
             .collect();

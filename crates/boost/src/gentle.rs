@@ -81,7 +81,13 @@ impl FeaturePool {
     ) -> (usize, StumpFit) {
         let n = set.len();
         let labels = set.labels();
-        let init = || (f64::INFINITY, usize::MAX, StumpFit { threshold: 0, left: 0.0, right: 0.0, loss: f64::INFINITY });
+        let init = || {
+            (
+                f64::INFINITY,
+                usize::MAX,
+                StumpFit { threshold: 0, left: 0.0, right: 0.0, loss: f64::INFINITY },
+            )
+        };
         let chunks = self.luts.chunks(SWEEP_CHUNK).enumerate();
         let threads = crate::smp::sweep_threads().min(chunks.len()).max(1);
         let sweep = |worker: usize| {
@@ -175,10 +181,7 @@ pub fn update_weights(stump: &Stump, set: &TrainingSet, weights: &mut [f64]) -> 
 pub fn initial_weights(set: &TrainingSet) -> Vec<f64> {
     let p = set.positives().max(1) as f64;
     let n = set.negatives().max(1) as f64;
-    set.labels()
-        .iter()
-        .map(|&y| if y > 0.0 { 0.5 / p } else { 0.5 / n })
-        .collect()
+    set.labels().iter().map(|&y| if y > 0.0 { 0.5 / p } else { 0.5 / n }).collect()
 }
 
 #[cfg(test)]

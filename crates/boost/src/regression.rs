@@ -71,8 +71,7 @@ pub fn fit_regression_stump(
     n_bins: usize,
 ) -> StumpFit {
     let total_w: f64 = weights.iter().sum();
-    let total_wy: f64 =
-        weights.iter().zip(labels).map(|(&w, &y)| w * y as f64).sum();
+    let total_wy: f64 = weights.iter().zip(labels).map(|(&w, &y)| w * y as f64).sum();
     let total_wyy: f64 =
         weights.iter().zip(labels).map(|(&w, &y)| w * (y as f64) * (y as f64)).sum();
 
@@ -128,18 +127,13 @@ pub fn fit_discrete_stump(
     n_bins: usize,
 ) -> StumpFit {
     let total_w: f64 = weights.iter().sum();
-    let total_wp: f64 = weights
-        .iter()
-        .zip(labels)
-        .filter(|&(_, &y)| y > 0.0)
-        .map(|(&w, _)| w)
-        .sum();
+    let total_wp: f64 =
+        weights.iter().zip(labels).filter(|&(_, &y)| y > 0.0).map(|(&w, _)| w).sum();
     let total_wn = total_w - total_wp;
 
     let Some(bins) = accumulate(responses, labels, weights, n_bins) else {
         // Constant responses: predict the heavier class everywhere.
-        let (left, loss) =
-            if total_wp >= total_wn { (1.0, total_wn) } else { (-1.0, total_wp) };
+        let (left, loss) = if total_wp >= total_wn { (1.0, total_wn) } else { (-1.0, total_wp) };
         return StumpFit {
             threshold: responses.first().copied().unwrap_or(0),
             left,

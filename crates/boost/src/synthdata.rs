@@ -77,12 +77,7 @@ impl CandidateStream {
             }
             // Decoy faces composited onto a textured window.
             14..=17 => {
-                let mut win = render_background(
-                    &mut self.rng,
-                    w,
-                    w,
-                    BackgroundKind::ValueNoise,
-                );
+                let mut win = render_background(&mut self.rng, w, w, BackgroundKind::ValueNoise);
                 let size = self.rng.random_range(18..=30usize);
                 let decoy = FaceParams::decoy(&mut self.rng).render(size);
                 let off = (w as i32 - size as i32) / 2 + self.rng.random_range(-2..=2);

@@ -10,10 +10,7 @@ pub(crate) fn toy_set() -> TrainingSet {
     let mut imgs = Vec::new();
     for i in 0..8 {
         let hi = 200.0 + i as f32 * 5.0;
-        imgs.push((
-            GrayImage::from_fn(24, 24, move |x, _| if x < 12 { 20.0 } else { hi }),
-            1.0f32,
-        ));
+        imgs.push((GrayImage::from_fn(24, 24, move |x, _| if x < 12 { 20.0 } else { hi }), 1.0f32));
     }
     for i in 0..8 {
         let v = 60.0 + i as f32 * 10.0;

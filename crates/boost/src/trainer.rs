@@ -105,8 +105,7 @@ pub fn train_cascade(
     config: &TrainerConfig,
 ) -> TrainedCascade {
     assert!(!positives.is_empty(), "need positive samples");
-    let pos_set =
-        TrainingSet::from_samples(positives.iter().map(|i| (i, 1.0f32)));
+    let pos_set = TrainingSet::from_samples(positives.iter().map(|i| (i, 1.0f32)));
 
     let mut cascade = Cascade::new(name, WINDOW);
     let mut stats = Vec::new();
@@ -124,8 +123,7 @@ pub fn train_cascade(
             }
             break;
         }
-        let neg_set =
-            TrainingSet::from_samples(neg_imgs.iter().map(|i| (i, -1.0f32)));
+        let neg_set = TrainingSet::from_samples(neg_imgs.iter().map(|i| (i, -1.0f32)));
         let set = pos_set.concat(&neg_set);
         let mut weights = initial_weights(&set);
 
@@ -148,16 +146,13 @@ pub fn train_cascade(
             // least `min_detection_rate` of them pass.
             let mut pos_scores: Vec<f32> = scores[..pos_set.len()].to_vec();
             pos_scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let drop = ((1.0 - config.goals.min_detection_rate)
-                * pos_scores.len() as f64)
-                .floor() as usize;
+            let drop = ((1.0 - config.goals.min_detection_rate) * pos_scores.len() as f64).floor()
+                as usize;
             let threshold = pos_scores[drop.min(pos_scores.len() - 1)];
             stage.threshold = threshold;
 
-            let passed_pos =
-                scores[..pos_set.len()].iter().filter(|&&s| s >= threshold).count();
-            let passed_neg =
-                scores[pos_set.len()..].iter().filter(|&&s| s >= threshold).count();
+            let passed_pos = scores[..pos_set.len()].iter().filter(|&&s| s >= threshold).count();
+            let passed_neg = scores[pos_set.len()..].iter().filter(|&&s| s >= threshold).count();
             dr = passed_pos as f64 / pos_set.len() as f64;
             fpr = passed_neg as f64 / neg_set.len() as f64;
             if fpr <= config.goals.max_false_positive_rate
@@ -199,10 +194,7 @@ mod tests {
     use fd_imgproc::IntegralImage;
 
     fn quick_pool() -> Vec<fd_haar::HaarFeature> {
-        enumerate_features(24, EnumerationRule::Icpp2012)
-            .into_iter()
-            .step_by(331)
-            .collect()
+        enumerate_features(24, EnumerationRule::Icpp2012).into_iter().step_by(331).collect()
     }
 
     fn quick_config(stages: usize) -> TrainerConfig {

@@ -265,8 +265,7 @@ mod tests {
 
     #[test]
     fn rejection_histogram_accounts_every_window() {
-        let cfg =
-            DetectorConfig { collect_rejection_stats: true, ..DetectorConfig::default() };
+        let cfg = DetectorConfig { collect_rejection_stats: true, ..DetectorConfig::default() };
         let mut det = CnnDetector::try_new(&CnnModel::seeded(0), cfg).unwrap();
         let r = det.detect(&face_frame()).unwrap();
         let hist = r.rejection.expect("enabled");

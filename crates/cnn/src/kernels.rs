@@ -40,9 +40,7 @@ mod reference;
 use std::ops::Range;
 use std::sync::Arc;
 
-use fd_gpu::{
-    Band, BlockCtx, ConstPtr, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx,
-};
+use fd_gpu::{Band, BlockCtx, ConstPtr, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 
 use crate::model::{sat, CnnModel, REGION1, REGION2};
 
@@ -607,7 +605,9 @@ impl GateSums {
         }
         // The map rows that leave the region, and those that enter it.
         let (dropped, taken) = match slide {
-            true => ((gy - 1) * stride..gy * stride, (gy - 1) * stride + region..gy * stride + region),
+            true => {
+                ((gy - 1) * stride..gy * stride, (gy - 1) * stride + region..gy * stride + region)
+            }
             false => (0..0, gy * stride..gy * stride + region),
         };
         for (plane, columns) in self.columns.chunks_exact_mut(span).enumerate() {

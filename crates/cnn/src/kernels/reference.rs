@@ -15,11 +15,11 @@
 
 use std::sync::Arc;
 
+use fd_detector::StageList;
 use fd_gpu::probe::{
     assert_same, check_case, device, f32_bits, modes, probes, run_probed, take_counters,
     timeline_bits, Mode, Observed, ReferenceBody, Rng,
 };
-use fd_detector::StageList;
 use fd_gpu::{with_band_mutation, BandMutation, BlockCtx, Gpu, StreamId};
 
 use super::{
@@ -86,8 +86,7 @@ impl ReferenceBody for ConvReluKernel {
                 for oc in 0..self.out_channels {
                     let mut acc = i64::from(self.bias[oc]);
                     for ic in 0..in_ch {
-                        let base =
-                            (ic * tile_side + ty + 1) * tile_side + tx + 1;
+                        let base = (ic * tile_side + ty + 1) * tile_side + tx + 1;
                         for (t, &(dy, dx)) in TAPS3X3.iter().enumerate() {
                             let ti = (base as isize + dy * tile_side as isize + dx) as usize;
                             acc += i64::from(self.taps[(oc * in_ch + ic) * 9 + t])
@@ -291,8 +290,7 @@ impl ReferenceBody for WindowScoreKernel {
                     }
                 }
                 let margin = s - self.threshold;
-                let prev_score =
-                    src.as_ref().map_or(0i64, |(_, score)| i64::from(score[i]));
+                let prev_score = src.as_ref().map_or(0i64, |(_, score)| i64::from(score[i]));
                 if margin >= 0 {
                     dst_depth[i] = self.stage;
                     dst_score[i] = sat(prev_score + margin);
@@ -446,7 +444,8 @@ fn chain_sweep(cases: usize) {
     for case in 0..cases {
         let (w, h) = geometry(&mut rng, case);
         let slots = 1 + case % 3;
-        let lumas: Vec<_> = (0..slots).map(|slot| luma(&mut rng, (case + slot) % 4, w, h)).collect();
+        let lumas: Vec<_> =
+            (0..slots).map(|slot| luma(&mut rng, (case + slot) % 4, w, h)).collect();
         let mut model = CnnModel::seeded(case as u64);
         // The model's own thresholds; every window up to the templates,
         // whose outcomes then mix by sign; every window through; none.
@@ -472,7 +471,9 @@ fn chain_sweep(cases: usize) {
                 .map(|luma| {
                     let b = CnnStages::level_bufs(&mut gpu.mem, w, h);
                     gpu.mem.upload_into(b.scaled, luma);
-                    for buf in [b.conv1, b.pooled1, b.conv2, b.pooled2, b.score_a, b.score_b, b.score] {
+                    for buf in
+                        [b.conv1, b.pooled1, b.conv2, b.pooled2, b.score_a, b.score_b, b.score]
+                    {
                         poison(&gpu, buf, POISON as i32);
                     }
                     for buf in [b.depth_a, b.depth_b, b.depth] {
@@ -487,7 +488,8 @@ fn chain_sweep(cases: usize) {
                 .map(|b| level_chain(&tensors, b, w, h, const_ptr).into_iter())
                 .collect();
             loop {
-                let stage: Vec<ChainKernel> = chains.iter_mut().filter_map(Iterator::next).collect();
+                let stage: Vec<ChainKernel> =
+                    chains.iter_mut().filter_map(Iterator::next).collect();
                 let Some(first) = stage.first() else { break };
                 let cfg = first.config();
                 gpu.launch_batched(probes(stage, mode, &mut logs), cfg, StreamId::DEFAULT).unwrap();
@@ -511,7 +513,8 @@ fn chain_sweep(cases: usize) {
         let reference = observe(Mode::Reference, 1);
         for threads in [1, 4] {
             for mode in modes(case) {
-                let label = format!("case {case}: {w}x{h}, {slots} slots, {mode:?}, {threads} threads");
+                let label =
+                    format!("case {case}: {w}x{h}, {slots} slots, {mode:?}, {threads} threads");
                 assert_same(observe(mode, threads), &reference, &label);
             }
         }
@@ -521,7 +524,10 @@ fn chain_sweep(cases: usize) {
     }
     assert_eq!(depths_seen, [true; 4], "windows that end at every depth");
     assert!(divergent.iter().all(|&n| n > 0), "split warps in every stage: {divergent:?}");
-    assert!(short_block && short_row, "a short last block and a short last block row in every grid");
+    assert!(
+        short_block && short_row,
+        "a short last block and a short last block row in every grid"
+    );
 }
 
 #[test]
@@ -580,7 +586,8 @@ fn conv_body_matches_reference() {
             },
         };
         let observe = |mode: Mode, parts: usize| -> Observed {
-            let dsts: Vec<_> = (0..parts).map(|_| gpu.mem.alloc::<i32>(out_channels * w * h)).collect();
+            let dsts: Vec<_> =
+                (0..parts).map(|_| gpu.mem.alloc::<i32>(out_channels * w * h)).collect();
             let kernels: Vec<_> = dsts
                 .iter()
                 .map(|&dst| {
@@ -603,7 +610,11 @@ fn conv_body_matches_reference() {
             let bits = dsts.iter().flat_map(|&dst| gpu.mem.download(dst)).map(|v| v as u32);
             (counters, bits.collect())
         };
-        check_case(case, &format!("case {case}: {w}x{h}, {in_ch} -> {out_channels} planes"), observe);
+        check_case(
+            case,
+            &format!("case {case}: {w}x{h}, {in_ch} -> {out_channels} planes"),
+            observe,
+        );
     }
 }
 
@@ -673,9 +684,16 @@ fn score_body_matches_reference() {
                 _ => alive + 1,
             })
             .collect();
-        let scores: Vec<i32> = (0..nx * ny)
-            .map(|_| if rng.below(4) == 0 { i32::MAX - rng.below(9) as i32 } else { rng.next() as i32 })
-            .collect();
+        let scores: Vec<i32> =
+            (0..nx * ny)
+                .map(|_| {
+                    if rng.below(4) == 0 {
+                        i32::MAX - rng.below(9) as i32
+                    } else {
+                        rng.next() as i32
+                    }
+                })
+                .collect();
         let src = with_src.then(|| (gpu.mem.upload(&depths), gpu.mem.upload(&scores)));
         let mut observe = |mode: Mode, parts: usize| -> Observed {
             let dsts: Vec<_> = (0..parts)

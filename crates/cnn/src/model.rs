@@ -109,7 +109,10 @@ impl fmt::Display for CnnModelError {
                 write!(f, "tensor `{tensor}` element {index} outside the fixed-point range")
             }
             Self::Conv1NotZeroSum { filter, sum } => {
-                write!(f, "conv1 filter {filter} sums to {sum}; luma-facing filters must be DC-free")
+                write!(
+                    f,
+                    "conv1 filter {filter} sums to {sum}; luma-facing filters must be DC-free"
+                )
             }
             Self::BadStageGate => {
                 write!(f, "stage-1 gate weights must be non-negative with at least one positive")
@@ -202,10 +205,8 @@ impl CnnModel {
             }
         }
         for filter in 0..C1 {
-            let sum: i32 = self.conv1[filter * 9..(filter + 1) * 9]
-                .iter()
-                .map(|&w| i32::from(w))
-                .sum();
+            let sum: i32 =
+                self.conv1[filter * 9..(filter + 1) * 9].iter().map(|&w| i32::from(w)).sum();
             if sum != 0 {
                 return Err(CnnModelError::Conv1NotZeroSum { filter, sum });
             }
@@ -219,8 +220,10 @@ impl CnnModel {
                 return Err(CnnModelError::AllZeroStage { stage });
             }
             for channel in 0..channels {
-                let sum: i64 =
-                    template[channel * cells..(channel + 1) * cells].iter().map(|&w| i64::from(w)).sum();
+                let sum: i64 = template[channel * cells..(channel + 1) * cells]
+                    .iter()
+                    .map(|&w| i64::from(w))
+                    .sum();
                 if sum > 0 {
                     return Err(CnnModelError::UniformResponsePasses { stage, channel, sum });
                 }
@@ -293,14 +296,14 @@ impl CnnModel {
         let zero = [0i16; 9];
         let cat = |per_in: [[i16; 9]; C1]| -> Vec<i16> { per_in.concat().to_vec() };
         let mut conv2 = Vec::with_capacity(C2 * C1 * 9);
-        conv2.extend(cat([zero, zero, zero, smooth]));                      // g0 eye
-        conv2.extend(cat([smooth, zero, zero, zero]));                      // g1 hedge
-        conv2.extend(cat([zero, smooth, zero, zero]));                      // g2 vedge
-        conv2.extend(cat([zero, zero, smooth, zero]));                      // g3 bright
-        conv2.extend(cat([center(2), center(2), zero, zero]));              // g4 energy
-        conv2.extend(cat([center(2), center(-1), zero, zero]));             // g5 hdom
-        conv2.extend(cat([center(-1), center(2), zero, zero]));             // g6 vdom
-        conv2.extend(cat([zero, zero, center(1), center(1)]));              // g7 contrast
+        conv2.extend(cat([zero, zero, zero, smooth])); // g0 eye
+        conv2.extend(cat([smooth, zero, zero, zero])); // g1 hedge
+        conv2.extend(cat([zero, smooth, zero, zero])); // g2 vedge
+        conv2.extend(cat([zero, zero, smooth, zero])); // g3 bright
+        conv2.extend(cat([center(2), center(2), zero, zero])); // g4 energy
+        conv2.extend(cat([center(2), center(-1), zero, zero])); // g5 hdom
+        conv2.extend(cat([center(-1), center(2), zero, zero])); // g6 vdom
+        conv2.extend(cat([zero, zero, center(1), center(1)])); // g7 contrast
 
         // Stage templates are 6x6 cell grids over the 24-px window
         // (4 px per cell). Landmarks in cell coordinates: eyes (1,2) and
@@ -503,11 +506,10 @@ impl CnnModel {
                     line: n,
                     message: "expected `filter <taps...> bias <b>`".into(),
                 })?;
-                let (tap_str, bias_str) =
-                    rest.split_once(" bias ").ok_or_else(|| ParseError {
-                        line: n,
-                        message: "missing `bias` in filter line".into(),
-                    })?;
+                let (tap_str, bias_str) = rest.split_once(" bias ").ok_or_else(|| ParseError {
+                    line: n,
+                    message: "missing `bias` in filter line".into(),
+                })?;
                 let filter_taps = ints::<i16>(tap_str, n)?;
                 if filter_taps.len() != taps_per_filter {
                     return Err(ParseError {
@@ -538,9 +540,10 @@ impl CnnModel {
                 .and_then(|t| t.trim().parse::<i64>().ok())
                 .ok_or_else(|| ParseError { line: n, message: format!("expected `{tag}`") })?;
             let (n, line) = take(&lines, idx, "`weights <w...>`")?;
-            let ws = line
-                .strip_prefix("weights ")
-                .ok_or_else(|| ParseError { line: n, message: "expected `weights <w...>`".into() })?;
+            let ws = line.strip_prefix("weights ").ok_or_else(|| ParseError {
+                line: n,
+                message: "expected `weights <w...>`".into(),
+            })?;
             Ok((ints::<i32>(ws, n)?, threshold))
         };
         let (stage1, stage1_threshold) = parse_stage(1)?;
@@ -735,17 +738,8 @@ fn host_pool(src: &[i32], w: usize, h: usize, ch: usize) -> (Vec<i32>, usize, us
 
 /// 3x3 tap offsets in `(dy, dx)`, row-major — shared by the host
 /// reference and the device kernel so tap order matches exactly.
-pub const TAPS3X3: [(isize, isize); 9] = [
-    (-1, -1),
-    (-1, 0),
-    (-1, 1),
-    (0, -1),
-    (0, 0),
-    (0, 1),
-    (1, -1),
-    (1, 0),
-    (1, 1),
-];
+pub const TAPS3X3: [(isize, isize); 9] =
+    [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)];
 
 fn swap_perturb_i16(taps: &mut [i16], rng: &mut SplitMix64) {
     let a = (rng.next_u64() % taps.len() as u64) as usize;
@@ -768,8 +762,7 @@ fn swap_perturb_i32(ws: &mut [i32], rng: &mut SplitMix64) {
 /// Drain any positive per-channel weight surplus into the corner cells.
 fn balance_template(template: &mut [i32], channels: usize) {
     let cells = REGION2 * REGION2;
-    let corners =
-        [0, REGION2 - 1, (REGION2 - 1) * REGION2, REGION2 * REGION2 - 1];
+    let corners = [0, REGION2 - 1, (REGION2 - 1) * REGION2, REGION2 * REGION2 - 1];
     for c in 0..channels {
         let ws = &mut template[c * cells..(c + 1) * cells];
         let mut sum: i64 = ws.iter().map(|&w| i64::from(w)).sum();
@@ -833,8 +826,7 @@ mod tests {
         let e = CnnModel::parse(&bad_header).unwrap_err();
         assert_eq!(e.line, 1);
 
-        let truncated: String =
-            good.lines().take(6).collect::<Vec<_>>().join("\n");
+        let truncated: String = good.lines().take(6).collect::<Vec<_>>().join("\n");
         let e = CnnModel::parse(&truncated).unwrap_err();
         assert_eq!(e.line, 0, "truncation surfaces as end-of-input");
         assert!(e.message.contains("unexpected end of input"), "{e}");
@@ -1041,8 +1033,7 @@ mod tests {
         }
 
         // Joint cascade rejection at the baked thresholds.
-        let (t1, t2, t3) =
-            (model.stage1_threshold, model.stage2_threshold, model.stage3_threshold);
+        let (t1, t2, t3) = (model.stage1_threshold, model.stage2_threshold, model.stage3_threshold);
         let total = bg.len();
         let past1 = bg.iter().filter(|s| s[0] >= t1).count();
         let past2 = bg.iter().filter(|s| s[0] >= t1 && s[1] >= t2).count();

@@ -81,8 +81,7 @@ pub trait Detector {
 
     /// Device bytes a `width x height` stream will hold at steady state
     /// (projected buffer pool + staged model), without allocating.
-    fn projected_device_bytes(&self, width: usize, height: usize)
-        -> Result<usize, DetectorError>;
+    fn projected_device_bytes(&self, width: usize, height: usize) -> Result<usize, DetectorError>;
 
     /// Geometry-independent constant-memory footprint (the staged model
     /// tables), the one-time part of [`Self::projected_device_bytes`].
@@ -155,11 +154,7 @@ impl<S: StageList + 'static> Detector for PyramidDetector<S> {
         PyramidDetector::detect_batch_with_plan(self, frames, plan)
     }
 
-    fn projected_device_bytes(
-        &self,
-        width: usize,
-        height: usize,
-    ) -> Result<usize, DetectorError> {
+    fn projected_device_bytes(&self, width: usize, height: usize) -> Result<usize, DetectorError> {
         PyramidDetector::projected_device_bytes(self, width, height)
     }
 
@@ -207,11 +202,7 @@ impl Detector for Box<dyn Detector> {
         (**self).detect_batch_with_plan(frames, plan)
     }
 
-    fn projected_device_bytes(
-        &self,
-        width: usize,
-        height: usize,
-    ) -> Result<usize, DetectorError> {
+    fn projected_device_bytes(&self, width: usize, height: usize) -> Result<usize, DetectorError> {
         (**self).projected_device_bytes(width, height)
     }
 
@@ -323,8 +314,7 @@ mod tests {
 
     #[test]
     fn memory_projection_passes_through() {
-        let det =
-            FaceDetector::try_new(&edge_cascade(), DetectorConfig::default()).unwrap();
+        let det = FaceDetector::try_new(&edge_cascade(), DetectorConfig::default()).unwrap();
         let via_trait: &dyn Detector = &det;
         assert_eq!(
             via_trait.projected_device_bytes(64, 48).unwrap(),

@@ -29,8 +29,7 @@ pub fn detect_cpu(cascade: &Cascade, frame: &GrayImage, scale_factor: f64) -> Ve
 
     let mut out = Vec::new();
     for (level, &(w, h)) in plan.iter().enumerate() {
-        let scaled =
-            if level == 0 { frame.clone() } else { resize_bilinear(frame, w, h) };
+        let scaled = if level == 0 { frame.clone() } else { resize_bilinear(frame, w, h) };
         let filtered = antialias_3tap(&scaled);
         let ii = IntegralImage::from_gray(&filtered);
         let scale = scale_factor.powi(level as i32);
@@ -68,8 +67,7 @@ pub fn depth_maps_cpu(
     let plan = Pyramid::plan(frame.width(), frame.height(), scale_factor, window);
     let mut maps = Vec::new();
     for (level, &(w, h)) in plan.iter().enumerate() {
-        let scaled =
-            if level == 0 { frame.clone() } else { resize_bilinear(frame, w, h) };
+        let scaled = if level == 0 { frame.clone() } else { resize_bilinear(frame, w, h) };
         let filtered = antialias_3tap(&scaled);
         let ii = IntegralImage::from_gray(&filtered);
         let mut depth = vec![0u32; w * h];

@@ -461,10 +461,8 @@ mod tests {
         gpu.set_fault_plan(Some(plan));
         let mut owned = FramePipeline::new(gpu, &cascade, 1.25);
 
-        let clean = FaceDetector::new(&cascade, DetectorConfig::default())
-            .detect(&frame)
-            .unwrap()
-            .raw;
+        let clean =
+            FaceDetector::new(&cascade, DetectorConfig::default()).detect(&frame).unwrap().raw;
         let mut corrupted_frames = 0;
         for i in 0..12 {
             let raw = det.detect(&frame).unwrap().raw;

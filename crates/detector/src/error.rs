@@ -19,12 +19,7 @@ pub enum DetectorError {
     /// A kernel launch failed. `level` is the pyramid level whose chain
     /// was being built (`None` outside per-level work), `frame` the
     /// stream frame index when known.
-    Launch {
-        kernel: &'static str,
-        level: Option<usize>,
-        frame: Option<usize>,
-        source: LaunchError,
-    },
+    Launch { kernel: &'static str, level: Option<usize>, frame: Option<usize>, source: LaunchError },
     /// A device memory operation failed (constant staging, texture
     /// binding, host↔device copy).
     Memory { context: &'static str, source: MemoryError },
@@ -107,10 +102,9 @@ impl fmt::Display for DetectorError {
             Self::Decode { frame, fault } => {
                 write!(f, "decode fault on frame {frame}: {fault:?}")
             }
-            Self::FrameTooSmall { width, height, window } => write!(
-                f,
-                "frame {width}x{height} smaller than the {window}-px detection window"
-            ),
+            Self::FrameTooSmall { width, height, window } => {
+                write!(f, "frame {width}x{height} smaller than the {window}-px detection window")
+            }
             Self::BadScaleFactor { scale_factor } => {
                 write!(f, "pyramid scale factor must be finite and > 1, got {scale_factor}")
             }

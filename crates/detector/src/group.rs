@@ -261,10 +261,7 @@ fn group_with(
     let mut clusters: Vec<Cluster> = if detections.len() > EXACT_LIMIT {
         let mut acc: Vec<Cluster> = Vec::new();
         for d in detections {
-            match acc
-                .iter_mut()
-                .find(|c| s_eyes(&c.mean(), d) < overlap_threshold)
-            {
+            match acc.iter_mut().find(|c| s_eyes(&c.mean(), d) < overlap_threshold) {
                 Some(c) => c.absorb(&Cluster::from_detection(d)),
                 None => acc.push(Cluster::from_detection(d)),
             }
@@ -281,10 +278,7 @@ fn group_with(
     if clusters.len() > EXACT_LIMIT {
         let mut folded: Vec<Cluster> = Vec::new();
         for c in clusters {
-            match folded
-                .iter_mut()
-                .find(|f| s_eyes(&f.mean(), &c.mean()) < overlap_threshold)
-            {
+            match folded.iter_mut().find(|f| s_eyes(&f.mean(), &c.mean()) < overlap_threshold) {
                 Some(f) => f.absorb(&c),
                 None => folded.push(c),
             }
@@ -392,7 +386,7 @@ mod tests {
     }
 
     fn det(x: i32, y: i32, s: u32, score: f32) -> Detection {
-        Detection { rect: Rect::new(x, y, s, s, ), score, scale: 0 }
+        Detection { rect: Rect::new(x, y, s, s), score, scale: 0 }
     }
 
     #[test]
@@ -486,11 +480,7 @@ mod tests {
         let groups = group_detections(&dets, 0.5, 1);
         assert!(!groups.is_empty());
         assert!(groups.len() <= dets.len());
-        assert!(
-            t0.elapsed().as_secs_f64() < 5.0,
-            "grouping 2000 windows took {:?}",
-            t0.elapsed()
-        );
+        assert!(t0.elapsed().as_secs_f64() < 5.0, "grouping 2000 windows took {:?}", t0.elapsed());
     }
 
     #[test]

@@ -212,8 +212,7 @@ impl HaarStages {
             let s2b_cfg = s2b.stacked_config(s2_cfg);
             let t2b = BatchedKernel::new(t2s, t2_cfg);
             let t2b_cfg = t2b.stacked_config(t2_cfg);
-            let chain_b =
-                FusedChain::new("scan+transpose").then(s2b, s2b_cfg).then(t2b, t2b_cfg);
+            let chain_b = FusedChain::new("scan+transpose").then(s2b, s2b_cfg).then(t2b, t2b_cfg);
             gpu.launch_fused(chain_b, stream).map_err(|e| ("scan+transpose", e))?;
         } else {
             gpu.launch_batched(scales, sc_cfg, stream).map_err(|e| ("scale_bilinear", e))?;

@@ -45,7 +45,8 @@ impl FilterKernel {
 /// `row`, columns clamped to the row.
 fn binomial_row(row: &[f32], cols: Range<usize>, out: &mut [f32]) {
     let last = row.len() - 1;
-    let at = |x: usize| 0.25 * row[x.saturating_sub(1)] + 0.5 * row[x] + 0.25 * row[(x + 1).min(last)];
+    let at =
+        |x: usize| 0.25 * row[x.saturating_sub(1)] + 0.5 * row[x] + 0.25 * row[(x + 1).min(last)];
     // Columns with both neighbours in the row, as three aligned slices.
     let (lo, hi) = (cols.start.max(1), cols.end.min(last));
     if lo < hi {

@@ -83,7 +83,8 @@ impl Kernel for ScaleKernel {
         // per column the range touches. Going down a band, a texel row's
         // horizontal blends serve every output row that samples it — two
         // of them wherever the level is larger than half the frame.
-        let bands: Vec<_> = ctx.rectangles(blocks).map(|rect| Band::of(rect, shape, dims)).collect();
+        let bands: Vec<_> =
+            ctx.rectangles(blocks).map(|rect| Band::of(rect, shape, dims)).collect();
         let tap_cols = match &bands[..] {
             [only] => only.cols.clone(),
             _ => 0..self.dst_w,

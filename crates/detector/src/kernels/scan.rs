@@ -134,7 +134,8 @@ impl Kernel for ScanRowsKernel {
         match self.input {
             ScanInput::QuantizeF32(src) => {
                 let src = ctx.mem.read(src);
-                for (dst, src) in out.chunks_exact_mut(w).zip(src[rows.start * w..].chunks_exact(w)) {
+                for (dst, src) in out.chunks_exact_mut(w).zip(src[rows.start * w..].chunks_exact(w))
+                {
                     for (d, &s) in dst.iter_mut().zip(src) {
                         *d = quantize_luma(s);
                     }
@@ -143,7 +144,8 @@ impl Kernel for ScanRowsKernel {
             }
             ScanInput::U32(src) => {
                 let src = ctx.mem.read(src);
-                for (dst, src) in out.chunks_exact_mut(w).zip(src[rows.start * w..].chunks_exact(w)) {
+                for (dst, src) in out.chunks_exact_mut(w).zip(src[rows.start * w..].chunks_exact(w))
+                {
                     // Copy and scan in one pass.
                     let mut acc = 0u32;
                     for (d, &s) in dst.iter_mut().zip(src) {
@@ -229,12 +231,8 @@ mod tests {
         let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
         let src = gpu.mem.upload(&vals);
         let dst = gpu.mem.alloc::<u32>(5);
-        let k = ScanRowsKernel {
-            input: ScanInput::QuantizeF32(src),
-            output: dst,
-            width: 5,
-            height: 1,
-        };
+        let k =
+            ScanRowsKernel { input: ScanInput::QuantizeF32(src), output: dst, width: 5, height: 1 };
         let cfg = k.config();
         gpu.launch_default(k, cfg).unwrap();
         gpu.synchronize();
@@ -245,7 +243,9 @@ mod tests {
     #[test]
     fn one_block_per_row_geometry() {
         let k = ScanRowsKernel {
-            input: ScanInput::U32(Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial).mem.alloc::<u32>(8)),
+            input: ScanInput::U32(
+                Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial).mem.alloc::<u32>(8),
+            ),
             output: Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial).mem.alloc::<u32>(8),
             width: 4,
             height: 2,

@@ -53,12 +53,7 @@ impl RecoveryPolicy {
 
     /// Decide how to react to `error` from a submission of `group_len`
     /// requests that has already spent `retries` transient retries.
-    pub fn next_step(
-        &self,
-        error: &DetectorError,
-        retries: u32,
-        group_len: usize,
-    ) -> RecoveryStep {
+    pub fn next_step(&self, error: &DetectorError, retries: u32, group_len: usize) -> RecoveryStep {
         if !error.is_device_fault() {
             return RecoveryStep::FailAll;
         }

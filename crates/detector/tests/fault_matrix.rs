@@ -49,11 +49,7 @@ fn run_stream(
     decoder.set_fault_plan(decode_plan);
     let mut vd = VideoDetector::new(
         &cascade(),
-        DetectorConfig {
-            min_neighbors: 1,
-            fault_plan: device_plan,
-            ..DetectorConfig::default()
-        },
+        DetectorConfig { min_neighbors: 1, fault_plan: device_plan, ..DetectorConfig::default() },
         24.0,
     )
     .expect("video detector");
@@ -81,8 +77,7 @@ fn launch_timeouts_skip_frames_but_the_stream_survives() {
 
 #[test]
 fn transient_launch_failures_are_retried() {
-    let s =
-        run_stream(Some(FaultPlan::seeded(7).with_transient_launch_failures(0.005)), None, 25);
+    let s = run_stream(Some(FaultPlan::seeded(7).with_transient_launch_failures(0.005)), None, 25);
     assert_eq!(s.frames, 25);
     assert!(s.all_frames_accounted());
     assert!(s.retries > 0, "transient faults must trigger retries");
@@ -93,8 +88,7 @@ fn transient_launch_failures_are_retried() {
 #[test]
 fn stream_stalls_stretch_latency_without_losing_frames() {
     let clean = run_stream(None, None, 15);
-    let stalled =
-        run_stream(Some(FaultPlan::seeded(9).with_stream_stalls(0.3, 2000.0)), None, 15);
+    let stalled = run_stream(Some(FaultPlan::seeded(9).with_stream_stalls(0.3, 2000.0)), None, 15);
     assert_eq!(stalled.frames, 15);
     assert!(stalled.all_frames_accounted());
     assert_eq!(stalled.skipped_frames, 0, "stalls never lose results");

@@ -27,12 +27,8 @@ pub fn assign_min_cost(cost: &[Vec<f64>]) -> Vec<Option<usize>> {
     // cost so the JV-style potentials stay finite. Forbidden (infinite)
     // pairs get the same large cost and are filtered out afterwards.
     let n = n_rows.max(n_cols);
-    let finite_max = cost
-        .iter()
-        .flatten()
-        .copied()
-        .filter(|c| c.is_finite())
-        .fold(0.0f64, f64::max);
+    let finite_max =
+        cost.iter().flatten().copied().filter(|c| c.is_finite()).fold(0.0f64, f64::max);
     let big = 1e6 + 2.0 * finite_max.abs() * (n as f64 + 1.0);
     let at = |r: usize, c: usize| -> f64 {
         if r < n_rows && c < n_cols {
@@ -111,11 +107,7 @@ pub fn assign_min_cost(cost: &[Vec<f64>]) -> Vec<Option<usize>> {
 
 /// Total cost of an assignment (for tests / reporting).
 pub fn assignment_cost(cost: &[Vec<f64>], assignment: &[Option<usize>]) -> f64 {
-    assignment
-        .iter()
-        .enumerate()
-        .filter_map(|(r, c)| c.map(|c| cost[r][c]))
-        .sum()
+    assignment.iter().enumerate().filter_map(|(r, c)| c.map(|c| cost[r][c])).sum()
 }
 
 #[cfg(test)]
@@ -124,11 +116,7 @@ mod tests {
 
     #[test]
     fn solves_a_classic_3x3() {
-        let cost = vec![
-            vec![4.0, 1.0, 3.0],
-            vec![2.0, 0.0, 5.0],
-            vec![3.0, 2.0, 2.0],
-        ];
+        let cost = vec![vec![4.0, 1.0, 3.0], vec![2.0, 0.0, 5.0], vec![3.0, 2.0, 2.0]];
         let a = assign_min_cost(&cost);
         // Optimal: r0->c1 (1), r1->c0 (2), r2->c2 (2) = 5.
         assert_eq!(a, vec![Some(1), Some(0), Some(2)]);
@@ -138,9 +126,8 @@ mod tests {
     #[test]
     fn identity_is_optimal_on_diagonal_matrices() {
         let n = 6;
-        let cost: Vec<Vec<f64>> = (0..n)
-            .map(|r| (0..n).map(|c| if r == c { 0.0 } else { 10.0 }).collect())
-            .collect();
+        let cost: Vec<Vec<f64>> =
+            (0..n).map(|r| (0..n).map(|c| if r == c { 0.0 } else { 10.0 }).collect()).collect();
         let a = assign_min_cost(&cost);
         for (r, c) in a.iter().enumerate() {
             assert_eq!(*c, Some(r));

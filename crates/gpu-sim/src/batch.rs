@@ -230,8 +230,7 @@ mod tests {
             let s = gpu.create_stream();
             for _ in 0..parts {
                 let buf = gpu.mem.alloc::<u32>(n);
-                gpu.launch(FillKernel { buf, base: 0 }, LaunchConfig::linear(n, 128), s)
-                    .unwrap();
+                gpu.launch(FillKernel { buf, base: 0 }, LaunchConfig::linear(n, 128), s).unwrap();
             }
             gpu.synchronize().span_us()
         };
@@ -239,8 +238,7 @@ mod tests {
             let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
             let s = gpu.create_stream();
             let bufs: Vec<_> = (0..parts).map(|_| gpu.mem.alloc::<u32>(n)).collect();
-            let kernels: Vec<_> =
-                bufs.iter().map(|&buf| FillKernel { buf, base: 0 }).collect();
+            let kernels: Vec<_> = bufs.iter().map(|&buf| FillKernel { buf, base: 0 }).collect();
             gpu.launch_batched(kernels, LaunchConfig::linear(n, 128), s).unwrap();
             gpu.synchronize().span_us()
         };

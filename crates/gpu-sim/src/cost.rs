@@ -78,9 +78,9 @@ impl CostModel {
     /// or occupy DRAM bandwidth. With zero fused bytes the result is
     /// numerically identical to the pre-fusion model.
     pub fn issue_cycles(&self, c: &KernelCounters) -> f64 {
-        let fused_transactions =
-            ((c.fused_bytes_read + c.fused_bytes_written) as f64 / self.bytes_per_transaction)
-                .ceil();
+        let fused_transactions = ((c.fused_bytes_read + c.fused_bytes_written) as f64
+            / self.bytes_per_transaction)
+            .ceil();
         c.alu_ops as f64 * self.alu_cycles
             + c.shared_transactions as f64 * self.shared_cycles
             + c.const_broadcasts as f64 * self.const_cycles
@@ -145,11 +145,7 @@ mod tests {
     use super::*;
 
     fn counters(alu: u64, bytes: u64) -> KernelCounters {
-        KernelCounters {
-            alu_ops: alu,
-            global_bytes_read: bytes,
-            ..KernelCounters::default()
-        }
+        KernelCounters { alu_ops: alu, global_bytes_read: bytes, ..KernelCounters::default() }
     }
 
     #[test]

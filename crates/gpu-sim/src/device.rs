@@ -92,11 +92,7 @@ impl DeviceSpec {
     /// A deliberately small single-SM device, useful in tests where block
     /// serialization must be forced.
     pub fn single_sm() -> Self {
-        Self {
-            name: "single-SM test device",
-            sm_count: 1,
-            ..Self::gtx470()
-        }
+        Self { name: "single-SM test device", sm_count: 1, ..Self::gtx470() }
     }
 
     /// Converts a cycle count in the shader clock domain to microseconds.

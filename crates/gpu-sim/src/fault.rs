@@ -210,9 +210,8 @@ mod tests {
     #[test]
     fn draw_rate_approximates_probability() {
         let n = 20_000;
-        let hits = (0..n)
-            .filter(|&i| fault_draw(42, FaultDomain::CopyCorruption, i) < 0.05)
-            .count();
+        let hits =
+            (0..n).filter(|&i| fault_draw(42, FaultDomain::CopyCorruption, i) < 0.05).count();
         let rate = hits as f64 / n as f64;
         assert!((0.03..0.07).contains(&rate), "empirical rate {rate}");
     }
@@ -224,9 +223,7 @@ mod tests {
         // rate either all fired or all stayed clean. Distinct seeds must
         // produce genuinely different verdict sets over a short run.
         let hits = |seed: u64| {
-            (0..40u64)
-                .filter(|&c| fault_draw(seed, FaultDomain::LaunchTimeout, c) < 0.02)
-                .count()
+            (0..40u64).filter(|&c| fault_draw(seed, FaultDomain::LaunchTimeout, c) < 0.02).count()
         };
         let counts: Vec<usize> = (0..32).map(hits).collect();
         assert!(counts.iter().any(|&c| c == 0), "some seeds must stay clean at 2%/40");
@@ -255,8 +252,7 @@ mod tests {
         let verdicts = |p: &FaultPlan| -> Vec<bool> {
             (0..64)
                 .map(|c| {
-                    fault_draw(p.seed, FaultDomain::LaunchTransient, c)
-                        < p.transient_launch_rate
+                    fault_draw(p.seed, FaultDomain::LaunchTransient, c) < p.transient_launch_rate
                 })
                 .collect()
         };

@@ -425,20 +425,17 @@ impl Gpu {
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.flush_functional();
         match &plan {
-            Some(p) if p.copy_corruption_rate > 0.0 => self.mem.set_copy_faults(Some(
-                crate::memory::CopyFaultConfig {
+            Some(p) if p.copy_corruption_rate > 0.0 => {
+                self.mem.set_copy_faults(Some(crate::memory::CopyFaultConfig {
                     seed: p.seed,
                     rate: p.copy_corruption_rate,
                     region_len: p.corrupt_region_len.max(1),
-                },
-            )),
+                }))
+            }
             _ => self.mem.set_copy_faults(None),
         }
-        self.fault = plan.map(|plan| FaultState {
-            plan,
-            attempts: 0,
-            stats: FaultStats::default(),
-        });
+        self.fault =
+            plan.map(|plan| FaultState { plan, attempts: 0, stats: FaultStats::default() });
     }
 
     /// The active fault plan, if any.
@@ -617,9 +614,8 @@ impl Gpu {
         // Compute the block count with saturation: `Dim3::count` can wrap
         // for adversarial grids (u32³ exceeds u64), and `Vec::with_capacity`
         // on an absurd count would abort the process rather than error.
-        let total_blocks = (cfg.grid.x as u64)
-            .saturating_mul(cfg.grid.y as u64)
-            .saturating_mul(cfg.grid.z as u64);
+        let total_blocks =
+            (cfg.grid.x as u64).saturating_mul(cfg.grid.y as u64).saturating_mul(cfg.grid.z as u64);
         if threads == 0 || total_blocks == 0 {
             return Err(LaunchError::EmptyLaunch);
         }
@@ -674,9 +670,10 @@ impl Gpu {
             // draws it at all.
             let batch_slot = |seed: u64| {
                 let parts = kernel.batch_parts();
-                (parts > 1)
-                    .then(|| (crate::fault::fault_bits(seed, FaultDomain::BatchAttribution, attempt)
-                        % parts as u64) as usize)
+                (parts > 1).then(|| {
+                    (crate::fault::fault_bits(seed, FaultDomain::BatchAttribution, attempt)
+                        % parts as u64) as usize
+                })
             };
             if p.launch_timeout_rate > 0.0
                 && fault_draw(p.seed, FaultDomain::LaunchTimeout, attempt) < p.launch_timeout_rate
@@ -903,24 +900,21 @@ impl Gpu {
         } else {
             None
         };
-        let (timeline, simulated) = match overlapped {
-            Some((simulation, spans)) => {
-                self.mem.set_deferred_launches(0);
-                self.profiler.absorb_host_spans(spans);
-                simulation
-            }
-            None => {
-                // The in-issue-order reference: drain, then simulate over
-                // the records.
-                self.flush_functional();
-                QueueCosts::new(&self.pending, self.pending.len(), None, self.host_epoch).simulate(
-                    &mut self.sched_scratch,
-                    &self.spec,
-                    &self.cost,
-                    self.mode,
-                )
-            }
-        };
+        let (timeline, simulated) =
+            match overlapped {
+                Some((simulation, spans)) => {
+                    self.mem.set_deferred_launches(0);
+                    self.profiler.absorb_host_spans(spans);
+                    simulation
+                }
+                None => {
+                    // The in-issue-order reference: drain, then simulate over
+                    // the records.
+                    self.flush_functional();
+                    QueueCosts::new(&self.pending, self.pending.len(), None, self.host_epoch)
+                        .simulate(&mut self.sched_scratch, &self.spec, &self.cost, self.mode)
+                }
+            };
         for (t0, t1) in simulated {
             self.profiler.absorb_timing_span(t0, t1);
         }
@@ -1095,7 +1089,11 @@ mod tests {
             let s = gpu.create_stream();
             gpu.launch(DoubleKernel { buf }, LaunchConfig::linear(4096, 256), s).unwrap();
             let t = gpu.synchronize();
-            (gpu.mem.download(buf), t.span_us().to_bits(), gpu.profiler().kernels()["double"].clone())
+            (
+                gpu.mem.download(buf),
+                t.span_us().to_bits(),
+                gpu.profiler().kernels()["double"].clone(),
+            )
         };
         let a = run(None);
         let b = run(Some(FaultPlan::seeded(99)));
@@ -1109,9 +1107,7 @@ mod tests {
         let collect = || {
             let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
             gpu.set_fault_plan(Some(
-                FaultPlan::seeded(7)
-                    .with_transient_launch_failures(0.2)
-                    .with_launch_timeouts(0.05),
+                FaultPlan::seeded(7).with_transient_launch_failures(0.2).with_launch_timeouts(0.05),
             ));
             let buf = gpu.mem.alloc::<u32>(256);
             let verdicts: Vec<_> = (0..100)
@@ -1154,8 +1150,7 @@ mod tests {
             let bufs: Vec<_> = (0..parts).map(|_| gpu.mem.alloc::<u32>(128)).collect();
             let mut slots = Vec::new();
             for _ in 0..60 {
-                let kernels: Vec<_> =
-                    bufs.iter().map(|&buf| DoubleKernel { buf }).collect();
+                let kernels: Vec<_> = bufs.iter().map(|&buf| DoubleKernel { buf }).collect();
                 let s = gpu.create_stream();
                 match gpu.launch_batched(kernels, LaunchConfig::linear(128, 64), s) {
                     Ok(()) => slots.push(None),
@@ -1364,8 +1359,7 @@ mod tests {
 
     #[test]
     fn independent_streams_overlap_on_the_host_lane() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent)
-            .with_host_threads(2);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_threads(2);
         let n = 32 * 1024usize;
         let a = gpu.mem.upload(&vec![1u32; n]);
         let b = gpu.mem.upload(&vec![3u32; n]);
@@ -1381,16 +1375,12 @@ mod tests {
         let spans = gpu.profiler().host_spans();
         let workers: std::collections::HashSet<usize> = spans.iter().map(|s| s.worker).collect();
         assert!(workers.len() >= 2, "both workers must participate: {spans:?}");
-        let launches: std::collections::HashSet<u64> =
-            spans.iter().map(|s| s.launch_idx).collect();
+        let launches: std::collections::HashSet<u64> = spans.iter().map(|s| s.launch_idx).collect();
         assert_eq!(launches.len(), 2, "both launches must appear: {spans:?}");
-        let overlapping = spans.iter().any(|x| {
-            spans.iter().any(|y| x.launch_idx != y.launch_idx && x.overlaps(y))
-        });
-        assert!(
-            overlapping,
-            "independent launches must overlap across workers: {spans:?}"
-        );
+        let overlapping = spans
+            .iter()
+            .any(|x| spans.iter().any(|y| x.launch_idx != y.launch_idx && x.overlaps(y)));
+        assert!(overlapping, "independent launches must overlap across workers: {spans:?}");
     }
 
     /// The host lane of the chrome trace (`pid 1, tid 0`) as `(name, start,
@@ -1635,11 +1625,8 @@ mod tests {
                 gpu.launch(k3, cfg, s).unwrap();
             }
             let t = gpu.synchronize();
-            let totals: KernelCounters = gpu
-                .profiler()
-                .kernels()
-                .values()
-                .fold(KernelCounters::default(), |mut acc, p| {
+            let totals: KernelCounters =
+                gpu.profiler().kernels().values().fold(KernelCounters::default(), |mut acc, p| {
                     acc.add(&p.counters);
                     acc
                 });

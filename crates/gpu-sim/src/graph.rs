@@ -203,7 +203,7 @@ mod tests {
         assert!(t.on_enqueue(S0, &writes(&[7]), &[]).is_empty()); // 0: writes 7
         assert_eq!(t.on_enqueue(S1, &reads(&[7]), &[]), vec![0]); // 1: RAW on 7
         assert_eq!(t.on_enqueue(S2, &writes(&[7]), &[]), vec![0, 1]); // 2: WAW+WAR
-        // A reader after the new writer depends on the new writer only.
+                                                                      // A reader after the new writer depends on the new writer only.
         let mut t2 = DepTracker::new();
         t2.on_enqueue(S0, &writes(&[7]), &[]);
         t2.on_enqueue(S1, &writes(&[7]), &[]);

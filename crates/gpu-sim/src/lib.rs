@@ -137,7 +137,5 @@ pub use sched::{
     launch_occupancy, BlockCost, ExecMode, LaunchOccupancy, LaunchRecord, OccupancyLimit, Timeline,
 };
 pub use stream::{EventId, StreamId};
-pub use tune::{
-    score_shape, GeomClass, ShapeCache, ShapeCandidate, ShapeFamily, AUTOTUNE_ENV_VAR,
-};
+pub use tune::{score_shape, GeomClass, ShapeCache, ShapeCandidate, ShapeFamily, AUTOTUNE_ENV_VAR};
 pub use vector::at_vector_width;

@@ -114,8 +114,7 @@ impl LaunchEnv<'_> {
     /// sums, so summing per range and then over ranges equals one fold
     /// over all blocks.
     fn run_blocks(&self, node: &Node<'_>, range: std::ops::Range<u64>) -> FunctionalResult {
-        let ctx =
-            LaunchCtx::new(node.cfg, self.mem, self.constants, self.textures, self.warp_size);
+        let ctx = LaunchCtx::new(node.cfg, self.mem, self.constants, self.textures, self.warp_size);
         let mut block_costs = Vec::with_capacity((range.end - range.start) as usize);
         let mut totals = KernelCounters::default();
         // Band bodies hand back the same few counter sets block after
@@ -246,12 +245,12 @@ impl<'a> DrainJob<'a> {
                 }
             })
             .collect();
-        let n_chunks: Vec<usize> =
-            nodes.iter().zip(&chunk).map(|(nd, &c)| (nd.total_blocks as usize).div_ceil(c)).collect();
-        let slots = n_chunks
+        let n_chunks: Vec<usize> = nodes
             .iter()
-            .map(|&nc| (0..nc).map(|_| OnceLock::new()).collect())
+            .zip(&chunk)
+            .map(|(nd, &c)| (nd.total_blocks as usize).div_ceil(c))
             .collect();
+        let slots = n_chunks.iter().map(|&nc| (0..nc).map(|_| OnceLock::new()).collect()).collect();
         Self {
             env,
             nodes,
@@ -332,8 +331,8 @@ impl<'a> DrainJob<'a> {
         // Open span, merged across consecutive chunks of the same node.
         let mut cur: Option<(usize, f64, f64, u64)> = None; // (node, t0, t1, blocks)
         let close = |cur: &mut Option<(usize, f64, f64, u64)>,
-                         spans: &mut Vec<HostSpan>,
-                         nodes: &[Node<'_>]| {
+                     spans: &mut Vec<HostSpan>,
+                     nodes: &[Node<'_>]| {
             if let Some((n, t0, t1, blocks)) = cur.take() {
                 spans.push(HostSpan {
                     worker,
@@ -444,8 +443,11 @@ impl<'a> DrainJob<'a> {
         assert_eq!(state.completed, self.nodes.len(), "drain exited with unexecuted launches");
         let mut spans = self.spans.into_inner().unwrap_or_else(|e| e.into_inner());
         spans.sort_by(|a, b| {
-            (a.worker, a.t_start_us.to_bits(), a.launch_idx)
-                .cmp(&(b.worker, b.t_start_us.to_bits(), b.launch_idx))
+            (a.worker, a.t_start_us.to_bits(), a.launch_idx).cmp(&(
+                b.worker,
+                b.t_start_us.to_bits(),
+                b.launch_idx,
+            ))
         });
         (self.slots, spans)
     }

@@ -137,7 +137,8 @@ pub fn probes<K: ReferenceBody>(kernels: Vec<K>, mode: Mode, logs: &mut Vec<Log>
 pub fn take_counters(logs: &[Log]) -> Vec<KernelCounters> {
     logs.iter()
         .flat_map(|log| {
-            let mut blocks = std::mem::take(&mut *log.lock().expect("no probe panics while logging"));
+            let mut blocks =
+                std::mem::take(&mut *log.lock().expect("no probe panics while logging"));
             blocks.sort_by_key(|&(lin, _)| lin);
             blocks.into_iter().map(|(_, c)| c)
         })

@@ -129,16 +129,15 @@ fn simulate_reference(
     let mut reservation: Option<(usize, usize)> = None; // (launch, sm)
 
     // A launch with zero blocks completes the instant it becomes ready.
-    let zero_block_complete =
-        |states: &mut Vec<LaunchState>, idx: usize, t: f64| -> bool {
-            if launches[idx].block_costs.is_empty() {
-                states[idx].start_us = Some(t);
-                states[idx].end_us = Some(t);
-                true
-            } else {
-                false
-            }
-        };
+    let zero_block_complete = |states: &mut Vec<LaunchState>, idx: usize, t: f64| -> bool {
+        if launches[idx].block_costs.is_empty() {
+            states[idx].start_us = Some(t);
+            states[idx].end_us = Some(t);
+            true
+        } else {
+            false
+        }
+    };
 
     loop {
         // Refresh readiness: a launch is ready when its stream predecessor,
@@ -962,8 +961,7 @@ fn costs_are_first_asked_for_at_a_launchs_first_placement() {
                     continue;
                 };
                 let mut counting = Counting::new(mode, &launches);
-                let got =
-                    scratch.simulate_from(&spec, &cost, mode, launches.iter(), &mut counting);
+                let got = scratch.simulate_from(&spec, &cost, mode, launches.iter(), &mut counting);
                 assert_identical(&got, &want, &format!("seed {seed} {mode:?}"));
                 // Every block was asked for (a zero-block launch has none).
                 assert!(counting.asked.iter().enumerate().all(|(i, &a)| a == counting.blocks(i)));

@@ -281,10 +281,8 @@ mod tests {
         let too_much_smem = cand((1, 1), (16, 16), 1 << 20, 16, 4.0);
         let fine = cand((1, 1), (16, 16), 0, 16, 4.0);
         let mut cache = ShapeCache::new(spec.clone(), CostModel::default());
-        let won = cache.choose(
-            GeomClass::of(16, 16),
-            &family(vec![too_many_threads, too_much_smem, fine]),
-        );
+        let won = cache
+            .choose(GeomClass::of(16, 16), &family(vec![too_many_threads, too_much_smem, fine]));
         assert_eq!(won, fine);
         // Nothing legal: the declared default comes back untouched.
         let mut cache = ShapeCache::new(spec, CostModel::default());

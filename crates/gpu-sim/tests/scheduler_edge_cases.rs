@@ -2,9 +2,7 @@
 //! reach: the concurrent-kernel cap, cross-stream event chains through
 //! the high-level API, and mode switching mid-session.
 
-use fd_gpu::{
-    BlockCtx, DevBuf, DeviceSpec, ExecMode, Gpu, Kernel, LaunchConfig,
-};
+use fd_gpu::{BlockCtx, DevBuf, DeviceSpec, ExecMode, Gpu, Kernel, LaunchConfig};
 
 /// Adds `value` to every element; meters a fixed issue cost.
 struct AddKernel {
@@ -39,8 +37,12 @@ fn concurrent_kernel_cap_limits_simultaneous_launches() {
     let kernel_cycles = 1_215_000; // ~1 ms each
     for _ in 0..32 {
         let s = gpu.create_stream();
-        gpu.launch(AddKernel { buf, value: 0, cycles: kernel_cycles }, LaunchConfig::linear(256, 256), s)
-            .unwrap();
+        gpu.launch(
+            AddKernel { buf, value: 0, cycles: kernel_cycles },
+            LaunchConfig::linear(256, 256),
+            s,
+        )
+        .unwrap();
     }
     let t = gpu.synchronize();
     let ms = t.span_us() / 1000.0;

@@ -100,9 +100,7 @@ pub fn decode_stump(p: &PackedStump) -> Stump {
 /// Encode a whole cascade into constant-memory words.
 pub fn encode_cascade(c: &Cascade) -> Vec<u32> {
     let mut out = Vec::with_capacity(
-        HEADER_WORDS
-            + c.stages.len() * STAGE_HEADER_WORDS
-            + c.total_stumps() * STUMP_WORDS,
+        HEADER_WORDS + c.stages.len() * STAGE_HEADER_WORDS + c.total_stumps() * STUMP_WORDS,
     );
     out.push(MAGIC);
     out.push(c.window);
@@ -225,10 +223,8 @@ mod tests {
             ],
             threshold: 0.123,
         });
-        c.stages.push(Stage {
-            stumps: vec![stump(FeatureKind::LineH, 0, 1.5, -1.5)],
-            threshold: -0.5,
-        });
+        c.stages
+            .push(Stage { stumps: vec![stump(FeatureKind::LineH, 0, 1.5, -1.5)], threshold: -0.5 });
         let q = quantize_cascade(&c);
         let back = decode_cascade(&encode_cascade(&q), "t");
         assert_eq!(back.stages, q.stages);

@@ -39,18 +39,14 @@ fn the_adaboost_asset_is_clean_too() {
 fn assert_rejected(mutate: impl Fn(&str) -> String, needle: &str) {
     let text = mutate(&asset_text());
     let err = from_text(&text).expect_err("mutation must be rejected");
-    assert!(
-        err.message.contains(needle),
-        "expected message containing `{needle}`, got: {err}"
-    );
+    assert!(err.message.contains(needle), "expected message containing `{needle}`, got: {err}");
 }
 
 #[test]
 fn truncated_file_is_rejected() {
     // Cut mid-stage: the parser runs out of stump lines.
     for keep in [1, 3, 5, 100, 400] {
-        let text: String =
-            asset_text().lines().take(keep).collect::<Vec<_>>().join("\n");
+        let text: String = asset_text().lines().take(keep).collect::<Vec<_>>().join("\n");
         let err = from_text(&text).expect_err("truncation must be rejected");
         assert!(err.message.contains("unexpected end"), "keep {keep}: {err}");
     }
@@ -104,14 +100,8 @@ fn stage_count_mismatch_is_rejected() {
 
 #[test]
 fn zero_area_features_are_rejected() {
-    assert_rejected(
-        |t| t.replacen("stump 5 6 8 3 5", "stump 5 6 8 0 5", 1),
-        "zero-area feature",
-    );
-    assert_rejected(
-        |t| t.replacen("stump 5 6 8 3 5", "stump 5 6 8 3 0", 1),
-        "zero-area feature",
-    );
+    assert_rejected(|t| t.replacen("stump 5 6 8 3 5", "stump 5 6 8 0 5", 1), "zero-area feature");
+    assert_rejected(|t| t.replacen("stump 5 6 8 3 5", "stump 5 6 8 3 0", 1), "zero-area feature");
 }
 
 #[test]
@@ -161,10 +151,7 @@ fn validate_reports_typed_variants() {
     // cascade would reject everything from that stage on.
     let mut unsat = from_text(&asset_text()).unwrap();
     unsat.stages[2].threshold = 1.0e6;
-    assert!(matches!(
-        unsat.validate(),
-        Err(CascadeError::UnsatisfiableStage { stage: 2, .. })
-    ));
+    assert!(matches!(unsat.validate(), Err(CascadeError::UnsatisfiableStage { stage: 2, .. })));
 }
 
 /// Mutations must never panic, even when they slip past one check and

@@ -28,10 +28,7 @@ impl Rect {
 
     /// Center of the rectangle.
     pub fn center(&self) -> PointF {
-        PointF {
-            x: self.x as f64 + self.w as f64 / 2.0,
-            y: self.y as f64 + self.h as f64 / 2.0,
-        }
+        PointF { x: self.x as f64 + self.w as f64 / 2.0, y: self.y as f64 + self.h as f64 / 2.0 }
     }
 
     /// Intersection; `None` when disjoint or degenerate.

@@ -108,8 +108,11 @@ impl FaceParams {
             }
             // Badly framed: face much too small or large for the window.
             3 => {
-                p.feat_scale =
-                    if rng.random() { rng.random_range(0.45..0.65) } else { rng.random_range(1.5..2.0) };
+                p.feat_scale = if rng.random() {
+                    rng.random_range(0.45..0.65)
+                } else {
+                    rng.random_range(1.5..2.0)
+                };
             }
             // Badly centered: half the face outside the window.
             4 => {
@@ -186,9 +189,7 @@ impl FaceParams {
         }
 
         // Eye sockets (left eye modulated by the asymmetry factor).
-        for &((ex, ey), strength) in
-            &[(EYE_LEFT, self.left_eye_scale), (EYE_RIGHT, 1.0)]
-        {
+        for &((ex, ey), strength) in &[(EYE_LEFT, self.left_eye_scale), (EYE_RIGHT, 1.0)] {
             let du = (fu - ex) / 0.085;
             let dv = (fv - ey) / 0.055;
             let d2 = du * du + dv * dv;

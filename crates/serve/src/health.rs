@@ -155,8 +155,7 @@ impl HealthMachine {
             ServerHealth::Open { .. } => FaultReaction::None,
             ServerHealth::Healthy | ServerHealth::BrownOut => {
                 if self.consecutive_faults >= self.policy.open_after {
-                    self.state =
-                        ServerHealth::Open { until_us: now_us + self.policy.cooldown_us };
+                    self.state = ServerHealth::Open { until_us: now_us + self.policy.cooldown_us };
                     FaultReaction::Tripped
                 } else if self.consecutive_faults >= self.policy.brownout_after
                     && self.state == ServerHealth::Healthy

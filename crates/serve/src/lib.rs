@@ -85,7 +85,5 @@ pub use health::{FaultReaction, HealthMachine, HealthPolicy, ServerHealth};
 pub use queue::RequestQueue;
 pub use request::{DetectionRequest, Priority, RequestId};
 pub use router::{LaneView, RoutePolicy, Router, RouterStats};
-pub use server::{
-    CompletedRequest, DetectionServer, RequestOutcome, ServeConfig, ServeError,
-};
+pub use server::{CompletedRequest, DetectionServer, RequestOutcome, ServeConfig, ServeError};
 pub use stats::{LatencyHistogram, ServeStats};

@@ -123,10 +123,7 @@ impl Router {
         // through a lane instead of erroring at the front door.
         let tier = |open: bool| {
             self.best_of(
-                lanes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| eligible(l) && l.breaker_open == open),
+                lanes.iter().enumerate().filter(|(_, l)| eligible(l) && l.breaker_open == open),
             )
         };
         tier(false).or_else(|| tier(true))

@@ -195,9 +195,7 @@ impl CompletedRequest {
     pub fn latency_us(&self) -> Option<f64> {
         match &self.outcome {
             RequestOutcome::Served { completed_us, .. }
-            | RequestOutcome::Degraded { completed_us, .. } => {
-                Some(completed_us - self.arrival_us)
-            }
+            | RequestOutcome::Degraded { completed_us, .. } => Some(completed_us - self.arrival_us),
             _ => None,
         }
     }
@@ -364,14 +362,9 @@ impl<D: Detector> DetectionServer<D> {
             self.queue.offer(req)?;
             self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
         } else {
-            let pos = self
-                .arrivals
-                .partition_point(|r| {
-                    r.arrival_us
-                        .total_cmp(&req.arrival_us)
-                        .then(r.seq.cmp(&req.seq))
-                        .is_gt()
-                });
+            let pos = self.arrivals.partition_point(|r| {
+                r.arrival_us.total_cmp(&req.arrival_us).then(r.seq.cmp(&req.seq)).is_gt()
+            });
             self.arrivals.insert(pos, req);
         }
         Ok(())
@@ -427,14 +420,9 @@ impl<D: Detector> DetectionServer<D> {
     pub(crate) fn enqueue(&mut self, req: DetectionRequest) {
         // Insert keeping descending (arrival, seq) so pop() yields the
         // earliest; ties resolve by submission order.
-        let pos = self
-            .arrivals
-            .partition_point(|r| {
-                r.arrival_us
-                    .total_cmp(&req.arrival_us)
-                    .then(r.seq.cmp(&req.seq))
-                    .is_gt()
-            });
+        let pos = self.arrivals.partition_point(|r| {
+            r.arrival_us.total_cmp(&req.arrival_us).then(r.seq.cmp(&req.seq)).is_gt()
+        });
         self.stats.submitted_per_backend[req.backend.index()] += 1;
         self.arrivals.insert(pos, req);
         self.stats.submitted += 1;
@@ -580,12 +568,7 @@ impl<D: Detector> DetectionServer<D> {
             }
         };
         let mut groups = VecDeque::new();
-        groups.push_back(RecoveryGroup {
-            reqs: batch,
-            retries: 0,
-            attempts: 0,
-            last_error: None,
-        });
+        groups.push_back(RecoveryGroup { reqs: batch, retries: 0, attempts: 0, last_error: None });
         while let Some(mut group) = groups.pop_front() {
             // Deadline-aware recovery: once a lineage has faulted,
             // members whose deadline already passed expire instead of
@@ -784,15 +767,12 @@ mod tests {
     #[test]
     fn single_request_is_served_with_service_latency() {
         let mut s = server(ServeConfig::default());
-        let id = s
-            .submit(pattern_frame(64, 48, 0), Priority::Interactive, 100.0, 1e6)
-            .unwrap();
+        let id = s.submit(pattern_frame(64, 48, 0), Priority::Interactive, 100.0, 1e6).unwrap();
         s.run();
         assert_eq!(s.completed().len(), 1);
         let c = &s.completed()[0];
         assert_eq!(c.id, id);
-        let RequestOutcome::Served { completed_us, batch_size, ref result, .. } = c.outcome
-        else {
+        let RequestOutcome::Served { completed_us, batch_size, ref result, .. } = c.outcome else {
             panic!("expected served, got {:?}", c.outcome);
         };
         assert_eq!(batch_size, 1);
@@ -919,9 +899,8 @@ mod tests {
             batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
             ..ServeConfig::default()
         });
-        let bad = s
-            .submit(GrayImage::from_fn(8, 8, |_, _| 0.0), Priority::Standard, 0.0, 1e9)
-            .unwrap();
+        let bad =
+            s.submit(GrayImage::from_fn(8, 8, |_, _| 0.0), Priority::Standard, 0.0, 1e9).unwrap();
         let good = s.submit(pattern_frame(64, 48, 0), Priority::Standard, 0.0, 2e9).unwrap();
         s.run();
         let by_id = |id| s.completed().iter().find(|c| c.id == id).unwrap();

@@ -91,8 +91,8 @@ impl Trailer {
             for _ in 0..n_faces {
                 let s0 = rng.random_range(spec.face_size.0..spec.face_size.1);
                 // Sizes drift by up to +/-25% over a scene.
-                let s1 = (s0 * rng.random_range(0.75..1.25))
-                    .clamp(spec.face_size.0, spec.face_size.1);
+                let s1 =
+                    (s0 * rng.random_range(0.75..1.25)).clamp(spec.face_size.0, spec.face_size.1);
                 let smax = s0.max(s1);
                 let max_x = (spec.width as f64 - smax).max(1.0);
                 let max_y = (spec.height as f64 - smax).max(1.0);
@@ -145,8 +145,12 @@ impl Trailer {
                 let size = f.s0 + (f.s1 - f.s0) * t;
                 let x = f.p0.0 + (f.p1.0 - f.p0.0) * t;
                 let y = f.p0.1 + (f.p1.1 - f.p0.1) * t;
-                let rect =
-                    Rect::new(x.round() as i32, y.round() as i32, size.round() as u32, size.round() as u32);
+                let rect = Rect::new(
+                    x.round() as i32,
+                    y.round() as i32,
+                    size.round() as u32,
+                    size.round() as u32,
+                );
                 let eyes = f.params.eye_centers(size, x, y);
                 FaceInstance { rect, eyes }
             })

@@ -16,16 +16,12 @@ use facedet::haar::{enumerate_features, EnumerationRule};
 use facedet::prelude::*;
 
 fn main() {
-    let n_faces: usize =
-        std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(60);
-    let n_bg: usize =
-        std::env::args().nth(2).and_then(|a| a.parse().ok()).unwrap_or(80);
+    let n_faces: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(60);
+    let n_bg: usize = std::env::args().nth(2).and_then(|a| a.parse().ok()).unwrap_or(80);
 
     println!("training a cascade (small budget)...");
-    let features: Vec<_> = enumerate_features(24, EnumerationRule::Icpp2012)
-        .into_iter()
-        .step_by(89)
-        .collect();
+    let features: Vec<_> =
+        enumerate_features(24, EnumerationRule::Icpp2012).into_iter().step_by(89).collect();
     let faces = synth_faces(200, 42);
     let mut negatives = NegativeSource::new(7);
     let config = TrainerConfig {
@@ -40,8 +36,7 @@ fn main() {
         ..TrainerConfig::default()
     };
     let learner = GentleBoost::new(features);
-    let cascade =
-        train_cascade(&learner, "accuracy-demo", &faces, &mut negatives, &config).cascade;
+    let cascade = train_cascade(&learner, "accuracy-demo", &faces, &mut negatives, &config).cascade;
     println!("  {} stages / {} stumps", cascade.depth(), cascade.total_stumps());
 
     println!("generating {n_faces} mug shots + {n_bg} backgrounds...");

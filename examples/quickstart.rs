@@ -20,10 +20,8 @@ fn main() {
     //    (Small budget so the example runs in ~a minute; the benchmark
     //    harness trains the full pair and caches it.)
     println!("training a small GentleBoost cascade...");
-    let features: Vec<_> = enumerate_features(24, EnumerationRule::Icpp2012)
-        .into_iter()
-        .step_by(89)
-        .collect();
+    let features: Vec<_> =
+        enumerate_features(24, EnumerationRule::Icpp2012).into_iter().step_by(89).collect();
     let faces = synth_faces(200, 42);
     let mut negatives = NegativeSource::new(7);
     let config = TrainerConfig {

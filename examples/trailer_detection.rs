@@ -17,14 +17,11 @@ use facedet::video::decoder::pipelined_fps;
 use facedet::video::{movie_trailers, HwDecoder};
 
 fn main() {
-    let frames: usize =
-        std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(4);
+    let frames: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(4);
 
     println!("training a detection cascade (small budget)...");
-    let features: Vec<_> = enumerate_features(24, EnumerationRule::Icpp2012)
-        .into_iter()
-        .step_by(89)
-        .collect();
+    let features: Vec<_> =
+        enumerate_features(24, EnumerationRule::Icpp2012).into_iter().step_by(89).collect();
     let faces = synth_faces(200, 42);
     let mut negatives = NegativeSource::new(7);
     let config = TrainerConfig {

@@ -16,14 +16,11 @@ use facedet::haar::encode::{encode_cascade, packed_bytes, quantize_cascade};
 use facedet::haar::{enumerate_features, io, EnumerationRule};
 
 fn main() {
-    let n_faces: usize =
-        std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(150);
+    let n_faces: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(150);
 
     // Feature pool: a subsample of the full 103 607-combination space.
-    let features: Vec<_> = enumerate_features(24, EnumerationRule::Icpp2012)
-        .into_iter()
-        .step_by(131)
-        .collect();
+    let features: Vec<_> =
+        enumerate_features(24, EnumerationRule::Icpp2012).into_iter().step_by(131).collect();
     println!("feature pool: {} of 103 607 combinations", features.len());
 
     let faces = synth_faces(n_faces, 2024);

@@ -114,7 +114,9 @@ fn cmd_train(args: &[String]) {
     let stride = arg_usize(args, "--stride", 89);
     let out = arg_value(args, "--out").unwrap_or_else(|| "results/trained.cascade".into());
 
-    println!("training GentleBoost cascade: {n_faces} faces, {stages} stages, feature stride {stride}");
+    println!(
+        "training GentleBoost cascade: {n_faces} faces, {stages} stages, feature stride {stride}"
+    );
     let features: Vec<_> = enumerate_features(24, EnumerationRule::Icpp2012)
         .into_iter()
         .step_by(stride.max(1))

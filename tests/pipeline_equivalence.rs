@@ -4,8 +4,8 @@
 
 use facedet::detector::cpu_ref::{depth_maps_cpu, detect_cpu};
 use facedet::detector::FramePipeline;
-use facedet::prelude::*;
 use facedet::imgproc::synth::FaceParams;
+use facedet::prelude::*;
 
 /// A small multi-stage cascade exercising several feature kinds.
 fn test_cascade() -> Cascade {
@@ -153,8 +153,9 @@ fn devices_that_fit_no_block_return_typed_errors() {
         for result in [haar, cnn] {
             match result {
                 Err(DetectorError::InvalidConfig { .. }) if i == 4 => {}
-                Err(DetectorError::Launch { source: LaunchError::BlockDoesNotFit { .. }, .. })
-                    if i < 4 => {}
+                Err(DetectorError::Launch {
+                    source: LaunchError::BlockDoesNotFit { .. }, ..
+                }) if i < 4 => {}
                 other => panic!("spec {i}: {other:?}"),
             }
         }

@@ -107,10 +107,21 @@ impl Kernel for OpaqueXor {
 #[derive(Debug, Clone)]
 enum Op {
     /// kind 0: MulAdd on buffer `a`; 1: CopyShift `a -> b`; 2: OpaqueXor on `a`.
-    Launch { kind: u8, a: usize, b: usize, stream: usize, blocks: u32 },
-    RecordEvent { stream: usize },
+    Launch {
+        kind: u8,
+        a: usize,
+        b: usize,
+        stream: usize,
+        blocks: u32,
+    },
+    RecordEvent {
+        stream: usize,
+    },
     /// Wait on the `which`-th recorded event (no-op when none recorded).
-    WaitEvent { stream: usize, which: usize },
+    WaitEvent {
+        stream: usize,
+        which: usize,
+    },
     Sync,
     Flush,
 }
@@ -160,7 +171,9 @@ fn run(
     let bufs: Vec<DevBuf<u32>> = (0..4)
         .map(|b| {
             gpu.mem.upload(
-                &(0..512u32).map(|i| i.wrapping_mul(2654435761).wrapping_add(b)).collect::<Vec<_>>(),
+                &(0..512u32)
+                    .map(|i| i.wrapping_mul(2654435761).wrapping_add(b))
+                    .collect::<Vec<_>>(),
             )
         })
         .collect();
