@@ -28,9 +28,12 @@
 //!
 //! The library part holds the shared machinery: cached cascade training
 //! ([`cascades`]), benchmark runners ([`harness`]), the serving load
-//! generators ([`loadgen`]) and result formatting ([`out`]).
+//! generators ([`loadgen`]) and result formatting ([`out`]); and the
+//! alternatives the ablations compare the paper's pipeline against
+//! ([`experiments`]), which no part of the product uses.
 
 pub mod cascades;
+pub mod experiments;
 pub mod harness;
 pub mod loadgen;
 pub mod out;

@@ -16,9 +16,6 @@
 //! * [`gentle`] / [`ada`] — the two boosting algorithms; GentleBoost is
 //!   the paper's choice, discrete AdaBoost trains the "OpenCV-like"
 //!   baseline cascade;
-//! * [`wald`] — WaldBoost (Sochman & Matas), the SPRT-based algorithm
-//!   behind the Herout et al. related-work detector of the paper's §II:
-//!   a monolithic classifier with per-position rejection thresholds;
 //! * [`trainer`] — the attentional-cascade builder: per-stage detection /
 //!   false-positive goals, stage-threshold calibration on the positive
 //!   set, and bootstrapping of hard negatives between stages (the paper's
@@ -45,7 +42,6 @@ pub mod regression;
 pub mod smp;
 pub mod synthdata;
 pub mod trainer;
-pub mod wald;
 
 #[cfg(test)]
 pub(crate) mod testsupport;
@@ -57,4 +53,3 @@ pub use lut::FeatureLut;
 pub use regression::{fit_discrete_stump, fit_regression_stump, StumpFit};
 pub use synthdata::{synth_faces, NegativeSource};
 pub use trainer::{train_cascade, StageGoals, TrainedCascade, TrainerConfig};
-pub use wald::{WaldBoostClassifier, WaldBoostConfig};

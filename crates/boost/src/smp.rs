@@ -58,10 +58,6 @@ impl IterationWork {
             .sum();
         Self { parallel_ops, serial_ops: 4 * n_samples as u64 }
     }
-
-    pub fn total_ops(&self) -> u64 {
-        self.parallel_ops + self.serial_ops
-    }
 }
 
 /// Calibrated machine model.

@@ -17,7 +17,5 @@ pub mod roc;
 pub mod scface;
 
 pub use hungarian::assign_min_cost;
-pub use roc::{
-    evaluate_backend, evaluate_frames, match_frame, roc_curve, BackendEval, FrameEval, RocPoint,
-};
+pub use roc::{evaluate_backend, match_frame, roc_curve, BackendEval, FrameEval, RocPoint};
 pub use scface::{MugshotDataset, MugshotImage};

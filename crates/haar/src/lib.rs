@@ -18,20 +18,21 @@
 //!   stump's geometry, threshold and leaf values re-encoded into a few
 //!   32-bit words holding packed 16-bit/5-bit fields;
 //! * [`io`] — a line-oriented text format for saving/loading cascades.
+//!
+//! Soft cascades, the paper's §VII future work, are an experiment outside
+//! the product: `fd_bench::experiments::soft`.
 
 pub mod cascade;
 pub mod encode;
 pub mod enumerate;
 pub mod feature;
 pub mod io;
-pub mod soft;
 pub mod stump;
 
 pub use cascade::{Cascade, CascadeError, CascadeEval, Stage};
 pub use encode::{decode_stump, encode_stump, PackedStump};
 pub use enumerate::{enumerate_features, enumerate_kind, table1_counts, EnumerationRule};
 pub use feature::{FeatureKind, HaarFeature, HaarRect};
-pub use soft::SoftCascade;
 pub use stump::Stump;
 
 /// The training/detection window side used throughout the paper.

@@ -6,23 +6,6 @@
 
 use crate::image::GrayImage;
 
-/// Build normalized 1D Gaussian taps for standard deviation `sigma`,
-/// truncated at `radius = ceil(3 sigma)`.
-pub fn gaussian_taps(sigma: f32) -> Vec<f32> {
-    assert!(sigma > 0.0, "sigma must be positive");
-    let radius = (3.0 * sigma).ceil() as i32;
-    let mut taps = Vec::with_capacity((2 * radius + 1) as usize);
-    let denom = 2.0 * sigma * sigma;
-    for i in -radius..=radius {
-        taps.push((-(i * i) as f32 / denom).exp());
-    }
-    let sum: f32 = taps.iter().sum();
-    for t in &mut taps {
-        *t /= sum;
-    }
-    taps
-}
-
 /// Convolve rows with symmetric taps (odd length), clamping at borders.
 pub fn convolve_rows(img: &GrayImage, taps: &[f32]) -> GrayImage {
     assert!(taps.len() % 2 == 1, "taps must have odd length");
@@ -51,12 +34,6 @@ pub fn convolve_cols(img: &GrayImage, taps: &[f32]) -> GrayImage {
     })
 }
 
-/// Separable Gaussian blur.
-pub fn gaussian_blur(img: &GrayImage, sigma: f32) -> GrayImage {
-    let taps = gaussian_taps(sigma);
-    convolve_cols(&convolve_rows(img, &taps), &taps)
-}
-
 /// The pipeline's cheap anti-alias filter: a separable 3-tap binomial
 /// (1/4, 1/2, 1/4) smoothing, matching the GPU filter kernel.
 pub fn antialias_3tap(img: &GrayImage) -> GrayImage {
@@ -69,25 +46,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gaussian_taps_normalized_and_symmetric() {
-        let t = gaussian_taps(1.0);
-        assert_eq!(t.len(), 7);
-        let sum: f32 = t.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6);
-        for i in 0..t.len() / 2 {
-            assert!((t[i] - t[t.len() - 1 - i]).abs() < 1e-7);
-        }
-        // Peak at center.
-        assert!(t[3] > t[2] && t[2] > t[1]);
-    }
-
-    #[test]
     fn constant_image_invariant_under_blur() {
         let img = GrayImage::from_fn(9, 9, |_, _| 77.0);
-        for out in [gaussian_blur(&img, 1.2), antialias_3tap(&img)] {
-            for &v in out.as_slice() {
-                assert!((v - 77.0).abs() < 1e-4);
-            }
+        for &v in antialias_3tap(&img).as_slice() {
+            assert!((v - 77.0).abs() < 1e-4);
         }
     }
 
@@ -107,7 +69,7 @@ mod tests {
     #[test]
     fn separable_equals_two_pass() {
         let img = GrayImage::from_fn(12, 10, |x, y| ((x * 13 + y * 7) % 64) as f32);
-        let taps = gaussian_taps(0.8);
+        let taps = [0.1, 0.2, 0.4, 0.2, 0.1];
         let a = convolve_cols(&convolve_rows(&img, &taps), &taps);
         let b = convolve_rows(&convolve_cols(&img, &taps), &taps);
         for (p, q) in a.as_slice().iter().zip(b.as_slice()) {

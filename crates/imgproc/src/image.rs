@@ -60,10 +60,6 @@ impl GrayImage {
         &self.data
     }
 
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     #[inline]
     pub fn get(&self, x: usize, y: usize) -> f32 {
         debug_assert!(x < self.width && y < self.height);
@@ -133,21 +129,6 @@ impl GrayImage {
     pub fn mean(&self) -> f64 {
         self.data.iter().map(|&v| v as f64).sum::<f64>() / self.data.len() as f64
     }
-
-    /// Population standard deviation of pixel values.
-    pub fn stddev(&self) -> f64 {
-        let m = self.mean();
-        let var = self
-            .data
-            .iter()
-            .map(|&v| {
-                let d = v as f64 - m;
-                d * d
-            })
-            .sum::<f64>()
-            / self.data.len() as f64;
-        var.sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -202,9 +183,8 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean() {
         let img = GrayImage::from_vec(2, 2, vec![1.0, 1.0, 3.0, 3.0]);
         assert!((img.mean() - 2.0).abs() < 1e-12);
-        assert!((img.stddev() - 1.0).abs() < 1e-12);
     }
 }

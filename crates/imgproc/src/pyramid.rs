@@ -64,12 +64,6 @@ impl Pyramid {
     pub fn is_empty(&self) -> bool {
         self.levels.is_empty()
     }
-
-    /// The scale of level `i` relative to the original image
-    /// (original = level coordinates x this value).
-    pub fn scale_of(&self, level: usize) -> f64 {
-        self.factor.powi(level as i32)
-    }
 }
 
 #[cfg(test)]
@@ -100,14 +94,6 @@ mod tests {
         for (lvl, (w, h)) in p.levels.iter().zip(&plan) {
             assert_eq!((lvl.width(), lvl.height()), (*w, *h));
         }
-    }
-
-    #[test]
-    fn scale_of_is_factor_power() {
-        let img = GrayImage::new(100, 100);
-        let p = Pyramid::build(&img, 2.0, 10);
-        assert_eq!(p.scale_of(0), 1.0);
-        assert_eq!(p.scale_of(2), 4.0);
     }
 
     #[test]

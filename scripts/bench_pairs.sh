@@ -24,7 +24,10 @@
 # `gpu.<stage>.host_us`, `gpu.host_us_per_block`,
 # `gpu.overhead.host_us_per_launch` and `gpu.kernel_body.host_share` side
 # by side (one run each, so read them against the spread of the pairs
-# above), `detector.pool_bytes` side by side (the device footprint that
+# above), each `gpu.<stage>.host_us` also as a share of that run's summed
+# stage host time (one traced run can run 14-21 % slow or fast as a whole,
+# untouched kernels too, so a layer moved only if its share moved),
+# `detector.pool_bytes` side by side (the device footprint that
 # moves host_peak_rss_mb), and whether the deterministic `gpu.*` and
 # `detector.*` rows (launches, blocks, virtual time, bytes, branch
 # efficiency, timeline, levels, pool bytes, windows) are equal. The last
@@ -119,13 +122,20 @@ for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
     verdict = "WORSE than bound" if worse > bound else "better" if worse < 0 else "within bound"
     print(f"  {name:<26} {pv:>12.4f} -> {cv:>12.4f}  {worse * 100:+6.1f} % worse "
           f"(bound {bound * 100:.0f} %)  {verdict}")
-print("per layer, one traced run per side: parent -> change")
+print("per layer, one traced run per side: parent -> change; a stage's share of its run's "
+      "summed stage host time")
 host_rows = [n for n in traced_parent if n.startswith("gpu.") and n.endswith(".host_us")]
+stage_sums = [sum(t[n]["value"] for n in host_rows) for t in (traced_parent, traced_change)]
 for name in host_rows + ["gpu.host_us_per_block", "gpu.overhead.host_us_per_launch",
                          "gpu.kernel_body.host_share"]:
     pv, cv = traced_parent[name]["value"], traced_change[name]["value"]
     moved = f"{(cv / pv - 1) * 100:+.1f} %" if pv else "-"
-    print(f"  {name:<34} {pv:>14.3f} -> {cv:>14.3f} {traced_parent[name]['unit']:<3} {moved}")
+    share = ""
+    if name in host_rows:
+        ps, cs = (v / s * 100 if s else 0.0 for v, s in zip((pv, cv), stage_sums))
+        share = f"  share {ps:5.1f} % -> {cs:5.1f} %"
+    print(f"  {name:<34} {pv:>14.3f} -> {cv:>14.3f} {traced_parent[name]['unit']:<3} {moved:>8}"
+          + share)
 if "detector.pool_bytes" in traced_parent:
     pv, cv = (t["detector.pool_bytes"]["value"] for t in (traced_parent, traced_change))
     moved = f"{(cv / pv - 1) * 100:+.1f} %" if pv else "-"

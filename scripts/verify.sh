@@ -36,6 +36,12 @@ line_count() {
   fi
 }
 
+format_check() {
+  # rustfmt.toml at the root carries the benchmark crate's settings;
+  # benchmark/ is its own workspace and is not formatted from here.
+  cargo fmt --all --check
+}
+
 build() {
   cargo build --release --offline
 }
@@ -111,6 +117,7 @@ clippy() {
 }
 
 gate "non-test lines under crates/*/src against the change's parent (scripts/loc.sh)" line_count
+gate "cargo fmt --all --check" format_check
 gate "cargo build --release" build
 gate "repo benchmark crate builds (its own workspace; fails here if a public name it uses is gone)" build_benchmark
 gate "cargo test -q" tests

@@ -4,10 +4,10 @@ use proptest::prelude::*;
 
 use facedet::detector::group::{group_detections, Detection};
 use facedet::eval::roc::{roc_curve, FrameEval};
-use facedet::haar::soft::SoftCascade;
 use facedet::haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 use facedet::imgproc::{IntegralImage, Rect};
 use facedet::video::{Trailer, TrailerSpec};
+use fd_bench::experiments::soft::SoftCascade;
 
 fn toy_cascade(stages: usize) -> Cascade {
     let f = HaarFeature::from_params(FeatureKind::EdgeH, 6, 4, 6, 8);
