@@ -2,7 +2,7 @@
 //! §II discusses (DESIGN.md `#extensions`).
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
-use fd_bench::experiments::multi_gpu::detect_multi_gpu;
+use fd_bench::experiments::multi_gpu::{detect_multi_gpu, PcieModel};
 use fd_bench::experiments::rearrange::run_rearranged_level;
 use fd_bench::experiments::records::UncompressedRecords;
 use fd_bench::experiments::soft::{staged_mean_depth, SoftCascade};
@@ -10,7 +10,7 @@ use fd_bench::out::{arg_usize, Table};
 use fd_boost::synthdata::synth_faces;
 use fd_detector::kernels::CascadeKernel;
 use fd_detector::{DetectorConfig, FaceDetector};
-use fd_gpu::{DeviceSpec, ExecMode, Gpu, PcieModel};
+use fd_gpu::{DeviceSpec, ExecMode, Gpu};
 use fd_haar::encode::{encode_cascade, quantize_cascade};
 use fd_imgproc::synth::render_random_background;
 use fd_imgproc::{GrayImage, IntegralImage, Pyramid};

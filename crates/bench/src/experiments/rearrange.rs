@@ -19,10 +19,11 @@
 //! compaction kernel plus launch latency. `repro_all ablation_rearrange`
 //! quantifies both effects against the paper's concurrent-kernel approach.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use fd_detector::DetectorError;
-use fd_gpu::{BlockCtx, DevBuf, Gpu, Kernel, LaunchConfig, StreamId, Timeline};
+use fd_gpu::{DevBuf, Gpu, Kernel, KernelCounters, LaunchConfig, LaunchCtx, StreamId, Timeline};
 use fd_haar::encode::quantize_cascade;
 use fd_haar::Cascade;
 
@@ -61,120 +62,131 @@ impl Kernel for CascadeSegmentKernel {
         "cascade_segment"
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let tpb = Self::THREADS as usize;
-        let base = ctx.block_idx.x as usize * tpb;
-        let end = (base + tpb).min(self.n_windows);
-        if base >= end {
-            return;
-        }
-        let window = self.cascade.window as usize;
-        let w = self.width;
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        ctx.each_block(blocks, sink, |ctx| {
+            let tpb = Self::THREADS as usize;
+            let base = ctx.block_idx.x as usize * tpb;
+            let end = (base + tpb).min(self.n_windows);
+            if base >= end {
+                return;
+            }
+            let window = self.cascade.window as usize;
+            let w = self.width;
 
-        let coords = ctx.mem.read(self.coords);
-        let mut scores = ctx.mem.write(self.scores);
-        let mut alive = ctx.mem.write(self.alive);
-        let mut depth = ctx.mem.write(self.depth);
-        let integral = ctx.mem.read(self.integral);
+            let coords = ctx.mem.read(self.coords);
+            let mut scores = ctx.mem.write(self.scores);
+            let mut alive = ctx.mem.write(self.alive);
+            let mut depth = ctx.mem.write(self.depth);
+            let integral = ctx.mem.read(self.integral);
 
-        // Inclusive-integral rectangle sum at an arbitrary window origin.
-        let rect_sum = |ox: usize, oy: usize, rx: usize, ry: usize, rw: usize, rh: usize| -> i64 {
-            let x0 = ox + rx;
-            let y0 = oy + ry;
-            let at = |x: isize, y: isize| -> i64 {
-                if x < 0 || y < 0 {
-                    0
-                } else {
-                    integral[y as usize * w + x as usize] as i64
-                }
-            };
-            let x1 = (x0 + rw) as isize - 1;
-            let y1 = (y0 + rh) as isize - 1;
-            at(x1, y1) - at(x0 as isize - 1, y1) - at(x1, y0 as isize - 1)
-                + at(x0 as isize - 1, y0 as isize - 1)
-        };
+            // Inclusive-integral rectangle sum at an arbitrary window origin.
+            let rect_sum =
+                |ox: usize, oy: usize, rx: usize, ry: usize, rw: usize, rh: usize| -> i64 {
+                    let x0 = ox + rx;
+                    let y0 = oy + ry;
+                    let at = |x: isize, y: isize| -> i64 {
+                        if x < 0 || y < 0 {
+                            0
+                        } else {
+                            integral[y as usize * w + x as usize] as i64
+                        }
+                    };
+                    let x1 = (x0 + rw) as isize - 1;
+                    let y1 = (y0 + rh) as isize - 1;
+                    at(x1, y1) - at(x0 as isize - 1, y1) - at(x1, y0 as isize - 1)
+                        + at(x0 as isize - 1, y0 as isize - 1)
+                };
 
-        let mut m_const = 0u64;
-        let mut m_global = 0u64;
-        let mut m_alu = 0u64;
-        let mut m_branches = 0u64;
-        let mut m_divergent = 0u64;
+            let mut m_const = 0u64;
+            let mut m_global = 0u64;
+            let mut m_alu = 0u64;
+            let mut m_branches = 0u64;
+            let mut m_divergent = 0u64;
 
-        // Warp-structured evaluation over the dense work list.
-        let warp = ctx.warp_size() as usize;
-        let mut ws = base;
-        while ws < end {
-            let we = (ws + warp).min(end);
-            let mut lane_alive: Vec<bool> = (ws..we).map(|i| alive[i] != 0).collect();
-            for si in self.stage_begin..self.stage_end.min(self.cascade.stages.len()) {
-                if !lane_alive.iter().any(|&a| a) {
-                    break;
-                }
-                let stage = &self.cascade.stages[si];
-                let mut sums = vec![0.0f32; we - ws];
-                for stump in &stage.stumps {
-                    m_const += 3;
-                    m_branches += 1;
-                    let nrects = stump.feature.rects().len() as u64;
+            // Warp-structured evaluation over the dense work list.
+            let warp = ctx.warp_size() as usize;
+            let mut ws = base;
+            while ws < end {
+                let we = (ws + warp).min(end);
+                let mut lane_alive: Vec<bool> = (ws..we).map(|i| alive[i] != 0).collect();
+                for si in self.stage_begin..self.stage_end.min(self.cascade.stages.len()) {
+                    if !lane_alive.iter().any(|&a| a) {
+                        break;
+                    }
+                    let stage = &self.cascade.stages[si];
+                    let mut sums = vec![0.0f32; we - ws];
+                    for stump in &stage.stumps {
+                        m_const += 3;
+                        m_branches += 1;
+                        let nrects = stump.feature.rects().len() as u64;
+                        for (li, i) in (ws..we).enumerate() {
+                            if !lane_alive[li] {
+                                continue;
+                            }
+                            let c = coords[i];
+                            let (ox, oy) = ((c & 0xFFFF) as usize, (c >> 16) as usize);
+                            debug_assert!(ox + window <= w && oy + window <= self.height);
+                            let mut resp = 0i64;
+                            for r in stump.feature.rects() {
+                                resp += r.weight as i64
+                                    * rect_sum(
+                                        ox,
+                                        oy,
+                                        r.x as usize,
+                                        r.y as usize,
+                                        r.w as usize,
+                                        r.h as usize,
+                                    );
+                            }
+                            sums[li] += if (resp as i32) < stump.threshold {
+                                stump.left
+                            } else {
+                                stump.right
+                            };
+                            // Scattered corners: 4 uncoalesced 4-byte reads
+                            // per rectangle per lane.
+                            m_global += 16 * nrects;
+                        }
+                        m_alu += 4 * nrects + 6;
+                    }
+                    let mut passed = 0usize;
+                    let mut failed = 0usize;
                     for (li, i) in (ws..we).enumerate() {
                         if !lane_alive[li] {
                             continue;
                         }
-                        let c = coords[i];
-                        let (ox, oy) = ((c & 0xFFFF) as usize, (c >> 16) as usize);
-                        debug_assert!(ox + window <= w && oy + window <= self.height);
-                        let mut resp = 0i64;
-                        for r in stump.feature.rects() {
-                            resp += r.weight as i64
-                                * rect_sum(
-                                    ox,
-                                    oy,
-                                    r.x as usize,
-                                    r.y as usize,
-                                    r.w as usize,
-                                    r.h as usize,
-                                );
+                        scores[i] += sums[li] - stage.threshold;
+                        if sums[li] >= stage.threshold {
+                            depth[i] = si as u32 + 1;
+                            passed += 1;
+                        } else {
+                            lane_alive[li] = false;
+                            alive[i] = 0;
+                            failed += 1;
                         }
-                        sums[li] +=
-                            if (resp as i32) < stump.threshold { stump.left } else { stump.right };
-                        // Scattered corners: 4 uncoalesced 4-byte reads
-                        // per rectangle per lane.
-                        m_global += 16 * nrects;
                     }
-                    m_alu += 4 * nrects + 6;
-                }
-                let mut passed = 0usize;
-                let mut failed = 0usize;
-                for (li, i) in (ws..we).enumerate() {
-                    if !lane_alive[li] {
-                        continue;
-                    }
-                    scores[i] += sums[li] - stage.threshold;
-                    if sums[li] >= stage.threshold {
-                        depth[i] = si as u32 + 1;
-                        passed += 1;
-                    } else {
-                        lane_alive[li] = false;
-                        alive[i] = 0;
-                        failed += 1;
+                    m_branches += 1;
+                    m_alu += 3;
+                    if passed > 0 && failed > 0 {
+                        m_divergent += 1;
                     }
                 }
-                m_branches += 1;
-                m_alu += 3;
-                if passed > 0 && failed > 0 {
-                    m_divergent += 1;
-                }
+                ws = we;
             }
-            ws = we;
-        }
 
-        ctx.meter.constant(m_const);
-        ctx.meter.global_load(m_global);
-        // Work-list bookkeeping reads/writes.
-        ctx.meter.global_load(4 * (end - base) as u64);
-        ctx.meter.global_store(12 * (end - base) as u64);
-        ctx.meter.alu(m_alu);
-        ctx.meter.branches(m_branches, m_divergent);
+            ctx.meter.constant(m_const);
+            ctx.meter.global_load(m_global);
+            // Work-list bookkeeping reads/writes.
+            ctx.meter.global_load(4 * (end - base) as u64);
+            ctx.meter.global_store(12 * (end - base) as u64);
+            ctx.meter.alu(m_alu);
+            ctx.meter.branches(m_branches, m_divergent);
+        });
     }
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {
@@ -219,41 +231,48 @@ impl Kernel for CompactKernel {
         "compact"
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        // Functional compaction is done once, by block 0, to keep the
-        // result deterministic; the metering models every block's share
-        // of a parallel scan + scatter.
-        let tpb = Self::THREADS as usize;
-        let base = ctx.block_idx.x as usize * tpb;
-        let end = (base + tpb).min(self.n);
-        if ctx.block_idx.x == 0 {
-            let coords = ctx.mem.read(self.coords_in);
-            let scores = ctx.mem.read(self.scores_in);
-            let depth = ctx.mem.read(self.depth_in);
-            let alive = ctx.mem.read(self.alive);
-            let mut co = ctx.mem.write(self.coords_out);
-            let mut so = ctx.mem.write(self.scores_out);
-            let mut dk = ctx.mem.write(self.depth_out);
-            let mut k = 0usize;
-            for i in 0..self.n {
-                if alive[i] != 0 {
-                    co[k] = coords[i];
-                    so[k] = scores[i];
-                    dk[k] = depth[i];
-                    k += 1;
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        ctx.each_block(blocks, sink, |ctx| {
+            // Functional compaction is done once, by block 0, to keep the
+            // result deterministic; the metering models every block's share
+            // of a parallel scan + scatter.
+            let tpb = Self::THREADS as usize;
+            let base = ctx.block_idx.x as usize * tpb;
+            let end = (base + tpb).min(self.n);
+            if ctx.block_idx.x == 0 {
+                let coords = ctx.mem.read(self.coords_in);
+                let scores = ctx.mem.read(self.scores_in);
+                let depth = ctx.mem.read(self.depth_in);
+                let alive = ctx.mem.read(self.alive);
+                let mut co = ctx.mem.write(self.coords_out);
+                let mut so = ctx.mem.write(self.scores_out);
+                let mut dk = ctx.mem.write(self.depth_out);
+                let mut k = 0usize;
+                for i in 0..self.n {
+                    if alive[i] != 0 {
+                        co[k] = coords[i];
+                        so[k] = scores[i];
+                        dk[k] = depth[i];
+                        k += 1;
+                    }
                 }
+                ctx.mem.write(self.count_out)[0] = k as u32;
             }
-            ctx.mem.write(self.count_out)[0] = k as u32;
-        }
-        if base < end {
-            let covered = (end - base) as u64;
-            let warps = covered.div_ceil(ctx.warp_size() as u64);
-            ctx.meter.global_load(13 * covered);
-            ctx.meter.global_store(12 * covered / 2); // ~half survive early on
-            ctx.meter.shared(4 * warps);
-            ctx.meter.alu(6 * warps);
-            ctx.syncthreads();
-        }
+            if base < end {
+                let covered = (end - base) as u64;
+                let warps = covered.div_ceil(ctx.warp_size() as u64);
+                ctx.meter.global_load(13 * covered);
+                ctx.meter.global_store(12 * covered / 2); // ~half survive early on
+                ctx.meter.shared(4 * warps);
+                ctx.meter.alu(6 * warps);
+                ctx.syncthreads();
+            }
+        });
     }
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {

@@ -12,7 +12,7 @@
 use std::ops::Range;
 
 use fd_detector::kernels::CascadeKernel;
-use fd_gpu::{AccessSet, BlockCtx, Kernel, KernelCounters, LaunchCtx};
+use fd_gpu::{AccessSet, Kernel, KernelCounters, LaunchCtx};
 use fd_haar::encode::STUMP_WORDS;
 
 /// [`CascadeKernel`] fetching uncompressed stump records.
@@ -26,10 +26,6 @@ impl UncompressedRecords {
 impl Kernel for UncompressedRecords {
     fn name(&self) -> &'static str {
         self.0.name()
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
     }
 
     fn run_blocks(
@@ -69,10 +65,6 @@ mod tests {
     impl<K: Kernel> Kernel for Logged<K> {
         fn name(&self) -> &'static str {
             self.0.name()
-        }
-
-        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-            ctx.run_as_range(self);
         }
 
         fn run_blocks(

@@ -40,12 +40,12 @@ mod reference;
 use std::ops::Range;
 use std::sync::Arc;
 
-use fd_gpu::{Band, BlockCtx, ConstPtr, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
+use fd_gpu::{Band, ConstPtr, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 
 use crate::model::{sat, CnnModel, REGION1, REGION2};
 
 /// Deliberate bugs in the band bodies that the oracle sweep of
-/// `reference.rs` must catch, besides those of [`fd_gpu::BandMutation`];
+/// `reference.rs` must catch, besides those of `fd_gpu::BandMutation`;
 /// only a test build can switch one on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Mutation {
@@ -282,10 +282,6 @@ impl Kernel for ConvReluKernel {
         self.layer_name
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
-    }
-
     fn run_blocks(
         &self,
         ctx: &LaunchCtx<'_>,
@@ -436,10 +432,6 @@ impl MaxPoolKernel {
 impl Kernel for MaxPoolKernel {
     fn name(&self) -> &'static str {
         "cnn_maxpool"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
     }
 
     fn run_blocks(
@@ -651,10 +643,6 @@ impl Kernel for WindowScoreKernel {
             2 => "cnn_template2",
             _ => "cnn_template3",
         }
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
     }
 
     fn run_blocks(
@@ -937,10 +925,6 @@ impl ChainKernel {
 impl Kernel for ChainKernel {
     fn name(&self) -> &'static str {
         self.kernel_name()
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
     }
 
     fn run_blocks(

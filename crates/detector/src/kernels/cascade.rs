@@ -76,7 +76,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use fd_gpu::{BlockCtx, ConstPtr, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
+use fd_gpu::{ConstPtr, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 use fd_haar::encode::{quantize_cascade, STUMP_WORDS};
 use fd_haar::Cascade;
 
@@ -664,10 +664,6 @@ impl CascadeKernel {
 impl Kernel for CascadeKernel {
     fn name(&self) -> &'static str {
         "cascade_eval"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
     }
 
     fn run_blocks(

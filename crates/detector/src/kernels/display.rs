@@ -14,7 +14,7 @@
 
 use std::ops::Range;
 
-use fd_gpu::{BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
+use fd_gpu::{DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 
 pub struct DisplayKernel {
     /// Deepest-stage array from the cascade kernel.
@@ -38,10 +38,6 @@ impl DisplayKernel {
 impl Kernel for DisplayKernel {
     fn name(&self) -> &'static str {
         "display"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
     }
 
     fn run_blocks(

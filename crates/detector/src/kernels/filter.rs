@@ -9,7 +9,7 @@
 
 use std::ops::Range;
 
-use fd_gpu::{Band, BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
+use fd_gpu::{Band, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 
 pub struct FilterKernel {
     pub src: DevBuf<f32>,
@@ -64,10 +64,6 @@ fn binomial_row(row: &[f32], cols: Range<usize>, out: &mut [f32]) {
 impl Kernel for FilterKernel {
     fn name(&self) -> &'static str {
         "filter"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
     }
 
     fn run_blocks(

@@ -22,7 +22,7 @@ pub use scan::ScanRowsKernel;
 pub use transpose::TransposeKernel;
 
 /// Deliberate bugs in the kernel bodies that the oracle sweeps of
-/// `reference.rs` must catch, besides the two of [`fd_gpu::BandMutation`];
+/// `reference.rs` must catch, besides the two of `fd_gpu::BandMutation`;
 /// only a test build can switch one on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Mutation {

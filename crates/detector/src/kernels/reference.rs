@@ -224,10 +224,6 @@ impl Kernel for Portable {
         self.0.name()
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
-    }
-
     fn run_blocks(
         &self,
         ctx: &LaunchCtx<'_>,

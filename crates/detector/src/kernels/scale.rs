@@ -7,7 +7,7 @@
 
 use std::ops::Range;
 
-use fd_gpu::{Band, BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx, TexId};
+use fd_gpu::{Band, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx, TexId};
 
 /// One launch per pyramid level.
 pub struct ScaleKernel {
@@ -43,10 +43,6 @@ impl ScaleKernel {
 impl Kernel for ScaleKernel {
     fn name(&self) -> &'static str {
         "scale"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
     }
 
     fn run_blocks(

@@ -13,7 +13,7 @@
 
 use std::ops::Range;
 
-use fd_gpu::{BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
+use fd_gpu::{DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 
 /// Where the scan reads its input from.
 #[derive(Debug, Clone, Copy)]
@@ -85,10 +85,6 @@ fn prefix_sum(row: &mut [u32]) {
 impl Kernel for ScanRowsKernel {
     fn name(&self) -> &'static str {
         "scan_rows"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
     }
 
     fn run_blocks(

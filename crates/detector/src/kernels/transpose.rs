@@ -8,7 +8,7 @@
 
 use std::ops::Range;
 
-use fd_gpu::{Band, BlockCtx, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
+use fd_gpu::{Band, DevBuf, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 
 pub struct TransposeKernel {
     /// Input: `width x height`, row-major.
@@ -33,10 +33,6 @@ impl TransposeKernel {
 impl Kernel for TransposeKernel {
     fn name(&self) -> &'static str {
         "transpose"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
     }
 
     fn run_blocks(

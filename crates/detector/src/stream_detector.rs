@@ -195,26 +195,6 @@ impl VideoDetector {
         self
     }
 
-    /// Process one decoded frame (luma plane + its decode latency).
-    /// Kept for callers that manage decode themselves; routes through the
-    /// same recovery layer as [`Self::process_decoded`].
-    pub fn process(
-        &mut self,
-        luma: &GrayImage,
-        decode_ms: f64,
-    ) -> Result<FrameResult, DetectorError> {
-        let frame = self.stats.frames;
-        let report = self.run_one(frame, luma, decode_ms, None);
-        match report.result {
-            Some(r) => Ok(r),
-            None => Err(match report.skipped {
-                Some(SkipReason::Detect(e)) => e,
-                Some(SkipReason::Decode(fault)) => DetectorError::Decode { frame, fault },
-                None => DetectorError::InvalidConfig { reason: "skip without reason" },
-            }),
-        }
-    }
-
     /// Process one [`DecodedFrame`] from the hardware decoder, honouring
     /// its fault flag. Never panics and never aborts the stream: the
     /// report says what happened.
@@ -602,6 +582,12 @@ mod tests {
         GrayImage::from_fn(64, 48, |x, _| (x * 3) as f32)
     }
 
+    /// Detect on [`frame`] as stream frame `index`, decoded in `decode_ms`.
+    fn process(vd: &mut VideoDetector, index: usize, decode_ms: f64) -> FrameResult {
+        let decoded = DecodedFrame { index, luma: frame(), decode_ms, pts_ms: 0.0, fault: None };
+        vd.process_decoded(&decoded).result.expect("a clean frame is detected")
+    }
+
     fn detector(fps: f64) -> VideoDetector {
         VideoDetector::new(&cascade(), DetectorConfig::default(), fps).unwrap()
     }
@@ -609,8 +595,8 @@ mod tests {
     #[test]
     fn stats_accumulate_across_frames() {
         let mut vd = detector(24.0);
-        for _ in 0..3 {
-            vd.process(&frame(), 9.0).unwrap();
+        for i in 0..3 {
+            process(&mut vd, i, 9.0);
         }
         let s = vd.stats();
         assert_eq!(s.frames, 3);
@@ -624,7 +610,7 @@ mod tests {
     #[test]
     fn pipelined_fps_uses_the_slower_stage() {
         let mut vd = detector(24.0);
-        vd.process(&frame(), 50.0).unwrap(); // decode-bound frame
+        process(&mut vd, 0, 50.0); // decode-bound frame
         let s = vd.stats();
         // Period = max(decode, detect) = 50 ms -> 20 fps.
         assert!((s.pipelined_fps() - 20.0).abs() < 1.0);
@@ -634,11 +620,11 @@ mod tests {
     fn deadline_misses_are_counted() {
         // Absurd playback rate so every frame misses.
         let mut vd = detector(1e9);
-        vd.process(&frame(), 1.0).unwrap();
+        process(&mut vd, 0, 1.0);
         assert_eq!(vd.missed_deadlines(), 1);
         // Relaxed deadline: no misses.
         let mut ok = detector(0.001);
-        ok.process(&frame(), 1.0).unwrap();
+        process(&mut ok, 0, 1.0);
         assert_eq!(ok.missed_deadlines(), 0);
     }
 

@@ -27,7 +27,7 @@
 use std::ops::Range;
 
 use crate::dim::Dim3;
-use crate::kernel::{BlockCtx, Kernel, LaunchConfig, LaunchCtx};
+use crate::kernel::{Kernel, LaunchConfig, LaunchCtx};
 use crate::meter::KernelCounters;
 
 /// N homogeneous kernels presented to the device as one launch, with the
@@ -68,10 +68,6 @@ impl<K: Kernel> BatchedKernel<K> {
 impl<K: Kernel> Kernel for BatchedKernel<K> {
     fn name(&self) -> &'static str {
         self.parts[0].name()
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
     }
 
     fn run_blocks(
@@ -150,18 +146,25 @@ mod tests {
         fn name(&self) -> &'static str {
             "fill"
         }
-        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-            assert_eq!(ctx.block_idx.z, 0, "parts must see a flat grid");
-            assert_eq!(ctx.grid_dim.z, 1, "parts must see their own extent");
-            let tpb = ctx.block_dim.count() as usize;
-            let start = ctx.block_idx.x as usize * tpb;
-            let mut data = ctx.mem.write(self.buf);
-            let end = (start + tpb).min(data.len());
-            for (i, v) in data[start..end].iter_mut().enumerate() {
-                *v = self.base + (start + i) as u32 * 2;
-            }
-            ctx.meter.alu(ctx.warps_in_block());
-            ctx.meter.global_store(((end - start) * 4) as u64);
+        fn run_blocks(
+            &self,
+            ctx: &LaunchCtx<'_>,
+            blocks: Range<u64>,
+            sink: &mut dyn FnMut(&KernelCounters),
+        ) {
+            ctx.each_block(blocks, sink, |ctx| {
+                assert_eq!(ctx.block_idx.z, 0, "parts must see a flat grid");
+                assert_eq!(ctx.grid_dim.z, 1, "parts must see their own extent");
+                let tpb = ctx.block_dim.count() as usize;
+                let start = ctx.block_idx.x as usize * tpb;
+                let mut data = ctx.mem.write(self.buf);
+                let end = (start + tpb).min(data.len());
+                for (i, v) in data[start..end].iter_mut().enumerate() {
+                    *v = self.base + (start + i) as u32 * 2;
+                }
+                ctx.meter.alu(ctx.warps_in_block());
+                ctx.meter.global_store(((end - start) * 4) as u64);
+            });
         }
     }
 

@@ -13,8 +13,8 @@
 //! * **fusion-local intermediates** — a buffer written by one stage and
 //!   consumed by a later stage of the same chain never needs to reach
 //!   DRAM in the fused execution. Stages meter traffic on such buffers
-//!   through [`crate::BlockCtx::global_load_buf`] /
-//!   [`crate::BlockCtx::global_store_buf`], which routes it to the
+//!   through [`crate::LaunchCtx::count_load`] /
+//!   [`crate::LaunchCtx::count_store`], which route it to the
 //!   fused-traffic counters; [`crate::CostModel::issue_cycles`] then
 //!   charges it at on-chip (shared-memory) rate instead of the DRAM
 //!   latency/bandwidth terms.
@@ -54,7 +54,7 @@
 use std::ops::Range;
 
 use crate::dim::Dim3;
-use crate::kernel::{BlockCtx, Kernel, LaunchConfig, LaunchCtx};
+use crate::kernel::{Kernel, LaunchConfig, LaunchCtx};
 use crate::memory::AccessSet;
 use crate::meter::KernelCounters;
 
@@ -339,10 +339,6 @@ impl Kernel for FusedKernel {
         self.name
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
-    }
-
     fn run_blocks(
         &self,
         ctx: &LaunchCtx<'_>,
@@ -404,24 +400,31 @@ mod tests {
         fn name(&self) -> &'static str {
             self.name
         }
-        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-            let tpb = ctx.block_dim.count() as usize;
-            let base = ctx.block_idx.x as usize * tpb;
-            let end = (base + tpb).min(self.n);
-            if base >= end {
-                return;
-            }
-            {
-                let src = ctx.mem.read(self.src);
-                let mut dst = ctx.mem.write(self.dst);
-                for i in base..end {
-                    dst[i] = src[i] * self.k + 1;
+        fn run_blocks(
+            &self,
+            ctx: &LaunchCtx<'_>,
+            blocks: Range<u64>,
+            sink: &mut dyn FnMut(&KernelCounters),
+        ) {
+            ctx.each_block(blocks, sink, |ctx| {
+                let tpb = ctx.block_dim.count() as usize;
+                let base = ctx.block_idx.x as usize * tpb;
+                let end = (base + tpb).min(self.n);
+                if base >= end {
+                    return;
                 }
-            }
-            let bytes = ((end - base) * 4) as u64;
-            ctx.global_load_buf(self.src, bytes);
-            ctx.global_store_buf(self.dst, bytes);
-            ctx.meter.alu(ctx.warps_in_block());
+                {
+                    let src = ctx.mem.read(self.src);
+                    let mut dst = ctx.mem.write(self.dst);
+                    for i in base..end {
+                        dst[i] = src[i] * self.k + 1;
+                    }
+                }
+                let bytes = ((end - base) * 4) as u64;
+                ctx.global_load_buf(self.src, bytes);
+                ctx.global_store_buf(self.dst, bytes);
+                ctx.meter.alu(ctx.warps_in_block());
+            });
         }
         fn access(&self, set: &mut AccessSet) {
             set.reads(self.src).writes(self.dst);
@@ -482,7 +485,14 @@ mod tests {
             fn name(&self) -> &'static str {
                 "opaque"
             }
-            fn run_block(&self, _ctx: &mut BlockCtx<'_>) {}
+            fn run_blocks(
+                &self,
+                ctx: &LaunchCtx<'_>,
+                blocks: Range<u64>,
+                sink: &mut dyn FnMut(&KernelCounters),
+            ) {
+                ctx.each_block(blocks, sink, |_| {});
+            }
         }
         let (_mem, a, b, _c) = arena(64);
         let err = FusedChain::new("f")
@@ -503,7 +513,14 @@ mod tests {
             fn name(&self) -> &'static str {
                 "no_traits"
             }
-            fn run_block(&self, _ctx: &mut BlockCtx<'_>) {}
+            fn run_blocks(
+                &self,
+                ctx: &LaunchCtx<'_>,
+                blocks: Range<u64>,
+                sink: &mut dyn FnMut(&KernelCounters),
+            ) {
+                ctx.each_block(blocks, sink, |_| {});
+            }
             fn access(&self, set: &mut AccessSet) {
                 set.reads(self.src).writes(self.dst);
             }
@@ -553,8 +570,13 @@ mod tests {
             fn name(&self) -> &'static str {
                 self.0.name()
             }
-            fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-                self.0.run_block(ctx)
+            fn run_blocks(
+                &self,
+                ctx: &LaunchCtx<'_>,
+                blocks: Range<u64>,
+                sink: &mut dyn FnMut(&KernelCounters),
+            ) {
+                self.0.run_blocks(ctx, blocks, sink)
             }
             fn access(&self, set: &mut AccessSet) {
                 self.0.access(set)
@@ -622,7 +644,14 @@ mod tests {
             fn name(&self) -> &'static str {
                 "clobber"
             }
-            fn run_block(&self, _ctx: &mut BlockCtx<'_>) {}
+            fn run_blocks(
+                &self,
+                ctx: &LaunchCtx<'_>,
+                blocks: Range<u64>,
+                sink: &mut dyn FnMut(&KernelCounters),
+            ) {
+                ctx.each_block(blocks, sink, |_| {});
+            }
             fn access(&self, set: &mut AccessSet) {
                 set.reads(self.src).writes(self.dst).writes(self.clobbered);
             }

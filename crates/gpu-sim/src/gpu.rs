@@ -953,8 +953,9 @@ mod sweep;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::BlockCtx;
+    use crate::kernel::LaunchCtx;
     use crate::memory::DevBuf;
+    use std::ops::Range;
 
     /// Doubles every element; meters one load+store and one ALU op per warp.
     #[derive(Clone, Copy)]
@@ -966,17 +967,24 @@ mod tests {
         fn name(&self) -> &'static str {
             "double"
         }
-        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-            let tpb = ctx.block_dim.count() as usize;
-            let base = ctx.block_idx.x as usize * tpb;
-            let mut data = ctx.mem.write(self.buf);
-            let end = (base + tpb).min(data.len());
-            for v in &mut data[base..end] {
-                *v *= 2;
-            }
-            ctx.meter.alu(ctx.warps_in_block());
-            ctx.meter.global_load(((end - base) * 4) as u64);
-            ctx.meter.global_store(((end - base) * 4) as u64);
+        fn run_blocks(
+            &self,
+            ctx: &LaunchCtx<'_>,
+            blocks: Range<u64>,
+            sink: &mut dyn FnMut(&KernelCounters),
+        ) {
+            ctx.each_block(blocks, sink, |ctx| {
+                let tpb = ctx.block_dim.count() as usize;
+                let base = ctx.block_idx.x as usize * tpb;
+                let mut data = ctx.mem.write(self.buf);
+                let end = (base + tpb).min(data.len());
+                for v in &mut data[base..end] {
+                    *v *= 2;
+                }
+                ctx.meter.alu(ctx.warps_in_block());
+                ctx.meter.global_load(((end - base) * 4) as u64);
+                ctx.meter.global_store(((end - base) * 4) as u64);
+            });
         }
         fn access(&self, set: &mut AccessSet) {
             // Read-modify-write: both sides declared, so consecutive
@@ -1334,23 +1342,30 @@ mod tests {
         fn name(&self) -> &'static str {
             "slow_double"
         }
-        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-            let tpb = ctx.block_dim.count() as usize;
-            let base = ctx.block_idx.x as usize * tpb;
-            let mut data = ctx.mem.write(self.buf);
-            let end = (base + tpb).min(data.len());
-            // Block-seeded LCG kept alive by black_box: real host time per
-            // block, so one drain spans several scheduler quanta and the
-            // workers genuinely interleave even on a single core.
-            let mut burn = ctx.block_idx.x.wrapping_add(1);
-            for _ in 0..200_000 {
-                burn = burn.wrapping_mul(1664525).wrapping_add(1013904223);
-            }
-            std::hint::black_box(burn);
-            for v in &mut data[base..end] {
-                *v = v.wrapping_mul(2);
-            }
-            ctx.meter.alu(ctx.warps_in_block());
+        fn run_blocks(
+            &self,
+            ctx: &LaunchCtx<'_>,
+            blocks: Range<u64>,
+            sink: &mut dyn FnMut(&KernelCounters),
+        ) {
+            ctx.each_block(blocks, sink, |ctx| {
+                let tpb = ctx.block_dim.count() as usize;
+                let base = ctx.block_idx.x as usize * tpb;
+                let mut data = ctx.mem.write(self.buf);
+                let end = (base + tpb).min(data.len());
+                // Block-seeded LCG kept alive by black_box: real host time per
+                // block, so one drain spans several scheduler quanta and the
+                // workers genuinely interleave even on a single core.
+                let mut burn = ctx.block_idx.x.wrapping_add(1);
+                for _ in 0..200_000 {
+                    burn = burn.wrapping_mul(1664525).wrapping_add(1013904223);
+                }
+                std::hint::black_box(burn);
+                for v in &mut data[base..end] {
+                    *v = v.wrapping_mul(2);
+                }
+                ctx.meter.alu(ctx.warps_in_block());
+            });
         }
         fn access(&self, set: &mut AccessSet) {
             set.reads(self.buf).writes(self.buf);
@@ -1460,28 +1475,39 @@ mod tests {
         fn name(&self) -> &'static str {
             "boom"
         }
-        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-            use std::sync::atomic::Ordering::SeqCst;
-            if self.armed && !self.blown.load(SeqCst) {
-                let pooled =
-                    std::thread::current().name().is_some_and(|n| n.starts_with("fd-sim-worker"));
-                if pooled && !self.blown.swap(true, SeqCst) {
-                    panic!("injected failure in launch {}", self.src.raw_id());
+        fn run_blocks(
+            &self,
+            ctx: &LaunchCtx<'_>,
+            blocks: Range<u64>,
+            sink: &mut dyn FnMut(&KernelCounters),
+        ) {
+            ctx.each_block(blocks, sink, |ctx| {
+                use std::sync::atomic::Ordering::SeqCst;
+                if self.armed && !self.blown.load(SeqCst) {
+                    let pooled = std::thread::current()
+                        .name()
+                        .is_some_and(|n| n.starts_with("fd-sim-worker"));
+                    if pooled && !self.blown.swap(true, SeqCst) {
+                        panic!("injected failure in launch {}", self.src.raw_id());
+                    }
+                    let waiting = Instant::now();
+                    while !self.blown.load(SeqCst) {
+                        assert!(
+                            waiting.elapsed().as_secs() < 60,
+                            "no pool worker reached the launch"
+                        );
+                        std::thread::yield_now();
+                    }
                 }
-                let waiting = Instant::now();
-                while !self.blown.load(SeqCst) {
-                    assert!(waiting.elapsed().as_secs() < 60, "no pool worker reached the launch");
-                    std::thread::yield_now();
+                let tpb = ctx.block_dim.count() as usize;
+                let base = ctx.block_idx.x as usize * tpb;
+                let src = ctx.mem.read(self.src);
+                let mut dst = ctx.mem.write(self.dst);
+                for i in base..base + tpb {
+                    dst[i] = src[i].wrapping_mul(3).wrapping_add(1);
                 }
-            }
-            let tpb = ctx.block_dim.count() as usize;
-            let base = ctx.block_idx.x as usize * tpb;
-            let src = ctx.mem.read(self.src);
-            let mut dst = ctx.mem.write(self.dst);
-            for i in base..base + tpb {
-                dst[i] = src[i].wrapping_mul(3).wrapping_add(1);
-            }
-            ctx.meter.alu(ctx.warps_in_block() * (1 + ctx.block_idx.x as u64 % 5));
+                ctx.meter.alu(ctx.warps_in_block() * (1 + ctx.block_idx.x as u64 % 5));
+            });
         }
         fn access(&self, set: &mut AccessSet) {
             set.reads(self.src).writes(self.dst);
@@ -1563,24 +1589,31 @@ mod tests {
         fn name(&self) -> &'static str {
             self.name
         }
-        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-            let tpb = ctx.block_dim.count() as usize;
-            let base = ctx.block_idx.x as usize * tpb;
-            let end = (base + tpb).min(self.n);
-            if base >= end {
-                return;
-            }
-            {
-                let src = ctx.mem.read(self.src);
-                let mut dst = ctx.mem.write(self.dst);
-                for i in base..end {
-                    dst[i] = src[i] * self.k + self.add;
+        fn run_blocks(
+            &self,
+            ctx: &LaunchCtx<'_>,
+            blocks: Range<u64>,
+            sink: &mut dyn FnMut(&KernelCounters),
+        ) {
+            ctx.each_block(blocks, sink, |ctx| {
+                let tpb = ctx.block_dim.count() as usize;
+                let base = ctx.block_idx.x as usize * tpb;
+                let end = (base + tpb).min(self.n);
+                if base >= end {
+                    return;
                 }
-            }
-            let bytes = ((end - base) * 4) as u64;
-            ctx.meter.alu(2 * ctx.warps_in_block());
-            ctx.global_load_buf(self.src, bytes);
-            ctx.global_store_buf(self.dst, bytes);
+                {
+                    let src = ctx.mem.read(self.src);
+                    let mut dst = ctx.mem.write(self.dst);
+                    for i in base..end {
+                        dst[i] = src[i] * self.k + self.add;
+                    }
+                }
+                let bytes = ((end - base) * 4) as u64;
+                ctx.meter.alu(2 * ctx.warps_in_block());
+                ctx.global_load_buf(self.src, bytes);
+                ctx.global_store_buf(self.dst, bytes);
+            });
         }
         fn access(&self, set: &mut AccessSet) {
             set.reads(self.src).writes(self.dst);

@@ -6,9 +6,11 @@
 //! be equal bit for bit; the `sweep_catches_*` tests prove the sweep
 //! would notice a block cost read at the wrong place.
 
+use std::ops::Range;
+
 use super::*;
 use crate::fuse::{FusedChain, FusionTraits};
-use crate::kernel::BlockCtx;
+use crate::kernel::LaunchCtx;
 use crate::probe::{timeline_bits, Rng};
 
 /// Elements per buffer: the largest grid (3 000 blocks of 64 threads).
@@ -30,23 +32,30 @@ impl Kernel for Mix {
     fn name(&self) -> &'static str {
         "mix"
     }
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let tpb = ctx.block_dim.count() as usize;
-        let base = ctx.block_idx.x as usize * tpb;
-        let end = (base + tpb).min(self.n);
-        {
-            let src = ctx.mem.read(self.src);
-            let mut dst = ctx.mem.write(self.dst);
-            for i in base..end {
-                dst[i] = src[i].wrapping_mul(self.mul).wrapping_add(self.add);
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        ctx.each_block(blocks, sink, |ctx| {
+            let tpb = ctx.block_dim.count() as usize;
+            let base = ctx.block_idx.x as usize * tpb;
+            let end = (base + tpb).min(self.n);
+            {
+                let src = ctx.mem.read(self.src);
+                let mut dst = ctx.mem.write(self.dst);
+                for i in base..end {
+                    dst[i] = src[i].wrapping_mul(self.mul).wrapping_add(self.add);
+                }
             }
-        }
-        let bytes = ((end - base) * 4) as u64;
-        let ops = 1 + ctx.block_idx.x as u64 % 11 + self.mul as u64 % 5;
-        ctx.meter.alu(ops * ctx.warps_in_block());
-        ctx.meter.branches(ctx.block_idx.x as u64 % 7 + 1, ctx.block_idx.x as u64 % 2);
-        ctx.global_load_buf(self.src, bytes);
-        ctx.global_store_buf(self.dst, bytes);
+            let bytes = ((end - base) * 4) as u64;
+            let ops = 1 + ctx.block_idx.x as u64 % 11 + self.mul as u64 % 5;
+            ctx.meter.alu(ops * ctx.warps_in_block());
+            ctx.meter.branches(ctx.block_idx.x as u64 % 7 + 1, ctx.block_idx.x as u64 % 2);
+            ctx.global_load_buf(self.src, bytes);
+            ctx.global_store_buf(self.dst, bytes);
+        });
     }
     fn access(&self, set: &mut AccessSet) {
         set.reads(self.src).writes(self.dst);

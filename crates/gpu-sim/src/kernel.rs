@@ -57,9 +57,8 @@ impl LaunchConfig {
     }
 }
 
-/// A device kernel. Implementations execute thread blocks — one at a time
-/// ([`Kernel::run_block`]) or a run of them ([`Kernel::run_blocks`]) — and
-/// meter the SIMT work they represent.
+/// A device kernel. Implementations execute runs of thread blocks
+/// ([`Kernel::run_blocks`]) and meter the SIMT work they represent.
 ///
 /// Blocks of one launch may execute concurrently on host worker threads
 /// (hence the `Sync` bound), yet results are deterministic: per-block
@@ -73,30 +72,20 @@ pub trait Kernel: Send + Sync {
     /// Kernel name for profiling and traces.
     fn name(&self) -> &'static str;
 
-    /// Execute one block. A kernel whose body is [`Self::run_blocks`]
-    /// implements this as [`BlockCtx::run_as_range`].
-    fn run_block(&self, ctx: &mut BlockCtx<'_>);
-
     /// Execute the blocks with linear ids `blocks` of the grid in `ctx`
     /// and hand each block's counters to `sink`, in block order. This is
-    /// what the host drain calls, once per chunk of a launch. The default
-    /// runs [`Self::run_block`] per block on a fresh [`Meter`]; kernels
-    /// whose blocks share work (a grid row of tiles is a band of whole
-    /// image rows) override it and must produce, for any split of a launch
-    /// into ranges, the bytes and the per-block counters of the per-block
-    /// form.
+    /// what the host drain calls, once per chunk of a launch. A kernel
+    /// whose blocks share no work runs them one at a time through
+    /// [`LaunchCtx::each_block`]; kernels whose blocks share work (a grid
+    /// row of tiles is a band of whole image rows) must produce, for any
+    /// split of a launch into ranges, the bytes and the per-block counters
+    /// they produce over one-block ranges.
     fn run_blocks(
         &self,
         ctx: &LaunchCtx<'_>,
         blocks: Range<u64>,
         sink: &mut dyn FnMut(&KernelCounters),
-    ) {
-        for lin in blocks {
-            let meter = Meter::new();
-            self.run_block(&mut ctx.block(lin, &meter));
-            sink(&meter.snapshot());
-        }
-    }
+    );
 
     /// Declare which device buffers this launch reads and writes so the
     /// host drain can order it against other launches (see
@@ -104,7 +93,7 @@ pub trait Kernel: Send + Sync {
     /// full barrier against every other pending launch, which is always
     /// correct but forbids overlap. Kernels that want to run concurrently
     /// with independent work override this and declare their access set;
-    /// the declared set must cover every buffer `run_block` touches.
+    /// the declared set must cover every buffer `run_blocks` touches.
     fn access(&self, set: &mut crate::memory::AccessSet) {
         set.mark_opaque();
     }
@@ -214,12 +203,29 @@ impl<'a> LaunchCtx<'a> {
     }
 
     /// The context of the block with linear id `lin`, metering into `meter`.
-    pub fn block<'b>(&'b self, lin: u64, meter: &'b Meter) -> BlockCtx<'b> {
+    fn block<'b>(&'b self, lin: u64, meter: &'b Meter) -> BlockCtx<'b> {
         BlockCtx {
             launch: *self,
             block_idx: self.grid_dim.from_linear(lin),
             meter,
+            #[cfg(any(test, feature = "testkit"))]
             shared_used_bytes: 0,
+        }
+    }
+
+    /// Run `body` on each block of `blocks` in order, metering into a
+    /// fresh [`Meter`], and hand its counters to `sink`: the
+    /// [`Kernel::run_blocks`] of a kernel whose blocks share no work.
+    pub fn each_block(
+        &self,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+        mut body: impl FnMut(&mut BlockCtx<'_>),
+    ) {
+        for lin in blocks {
+            let meter = Meter::new();
+            body(&mut self.block(lin, &meter));
+            sink(&meter.snapshot());
         }
     }
 
@@ -286,8 +292,8 @@ impl<'a> LaunchCtx<'a> {
     }
 
     /// Panics, like a CUDA launch failure would, unless the launch
-    /// requested at least `bytes` of shared memory per block: the check of
-    /// the `shared_alloc_*` family for bodies that stage nothing per block.
+    /// requested at least `bytes` of shared memory per block: the check a
+    /// body makes for the shared memory its blocks stage.
     pub fn require_shared(&self, bytes: usize) {
         assert!(
             bytes as u64 <= self.shared_limit_bytes as u64,
@@ -304,8 +310,7 @@ impl<'a> LaunchCtx<'a> {
     }
 
     /// Add a read of `bytes` bytes from `buf` to `counters`: fused traffic
-    /// when `buf` is fusion-local in this launch, global otherwise. What
-    /// [`BlockCtx::global_load_buf`] meters, for closed-form counters.
+    /// when `buf` is fusion-local in this launch, global otherwise.
     pub fn count_load<T: DeviceScalar>(
         &self,
         counters: &mut KernelCounters,
@@ -352,35 +357,39 @@ impl<'a> LaunchCtx<'a> {
     }
 }
 
+#[cfg(any(test, feature = "testkit"))]
+pub use mutation::{with_band_mutation, BandMutation};
+
 /// Deliberate bugs in [`Band`] that the kernel crates' oracle sweeps must
-/// catch; see [`with_band_mutation`].
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BandMutation {
-    /// A band that reaches the right edge of an image wider than a block
-    /// stops one column short.
-    BandEdge,
-    /// The last block of a grid row is metered like a full one.
-    EdgeCostClass,
-}
+/// catch. Test builds only: a build without tests reads no switch.
+#[cfg(any(test, feature = "testkit"))]
+mod mutation {
+    /// A bug [`with_band_mutation`] switches on.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum BandMutation {
+        /// A band that reaches the right edge of an image wider than a
+        /// block stops one column short.
+        BandEdge,
+        /// The last block of a grid row is metered like a full one.
+        EdgeCostClass,
+    }
 
-thread_local! {
-    static BAND_MUTATION: std::cell::Cell<Option<BandMutation>> =
-        const { std::cell::Cell::new(None) };
-}
+    thread_local! {
+        static BAND_MUTATION: std::cell::Cell<Option<BandMutation>> =
+            const { std::cell::Cell::new(None) };
+    }
 
-/// Run `sweep` on this thread with `mutation` switched on: for the
-/// `#[should_panic]` tests that prove a sweep would notice the bug. Nothing
-/// else calls it.
-#[doc(hidden)]
-pub fn with_band_mutation(mutation: BandMutation, sweep: impl FnOnce()) {
-    BAND_MUTATION.set(Some(mutation));
-    sweep();
-    BAND_MUTATION.set(None);
-}
+    /// Run `sweep` on this thread with `mutation` switched on: for the
+    /// `#[should_panic]` tests that prove a sweep would notice the bug.
+    pub fn with_band_mutation(mutation: BandMutation, sweep: impl FnOnce()) {
+        BAND_MUTATION.set(Some(mutation));
+        sweep();
+        BAND_MUTATION.set(None);
+    }
 
-fn mutated(mutation: BandMutation) -> bool {
-    BAND_MUTATION.get() == Some(mutation)
+    pub(super) fn mutated(mutation: BandMutation) -> bool {
+        BAND_MUTATION.get() == Some(mutation)
+    }
 }
 
 /// The part of a `w x h` image that a rectangle of blocks covers when `bw
@@ -402,7 +411,8 @@ impl Band {
         (w, h): (usize, usize),
     ) -> Self {
         let (x0, y0) = (first.x as usize * bw, first.y as usize * bh);
-        let w = w - (mutated(BandMutation::BandEdge) && w > bw) as usize;
+        #[cfg(any(test, feature = "testkit"))]
+        let w = w - (mutation::mutated(BandMutation::BandEdge) && w > bw) as usize;
         Self {
             rows: y0..(y0 + rows as usize * bh).min(h),
             cols: x0..(x0 + len as usize * bw).min(w),
@@ -422,10 +432,10 @@ impl Band {
         class: impl Fn(usize, usize) -> KernelCounters,
         sink: &mut dyn FnMut(&KernelCounters),
     ) {
-        let mut last_cw = self.cols.len() - (self.len - 1) * self.bw;
-        if mutated(BandMutation::EdgeCostClass) {
-            last_cw = self.bw;
-        }
+        let last_cw = self.cols.len() - (self.len - 1) * self.bw;
+        #[cfg(any(test, feature = "testkit"))]
+        let last_cw =
+            if mutation::mutated(BandMutation::EdgeCostClass) { self.bw } else { last_cw };
         for y0 in self.rows.clone().step_by(self.bh) {
             let ch = (self.rows.end - y0).min(self.bh);
             let full = class(self.bw, ch);
@@ -446,6 +456,7 @@ pub struct BlockCtx<'a> {
     pub block_idx: Dim3,
     /// Work meter for this block.
     pub meter: &'a Meter,
+    #[cfg(any(test, feature = "testkit"))]
     shared_used_bytes: u32,
 }
 
@@ -457,15 +468,17 @@ impl<'a> std::ops::Deref for BlockCtx<'a> {
 }
 
 impl BlockCtx<'_> {
-    /// Run this block as the one-block range of `kernel`'s
-    /// [`Kernel::run_blocks`]: the `run_block` of a kernel whose one body
-    /// is the range form.
-    pub fn run_as_range<K: Kernel + ?Sized>(&mut self, kernel: &K) {
-        let lin = self.grid_dim.linear_index(self.block_idx);
-        let meter = self.meter;
-        kernel.run_blocks(&self.launch, lin..lin + 1, &mut |c| meter.add(c));
+    /// Record a `__syncthreads()` executed by all warps of the block.
+    pub fn syncthreads(&self) {
+        self.meter.barrier(self.warps_in_block());
     }
+}
 
+/// Per-element helpers of the per-block reference bodies and test
+/// kernels. The product bodies stage whole bands and meter in closed form
+/// ([`LaunchCtx::require_shared`], [`LaunchCtx::count_load`]).
+#[cfg(any(test, feature = "testkit"))]
+impl BlockCtx<'_> {
     /// Allocate a block-local shared-memory array of `len` `u32` words.
     ///
     /// The returned vector models the block's shared-memory scratchpad: it
@@ -517,16 +530,9 @@ impl BlockCtx<'_> {
         self.texture(tex).fetch_bilinear(x, y)
     }
 
-    /// Record a `__syncthreads()` executed by all warps of the block.
-    pub fn syncthreads(&self) {
-        self.meter.barrier(self.warps_in_block());
-    }
-
     /// Meter a global-memory read of `bytes` bytes from `buf`, routed to
     /// the fused-traffic counters when `buf` is fusion-local in this
-    /// launch. Kernels that can participate in fusion use this instead of
-    /// calling [`Meter::global_load`] directly so their intermediates are
-    /// credited when a chain keeps them on-chip.
+    /// launch, so that a chain keeping it on-chip is credited.
     #[inline]
     pub fn global_load_buf<T: DeviceScalar>(&self, buf: DevBuf<T>, bytes: u64) {
         if self.is_fusion_local(buf) {

@@ -28,9 +28,10 @@
 //!
 //! 1. **Functional phase** — every thread block of a launch is executed
 //!    against the device memory arena. Kernels implement
-//!    [`Kernel::run_block`] and *meter* the work they perform through the
-//!    per-block [`Meter`]: warp-wide ALU instructions, shared/constant/
-//!    texture/global transactions, barriers and (divergent) branches.
+//!    [`Kernel::run_blocks`] over runs of blocks and *meter* the work
+//!    each block performs through its [`Meter`]: warp-wide ALU
+//!    instructions, shared/constant/texture/global transactions, barriers
+//!    and (divergent) branches.
 //!    A launch call only *enqueues*: the kernel joins a dependency graph
 //!    (per-stream program order, event edges, and read/write hazards over
 //!    the buffers its [`Kernel::access`] declares) and executes at the
@@ -59,25 +60,30 @@
 //! ## Quick example
 //!
 //! ```
-//! use fd_gpu::{Gpu, DeviceSpec, ExecMode, Kernel, LaunchConfig, BlockCtx, DevBuf};
+//! use std::ops::Range;
+//! use fd_gpu::{Gpu, DeviceSpec, ExecMode, Kernel, KernelCounters, LaunchConfig, LaunchCtx, DevBuf};
 //!
 //! struct Saxpy { a: f32, x: DevBuf<f32>, y: DevBuf<f32>, n: usize }
 //! impl Kernel for Saxpy {
 //!     fn name(&self) -> &'static str { "saxpy" }
-//!     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-//!         let base = ctx.block_idx.x as usize * ctx.block_dim.x as usize;
-//!         let end = (base + ctx.block_dim.x as usize).min(self.n);
-//!         {
-//!             let x = ctx.mem.read(self.x);
-//!             let mut y = ctx.mem.write(self.y);
-//!             for i in base..end {
-//!                 y[i] += self.a * x[i];
+//!     fn run_blocks(&self, ctx: &LaunchCtx<'_>, blocks: Range<u64>,
+//!                   sink: &mut dyn FnMut(&KernelCounters)) {
+//!         // Blocks share no work: run them one at a time.
+//!         ctx.each_block(blocks, sink, |ctx| {
+//!             let base = ctx.block_idx.x as usize * ctx.block_dim.x as usize;
+//!             let end = (base + ctx.block_dim.x as usize).min(self.n);
+//!             {
+//!                 let x = ctx.mem.read(self.x);
+//!                 let mut y = ctx.mem.write(self.y);
+//!                 for i in base..end {
+//!                     y[i] += self.a * x[i];
+//!                 }
 //!             }
-//!         }
-//!         let warps = ctx.warps_in_block();
-//!         ctx.meter.alu(2 * warps); // one fused multiply-add + bound check per warp
-//!         ctx.meter.global_load(((end - base) * 8) as u64);
-//!         ctx.meter.global_store(((end - base) * 4) as u64);
+//!             let warps = ctx.warps_in_block();
+//!             ctx.meter.alu(2 * warps); // one fused multiply-add + bound check per warp
+//!             ctx.meter.global_load(((end - base) * 8) as u64);
+//!             ctx.meter.global_store(((end - base) * 4) as u64);
+//!         });
 //!     }
 //! }
 //!
@@ -101,8 +107,7 @@ pub mod fuse;
 pub mod kernel;
 pub mod memory;
 pub mod meter;
-pub mod pcie;
-#[doc(hidden)]
+#[cfg(any(test, feature = "testkit"))]
 pub mod probe;
 pub mod profiler;
 pub mod sched;
@@ -121,16 +126,15 @@ pub use dim::Dim3;
 pub use fault::{FaultCursor, FaultPlan, FaultStats};
 pub use fuse::{FusedChain, FusedKernel, FusionError, FusionTraits, FUSION_ENV_VAR};
 pub use gpu::{Gpu, LaunchError, MAX_FUNCTIONAL_BLOCKS};
-pub use kernel::{
-    with_band_mutation, Band, BandMutation, BlockCtx, Kernel, LaunchConfig, LaunchCtx,
-};
+#[cfg(any(test, feature = "testkit"))]
+pub use kernel::{with_band_mutation, BandMutation};
+pub use kernel::{Band, BlockCtx, Kernel, LaunchConfig, LaunchCtx};
 pub use memory::{
     AccessSet, BilinearTap, BufSource, ByteTally, ConstPtr, CopyFault, CopyFaultConfig, DevBuf,
     DevRead, DevWrite, DeviceMemory, MemoryError, Readback, TexId, Texture2D, Workspace,
     WorkspaceFill,
 };
 pub use meter::{KernelCounters, Meter};
-pub use pcie::PcieModel;
 pub use pool::{HOST_EXEC_ENV_VAR, THREADS_ENV_VAR};
 pub use profiler::{HostSpan, KernelProfile, Profiler, TraceEvent};
 pub use sched::{

@@ -873,19 +873,6 @@ impl Texture2D {
         Ok(Self { width, height, data })
     }
 
-    #[inline]
-    fn texel(&self, x: isize, y: isize) -> f32 {
-        let xc = x.clamp(0, self.width as isize - 1) as usize;
-        let yc = y.clamp(0, self.height as isize - 1) as usize;
-        self.data[yc * self.width + xc]
-    }
-
-    /// Nearest-neighbour fetch (`tex2D` with point filtering).
-    #[inline]
-    pub fn fetch_point(&self, x: f32, y: f32) -> f32 {
-        self.texel(x.floor() as isize, y.floor() as isize)
-    }
-
     /// Bilinear fetch (`tex2D` with linear filtering); texel centers at
     /// integer + 0.5 coordinates, following the CUDA convention.
     #[inline]
@@ -1248,8 +1235,8 @@ mod tests {
     fn a_texture_refill_may_change_its_extent() {
         let mut t = Texture2D::from_data(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         t.refill(3, 1, &[5.0, 6.0, 7.0]).unwrap();
-        assert_eq!((t.width, t.height, t.fetch_point(2.0, 0.0)), (3, 1, 7.0));
-        assert_eq!(t.fetch_point(0.0, 5.0), 5.0, "clamped to the new extent");
+        assert_eq!((t.width, t.height, t.fetch_bilinear(2.5, 0.5)), (3, 1, 7.0));
+        assert_eq!(t.fetch_bilinear(0.5, 5.0), 5.0, "clamped to the new extent");
         assert!(t.refill(2, 2, &[0.0; 3]).is_err());
         assert!(t.refill(0, 3, &[]).is_err());
     }
@@ -1277,14 +1264,20 @@ mod tests {
     }
 
     #[test]
-    fn texture_point_fetch_clamps() {
+    fn texture_fetch_clamps() {
         let t = Texture2D::from_data(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(t.fetch_point(-5.0, -5.0), 1.0);
-        assert_eq!(t.fetch_point(10.0, 10.0), 4.0);
-        assert_eq!(t.fetch_point(1.0, 0.0), 2.0);
+        assert_eq!(t.fetch_bilinear(-5.0, -5.0), 1.0);
+        assert_eq!(t.fetch_bilinear(10.0, 10.0), 4.0);
+        assert_eq!(t.fetch_bilinear(1.5, 0.5), 2.0, "a texel centre is the texel");
     }
 
     impl Texture2D {
+        fn texel(&self, x: isize, y: isize) -> f32 {
+            let xc = x.clamp(0, self.width as isize - 1) as usize;
+            let yc = y.clamp(0, self.height as isize - 1) as usize;
+            self.data[yc * self.width + xc]
+        }
+
         /// `fetch_bilinear` as it was before the per-axis taps.
         fn fetch_bilinear_reference(&self, x: f32, y: f32) -> f32 {
             let xb = x - 0.5;

@@ -697,8 +697,9 @@ fn drain_serial(
 mod tests {
     use super::*;
     use crate::dim::Dim3;
-    use crate::kernel::BlockCtx;
+    use crate::kernel::LaunchCtx;
     use crate::memory::DevBuf;
+    use std::ops::Range;
 
     #[derive(Clone)]
     struct AffineKernel {
@@ -712,22 +713,29 @@ mod tests {
         fn name(&self) -> &'static str {
             "affine"
         }
-        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-            let tpb = ctx.block_dim.count() as usize;
-            let base = ctx.block_idx.x as usize * tpb;
-            let src = ctx.mem.read(self.src);
-            let mut dst = ctx.mem.write(self.dst);
-            let end = (base + tpb).min(dst.len());
-            for i in base..end {
-                dst[i] = src[i].wrapping_mul(self.mul).wrapping_add(self.add);
-            }
-            ctx.meter.alu(ctx.warps_in_block());
-            ctx.meter.global_load(((end - base) * 4) as u64);
-            ctx.meter.global_store(((end - base) * 4) as u64);
-            // Block-dependent divergence, so a stitch or counter reduction
-            // out of linear block order would show in the per-block cost
-            // bits and the totals.
-            ctx.meter.branches(ctx.block_idx.x as u64 + 1, ctx.block_idx.x as u64 % 2);
+        fn run_blocks(
+            &self,
+            ctx: &LaunchCtx<'_>,
+            blocks: Range<u64>,
+            sink: &mut dyn FnMut(&KernelCounters),
+        ) {
+            ctx.each_block(blocks, sink, |ctx| {
+                let tpb = ctx.block_dim.count() as usize;
+                let base = ctx.block_idx.x as usize * tpb;
+                let src = ctx.mem.read(self.src);
+                let mut dst = ctx.mem.write(self.dst);
+                let end = (base + tpb).min(dst.len());
+                for i in base..end {
+                    dst[i] = src[i].wrapping_mul(self.mul).wrapping_add(self.add);
+                }
+                ctx.meter.alu(ctx.warps_in_block());
+                ctx.meter.global_load(((end - base) * 4) as u64);
+                ctx.meter.global_store(((end - base) * 4) as u64);
+                // Block-dependent divergence, so a stitch or counter reduction
+                // out of linear block order would show in the per-block cost
+                // bits and the totals.
+                ctx.meter.branches(ctx.block_idx.x as u64 + 1, ctx.block_idx.x as u64 % 2);
+            });
         }
         fn access(&self, set: &mut crate::memory::AccessSet) {
             set.reads(self.src).writes(self.dst);
@@ -909,11 +917,18 @@ mod tests {
             fn name(&self) -> &'static str {
                 "boom"
             }
-            fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-                if ctx.block_idx.x == 100 {
-                    panic!("injected block failure");
-                }
-                ctx.meter.alu(1);
+            fn run_blocks(
+                &self,
+                ctx: &LaunchCtx<'_>,
+                blocks: Range<u64>,
+                sink: &mut dyn FnMut(&KernelCounters),
+            ) {
+                ctx.each_block(blocks, sink, |ctx| {
+                    if ctx.block_idx.x == 100 {
+                        panic!("injected block failure");
+                    }
+                    ctx.meter.alu(1);
+                });
             }
         }
         let mem = DeviceMemory::new();

@@ -8,15 +8,16 @@
 //! stacked in a [`crate::BatchedKernel`] — and [`check_case`] demands the
 //! reference body's output bytes, its counters for every block and the same
 //! timeline (block costs and their sum, through the scheduler). Only tests
-//! use this module; it is compiled into the library because the sweeps live
-//! in other crates.
+//! use this module: it is compiled for this crate's tests and, through the
+//! `testkit` feature that only `[dev-dependencies]` turn on, for the sweeps
+//! in the kernel crates. A build without tests has no such module.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use crate::{
-    BlockCtx, DeviceSpec, ExecMode, Gpu, Kernel, KernelCounters, LaunchConfig, LaunchCtx, Meter,
-    StreamId, Timeline,
+    BlockCtx, DeviceSpec, ExecMode, Gpu, Kernel, KernelCounters, LaunchConfig, LaunchCtx, StreamId,
+    Timeline,
 };
 
 /// A kernel that still carries its pre-rewrite body.
@@ -33,7 +34,7 @@ pub enum Mode {
     Whole,
     /// `run_blocks` over pieces of the range cut at random blocks.
     Chunked(u64),
-    /// `run_block` for every block.
+    /// `run_blocks` over every block alone.
     Blockwise,
 }
 
@@ -56,10 +57,6 @@ pub struct Probe<K> {
 impl<K: ReferenceBody> Kernel for Probe<K> {
     fn name(&self) -> &'static str {
         self.kernel.name()
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        ctx.run_as_range(self);
     }
 
     fn run_blocks(
@@ -88,17 +85,13 @@ impl<K: ReferenceBody> Kernel for Probe<K> {
                     lin = end;
                 }
             }
-            Mode::Reference | Mode::Blockwise => {
+            Mode::Blockwise => {
                 for lin in blocks.clone() {
-                    let meter = Meter::new();
-                    let block = &mut ctx.block(lin, &meter);
-                    if self.mode == Mode::Reference {
-                        self.kernel.reference_run_block(block);
-                    } else {
-                        self.kernel.run_block(block);
-                    }
-                    report(&meter.snapshot());
+                    self.kernel.run_blocks(ctx, lin..lin + 1, &mut report);
                 }
+            }
+            Mode::Reference => {
+                ctx.each_block(blocks.clone(), &mut report, |b| self.kernel.reference_run_block(b))
             }
         }
         self.log.lock().expect("no probe panics while logging").extend(reported);

@@ -2,7 +2,9 @@
 //! reach: the concurrent-kernel cap, cross-stream event chains through
 //! the high-level API, and mode switching mid-session.
 
-use fd_gpu::{BlockCtx, DevBuf, DeviceSpec, ExecMode, Gpu, Kernel, LaunchConfig};
+use std::ops::Range;
+
+use fd_gpu::{DevBuf, DeviceSpec, ExecMode, Gpu, Kernel, KernelCounters, LaunchConfig, LaunchCtx};
 
 /// Adds `value` to every element; meters a fixed issue cost.
 struct AddKernel {
@@ -15,13 +17,20 @@ impl Kernel for AddKernel {
     fn name(&self) -> &'static str {
         "add"
     }
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        if ctx.block_idx.x == 0 {
-            for v in ctx.mem.write(self.buf).iter_mut() {
-                *v += self.value;
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        ctx.each_block(blocks, sink, |ctx| {
+            if ctx.block_idx.x == 0 {
+                for v in ctx.mem.write(self.buf).iter_mut() {
+                    *v += self.value;
+                }
             }
-        }
-        ctx.meter.alu(self.cycles);
+            ctx.meter.alu(self.cycles);
+        });
     }
 }
 

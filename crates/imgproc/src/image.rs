@@ -124,11 +124,6 @@ impl GrayImage {
             }
         }
     }
-
-    /// Mean pixel value.
-    pub fn mean(&self) -> f64 {
-        self.data.iter().map(|&v| v as f64).sum::<f64>() / self.data.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -180,11 +175,5 @@ mod tests {
         assert_eq!(dst.get(2, 2), 0.0);
         dst.blit(&src, -1, -1); // only (0,0) lands inside
         assert_eq!(dst.get(0, 0), 9.0);
-    }
-
-    #[test]
-    fn mean() {
-        let img = GrayImage::from_vec(2, 2, vec![1.0, 1.0, 3.0, 3.0]);
-        assert!((img.mean() - 2.0).abs() < 1e-12);
     }
 }

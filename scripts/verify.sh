@@ -46,6 +46,22 @@ build() {
   cargo build --release --offline
 }
 
+no_testkit_in_product() {
+  # fd-gpu's `testkit` feature compiles the kernel crates' test harness
+  # (the differential oracle `fd_gpu::probe`, the `Band` mutation switch,
+  # the per-block helpers of reference bodies). Only [dev-dependencies]
+  # may turn it on. With dev edges left out cargo resolves features as a
+  # build without tests does, and no package of the workspace may then
+  # have it.
+  local enabled
+  enabled="$(cargo tree --offline --workspace -e no-dev --prefix none -f '{p} [{f}]' | grep -w testkit || true)"
+  if [ -n "$enabled" ]; then
+    printf '%s\n' "$enabled" | sort -u
+    echo "verify: a normal dependency turns on fd-gpu's testkit feature; only [dev-dependencies] may" >&2
+    return 1
+  fi
+}
+
 build_benchmark() {
   # Same target dir benchmark/run.sh uses, so the benchmark gate below
   # finds this build warm.
@@ -119,6 +135,7 @@ clippy() {
 gate "non-test lines under crates/*/src against the change's parent (scripts/loc.sh)" line_count
 gate "cargo fmt --all --check" format_check
 gate "cargo build --release" build
+gate "no normal dependency turns on fd-gpu's testkit feature (cargo tree without dev edges)" no_testkit_in_product
 gate "repo benchmark crate builds (its own workspace; fails here if a public name it uses is gone)" build_benchmark
 gate "cargo test -q" tests
 gate "bench equality (fusion_autotune, serve, fault_sweep, cnn_eval reproduce results/BENCH_*.json byte for byte)" bench_equality

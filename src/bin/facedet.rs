@@ -181,7 +181,10 @@ fn cmd_trailer(args: &[String]) {
     let mut vd = facedet::detector::VideoDetector::new(&cascade, detector_config(args), 24.0)
         .expect("video detector");
     for frame in decoder {
-        let r = vd.process(&frame.luma, frame.decode_ms).expect("process");
+        let report = vd.process_decoded(&frame);
+        let Some(r) = report.result else {
+            fatal(&format!("frame {} skipped: {:?}", frame.index, report.skipped));
+        };
         println!(
             "  frame {:>3}: decode {:.1} ms | detect {:6.2} ms | {} face(s)",
             frame.index,

@@ -5,11 +5,13 @@
 //! under the dependency-graph drain at any worker count to the
 //! `host_threads = 1` serial issue order.
 
+use std::ops::Range;
+
 use proptest::prelude::*;
 
 use facedet::gpu::{
-    AccessSet, BlockCtx, DevBuf, DeviceSpec, ExecMode, FaultPlan, Gpu, Kernel, LaunchConfig,
-    StreamId,
+    AccessSet, DevBuf, DeviceSpec, ExecMode, FaultPlan, Gpu, Kernel, KernelCounters, LaunchConfig,
+    LaunchCtx, StreamId,
 };
 
 /// Read-modify-write with a non-commutative update, so any hazard the
@@ -24,20 +26,27 @@ impl Kernel for MulAdd {
     fn name(&self) -> &'static str {
         "muladd"
     }
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let tpb = ctx.block_dim.count() as usize;
-        let base = ctx.block_idx.x as usize * tpb;
-        let mut data = ctx.mem.write(self.buf);
-        if base >= data.len() {
-            return;
-        }
-        let end = (base + tpb).min(data.len());
-        for v in &mut data[base..end] {
-            *v = v.wrapping_mul(3).wrapping_add(self.c);
-        }
-        ctx.meter.alu(ctx.warps_in_block());
-        ctx.meter.global_load(((end - base) * 4) as u64);
-        ctx.meter.global_store(((end - base) * 4) as u64);
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        ctx.each_block(blocks, sink, |ctx| {
+            let tpb = ctx.block_dim.count() as usize;
+            let base = ctx.block_idx.x as usize * tpb;
+            let mut data = ctx.mem.write(self.buf);
+            if base >= data.len() {
+                return;
+            }
+            let end = (base + tpb).min(data.len());
+            for v in &mut data[base..end] {
+                *v = v.wrapping_mul(3).wrapping_add(self.c);
+            }
+            ctx.meter.alu(ctx.warps_in_block());
+            ctx.meter.global_load(((end - base) * 4) as u64);
+            ctx.meter.global_store(((end - base) * 4) as u64);
+        });
     }
     fn access(&self, set: &mut AccessSet) {
         set.reads(self.buf).writes(self.buf);
@@ -55,21 +64,28 @@ impl Kernel for CopyShift {
     fn name(&self) -> &'static str {
         "copyshift"
     }
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let tpb = ctx.block_dim.count() as usize;
-        let base = ctx.block_idx.x as usize * tpb;
-        let src = ctx.mem.read(self.src);
-        let mut dst = ctx.mem.write(self.dst);
-        let end = (base + tpb).min(dst.len().min(src.len()));
-        if base >= end {
-            return;
-        }
-        for i in base..end {
-            dst[i] = src[i].rotate_left(1) ^ i as u32;
-        }
-        ctx.meter.alu(2 * ctx.warps_in_block());
-        ctx.meter.global_load(((end.saturating_sub(base)) * 4) as u64);
-        ctx.meter.global_store(((end.saturating_sub(base)) * 4) as u64);
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        ctx.each_block(blocks, sink, |ctx| {
+            let tpb = ctx.block_dim.count() as usize;
+            let base = ctx.block_idx.x as usize * tpb;
+            let src = ctx.mem.read(self.src);
+            let mut dst = ctx.mem.write(self.dst);
+            let end = (base + tpb).min(dst.len().min(src.len()));
+            if base >= end {
+                return;
+            }
+            for i in base..end {
+                dst[i] = src[i].rotate_left(1) ^ i as u32;
+            }
+            ctx.meter.alu(2 * ctx.warps_in_block());
+            ctx.meter.global_load(((end.saturating_sub(base)) * 4) as u64);
+            ctx.meter.global_store(((end.saturating_sub(base)) * 4) as u64);
+        });
     }
     fn access(&self, set: &mut AccessSet) {
         set.reads(self.src).writes(self.dst);
@@ -87,19 +103,26 @@ impl Kernel for OpaqueXor {
     fn name(&self) -> &'static str {
         "opaquexor"
     }
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let tpb = ctx.block_dim.count() as usize;
-        let base = ctx.block_idx.x as usize * tpb;
-        let mut data = ctx.mem.write(self.buf);
-        if base >= data.len() {
-            return;
-        }
-        let end = (base + tpb).min(data.len());
-        for v in &mut data[base..end] {
-            *v = v.rotate_right(3) ^ self.m;
-        }
-        ctx.meter.alu(ctx.warps_in_block());
-        ctx.meter.global_store(((end - base) * 4) as u64);
+    fn run_blocks(
+        &self,
+        ctx: &LaunchCtx<'_>,
+        blocks: Range<u64>,
+        sink: &mut dyn FnMut(&KernelCounters),
+    ) {
+        ctx.each_block(blocks, sink, |ctx| {
+            let tpb = ctx.block_dim.count() as usize;
+            let base = ctx.block_idx.x as usize * tpb;
+            let mut data = ctx.mem.write(self.buf);
+            if base >= data.len() {
+                return;
+            }
+            let end = (base + tpb).min(data.len());
+            for v in &mut data[base..end] {
+                *v = v.rotate_right(3) ^ self.m;
+            }
+            ctx.meter.alu(ctx.warps_in_block());
+            ctx.meter.global_store(((end - base) * 4) as u64);
+        });
     }
     // No access(): default marks the launch opaque.
 }
