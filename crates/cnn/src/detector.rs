@@ -69,9 +69,9 @@ impl StageList for CnnStages {
     type LevelBufs = LevelDeviceBufs;
     type View<'a> = CnnView<'a>;
 
-    /// Validates the model before any device state exists (the hardened
-    /// asset path: corrupt weights surface as a typed [`DetectorError`],
-    /// never as a device panic) and stages its tensors.
+    /// Validates the model before any device state exists (corrupt or
+    /// hand-edited weights surface as a typed [`DetectorError`], never as
+    /// a device panic) and stages its tensors.
     fn stage(gpu: &mut Gpu, model: &CnnModel) -> Result<Self, DetectorError> {
         model
             .validate()

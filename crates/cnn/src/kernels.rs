@@ -21,10 +21,9 @@
 //! `kernels/reference.rs`.
 //!
 //! Every kernel declares its [`fd_gpu::AccessSet`] so per-level streams
-//! overlap across pyramid levels and batch slots, and the conv/pool
-//! kernels publish [`fd_gpu::FusionTraits`] (tile-local producers over
-//! matching domains), so the chain is eligible for the same fusion
-//! machinery as the Haar pyramid stages.
+//! overlap across pyramid levels and batch slots. None declares
+//! [`fd_gpu::FusionTraits`]: the CNN stage list builds no fused chains,
+//! so every kernel keeps the trait's unfusable default.
 //!
 //! # Ping-pong depth/score buffers
 //!
@@ -44,31 +43,16 @@ use fd_gpu::{Band, ConstPtr, DevBuf, Kernel, KernelCounters, LaunchConfig, Launc
 
 use crate::model::{sat, CnnModel, REGION1, REGION2};
 
-/// Deliberate bugs in the band bodies that the oracle sweep of
-/// `reference.rs` must catch, besides those of `fd_gpu::BandMutation`;
-/// only a test build can switch one on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Mutation {
-    /// The halo column right of the image's last column repeats the one
-    /// before the last.
-    HaloClamp,
-    /// The gate's box sums stop one column short.
-    GateWindow,
-}
-
-#[cfg(test)]
-thread_local! {
-    static MUTATION: std::cell::Cell<Option<Mutation>> = const { std::cell::Cell::new(None) };
-}
-
-/// Whether `mutation` is switched on: never outside a test build.
-fn mutated(mutation: Mutation) -> bool {
-    #[cfg(test)]
-    return MUTATION.get() == Some(mutation);
-    #[cfg(not(test))]
-    {
-        let _ = mutation;
-        false
+fd_gpu::mutation_switch! {
+    /// Deliberate bugs in the band bodies that the oracle sweep of
+    /// `reference.rs` must catch, besides those of `fd_gpu::BandMutation`;
+    /// only a test build can switch one on.
+    enum Mutation {
+        /// The halo column right of the image's last column repeats the one
+        /// before the last.
+        HaloClamp,
+        /// The gate's box sums stop one column short.
+        GateWindow,
     }
 }
 
@@ -390,16 +374,6 @@ impl Kernel for ConvReluKernel {
         }
         .writes(self.dst);
     }
-
-    fn fusion_traits(&self) -> Option<fd_gpu::FusionTraits> {
-        Some(fd_gpu::FusionTraits {
-            read_domain: (self.width, self.height),
-            write_domain: (self.width, self.height),
-            // The halo is read-side only; each block writes its own tile
-            // of every output plane.
-            tile_local: true,
-        })
-    }
 }
 
 /// 2x2 stride-2 max pooling over `channels` plane-major maps.
@@ -480,14 +454,6 @@ impl Kernel for MaxPoolKernel {
 
     fn access(&self, set: &mut fd_gpu::AccessSet) {
         set.reads(self.src).writes(self.dst);
-    }
-
-    fn fusion_traits(&self) -> Option<fd_gpu::FusionTraits> {
-        Some(fd_gpu::FusionTraits {
-            read_domain: (self.src_w, self.src_h),
-            write_domain: (self.dst_w(), self.dst_h()),
-            tile_local: true,
-        })
     }
 }
 
@@ -775,21 +741,6 @@ impl Kernel for WindowScoreKernel {
         }
         set.writes(self.dst_depth).writes(self.dst_score);
     }
-
-    fn fusion_traits(&self) -> Option<fd_gpu::FusionTraits> {
-        // Stage 1 reads a single producer buffer and writes only its own
-        // window tile; stages 2/3 read two domains (maps + the previous
-        // grid), outside the single-domain fusion contract.
-        if self.src.is_none() {
-            Some(fd_gpu::FusionTraits {
-                read_domain: (self.map_w, self.map_h),
-                write_domain: (self.nx, self.ny),
-                tile_local: true,
-            })
-        } else {
-            None
-        }
-    }
 }
 
 /// Per-level window grid extent for a `w x h` pyramid level.
@@ -945,14 +896,6 @@ impl Kernel for ChainKernel {
             ChainKernel::Conv(k) => k.access(set),
             ChainKernel::Pool(k) => k.access(set),
             ChainKernel::Score(k) => k.access(set),
-        }
-    }
-
-    fn fusion_traits(&self) -> Option<fd_gpu::FusionTraits> {
-        match self {
-            ChainKernel::Conv(k) => k.fusion_traits(),
-            ChainKernel::Pool(k) => k.fusion_traits(),
-            ChainKernel::Score(k) => k.fusion_traits(),
         }
     }
 }

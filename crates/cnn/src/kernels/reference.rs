@@ -23,8 +23,8 @@ use fd_gpu::probe::{
 use fd_gpu::{with_band_mutation, BandMutation, BlockCtx, Gpu, StreamId};
 
 use super::{
-    level_chain, round_luma, window_grid, ChainKernel, ConvReluKernel, ConvSrc, LevelDeviceBufs,
-    MaxPoolKernel, ModelTensors, Mutation, WindowScoreKernel, MUTATION,
+    level_chain, round_luma, window_grid, with_mutation, ChainKernel, ConvReluKernel, ConvSrc,
+    LevelDeviceBufs, MaxPoolKernel, ModelTensors, Mutation, WindowScoreKernel,
 };
 use crate::detector::CnnStages;
 use crate::model::{sat, CnnModel, C1, C2, C2A, REGION2, TAPS3X3};
@@ -345,13 +345,6 @@ impl ReferenceBody for ChainKernel {
             ChainKernel::Score(k) => k.reference_run_block(ctx),
         }
     }
-}
-
-/// Run `sweep` on this thread with `mutation` switched on.
-fn with_mutation(mutation: Mutation, sweep: impl FnOnce()) {
-    MUTATION.set(Some(mutation));
-    sweep();
-    MUTATION.set(None);
 }
 
 /// Level extents the sweeps draw from besides uniform `24..=130`: the

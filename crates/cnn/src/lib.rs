@@ -21,4 +21,4 @@ pub mod kernels;
 pub mod model;
 
 pub use detector::{CnnDetector, CnnStages};
-pub use model::{CnnModel, CnnModelError, ParseError, SCORE_SCALE, STAGES, WINDOW, WINDOW_STRIDE};
+pub use model::{CnnModel, CnnModelError, SCORE_SCALE, STAGES, WINDOW, WINDOW_STRIDE};

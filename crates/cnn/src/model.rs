@@ -1,4 +1,4 @@
-//! The compact CNN cascade model: fixed-point tensors, validation, io.
+//! The compact CNN cascade model: fixed-point tensors and validation.
 //!
 //! Following the compact-CNN-cascade line of work (PAPERS.md), the model
 //! is a three-stage sliding-window cascade over two small convolutional
@@ -129,22 +129,6 @@ impl fmt::Display for CnnModelError {
 
 impl std::error::Error for CnnModelError {}
 
-/// A parse failure while loading a model from text, with the 1-based
-/// line it occurred on (0 when the failure is post-parse validation).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    pub line: usize,
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
 /// The compact CNN cascade (module docs). All tensors row-major; conv
 /// filters are `[out_ch][in_ch][3*3]` flattened, stage templates
 /// `[channel][REGION2*REGION2]` flattened.
@@ -173,7 +157,7 @@ pub struct CnnModel {
 
 impl CnnModel {
     /// Semantic validation (module docs). Called by the detector before
-    /// any device state exists, and by [`Self::load`] after parsing.
+    /// any device state exists.
     pub fn validate(&self) -> Result<(), CnnModelError> {
         if self.window as usize != WINDOW {
             return Err(CnnModelError::BadWindow { window: self.window });
@@ -417,171 +401,6 @@ impl CnnModel {
         words
     }
 
-    /// Serialize to the `cnn v1` text format (inverse of [`Self::parse`]).
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "cnn v1");
-        let _ = writeln!(s, "name {}", self.name);
-        let _ = writeln!(s, "window {}", self.window);
-        let _ = writeln!(s, "conv1 {}", C1);
-        for f in 0..C1 {
-            let taps = join(&self.conv1[f * 9..(f + 1) * 9]);
-            let _ = writeln!(s, "filter {taps} bias {}", self.conv1_bias[f]);
-        }
-        let _ = writeln!(s, "conv2 {}", C2);
-        for f in 0..C2 {
-            let taps = join(&self.conv2[f * C1 * 9..(f + 1) * C1 * 9]);
-            let _ = writeln!(s, "filter {taps} bias {}", self.conv2_bias[f]);
-        }
-        for (stage, template, threshold) in [
-            (1, &self.stage1, self.stage1_threshold),
-            (2, &self.stage2, self.stage2_threshold),
-            (3, &self.stage3, self.stage3_threshold),
-        ] {
-            let _ = writeln!(s, "stage{stage} threshold {threshold}");
-            let _ = writeln!(s, "weights {}", join(template));
-        }
-        s
-    }
-
-    /// Parse the `cnn v1` text format, validating the result — the
-    /// hardened asset path shared with the Haar cascade loader: corrupt
-    /// or hand-edited weights surface as a typed error before any device
-    /// state exists.
-    pub fn parse(text: &str) -> Result<Self, ParseError> {
-        fn take<'a>(
-            lines: &[(usize, &'a str)],
-            idx: &mut usize,
-            expect: &str,
-        ) -> Result<(usize, &'a str), ParseError> {
-            let item = lines.get(*idx).copied().ok_or_else(|| ParseError {
-                line: 0,
-                message: format!("unexpected end of input, expected {expect}"),
-            })?;
-            *idx += 1;
-            Ok(item)
-        }
-        let lines: Vec<(usize, &str)> = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
-            .collect();
-        let idx = &mut 0usize;
-
-        let (n, header) = take(&lines, idx, "the `cnn v1` header")?;
-        if header != "cnn v1" {
-            return Err(ParseError { line: n, message: format!("bad header `{header}`") });
-        }
-        let (n, name_line) = take(&lines, idx, "`name <name>`")?;
-        let name = name_line
-            .strip_prefix("name ")
-            .ok_or_else(|| ParseError { line: n, message: "expected `name <name>`".into() })?
-            .to_string();
-        let (n, window_line) = take(&lines, idx, "`window <px>`")?;
-        let window: u32 = field(window_line, "window", n)?;
-
-        fn parse_conv(
-            lines: &[(usize, &str)],
-            idx: &mut usize,
-            header: &str,
-            filters: usize,
-            taps_per_filter: usize,
-        ) -> Result<(Vec<i16>, Vec<i32>), ParseError> {
-            let mut next_line = |expect: &str| take(lines, idx, expect);
-            let (n, line) = next_line(header)?;
-            let declared: usize = field(line, header, n)?;
-            if declared != filters {
-                return Err(ParseError {
-                    line: n,
-                    message: format!("`{header}` declares {declared} filters, expected {filters}"),
-                });
-            }
-            let mut taps = Vec::with_capacity(filters * taps_per_filter);
-            let mut bias = Vec::with_capacity(filters);
-            for _ in 0..filters {
-                let (n, line) = next_line("`filter <taps...> bias <b>`")?;
-                let rest = line.strip_prefix("filter ").ok_or_else(|| ParseError {
-                    line: n,
-                    message: "expected `filter <taps...> bias <b>`".into(),
-                })?;
-                let (tap_str, bias_str) = rest.split_once(" bias ").ok_or_else(|| ParseError {
-                    line: n,
-                    message: "missing `bias` in filter line".into(),
-                })?;
-                let filter_taps = ints::<i16>(tap_str, n)?;
-                if filter_taps.len() != taps_per_filter {
-                    return Err(ParseError {
-                        line: n,
-                        message: format!(
-                            "filter has {} taps, expected {taps_per_filter}",
-                            filter_taps.len()
-                        ),
-                    });
-                }
-                taps.extend(filter_taps);
-                bias.push(bias_str.trim().parse().map_err(|_| ParseError {
-                    line: n,
-                    message: format!("bad bias `{bias_str}`"),
-                })?);
-            }
-            Ok((taps, bias))
-        }
-
-        let (conv1, conv1_bias) = parse_conv(&lines, idx, "conv1", C1, 9)?;
-        let (conv2, conv2_bias) = parse_conv(&lines, idx, "conv2", C2, C1 * 9)?;
-
-        let mut parse_stage = |stage: usize| -> Result<(Vec<i32>, i64), ParseError> {
-            let tag = format!("stage{stage} threshold <t>");
-            let (n, line) = take(&lines, idx, &tag)?;
-            let threshold = line
-                .strip_prefix(&format!("stage{stage} threshold "))
-                .and_then(|t| t.trim().parse::<i64>().ok())
-                .ok_or_else(|| ParseError { line: n, message: format!("expected `{tag}`") })?;
-            let (n, line) = take(&lines, idx, "`weights <w...>`")?;
-            let ws = line.strip_prefix("weights ").ok_or_else(|| ParseError {
-                line: n,
-                message: "expected `weights <w...>`".into(),
-            })?;
-            Ok((ints::<i32>(ws, n)?, threshold))
-        };
-        let (stage1, stage1_threshold) = parse_stage(1)?;
-        let (stage2, stage2_threshold) = parse_stage(2)?;
-        let (stage3, stage3_threshold) = parse_stage(3)?;
-
-        let model = Self {
-            name,
-            window,
-            conv1,
-            conv1_bias,
-            conv2,
-            conv2_bias,
-            stage1,
-            stage1_threshold,
-            stage2,
-            stage2_threshold,
-            stage3,
-            stage3_threshold,
-        };
-        model
-            .validate()
-            .map_err(|e| ParseError { line: 0, message: format!("validation failed: {e}") })?;
-        Ok(model)
-    }
-
-    /// Save to a text file.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_text())
-    }
-
-    /// Load and validate from a text file.
-    pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        Self::parse(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
-
     /// Pure host reference of the full forward pass over one scaled
     /// pyramid level (`w x h` luma in row-major `f32`). Returns the
     /// window grid `(nx, ny)` with per-window cascade depth and
@@ -775,26 +594,6 @@ fn balance_template(template: &mut [i32], channels: usize) {
     }
 }
 
-fn join<T: fmt::Display>(vals: &[T]) -> String {
-    vals.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(" ")
-}
-
-fn field<T: std::str::FromStr>(line: &str, key: &str, n: usize) -> Result<T, ParseError> {
-    line.strip_prefix(key)
-        .map(str::trim)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| ParseError { line: n, message: format!("expected `{key} <value>`") })
-}
-
-fn ints<T: std::str::FromStr>(s: &str, n: usize) -> Result<Vec<T>, ParseError> {
-    s.split_whitespace()
-        .map(|tok| {
-            tok.parse::<T>()
-                .map_err(|_| ParseError { line: n, message: format!("bad integer `{tok}`") })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,32 +607,6 @@ mod tests {
         assert_ne!(a, c, "different seed, different taps");
         a.validate().unwrap();
         c.validate().unwrap();
-    }
-
-    #[test]
-    fn text_round_trip_is_lossless() {
-        let m = CnnModel::seeded(42);
-        let parsed = CnnModel::parse(&m.to_text()).unwrap();
-        assert_eq!(m, parsed);
-    }
-
-    #[test]
-    fn parse_rejects_corrupt_input_with_line_numbers() {
-        let m = CnnModel::seeded(1);
-        let good = m.to_text();
-
-        let bad_header = good.replacen("cnn v1", "cnn v9", 1);
-        let e = CnnModel::parse(&bad_header).unwrap_err();
-        assert_eq!(e.line, 1);
-
-        let truncated: String = good.lines().take(6).collect::<Vec<_>>().join("\n");
-        let e = CnnModel::parse(&truncated).unwrap_err();
-        assert_eq!(e.line, 0, "truncation surfaces as end-of-input");
-        assert!(e.message.contains("unexpected end of input"), "{e}");
-
-        let bad_tap = good.replacen("filter ", "filter x ", 1);
-        let e = CnnModel::parse(&bad_tap).unwrap_err();
-        assert!(e.message.contains("bad integer"), "{e}");
     }
 
     #[test]
@@ -870,27 +643,6 @@ mod tests {
         let mut m = CnnModel::seeded(3);
         m.stage1.pop();
         assert!(matches!(m.validate(), Err(CnnModelError::TensorLen { tensor: "stage1", .. })));
-    }
-
-    #[test]
-    fn parse_runs_validation() {
-        let mut m = CnnModel::seeded(5);
-        m.conv1[0] += 3;
-        m.conv1[1] -= 2; // sum now +1: structurally fine, semantically not
-        let e = CnnModel::parse(&m.to_text()).unwrap_err();
-        assert_eq!(e.line, 0);
-        assert!(e.message.contains("DC-free"), "{e}");
-    }
-
-    #[test]
-    fn save_load_round_trip() {
-        let dir = std::env::temp_dir().join("fd_cnn_model_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.cnn");
-        let m = CnnModel::seeded(11);
-        m.save(&path).unwrap();
-        assert_eq!(CnnModel::load(&path).unwrap(), m);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

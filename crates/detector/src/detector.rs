@@ -43,8 +43,8 @@ pub struct DetectorConfig {
     /// paper baseline). Detections are bit-identical either way; fused
     /// frames pay fewer launch overheads and keep chain-internal
     /// intermediates off the global traffic ledger. The CNN backend
-    /// ignores it: its kernels declare fusion traits, but its stage list
-    /// builds no chains.
+    /// ignores it: its stage list builds no chains, and its kernels are
+    /// unfusable.
     pub fusion: Option<bool>,
     /// Autotune the Haar pipeline's launch shapes through the scheduler's
     /// occupancy model (see [`fd_gpu::tune`]). `None` means off (the

@@ -55,15 +55,15 @@
 //!   rows written left to right. Only blocks at the image's border stage
 //!   the zero-bordered tile, as the device does for every block.
 //!
-//! Both passes are [`PreStage::sums`], generic over the run width (24 for
+//! Both passes are `PreStage::sums`, generic over the run width (24 for
 //! a block row, 1 for a lane): leaves are added to `0.0f32` in stump order
 //! per window — the order the lockstep walk adds them in — and the stump
 //! response is wrapping `i32` arithmetic, equal mod 2³² to summing in
-//! `i64` and truncating. [`precompile`] folds the sign of a rectangle's
+//! `i64` and truncating. `precompile` folds the sign of a rectangle's
 //! weight into its corner order, so most weights are 1 and cost no
 //! multiply.
 //!
-//! The body ([`CascadeKernel::blocks`]) runs at the host's vector width
+//! The body (`CascadeKernel::blocks`) runs at the host's vector width
 //! ([`fd_gpu::at_vector_width`]): compiled twice, its AVX2 copy runs on a
 //! CPU that has AVX2, where stage 0's run of 24 windows is three vectors.
 //! It computes only wrapping integers and `f32` adds, subtracts, compares
@@ -276,7 +276,7 @@ impl CascadeKernel {
     /// byte — is identical across the family.
     pub const BLOCK_HEIGHTS: [u32; 5] = [24, 20, 16, 12, 8];
 
-    /// [`Self::with_stages`] over a freshly [`precompile`]d `cascade`,
+    /// `Self::with_stages` over a freshly precompiled `cascade`,
     /// which must already be quantized to the constant-memory grid (so the
     /// functional results equal what the device would compute from
     /// `const_ptr`).

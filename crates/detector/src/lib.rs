@@ -64,6 +64,6 @@ pub use haar::{FramePipeline, HaarStages, ScaleOutput, ScaleView};
 pub use pipeline::{stage_constants, LevelGeom, LevelLaunch, Pipeline, StageList};
 pub use recovery::{RecoveryPolicy, RecoveryStep};
 pub use stream_detector::{
-    CheckpointError, DegradeReason, FrameOutcome, FrameReport, RecoverySnapshot, SkipReason,
-    StreamCheckpoint, StreamStats, VideoDetector,
+    DegradeReason, FrameOutcome, FrameReport, RecoverySnapshot, SkipReason, StreamCheckpoint,
+    StreamStats, VideoDetector,
 };

@@ -43,9 +43,8 @@
 //! the uninterrupted run. Many streams sharing devices are `fd-serve`'s
 //! `FleetServer`'s job.
 
-use std::fmt;
-
 use fd_gpu::FaultCursor;
+use fd_haar::io::{KeyLine, LineReader, ParseError};
 use fd_haar::Cascade;
 use fd_imgproc::GrayImage;
 use fd_video::{DecodeFault, DecodedFrame};
@@ -158,13 +157,10 @@ impl StreamStats {
 /// A face detector with pipelined-stream accounting and recovery.
 pub struct VideoDetector {
     detector: FaceDetector,
-    stats: StreamStats,
+    /// Everything the stream changes as it runs; what a checkpoint holds.
+    snapshot: RecoverySnapshot,
     deadline_ms: f64,
-    missed_deadlines: usize,
     policy: RecoveryPolicy,
-    /// Device span of the last frame that produced results, ms: how long
-    /// a re-attempt is expected to take.
-    last_span_ms: f64,
 }
 
 impl VideoDetector {
@@ -180,11 +176,9 @@ impl VideoDetector {
         }
         Ok(Self {
             detector: FaceDetector::try_new(cascade, config)?,
-            stats: StreamStats::default(),
+            snapshot: RecoverySnapshot::default(),
             deadline_ms: 1000.0 / playback_fps,
-            missed_deadlines: 0,
             policy: RecoveryPolicy::default(),
-            last_span_ms: 0.0,
         })
     }
 
@@ -264,7 +258,7 @@ impl VideoDetector {
                         report.retries += 1;
                         report.shed_levels = self.policy.shed_levels(
                             report.backoff_ms,
-                            self.last_span_ms,
+                            self.snapshot.last_span_ms,
                             self.deadline_ms,
                             plan.len(),
                         );
@@ -292,7 +286,7 @@ impl VideoDetector {
                     FrameOutcome::Degraded
                 };
                 let detect_ms = r.detect_ms;
-                self.last_span_ms = detect_ms;
+                self.snapshot.last_span_ms = detect_ms;
                 report.result = Some(r);
                 self.account(&report, decode_ms, detect_ms);
             }
@@ -309,38 +303,39 @@ impl VideoDetector {
     fn account(&mut self, report: &FrameReport, decode_ms: f64, detect_ms: f64) {
         // Backoff is wall-clock the frame spent waiting on the device.
         let effective_detect = detect_ms + report.backoff_ms;
-        self.stats.frames += 1;
-        self.stats.total_decode_ms += decode_ms;
-        self.stats.total_detect_ms += effective_detect;
-        self.stats.total_period_ms += decode_ms.max(effective_detect);
-        self.stats.max_detect_ms = self.stats.max_detect_ms.max(effective_detect);
-        self.stats.retries += report.retries as usize;
-        self.stats.total_backoff_ms += report.backoff_ms;
+        let stats = &mut self.snapshot.stats;
+        stats.frames += 1;
+        stats.total_decode_ms += decode_ms;
+        stats.total_detect_ms += effective_detect;
+        stats.total_period_ms += decode_ms.max(effective_detect);
+        stats.max_detect_ms = stats.max_detect_ms.max(effective_detect);
+        stats.retries += report.retries as usize;
+        stats.total_backoff_ms += report.backoff_ms;
         if report.shed_levels > 0 && report.result.is_some() {
-            self.stats.shed_frames += 1;
+            stats.shed_frames += 1;
         }
         if let Some(r) = &report.result {
-            self.stats.total_detections += r.detections.len();
+            stats.total_detections += r.detections.len();
         }
         match report.outcome {
-            FrameOutcome::Ok => self.stats.ok_frames += 1,
-            FrameOutcome::Degraded => self.stats.degraded_frames += 1,
-            FrameOutcome::Skipped => self.stats.skipped_frames += 1,
+            FrameOutcome::Ok => stats.ok_frames += 1,
+            FrameOutcome::Degraded => stats.degraded_frames += 1,
+            FrameOutcome::Skipped => stats.skipped_frames += 1,
         }
 
         let missed = effective_detect > self.deadline_ms;
         if missed && report.result.is_some() {
-            self.missed_deadlines += 1;
+            self.snapshot.missed_deadlines += 1;
         }
     }
 
     pub fn stats(&self) -> &StreamStats {
-        &self.stats
+        &self.snapshot.stats
     }
 
     /// Frames whose detection missed the playback deadline.
     pub fn missed_deadlines(&self) -> usize {
-        self.missed_deadlines
+        self.snapshot.missed_deadlines
     }
 
     /// The display deadline in milliseconds (the paper's 40 ms line for
@@ -359,11 +354,7 @@ impl VideoDetector {
     pub fn checkpoint(&self) -> StreamCheckpoint {
         StreamCheckpoint {
             fault_cursor: self.detector.fault_cursor(),
-            snapshot: RecoverySnapshot {
-                stats: self.stats.clone(),
-                missed_deadlines: self.missed_deadlines,
-                last_span_ms: self.last_span_ms,
-            },
+            snapshot: self.snapshot.clone(),
         }
     }
 
@@ -381,10 +372,7 @@ impl VideoDetector {
         playback_fps: f64,
     ) -> Result<Self, DetectorError> {
         let mut vd = Self::new(cascade, config, playback_fps)?;
-        let snap = &checkpoint.snapshot;
-        vd.stats = snap.stats.clone();
-        vd.missed_deadlines = snap.missed_deadlines;
-        vd.last_span_ms = snap.last_span_ms;
+        vd.snapshot = checkpoint.snapshot.clone();
         vd.detector.seek_fault_cursor(checkpoint.fault_cursor);
         Ok(vd)
     }
@@ -393,7 +381,7 @@ impl VideoDetector {
 /// The mutable streaming state of a [`VideoDetector`]. Everything else
 /// about a stream is either a construction input or deterministic device
 /// state reachable through [`FaultCursor`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoverySnapshot {
     pub stats: StreamStats,
     /// Frames that missed the playback deadline so far.
@@ -417,23 +405,6 @@ pub struct StreamCheckpoint {
     pub snapshot: RecoverySnapshot,
 }
 
-/// Error parsing a [`StreamCheckpoint`] text blob.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckpointError {
-    /// 1-based line of the offending text (one past the last line when
-    /// the input ends early).
-    pub line: usize,
-    pub message: String,
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
 /// First line of the text format.
 const CHECKPOINT_HEADER: &str = "stream-checkpoint";
 
@@ -444,23 +415,23 @@ fn f64_hex(v: f64) -> String {
 
 /// Only the spelling [`f64_hex`] writes is accepted, so a parsed text is
 /// the text its checkpoint serialises to.
-fn parse_f64_hex(tok: &str, line: usize) -> Result<f64, CheckpointError> {
+fn parse_f64_hex(line: &KeyLine, tok: &str) -> Result<f64, ParseError> {
     u64::from_str_radix(tok, 16)
         .map(f64::from_bits)
         .ok()
         .filter(|v| f64_hex(*v) == tok)
-        .ok_or_else(|| CheckpointError { line, message: format!("bad f64 bits `{tok}`") })
+        .ok_or_else(|| line.error(format!("bad f64 bits `{tok}`")))
 }
 
 /// Canonical decimal only (no sign, no leading zeros), as for the floats.
-fn parse_num<T>(tok: &str, line: usize, what: &str) -> Result<T, CheckpointError>
+fn parse_num<T>(line: &KeyLine, tok: &str, what: &str) -> Result<T, ParseError>
 where
     T: std::str::FromStr + ToString,
 {
     tok.parse()
         .ok()
         .filter(|v: &T| v.to_string() == tok)
-        .ok_or_else(|| CheckpointError { line, message: format!("bad {what} `{tok}`") })
+        .ok_or_else(|| line.error(format!("bad {what} `{tok}`")))
 }
 
 impl StreamCheckpoint {
@@ -497,65 +468,40 @@ impl StreamCheckpoint {
     /// Parse the text format back into a checkpoint. Blank lines and `#`
     /// comments are skipped; anything else that [`Self::to_text`] would
     /// not have written is rejected with the line it stands on.
-    pub fn from_text(text: &str) -> Result<Self, CheckpointError> {
-        let err = |line: usize, m: String| CheckpointError { line, message: m };
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-        // The next line must be `key` followed by exactly `values` values.
-        // Returns the line number and the values.
-        let mut field = |key: &str, values: usize| {
-            let (n, l) = lines.next().ok_or_else(|| {
-                err(text.lines().count() + 1, format!("input ends where `{key}` should be"))
-            })?;
-            let mut toks = l.split_whitespace();
-            let found = toks.next().unwrap_or_default();
-            if found != key {
-                return Err(err(n, format!("expected `{key}`, found `{found}`")));
-            }
-            let vals: Vec<&str> = toks.collect();
-            if vals.len() != values {
-                return Err(err(
-                    n,
-                    format!("`{key}` needs {values} value(s), found {} token(s)", vals.len()),
-                ));
-            }
-            Ok((n, vals))
-        };
-
-        let (n, v) = field(CHECKPOINT_HEADER, 1)?;
-        if v[0] != "v2" {
-            return Err(err(n, format!("unsupported checkpoint version `{}`", v[0])));
+    pub fn from_text(text: &str) -> Result<Self, ParseError> {
+        let mut lines = LineReader::new(text);
+        let l = lines.expect(CHECKPOINT_HEADER)?;
+        let [version] = l.values()?;
+        if version != "v2" {
+            return Err(l.error(format!("unsupported checkpoint version `{version}`")));
         }
-        let (n, v) = field("fault_cursor", 2)?;
+        let l = lines.expect("fault_cursor")?;
+        let [launch, copy] = l.values()?;
         let fault_cursor = FaultCursor {
-            launch_attempts: parse_num(v[0], n, "launch cursor")?,
-            copy_draws: parse_num(v[1], n, "copy cursor")?,
+            launch_attempts: parse_num(&l, launch, "launch cursor")?,
+            copy_draws: parse_num(&l, copy, "copy cursor")?,
         };
-        let (n, v) = field("stats", 12)?;
+        let l = lines.expect("stats")?;
+        let v = l.values::<12>()?;
         let stats = StreamStats {
-            frames: parse_num(v[0], n, "frames")?,
-            total_decode_ms: parse_f64_hex(v[1], n)?,
-            total_detect_ms: parse_f64_hex(v[2], n)?,
-            total_period_ms: parse_f64_hex(v[3], n)?,
-            max_detect_ms: parse_f64_hex(v[4], n)?,
-            total_detections: parse_num(v[5], n, "detections")?,
-            ok_frames: parse_num(v[6], n, "ok frames")?,
-            degraded_frames: parse_num(v[7], n, "degraded frames")?,
-            skipped_frames: parse_num(v[8], n, "skipped frames")?,
-            retries: parse_num(v[9], n, "retries")?,
-            total_backoff_ms: parse_f64_hex(v[10], n)?,
-            shed_frames: parse_num(v[11], n, "shed frames")?,
+            frames: parse_num(&l, v[0], "frames")?,
+            total_decode_ms: parse_f64_hex(&l, v[1])?,
+            total_detect_ms: parse_f64_hex(&l, v[2])?,
+            total_period_ms: parse_f64_hex(&l, v[3])?,
+            max_detect_ms: parse_f64_hex(&l, v[4])?,
+            total_detections: parse_num(&l, v[5], "detections")?,
+            ok_frames: parse_num(&l, v[6], "ok frames")?,
+            degraded_frames: parse_num(&l, v[7], "degraded frames")?,
+            skipped_frames: parse_num(&l, v[8], "skipped frames")?,
+            retries: parse_num(&l, v[9], "retries")?,
+            total_backoff_ms: parse_f64_hex(&l, v[10])?,
+            shed_frames: parse_num(&l, v[11], "shed frames")?,
         };
-        let (n, v) = field("missed_deadlines", 1)?;
-        let missed_deadlines = parse_num(v[0], n, "missed deadlines")?;
-        let (n, v) = field("last_span", 1)?;
-        let last_span_ms = parse_f64_hex(v[0], n)?;
-        if let Some((n, _)) = lines.next() {
-            return Err(err(n, "text after the last field".to_string()));
-        }
+        let l = lines.expect("missed_deadlines")?;
+        let missed_deadlines = parse_num(&l, l.values::<1>()?[0], "missed deadlines")?;
+        let l = lines.expect("last_span")?;
+        let last_span_ms = parse_f64_hex(&l, l.values::<1>()?[0])?;
+        lines.end()?;
         Ok(Self {
             fault_cursor,
             snapshot: RecoverySnapshot { stats, missed_deadlines, last_span_ms },

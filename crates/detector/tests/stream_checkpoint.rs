@@ -7,11 +7,12 @@
 //! **bit-identical** to the uninterrupted run. Holds under zero-rate and
 //! nonzero-rate fault plans (device and decode), at any kill frame, and
 //! at any host thread count. The text parser takes outside input, so it
-//! also gets the mutation treatment of `crates/haar/tests/corrupt_assets.rs`.
+//! also gets the mutation treatment of `crates/haar/tests/corrupt_assets.rs`,
+//! and so does the cascade format, which parses through the same reader.
 
 use fd_detector::{DetectorConfig, StreamCheckpoint, VideoDetector};
 use fd_gpu::FaultPlan;
-use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
+use fd_haar::{io, Cascade, FeatureKind, HaarFeature, Stage, Stump};
 use fd_video::{DecodeFaultPlan, HwDecoder, Trailer, TrailerSpec};
 use proptest::prelude::*;
 
@@ -167,19 +168,11 @@ fn canonical(text: &str) -> String {
         .collect()
 }
 
-#[test]
-fn parser_survives_every_cut_and_token_mutation() {
-    // A checkpoint taken mid-stream under faults.
-    let mut vd = start(7, true, None);
-    feed(&mut vd, &mut decoder(7, true), N_FRAMES / 2);
-    let ckpt = vd.checkpoint();
-    let text = ckpt.to_text();
-    assert_eq!(StreamCheckpoint::from_text(&text).as_ref(), Ok(&ckpt));
-
-    let mut mutants: Vec<String> = Vec::new();
-    // Cuts at every line and token boundary (and inside every token).
-    mutants.extend((0..text.len()).map(|at| text[..at].to_string()));
-    // Every token in turn dropped, duplicated and garbled four ways.
+/// Every cut of `text` (at each line and token boundary, and inside
+/// every token), and every token in turn dropped, duplicated and garbled
+/// four ways.
+fn mutants(text: &str) -> Vec<String> {
+    let mut mutants: Vec<String> = (0..text.len()).map(|at| text[..at].to_string()).collect();
     let lines: Vec<Vec<&str>> = text.lines().map(|l| l.split(' ').collect()).collect();
     for (li, toks) in lines.iter().enumerate() {
         for (ti, &tok) in toks.iter().enumerate() {
@@ -205,7 +198,19 @@ fn parser_survives_every_cut_and_token_mutation() {
             }
         }
     }
+    mutants
+}
 
+#[test]
+fn parser_survives_every_cut_and_token_mutation() {
+    // A checkpoint taken mid-stream under faults.
+    let mut vd = start(7, true, None);
+    feed(&mut vd, &mut decoder(7, true), N_FRAMES / 2);
+    let ckpt = vd.checkpoint();
+    let text = ckpt.to_text();
+    assert_eq!(StreamCheckpoint::from_text(&text).as_ref(), Ok(&ckpt));
+
+    let mutants = mutants(&text);
     let mut accepted = 0;
     for m in &mutants {
         match StreamCheckpoint::from_text(m) {
@@ -217,5 +222,33 @@ fn parser_survives_every_cut_and_token_mutation() {
         }
     }
     assert!(accepted > 0, "some mutants are still checkpoints (a shorter number, a cut newline)");
+    assert!(accepted < mutants.len() / 10, "{accepted} of {} accepted", mutants.len());
+}
+
+/// The cascade format reads through the same line reader and gets the
+/// same sweep: a mutant is rejected at a line of the text (one past the
+/// last when it ends early, 0 when only validation fails), or it is a
+/// cascade that round-trips through the writer.
+#[test]
+fn cascade_parser_survives_every_cut_and_token_mutation() {
+    let g = HaarFeature::from_params(FeatureKind::CenterSurround, 3, 3, 4, 4);
+    let mut c = cascade();
+    c.stages[1].stumps.push(Stump { feature: g, threshold: -42, left: 0.25, right: -0.75 });
+    let text = io::to_text(&c);
+    assert_eq!(io::from_text(&text).as_ref(), Ok(&c));
+
+    let mutants = mutants(&text);
+    let mut accepted = 0;
+    for m in &mutants {
+        match io::from_text(m) {
+            Ok(parsed) => {
+                assert_eq!(io::from_text(&io::to_text(&parsed)).as_ref(), Ok(&parsed), "{m:?}");
+                accepted += 1;
+            }
+            Err(e) if e.line == 0 => assert!(e.message.starts_with("cascade validation"), "{e}"),
+            Err(e) => assert!(e.line <= m.lines().count() + 1, "{e} in {m:?}"),
+        }
+    }
+    assert!(accepted > 0, "some mutants are still cascades (a shorter number, a cut newline)");
     assert!(accepted < mutants.len() / 10, "{accepted} of {} accepted", mutants.len());
 }

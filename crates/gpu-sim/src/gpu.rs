@@ -351,31 +351,16 @@ impl BlockCosts for QueueCosts<'_> {
     }
 }
 
-/// Deliberate bugs in [`QueueCosts`] that the identity sweep must catch;
-/// only a test build can switch one on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Mutation {
-    /// A stalled launch's first block is read without the stall penalty.
-    StallDropped,
-    /// A fused launch's later phases are read at the first phase's slots.
-    FirstPhaseSlots,
-    /// The chunk of a block is found with another node's chunk size.
-    OtherChunkSize,
-}
-
-#[cfg(test)]
-thread_local! {
-    static MUTATION: std::cell::Cell<Option<Mutation>> = const { std::cell::Cell::new(None) };
-}
-
-/// Whether `mutation` is switched on: never outside a test build.
-fn mutated(mutation: Mutation) -> bool {
-    #[cfg(test)]
-    return MUTATION.get() == Some(mutation);
-    #[cfg(not(test))]
-    {
-        let _ = mutation;
-        false
+crate::mutation_switch! {
+    /// Deliberate bugs in [`QueueCosts`] that the identity sweep must catch;
+    /// only a test build can switch one on.
+    enum Mutation {
+        /// A stalled launch's first block is read without the stall penalty.
+        StallDropped,
+        /// A fused launch's later phases are read at the first phase's slots.
+        FirstPhaseSlots,
+        /// The chunk of a block is found with another node's chunk size.
+        OtherChunkSize,
     }
 }
 
@@ -873,7 +858,7 @@ impl Gpu {
     ///
     /// With two or more host threads the simulation runs on this thread
     /// *while* the pool drains the deferred launches and pulls the drain
-    /// along (see [`QueueCosts`]); with one it follows the drain. The
+    /// along (see `QueueCosts`); with one it follows the drain. The
     /// simulation performs the same operations on the same numbers in the
     /// same order either way — only when on the host clock differs.
     pub fn synchronize(&mut self) -> Timeline {

@@ -164,14 +164,6 @@ fn pulled_simulation_is_the_serial_one_at_any_thread_count() {
     sweep(40);
 }
 
-/// Run `sweep` on this thread — the host thread of its devices, where
-/// [`QueueCosts`] reads — with `mutation` switched on.
-fn with_mutation(mutation: Mutation, sweep: impl FnOnce()) {
-    MUTATION.set(Some(mutation));
-    sweep();
-    MUTATION.set(None);
-}
-
 /// The sweep must notice (as a different timeline, not a crash) a stalled
 /// launch whose first block lost its penalty …
 #[test]

@@ -357,6 +357,49 @@ impl<'a> LaunchCtx<'a> {
     }
 }
 
+/// Declares a module's deliberate bugs for its oracle sweeps: the enum
+/// as written (plus `Debug, Clone, Copy, PartialEq`), `mutated(m)`, which
+/// the product code asks, and `with_mutation(m, sweep)`, which runs
+/// `sweep` on this thread with `m` switched on. The switch and
+/// `with_mutation` are `#[cfg(test)]` items, and `cfg` is evaluated in
+/// the crate that invokes the macro: outside its test build `mutated` is
+/// `false` and reads no thread-local.
+#[macro_export]
+macro_rules! mutation_switch {
+    ($(#[$meta:meta])* enum $name:ident { $($(#[$vmeta:meta])* $variant:ident,)+ }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        #[cfg(test)]
+        ::std::thread_local! {
+            static MUTATION: ::std::cell::Cell<Option<$name>> =
+                const { ::std::cell::Cell::new(None) };
+        }
+
+        /// Run `sweep` on this thread with `mutation` switched on.
+        #[cfg(test)]
+        fn with_mutation(mutation: $name, sweep: impl FnOnce()) {
+            MUTATION.set(Some(mutation));
+            sweep();
+            MUTATION.set(None);
+        }
+
+        /// Whether `mutation` is switched on: never outside a test build.
+        fn mutated(mutation: $name) -> bool {
+            #[cfg(test)]
+            return MUTATION.get() == Some(mutation);
+            #[cfg(not(test))]
+            {
+                let _ = mutation;
+                false
+            }
+        }
+    };
+}
+
 #[cfg(any(test, feature = "testkit"))]
 pub use mutation::{with_band_mutation, BandMutation};
 

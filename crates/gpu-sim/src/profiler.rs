@@ -174,7 +174,7 @@ impl Profiler {
         self.opaque_launches += n;
     }
 
-    /// Launches enqueued without a declared [`AccessSet`]
+    /// Launches enqueued without a declared [`AccessSet`](crate::AccessSet)
     /// (the [`Kernel::access`](crate::Kernel::access) default). Each one
     /// is a full barrier: it forbids both asynchronous overlap and
     /// fusion, so a non-zero count flags kernels silently serializing
@@ -214,23 +214,6 @@ impl Profiler {
         self.host_spans.clear();
         self.timing_spans.clear();
         self.opaque_launches = 0;
-    }
-
-    /// Render the trace as aligned text rows (a poor man's Fig. 6).
-    pub fn render_trace(&self) -> String {
-        let mut out = String::new();
-        out.push_str("launch  stream  t_start_us   t_end_us     kernel\n");
-        for e in &self.traces {
-            out.push_str(&format!(
-                "{:<7} {:<7} {:<12.3} {:<12.3} {}\n",
-                e.launch_idx,
-                e.stream.index(),
-                e.t_start_us,
-                e.t_end_us,
-                e.kernel_name
-            ));
-        }
-        out
     }
 
     /// Render the trace in the Chrome trace-event format (a JSON array of
@@ -405,15 +388,6 @@ mod tests {
         p.absorb(&[ev("a", 1, 0.0, 1.0, 0), ev("b", 1, 0.0, 1.0, 0)]);
         // 200 branches, 4 divergent => 98%.
         assert!((p.branch_efficiency() - 0.98).abs() < 1e-12);
-    }
-
-    #[test]
-    fn render_trace_lists_rows() {
-        let mut p = Profiler::new();
-        p.absorb(&[ev("scale", 3, 1.0, 2.0, 0)]);
-        let s = p.render_trace();
-        assert!(s.contains("scale"));
-        assert!(s.lines().count() == 2);
     }
 
     #[test]

@@ -481,32 +481,17 @@ impl DurationMemo {
     }
 }
 
-/// Deliberate changes to the event loop for `sched/oracle.rs` to judge;
-/// only a test build can switch one on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Mutation {
-    /// A bug: the duration memo is keyed without the SM's resident blocks.
-    MemoWithoutResidentBlocks,
-    /// A bug: the completion that starts a round does not mark the
-    /// footprint flags stale, so skip decisions read the previous round's.
-    FlagsKeptAcrossRounds,
-    /// Not a bug: a placement does not mark the flags stale (see `stale`).
-    FlagsKeptAcrossPlacements,
-}
-
-#[cfg(test)]
-thread_local! {
-    static MUTATION: std::cell::Cell<Option<Mutation>> = const { std::cell::Cell::new(None) };
-}
-
-/// Whether `mutation` is switched on: never outside a test build.
-fn mutated(mutation: Mutation) -> bool {
-    #[cfg(test)]
-    return MUTATION.get() == Some(mutation);
-    #[cfg(not(test))]
-    {
-        let _ = mutation;
-        false
+crate::mutation_switch! {
+    /// Deliberate changes to the event loop for `sched/oracle.rs` to judge;
+    /// only a test build can switch one on.
+    enum Mutation {
+        /// A bug: the duration memo is keyed without the SM's resident blocks.
+        MemoWithoutResidentBlocks,
+        /// A bug: the completion that starts a round does not mark the
+        /// footprint flags stale, so skip decisions read the previous round's.
+        FlagsKeptAcrossRounds,
+        /// Not a bug: a placement does not mark the flags stale (see `stale`).
+        FlagsKeptAcrossPlacements,
     }
 }
 

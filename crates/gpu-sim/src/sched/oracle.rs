@@ -734,13 +734,6 @@ fn served_sweep() {
     differential(ExecMode::Concurrent, generate_served, 60, 60);
 }
 
-/// Run `sweep` on this thread with `mutation` switched on.
-fn with_mutation(mutation: Mutation, sweep: impl FnOnce()) {
-    MUTATION.set(Some(mutation));
-    sweep();
-    MUTATION.set(None);
-}
-
 /// The served sweep must notice (as a different timeline, not a crash) a
 /// duration memo that answers for a block on an SM with other resident
 /// blocks …

@@ -92,9 +92,11 @@ fn nan_and_inf_thresholds_are_rejected() {
 fn stage_count_mismatch_is_rejected() {
     // Header claims more stages than the file holds.
     assert_rejected(|t| t.replacen("stages 25", "stages 26", 1), "unexpected end");
-    // Header claims fewer: the parser stops early and the extra stage
-    // line is simply unread — but re-numbering an interior stage breaks
-    // the monotone stage-index contract.
+    // Header claims fewer: the stages past the count are text after the
+    // last field.
+    assert_rejected(|t| t.replacen("stages 25", "stages 24", 1), "text after the last field");
+    // Re-numbering an interior stage breaks the monotone stage-index
+    // contract.
     assert_rejected(|t| t.replacen("stage 1 ", "stage 7 ", 1), "expected 1");
 }
 
@@ -165,6 +167,8 @@ fn mutation_matrix_never_panics() {
         ("window 24", "window 4294967295"),
         ("stages 25", "stages 0"),
         ("stages 25", "stages abc"),
+        // A stump count sizes no allocation before its lines are read.
+        ("stage 0 -0.53580487 5", "stage 0 -0.53580487 18446744073709551615"),
         ("stage 0 ", "stage 24 "),
         ("stump 5 6 8 3 5", "stump 99 6 8 3 5"),
         ("stump 5 6 8 3 5", "stump 5 255 255 255 255"),

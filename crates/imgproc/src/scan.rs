@@ -24,17 +24,6 @@ pub fn scan_rows_inclusive(data: &mut [u32], w: usize, h: usize) {
     }
 }
 
-/// Exclusive prefix sum of one sequence (used by block-level scan kernels).
-pub fn scan_exclusive(data: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(data.len());
-    let mut acc = 0u32;
-    for &v in data {
-        out.push(acc);
-        acc += v;
-    }
-    out
-}
-
 /// Out-of-place transpose of a `w x h` row-major matrix into `h x w`.
 pub fn transpose(data: &[u32], w: usize, h: usize) -> Vec<u32> {
     assert_eq!(data.len(), w * h);
@@ -85,12 +74,6 @@ mod tests {
         let mut m = vec![1, 2, 3, 10, 20, 30];
         scan_rows_inclusive(&mut m, 3, 2);
         assert_eq!(m, vec![1, 3, 6, 10, 30, 60]);
-    }
-
-    #[test]
-    fn exclusive_scan_shifts_inclusive() {
-        assert_eq!(scan_exclusive(&[3, 1, 4, 1]), vec![0, 3, 4, 8]);
-        assert_eq!(scan_exclusive(&[]), Vec::<u32>::new());
     }
 
     #[test]

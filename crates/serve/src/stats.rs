@@ -60,13 +60,6 @@ impl LatencyHistogram {
     pub fn p99_us(&self) -> f64 {
         self.quantile_us(0.99)
     }
-
-    pub fn mean_us(&self) -> f64 {
-        if self.samples_us.is_empty() {
-            return 0.0;
-        }
-        self.samples_us.iter().sum::<f64>() / self.samples_us.len() as f64
-    }
 }
 
 /// Aggregate accounting for one serving run.
@@ -292,7 +285,6 @@ mod tests {
         assert_eq!(h.p50_us(), 30.0);
         assert_eq!(h.quantile_us(0.2), 10.0);
         assert_eq!(h.p99_us(), 50.0);
-        assert_eq!(h.mean_us(), 30.0);
         assert_eq!(h.len(), 5);
     }
 
@@ -301,7 +293,6 @@ mod tests {
         let h = LatencyHistogram::default();
         assert!(h.is_empty());
         assert_eq!(h.p99_us(), 0.0);
-        assert_eq!(h.mean_us(), 0.0);
     }
 
     #[test]
@@ -346,7 +337,6 @@ mod tests {
         }
         assert_eq!(merged.latency.len(), 8);
         assert_eq!(merged.served, 8);
-        assert_eq!(merged.latency.mean_us(), union.mean_us());
     }
 
     #[test]

@@ -46,6 +46,12 @@ build() {
   cargo build --release --offline
 }
 
+docs() {
+  # Broken intra-doc links (a link to a private or renamed item) are
+  # errors, in every workspace crate and the vendored stand-ins.
+  RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --keep-going
+}
+
 no_testkit_in_product() {
   # fd-gpu's `testkit` feature compiles the kernel crates' test harness
   # (the differential oracle `fd_gpu::probe`, the `Band` mutation switch,
@@ -135,6 +141,7 @@ clippy() {
 gate "non-test lines under crates/*/src against the change's parent (scripts/loc.sh)" line_count
 gate "cargo fmt --all --check" format_check
 gate "cargo build --release" build
+gate "cargo doc --workspace --no-deps with rustdoc warnings as errors" docs
 gate "no normal dependency turns on fd-gpu's testkit feature (cargo tree without dev edges)" no_testkit_in_product
 gate "repo benchmark crate builds (its own workspace; fails here if a public name it uses is gone)" build_benchmark
 gate "cargo test -q" tests
