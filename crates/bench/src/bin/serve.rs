@@ -79,7 +79,7 @@ fn haar_fleet(
     devices: usize,
     serve: ServeConfig,
 ) -> FleetServer {
-    let config = FleetConfig { serve, ..FleetConfig::default() };
+    let config = FleetConfig { serve };
     FleetServer::new(cascade, det_config(plan), devices, config).expect("fleet construction")
 }
 
@@ -94,7 +94,7 @@ const OFFERED_RPS: [f64; 5] = [1000.0, 4000.0, 16000.0, 32000.0, 64000.0];
 
 fn load(cascade: &Cascade) -> Report {
     let server = |batched: bool| {
-        let unbatched = BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() };
+        let unbatched = BatchPolicy { max_batch_size: 1 };
         let serve = ServeConfig {
             queue_depth_per_class: LOAD_REQUESTS,
             batch: if batched { BatchPolicy::default() } else { unbatched },
@@ -233,7 +233,7 @@ fn faults(cascade: &Cascade) -> Report {
             // frame periods) would dominate request latency here:
             // injected transients clear by the next attempt, and
             // deadline-aware retries should not burn SLO budget sleeping.
-            retry: RecoveryPolicy { backoff_base_ms: 0.25, ..Default::default() },
+            retry: RecoveryPolicy { backoff_base_ms: 0.25 },
             shed_late: false,
             ..ServeConfig::default()
         };
@@ -513,8 +513,7 @@ fn mixed(cascade: &Cascade) -> Report {
         .map(|d| Box::new(d) as Box<dyn Detector>)
         .chain(cnn.into_iter().map(|d| Box::new(d) as Box<dyn Detector>))
         .collect();
-    let mut mixed =
-        FleetServer::from_detectors(lanes, FleetConfig { serve, ..FleetConfig::default() });
+    let mut mixed = FleetServer::from_detectors(lanes, FleetConfig { serve });
     submit_open_loop(&mut mixed, SEED, MIXED_REQUESTS, MIXED_RATE_RPS, MIXED_SLO_US, CNN_FRACTION);
     mixed.run();
     let mixed_stats = mixed.stats();

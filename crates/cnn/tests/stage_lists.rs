@@ -161,7 +161,11 @@ fn mixed_geometries_share_one_pool_grown_to_the_largest<S: Subject>() {
         .map(|(frames, plan)| run_plan(&mut pipeline::<S>(ExecMode::Concurrent), frames, plan))
         .collect();
     assert!(fresh[1].iter().all(|f| !f.0.is_empty()), "the large frames must fire windows");
-    let largest = 2 * p.projected_pool_bytes(large[0].width(), large[0].height()).unwrap();
+    let largest = {
+        let mut only_large = pipeline::<S>(ExecMode::Concurrent);
+        run_plan(&mut only_large, &large, &large_plan);
+        only_large.pooled_bytes()
+    };
     let mut allocs = None;
     for pass in 0..3 {
         for ((frames, plan), want) in cycle.iter().zip(&fresh) {
@@ -186,14 +190,6 @@ fn batch_matches_per_frame_runs<S: Subject>() {
     assert_eq!(singles, batch);
 }
 
-fn projection_matches_pooled_bytes<S: Subject>() {
-    let frame = S::frame(0);
-    let mut p = pipeline::<S>(ExecMode::Concurrent);
-    let projected = p.projected_pool_bytes(frame.width(), frame.height()).unwrap();
-    let _ = run(&mut p, &[&frame]);
-    assert_eq!(projected, p.pooled_bytes());
-}
-
 fn rejects_mixed_geometry_empty_batches_and_empty_plans<S: Subject>() {
     let mut p = pipeline::<S>(ExecMode::Concurrent);
     let (a, b) = (S::frame(0), GrayImage::from_fn(64, 48, |x, _| x as f32));
@@ -209,9 +205,10 @@ fn rejects_mixed_geometry_empty_batches_and_empty_plans<S: Subject>() {
 
 fn rejects_frames_smaller_than_a_window<S: Subject>() {
     let p = pipeline::<S>(ExecMode::Concurrent);
-    let tiny = GrayImage::from_fn(16, 40, |_, _| 0.0);
-    assert!(matches!(p.plan_for(&tiny), Err(DetectorError::FrameTooSmall { .. })));
-    assert!(matches!(p.projected_pool_bytes(40, 16), Err(DetectorError::FrameTooSmall { .. })));
+    for (w, h) in [(16, 40), (40, 16)] {
+        let tiny = GrayImage::from_fn(w, h, |_, _| 0.0);
+        assert!(matches!(p.plan_for(&tiny), Err(DetectorError::FrameTooSmall { .. })), "{w}x{h}");
+    }
 }
 
 fn rejects_bad_scale_factors_before_the_model<S: Subject>() {
@@ -252,7 +249,6 @@ for_each_stage_list!(
     steady_state_is_allocation_free_and_release_returns_everything,
     mixed_geometries_share_one_pool_grown_to_the_largest,
     batch_matches_per_frame_runs,
-    projection_matches_pooled_bytes,
     rejects_mixed_geometry_empty_batches_and_empty_plans,
     rejects_frames_smaller_than_a_window,
     rejects_bad_scale_factors_before_the_model,

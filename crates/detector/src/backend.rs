@@ -5,9 +5,8 @@
 //! second engine (the compact CNN cascade of `fd-cnn`) offers a different
 //! accuracy/latency point, and the server routes *per request* between
 //! them. [`Detector`] captures exactly the surface the server consumes:
-//! planning, batched execution over a plan prefix (deadline shedding),
-//! memory projection for admission control, and replica construction
-//! for fleets.
+//! planning, batched execution over a plan prefix (deadline shedding)
+//! and replica construction for fleets.
 //!
 //! The trait is object-safe so a mixed fleet can hold
 //! `Box<dyn Detector>` lanes of different engines behind one device
@@ -79,17 +78,6 @@ pub trait Detector {
         plan: &[(usize, usize)],
     ) -> Result<Vec<FrameResult>, DetectorError>;
 
-    /// Device bytes a `width x height` stream will hold at steady state
-    /// (projected buffer pool + staged model), without allocating.
-    fn projected_device_bytes(&self, width: usize, height: usize) -> Result<usize, DetectorError>;
-
-    /// Geometry-independent constant-memory footprint (the staged model
-    /// tables), the one-time part of [`Self::projected_device_bytes`].
-    fn const_bytes(&self) -> usize;
-
-    /// Device bytes currently held (buffer pool + staged constants).
-    fn device_bytes(&self) -> usize;
-
     /// Build `n` replicas of this engine over `n` independent simulated
     /// devices, forking any fault plan per replica (replica 0 verbatim,
     /// so a 1-replica fleet is identical to the original detector).
@@ -154,18 +142,6 @@ impl<S: StageList + 'static> Detector for PyramidDetector<S> {
         PyramidDetector::detect_batch_with_plan(self, frames, plan)
     }
 
-    fn projected_device_bytes(&self, width: usize, height: usize) -> Result<usize, DetectorError> {
-        PyramidDetector::projected_device_bytes(self, width, height)
-    }
-
-    fn const_bytes(&self) -> usize {
-        PyramidDetector::const_bytes(self)
-    }
-
-    fn device_bytes(&self) -> usize {
-        PyramidDetector::device_bytes(self)
-    }
-
     fn try_replicas(&self, n: usize) -> Result<Vec<Box<dyn Detector>>, DetectorError> {
         Ok(Self::try_new_replicas(self.model(), self.config().clone(), n)?
             .into_iter()
@@ -202,18 +178,6 @@ impl Detector for Box<dyn Detector> {
         (**self).detect_batch_with_plan(frames, plan)
     }
 
-    fn projected_device_bytes(&self, width: usize, height: usize) -> Result<usize, DetectorError> {
-        (**self).projected_device_bytes(width, height)
-    }
-
-    fn const_bytes(&self) -> usize {
-        (**self).const_bytes()
-    }
-
-    fn device_bytes(&self) -> usize {
-        (**self).device_bytes()
-    }
-
     fn try_replicas(&self, n: usize) -> Result<Vec<Box<dyn Detector>>, DetectorError> {
         (**self).try_replicas(n)
     }
@@ -224,22 +188,6 @@ impl Detector for Box<dyn Detector> {
 
     fn reset_profiler(&mut self) {
         (**self).reset_profiler()
-    }
-
-    fn detect(&mut self, frame: &GrayImage) -> Result<FrameResult, DetectorError> {
-        (**self).detect(frame)
-    }
-
-    fn detect_with_plan(
-        &mut self,
-        frame: &GrayImage,
-        plan: &[(usize, usize)],
-    ) -> Result<FrameResult, DetectorError> {
-        (**self).detect_with_plan(frame, plan)
-    }
-
-    fn detect_batch(&mut self, frames: &[&GrayImage]) -> Result<Vec<FrameResult>, DetectorError> {
-        (**self).detect_batch(frames)
     }
 }
 
@@ -310,18 +258,6 @@ mod tests {
             assert_eq!(x.detections, y.detections);
         }
         assert!(Detector::try_replicas(&det, 0).is_err(), "zero replicas must be rejected");
-    }
-
-    #[test]
-    fn memory_projection_passes_through() {
-        let det = FaceDetector::try_new(&edge_cascade(), DetectorConfig::default()).unwrap();
-        let via_trait: &dyn Detector = &det;
-        assert_eq!(
-            via_trait.projected_device_bytes(64, 48).unwrap(),
-            det.projected_device_bytes(64, 48).unwrap()
-        );
-        assert_eq!(via_trait.const_bytes(), det.const_bytes());
-        assert_eq!(via_trait.device_bytes(), det.device_bytes());
     }
 
     #[test]

@@ -221,22 +221,6 @@ impl<S: StageList> PyramidDetector<S> {
         self.pipeline.gpu.device_bytes_in_use()
     }
 
-    /// Device bytes a `width x height` stream will hold at steady state
-    /// (projected buffer pool + staged model), without allocating.
-    pub fn projected_device_bytes(
-        &self,
-        width: usize,
-        height: usize,
-    ) -> Result<usize, DetectorError> {
-        Ok(self.pipeline.projected_pool_bytes(width, height)? + self.pipeline.const_bytes())
-    }
-
-    /// Geometry-independent constant-memory footprint (the staged model
-    /// tables), the one-time part of [`Self::projected_device_bytes`].
-    pub fn const_bytes(&self) -> usize {
-        self.pipeline.const_bytes()
-    }
-
     /// The full pyramid plan for a frame (largest level first). A
     /// deadline controller truncates this and calls
     /// [`Self::detect_with_plan`] to shed the smallest scales.

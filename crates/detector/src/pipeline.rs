@@ -40,8 +40,8 @@
 //! tests).
 
 use fd_gpu::{
-    BufSource, ByteTally, ConstPtr, DevBuf, DeviceMemory, Gpu, LaunchError, StreamId, TexId,
-    Texture2D, Timeline, Workspace,
+    BufSource, ConstPtr, DevBuf, DeviceMemory, Gpu, LaunchError, StreamId, TexId, Texture2D,
+    Timeline, Workspace,
 };
 use fd_imgproc::{GrayImage, Pyramid};
 
@@ -290,32 +290,10 @@ impl<S: StageList> Pipeline<S> {
         &mut self.stages
     }
 
-    /// Constant-memory bytes occupied by the staged model.
-    pub fn const_bytes(&self) -> usize {
-        self.gpu.const_used_words() * 4
-    }
-
     /// Device bytes held by the frame-persistent buffer pool (0 until the
     /// first frame, or after [`Self::release_pool`]).
     pub fn pooled_bytes(&self) -> usize {
         self.pool.spaces.iter().map(Workspace::bytes).sum()
-    }
-
-    /// Device bytes a fresh buffer pool would hold for one `width x
-    /// height` frame, computed without allocating anything. Admission
-    /// control charges sessions against a memory budget with this
-    /// projection before committing device state; a pool that has served
-    /// several geometries holds at most the sum of theirs.
-    pub fn projected_pool_bytes(
-        &self,
-        width: usize,
-        height: usize,
-    ) -> Result<usize, DetectorError> {
-        let mut tally = ByteTally::default();
-        for (w, h) in self.plan(width, height)? {
-            S::level_bufs(&mut tally, w, h);
-        }
-        Ok(tally.0)
     }
 
     /// Free the frame-persistent buffer pool, returning its device
@@ -325,18 +303,14 @@ impl<S: StageList> Pipeline<S> {
         std::mem::replace(&mut self.pool, FramePool::new()).free(&mut self.gpu);
     }
 
-    fn plan(&self, width: usize, height: usize) -> Result<Vec<(usize, usize)>, DetectorError> {
-        let window = self.stages.window();
+    /// The full pyramid plan for `frame` (largest level first). A
+    /// deadline controller sheds load by submitting a prefix of it.
+    pub fn plan_for(&self, frame: &GrayImage) -> Result<Vec<(usize, usize)>, DetectorError> {
+        let (width, height, window) = (frame.width(), frame.height(), self.stages.window());
         if width < window || height < window {
             return Err(DetectorError::FrameTooSmall { width, height, window });
         }
         Ok(Pyramid::plan(width, height, self.scale_factor, window))
-    }
-
-    /// The full pyramid plan for `frame` (largest level first). A
-    /// deadline controller sheds load by submitting a prefix of it.
-    pub fn plan_for(&self, frame: &GrayImage) -> Result<Vec<(usize, usize)>, DetectorError> {
-        self.plan(frame.width(), frame.height())
     }
 
     /// Run the pipeline on a *batch* of same-geometry luma frames as one

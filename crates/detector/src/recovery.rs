@@ -5,7 +5,7 @@
 //! [`RecoveryPolicy`] what to do with a failed attempt:
 //!
 //! * **transient faults** are retried in place with deterministic
-//!   exponential backoff, bounded by `max_retries`;
+//!   exponential backoff, at most [`RecoveryPolicy::MAX_RETRIES`] times;
 //! * **attributed faults** — when the device names the poisoned batch
 //!   slot ([`DetectorError::batch_slot`]) — fail exactly that request
 //!   and resubmit the survivors;
@@ -24,27 +24,28 @@
 
 use crate::error::DetectorError;
 
-/// Retry budget, backoff schedule and shedding bound.
+/// Backoff schedule; the retry budget and the shedding bound are fixed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Transient retries allowed per frame (stream) or per group lineage
-    /// (server).
-    pub max_retries: u32,
     /// Backoff before retry `k` (0-based) is `backoff_base_ms * 2^k` —
     /// deterministic, no jitter, so fault runs reproduce exactly.
     pub backoff_base_ms: f64,
-    /// Most pyramid levels a re-attempt under deadline pressure may shed
-    /// (at least one level always runs).
-    pub max_shed_levels: usize,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        Self { max_retries: 3, backoff_base_ms: 2.0, max_shed_levels: 2 }
+        Self { backoff_base_ms: 2.0 }
     }
 }
 
 impl RecoveryPolicy {
+    /// Transient retries allowed per frame (stream) or per group lineage
+    /// (server).
+    pub const MAX_RETRIES: u32 = 3;
+    /// Most pyramid levels a re-attempt under deadline pressure may shed
+    /// (at least one level always runs).
+    pub const MAX_SHED_LEVELS: usize = 2;
+
     /// Deterministic backoff before retry `k` (0-based):
     /// `backoff_base_ms * 2^k`.
     pub fn backoff_ms(&self, retry: u32) -> f64 {
@@ -57,7 +58,7 @@ impl RecoveryPolicy {
         if !error.is_device_fault() {
             return RecoveryStep::FailAll;
         }
-        if error.is_transient() && retries < self.max_retries {
+        if error.is_transient() && retries < Self::MAX_RETRIES {
             return RecoveryStep::RetrySame { backoff_us: self.backoff_ms(retries) * 1000.0 };
         }
         // Timeout, or transient budget exhausted: the launch class is
@@ -72,13 +73,13 @@ impl RecoveryPolicy {
     }
 
     /// Pyramid levels a faulted re-attempt of a `plan_len`-level plan
-    /// sheds: `max_shed_levels` (keeping at least one level) when the
+    /// sheds: [`Self::MAX_SHED_LEVELS`] (keeping at least one level) when the
     /// attempt, started at `now` and lasting `last_span` — the span of
     /// the last successful attempt — would end at or past `deadline`;
     /// none otherwise. Any one time unit for all three.
     pub fn shed_levels(&self, now: f64, last_span: f64, deadline: f64, plan_len: usize) -> usize {
         if now + last_span >= deadline {
-            self.max_shed_levels.min(plan_len.saturating_sub(1))
+            Self::MAX_SHED_LEVELS.min(plan_len.saturating_sub(1))
         } else {
             0
         }
@@ -132,7 +133,7 @@ mod tests {
             p.next_step(&transient(None), 2, 4),
             RecoveryStep::RetrySame { backoff_us: 8_000.0 }
         );
-        // Budget exhausted (default max_retries = 3): fall to isolation.
+        // Budget exhausted (three retries): fall to isolation.
         assert_eq!(p.next_step(&transient(None), 3, 4), RecoveryStep::Bisect);
         assert_eq!(p.next_step(&transient(None), 3, 1), RecoveryStep::FailAll);
     }
@@ -155,21 +156,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_retries_isolate_at_once() {
-        let p = RecoveryPolicy { max_retries: 0, ..RecoveryPolicy::default() };
-        assert_eq!(p.next_step(&transient(None), 0, 4), RecoveryStep::Bisect);
-        assert_eq!(p.next_step(&transient(None), 0, 1), RecoveryStep::FailAll);
-        assert_eq!(p.next_step(&timeout(Some(1)), 0, 4), RecoveryStep::IsolateSlot { slot: 1 });
-    }
-
-    #[test]
     fn re_attempts_that_would_miss_the_deadline_shed_up_to_the_bound() {
         let p = RecoveryPolicy::default();
         assert_eq!(p.shed_levels(10.0, 5.0, 16.0, 6), 0, "ends before the deadline");
         assert_eq!(p.shed_levels(10.0, 6.0, 16.0, 6), 2, "ends on the deadline");
         assert_eq!(p.shed_levels(10.0, 6.0, 16.0, 2), 1, "one level always runs");
         assert_eq!(p.shed_levels(10.0, 6.0, 16.0, 0), 0);
-        let none = RecoveryPolicy { max_shed_levels: 0, ..RecoveryPolicy::default() };
-        assert_eq!(none.shed_levels(10.0, 6.0, 16.0, 6), 0);
     }
 }

@@ -16,13 +16,13 @@
 //! a frame as a group of one:
 //!
 //! * **Bounded retry** — a *transient* launch failure is retried up to
-//!   [`RecoveryPolicy::max_retries`] times with deterministic exponential
+//!   [`RecoveryPolicy::MAX_RETRIES`] times with deterministic exponential
 //!   backoff; every kernel fully overwrites its outputs, so a retried
 //!   frame is unaffected by the aborted attempt.
 //! * **Deadline shedding** — a re-attempt that would end at or past the
 //!   playback deadline on the frame's own clock (backoff charged so far
 //!   plus the last successful frame's span) drops up to
-//!   [`RecoveryPolicy::max_shed_levels`] of the smallest pyramid scales
+//!   [`RecoveryPolicy::MAX_SHED_LEVELS`] of the smallest pyramid scales
 //!   (the plan's tail — exactly the levels whose concurrent execution the
 //!   paper shows are cheap, so shedding them trades recall for latency
 //!   predictably). A first attempt never sheds, so a fault-free run is
@@ -37,10 +37,9 @@
 //! [`VideoDetector::checkpoint`] captures the stream's mutable state as a
 //! [`StreamCheckpoint`] — a line-oriented text format with bit-exact
 //! `f64` encoding — and [`VideoDetector::resume`] rebuilds the detector
-//! from it and the construction inputs (cascade, config, fps, and the
-//! policy set with [`VideoDetector::with_policy`]). Killing a stream at an
-//! arbitrary frame and resuming yields [`StreamStats`] bit-identical to
-//! the uninterrupted run. Many streams sharing devices are `fd-serve`'s
+//! from it and the construction inputs (cascade, config and fps).
+//! Killing a stream at an arbitrary frame and resuming yields
+//! [`StreamStats`] bit-identical to the uninterrupted run. Many streams sharing devices are `fd-serve`'s
 //! `FleetServer`'s job.
 
 use fd_gpu::FaultCursor;
@@ -160,7 +159,6 @@ pub struct VideoDetector {
     /// Everything the stream changes as it runs; what a checkpoint holds.
     snapshot: RecoverySnapshot,
     deadline_ms: f64,
-    policy: RecoveryPolicy,
 }
 
 impl VideoDetector {
@@ -178,15 +176,7 @@ impl VideoDetector {
             detector: FaceDetector::try_new(cascade, config)?,
             snapshot: RecoverySnapshot::default(),
             deadline_ms: 1000.0 / playback_fps,
-            policy: RecoveryPolicy::default(),
         })
-    }
-
-    /// Replace the recovery policy (builder style, after [`Self::new`] or
-    /// [`Self::resume`]).
-    pub fn with_policy(mut self, policy: RecoveryPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Process one [`DecodedFrame`] from the hardware decoder, honouring
@@ -246,17 +236,18 @@ impl VideoDetector {
 
         // Bounded retry with deterministic exponential backoff; a
         // re-attempt that would miss the deadline sheds the plan's tail.
+        let policy = RecoveryPolicy::default();
         let result = loop {
             let attempt = &plan[..plan.len() - report.shed_levels];
             match self.detector.detect_with_plan(luma, attempt) {
                 Ok(r) => break Ok(r),
-                Err(e) => match self.policy.next_step(&e, report.retries, 1) {
+                Err(e) => match policy.next_step(&e, report.retries, 1) {
                     // Charged in ms from the schedule itself: the step's µs
                     // figure divided back by 1000 need not round-trip.
                     RecoveryStep::RetrySame { .. } => {
-                        report.backoff_ms += self.policy.backoff_ms(report.retries);
+                        report.backoff_ms += policy.backoff_ms(report.retries);
                         report.retries += 1;
-                        report.shed_levels = self.policy.shed_levels(
+                        report.shed_levels = policy.shed_levels(
                             report.backoff_ms,
                             self.snapshot.last_span_ms,
                             self.deadline_ms,
@@ -359,10 +350,10 @@ impl VideoDetector {
     }
 
     /// Rebuild a stream from a checkpoint. The caller supplies the same
-    /// construction inputs (cascade, config, fps, and the policy through
-    /// [`Self::with_policy`]) used originally; the checkpoint restores the
-    /// streaming state and the fault cursor, so the resumed detector
-    /// continues the fault sequence and the stream stats bit-identically.
+    /// construction inputs (cascade, config and fps) used originally; the
+    /// checkpoint restores the streaming state and the fault cursor, so
+    /// the resumed detector continues the fault sequence and the stream
+    /// stats bit-identically.
     /// Device `FaultStats` restart from zero — only the *draw sequence*
     /// position is part of the determinism contract.
     pub fn resume(
@@ -391,9 +382,8 @@ pub struct RecoverySnapshot {
 }
 
 /// Everything mutable about a stream, sufficient — together with the
-/// construction inputs (cascade, [`DetectorConfig`], playback fps,
-/// [`RecoveryPolicy`]) — to resume it bit-identically
-/// ([`VideoDetector::resume`]).
+/// construction inputs (cascade, [`DetectorConfig`], playback fps) — to
+/// resume it bit-identically ([`VideoDetector::resume`]).
 ///
 /// `snapshot.stats.frames` is the number of frames the stream has
 /// *accounted* (every frame fed to it yields exactly one report); a
@@ -688,11 +678,11 @@ mod tests {
     }
 
     /// The first frame whose first attempt faults transiently, on a stream
-    /// at `fps` under `policy`.
-    fn first_retried_frame(fps: f64, policy: RecoveryPolicy) -> FrameReport {
+    /// at `fps`.
+    fn first_retried_frame(fps: f64) -> FrameReport {
         let plan = fd_gpu::FaultPlan::seeded(11).with_transient_launch_failures(0.01);
         let config = DetectorConfig { fault_plan: Some(plan), ..DetectorConfig::default() };
-        let mut vd = VideoDetector::new(&cascade(), config, fps).unwrap().with_policy(policy);
+        let mut vd = VideoDetector::new(&cascade(), config, fps).unwrap();
         (0..20)
             .map(|i| vd.process_decoded(&decoded(i)))
             .find(|r| r.retries > 0)
@@ -703,22 +693,15 @@ mod tests {
     fn re_attempts_past_the_playback_deadline_shed_scales() {
         // At 1e9 fps the deadline has passed once any backoff is charged.
         let levels = detector(1e9).detector().pyramid_plan(&frame()).unwrap().len();
-        let shed = first_retried_frame(1e9, RecoveryPolicy::default());
+        let shed = first_retried_frame(1e9);
         assert_eq!(shed.outcome, FrameOutcome::Degraded);
         assert_eq!(shed.shed_levels, 2.min(levels - 1));
         assert!(shed.shed_levels > 0);
         let reason = DegradeReason::ShedScales { shed_levels: shed.shed_levels };
         assert!(shed.degraded.contains(&reason), "{:?}", shed.degraded);
 
-        // No levels may go: the same frame re-runs the full plan.
-        let none = RecoveryPolicy { max_shed_levels: 0, ..RecoveryPolicy::default() };
-        let kept = first_retried_frame(1e9, none);
-        assert_eq!(kept.frame, shed.frame);
-        assert_eq!(kept.shed_levels, 0);
-        assert!(!kept.degraded.iter().any(|d| matches!(d, DegradeReason::ShedScales { .. })));
-
         // At 24 fps backoff plus span stays inside the period.
-        let relaxed = first_retried_frame(24.0, RecoveryPolicy::default());
+        let relaxed = first_retried_frame(24.0);
         assert_eq!((relaxed.frame, relaxed.shed_levels), (shed.frame, 0));
     }
 
@@ -757,8 +740,7 @@ mod tests {
             fault_plan: Some(fd_gpu::FaultPlan::seeded(4).with_transient_launch_failures(0.01)),
             ..DetectorConfig::default()
         };
-        let policy = RecoveryPolicy { max_retries: 5, ..RecoveryPolicy::default() };
-        let mut vd = VideoDetector::new(&cascade(), config(), 24.0).unwrap().with_policy(policy);
+        let mut vd = VideoDetector::new(&cascade(), config(), 24.0).unwrap();
         for i in 0..4 {
             vd.process_decoded(&decoded(i));
         }

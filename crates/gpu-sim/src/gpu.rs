@@ -545,11 +545,6 @@ impl Gpu {
         self.constants.clear();
     }
 
-    /// Constant-memory words currently staged.
-    pub fn const_used_words(&self) -> usize {
-        self.constants.used_words()
-    }
-
     /// Bind a 2D single-channel texture; returns its handle.
     pub fn bind_texture(&mut self, tex: Texture2D) -> TexId {
         self.textures.push(tex);

@@ -689,8 +689,7 @@ impl DeviceMemory {
 }
 
 /// Where a layout of device buffers comes from: [`DeviceMemory`]
-/// allocates each one afresh, a [`Workspace`] fill reuses its own and a
-/// [`ByteTally`] only counts.
+/// allocates each one afresh and a [`Workspace`] fill reuses its own.
 pub trait BufSource {
     /// The layout's next buffer, `len` elements long.
     fn buf<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T>;
@@ -760,19 +759,6 @@ impl BufSource for WorkspaceFill<'_> {
             None => self.ws.held.push(held),
         }
         buf
-    }
-}
-
-/// A [`BufSource`] that allocates nothing and adds up the bytes asked of
-/// it: a layout's footprint before memory is committed to it. The
-/// handles it returns name no buffer.
-#[derive(Debug, Default)]
-pub struct ByteTally(pub usize);
-
-impl BufSource for ByteTally {
-    fn buf<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T> {
-        self.0 += len * std::mem::size_of::<T>();
-        DevBuf { id: usize::MAX, len, _marker: PhantomData }
     }
 }
 
@@ -1239,14 +1225,6 @@ mod tests {
         assert_eq!(t.fetch_bilinear(0.5, 5.0), 5.0, "clamped to the new extent");
         assert!(t.refill(2, 2, &[0.0; 3]).is_err());
         assert!(t.refill(0, 3, &[]).is_err());
-    }
-
-    #[test]
-    fn a_byte_tally_counts_what_a_layout_would_allocate() {
-        let mut tally = ByteTally::default();
-        let _: DevBuf<u32> = tally.buf(10);
-        let _: DevBuf<u8> = tally.buf(3);
-        assert_eq!(tally.0, 43);
     }
 
     #[test]

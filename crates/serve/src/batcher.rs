@@ -11,8 +11,8 @@
 //!   `max_batch_size` joinable requests queued (a full batch gains
 //!   nothing by waiting);
 //! * **dispatch now** when the longest-waiting queued request has waited
-//!   `max_wait_us` (bounded batching delay — the head must not starve
-//!   for stragglers);
+//!   2 ms of virtual time (bounded batching delay — the head must not
+//!   starve for stragglers);
 //! * **dispatch now** when no future arrivals remain (nobody can join;
 //!   waiting only adds latency);
 //! * otherwise **wait** until the earliest of the forced-dispatch time
@@ -25,20 +25,21 @@
 use crate::queue::RequestQueue;
 use crate::request::DetectionRequest;
 
+/// Longest a queued request may wait for co-batchable arrivals before
+/// the head is dispatched regardless, in virtual µs.
+const MAX_WAIT_US: f64 = 2000.0;
+
 /// Batch-formation policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchPolicy {
     /// Most requests fused into one device submission (1: unbatched, no
     /// added waiting; 0 counts as 1).
     pub max_batch_size: usize,
-    /// Longest a queued request may wait for co-batchable arrivals
-    /// before the head is dispatched regardless, in virtual µs.
-    pub max_wait_us: f64,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        Self { max_batch_size: 8, max_wait_us: 2000.0 }
+        Self { max_batch_size: 8 }
     }
 }
 
@@ -63,10 +64,6 @@ pub struct DynamicBatcher {
 impl DynamicBatcher {
     pub fn new(policy: BatchPolicy) -> Self {
         Self { policy }
-    }
-
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
     }
 
     /// The batch-size limit after an external cap (e.g. the health
@@ -96,7 +93,7 @@ impl DynamicBatcher {
             return BatchDecision::Dispatch;
         }
         let oldest = queue.earliest_arrival_us().unwrap_or(now_us);
-        let force_at = oldest + self.policy.max_wait_us;
+        let force_at = oldest + MAX_WAIT_US;
         if now_us >= force_at {
             return BatchDecision::Dispatch;
         }
@@ -146,24 +143,20 @@ mod tests {
 
     #[test]
     fn full_batch_dispatches_immediately() {
-        let b = DynamicBatcher::new(BatchPolicy { max_batch_size: 2, ..BatchPolicy::default() });
+        let b = DynamicBatcher::new(BatchPolicy { max_batch_size: 2 });
         let q = queue_with(vec![req(0, 0.0, 1e6, 8), req(1, 0.0, 1e6, 8)]);
         assert_eq!(b.decide(&q, 0.0, Some(50.0), None), BatchDecision::Dispatch);
     }
 
     #[test]
     fn partial_batch_waits_for_the_next_arrival() {
-        let b = DynamicBatcher::new(BatchPolicy {
-            max_batch_size: 4,
-            max_wait_us: 1000.0,
-            ..BatchPolicy::default()
-        });
+        let b = DynamicBatcher::new(BatchPolicy { max_batch_size: 4 });
         let q = queue_with(vec![req(0, 0.0, 1e6, 8)]);
         assert_eq!(b.decide(&q, 0.0, Some(300.0), None), BatchDecision::WaitUntil(300.0));
         // ... but never past the forced-dispatch point.
-        assert_eq!(b.decide(&q, 0.0, Some(5000.0), None), BatchDecision::WaitUntil(1000.0));
-        // Once the head has waited max_wait, dispatch regardless.
-        assert_eq!(b.decide(&q, 1000.0, Some(5000.0), None), BatchDecision::Dispatch);
+        assert_eq!(b.decide(&q, 0.0, Some(5000.0), None), BatchDecision::WaitUntil(MAX_WAIT_US));
+        // Once the head has waited the bound, dispatch regardless.
+        assert_eq!(b.decide(&q, MAX_WAIT_US, Some(5000.0), None), BatchDecision::Dispatch);
     }
 
     #[test]
@@ -175,7 +168,7 @@ mod tests {
 
     #[test]
     fn disabled_batching_is_immediate_single_dispatch() {
-        let b = DynamicBatcher::new(BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() });
+        let b = DynamicBatcher::new(BatchPolicy { max_batch_size: 1 });
         let mut q = queue_with(vec![req(0, 0.0, 1e6, 8), req(1, 0.0, 2e6, 8)]);
         assert_eq!(b.decide(&q, 0.0, Some(10.0), None), BatchDecision::Dispatch);
         let batch = b.form(&mut q, None);
@@ -185,7 +178,7 @@ mod tests {
 
     #[test]
     fn external_cap_shrinks_the_batch() {
-        let b = DynamicBatcher::new(BatchPolicy { max_batch_size: 8, ..BatchPolicy::default() });
+        let b = DynamicBatcher::new(BatchPolicy { max_batch_size: 8 });
         let mut q = queue_with((0..4).map(|i| req(i, 0.0, 1e6, 8)).collect());
         // A brown-out cap of 2 makes 4 queued requests a "full" batch.
         assert_eq!(b.decide(&q, 0.0, Some(50.0), Some(2)), BatchDecision::Dispatch);

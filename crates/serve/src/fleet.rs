@@ -9,8 +9,7 @@
 //!
 //! * **Routing** — submissions are placed by the [`crate::Router`]:
 //!   geometry affinity (so per-device batches still fill), then least
-//!   load, with per-device memory-budget admission (each geometry's
-//!   projected device bytes, charged once per lane).
+//!   load.
 //! * **Failover** — when a device's breaker opens, its queued,
 //!   not-yet-launched requests migrate to healthy replicas with
 //!   deadlines intact; the broken lane keeps cooling down and rejoins
@@ -22,8 +21,8 @@
 //!   survivors and never dispatches again. Requests no survivor can
 //!   take finish as [`RequestOutcome::Evicted`] — never silently lost.
 //! * **Work stealing** — an idle healthy lane steals the loosest-
-//!   deadline half of the deepest queue (bounded by [`StealPolicy`]),
-//!   keeping survivors saturated through an outage.
+//!   deadline half of the deepest queue (at most four requests), keeping
+//!   survivors saturated through an outage.
 //!
 //! The fleet co-simulates its lanes with a min-clock event loop: each
 //! iteration steps the lane whose virtual clock is furthest behind
@@ -40,27 +39,16 @@ use fd_haar::Cascade;
 use fd_imgproc::GrayImage;
 
 use crate::request::{DetectionRequest, Priority, RequestId};
-use crate::router::{LaneView, RoutePolicy, Router, RouterStats};
+use crate::router::{LaneView, Router, RouterStats};
 use crate::server::{CompletedRequest, DetectionServer, RequestOutcome, ServeConfig, ServeError};
 use crate::stats::ServeStats;
 
-/// Work-stealing policy between per-device queues.
-#[derive(Debug, Clone)]
-pub struct StealPolicy {
-    /// Minimum queued requests on a victim before an idle lane steals
-    /// (stealing from a nearly-empty queue just moves the bubble).
-    pub min_victim_queue: usize,
-    /// Most requests one steal moves (at most half the victim's queue
-    /// goes regardless); 0 turns stealing off, so lanes only receive
-    /// routed and failover work.
-    pub max_steal: usize,
-}
-
-impl Default for StealPolicy {
-    fn default() -> Self {
-        Self { min_victim_queue: 2, max_steal: 4 }
-    }
-}
+/// Minimum queued requests on a victim before an idle lane steals
+/// (stealing from a nearly-empty queue just moves the bubble).
+const MIN_VICTIM_QUEUE: usize = 2;
+/// Most requests one steal moves (at most half the victim's queue goes
+/// regardless).
+const MAX_STEAL: usize = 4;
 
 /// Lifecycle state of one fleet device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,17 +68,6 @@ pub enum DeviceState {
 pub struct FleetConfig {
     /// Per-lane serving configuration (every lane gets a copy).
     pub serve: ServeConfig,
-    /// Placement policy for the fleet router.
-    pub route: RoutePolicy,
-    /// Work stealing between per-device queues.
-    pub steal: StealPolicy,
-    /// Per-device memory budget, bytes: a lane only admits a frame
-    /// geometry while its projected steady-state footprint (buffer
-    /// pools + staged cascade) stays within budget. `None` = unlimited.
-    /// The ledger charges each admitted geometry its own pool: the sum
-    /// bounds the one pool a lane holds, which every geometry shares
-    /// and which grows only to the largest of them.
-    pub device_memory_budget: Option<usize>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,11 +97,8 @@ enum Orphans {
 struct Lane<D: Detector> {
     server: DetectionServer<D>,
     state: DeviceState,
-    /// Geometries this lane has admitted, with the device bytes each
-    /// one was charged (pool bytes; the first admission also carries
-    /// the constant-memory footprint).
-    geometries: Vec<(GeomClass, usize)>,
-    charged_bytes: usize,
+    /// Geometries this lane has admitted (what affinity routes by).
+    geometries: Vec<GeomClass>,
 }
 
 /// N-device sharded serving front door (see module docs). Generic over
@@ -137,8 +111,6 @@ struct Lane<D: Detector> {
 pub struct FleetServer<D: Detector = FaceDetector> {
     lanes: Vec<Lane<D>>,
     router: Router,
-    steal: StealPolicy,
-    budget: Option<usize>,
     next_seq: u64,
     next_command_seq: u64,
     commands: Vec<ScheduledCommand>,
@@ -182,14 +154,11 @@ impl<D: Detector> FleetServer<D> {
                 server: DetectionServer::from_detector(d, config.serve.clone()),
                 state: DeviceState::Active,
                 geometries: Vec::new(),
-                charged_bytes: 0,
             })
             .collect();
         Self {
             lanes,
-            router: Router::new(config.route, devices),
-            steal: config.steal,
-            budget: config.device_memory_budget,
+            router: Router::new(devices),
             next_seq: 0,
             next_command_seq: 0,
             commands: Vec::new(),
@@ -272,11 +241,11 @@ impl<D: Detector> FleetServer<D> {
 
     /// Schedule a detection request, routed to a device lane (see
     /// module docs). Same contract as `DetectionServer::submit`, plus
-    /// [`ServeError::NoCapacity`] when no accepting lane can admit the
-    /// frame's geometry under its memory budget. The request takes lane
-    /// 0's backend class — the fleet's "default engine" — so a
-    /// homogeneous fleet behaves exactly as before the backend axis
-    /// existed; mixed traffic goes through [`Self::submit_to_backend`].
+    /// [`ServeError::NoCapacity`] when every lane is draining or dead.
+    /// The request takes lane 0's backend class — the fleet's "default
+    /// engine" — so a homogeneous fleet behaves exactly as before the
+    /// backend axis existed; mixed traffic goes through
+    /// [`Self::submit_to_backend`].
     pub fn submit(
         &mut self,
         frame: GrayImage,
@@ -317,7 +286,7 @@ impl<D: Detector> FleetServer<D> {
                 height: geometry.height as usize,
             });
         };
-        self.charge_geometry(device, geometry);
+        self.record_geometry(device, geometry);
         let seq = self.next_seq;
         self.next_seq += 1;
         let id = RequestId(seq);
@@ -534,7 +503,7 @@ impl<D: Detector> FleetServer<D> {
                 self.lanes[target].server.advance_to(t_us);
                 match self.lanes[target].server.inject(req) {
                     Ok(()) => {
-                        self.charge_geometry(target, geometry);
+                        self.record_geometry(target, geometry);
                         moved += 1;
                     }
                     Err(bounced) => {
@@ -566,27 +535,18 @@ impl<D: Detector> FleetServer<D> {
     /// Finish a request no lane could take as Evicted (accounted at
     /// fleet level: its original lane already counted the submission).
     fn evict(&mut self, device: usize, req: DetectionRequest, t_us: f64) {
-        self.local_stats.evicted += 1;
-        self.completed.push(CompletedRequest {
-            id: req.id,
-            priority: req.priority,
-            backend: req.backend,
-            arrival_us: req.arrival_us,
-            deadline_us: req.deadline_us,
-            outcome: RequestOutcome::Evicted { evicted_us: t_us },
-        });
+        let done = req.complete(RequestOutcome::Evicted { evicted_us: t_us });
+        self.local_stats.record(&done);
+        self.completed.push(done);
         self.completed_device.push(device);
     }
 
     /// Deterministic work stealing: while an idle healthy lane and a
     /// deep-enough victim exist, move the loosest-deadline half of the
-    /// deepest queue (bounded by the policy) to the lowest-index idle
+    /// deepest queue (at most [`MAX_STEAL`]) to the lowest-index idle
     /// lane. Each move strictly shrinks the deepest queue and occupies
     /// a thief, so the loop terminates.
     fn balance(&mut self) {
-        if self.steal.max_steal == 0 || self.lanes.len() < 2 {
-            return;
-        }
         loop {
             let thief = self.lanes.iter().enumerate().position(|(_, l)| {
                 l.state == DeviceState::Active
@@ -601,7 +561,7 @@ impl<D: Detector> FleetServer<D> {
                 .filter(|&(i, l)| {
                     i != thief
                         && l.state == DeviceState::Active
-                        && l.server.queue_len() >= self.steal.min_victim_queue
+                        && l.server.queue_len() >= MIN_VICTIM_QUEUE
                 })
                 .max_by_key(|&(i, l)| (l.server.queue_len(), usize::MAX - i))
                 .map(|(i, _)| i);
@@ -615,7 +575,7 @@ impl<D: Detector> FleetServer<D> {
     /// One thief-victim transfer. Returns the number of requests moved.
     fn steal_once(&mut self, thief: usize, victim: usize) -> u64 {
         let mut queue = self.lanes[victim].server.take_queued();
-        let take = (queue.len() / 2).min(self.steal.max_steal);
+        let take = (queue.len() / 2).min(MAX_STEAL);
         let stolen = queue.split_off(queue.len() - take);
         for req in queue {
             // Just drained from these very slots; cannot bounce.
@@ -630,16 +590,13 @@ impl<D: Detector> FleetServer<D> {
             let geometry = req.geometry();
             // A thief of a different engine can never take the work:
             // the result would come off the wrong kernel chain.
-            let admitted = self.lanes[thief].server.backend() == req.backend
-                && (self.lanes[thief].geometries.iter().any(|(g, _)| *g == geometry)
-                    || self.admits(&self.lanes[thief], geometry));
-            if !admitted {
+            if self.lanes[thief].server.backend() != req.backend {
                 let _ = self.lanes[victim].server.inject(req);
                 continue;
             }
             match self.lanes[thief].server.inject(req) {
                 Ok(()) => {
-                    self.charge_geometry(thief, geometry);
+                    self.record_geometry(thief, geometry);
                     moved += 1;
                 }
                 Err(req) => {
@@ -667,54 +624,17 @@ impl<D: Detector> FleetServer<D> {
                 accepting: l.state == DeviceState::Active,
                 breaker_open: l.server.breaker_open(),
                 pending: l.server.pending(),
-                has_geometry: l.geometries.iter().any(|(g, _)| *g == geometry),
-                can_admit: self.admits(l, geometry),
+                has_geometry: l.geometries.contains(&geometry),
                 backend_match: l.server.backend() == backend,
             })
             .collect()
     }
 
-    /// Whether a lane's memory budget admits `geometry`.
-    fn admits(&self, lane: &Lane<D>, geometry: GeomClass) -> bool {
-        let Some(budget) = self.budget else { return true };
-        match self.charge_for(lane, geometry) {
-            Some(charge) => lane.charged_bytes + charge <= budget,
-            // Unplannable geometry: admit and let dispatch fail it as
-            // request-caused, the single-server behavior.
-            None => true,
+    fn record_geometry(&mut self, device: usize, geometry: GeomClass) {
+        let geometries = &mut self.lanes[device].geometries;
+        if !geometries.contains(&geometry) {
+            geometries.push(geometry);
         }
-    }
-
-    /// Device bytes admitting `geometry` would add to a lane's ledger:
-    /// the projected buffer pool, plus the constant-memory footprint on
-    /// the lane's first geometry. Zero if already admitted. An upper
-    /// bound on what the lane's shared pool grows by.
-    fn charge_for(&self, lane: &Lane<D>, geometry: GeomClass) -> Option<usize> {
-        if lane.geometries.iter().any(|(g, _)| *g == geometry) {
-            return Some(0);
-        }
-        let projected = lane
-            .server
-            .detector()
-            .projected_device_bytes(geometry.width as usize, geometry.height as usize)
-            .ok()?;
-        Some(if lane.geometries.is_empty() {
-            projected
-        } else {
-            projected - lane.server.detector().const_bytes()
-        })
-    }
-
-    fn charge_geometry(&mut self, device: usize, geometry: GeomClass) {
-        if self.lanes[device].geometries.iter().any(|(g, _)| *g == geometry) {
-            return;
-        }
-        let Some(charge) = self.charge_for(&self.lanes[device], geometry) else {
-            return;
-        };
-        let lane = &mut self.lanes[device];
-        lane.geometries.push((geometry, charge));
-        lane.charged_bytes += charge;
     }
 }
 
@@ -808,13 +728,7 @@ mod tests {
     #[test]
     fn two_devices_split_the_load_and_account_exactly() {
         let n = 12u64;
-        let mut f = fleet(
-            2,
-            FleetConfig {
-                route: RoutePolicy { affinity_slack: 2, ..RoutePolicy::default() },
-                ..FleetConfig::default()
-            },
-        );
+        let mut f = fleet(2, FleetConfig::default());
         for i in 0..n {
             f.submit(pattern_frame(64, 48, (i % 4) as usize), Priority::Standard, 0.0, 1e9)
                 .unwrap();
@@ -834,13 +748,7 @@ mod tests {
     #[test]
     fn killed_device_migrates_queue_and_calendar_to_survivors() {
         let run = |kill: bool| {
-            let mut f = fleet(
-                2,
-                FleetConfig {
-                    route: RoutePolicy { affinity_slack: 2, ..RoutePolicy::default() },
-                    ..FleetConfig::default()
-                },
-            );
+            let mut f = fleet(2, FleetConfig::default());
             for i in 0..16u64 {
                 f.submit(
                     pattern_frame(64, 48, (i % 4) as usize),
@@ -910,72 +818,41 @@ mod tests {
     }
 
     #[test]
-    fn memory_budget_gates_admission_per_device() {
-        let probe = fleet(1, FleetConfig::default());
-        let small = probe.device(0).detector().projected_device_bytes(64, 48).unwrap();
-        let large = probe.device(0).detector().projected_device_bytes(96, 72).unwrap();
-        assert!(large > small);
-        // Budget fits exactly one small geometry per device.
-        let mut f =
-            fleet(2, FleetConfig { device_memory_budget: Some(small), ..FleetConfig::default() });
-        f.submit(pattern_frame(64, 48, 0), Priority::Standard, 0.0, 1e9).unwrap();
-        // Same geometry re-admits everywhere (the pool is shared).
-        f.submit(pattern_frame(64, 48, 1), Priority::Standard, 0.0, 1e9).unwrap();
-        // A second geometry overflows both budgets.
-        let err = f.submit(pattern_frame(96, 72, 0), Priority::Standard, 0.0, 1e9);
-        assert!(matches!(err, Err(ServeError::NoCapacity { width: 96, height: 72 })));
-        assert_eq!(f.router_stats().admission_rejected, 1);
-        f.run();
-        assert_eq!(f.stats().served, 2);
-        // An unlimited fleet takes the large geometry fine.
-        let mut open = fleet(1, FleetConfig::default());
-        open.submit(pattern_frame(96, 72, 0), Priority::Standard, 0.0, 1e9).unwrap();
-        open.run();
-        assert_eq!(open.stats().served, 1);
-    }
-
-    #[test]
     fn idle_lane_steals_from_a_deep_queue() {
-        // Two geometries, sticky affinity: 10 same-geometry requests
-        // pile on device 0, device 1 serves its single small request
-        // and goes idle while device 0 is still backlogged — stealing
-        // must move work to the idle lane.
-        let mut f = fleet(
-            2,
-            FleetConfig {
-                route: RoutePolicy { affinity_slack: 64, ..RoutePolicy::default() },
-                steal: StealPolicy { max_steal: 4, ..StealPolicy::default() },
-                ..FleetConfig::default()
-            },
-        );
+        // Two geometries: a small frame takes device 0, then affinity
+        // piles ten same-geometry requests on device 1. Device 0 serves
+        // its one request and goes idle while device 1 is still
+        // backlogged — stealing must move work to the idle lane.
+        let mut f = fleet(2, FleetConfig::default());
+        f.submit(pattern_frame(32, 48, 0), Priority::Standard, 0.0, 1e9).unwrap();
         for i in 0..10u64 {
             f.submit(pattern_frame(64, 48, (i % 4) as usize), Priority::Standard, 0.0, 1e9)
                 .unwrap();
         }
-        f.submit(pattern_frame(32, 48, 0), Priority::Standard, 0.0, 1e9).unwrap();
         f.run();
         assert_eq!(f.stats().served, 11);
+        assert_eq!(f.router_stats().routed_per_device, [1, 10]);
         assert!(f.router_stats().steals > 0, "idle lane must steal from the backlog");
-        assert!(f.device_stats(1).served > 1, "the thief served stolen work, not just its own");
+        assert!(f.device_stats(0).served > 1, "the thief served stolen work, not just its own");
     }
 
     #[test]
-    fn stealing_disabled_leaves_the_backlog_where_it_was_routed() {
-        let mut f = fleet(
-            2,
-            FleetConfig {
-                route: RoutePolicy { affinity_slack: 64, ..RoutePolicy::default() },
-                steal: StealPolicy { max_steal: 0, ..StealPolicy::default() },
-                ..FleetConfig::default()
-            },
-        );
+    fn affinity_keeps_each_geometry_on_its_lane() {
+        // Two geometries interleaved, spaced so no queue ever backs up
+        // far enough to be stolen from: the first of each goes to the
+        // least-loaded lane, and every later one follows it there.
+        let mut f = fleet(2, FleetConfig::default());
         for i in 0..8u64 {
-            f.submit(pattern_frame(64, 48, (i % 4) as usize), Priority::Standard, 0.0, 1e9)
-                .unwrap();
+            let (w, h) = if i % 2 == 0 { (64, 48) } else { (96, 72) };
+            f.submit(pattern_frame(w, h, 0), Priority::Standard, i as f64 * 2000.0, 1e9).unwrap();
         }
         f.run();
+        assert_eq!(f.stats().served, 8);
         assert_eq!(f.router_stats().steals, 0);
-        assert_eq!(f.device_stats(0).served, 8, "affinity kept the geometry home");
+        assert_eq!(f.router_stats().routed_per_device, [4, 4]);
+        for (c, &d) in f.completed().iter().zip(f.completed_device()) {
+            assert_eq!(d as u64, c.id.0 % 2, "request {} left its geometry's lane", c.id);
+        }
     }
 
     #[test]

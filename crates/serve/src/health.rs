@@ -6,13 +6,13 @@
 //! *admission control*:
 //!
 //! * **Healthy** — full batching, every class admitted;
-//! * **BrownOut** — after `brownout_after` consecutive device faults the
-//!   server sheds load pre-emptively: the dynamic batcher's cap shrinks
-//!   to `brownout_batch_cap` (smaller blast radius per faulted
-//!   submission) and the lowest-priority class is rejected at arrival;
-//! * **Open** — after `open_after` consecutive faults the breaker trips:
-//!   every arrival is rejected fail-fast (no queueing, no device time)
-//!   until `cooldown_us` of virtual time passes;
+//! * **BrownOut** — after two consecutive device faults the server
+//!   sheds load pre-emptively: the dynamic batcher's cap shrinks to two
+//!   (smaller blast radius per faulted submission) and the
+//!   lowest-priority class is rejected at arrival;
+//! * **Open** — after four consecutive faults the breaker trips: every
+//!   arrival is rejected fail-fast (no queueing, no device time) until
+//!   20 ms of virtual time pass;
 //! * **HalfOpen** — after cool-down one probe batch (cap 1) is allowed
 //!   through: success closes the breaker back to Healthy, another device
 //!   fault re-opens it for a fresh cool-down.
@@ -40,25 +40,14 @@ pub enum ServerHealth {
     HalfOpen,
 }
 
-/// Thresholds and reactions for the health machine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthPolicy {
-    /// Consecutive device faults before entering BrownOut.
-    pub brownout_after: u32,
-    /// Consecutive device faults before the breaker trips Open.
-    pub open_after: u32,
-    /// Batch-size cap while browned out (also applies to the half-open
-    /// probe, which is always a single request).
-    pub brownout_batch_cap: usize,
-    /// Virtual µs the breaker stays Open before probing.
-    pub cooldown_us: f64,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        Self { brownout_after: 2, open_after: 4, brownout_batch_cap: 2, cooldown_us: 20_000.0 }
-    }
-}
+/// Consecutive device faults before entering BrownOut.
+const BROWNOUT_AFTER: u32 = 2;
+/// Consecutive device faults before the breaker trips Open.
+const OPEN_AFTER: u32 = 4;
+/// Batch-size cap while browned out.
+const BROWNOUT_BATCH_CAP: usize = 2;
+/// Virtual µs the breaker stays Open before probing.
+const COOLDOWN_US: f64 = 20_000.0;
 
 /// What a reported device fault did to the machine (for stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,18 +65,19 @@ pub enum FaultReaction {
 /// The breaker itself: consecutive-fault counter plus state.
 #[derive(Debug, Clone)]
 pub struct HealthMachine {
-    policy: HealthPolicy,
     state: ServerHealth,
     consecutive_faults: u32,
 }
 
-impl HealthMachine {
-    pub fn new(policy: HealthPolicy) -> Self {
-        Self { policy, state: ServerHealth::Healthy, consecutive_faults: 0 }
+impl Default for HealthMachine {
+    fn default() -> Self {
+        Self::new()
     }
+}
 
-    pub fn policy(&self) -> &HealthPolicy {
-        &self.policy
+impl HealthMachine {
+    pub fn new() -> Self {
+        Self { state: ServerHealth::Healthy, consecutive_faults: 0 }
     }
 
     pub fn state(&self) -> ServerHealth {
@@ -149,15 +139,15 @@ impl HealthMachine {
         self.consecutive_faults = self.consecutive_faults.saturating_add(1);
         match self.state {
             ServerHealth::HalfOpen => {
-                self.state = ServerHealth::Open { until_us: now_us + self.policy.cooldown_us };
+                self.state = ServerHealth::Open { until_us: now_us + COOLDOWN_US };
                 FaultReaction::ProbeFailed
             }
             ServerHealth::Open { .. } => FaultReaction::None,
             ServerHealth::Healthy | ServerHealth::BrownOut => {
-                if self.consecutive_faults >= self.policy.open_after {
-                    self.state = ServerHealth::Open { until_us: now_us + self.policy.cooldown_us };
+                if self.consecutive_faults >= OPEN_AFTER {
+                    self.state = ServerHealth::Open { until_us: now_us + COOLDOWN_US };
                     FaultReaction::Tripped
-                } else if self.consecutive_faults >= self.policy.brownout_after
+                } else if self.consecutive_faults >= BROWNOUT_AFTER
                     && self.state == ServerHealth::Healthy
                 {
                     self.state = ServerHealth::BrownOut;
@@ -183,7 +173,7 @@ impl HealthMachine {
     pub fn batch_cap(&self) -> Option<usize> {
         match self.state {
             ServerHealth::Healthy => None,
-            ServerHealth::BrownOut => Some(self.policy.brownout_batch_cap.max(1)),
+            ServerHealth::BrownOut => Some(BROWNOUT_BATCH_CAP),
             // The half-open probe is a single request; Open never
             // dispatches, the cap is vacuous.
             ServerHealth::HalfOpen | ServerHealth::Open { .. } => Some(1),
@@ -197,7 +187,7 @@ mod tests {
 
     #[test]
     fn faults_walk_healthy_to_brownout_to_open() {
-        let mut m = HealthMachine::new(HealthPolicy::default());
+        let mut m = HealthMachine::new();
         assert_eq!(m.state(), ServerHealth::Healthy);
         assert!(m.admits(Priority::Bulk));
         assert_eq!(m.on_device_fault(0.0), FaultReaction::None);
@@ -215,7 +205,7 @@ mod tests {
 
     #[test]
     fn is_open_tracks_exactly_the_open_state() {
-        let mut m = HealthMachine::new(HealthPolicy::default());
+        let mut m = HealthMachine::new();
         assert!(!m.is_open());
         for i in 0..4 {
             m.on_device_fault(i as f64);
@@ -227,7 +217,7 @@ mod tests {
 
     #[test]
     fn success_closes_brownout_and_resets_the_counter() {
-        let mut m = HealthMachine::new(HealthPolicy::default());
+        let mut m = HealthMachine::new();
         m.on_device_fault(0.0);
         m.on_device_fault(1.0);
         assert_eq!(m.state(), ServerHealth::BrownOut);
@@ -238,7 +228,7 @@ mod tests {
 
     #[test]
     fn cooldown_probes_half_open_then_closes_or_reopens() {
-        let mut m = HealthMachine::new(HealthPolicy::default());
+        let mut m = HealthMachine::new();
         for i in 0..4 {
             m.on_device_fault(i as f64);
         }

@@ -9,8 +9,8 @@
 //! * [`DynamicBatcher`] — coalesces pending same-geometry requests into
 //!   one shared device submission (each pyramid-level kernel launches
 //!   once for the whole batch via `fd_gpu::Gpu::launch_batched`),
-//!   trading a bounded `max_wait_us` of queueing delay for large
-//!   per-launch overhead savings;
+//!   trading at most 2 ms of queueing delay for large per-launch
+//!   overhead savings;
 //! * SLO scheduling — every request carries a deadline; dispatch is
 //!   earliest-deadline-first, and requests whose deadline passes while
 //!   queued are deterministically shed instead of wasting device time;
@@ -24,15 +24,15 @@
 //!   to shed-scale plans (all three the rules of
 //!   `fd_detector::RecoveryPolicy`, which the video stream uses too),
 //!   and sustained faults drive brown-out admission and a fail-fast
-//!   breaker with half-open probes ([`HealthPolicy`]).
+//!   breaker with half-open probes ([`HealthMachine`]).
 //!
 //! * fleet serving — [`FleetServer`] shards requests across N simulated
-//!   devices behind one front door: geometry-affine routing with
-//!   per-device memory-budget admission ([`Router`]), breaker-open
-//!   failover that migrates queued work to healthy replicas with
-//!   deadlines intact, drain/kill/rejoin device lifecycle, and
-//!   deterministic work stealing between per-device queues. A fleet of
-//!   one reduces byte-for-byte to a single [`DetectionServer`].
+//!   devices behind one front door: geometry-affine, least-loaded
+//!   routing ([`Router`]), breaker-open failover that migrates queued
+//!   work to healthy replicas with deadlines intact, drain/kill/rejoin
+//!   device lifecycle, and deterministic work stealing between
+//!   per-device queues. A fleet of one reduces byte-for-byte to a
+//!   single [`DetectionServer`].
 //!
 //! * multi-backend serving — both servers are generic over
 //!   `fd_detector::Detector`, so the same loop drives the Haar cascade
@@ -80,10 +80,10 @@ pub mod stats;
 
 pub use batcher::{BatchDecision, BatchPolicy, DynamicBatcher};
 pub use fd_detector::{Backend, Detector};
-pub use fleet::{DeviceState, FleetConfig, FleetServer, StealPolicy};
-pub use health::{FaultReaction, HealthMachine, HealthPolicy, ServerHealth};
+pub use fleet::{DeviceState, FleetConfig, FleetServer};
+pub use health::{FaultReaction, HealthMachine, ServerHealth};
 pub use queue::RequestQueue;
 pub use request::{DetectionRequest, Priority, RequestId};
-pub use router::{LaneView, RoutePolicy, Router, RouterStats};
+pub use router::{LaneView, Router, RouterStats};
 pub use server::{CompletedRequest, DetectionServer, RequestOutcome, ServeConfig, ServeError};
 pub use stats::{LatencyHistogram, ServeStats};

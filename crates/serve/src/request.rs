@@ -4,6 +4,8 @@ use fd_detector::Backend;
 use fd_gpu::GeomClass;
 use fd_imgproc::GrayImage;
 
+use crate::server::{CompletedRequest, RequestOutcome};
+
 /// Opaque handle identifying one submitted request. Assigned by the
 /// server in submission order; stable across the request's lifetime and
 /// reported back on every [`crate::CompletedRequest`].
@@ -95,6 +97,19 @@ impl DetectionRequest {
             .total_cmp(&other.deadline_us)
             .then(self.priority.index().cmp(&other.priority.index()))
             .then(self.seq.cmp(&other.seq))
+    }
+
+    /// The request's completion record with `outcome` (the frame is
+    /// dropped).
+    pub(crate) fn complete(self, outcome: RequestOutcome) -> CompletedRequest {
+        CompletedRequest {
+            id: self.id,
+            priority: self.priority,
+            backend: self.backend,
+            arrival_us: self.arrival_us,
+            deadline_us: self.deadline_us,
+            outcome,
+        }
     }
 }
 

@@ -6,41 +6,27 @@
 //! same way. Placement preference, in order:
 //!
 //! 1. **Eligibility** — only lanes that are accepting work (not
-//!    draining, not dead) and whose memory budget admits the request's
-//!    frame geometry are considered. Lanes with an open breaker are
-//!    *de-prioritized* rather than excluded: when a healthy lane
-//!    exists, open lanes get nothing, but when every admitting lane is
-//!    open the request is still placed (the lane's own fail-fast path
-//!    rejects it deterministically — exactly what a single
+//!    draining, not dead) and serve the request's backend are
+//!    considered. Lanes with an open breaker are *de-prioritized*
+//!    rather than excluded: when a healthy lane exists, open lanes get
+//!    nothing, but when every eligible lane is open the request is
+//!    still placed (the lane's own fail-fast path rejects it
+//!    deterministically — exactly what a single
 //!    [`crate::DetectionServer`] would do).
 //! 2. **Geometry affinity** — a lane that has already admitted this
 //!    frame geometry keeps receiving it while its backlog stays within
-//!    `affinity_slack` of the least-loaded eligible lane. Affinity is
+//!    eight requests of the least-loaded eligible lane. Affinity is
 //!    what lets the dynamic batcher fill same-geometry batches instead
 //!    of smearing every geometry across every device (and re-paying
 //!    each device's buffer-pool footprint).
 //! 3. **Least load, then lowest index** — pending work breaks affinity
 //!    ties; the lane index makes the order total.
 
-/// Routing policy knobs.
-#[derive(Debug, Clone)]
-pub struct RoutePolicy {
-    /// Prefer lanes that already admitted the request's geometry (see
-    /// module docs). Disabling degenerates to pure least-loaded.
-    pub geometry_affinity: bool,
-    /// How much deeper (in pending requests) an affine lane may be than
-    /// the least-loaded eligible lane before the router spills the
-    /// geometry to a fresh lane. Defaults to the default batch size, so
-    /// a lane keeps enough backlog to fill batches but a sustained
-    /// imbalance spills.
-    pub affinity_slack: usize,
-}
-
-impl Default for RoutePolicy {
-    fn default() -> Self {
-        Self { geometry_affinity: true, affinity_slack: 8 }
-    }
-}
+/// How much deeper (in pending requests) an affine lane may be than the
+/// least-loaded eligible lane before the router spills the geometry to a
+/// fresh lane: the default batch size, so a lane keeps enough backlog to
+/// fill batches but a sustained imbalance spills.
+const AFFINITY_SLACK: usize = 8;
 
 /// One lane's state as the router sees it at decision time.
 #[derive(Debug, Clone, Copy)]
@@ -53,8 +39,6 @@ pub struct LaneView {
     pub pending: usize,
     /// The lane already admitted this request's frame geometry.
     pub has_geometry: bool,
-    /// The lane's device memory budget admits this geometry.
-    pub can_admit: bool,
     /// The lane's detector serves this request's backend class. A hard
     /// eligibility bound, never a preference: a Haar request on a CNN
     /// lane would silently change its results. Homogeneous fleets set
@@ -74,23 +58,20 @@ pub struct RouterStats {
     pub failovers: u64,
     /// Requests moved by idle lanes stealing from deep queues.
     pub steals: u64,
-    /// Submissions refused because no lane could admit the geometry.
+    /// Submissions refused because no accepting lane serves the
+    /// request's backend.
     pub admission_rejected: u64,
 }
 
-/// The fleet's placement engine (policy + accounting).
+/// The fleet's placement engine (decision + accounting).
 #[derive(Debug, Clone)]
 pub struct Router {
-    policy: RoutePolicy,
     stats: RouterStats,
 }
 
 impl Router {
-    pub fn new(policy: RoutePolicy, devices: usize) -> Self {
-        Self {
-            policy,
-            stats: RouterStats { routed_per_device: vec![0; devices], ..Default::default() },
-        }
+    pub fn new(devices: usize) -> Self {
+        Self { stats: RouterStats { routed_per_device: vec![0; devices], ..Default::default() } }
     }
 
     pub fn stats(&self) -> &RouterStats {
@@ -114,10 +95,9 @@ impl Router {
 
     /// The placement decision alone, without accounting. Deterministic
     /// in the snapshot. Returns `None` only when no accepting lane
-    /// admits the geometry.
+    /// serves the request's backend.
     pub fn pick(&self, lanes: &[LaneView]) -> Option<usize> {
-        let eligible =
-            |l: &LaneView| l.accepting && l.backend_match && (l.has_geometry || l.can_admit);
+        let eligible = |l: &LaneView| l.accepting && l.backend_match;
         // Healthy (breaker closed) lanes take absolute precedence; open
         // lanes are a last resort so a fully-open fleet still fails fast
         // through a lane instead of erroring at the front door.
@@ -136,18 +116,11 @@ impl Router {
         I: Iterator<Item = (usize, &'a LaneView)> + Clone,
     {
         let min_pending = candidates.clone().map(|(_, l)| l.pending).min()?;
-        if self.policy.geometry_affinity {
-            let affine = candidates
-                .clone()
-                .filter(|(_, l)| {
-                    l.has_geometry && l.pending <= min_pending + self.policy.affinity_slack
-                })
-                .min_by_key(|&(i, l)| (l.pending, i));
-            if let Some((i, _)) = affine {
-                return Some(i);
-            }
-        }
-        candidates.min_by_key(|&(i, l)| (l.pending, i)).map(|(i, _)| i)
+        let affine = candidates
+            .clone()
+            .filter(|(_, l)| l.has_geometry && l.pending <= min_pending + AFFINITY_SLACK)
+            .min_by_key(|&(i, l)| (l.pending, i));
+        affine.or_else(|| candidates.min_by_key(|&(i, l)| (l.pending, i))).map(|(i, _)| i)
     }
 }
 
@@ -161,46 +134,44 @@ mod tests {
             breaker_open: false,
             pending,
             has_geometry,
-            can_admit: true,
             backend_match: true,
         }
     }
 
     #[test]
-    fn least_loaded_lowest_index_without_affinity() {
-        let r = Router::new(RoutePolicy { geometry_affinity: false, affinity_slack: 0 }, 3);
-        let lanes = [lane(4, true), lane(2, false), lane(2, false)];
+    fn least_loaded_lowest_index_without_an_affine_lane() {
+        let r = Router::new(3);
+        let lanes = [lane(4, false), lane(2, false), lane(2, false)];
         assert_eq!(r.pick(&lanes), Some(1), "load first, index breaks the tie");
     }
 
     #[test]
     fn affinity_holds_within_slack_then_spills() {
-        let r = Router::new(RoutePolicy { geometry_affinity: true, affinity_slack: 3 }, 2);
+        let r = Router::new(2);
         // The affine lane is deeper, but within slack: it keeps the
         // geometry so batches can fill.
-        assert_eq!(r.pick(&[lane(3, true), lane(1, false)]), Some(0));
+        assert_eq!(r.pick(&[lane(1 + AFFINITY_SLACK, true), lane(1, false)]), Some(0));
         // Past the slack the geometry spills to the emptier lane.
-        assert_eq!(r.pick(&[lane(5, true), lane(1, false)]), Some(1));
+        assert_eq!(r.pick(&[lane(2 + AFFINITY_SLACK, true), lane(1, false)]), Some(1));
         // Two affine lanes: least-loaded affine wins.
         assert_eq!(r.pick(&[lane(3, true), lane(2, true)]), Some(1));
     }
 
     #[test]
-    fn non_accepting_and_non_admitting_lanes_are_excluded() {
-        let r = Router::new(RoutePolicy::default(), 3);
+    fn non_accepting_lanes_are_excluded() {
+        let r = Router::new(3);
         let mut lanes = [lane(0, false), lane(5, true), lane(9, false)];
         lanes[0].accepting = false; // draining or dead
         assert_eq!(r.pick(&lanes), Some(1));
-        lanes[1].can_admit = false;
-        lanes[1].has_geometry = false;
-        assert_eq!(r.pick(&lanes), Some(2), "a known geometry outranks a budget check");
-        lanes[2].can_admit = false;
+        lanes[1].accepting = false;
+        assert_eq!(r.pick(&lanes), Some(2));
+        lanes[2].accepting = false;
         assert_eq!(r.pick(&lanes), None, "nothing left that can take the request");
     }
 
     #[test]
     fn open_breakers_are_a_last_resort_tier() {
-        let r = Router::new(RoutePolicy::default(), 2);
+        let r = Router::new(2);
         let mut lanes = [lane(0, true), lane(7, false)];
         lanes[0].breaker_open = true;
         assert_eq!(r.pick(&lanes), Some(1), "healthy lane wins regardless of load");
@@ -214,7 +185,7 @@ mod tests {
 
     #[test]
     fn backend_mismatch_is_a_hard_bound_not_a_preference() {
-        let r = Router::new(RoutePolicy::default(), 2);
+        let r = Router::new(2);
         let mut lanes = [lane(0, true), lane(9, false)];
         lanes[0].backend_match = false;
         assert_eq!(
@@ -228,7 +199,7 @@ mod tests {
 
     #[test]
     fn route_accounts_placements_and_rejections() {
-        let mut r = Router::new(RoutePolicy::default(), 2);
+        let mut r = Router::new(2);
         assert_eq!(r.route(&[lane(0, false), lane(0, false)]), Some(0));
         assert_eq!(r.route(&[lane(9, false), lane(0, false)]), Some(1));
         let mut dead = [lane(0, false), lane(0, false)];

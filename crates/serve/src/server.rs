@@ -32,7 +32,7 @@ use fd_haar::Cascade;
 use fd_imgproc::GrayImage;
 
 use crate::batcher::{BatchDecision, BatchPolicy, DynamicBatcher};
-use crate::health::{FaultReaction, HealthMachine, HealthPolicy, ServerHealth};
+use crate::health::{FaultReaction, HealthMachine, ServerHealth};
 use crate::queue::RequestQueue;
 use crate::request::{DetectionRequest, Priority, RequestId};
 use crate::stats::ServeStats;
@@ -53,11 +53,7 @@ pub struct ServeConfig {
     /// Fault recovery for batched submissions: transient retries with
     /// backoff, isolation or bisection of poisoned members, and degraded
     /// (shed-scale) re-attempts under deadline pressure.
-    /// `max_retries: 0` isolates at the first fault.
     pub retry: RecoveryPolicy,
-    /// Health machine driving brown-out admission and the fail-fast
-    /// breaker.
-    pub health: HealthPolicy,
 }
 
 impl Default for ServeConfig {
@@ -67,7 +63,6 @@ impl Default for ServeConfig {
             batch: BatchPolicy::default(),
             shed_late: true,
             retry: RecoveryPolicy::default(),
-            health: HealthPolicy::default(),
         }
     }
 }
@@ -81,8 +76,7 @@ pub enum ServeError {
     /// Building the wrapped detector failed.
     Detector(DetectorError),
     /// A fleet front door could not place the request on any device:
-    /// every admitting lane is draining or dead, or no device's memory
-    /// budget can take the frame's geometry.
+    /// every lane that serves its backend is draining or dead.
     NoCapacity { width: usize, height: usize },
 }
 
@@ -271,7 +265,7 @@ impl<D: Detector> DetectionServer<D> {
             batcher: DynamicBatcher::new(config.batch),
             shed_late: config.shed_late,
             retry: config.retry,
-            health: HealthMachine::new(config.health),
+            health: HealthMachine::new(),
             now_us: 0.0,
             next_seq: 0,
             last_span_us: 0.0,
@@ -472,7 +466,6 @@ impl<D: Detector> DetectionServer<D> {
             let late = self.queue.take_late(self.now_us);
             if !late.is_empty() {
                 for req in late {
-                    self.stats.shed_late += 1;
                     self.finish(req, RequestOutcome::ShedLate { shed_us: self.now_us });
                 }
                 return true;
@@ -498,35 +491,26 @@ impl<D: Detector> DetectionServer<D> {
         while self.arrivals.last().is_some_and(|r| r.arrival_us <= self.now_us) {
             let Some(req) = self.arrivals.pop() else { break };
             if !self.health.admits(req.priority) {
-                let outcome = if matches!(self.health.state(), ServerHealth::Open { .. }) {
-                    self.stats.rejected_failfast += 1;
+                let outcome = if self.health.is_open() {
                     RequestOutcome::RejectedFailFast
                 } else {
-                    self.stats.rejected_brownout += 1;
                     RequestOutcome::RejectedBrownOut
                 };
                 self.finish(req, outcome);
                 continue;
             }
             if let Err(req) = self.queue.offer(req) {
-                self.stats.rejected_full += 1;
-                self.stats.rejected_per_class[req.priority.index()] += 1;
                 self.finish(req, RequestOutcome::RejectedQueueFull);
             }
         }
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
     }
 
-    /// Log a request's final outcome.
+    /// Log a request's final outcome and count it.
     fn finish(&mut self, req: DetectionRequest, outcome: RequestOutcome) {
-        self.completed.push(CompletedRequest {
-            id: req.id,
-            priority: req.priority,
-            backend: req.backend,
-            arrival_us: req.arrival_us,
-            deadline_us: req.deadline_us,
-            outcome,
-        });
+        let done = req.complete(outcome);
+        self.stats.record(&done);
+        self.completed.push(done);
     }
 
     /// Fail every member of `reqs` with clones of `error`.
@@ -538,7 +522,6 @@ impl<D: Detector> DetectionServer<D> {
         error: &DetectorError,
     ) {
         for req in reqs {
-            self.stats.failed += 1;
             self.finish(
                 req,
                 RequestOutcome::Failed { dispatched_us, attempts, error: error.clone() },
@@ -582,7 +565,6 @@ impl<D: Detector> DetectionServer<D> {
                 let (live, expired): (Vec<_>, Vec<_>) =
                     group.reqs.drain(..).partition(|r| r.deadline_us > now);
                 for req in expired {
-                    self.stats.expired += 1;
                     let error = err.clone();
                     self.finish(req, RequestOutcome::Expired { expired_us: now, attempts, error });
                 }
@@ -624,19 +606,8 @@ impl<D: Detector> DetectionServer<D> {
                         continue;
                     }
                     for (req, result) in group.reqs.into_iter().zip(results) {
-                        let latency = self.now_us - req.arrival_us;
-                        self.stats.latency.record(latency);
-                        self.stats.latency_per_class[req.priority.index()].record(latency);
-                        self.stats.latency_per_backend[req.backend.index()].record(latency);
-                        if self.now_us <= req.deadline_us {
-                            self.stats.deadline_met += 1;
-                        } else {
-                            self.stats.deadline_missed += 1;
-                        }
                         let completed_us = self.now_us;
                         let outcome = if shed == 0 {
-                            self.stats.served += 1;
-                            self.stats.served_per_backend[req.backend.index()] += 1;
                             RequestOutcome::Served {
                                 dispatched_us,
                                 completed_us,
@@ -644,8 +615,6 @@ impl<D: Detector> DetectionServer<D> {
                                 result,
                             }
                         } else {
-                            self.stats.degraded_completions += 1;
-                            self.stats.degraded_per_backend[req.backend.index()] += 1;
                             RequestOutcome::Degraded {
                                 dispatched_us,
                                 completed_us,
@@ -688,7 +657,6 @@ impl<D: Detector> DetectionServer<D> {
                             // The device named the poisoned member: fail
                             // exactly it, resubmit the survivors.
                             self.stats.poisoned_requests += 1;
-                            self.stats.failed += 1;
                             let poisoned = group.reqs.remove(slot);
                             self.finish(
                                 poisoned,
@@ -787,7 +755,7 @@ mod tests {
     #[test]
     fn simultaneous_arrivals_batch_up_to_the_cap() {
         let mut s = server(ServeConfig {
-            batch: BatchPolicy { max_batch_size: 4, ..BatchPolicy::default() },
+            batch: BatchPolicy { max_batch_size: 4 },
             ..ServeConfig::default()
         });
         for _ in 0..6 {
@@ -814,7 +782,7 @@ mod tests {
     #[test]
     fn edf_dispatches_tightest_deadline_first() {
         let mut s = server(ServeConfig {
-            batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
+            batch: BatchPolicy { max_batch_size: 1 },
             ..ServeConfig::default()
         });
         let loose = s.submit(pattern_frame(64, 48, 0), Priority::Bulk, 0.0, 9e8).unwrap();
@@ -827,7 +795,7 @@ mod tests {
     #[test]
     fn late_requests_are_shed_deterministically() {
         let mut s = server(ServeConfig {
-            batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
+            batch: BatchPolicy { max_batch_size: 1 },
             ..ServeConfig::default()
         });
         // The first request's service time pushes the clock well past the
@@ -847,7 +815,7 @@ mod tests {
     fn shedding_disabled_serves_late_requests() {
         let mut s = server(ServeConfig {
             shed_late: false,
-            batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
+            batch: BatchPolicy { max_batch_size: 1 },
             ..ServeConfig::default()
         });
         s.submit(pattern_frame(96, 72, 0), Priority::Standard, 0.0, 1e9).unwrap();
@@ -862,7 +830,7 @@ mod tests {
     fn full_class_queue_rejects_at_arrival() {
         let mut s = server(ServeConfig {
             queue_depth_per_class: 2,
-            batch: BatchPolicy { max_batch_size: 2, max_wait_us: 1e9 },
+            batch: BatchPolicy { max_batch_size: 2 },
             ..ServeConfig::default()
         });
         // Four bulk arrivals at t=0; depth 2 → two rejected. Interactive
@@ -896,7 +864,7 @@ mod tests {
         // A frame smaller than the 24-px cascade window fails planning at
         // dispatch; the next request still gets served.
         let mut s = server(ServeConfig {
-            batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
+            batch: BatchPolicy { max_batch_size: 1 },
             ..ServeConfig::default()
         });
         let bad =

@@ -3,6 +3,8 @@
 
 use fd_detector::Backend;
 
+use crate::server::{CompletedRequest, RequestOutcome};
+
 /// Exact latency histogram: keeps every sample and answers quantiles by
 /// sorted rank. Serving runs are bounded (one sample per served
 /// request), so exactness is affordable and keeps the quantiles — and
@@ -141,6 +143,45 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
+    /// Count one request's terminal outcome: its outcome counter, the
+    /// per-class and per-backend splits, and for a request that produced
+    /// a result (served or degraded) its latency samples and whether it
+    /// met its deadline. Every outcome passes through here once, so the
+    /// outcome counters sum to `submitted` once a run is idle.
+    pub fn record(&mut self, done: &CompletedRequest) {
+        let backend = done.backend.index();
+        match done.outcome {
+            RequestOutcome::Served { .. } => {
+                self.served += 1;
+                self.served_per_backend[backend] += 1;
+            }
+            RequestOutcome::Degraded { .. } => {
+                self.degraded_completions += 1;
+                self.degraded_per_backend[backend] += 1;
+            }
+            RequestOutcome::ShedLate { .. } => self.shed_late += 1,
+            RequestOutcome::RejectedQueueFull => {
+                self.rejected_full += 1;
+                self.rejected_per_class[done.priority.index()] += 1;
+            }
+            RequestOutcome::RejectedBrownOut => self.rejected_brownout += 1,
+            RequestOutcome::RejectedFailFast => self.rejected_failfast += 1,
+            RequestOutcome::Failed { .. } => self.failed += 1,
+            RequestOutcome::Expired { .. } => self.expired += 1,
+            RequestOutcome::Evicted { .. } => self.evicted += 1,
+        }
+        if let (Some(latency), Some(met)) = (done.latency_us(), done.met_deadline()) {
+            self.latency.record(latency);
+            self.latency_per_class[done.priority.index()].record(latency);
+            self.latency_per_backend[backend].record(latency);
+            if met {
+                self.deadline_met += 1;
+            } else {
+                self.deadline_missed += 1;
+            }
+        }
+    }
+
     /// Mean requests per device submission (1.0 = batching bought
     /// nothing, `max_batch_size` = perfectly full batches).
     pub fn mean_batch_occupancy(&self) -> f64 {

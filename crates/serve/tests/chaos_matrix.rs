@@ -1,8 +1,7 @@
-//! Chaos matrix: seeded fault plans × batching × retry budget.
+//! Chaos matrix: seeded fault plans × batching.
 //!
 //! Sweeps the serving loop's fault-tolerance layer across injected
-//! fault kinds, batch sizes 1 and 8 and retry budgets 0 and 3, asserting on every
-//! cell that (a) accounting is exact — each submitted request gets
+//! fault kinds and batch sizes 1 and 8, asserting on every cell that (a) accounting is exact — each submitted request gets
 //! exactly one terminal outcome and the stats counters tile the
 //! submission count, (b) the run is deterministic — an identical
 //! configuration reproduces identical outcomes bit-for-bit, and
@@ -12,14 +11,13 @@
 //! everything.
 
 use fd_cnn::{CnnDetector, CnnModel};
-use fd_detector::{Backend, Detector, DetectorConfig, FaceDetector, RecoveryPolicy};
+use fd_detector::{Backend, Detector, DetectorConfig, FaceDetector};
 use fd_gpu::FaultPlan;
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 use fd_imgproc::GrayImage;
 use fd_serve::{
     BatchPolicy, CompletedRequest, DetectionServer, DeviceState, FleetConfig, FleetServer,
-    HealthPolicy, Priority, RequestOutcome, RoutePolicy, ServeConfig, ServeStats, ServerHealth,
-    StealPolicy,
+    Priority, RequestOutcome, ServeConfig, ServeStats, ServerHealth,
 };
 use fd_video::{DecodeFault, DecodeFaultPlan, HwDecoder, Trailer, TrailerSpec};
 
@@ -46,22 +44,9 @@ fn pattern_frame(w: usize, h: usize, shift: usize) -> GrayImage {
     })
 }
 
-/// No transient retries: every device fault goes straight to isolation.
-fn no_retries() -> RecoveryPolicy {
-    RecoveryPolicy { max_retries: 0, ..RecoveryPolicy::default() }
-}
-
-fn server(
-    plan: Option<FaultPlan>,
-    max_batch_size: usize,
-    retry: RecoveryPolicy,
-) -> DetectionServer {
+fn server(plan: Option<FaultPlan>, max_batch_size: usize) -> DetectionServer {
     let det = DetectorConfig { min_neighbors: 1, fault_plan: plan, ..DetectorConfig::default() };
-    let cfg = ServeConfig {
-        batch: BatchPolicy { max_batch_size, ..BatchPolicy::default() },
-        retry,
-        ..ServeConfig::default()
-    };
+    let cfg = ServeConfig { batch: BatchPolicy { max_batch_size }, ..ServeConfig::default() };
     DetectionServer::new(&edge_cascade(), det, cfg).expect("server construction")
 }
 
@@ -180,21 +165,14 @@ fn chaos_matrix_accounts_exactly_and_reproduces() {
     ];
     for (name, plan) in &plans {
         for batch in [1, 8] {
-            for retry in [no_retries(), RecoveryPolicy::default()] {
-                let run = || {
-                    let mut s = server(plan.clone(), batch, retry.clone());
-                    submit_wave(&mut s, n, 400.0, 1e6);
-                    s.run();
-                    assert_accounting(&s, n);
-                    fingerprint(&s)
-                };
-                assert_eq!(
-                    run(),
-                    run(),
-                    "cell (plan={name}, batch={batch}, max_retries={}) must reproduce",
-                    retry.max_retries
-                );
-            }
+            let run = || {
+                let mut s = server(plan.clone(), batch);
+                submit_wave(&mut s, n, 400.0, 1e6);
+                s.run();
+                assert_accounting(&s, n);
+                fingerprint(&s)
+            };
+            assert_eq!(run(), run(), "cell (plan={name}, batch={batch}) must reproduce");
         }
     }
 }
@@ -204,11 +182,7 @@ fn stall_only_plans_serve_every_request() {
     // Stalls stretch the timeline but never reject a launch: no retries,
     // no failures, everything served (the SLO is generous).
     for batch in [1, 8] {
-        let mut s = server(
-            Some(FaultPlan::seeded(21).with_stream_stalls(0.2, 400.0)),
-            batch,
-            RecoveryPolicy::default(),
-        );
+        let mut s = server(Some(FaultPlan::seeded(21).with_stream_stalls(0.2, 400.0)), batch);
         submit_wave(&mut s, 16, 400.0, 1e6);
         s.run();
         assert_eq!(s.stats().served, 16, "batch={batch}");
@@ -219,11 +193,7 @@ fn stall_only_plans_serve_every_request() {
 
 #[test]
 fn transient_faults_recover_to_high_goodput() {
-    let mut s = server(
-        Some(FaultPlan::seeded(42).with_transient_launch_failures(0.02)),
-        8,
-        RecoveryPolicy::default(),
-    );
+    let mut s = server(Some(FaultPlan::seeded(42).with_transient_launch_failures(0.02)), 8);
     submit_wave(&mut s, 40, 400.0, 1e6);
     s.run();
     let st = s.stats();
@@ -232,17 +202,6 @@ fn transient_faults_recover_to_high_goodput() {
         st.goodput() >= 0.9,
         "bounded retries must absorb transients: goodput {:.3}",
         st.goodput()
-    );
-    // Without retries, the same plan loses every request it faults.
-    let mut unretried =
-        server(Some(FaultPlan::seeded(42).with_transient_launch_failures(0.02)), 8, no_retries());
-    submit_wave(&mut unretried, 40, 400.0, 1e6);
-    unretried.run();
-    assert!(
-        unretried.stats().failed > st.failed,
-        "retries must strictly reduce failures ({} vs {})",
-        unretried.stats().failed,
-        st.failed
     );
 }
 
@@ -255,7 +214,7 @@ fn poisoned_batch_fails_at_most_the_poisoned_member() {
     let mut saw_single_poison = false;
     for seed in 0..24u64 {
         let plan = FaultPlan::seeded(seed).with_launch_timeouts(0.002);
-        let mut s = server(Some(plan), 8, RecoveryPolicy::default());
+        let mut s = server(Some(plan), 8);
         for i in 0..6u64 {
             s.submit(pattern_frame(64, 48, (i % 4) as usize), Priority::Standard, 0.0, 1e9)
                 .expect("valid submission");
@@ -281,17 +240,10 @@ fn sustained_timeouts_trip_brownout_then_open_then_recover() {
     // each dispatch to roughly a coin-flip per request: fault streaks
     // walk the health machine Healthy → BrownOut → Open, and the
     // cool-down's half-open probe finds a clean request to close it.
-    let plan = FaultPlan::seeded(0).with_launch_timeouts(0.02);
-    let det =
-        DetectorConfig { min_neighbors: 1, fault_plan: Some(plan), ..DetectorConfig::default() };
-    let cfg = ServeConfig {
-        batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
-        retry: RecoveryPolicy::default(),
-        health: HealthPolicy { cooldown_us: 5_000.0, ..HealthPolicy::default() },
-        ..ServeConfig::default()
-    };
-    let mut s = DetectionServer::new(&edge_cascade(), det, cfg).expect("server");
-    submit_wave(&mut s, 60, 300.0, 1e6);
+    // Arrivals 1 ms apart outlast the 20 ms cool-down, so requests
+    // still arrive when it ends.
+    let mut s = server(Some(FaultPlan::seeded(0).with_launch_timeouts(0.02)), 1);
+    submit_wave(&mut s, 60, 1000.0, 1e6);
     s.run();
     let st = s.stats();
     assert!(st.breaker_trips > 0, "the fault streaks must trip the breaker");
@@ -306,21 +258,11 @@ fn sustained_timeouts_trip_brownout_then_open_then_recover() {
 
 #[test]
 fn brownout_rejects_only_the_lowest_class() {
-    let plan = FaultPlan::seeded(2).with_launch_timeouts(0.5);
-    let det =
-        DetectorConfig { min_neighbors: 1, fault_plan: Some(plan), ..DetectorConfig::default() };
-    let cfg = ServeConfig {
-        batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
-        // No Open state in this run: trip threshold out of reach.
-        health: HealthPolicy { open_after: u32::MAX, ..HealthPolicy::default() },
-        ..ServeConfig::default()
-    };
-    let mut s = DetectionServer::new(&edge_cascade(), det, cfg).expect("server");
+    let mut s = server(Some(FaultPlan::seeded(2).with_launch_timeouts(0.5)), 1);
     submit_wave(&mut s, 48, 300.0, 1e6);
     s.run();
     let st = s.stats();
     assert!(st.rejected_brownout > 0, "50% timeouts must brown the server out");
-    assert_eq!(st.rejected_failfast, 0, "breaker can never open in this config");
     for c in s.completed() {
         if matches!(c.outcome, RequestOutcome::RejectedBrownOut) {
             assert_eq!(c.priority, Priority::Bulk, "brown-out sheds only the lowest class");
@@ -413,11 +355,9 @@ fn open_breaker_migrates_the_backlog_to_the_healthy_replica() {
             detectors,
             FleetConfig {
                 serve: ServeConfig {
-                    batch: BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() },
+                    batch: BatchPolicy { max_batch_size: 1 },
                     ..ServeConfig::default()
                 },
-                steal: StealPolicy { max_steal: 0, ..StealPolicy::default() },
-                ..FleetConfig::default()
             },
         );
         for i in 0..16u64 {
@@ -486,8 +426,9 @@ fn drain_reroutes_future_arrivals_and_rejoin_restores_service() {
 
 #[test]
 fn stolen_work_is_bit_identical_across_host_threads() {
-    // Sticky affinity piles ten same-geometry requests on device 0
-    // while device 1 serves one small request and goes idle — work
+    // A small frame takes device 0, then affinity piles ten
+    // same-geometry requests on device 1. Device 0 serves its one
+    // request and goes idle while device 1 is backlogged — work
     // stealing must engage, and the full fleet outcome (including which
     // lane served what, when) must be bit-identical across host thread
     // counts.
@@ -497,21 +438,13 @@ fn stolen_work_is_bit_identical_across_host_threads() {
             host_threads: Some(threads),
             ..DetectorConfig::default()
         };
-        let mut f = FleetServer::new(
-            &edge_cascade(),
-            det,
-            2,
-            FleetConfig {
-                route: RoutePolicy { affinity_slack: 64, ..RoutePolicy::default() },
-                ..FleetConfig::default()
-            },
-        )
-        .expect("fleet");
+        let mut f =
+            FleetServer::new(&edge_cascade(), det, 2, FleetConfig::default()).expect("fleet");
+        f.submit(pattern_frame(32, 48, 0), Priority::Standard, 0.0, 1e9).expect("valid submission");
         for i in 0..10u64 {
             f.submit(pattern_frame(64, 48, (i % 4) as usize), Priority::Standard, 0.0, 1e9)
                 .expect("valid submission");
         }
-        f.submit(pattern_frame(32, 48, 0), Priority::Standard, 0.0, 1e9).expect("valid submission");
         f.run();
         assert_fleet_accounting(&f, 11);
         assert!(f.router_stats().steals > 0, "the idle lane must steal the backlog");
@@ -522,25 +455,26 @@ fn stolen_work_is_bit_identical_across_host_threads() {
 }
 
 #[test]
-fn video_streams_soak_a_faulty_fleet_within_budget_and_breakers_recover() {
-    // Three 24 fps camera streams through one three-lane fleet: frame k
-    // of every stream arrives at k periods and is due one period later.
+fn video_streams_soak_a_faulty_fleet_and_breakers_recover() {
+    // Three 24 fps camera streams of three resolutions through one
+    // three-lane fleet: frame k of every stream arrives at k periods and
+    // is due one period later. Each stream's first frame goes to the
+    // least-loaded lane and geometry affinity keeps the stream there.
     // Lane 0 is a clean control; device and decode fault rates escalate
-    // with the index. Least-loaded routing without affinity hands each
-    // round's three simultaneous frames to three different lanes, so
-    // every lane admits the geometry and charges its budget.
+    // with the index.
     const STREAMS: usize = 3;
     const FRAMES: usize = 60;
     const SEED: u64 = 42;
     let period_us = 1e6 / 24.0;
-    let cooldown_us = 6.0 * period_us;
+    // The breaker's fixed cool-down.
+    let cooldown_us = 20_000.0;
     let run = |threads: usize| {
         let detectors: Vec<FaceDetector> = (0..STREAMS)
             .map(|i| {
                 let plan = (i > 0).then(|| {
                     FaultPlan::seeded(SEED + i as u64)
-                        .with_transient_launch_failures(0.002 * i as f64)
-                        .with_launch_timeouts(0.001 * i as f64)
+                        .with_transient_launch_failures(0.004 * i as f64)
+                        .with_launch_timeouts(0.002 * i as f64)
                 });
                 let det = DetectorConfig {
                     min_neighbors: 1,
@@ -551,24 +485,12 @@ fn video_streams_soak_a_faulty_fleet_within_budget_and_breakers_recover() {
                 FaceDetector::try_new(&edge_cascade(), det).expect("lane detector")
             })
             .collect();
-        let budget = detectors[0].projected_device_bytes(160, 120).expect("plannable geometry");
-        let mut f = FleetServer::from_detectors(
-            detectors,
-            FleetConfig {
-                serve: ServeConfig {
-                    health: HealthPolicy { open_after: 3, cooldown_us, ..HealthPolicy::default() },
-                    ..ServeConfig::default()
-                },
-                route: RoutePolicy { geometry_affinity: false, ..RoutePolicy::default() },
-                device_memory_budget: Some(budget),
-                ..FleetConfig::default()
-            },
-        );
+        let mut f = FleetServer::from_detectors(detectors, FleetConfig::default());
         let mut decoders: Vec<HwDecoder> = (0..STREAMS)
             .map(|i| {
                 let mut dec = HwDecoder::new(Trailer::generate(TrailerSpec {
-                    width: 160,
-                    height: 120,
+                    width: 160 + 16 * i,
+                    height: 120 + 12 * i,
                     n_frames: FRAMES,
                     seed: 21 + i as u64,
                     face_size: (26.0, 60.0),
@@ -593,19 +515,13 @@ fn video_streams_soak_a_faulty_fleet_within_budget_and_breakers_recover() {
                     continue;
                 }
                 f.submit(frame.luma, Priority::Standard, k as f64 * period_us, period_us)
-                    .expect("the budget admits the one geometry");
+                    .expect("valid submission");
                 submitted += 1;
             }
         }
         assert_eq!(submitted + dropped, (STREAMS * FRAMES) as u64);
-        while f.step() {
-            for d in 0..STREAMS {
-                let held = f.device(d).detector().device_bytes();
-                assert!(held <= budget, "lane {d} holds {held} of {budget} budgeted bytes");
-            }
-        }
+        f.run();
         assert_fleet_accounting(&f, submitted);
-        assert_eq!(f.router_stats().admission_rejected, 0);
         let routed = &f.router_stats().routed_per_device;
         assert!(routed.iter().all(|&n| n > 0), "every lane takes stream work: {routed:?}");
         // One cool-down after the last completion no breaker is still open.

@@ -10,7 +10,10 @@
 # the change lower in at least nine tenths of them, the medians apart by
 # more than the parent's interquartile distance); and a verdict per
 # end-to-end metric of BENCHMARK.json: the change's median against the
-# parent's and the metric's bound. Single runs
+# parent's and the metric's bound, or "unresolved" where the parent's own
+# interquartile distance, as a share of its median, is wider than the
+# bound (a median moved by less than the spread says nothing) and not
+# every change run beats every parent run. Single runs
 # of host_ms_p50 spread a few percent on this box and slow phases last a
 # whole run, so only alternating pairs separate a change from the noise.
 #
@@ -114,14 +117,25 @@ for name, fmt in (("host_ms_p50", ".3f"), ("host_peak_rss_mb", ".1f"), ("setup_s
     print(f"{name}: claim rule " + ("MET" if not unmet else "not met: " + "; ".join(unmet)))
 print(f"det_digest parent {sorted(digests['parent'])} change {sorted(digests['change'])}"
       + ("" if digests["parent"] == digests["change"] else "  <- DIFFERS"))
-print("end to end, change median against parent median and the BENCHMARK.json bound:")
+print("end to end, change median against parent median and the BENCHMARK.json bound; the "
+      "parent's interquartile distance as a share of its median:")
 for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
     name, bound, lower = metric["name"], metric["bound"], metric["better"] == "lower"
-    pv, cv = statistics.median(values("parent", name)), statistics.median(values("change", name))
+    p, c = values("parent", name), values("change", name)
+    pv, cv = statistics.median(p), statistics.median(c)
     worse = (cv - pv if lower else pv - cv) / abs(pv) if pv else 0.0
-    verdict = "WORSE than bound" if worse > bound else "better" if worse < 0 else "within bound"
+    pq1, _, pq3 = quartiles(p)
+    spread = (pq3 - pq1) / abs(pv) if pv else (0.0 if pq3 == pq1 else float("inf"))
+    # Every change run better than every parent run resolves any spread.
+    apart = max(c) < min(p) if lower else min(c) > max(p)
+    if worse > bound:
+        verdict = "WORSE than bound"
+    elif spread > bound and not apart:
+        verdict = "unresolved"
+    else:
+        verdict = "better" if worse < 0 else "within bound"
     print(f"  {name:<26} {pv:>12.4f} -> {cv:>12.4f}  {worse * 100:+6.1f} % worse "
-          f"(bound {bound * 100:.0f} %)  {verdict}")
+          f"(bound {bound * 100:.0f} %, spread {spread * 100:.0f} %)  {verdict}")
 print("per layer, one traced run per side: parent -> change; a stage's share of its run's "
       "summed stage host time")
 host_rows = [n for n in traced_parent if n.startswith("gpu.") and n.endswith(".host_us")]

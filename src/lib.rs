@@ -83,7 +83,7 @@ pub mod prelude {
     pub use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
     pub use fd_imgproc::{GrayImage, IntegralImage, Rect, RgbImage};
     pub use fd_serve::{
-        BatchPolicy, DetectionServer, FleetConfig, FleetServer, HealthPolicy, Priority,
-        RoutePolicy, ServeConfig, ServeStats, ServerHealth, StealPolicy,
+        BatchPolicy, DetectionServer, FleetConfig, FleetServer, Priority, ServeConfig, ServeStats,
+        ServerHealth,
     };
 }

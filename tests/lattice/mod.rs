@@ -266,11 +266,7 @@ fn detector_config(device: Device, host: Host) -> DetectorConfig {
 }
 
 fn serve_config(batched: bool) -> ServeConfig {
-    let batch = if batched {
-        BatchPolicy::default()
-    } else {
-        BatchPolicy { max_batch_size: 1, ..BatchPolicy::default() }
-    };
+    let batch = if batched { BatchPolicy::default() } else { BatchPolicy { max_batch_size: 1 } };
     ServeConfig { batch, ..ServeConfig::default() }
 }
 
@@ -349,7 +345,7 @@ fn run(case: &Case, device: Device, host: Host) -> (Digest, bool) {
             (results, front, spent(server.detector().profiler()))
         }
         Front::Fleet { batched } => {
-            let config = FleetConfig { serve: serve_config(batched), ..FleetConfig::default() };
+            let config = FleetConfig { serve: serve_config(batched) };
             let mut fleet = FleetServer::from_detectors(vec![detector], config);
             for (frame, priority, t) in case.requests() {
                 fleet.submit(frame, priority, t, SLO_US).expect("valid submission");

@@ -1,16 +1,102 @@
+//! Fleet properties.
+//!
 //! The identity lattice's fleet slice: a `FleetServer` of one device,
 //! unbatched and batched, with and without an inert seeded `FaultPlan`, at
 //! 1 and 4 host threads, completes bit-identically to the single
 //! `DetectionServer` at one thread without a plan: same completion log,
 //! same merged `ServeStats`, same detections and device state. The fleet
-//! machinery (routing, admission ledger, failover, stealing, eviction) is
-//! bookkeeping until there is a second device or a lifecycle command.
+//! machinery (routing, failover, stealing, eviction) is bookkeeping until
+//! there is a second device or a lifecycle command.
+//!
+//! Lifecycle conservation: on a fleet of two or three faulting lanes
+//! under random kill, drain and rejoin commands, every request reaches
+//! exactly one terminal outcome, and the completion log does not depend
+//! on the host thread count.
 
+use facedet::gpu::FaultPlan;
+use facedet::prelude::*;
 use proptest::prelude::*;
 
 mod lattice;
 
 use lattice::Front;
+
+/// Requests per conservation case, all 64x48.
+const REQUESTS: usize = 24;
+
+fn edge_cascade() -> Cascade {
+    let mut c = Cascade::new("fleet", 24);
+    c.stages.push(Stage {
+        stumps: vec![Stump {
+            feature: HaarFeature::from_params(FeatureKind::EdgeH, 6, 4, 6, 8),
+            threshold: 8192,
+            left: -1.0,
+            right: 1.0,
+        }],
+        threshold: 0.5,
+    });
+    c
+}
+
+/// A 64x48 frame with a dark/bright edge pair the cascade fires on.
+fn frame(shift: usize) -> GrayImage {
+    GrayImage::from_fn(64, 48, |x, y| {
+        let x = x + shift;
+        if (20..30).contains(&x) && (14..34).contains(&y) {
+            5.0
+        } else if (30..40).contains(&x) && (14..34).contains(&y) {
+            250.0
+        } else {
+            120.0
+        }
+    })
+}
+
+/// Runs one conservation case at `threads` host threads: the fleet's
+/// completion log, device attribution and merged stats as text.
+fn lifecycle_run(
+    lanes: usize,
+    plan_seed: u64,
+    requests: &[(f64, usize, usize)],
+    commands: &[(u8, usize, f64)],
+    threads: usize,
+) -> String {
+    let plan = FaultPlan::seeded(plan_seed)
+        .with_transient_launch_failures(0.01)
+        .with_launch_timeouts(0.005);
+    let config = DetectorConfig {
+        min_neighbors: 1,
+        fault_plan: Some(plan),
+        host_threads: Some(threads),
+        ..DetectorConfig::default()
+    };
+    let mut fleet = FleetServer::new(&edge_cascade(), config, lanes, FleetConfig::default())
+        .expect("fleet construction");
+    let mut t = 0.0;
+    for &(gap, priority, shift) in requests {
+        t += gap;
+        fleet.submit(frame(shift), Priority::ALL[priority], t, 20_000.0).expect("valid submission");
+    }
+    for &(kind, device, at_us) in commands {
+        let device = device % lanes;
+        match kind {
+            0 => fleet.schedule_kill(device, at_us),
+            1 => fleet.schedule_drain(device, at_us),
+            _ => fleet.schedule_rejoin(device, at_us),
+        }
+    }
+    fleet.run();
+
+    let mut seen = vec![0u32; requests.len()];
+    for c in fleet.completed() {
+        seen[c.id.0 as usize] += 1;
+    }
+    assert!(seen.iter().all(|&n| n == 1), "every request completes exactly once: {seen:?}");
+    assert_eq!(fleet.completed_device().len(), fleet.completed().len());
+    let stats = fleet.stats();
+    assert_eq!(stats.submitted, requests.len() as u64);
+    format!("{:?}\n{:?}\n{stats:?}", fleet.completed(), fleet.completed_device())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
@@ -24,5 +110,23 @@ proptest! {
         let fronts = [Front::Fleet { batched: false }, Front::Fleet { batched: true }];
         let hosts = lattice::cells(&fronts, &[1, 4], &[None, Some(plan)]);
         lattice::slice(seed, &lattice::device_pair(seed), &hosts);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Faults, kills, drains and rejoins lose and duplicate no request,
+    /// and the outcome is the same at one and two host threads.
+    #[test]
+    fn fleet_lifecycle_conserves_every_request(
+        lanes in 2usize..=3,
+        plan_seed in any::<u64>(),
+        requests in prop::collection::vec((0.0f64..1_500.0, 0usize..3, 0usize..4), REQUESTS),
+        commands in prop::collection::vec((0u8..3, 0usize..3, 0.0f64..40_000.0), 0..=4),
+    ) {
+        let one = lifecycle_run(lanes, plan_seed, &requests, &commands, 1);
+        let two = lifecycle_run(lanes, plan_seed, &requests, &commands, 2);
+        prop_assert_eq!(one, two);
     }
 }
