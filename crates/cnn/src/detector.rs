@@ -17,7 +17,7 @@ use fd_detector::group::Detection;
 use fd_detector::{
     stage_constants, Backend, DetectorError, LevelGeom, LevelLaunch, PyramidDetector, StageList,
 };
-use fd_gpu::{BufSource, ConstPtr, DeviceMemory, Gpu, LaunchError, Readback};
+use fd_gpu::{ConstPtr, DeviceMemory, Gpu, LaunchError, Readback, WorkspaceFill};
 use fd_imgproc::Rect;
 
 use crate::kernels::{level_chain, window_grid, ChainKernel, LevelDeviceBufs, ModelTensors};
@@ -96,7 +96,7 @@ impl StageList for CnnStages {
     /// chain kernel writes every element it covers. `scaled`, the chain's
     /// input, keeps a slot of its own, so it survives whatever is written
     /// to the other buffers before the chain runs.
-    fn level_bufs(src: &mut impl BufSource, w: usize, h: usize) -> LevelDeviceBufs {
+    fn level_bufs(src: &mut WorkspaceFill<'_>, w: usize, h: usize) -> LevelDeviceBufs {
         let (p1w, p1h) = (w / 2, h / 2);
         let (p2w, p2h) = (p1w / 2, p1h / 2);
         let (nx, ny) = window_grid(w, h);

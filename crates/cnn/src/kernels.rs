@@ -954,7 +954,7 @@ pub struct LevelDeviceBufs {
 mod tests {
     use super::*;
     use fd_detector::StageList;
-    use fd_gpu::{DeviceSpec, ExecMode, Gpu};
+    use fd_gpu::{DeviceSpec, ExecMode, Gpu, Workspace};
 
     use crate::detector::CnnStages;
     use crate::model::C1;
@@ -973,7 +973,7 @@ mod tests {
     fn run_chain(model: &CnnModel, luma: &[f32], w: usize, h: usize) -> (Vec<u32>, Vec<i32>) {
         let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
         let cp = gpu.const_upload(&model.encode());
-        let mut bufs = CnnStages::level_bufs(&mut gpu.mem, w, h);
+        let mut bufs = CnnStages::level_bufs(&mut Workspace::new().fill(&mut gpu.mem), w, h);
         bufs.scaled = gpu.mem.upload(luma);
         let tensors = ModelTensors::from_model(model);
         for k in level_chain(&tensors, &bufs, w, h, cp) {
@@ -1073,7 +1073,7 @@ mod tests {
             .collect();
         let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
         let cp = gpu.const_upload(&model.encode());
-        let mut bufs = CnnStages::level_bufs(&mut gpu.mem, w, h);
+        let mut bufs = CnnStages::level_bufs(&mut Workspace::new().fill(&mut gpu.mem), w, h);
         bufs.scaled = gpu.mem.upload(&luma);
         let tensors = ModelTensors::from_model(&model);
         for k in level_chain(&tensors, &bufs, w, h, cp) {

@@ -20,7 +20,7 @@ use fd_gpu::probe::{
     assert_same, check_case, device, f32_bits, modes, probes, run_probed, take_counters,
     timeline_bits, Mode, Observed, ReferenceBody, Rng,
 };
-use fd_gpu::{with_band_mutation, BandMutation, BlockCtx, Gpu, StreamId};
+use fd_gpu::{with_band_mutation, BandMutation, BlockCtx, Gpu, StreamId, Workspace};
 
 use super::{
     level_chain, round_luma, window_grid, with_mutation, ChainKernel, ConvReluKernel, ConvSrc,
@@ -462,7 +462,7 @@ fn chain_sweep(cases: usize) {
             let levels: Vec<_> = lumas
                 .iter()
                 .map(|luma| {
-                    let b = CnnStages::level_bufs(&mut gpu.mem, w, h);
+                    let b = CnnStages::level_bufs(&mut Workspace::new().fill(&mut gpu.mem), w, h);
                     gpu.mem.upload_into(b.scaled, luma);
                     for buf in
                         [b.conv1, b.pooled1, b.conv2, b.pooled2, b.score_a, b.score_b, b.score]

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use fd_gpu::{
-    BatchedKernel, BufSource, ConstPtr, DevBuf, DeviceMemory, FusedChain, GeomClass, Gpu, Kernel,
-    LaunchConfig, LaunchError, Readback, ShapeCache, Timeline,
+    BatchedKernel, ConstPtr, DevBuf, DeviceMemory, FusedChain, GeomClass, Gpu, Kernel,
+    LaunchConfig, LaunchError, Readback, ShapeCache, Timeline, WorkspaceFill,
 };
 use fd_haar::encode::{encode_cascade, quantize_cascade};
 use fd_haar::Cascade;
@@ -288,7 +288,7 @@ impl StageList for HaarStages {
     /// `scale+filter+scan+transpose` (S, F, A → B) and `scan+transpose`
     /// (B → A → S) — no launch reads and writes one slot, and the
     /// cascade and display kernels write every pixel of their outputs.
-    fn level_bufs(src: &mut impl BufSource, w: usize, h: usize) -> LevelBufs {
+    fn level_bufs(src: &mut WorkspaceFill<'_>, w: usize, h: usize) -> LevelBufs {
         let n = w * h;
         let (s, f, a, b) = (src.buf(n), src.buf(n), src.buf(n), src.buf(n));
         LevelBufs {

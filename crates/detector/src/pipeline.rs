@@ -40,8 +40,8 @@
 //! tests).
 
 use fd_gpu::{
-    BufSource, ConstPtr, DevBuf, DeviceMemory, Gpu, LaunchError, StreamId, TexId, Texture2D,
-    Timeline, Workspace,
+    ConstPtr, DevBuf, DeviceMemory, Gpu, LaunchError, StreamId, TexId, Texture2D, Timeline,
+    Workspace, WorkspaceFill,
 };
 use fd_imgproc::{GrayImage, Pyramid};
 
@@ -89,7 +89,7 @@ pub trait StageList: Sized {
     ///   chain's own intermediates;
     /// - every output fully overwrites the elements it covers, so no
     ///   value reads what the buffer held before.
-    fn level_bufs(src: &mut impl BufSource, w: usize, h: usize) -> Self::LevelBufs;
+    fn level_bufs(src: &mut WorkspaceFill<'_>, w: usize, h: usize) -> Self::LevelBufs;
 
     /// Rebuild what the stages derive from the pyramid plan; called each
     /// time the pool switches to a plan, before any launch on it.

@@ -130,8 +130,8 @@ pub use gpu::{Gpu, LaunchError, MAX_FUNCTIONAL_BLOCKS};
 pub use kernel::{with_band_mutation, BandMutation};
 pub use kernel::{Band, BlockCtx, Kernel, LaunchConfig, LaunchCtx};
 pub use memory::{
-    AccessSet, BilinearTap, BufSource, ConstPtr, CopyFault, CopyFaultConfig, DevBuf, DevRead,
-    DevWrite, DeviceMemory, MemoryError, Readback, TexId, Texture2D, Workspace, WorkspaceFill,
+    AccessSet, BilinearTap, ConstPtr, CopyFault, CopyFaultConfig, DevBuf, DevRead, DevWrite,
+    DeviceMemory, MemoryError, Readback, TexId, Texture2D, Workspace, WorkspaceFill,
 };
 pub use meter::{KernelCounters, Meter};
 pub use pool::{HOST_EXEC_ENV_VAR, THREADS_ENV_VAR};

@@ -688,19 +688,6 @@ impl DeviceMemory {
     }
 }
 
-/// Where a layout of device buffers comes from: [`DeviceMemory`]
-/// allocates each one afresh and a [`Workspace`] fill reuses its own.
-pub trait BufSource {
-    /// The layout's next buffer, `len` elements long.
-    fn buf<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T>;
-}
-
-impl BufSource for DeviceMemory {
-    fn buf<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T> {
-        self.alloc(len)
-    }
-}
-
 /// Device buffers that serve a layout at changing sizes. The `i`-th
 /// buffer a [`Workspace::fill`] hands out is a prefix of the workspace's
 /// `i`-th buffer, as whatever scalar type the request names; a position
@@ -718,7 +705,7 @@ impl Workspace {
         Self::default()
     }
 
-    /// A [`BufSource`] over this workspace, from its first buffer on.
+    /// This workspace's buffers in layout order, from its first on.
     pub fn fill<'a>(&'a mut self, mem: &'a mut DeviceMemory) -> WorkspaceFill<'a> {
         WorkspaceFill { ws: self, mem, next: 0 }
     }
@@ -743,8 +730,9 @@ pub struct WorkspaceFill<'a> {
     next: usize,
 }
 
-impl BufSource for WorkspaceFill<'_> {
-    fn buf<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T> {
+impl WorkspaceFill<'_> {
+    /// The layout's next buffer, `len` elements long.
+    pub fn buf<T: DeviceScalar>(&mut self, len: usize) -> DevBuf<T> {
         let (i, bytes) = (self.next, len * std::mem::size_of::<T>());
         self.next += 1;
         match self.ws.held.get(i) {

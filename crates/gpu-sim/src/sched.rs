@@ -5,7 +5,8 @@
 //! phase) and simulates the device's block dispatcher:
 //!
 //! * every SM has residency limits (blocks, warps, threads, shared memory,
-//!   registers);
+//!   registers), and a block goes to the SM with the most free warps that
+//!   has room for it — a launch that finds none waits for a completion;
 //! * launches in the same stream execute in order;
 //! * [`ExecMode::Serial`] additionally drains each launch before the next
 //!   one starts (profiler-style serialization, the paper's baseline);
@@ -325,8 +326,8 @@ struct Issuable {
     demand: u32,
     /// Whether it has placed a block (and so counts as an active kernel).
     started: bool,
-    /// Whether the next placement attempt must look at every SM (see
-    /// the dirty-SM invariant on [`SchedScratch::dirty`]).
+    /// Whether the next placement attempt must look at every SM rather
+    /// than only the dirty one (see `dirty` in the event loop).
     full_scan: bool,
 }
 
@@ -350,15 +351,10 @@ pub(crate) struct SchedScratch {
     arriving: BinaryHeap<Reverse<Arrival>>,
     /// Launches that are ready and have blocks left to place, ascending.
     issuable: Vec<Issuable>,
-    /// SMs on which a launch that found no SM at its previous attempt
-    /// may fit now: the SM the last completion freed, and every SM that
-    /// lost a reservation this round. Any other SM has only filled up
-    /// or become reserved since that attempt.
-    dirty: Vec<usize>,
     /// The distinct block footprints of the launch set, and for each
-    /// whether some dirty SM not reserved for anyone has room for it,
-    /// recomputed when a skip decision is about to read it and something
-    /// changed since. A `false` read that way is exact, and so is a `true`.
+    /// whether the dirty SM has room for it, recomputed when a skip
+    /// decision is about to read it and something changed since. A `false`
+    /// read that way is exact, and so is a `true`.
     demands: Vec<Demand>,
     admits: Vec<bool>,
     /// Block durations already computed, by what they were computed from.
@@ -397,29 +393,20 @@ impl SmState {
     }
 }
 
-/// Recomputes `admits` (see [`SchedScratch::admits`]) from `dirty`, the
-/// SMs' load and the reservation; returns whether any flag is set.
+/// Recomputes `admits` (see [`SchedScratch::admits`]) from the dirty SM's
+/// load; returns whether any flag is set.
 fn refresh_admits(
     spec: &DeviceSpec,
     sms: &[SmState],
-    dirty: &[usize],
-    reservation: Option<(usize, usize)>,
+    dirty: Option<usize>,
     demands: &[Demand],
     admits: &mut [bool],
 ) -> bool {
-    let reserved = reservation.map(|(_, s)| s);
-    admits.fill(false);
+    let room = dirty.and_then(|s| sms[s].room(spec));
     let mut any = false;
-    for &s in dirty {
-        if Some(s) == reserved {
-            continue;
-        }
-        let Some(room) = sms[s].room(spec) else { continue };
-        for d in 0..demands.len() {
-            let fits = demands[d].within(&room);
-            admits[d] |= fits;
-            any |= fits;
-        }
+    for (admit, demand) in admits.iter_mut().zip(demands) {
+        *admit = room.is_some_and(|room| demand.within(&room));
+        any |= *admit;
     }
     any
 }
@@ -559,20 +546,19 @@ fn end_launch(
 }
 
 /// The SM among `candidates` with the most free warps that fits a block
-/// of `demand` (lowest index on ties), skipping `reserved_for_other`.
+/// of `demand` (lowest index on ties).
 fn best_sm(
     spec: &DeviceSpec,
     sms: &[SmState],
     candidates: impl IntoIterator<Item = usize>,
     demand: &Demand,
-    reserved_for_other: Option<usize>,
 ) -> Option<usize> {
     // The least (resident warps, index) among the SMs that fit, as one
     // integer.
     let mut best = u64::MAX;
     for s in candidates {
         let sm = &sms[s];
-        if Some(s) != reserved_for_other && sm.room(spec).is_some_and(|room| demand.within(&room)) {
+        if sm.room(spec).is_some_and(|room| demand.within(&room)) {
             best = best.min((sm.warps as u64) << 32 | s as u64);
         }
     }
@@ -612,7 +598,6 @@ impl SchedScratch {
             unblocked,
             arriving,
             issuable,
-            dirty,
             demands,
             admits,
             durations,
@@ -626,7 +611,6 @@ impl SchedScratch {
         unblocked.clear();
         arriving.clear();
         issuable.clear();
-        dirty.clear();
         demands.clear();
         durations.clear();
 
@@ -709,26 +693,16 @@ impl SchedScratch {
         let mut completed = 0usize;
         // Launches that have placed a block and not ended.
         let mut active_kernels = 0u32;
-        // Anti-starvation reservation: when a ready launch cannot place its
-        // next block anywhere, the *oldest* such launch reserves one SM; no
-        // other launch may issue blocks there until the holder places a
-        // block. Without this, a wide block (say 18 warps) starves
-        // indefinitely behind a drip of narrow blocks from younger launches
-        // that backfill every freed slot — real work distributors dispatch
-        // blocks in kernel order and drain capacity for the oldest pending
-        // kernel instead. A single slot with age preemption keeps the rest of
-        // the device free for backfill while the reserved SM drains.
-        let mut reservation: Option<(usize, usize)> = None; // (launch, sm)
-                                                            // Whether `admits` may disagree with `dirty`, the SMs' load or the
-                                                            // reservation. A skip decision refreshes the flags first if so;
-                                                            // `any_admit` is whether that refresh set one. The decisions need
-                                                            // only the mark of the completion that starts a round: within a
-                                                            // round placements and new reservations only take room away, and
-                                                            // what gives room back — the holder placing a block, an older launch
-                                                            // taking the reservation over — comes before the round's first skip
-                                                            // decision, which is about a launch younger than the holder and so
-                                                            // visited after it. Marking those changes too keeps a `true` from
-                                                            // outliving its room, which would cost visits that find nothing.
+        // The SM on which a launch that found no SM at its previous attempt
+        // may fit now: the one the round's completion freed. Every other SM
+        // has only filled up since that attempt.
+        let mut dirty: Option<usize> = None;
+        // Whether `admits` may disagree with `dirty` or the SMs' load. A
+        // skip decision refreshes the flags first if so; `any_admit` is
+        // whether that refresh set one. The decisions need only the mark of
+        // the completion that starts a round: within a round placements
+        // only take room away. Marking them too keeps a `true` from
+        // outliving its room, which would cost visits that find nothing.
         let mut stale = true;
         let mut any_admit = false;
         // Issuable launches whose `full_scan` is set.
@@ -767,10 +741,11 @@ impl SchedScratch {
             }
 
             // Issue blocks from ready launches, in launch order, respecting
-            // the concurrent-kernel limit. Only a launch that can do
-            // something is visited: start (or be told to rescan), look at
-            // every SM, place on a dirty SM, or move the reservation.
-            // `ahead` counts the rescanning launches after the current one.
+            // the concurrent-kernel limit; a block goes to whichever SM has
+            // room for it. Only a launch that can do something is visited:
+            // start (or be told to rescan), look at every SM, or place on a
+            // dirty SM. `ahead` counts the rescanning launches after the
+            // current one.
             let mut ahead = rescans;
             let mut k = 0;
             while k < issuable.len() {
@@ -784,84 +759,40 @@ impl SchedScratch {
                     debug_assert!(w.full_scan);
                     continue;
                 }
-                let i = w.launch as usize;
-                if !w.full_scan && reservation.is_some_and(|(holder, _)| holder < i) {
+                if !w.full_scan {
                     if stale {
-                        any_admit = refresh_admits(spec, sms, dirty, reservation, demands, admits);
+                        any_admit = refresh_admits(spec, sms, dirty, demands, admits);
                         stale = false;
                     }
                     if !admits[w.demand as usize] {
-                        // Stalled since an earlier round, no dirty SM has
-                        // room and an older launch holds the reservation:
-                        // the visit would find nothing and change nothing.
+                        // Stalled since an earlier round and no dirty SM
+                        // has room: the visit would find nothing.
                         if ahead == 0 && !any_admit {
                             // Nor would the visit of any launch after it:
-                            // none rescans, all are younger, none is
-                            // admitted, and the kernel cap holds back only
-                            // rescanning ones.
+                            // none rescans, none is admitted, and the kernel
+                            // cap holds back only rescanning ones.
                             break;
                         }
                         continue;
                     }
                 }
+                let i = w.launch as usize;
                 let mut cap_reached = false;
                 let l = &mut states[i];
                 let demand = demands[w.demand as usize];
                 while l.next_block < l.blocks {
-                    // Find the SM with the most free warps that fits this
-                    // block, skipping an SM reserved for a starving older
-                    // launch.
-                    let reserved_for_other = reservation.filter(|&(h, _)| h != i).map(|(_, s)| s);
                     let found = if w.full_scan {
-                        best_sm(spec, sms, 0..sms.len(), &demand, reserved_for_other)
+                        best_sm(spec, sms, 0..sms.len(), &demand)
                     } else {
-                        best_sm(spec, sms, dirty.iter().copied(), &demand, reserved_for_other)
+                        best_sm(spec, sms, dirty, &demand)
                     };
                     let Some(s) = found else {
-                        // Could not place the next block. The oldest stalled
-                        // launch claims the reservation (preempting a younger
-                        // holder) on the SM with the most free warps; it is
-                        // sticky until the holder places a block, so draining
-                        // capacity there cannot be backfilled by others.
-                        // Every launch visited later this round is younger,
-                        // so the reservation now stays put until the next
-                        // completion: only dirty SMs can admit this launch.
+                        // No SM has room: the launch waits for a
+                        // completion, after which only the freed SM can
+                        // admit it.
                         w.full_scan = false;
-                        match reservation {
-                            Some((holder, _)) if holder <= i => {}
-                            _ => {
-                                // The SM with the most free warps, lowest
-                                // index on a tie.
-                                let pick = (0..sms.len()).reduce(|b, s| {
-                                    if sms[s].warps < sms[b].warps {
-                                        s
-                                    } else {
-                                        b
-                                    }
-                                });
-                                if let Some(s) = pick {
-                                    if let Some((_, lost)) = reservation {
-                                        // The preempted holder's SM opens up:
-                                        // for the younger launches still to be
-                                        // visited this round, and for this
-                                        // launch, which was locked out of it
-                                        // and only looks again next round.
-                                        dirty.push(lost);
-                                        w.full_scan = true;
-                                    }
-                                    reservation = Some((i, s));
-                                    stale = true;
-                                }
-                            }
-                        }
                         break;
                     };
-                    if let Some((_, freed)) = reservation.filter(|&(h, _)| h == i) {
-                        // The holder placed a block: younger launches may
-                        // use the SM it gives up within this round.
-                        dirty.push(freed);
-                        reservation = None;
-                    }
                     let bc = costs.cost(i, l.next_block);
                     let sm = &mut sms[s];
                     sm.blocks += 1;
@@ -920,7 +851,7 @@ impl SchedScratch {
                     // misses the dirty SMs of the rounds until then, so it
                     // rescans when the cap admits it. (One that failed
                     // earlier in this round would not have to, but a full
-                    // scan finds what the dirty SMs would.)
+                    // scan finds what the dirty SM would.)
                     for (at, e) in issuable.iter_mut().enumerate() {
                         if !e.started && !e.full_scan {
                             e.full_scan = true;
@@ -937,7 +868,7 @@ impl SchedScratch {
 
             // Advance to the next completion; if none is in flight the only
             // remaining progress source is a pending ready time in the future.
-            dirty.clear();
+            dirty = None;
             stale |= !mutated(Mutation::FlagsKeptAcrossRounds);
             match running.pop() {
                 Some(Reverse(c)) => {
@@ -951,7 +882,7 @@ impl SchedScratch {
                     sm.threads -= demand.threads;
                     sm.shared -= demand.shared;
                     sm.registers -= demand.registers;
-                    dirty.push(s);
+                    dirty = Some(s);
                     l.completed_blocks += 1;
                     if l.completed_blocks == l.blocks {
                         end_launch(states, edges, unblocked, launch, now);
@@ -1177,26 +1108,25 @@ mod tests {
     }
 
     #[test]
-    fn wide_blocks_are_not_starved_by_narrow_backfill() {
-        // 1 SM, 48 warps. An 18-warp-block kernel becomes ready (behind a
-        // same-stream predecessor) while younger launches drip hundreds of
-        // 8-warp blocks that would backfill every freed slot. The
-        // anti-starvation reservation must drain the SM for the wide block
-        // instead of making it wait for the whole drip to finish.
+    fn wide_block_goes_at_the_first_completion_that_leaves_it_room() {
+        // 1 SM, 48 warps. A 40-warp block leaves 8 warps free: too few for
+        // the 18-warp block of the next launch, enough for a younger drip
+        // of 8-warp blocks, which backfills them while the wide block
+        // waits. Each drip completion frees 8 warps only; the 40-warp
+        // block's completion is the first that leaves 18, and the wide
+        // block, the older launch, is placed there.
         let mut sp = DeviceSpec::single_sm();
         sp.launch_overhead_us = 0.0;
-        let prefix = record(0, 1, 6, 1215.0, 8);
-        let wide = record(1, 1, 1, 1215.0, 18);
-        let drips: Vec<_> = (2..=5).map(|i| record(i, i as u32, 50, 1215.0, 8)).collect();
-        let mut launches = vec![prefix, wide];
-        launches.extend(drips);
+        let launches = vec![
+            record(0, 1, 1, 1_215_000.0, 40),
+            record(1, 2, 1, 1215.0, 18),
+            record(2, 3, 2000, 12_150.0, 8),
+        ];
         let t = simulate(&sp, &CostModel::default(), ExecMode::Concurrent, &launches);
-        let wide_start = t.events[1].t_start_us;
-        let first_drip_end = t.events[2].t_end_us;
-        assert!(
-            wide_start < first_drip_end,
-            "wide kernel starved: starts {wide_start} vs first drip end {first_drip_end}"
-        );
+        let (big, wide, drip) = (&t.events[0], &t.events[1], &t.events[2]);
+        assert_eq!(drip.t_start_us, 0.0, "the drip backfills the free warps");
+        assert_eq!(wide.t_start_us, big.t_end_us, "placed when the 40 warps leave");
+        assert!(drip.t_end_us > wide.t_start_us, "the drip was still dripping");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! seeded generators of launch sets (a broad one, one that keeps many
 //! launches stalled at once, which is where the issue walk skips visits,
 //! and one shaped like a served batch, whose repeating costs are where the
-//! duration memo answers), the hand-built cases in which a launch that
+//! duration memo answers), the hand-built case in which a launch that
 //! rescans only the dirty SMs would miss one that admits it, a cost source
 //! that checks the loop asks for a launch's costs no sooner than it places
 //! the launch, and the tests that switch on the loop's [`Mutation`]s.
@@ -117,17 +117,6 @@ fn simulate_reference(
     let mut heap: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();
     let mut now = 0.0f64;
     let mut completed = 0usize;
-    // Anti-starvation reservation: when a ready launch cannot place its
-    // next block anywhere, the *oldest* such launch reserves one SM; no
-    // other launch may issue blocks there until the holder places a
-    // block. Without this, a wide block (say 18 warps) starves
-    // indefinitely behind a drip of narrow blocks from younger launches
-    // that backfill every freed slot — real work distributors dispatch
-    // blocks in kernel order and drain capacity for the oldest pending
-    // kernel instead. A single slot with age preemption keeps the rest of
-    // the device free for backfill while the reserved SM drains.
-    let mut reservation: Option<(usize, usize)> = None; // (launch, sm)
-
     // A launch with zero blocks completes the instant it becomes ready.
     let zero_block_complete = |states: &mut Vec<LaunchState>, idx: usize, t: f64| -> bool {
         if launches[idx].block_costs.is_empty() {
@@ -210,14 +199,10 @@ fn simulate_reference(
             let l = &launches[i];
             let started_before = states[i].next_block > 0;
             while states[i].next_block < l.block_costs.len() {
-                // Find the SM with the most free warps that fits this block,
-                // skipping an SM reserved for a starving older launch.
+                // Find the SM with the most free warps that fits this block.
                 let mut best: Option<usize> = None;
                 let mut best_free = 0i64;
                 for (s, sm) in sms.iter().enumerate() {
-                    if reservation.is_some_and(|(holder, rs)| rs == s && holder != i) {
-                        continue;
-                    }
                     let block_registers =
                         l.registers_per_thread.saturating_mul(l.threads_per_block);
                     let fits = sm.blocks < spec.max_blocks_per_sm
@@ -234,31 +219,8 @@ fn simulate_reference(
                     }
                 }
                 let Some(s) = best else {
-                    // Could not place the next block. The oldest stalled
-                    // launch claims the reservation (preempting a younger
-                    // holder) on the SM with the most free warps; it is
-                    // sticky until the holder places a block, so draining
-                    // capacity there cannot be backfilled by others.
-                    match reservation {
-                        Some((holder, _)) if holder <= i => {}
-                        _ => {
-                            let pick = sms
-                                .iter()
-                                .enumerate()
-                                .max_by_key(|(s, sm)| {
-                                    (spec.max_warps_per_sm as i64 - sm.warps as i64, Reverse(*s))
-                                })
-                                .map(|(s, _)| s);
-                            if let Some(s) = pick {
-                                reservation = Some((i, s));
-                            }
-                        }
-                    }
-                    break;
+                    break; // waits for a completion
                 };
-                if reservation.is_some_and(|(holder, _)| holder == i) {
-                    reservation = None;
-                }
                 let bc = l.block_costs[states[i].next_block];
                 let block_registers = l.registers_per_thread.saturating_mul(l.threads_per_block);
                 let sm = &mut sms[s];
@@ -495,8 +457,7 @@ fn generate(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
 /// kernel cap above the stream count), a few dozen to a few hundred blocks
 /// per launch, and five block footprints that compete for different
 /// budgets on a device of 2 to 14 SMs — narrow blocks backfill around
-/// wide ones, so the reservation is claimed, taken over by older launches
-/// and handed back inside rounds all the time.
+/// wide ones, so launches stall and resume side by side all the time.
 fn generate_stalled(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
     let mut rng = Rng(seed);
     let mut spec = DeviceSpec::gtx470();
@@ -616,6 +577,68 @@ fn generate_served(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
     (spec, launches)
 }
 
+/// Any device with a launch set whose every block fits its empty SM: 1 to 4
+/// SMs, each per-SM budget drawn on its own (a budget may be zero where no
+/// block demands it), a kernel cap of 1, 2 or 16, overheads of 0 or 8 µs.
+/// Blocks draw their threads, shared memory and registers up to the SM's
+/// budget, so a single block may fill an SM.
+fn generate_any_device(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
+    let mut rng = Rng(seed);
+    let mut spec = DeviceSpec::gtx470();
+    spec.sm_count = 1 + rng.below(4) as u32;
+    spec.max_blocks_per_sm = rng.pick(&[1, 2, 3, 8]);
+    spec.max_warps_per_sm = rng.pick(&[1, 4, 18, 48]);
+    spec.max_threads_per_sm = (1 + rng.below(spec.max_warps_per_sm as u64 * 32)) as u32;
+    spec.shared_mem_per_sm = rng.pick(&[0, 1024, 48 * 1024]);
+    spec.registers_per_sm = rng.pick(&[0, 4096, 32 * 1024]);
+    spec.max_concurrent_kernels = rng.pick(&[1, 2, 16]);
+    spec.launch_overhead_us = rng.pick(&[0.0, 8.0]);
+    spec.serial_profiling_overhead_us = rng.pick(&[0.0, 8.0]);
+
+    let n = 1 + rng.below(40) as usize;
+    let streams = 1 + rng.below(8);
+    let mut launches: Vec<LaunchRecord> = Vec::with_capacity(n);
+    for i in 0..n {
+        let threads = 1 + rng.below(spec.max_threads_per_sm as u64) as u32;
+        let shared = rng.below(spec.shared_mem_per_sm as u64 + 1) as u32;
+        let regs = rng.below((spec.registers_per_sm / threads) as u64 + 1) as u32;
+        let blocks = match rng.below(10) {
+            0 => 0,
+            1..=7 => 1 + rng.below(30),
+            _ => 100 + rng.below(200),
+        };
+        let block_costs = (0..blocks)
+            .map(|_| BlockCost {
+                issue_cycles: (200 + rng.below(6000)) as f64,
+                mem_latency_cycles: if rng.chance(40) { (400 * rng.below(30)) as f64 } else { 0.0 },
+                mem_bytes: if rng.chance(40) { 128 * rng.below(64) } else { 0 },
+            })
+            .collect();
+        let mut wait_events = Vec::new();
+        if i > 0 && rng.chance(20) {
+            let e = EventId(i as u32);
+            launches[rng.below(i as u64) as usize].record_events.push(e);
+            wait_events.push(e);
+        }
+        launches.push(LaunchRecord {
+            launch_idx: i,
+            kernel_name: "k",
+            stream: StreamId(rng.below(streams) as u32),
+            shared_mem_bytes: shared,
+            threads_per_block: threads,
+            warps_per_block: threads.div_ceil(32),
+            registers_per_thread: regs,
+            block_costs,
+            counters: KernelCounters::default(),
+            wait_events,
+            record_events: vec![],
+        });
+        let fits = launch_occupancy(&spec, threads, threads.div_ceil(32), shared, regs);
+        assert!(fits.blocks_per_sm >= 1, "seed {seed}: launch {i} fits no SM");
+    }
+    (spec, launches)
+}
+
 /// Field-by-field equality; floats by bit pattern.
 fn assert_identical(got: &Timeline, want: &Timeline, what: &str) {
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -643,55 +666,36 @@ fn outcome(run: impl FnOnce() -> Timeline) -> Result<Timeline, String> {
         .map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default())
 }
 
-/// Both loops over `seeds` scenarios of `generate`: equal timelines, or the
-/// same stall; at least `min_compared` must run to completion.
-fn differential(
-    mode: ExecMode,
-    generate: fn(u64) -> (DeviceSpec, Vec<LaunchRecord>),
-    seeds: u64,
-    min_compared: usize,
-) {
+/// Both loops over `seeds` scenarios of `generate`: every one completes in
+/// both, with equal timelines. Every generated block fits an empty SM, so
+/// a stall is a bug.
+fn differential(mode: ExecMode, generate: fn(u64) -> (DeviceSpec, Vec<LaunchRecord>), seeds: u64) {
     let cost = CostModel::default();
     // One scratch for the whole sweep, as `Gpu` keeps one across scopes:
-    // nothing of one scenario may leak into the next, a stalled one included.
+    // nothing of one scenario may leak into the next.
     let mut scratch = SchedScratch::default();
-    let mut compared = 0;
     for seed in 0..seeds {
         let (spec, launches) = generate(seed ^ 0x5eed_0000);
         let want = outcome(|| simulate_reference(&spec, &cost, mode, &launches));
         let got = outcome(|| scratch.simulate(&spec, &cost, mode, &launches));
         let what = format!("seed {seed} {mode:?}");
         match (got, want) {
-            (Ok(got), Ok(want)) => {
-                assert_identical(&got, &want, &format!("timeline of {what}"));
-                compared += 1;
+            (Ok(got), Ok(want)) => assert_identical(&got, &want, &format!("timeline of {what}")),
+            (got, want) => {
+                panic!("{what}: a loop did not complete: {:?} vs {:?}", got.err(), want.err())
             }
-            // The scheduling rules themselves can wedge a tiny device: an
-            // older launch that arrives on a drained device moves the
-            // reservation instead of placing, and with nothing in flight no
-            // later round retries. Both loops must give up at the same point.
-            (Err(got), Err(want)) => {
-                assert!(want.contains("scheduler stalled"), "{what}: {want}");
-                assert_eq!(got, want, "{what}");
-            }
-            (got, want) => panic!(
-                "{what}: one loop stalled, the other did not: {:?} vs {:?}",
-                got.err(),
-                want.err()
-            ),
         }
     }
-    assert!(compared >= min_compared, "only {compared} launch sets ran to completion");
 }
 
 #[test]
 fn event_driven_loop_matches_reference_concurrent() {
-    differential(ExecMode::Concurrent, generate, 640, 500);
+    differential(ExecMode::Concurrent, generate, 640);
 }
 
 #[test]
 fn event_driven_loop_matches_reference_serial() {
-    differential(ExecMode::Serial, generate, 640, 500);
+    differential(ExecMode::Serial, generate, 640);
 }
 
 #[test]
@@ -703,8 +707,8 @@ fn many_stalled_launches_match_reference() {
     let footprints: std::collections::HashSet<_> =
         launches.iter().map(|l| (l.warps_per_block, l.shared_mem_bytes)).collect();
     assert!(streams.len() >= 16 && footprints.len() >= 3, "{streams:?} {footprints:?}");
-    differential(ExecMode::Concurrent, generate_stalled, 200, 200);
-    differential(ExecMode::Serial, generate_stalled, 40, 40);
+    differential(ExecMode::Concurrent, generate_stalled, 200);
+    differential(ExecMode::Serial, generate_stalled, 40);
 }
 
 #[test]
@@ -725,13 +729,19 @@ fn served_batches_match_reference() {
     assert!(launches
         .iter()
         .all(|l| l.block_costs.iter().all(|c| fields(c, &l.block_costs[0]) <= 1)));
-    differential(ExecMode::Concurrent, generate_served, 200, 200);
-    differential(ExecMode::Serial, generate_served, 40, 40);
+    differential(ExecMode::Concurrent, generate_served, 200);
+    differential(ExecMode::Serial, generate_served, 40);
+}
+
+#[test]
+fn any_device_that_fits_every_block_completes() {
+    differential(ExecMode::Concurrent, generate_any_device, 640);
+    differential(ExecMode::Serial, generate_any_device, 640);
 }
 
 /// The served sweep the mutation tests run.
 fn served_sweep() {
-    differential(ExecMode::Concurrent, generate_served, 60, 60);
+    differential(ExecMode::Concurrent, generate_served, 60);
 }
 
 /// The served sweep must notice (as a different timeline, not a crash) a
@@ -744,24 +754,23 @@ fn served_sweep_catches_a_memo_key_without_resident_blocks() {
 }
 
 /// … and skip decisions that read footprint flags computed before the
-/// completion that started the round.
+/// completion that started the round: a launch the freed SM admits is
+/// skipped, and once nothing is in flight the loop stalls.
 #[test]
-#[should_panic(expected = "timeline of")]
+#[should_panic(expected = "a loop did not complete")]
 fn served_sweep_catches_flags_kept_across_rounds() {
     with_mutation(Mutation::FlagsKeptAcrossRounds, served_sweep);
 }
 
 /// A placement that does not mark the flags stale changes no decision: a
-/// placement only takes room away (a `true` gone stale costs a visit that
-/// finds nothing), and the one that gives room back — the holder's, which
-/// hands back its reserved SM — comes before the round's first skip
-/// decision, as does a reservation taken over. If a change of the rules
-/// makes the mark load-bearing, this test says so.
+/// placement only takes room away, so a `true` gone stale costs a visit
+/// that finds nothing. If a change of the rules makes the mark
+/// load-bearing, this test says so.
 #[test]
 fn flags_kept_across_placements_change_no_decision() {
     with_mutation(Mutation::FlagsKeptAcrossPlacements, || {
         served_sweep();
-        differential(ExecMode::Concurrent, generate_stalled, 60, 60);
+        differential(ExecMode::Concurrent, generate_stalled, 60);
     });
 }
 
@@ -807,84 +816,21 @@ fn both(spec: &DeviceSpec, launches: &[LaunchRecord], what: &str) -> Timeline {
 
 #[test]
 fn launch_skipped_by_the_kernel_cap_rescans_every_sm() {
-    // Launch 3 (20 warps) finds no SM in round 1 and reserves SM0; launch 4
-    // then starts as the 4th kernel, so round 2 skips launch 3 at the cap
-    // and it never sees that round's dirty SM0 (launch 0's short block
-    // left it). Round 3 follows launch 2 ending on SM1: the cap admits
-    // launch 3 again, SM1 is the only dirty SM and too full, SM0 fits.
+    // Launch 3 (20 warps) finds no SM in round 1; launch 4 then starts as
+    // the 4th kernel, so round 2 skips launch 3 at the cap and it never
+    // sees that round's dirty SM0 (launch 0's short block left it). Round 3
+    // follows launch 2 ending on SM1: the cap admits launch 3 again, SM1 is
+    // the only dirty SM and too full, SM0 fits.
     let launches = [
         launch(0, 30, &[SHORT, LONG]), // SM0, SM1
         launch(1, 4, &[LONG]),         // SM0
         launch(2, 10, &[SHORT]),       // SM1, 4x stretched: ends second
         launch(3, 20, &[LONG]),
-        launch(4, 2, &[LONG]), // SM1
+        launch(4, 2, &[LONG]), // SM0
     ];
     let t = both(&two_sms(4), &launches, "cap skip");
     assert!(t.events[0].t_end_us > t.events[2].t_end_us, "the short block ends first");
     assert_eq!(t.events[3].t_start_us, t.events[2].t_end_us, "placed when the cap admits it");
-}
-
-#[test]
-fn reservation_taken_over_by_an_older_launch_opens_the_old_sm() {
-    // Launch 3 (30 warps) reserves SM1, which locks launch 4 (6 warps)
-    // out of the only SM with room. Launch 0 ends on SM0; its stream
-    // successor, launch 1 (48 warps), fits nowhere and, being older,
-    // moves the reservation to SM0. SM1 is not the freed SM, yet launch
-    // 4 may use it from that moment.
-    let mut launches = [
-        launch(0, 4, &[SHORT]), // SM0
-        launch(1, 48, &[LONG]),
-        launch(2, 40, &[LONG, LONG]), // SM1, SM0
-        launch(3, 30, &[LONG]),
-        launch(4, 6, &[LONG]),
-    ];
-    launches[1].stream = launches[0].stream;
-    let t = both(&two_sms(16), &launches, "takeover");
-    assert_eq!(t.events[4].t_start_us, t.events[0].t_end_us, "placed on the released SM");
-    assert!(t.events[3].t_start_us > t.events[4].t_start_us, "the old holder still waits");
-}
-
-#[test]
-fn holder_placing_a_block_frees_its_reserved_sm_within_the_round() {
-    // Launch 3 (36 warps) reserves SM1 (10 warps free); launch 4 (8 warps)
-    // would fit there but is locked out. Launch 2's short block leaves
-    // SM0, launch 3 takes the room on SM0 and gives up SM1, and launch 4
-    // must find SM1 in the same round although no block left it.
-    let launches = [
-        launch(0, 6, &[LONG]),   // SM0
-        launch(1, 38, &[LONG]),  // SM1
-        launch(2, 40, &[SHORT]), // SM0
-        launch(3, 36, &[LONG]),
-        launch(4, 8, &[LONG]),
-    ];
-    let t = both(&two_sms(16), &launches, "holder release");
-    assert_eq!(t.events[3].t_start_us, t.events[2].t_end_us);
-    assert_eq!(t.events[4].t_start_us, t.events[2].t_end_us, "same round as the holder");
-}
-
-#[test]
-fn launch_that_moves_the_reservation_rescans_the_sm_it_was_locked_out_of() {
-    // Shared memory decides here. Launch 5 (40 KiB) fits next to neither
-    // 40 KiB launch 0 on SM0 nor 20 KiB launch 1 on SM1 and reserves SM1.
-    // Launch 3 (20 KiB) arrives when launch 2 ends: SM0 is too full, SM1
-    // would do but is reserved, so it moves the reservation — to SM0, and
-    // places nothing. The next completion, launch 4's, is on SM0 again;
-    // launch 3 must still find SM1, which no block has left.
-    let mut launches = [
-        launch(0, 8, &[LONG]),        // SM0
-        launch(1, 12, &[LONG]),       // SM1
-        launch(2, 4, &[SHORT]),       // SM0
-        launch(3, 8, &[LONG]),        // after launch 2, in its stream
-        launch(4, 4, &[2.0 * SHORT]), // SM0
-        launch(5, 8, &[LONG]),
-    ];
-    launches[3].stream = launches[2].stream;
-    for (i, kib) in [(0, 40), (1, 20), (3, 20), (5, 40)] {
-        launches[i].shared_mem_bytes = kib * 1024;
-    }
-    let t = both(&two_sms(16), &launches, "mover rescans");
-    assert!(t.events[4].t_end_us > t.events[2].t_end_us);
-    assert_eq!(t.events[3].t_start_us, t.events[4].t_end_us, "placed on the SM it unlocked");
 }
 
 /// The recorded costs of a launch set, checking what the loop asks and
@@ -945,22 +891,17 @@ impl BlockCosts for Counting<'_> {
 fn costs_are_first_asked_for_at_a_launchs_first_placement() {
     let cost = CostModel::default();
     let mut scratch = SchedScratch::default();
-    let mut checked = 0;
     for (generate, seeds) in [(generate as fn(u64) -> _, 200), (generate_stalled, 60)] {
         for seed in 0..seeds {
             let (spec, launches): (DeviceSpec, Vec<LaunchRecord>) = generate(seed ^ 0x5eed_0000);
             for mode in [ExecMode::Concurrent, ExecMode::Serial] {
-                let Ok(want) = outcome(|| simulate(&spec, &cost, mode, &launches)) else {
-                    continue;
-                };
+                let want = simulate(&spec, &cost, mode, &launches);
                 let mut counting = Counting::new(mode, &launches);
                 let got = scratch.simulate_from(&spec, &cost, mode, launches.iter(), &mut counting);
                 assert_identical(&got, &want, &format!("seed {seed} {mode:?}"));
                 // Every block was asked for (a zero-block launch has none).
                 assert!(counting.asked.iter().enumerate().all(|(i, &a)| a == counting.blocks(i)));
-                checked += 1;
             }
         }
     }
-    assert!(checked >= 400, "only {checked} launch sets ran to completion");
 }

@@ -161,3 +161,31 @@ fn devices_that_fit_no_block_return_typed_errors() {
         }
     }
 }
+
+/// One SM and more than one kernel in flight: the smallest device the
+/// scheduler must finish on. Both stage lists complete there and detect,
+/// window for window, what the one-thread run on the default device does.
+#[test]
+fn one_sm_devices_detect_what_the_reference_detects() {
+    let frame = busy_frame();
+    let (cascade, model) = (test_cascade(), CnnModel::seeded(0));
+    let reference = DetectorConfig { host_threads: Some(1), ..DetectorConfig::default() };
+    let haar_want = FaceDetector::new(&cascade, reference.clone()).detect(&frame).expect("haar");
+    let cnn_want =
+        CnnDetector::try_new(&model, reference).and_then(|mut d| d.detect(&frame)).expect("cnn");
+    for cap in [2, 16] {
+        let config = DetectorConfig {
+            device: DeviceSpec { max_concurrent_kernels: cap, ..DeviceSpec::single_sm() },
+            exec_mode: ExecMode::Concurrent,
+            ..DetectorConfig::default()
+        };
+        let haar = FaceDetector::new(&cascade, config.clone()).detect(&frame).expect("haar");
+        let cnn = CnnDetector::try_new(&model, config).and_then(|mut d| d.detect(&frame));
+        let cnn = cnn.expect("cnn");
+        for (got, want, what) in [(&haar, &haar_want, "haar"), (&cnn, &cnn_want, "cnn")] {
+            assert_eq!(got.raw, want.raw, "{what} at cap {cap}: raw windows");
+            assert_eq!(got.detections, want.detections, "{what} at cap {cap}: grouped");
+            assert!(got.detect_ms > want.detect_ms, "{what}: one SM is slower than 14");
+        }
+    }
+}
