@@ -474,7 +474,7 @@ mod tests {
         for k in 0..2000 {
             let cx = (k % 40) * 30;
             let cy = (k / 40) * 9;
-            dets.push(det(cx as i32, cy as i32, 48, (k % 7) as f32));
+            dets.push(det(cx, cy, 48, (k % 7) as f32));
         }
         let t0 = std::time::Instant::now();
         let groups = group_detections(&dets, 0.5, 1);

@@ -1705,6 +1705,7 @@ mod tests {
         // Different stream: ordered only by the RAW hazard on c.
         gpu.launch(DoubleKernel { buf: c }, LaunchConfig::linear(n, 256), s2).unwrap();
         gpu.synchronize();
-        assert!(gpu.mem.read(c).iter().all(|&v| v == (1 * 5 + 2) * 2));
+        // Input 1, times 5, plus 2, doubled.
+        assert!(gpu.mem.read(c).iter().all(|&v| v == (5 + 2) * 2));
     }
 }

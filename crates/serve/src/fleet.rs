@@ -24,10 +24,13 @@
 //!   deadline half of the deepest queue (at most four requests), keeping
 //!   survivors saturated through an outage.
 //!
-//! The fleet co-simulates its lanes with a min-clock event loop: each
-//! iteration steps the lane whose virtual clock is furthest behind
-//! (ties by index), so cross-lane decisions — migration targets, steal
-//! pairs, scheduled kills — happen at a deterministic global frontier.
+//! The fleet co-simulates its lanes as one discrete-event machine: each
+//! iteration steps the lane whose next event is earliest (work queued:
+//! its clock; idle: its next arrival or breaker expiry; ties by index),
+//! and scheduled kills, drains and rejoins apply in instant order once
+//! that frontier reaches them, before any lane acts past them. So
+//! cross-lane decisions — migration targets, steal pairs, lifecycle
+//! commands — happen at one deterministic global frontier.
 //! Everything is a pure function of the submissions, the configuration
 //! and the per-device fault plans; a fleet of one with no scheduled
 //! commands reduces exactly to its single [`DetectionServer`],
@@ -308,18 +311,14 @@ impl<D: Detector> FleetServer<D> {
         while self.step() {}
     }
 
-    /// One fleet event-loop iteration: apply due lifecycle commands,
-    /// step the furthest-behind lane, fold in its completions, then run
-    /// the failover and work-stealing policies. Returns `false` when no
-    /// live lane has pending work.
+    /// One fleet event-loop iteration: apply the lifecycle commands the
+    /// frontier has reached, step the lane whose next event is earliest,
+    /// fold in its completions, then run the failover and work-stealing
+    /// policies. Returns `false` when no live lane has pending work.
     pub fn step(&mut self) -> bool {
-        self.apply_due_commands();
-        let Some(device) = self.next_lane() else {
+        let Some(device) = self.apply_due_commands() else {
             return false;
         };
-        if self.apply_pre_step_command(device) {
-            return true;
-        }
         self.lanes[device].server.step();
         self.collect_completions(device);
         self.failover_if_open(device);
@@ -376,53 +375,30 @@ impl<D: Detector> FleetServer<D> {
         self.commands.insert(pos, cmd);
     }
 
-    /// The lane the event loop steps next: the furthest-behind clock
-    /// among live lanes with pending work, ties by index.
-    fn next_lane(&self) -> Option<usize> {
+    /// The fleet frontier: the live lane whose next event (the server's
+    /// `next_event_us`) is earliest, ties by index, and that instant.
+    fn next_lane(&self) -> Option<(usize, f64)> {
         self.lanes
             .iter()
             .enumerate()
-            .filter(|(_, l)| l.state != DeviceState::Dead && l.server.pending() > 0)
-            .min_by(|(_, a), (_, b)| a.server.now_us().total_cmp(&b.server.now_us()))
-            .map(|(i, _)| i)
+            .filter(|(_, l)| l.state != DeviceState::Dead)
+            .filter_map(|(i, l)| Some((i, l.server.next_event_us()?)))
+            .min_by(|(_, a), (_, b)| a.total_cmp(b))
     }
 
-    /// Apply every scheduled command whose instant the fleet frontier
-    /// (the next lane to step) has reached. Commands bind before the
-    /// affected lane can step past them: stepping requires being the
-    /// frontier, and the frontier cannot pass an unapplied command.
-    fn apply_due_commands(&mut self) {
+    /// Apply, in `(at_us, seq)` order, every scheduled command whose
+    /// instant the frontier has reached, then return the lane to step.
+    /// No lane acts past an unapplied command: a lane steps only as the
+    /// frontier, so only at an instant before every pending command.
+    fn apply_due_commands(&mut self) -> Option<usize> {
         loop {
-            let Some(frontier) = self.next_lane().map(|d| self.lanes[d].server.now_us()) else {
-                return;
-            };
+            let (device, frontier) = self.next_lane()?;
             if self.commands.first().is_none_or(|c| c.at_us > frontier) {
-                return;
+                return Some(device);
             }
             let cmd = self.commands.remove(0);
             self.apply_command(cmd);
         }
-    }
-
-    /// An idle lane about to jump its clock over a command's instant
-    /// applies the command first — otherwise a quiet lane could leap
-    /// past its own kill time and serve arrivals scheduled after its
-    /// death. Returns `true` when a command was applied (the caller
-    /// re-enters the loop instead of stepping).
-    fn apply_pre_step_command(&mut self, device: usize) -> bool {
-        let lane = &self.lanes[device];
-        let now = lane.server.now_us();
-        let jump_target =
-            if lane.server.queue_len() == 0 { lane.server.next_arrival_us() } else { None };
-        let due = |c: &ScheduledCommand| {
-            c.device == device && (c.at_us <= now || jump_target.is_some_and(|a| a >= c.at_us))
-        };
-        let Some(i) = self.commands.iter().position(due) else {
-            return false;
-        };
-        let cmd = self.commands.remove(i);
-        self.apply_command(cmd);
-        true
     }
 
     fn apply_command(&mut self, cmd: ScheduledCommand) {
@@ -773,6 +749,48 @@ mod tests {
         assert_eq!(print, print2, "chaos runs are seed-reproducible");
         let (baseline, _, _) = run(false);
         assert_eq!(baseline.served, 16);
+    }
+
+    #[test]
+    fn commands_apply_in_instant_order_and_never_delay_earlier_work() {
+        // Two early requests, then 22 more every 0.3 ms from 17 ms; lane 1
+        // dies at 12.1 ms, lane 0 at 14.1 ms, lane 2 drains at 16.04 ms.
+        // Idle lane 1's kill must wait for the frontier: applied early, its
+        // hand-over would move lane 0's clock past the early work.
+        let mut f = fleet(3, FleetConfig::default());
+        let arrivals =
+            [1200.0, 1300.0].into_iter().chain((0..22).map(|i| 17_000.0 + 300.0 * i as f64));
+        for (i, t) in arrivals.enumerate() {
+            f.submit(pattern_frame(64, 48, i % 4), Priority::Standard, t, 1e9).unwrap();
+        }
+        let kills = [(1, 12_100.0), (0, 14_100.0)];
+        for (device, at) in kills {
+            f.schedule_kill(device, at);
+        }
+        f.schedule_drain(2, 16_040.0);
+        f.run();
+        assert_eq!(f.completed().len(), 24);
+        for (c, &d) in f.completed().iter().zip(f.completed_device()) {
+            match c.outcome {
+                RequestOutcome::Served { dispatched_us, completed_us, .. } => {
+                    assert!(c.arrival_us < 2000.0, "request {} served: {:?}", c.id, c.outcome);
+                    assert!(
+                        completed_us < 12_100.0,
+                        "request {} served late at {completed_us}",
+                        c.id
+                    );
+                    if let Some(&(_, kill)) = kills.iter().find(|(k, _)| *k == d) {
+                        assert!(dispatched_us < kill, "lane {d} served after its kill");
+                    }
+                }
+                RequestOutcome::Evicted { .. } => {
+                    assert!(c.arrival_us > 16_040.0, "request {} evicted", c.id)
+                }
+                ref other => panic!("request {}: unexpected {other:?}", c.id),
+            }
+        }
+        assert_eq!(f.stats().served, 2);
+        assert_eq!(f.stats().evicted, 22);
     }
 
     #[test]

@@ -327,8 +327,26 @@ impl<D: Detector> DetectionServer<D> {
         self.queue.len()
     }
 
-    /// Arrival instant of the next calendar entry, if any.
-    pub fn next_arrival_us(&self) -> Option<f64> {
+    /// When this lane next acts: `None` with nothing pending, now with
+    /// work queued, else its wake-up (never before now). The fleet steps
+    /// lanes, and applies lifecycle commands, in the order of this instant.
+    pub(crate) fn next_event_us(&self) -> Option<f64> {
+        if !self.queue.is_empty() {
+            Some(self.now_us)
+        } else if self.arrivals.is_empty() {
+            None
+        } else {
+            self.wake_us().map(|t| t.max(self.now_us))
+        }
+    }
+
+    /// Where a lane with nothing to dispatch jumps its clock: the next
+    /// arrival or an open breaker's cool-down expiry, whichever is first.
+    fn wake_us(&self) -> Option<f64> {
+        [self.next_arrival_us(), self.health.open_until()].into_iter().flatten().reduce(f64::min)
+    }
+
+    fn next_arrival_us(&self) -> Option<f64> {
         self.arrivals.last().map(|r| r.arrival_us)
     }
 
@@ -438,28 +456,18 @@ impl<D: Detector> DetectionServer<D> {
             self.stats.brownout_ticks += 1;
         }
         self.ingest_due();
-        // Breaker open: dispatch is suspended. Jump the clock to the
-        // cool-down expiry or the next arrival (which gets rejected
-        // fail-fast at ingest), whichever comes first.
-        if let Some(until) = self.health.open_until() {
-            let next_arrival = self.arrivals.last().map(|r| r.arrival_us);
-            if self.arrivals.is_empty() && self.queue.is_empty() {
+        // Breaker open (dispatch suspended) or idle: jump the clock to the
+        // wake-up. An arrival while open is rejected fail-fast at the next
+        // step's ingest; an idle lane ingests at once.
+        let open = self.health.is_open();
+        if open || self.queue.is_empty() {
+            let Some(wake) = self.wake_us().filter(|_| self.pending() > 0) else {
                 return false;
+            };
+            self.now_us = self.now_us.max(wake);
+            if !open {
+                self.ingest_due();
             }
-            let target = match next_arrival {
-                Some(a) if a < until => a,
-                _ => until,
-            };
-            self.now_us = self.now_us.max(target);
-            return true;
-        }
-        if self.queue.is_empty() {
-            let Some(next) = self.arrivals.last() else {
-                return false;
-            };
-            // Idle: jump to the next arrival.
-            self.now_us = self.now_us.max(next.arrival_us);
-            self.ingest_due();
             return true;
         }
         if self.shed_late {
@@ -471,9 +479,8 @@ impl<D: Detector> DetectionServer<D> {
                 return true;
             }
         }
-        let next_arrival = self.arrivals.last().map(|r| r.arrival_us);
         let cap = self.health.batch_cap();
-        match self.batcher.decide(&self.queue, self.now_us, next_arrival, cap) {
+        match self.batcher.decide(&self.queue, self.now_us, self.next_arrival_us(), cap) {
             BatchDecision::WaitUntil(t) => {
                 self.now_us = self.now_us.max(t);
             }
@@ -876,6 +883,33 @@ mod tests {
         assert!(matches!(by_id(good).outcome, RequestOutcome::Served { .. }));
         assert_eq!(s.stats().failed, 1);
         assert_eq!(s.stats().served, 1);
+    }
+
+    #[test]
+    fn next_event_is_the_instant_the_next_step_acts_at() {
+        let mut s = server(ServeConfig::default());
+        assert_eq!(s.next_event_us(), None, "nothing pending");
+        s.submit(pattern_frame(64, 48, 0), Priority::Standard, 500.0, 1e9).unwrap();
+        assert_eq!(s.next_event_us(), Some(500.0), "idle with a calendar: the next arrival");
+        assert!(s.step());
+        assert_eq!((s.queue_len(), s.now_us()), (1, 500.0));
+        assert_eq!(s.next_event_us(), Some(500.0), "work queued: now");
+
+        // Open the breaker at 1 ms: the cool-down runs to 21 ms.
+        let mut s = server(ServeConfig::default());
+        s.advance_to(1000.0);
+        while !s.breaker_open() {
+            s.health.on_device_fault(1000.0);
+        }
+        let until = s.health.open_until().unwrap();
+        s.submit(pattern_frame(64, 48, 0), Priority::Standard, until + 5000.0, 1e9).unwrap();
+        assert_eq!(s.next_event_us(), Some(until), "cool-down expires before the arrival");
+        s.submit(pattern_frame(64, 48, 0), Priority::Standard, 4000.0, 1e9).unwrap();
+        assert_eq!(s.next_event_us(), Some(4000.0), "arrival comes before the expiry");
+        assert!(s.step());
+        assert_eq!(s.now_us(), 4000.0, "the step jumps to the same instant");
+        s.advance_to(until + 1000.0);
+        assert_eq!(s.next_event_us(), Some(until + 1000.0), "never before now");
     }
 
     #[test]

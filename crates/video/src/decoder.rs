@@ -335,7 +335,7 @@ mod tests {
         let mut dec = HwDecoder::new(trailer());
         dec.set_fault_plan(Some(DecodeFaultPlan::seeded(7).with_corrupt_frames(0.5)));
         let verdicts: Vec<_> = (0..12).map(|f| dec.frame_fault(f)).collect();
-        assert!(verdicts.iter().any(|v| *v == Some(DecodeFault::Corrupted)));
+        assert!(verdicts.contains(&Some(DecodeFault::Corrupted)));
         assert!(verdicts.iter().any(|v| v.is_none()));
         // Same plan, fresh decoder: identical verdicts and identical pixels.
         let mut dec2 = HwDecoder::new(trailer());

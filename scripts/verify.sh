@@ -135,7 +135,7 @@ repo_benchmark() {
 }
 
 clippy() {
-  cargo clippy --all-targets --offline -- -D warnings
+  cargo clippy --workspace --all-targets --keep-going --offline -- -D warnings
 }
 
 gate "non-test lines under crates/*/src against the change's parent (scripts/loc.sh)" line_count
@@ -147,7 +147,7 @@ gate "repo benchmark crate builds (its own workspace; fails here if a public nam
 gate "cargo test -q" tests
 gate "bench equality (fusion_autotune, serve, fault_sweep, cnn_eval reproduce results/BENCH_*.json byte for byte)" bench_equality
 gate "repo benchmark (virtual clock, shares, counts and det_digest equal to benchmark/baseline/seed1.jsonl)" repo_benchmark
-gate "cargo clippy --all-targets -- -D warnings" clippy
+gate "cargo clippy --workspace --all-targets --keep-going -- -D warnings" clippy
 
 if [ "${#failed[@]}" -gt 0 ]; then
   echo "verify: FAILED in $SECONDS s: ${#failed[@]} gate(s):" >&2

@@ -12,9 +12,14 @@
 //! under random kill, drain and rejoin commands, every request reaches
 //! exactly one terminal outcome, and the completion log does not depend
 //! on the host thread count.
+//!
+//! Causality: a lifecycle command cannot reach into the fleet's past.
+//! Every request decided before the earliest command instant ends the
+//! same way, on the same lane, with the commands as without them.
 
 use facedet::gpu::FaultPlan;
 use facedet::prelude::*;
+use facedet::serve::RequestOutcome;
 use proptest::prelude::*;
 
 mod lattice;
@@ -52,15 +57,15 @@ fn frame(shift: usize) -> GrayImage {
     })
 }
 
-/// Runs one conservation case at `threads` host threads: the fleet's
-/// completion log, device attribution and merged stats as text.
+/// Runs one lifecycle case at `threads` host threads and checks that
+/// every request completed exactly once.
 fn lifecycle_run(
     lanes: usize,
     plan_seed: u64,
     requests: &[(f64, usize, usize)],
     commands: &[(u8, usize, f64)],
     threads: usize,
-) -> String {
+) -> FleetServer {
     let plan = FaultPlan::seeded(plan_seed)
         .with_transient_launch_failures(0.01)
         .with_launch_timeouts(0.005);
@@ -93,9 +98,26 @@ fn lifecycle_run(
     }
     assert!(seen.iter().all(|&n| n == 1), "every request completes exactly once: {seen:?}");
     assert_eq!(fleet.completed_device().len(), fleet.completed().len());
-    let stats = fleet.stats();
-    assert_eq!(stats.submitted, requests.len() as u64);
-    format!("{:?}\n{:?}\n{stats:?}", fleet.completed(), fleet.completed_device())
+    assert_eq!(fleet.stats().submitted, requests.len() as u64);
+    fleet
+}
+
+/// The completion log, device attribution and merged stats as text.
+fn log(fleet: &FleetServer) -> String {
+    format!("{:?}\n{:?}\n{:?}", fleet.completed(), fleet.completed_device(), fleet.stats())
+}
+
+/// The instant a request's outcome was fixed; rejections carry none.
+fn decided_us(outcome: &RequestOutcome) -> Option<f64> {
+    match *outcome {
+        RequestOutcome::Served { completed_us, .. }
+        | RequestOutcome::Degraded { completed_us, .. } => Some(completed_us),
+        RequestOutcome::ShedLate { shed_us } => Some(shed_us),
+        RequestOutcome::Expired { expired_us, .. } => Some(expired_us),
+        RequestOutcome::Evicted { evicted_us } => Some(evicted_us),
+        RequestOutcome::Failed { dispatched_us, .. } => Some(dispatched_us),
+        _ => None,
+    }
 }
 
 proptest! {
@@ -127,6 +149,39 @@ proptest! {
     ) {
         let one = lifecycle_run(lanes, plan_seed, &requests, &commands, 1);
         let two = lifecycle_run(lanes, plan_seed, &requests, &commands, 2);
-        prop_assert_eq!(one, two);
+        prop_assert_eq!(log(&one), log(&two));
+    }
+
+    /// Lifecycle commands change nothing decided before the earliest of
+    /// them: same outcome, same lane.
+    #[test]
+    fn fleet_lifecycle_commands_do_not_reach_into_the_past(
+        lanes in 2usize..=3,
+        plan_seed in any::<u64>(),
+        requests in prop::collection::vec((0.0f64..1_500.0, 0usize..3, 0usize..4), REQUESTS),
+        commands in prop::collection::vec((0u8..3, 0usize..3, 0.0f64..40_000.0), 1..=4),
+    ) {
+        let first = commands.iter().map(|c| c.2).fold(f64::INFINITY, f64::min);
+        let free = lifecycle_run(lanes, plan_seed, &requests, &[], 1);
+        let commanded = lifecycle_run(lanes, plan_seed, &requests, &commands, 1);
+        let outcome_and_lane = |fleet: &FleetServer, id| {
+            let i = fleet.completed().iter().position(|c| c.id == id).expect("completed");
+            (format!("{:?}", fleet.completed()[i].outcome), fleet.completed_device()[i])
+        };
+        for c in free.completed() {
+            if decided_us(&c.outcome).is_some_and(|t| t < first) {
+                let before = outcome_and_lane(&free, c.id);
+                let after = outcome_and_lane(&commanded, c.id);
+                prop_assert_eq!(
+                    &before,
+                    &after,
+                    "request {} was decided before the first command at {}: {:?} became {:?}",
+                    c.id,
+                    first,
+                    before,
+                    after
+                );
+            }
+        }
     }
 }
