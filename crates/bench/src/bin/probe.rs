@@ -101,15 +101,13 @@ fn sim_cost() {
 /// `--bodies`: host ms per kernel name — the sum of its
 /// [`Profiler::host_spans`] — and of the timing simulation, for one 1080p
 /// frame (the default configuration, as `trailer_1080p` runs it) and for
-/// a batch of eight VGA frames (fused and autotuned, as `batch_vga_fused`
-/// runs it).
+/// a batch of eight VGA frames (fused, as `batch_vga_fused` runs it).
 fn body_cost() {
     let ops = arg_usize("--ops", 50).max(1);
-    let fused =
-        DetectorConfig { fusion: Some(true), autotune: Some(true), ..DetectorConfig::default() };
+    let fused = DetectorConfig { fusion: Some(true), ..DetectorConfig::default() };
     for (shape, (width, height), count, config) in [
         ("one 1080p frame", (1920, 1080), 1, DetectorConfig::default()),
-        ("eight VGA frames, fused and autotuned", (640, 480), 8, fused),
+        ("eight VGA frames, fused", (640, 480), 8, fused),
     ] {
         let mut per_kernel: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
         let (mut bodies, mut timing) = (Vec::with_capacity(ops), Vec::with_capacity(ops));

@@ -14,7 +14,7 @@
 //! | ↳ `fig9` | Fig. 9 — TPR/FP curves at 15/20/25-equivalent stages |
 //! | ↳ `counters` | §VI-A text figures: branch efficiency, DRAM throughput, stage shares |
 //! | ↳ `ablations`, `ablation_rearrange`, `ablation_softcascade`, `ablation_multigpu` | design ablations and §II alternatives |
-//! | `fusion_autotune` | the {fusion} x {autotune} grid at two sizes |
+//! | `fusion` | unfused vs fused pipeline time at two sizes |
 //! | `serve [load\|faults\|fleet\|mixed]` | the serving benches |
 //! | `fault_sweep` | stream throughput and frame accounting vs fault rate |
 //! | `cnn_eval` | the Haar/CNN accuracy/latency front |

@@ -46,12 +46,10 @@ pub struct DetectorConfig {
     /// ignores it: its stage list builds no chains, and its kernels are
     /// unfusable.
     pub fusion: Option<bool>,
-    /// Autotune the Haar pipeline's launch shapes through the scheduler's
-    /// occupancy model (see [`fd_gpu::tune`]). `None` means off (the
-    /// fixed-shape baseline). Detections are byte-identical either way;
-    /// only block shapes and timing change. Fused chains keep their
-    /// stacked default shapes (one thread count across a chain is part of
-    /// the fusion contract). The CNN backend ignores it.
+    /// Read by nothing: every kernel launches its one fixed shape (the
+    /// cascade the paper's 24 x 24 blocks), whatever this holds. Kept
+    /// because the repo benchmark sets it; it goes with the next change
+    /// to the benchmark.
     pub autotune: Option<bool>,
 }
 
@@ -425,6 +423,35 @@ mod tests {
         }
         assert!(!batch[0].raw.is_empty());
         assert!(batch[1].raw.is_empty());
+    }
+
+    /// `autotune` is read by nothing: a fused batch of 240x180 frames runs
+    /// the same launches, on the same clock, with it on as without.
+    #[test]
+    fn autotune_is_inert() {
+        let frame = GrayImage::from_fn(240, 180, |x, y| {
+            let stripes = if (x / 12) % 2 == 0 { 0.0 } else { 230.0 };
+            stripes + ((x * 31 + y * 17) % 23) as f32
+        });
+        let run = |autotune: Option<bool>| {
+            let config = DetectorConfig {
+                min_neighbors: 1,
+                fusion: Some(true),
+                autotune,
+                ..DetectorConfig::default()
+            };
+            let mut det = FaceDetector::new(&edge_cascade(4), config);
+            let results: Vec<_> = det
+                .detect_batch(&[&frame; 4])
+                .unwrap()
+                .iter()
+                .map(|r| format!("{:?} {:?} {:?}", r.timeline, r.raw, r.detections))
+                .collect();
+            (results, format!("{:?}", det.profiler()))
+        };
+        let (on, off) = (run(Some(true)), run(None));
+        assert!(on.0[0].contains("Detection"), "the frames must fire windows");
+        assert_eq!(on, off);
     }
 
     #[test]

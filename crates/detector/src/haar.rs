@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use fd_gpu::{
-    BatchedKernel, ConstPtr, DevBuf, DeviceMemory, FusedChain, GeomClass, Gpu, Kernel,
-    LaunchConfig, LaunchError, Readback, ShapeCache, Timeline, WorkspaceFill,
+    BatchedKernel, ConstPtr, DevBuf, DeviceMemory, FusedChain, Gpu, LaunchError, Readback,
+    Timeline, WorkspaceFill,
 };
 use fd_haar::encode::{encode_cascade, quantize_cascade};
 use fd_haar::Cascade;
@@ -98,28 +98,6 @@ pub struct HaarStages {
     image_offs: Vec<Arc<StageOffsets>>,
     /// [`DetectorConfig::fusion`].
     fusion: bool,
-    /// [`DetectorConfig::autotune`].
-    autotune: bool,
-    /// Tuned-shape memo, keyed by `(kernel, geometry class)` — shared by
-    /// every level, frame and batch these stages run.
-    shapes: ShapeCache,
-}
-
-/// The launch geometry for `kernel`, re-tiled through the shape cache
-/// when the kernel advertises a family; the declared default otherwise.
-fn tuned_cfg<K: Kernel>(
-    shapes: &mut ShapeCache,
-    kernel: &K,
-    class: GeomClass,
-    default_cfg: LaunchConfig,
-) -> LaunchConfig {
-    match kernel.shape_family() {
-        Some(family) => {
-            let c = shapes.choose(class, &family);
-            LaunchConfig { grid: c.grid, block: c.block, shared_mem_bytes: c.shared_mem_bytes }
-        }
-        None => default_cfg,
-    }
 }
 
 impl HaarStages {
@@ -134,7 +112,7 @@ impl HaarStages {
     /// (`scaled`, `filtered`, `buf_a`) off the global traffic ledger.
     /// Functional results are bit-identical either way.
     fn launch_pyramid_stages(
-        &mut self,
+        &self,
         gpu: &mut Gpu,
         lv: &LevelLaunch<'_, LevelBufs>,
     ) -> Result<(), (&'static str, LaunchError)> {
@@ -170,24 +148,12 @@ impl HaarStages {
             .bufs()
             .map(|b| TransposeKernel { src: b.buf_a, dst: b.integral, width: h, height: w })
             .collect();
-        let mut sc_cfg = scales[0].config();
-        let mut f_cfg = filters[0].config();
-        let mut s1_cfg = scan1s[0].config();
+        let sc_cfg = scales[0].config();
+        let f_cfg = filters[0].config();
+        let s1_cfg = scan1s[0].config();
         let t1_cfg = t1s[0].config();
-        let mut s2_cfg = scan2s[0].config();
+        let s2_cfg = scan2s[0].config();
         let t2_cfg = t2s[0].config();
-        // Fused chains keep their stacked default shapes: one thread
-        // count across all chained stages is part of the fusion contract,
-        // and per-stage re-tiling would break it. Unfused launches are
-        // free to take the tuned shape per stage (the transpose has no
-        // family — its diagonal tile is its identity).
-        if self.autotune && !self.fusion {
-            let shapes = &mut self.shapes;
-            sc_cfg = tuned_cfg(shapes, &scales[0], GeomClass::of(w, h), sc_cfg);
-            f_cfg = tuned_cfg(shapes, &filters[0], GeomClass::of(w, h), f_cfg);
-            s1_cfg = tuned_cfg(shapes, &scan1s[0], GeomClass::of(w, h), s1_cfg);
-            s2_cfg = tuned_cfg(shapes, &scan2s[0], GeomClass::of(h, w), s2_cfg);
-        }
 
         if self.fusion {
             // Stack each stage across request slots first (grid.z), then
@@ -241,9 +207,9 @@ impl StageList for HaarStages {
                 reason: "the cascade kernel is specialized for 24-px windows",
             });
         }
-        // Its block family (`24 x h` threads, whole warps only at 32
-        // lanes) and its 32-entry lane lists: any other warp size panics
-        // or never terminates inside a launch.
+        // Its 24 x 24 blocks (whole warps only at 32 lanes) and its
+        // 32-entry lane lists: any other warp size panics or never
+        // terminates inside a launch.
         if gpu.spec.warp_size != 32 {
             return Err(DetectorError::InvalidConfig {
                 reason: "the cascade kernel is specialized for 32-lane warps",
@@ -261,8 +227,6 @@ impl StageList for HaarStages {
             const_ptr,
             image_offs: Vec::new(),
             fusion: false,
-            autotune: false,
-            shapes: ShapeCache::new(gpu.spec.clone(), gpu.cost.clone()),
         })
     }
 
@@ -314,7 +278,7 @@ impl StageList for HaarStages {
     ) -> Result<(), (&'static str, LaunchError)> {
         self.launch_pyramid_stages(gpu, lv)?;
         let (w, h) = (lv.w, lv.h);
-        let mut cascades: Vec<_> = lv
+        let cascades: Vec<_> = lv
             .bufs()
             .map(|b| {
                 CascadeKernel::with_stages(
@@ -329,16 +293,6 @@ impl StageList for HaarStages {
                 )
             })
             .collect();
-        // The cascade's shape lives on the kernel (its tile height), so
-        // re-tiling rebuilds the kernels, not just the config.
-        if self.autotune {
-            if let Some(family) = cascades[0].shape_family() {
-                let bh = self.shapes.choose(GeomClass::of(w, h), &family).block.y;
-                if bh != CascadeKernel::BLOCK {
-                    cascades = cascades.into_iter().map(|k| k.with_block_h(bh)).collect();
-                }
-            }
-        }
         let cfg = cascades[0].config();
         gpu.launch_batched(cascades, cfg, lv.stream).map_err(|e| ("cascade_eval", e))?;
 
@@ -418,7 +372,6 @@ impl StageList for HaarStages {
 
     fn configure(&mut self, config: &DetectorConfig) {
         self.fusion = config.fusion.unwrap_or(false);
-        self.autotune = config.autotune.unwrap_or(false);
     }
 }
 
@@ -616,9 +569,6 @@ mod tests {
     fn fusion_credits_intermediate_traffic() {
         let frame = test_frame();
         let counters = |fusion: bool| {
-            // Byte-for-byte ledger comparison needs both runs on the
-            // default shapes (autotune off): re-tiling changes halo
-            // traffic.
             let mut p = pipeline();
             p.stages_mut().fusion = fusion;
             let _ = p.run_frame(&frame).unwrap();
@@ -637,41 +587,6 @@ mod tests {
             f.fused_bytes(),
             "every avoided global byte is accounted as fused"
         );
-    }
-
-    #[test]
-    fn autotuned_frames_are_byte_identical_to_fixed_shapes() {
-        let frame = test_frame();
-        let run = |autotune: bool, fusion: bool| {
-            let mut p = pipeline();
-            p.stages_mut().autotune = autotune;
-            p.stages_mut().fusion = fusion;
-            let (outputs, t) = p.run_frame(&frame).unwrap();
-            // Each launch's geometry: block count and residency.
-            let shapes: Vec<_> =
-                t.events.iter().map(|e| (e.blocks, e.occupancy.resident_warps)).collect();
-            (outputs, p.stages().shapes.len(), shapes)
-        };
-        let (base, n_off, fixed) = run(false, false);
-        assert_eq!(n_off, 0, "autotune off must not touch the shape cache");
-        for fusion in [false, true] {
-            let (tuned, n_on, shapes) = run(true, fusion);
-            assert!(n_on > 0, "autotune must resolve at least one class");
-            if !fusion {
-                assert_eq!(shapes.len(), fixed.len(), "same launch count either way");
-                assert_ne!(shapes, fixed, "autotune must re-tile at least one launch");
-            }
-            for (a, b) in base.iter().zip(&tuned) {
-                assert_eq!(a.depth, b.depth, "level {}", a.level);
-                assert_eq!(
-                    a.score.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    b.score.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "level {}",
-                    a.level
-                );
-                assert_eq!(a.hits, b.hits, "level {}", a.level);
-            }
-        }
     }
 
     #[test]

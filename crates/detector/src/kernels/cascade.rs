@@ -223,10 +223,8 @@ pub(crate) type StageOffsets = Vec<Vec<CornerOffsets>>;
 /// frame.
 pub(crate) fn image_offsets(stages: &[PreStage], width: usize, height: usize) -> Arc<StageOffsets> {
     let (tile, block) = (CascadeKernel::TILE as usize, CascadeKernel::BLOCK as usize);
-    let lowest =
-        CascadeKernel::BLOCK_HEIGHTS.into_iter().min().unwrap_or(CascadeKernel::BLOCK) as usize;
     // The second block of the second block row is the first candidate.
-    let room = width >= block - 1 + tile && height >= lowest - 1 + lowest + block;
+    let room = width.min(height) >= block - 1 + tile;
     let stages = if room { stages } else { &[] };
     Arc::new(stages.iter().map(|stage| stage.offsets_at(width)).collect())
 }
@@ -255,11 +253,6 @@ pub struct CascadeKernel {
     /// reads per rectangle per lane), modelling a kernel without the
     /// Eqs. 1-4 staging.
     pub use_shared_tile: bool,
-    /// Block height in window rows (the autotuner's shape axis). The
-    /// block stays [`Self::BLOCK`] columns wide — the tile row stride the
-    /// precompiled stump offsets assume — and covers `block_h` rows of
-    /// window origins with a `48 x (block_h + 24)` shared tile.
-    pub(super) block_h: u32,
 }
 
 impl CascadeKernel {
@@ -270,11 +263,6 @@ impl CascadeKernel {
     pub const TILE: u32 = 48;
     /// Shared-memory request for the tile.
     pub const SHARED_BYTES: u32 = Self::TILE * Self::TILE * 4;
-    /// Block heights the autotuner may pick from, default first. All
-    /// keep whole warps (`24 * h` divisible by 32) so warp lane
-    /// composition — and with it divergence metering and every output
-    /// byte — is identical across the family.
-    pub const BLOCK_HEIGHTS: [u32; 5] = [24, 20, 16, 12, 8];
 
     /// `Self::with_stages` over a freshly precompiled `cascade`,
     /// which must already be quantized to the constant-memory grid (so the
@@ -325,7 +313,6 @@ impl CascadeKernel {
             stages,
             window: Self::BLOCK as usize,
             use_shared_tile: true,
-            block_h: Self::BLOCK,
         }
     }
 
@@ -338,26 +325,9 @@ impl CascadeKernel {
         self
     }
 
-    /// Re-tile to `block_h` window rows per block (width stays
-    /// [`Self::BLOCK`]). Must be one of [`Self::BLOCK_HEIGHTS`]' legal
-    /// heights: `1..=24` with `24 * block_h` a warp multiple.
-    pub fn with_block_h(mut self, block_h: u32) -> Self {
-        assert!(
-            (1..=Self::BLOCK).contains(&block_h) && (Self::BLOCK * block_h).is_multiple_of(32),
-            "block_h must be in 1..=24 with 24*block_h a warp multiple, got {block_h}"
-        );
-        self.block_h = block_h;
-        self
-    }
-
-    /// Shared-tile bytes for a given block height: `48 x (h + 24)` u32s.
-    fn shared_bytes_for(block_h: u32) -> u32 {
-        Self::TILE * (block_h + Self::BLOCK) * 4
-    }
-
     pub fn config(&self) -> LaunchConfig {
-        LaunchConfig::tile2d(self.width, self.height, Self::BLOCK, self.block_h)
-            .with_shared_mem(Self::shared_bytes_for(self.block_h))
+        LaunchConfig::tile2d(self.width, self.height, Self::BLOCK, Self::BLOCK)
+            .with_shared_mem(Self::SHARED_BYTES)
     }
 
     pub fn n_stages(&self) -> u32 {
@@ -449,17 +419,16 @@ impl CascadeKernel {
         out: &mut Results<'_>,
     ) -> KernelCounters {
         let b = Self::BLOCK as usize;
-        let bh = self.block_h as usize;
         let (w, h) = (self.width, self.height);
         let mut c = KernelCounters::default();
 
-        // Coalesced 4-byte loads covering the `48 x (block_h + 24)` tile +
-        // the matching shared stores (whole-warp transactions,
+        // Coalesced 4-byte loads covering the `48 x 48` tile + the
+        // matching shared stores (whole-warp transactions,
         // `loads_per_thread` rounds), then the barrier.
-        let threads = (b * bh) as u64;
+        let threads = (b * b) as u64;
         let block_warps = threads.div_ceil(ctx.warp_size() as u64);
         if self.use_shared_tile {
-            let tile_entries = (Self::TILE as usize * (bh + b)) as u64;
+            let tile_entries = (Self::TILE * Self::TILE) as u64;
             c.global_bytes_read += 4 * tile_entries;
             c.shared_transactions += tile_entries.div_ceil(threads) * block_warps;
             c.barriers += ctx.warps_in_block();
@@ -538,7 +507,7 @@ impl CascadeKernel {
         );
 
         // Depth + score stores: 8 bytes per covered pixel.
-        let covered = (w - bx).min(b) * (h - by).min(bh);
+        let covered = (w - bx).min(b) * (h - by).min(b);
         c.global_bytes_written += 8 * covered as u64;
         c
     }
@@ -556,33 +525,31 @@ impl CascadeKernel {
         (bx, by): (usize, usize),
         out: &mut Results<'_>,
     ) -> KernelCounters {
-        let b = Self::BLOCK as usize;
-        let bh = self.block_h as usize;
-        let (tile_w, tile_h) = (Self::TILE as usize, bh + b);
+        let (b, side) = (Self::BLOCK as usize, Self::TILE as usize);
         let (w, h) = (self.width, self.height);
         // ---- Cooperative tile load (Eqs. 1-4): the block stages the
-        // `48 x (block_h + 24)` neighbourhood its windows touch. Tile
-        // (0,0) maps to integral entry (bx-1, by-1); entries outside the
-        // image are zero, the in-image span of each row is one copy.
+        // `48 x 48` neighbourhood its windows touch. Tile (0,0) maps to
+        // integral entry (bx-1, by-1); entries outside the image are zero,
+        // the in-image span of each row is one copy.
         tile.fill(0);
         let (gx0, gy0) = (bx.saturating_sub(1), by.saturating_sub(1));
-        let gx1 = (bx + tile_w - 1).min(w);
-        let gy1 = (by + tile_h - 1).min(h);
+        let gx1 = (bx + side - 1).min(w);
+        let gy1 = (by + side - 1).min(h);
         for gy in gy0..gy1 {
-            let t0 = (gy + 1 - by) * tile_w + (gx0 + 1 - bx);
+            let t0 = (gy + 1 - by) * side + (gx0 + 1 - bx);
             tile[t0..t0 + (gx1 - gx0)].copy_from_slice(&integral[gy * w + gx0..gy * w + gx1]);
         }
         // Threads without a whole window in the image report depth 0 and
         // no score; window origins `(bx + tx, by + ty)` with `tx <
         // valid_w` and `ty < valid_h` are the valid ones.
-        let (covered_w, covered_h) = ((w - bx).min(b), (h - by).min(bh));
+        let (covered_w, covered_h) = ((w - bx).min(b), (h - by).min(b));
         for y in by..by + covered_h {
             out.depth[y * w + bx..][..covered_w].fill(0);
             out.score[y * w + bx..][..covered_w].fill(f32::NEG_INFINITY);
         }
         let valid_w = (w + 1).saturating_sub(bx + self.window).min(b);
-        let valid_h = (h + 1).saturating_sub(by + self.window).min(bh);
-        let src = WindowSource { data: tile, stride: tile_w, origin: 0, image_offs: None };
+        let valid_h = (h + 1).saturating_sub(by + self.window).min(b);
+        let src = WindowSource { data: tile, stride: side, origin: 0, image_offs: None };
         let mut passed = [0u32; Self::BLOCK as usize];
         if valid_w > 0 {
             for (ty, passed) in passed.iter_mut().enumerate().take(valid_h) {
@@ -603,30 +570,27 @@ impl CascadeKernel {
         blocks: Range<u64>,
         sink: &mut dyn FnMut(&KernelCounters),
     ) {
-        let b = Self::BLOCK as usize;
-        let bh = self.block_h as usize;
-        let tile_w = Self::TILE as usize;
-        let tile_h = bh + b;
+        let (b, side) = (Self::BLOCK as usize, Self::TILE as usize);
         let (w, h) = (self.width, self.height);
-        ctx.require_shared(tile_w * tile_h * 4);
+        ctx.require_shared(Self::SHARED_BYTES as usize);
 
         let integral = ctx.mem.read(self.integral);
         let mut depth_out = ctx.mem.write(self.depth_out);
         let mut score_out = ctx.mem.write(self.score_out);
         let out = &mut Results { depth: &mut depth_out, score: &mut score_out };
-        let mut tile = vec![0u32; tile_w * tile_h];
+        let mut tile = vec![0u32; side * side];
         let mut passed: Vec<Passed> = Vec::new();
 
         for (first, len) in ctx.bands(blocks) {
-            let by = first.y as usize * bh;
+            let by = first.y as usize * b;
             let xs = first.x as usize..first.x as usize + len as usize;
             // Blocks whose tile — integral entries `(bx - 1, by - 1)` to
-            // `(bx + 46, by + block_h + 22)` — lies inside the image: every
+            // `(bx + 46, by + 46)` — lies inside the image: every
             // window valid, every corner read in place.
             let past = mutated(Mutation::InsideRow) as usize;
-            let rows_inside = by >= 1 && by - 1 + tile_h <= h + past;
-            let inside = if rows_inside && w >= tile_w && !self.image_offs.is_empty() {
-                let inside = xs.start.max(1)..xs.end.min((w - tile_w + 1) / b + 1);
+            let rows_inside = by >= 1 && by - 1 + side <= h + past;
+            let inside = if rows_inside && w >= side && !self.image_offs.is_empty() {
+                let inside = xs.start.max(1)..xs.end.min((w - side + 1) / b + 1);
                 inside.start..inside.end.max(inside.start)
             } else {
                 xs.start..xs.start
@@ -646,13 +610,13 @@ impl CascadeKernel {
             };
             passed.clear();
             passed.resize(inside.len(), [0; Self::BLOCK as usize]);
-            for ty in 0..bh {
+            for ty in 0..b {
                 for (x, passed) in inside.clone().zip(&mut passed) {
                     passed[ty] = self.dense_row(at(x), (x * b, by), ty, b, out);
                 }
             }
             for (x, passed) in inside.clone().zip(&passed) {
-                sink(&self.finish_block(ctx, at(x), (x * b, by), (b, bh), passed, out));
+                sink(&self.finish_block(ctx, at(x), (x * b, by), (b, b), passed, out));
             }
             for x in inside.end..xs.end {
                 sink(&self.staged_block(ctx, &integral, &mut tile, (x * b, by), out));
@@ -685,34 +649,8 @@ impl Kernel for CascadeKernel {
     fn registers_per_thread(&self) -> u32 {
         // The footprint class of the real sm_20 kernel: window origin,
         // running score, stump decode scratch and the tile base pointer
-        // stay live across the stage loop. High enough that narrow
-        // re-tilings become register-bound before the block cap.
+        // stay live across the stage loop.
         22
-    }
-
-    fn shape_family(&self) -> Option<fd_gpu::ShapeFamily> {
-        let shapes = Self::BLOCK_HEIGHTS
-            .iter()
-            .map(|&bh| {
-                let cfg = LaunchConfig::tile2d(self.width, self.height, Self::BLOCK, bh)
-                    .with_shared_mem(Self::shared_bytes_for(bh));
-                let tile_entries = (Self::TILE * (bh + Self::BLOCK)) as f64;
-                let threads = (Self::BLOCK * bh) as f64;
-                fd_gpu::ShapeCandidate {
-                    grid: cfg.grid,
-                    block: cfg.block,
-                    shared_mem_bytes: cfg.shared_mem_bytes,
-                    registers_per_thread: self.registers_per_thread(),
-                    // Per-window stump work is shape-invariant.
-                    issue_per_thread: 12.0,
-                    // Halo amplification: every block band re-reads a
-                    // 24-row apron, so narrower bands pay more tile
-                    // bytes per covered window (+8 B depth/score out).
-                    mem_bytes_per_thread: 4.0 * tile_entries / threads + 8.0,
-                }
-            })
-            .collect();
-        Some(fd_gpu::ShapeFamily { kernel: self.name(), shapes })
     }
 }
 
@@ -841,46 +779,6 @@ mod tests {
         assert!(t.events[0].counters.divergent_branches > 0, "expected divergence");
         // Branch efficiency still high (most warps are uniform).
         assert!(t.events[0].counters.branch_efficiency() > 0.5);
-    }
-
-    #[test]
-    fn every_block_height_is_byte_identical_to_the_default() {
-        let img = GrayImage::from_fn(70, 53, |x, y| {
-            ((x as u32 * 73 + y as u32 * 149).wrapping_mul(2654435761) >> 24) as f32
-        });
-        let c = contrast_cascade();
-        let run = |bh: u32| {
-            let (w, h) = (img.width(), img.height());
-            let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
-            let integral = gpu.mem.upload(&device_integral(&img));
-            let depth = gpu.mem.alloc::<u32>(w * h);
-            let score = gpu.mem.alloc::<f32>(w * h);
-            let cp = gpu.const_upload(&encode_cascade(&c));
-            let k = CascadeKernel::new(&c, integral, w, h, depth, score, cp).with_block_h(bh);
-            let cfg = k.config();
-            gpu.launch_default(k, cfg).unwrap();
-            gpu.synchronize();
-            let bits: Vec<u32> = gpu.mem.download(score).iter().map(|s| s.to_bits()).collect();
-            (gpu.mem.download(depth), bits)
-        };
-        let base = run(CascadeKernel::BLOCK);
-        for bh in CascadeKernel::BLOCK_HEIGHTS {
-            assert_eq!(run(bh), base, "block_h {bh} must not change any output byte");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "warp multiple")]
-    fn rejects_partial_warp_block_heights() {
-        let img = GrayImage::from_fn(24, 24, |_, _| 0.0);
-        let c = contrast_cascade();
-        let (w, h) = (img.width(), img.height());
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
-        let integral = gpu.mem.upload(&device_integral(&img));
-        let depth = gpu.mem.alloc::<u32>(w * h);
-        let score = gpu.mem.alloc::<f32>(w * h);
-        let cp = gpu.const_upload(&encode_cascade(&c));
-        let _ = CascadeKernel::new(&c, integral, w, h, depth, score, cp).with_block_h(10);
     }
 
     #[test]

@@ -22,22 +22,10 @@ impl FilterKernel {
     pub const BLOCK: u32 = 16;
     /// Shared-memory request: the (16+2)^2 halo tile.
     pub const SHARED_BYTES: u32 = 18 * 18 * 4;
-    /// Autotunable tilings, default first: every variant keeps 256
-    /// threads (the fused-chain contract) and only redistributes them, so
-    /// each pixel is still computed independently from clamped source
-    /// reads — outputs are byte-identical, only the halo overhead and
-    /// residency change.
-    pub const BLOCKS: [(u32, u32); 3] = [(16, 16), (32, 8), (8, 32)];
 
     pub fn config(&self) -> LaunchConfig {
         LaunchConfig::tile2d(self.width, self.height, Self::BLOCK, Self::BLOCK)
             .with_shared_mem(Self::SHARED_BYTES)
-    }
-
-    /// Launch geometry for an alternate tiling from [`Self::BLOCKS`].
-    pub fn config_for(&self, (bw, bh): (u32, u32)) -> LaunchConfig {
-        LaunchConfig::tile2d(self.width, self.height, bw, bh)
-            .with_shared_mem((bw + 2) * (bh + 2) * 4)
     }
 }
 
@@ -72,10 +60,9 @@ impl Kernel for FilterKernel {
         blocks: Range<u64>,
         sink: &mut dyn FnMut(&KernelCounters),
     ) {
-        // Block shape comes from the launch config (the autotuner may
-        // re-tile); each output pixel only reads its clamped 3x3 source
-        // neighbourhood, so any tiling computes identical bytes and a grid
-        // row of blocks is a band of whole image rows.
+        // Block shape comes from the launch config; each output pixel only
+        // reads its clamped 3x3 source neighbourhood, so a grid row of
+        // blocks is a band of whole image rows.
         let shape = (ctx.block_dim.x as usize, ctx.block_dim.y as usize);
         let (w, h) = (self.width, self.height);
         // What the device stages per block: the (bw+2)x(bh+2) halo tile
@@ -139,27 +126,6 @@ impl Kernel for FilterKernel {
             // read-side), so consumers may follow in the same launch.
             tile_local: true,
         })
-    }
-
-    fn shape_family(&self) -> Option<fd_gpu::ShapeFamily> {
-        let shapes = Self::BLOCKS
-            .iter()
-            .map(|&(bw, bh)| {
-                let cfg = self.config_for((bw, bh));
-                let halo = ((bw + 2) * (bh + 2)) as f64;
-                fd_gpu::ShapeCandidate {
-                    grid: cfg.grid,
-                    block: cfg.block,
-                    shared_mem_bytes: cfg.shared_mem_bytes,
-                    registers_per_thread: self.registers_per_thread(),
-                    // 9 shared taps + ~10 FLOPs per pixel, any shape.
-                    issue_per_thread: 19.0,
-                    // Halo bytes amortized per covered pixel + the store.
-                    mem_bytes_per_thread: 4.0 * halo / (bw * bh) as f64 + 4.0,
-                }
-            })
-            .collect();
-        Some(fd_gpu::ShapeFamily { kernel: self.name(), shapes })
     }
 }
 

@@ -5,9 +5,9 @@
 //! (element-wise staging, stump-major SIMT iteration, per-pixel metering),
 //! kept as [`ReferenceBody::reference_run_block`]. The kernels' one body is
 //! now [`Kernel::run_blocks`], which works on whole grid rows; the sweeps
-//! below run it over generated geometries, cascades and launch shapes in
-//! every way the simulator can call it — the launch as one range, cut at
-//! random blocks (inside grid rows too), one block at a time, stacked in a
+//! below run it over generated geometries and cascades in every way the
+//! simulator can call it — the launch as one range, cut at random blocks
+//! (inside grid rows too), one block at a time, stacked in a
 //! [`BatchedKernel`], as stages of the pipeline's two fused chains — and
 //! demand the reference body's output bytes, its counters for every block
 //! and the same timeline (block costs and their sum, through the
@@ -45,19 +45,16 @@ fn device() -> Gpu {
 impl ReferenceBody for CascadeKernel {
     fn reference_run_block(&self, ctx: &mut BlockCtx<'_>) {
         let b = Self::BLOCK as usize;
-        let bh = self.block_h as usize;
-        let tile_w = Self::TILE as usize;
-        let tile_h = bh + b;
+        let (tile_w, tile_h) = (Self::TILE as usize, Self::TILE as usize);
         let bx = ctx.block_idx.x as usize * b;
-        let by = ctx.block_idx.y as usize * bh;
+        let by = ctx.block_idx.y as usize * b;
         let (w, h) = (self.width, self.height);
 
         // ---- Cooperative tile load (Eqs. 1-4): the block stages the
-        // `48 x (block_h + 24)` neighbourhood its windows touch. At the
-        // default square shape thread (x, y) brings the four pixels
-        // (x,y), (x+n,y), (x,y+m), (x+n,y+m); narrower blocks spread the
-        // same entries over fewer threads. Tile (0,0) maps to integral
-        // entry (bx-1, by-1); entries left/above the image are zero.
+        // `48 x 48` neighbourhood its windows touch: thread (x, y) brings
+        // the four pixels (x,y), (x+n,y), (x,y+m), (x+n,y+m). Tile (0,0)
+        // maps to integral entry (bx-1, by-1); entries left/above the
+        // image are zero.
         let mut tile = ctx.shared_alloc_u32(tile_w * tile_h);
         {
             let integral = ctx.mem.read(self.integral);
@@ -76,7 +73,7 @@ impl ReferenceBody for CascadeKernel {
         }
         // Coalesced 4-byte loads covering the tile + the matching shared
         // stores (whole-warp transactions, `loads_per_thread` rounds).
-        let threads = (b * bh) as u64;
+        let threads = (b * b) as u64;
         let warp = ctx.warp_size() as u64;
         let block_warps = threads.div_ceil(warp);
         if self.use_shared_tile {
@@ -209,7 +206,7 @@ impl ReferenceBody for CascadeKernel {
         ctx.meter.branches(m_branches, m_divergent);
         // Depth + score stores: 8 bytes per covered pixel.
         let covered_w = (w - bx).min(b);
-        let covered_h = (h - by).min(bh);
+        let covered_h = (h - by).min(b);
         ctx.meter.global_store(8 * (covered_w * covered_h) as u64);
     }
 }
@@ -246,9 +243,8 @@ impl ReferenceBody for Portable {
 
 impl ReferenceBody for FilterKernel {
     fn reference_run_block(&self, ctx: &mut BlockCtx<'_>) {
-        // Block shape comes from the launch config (the autotuner may
-        // re-tile); each output pixel only reads its clamped 3x3 source
-        // neighbourhood, so any tiling computes identical bytes.
+        // Block shape comes from the launch config; each output pixel only
+        // reads its clamped 3x3 source neighbourhood.
         let bw = ctx.block_dim.x as usize;
         let bh = ctx.block_dim.y as usize;
         let bx = ctx.block_idx.x as usize * bw;
@@ -307,8 +303,8 @@ impl ReferenceBody for FilterKernel {
 
 impl ReferenceBody for ScaleKernel {
     fn reference_run_block(&self, ctx: &mut BlockCtx<'_>) {
-        // Block shape comes from the launch config (the autotuner may
-        // re-tile); each output pixel is an independent texture gather.
+        // Block shape comes from the launch config; each output pixel is an
+        // independent texture gather.
         let bw = ctx.block_dim.x as usize;
         let bh = ctx.block_dim.y as usize;
         let bx = ctx.block_idx.x as usize * bw;
@@ -352,11 +348,10 @@ impl ReferenceBody for ScanRowsKernel {
             return;
         }
         let w = self.width;
-        // Block width comes from the launch config (the autotuner may
-        // re-tile); the sequential row scan below is identical for any
-        // width, only the work model changes. The shared allocation
-        // asserts the launch requested the scratch the real block scan
-        // needs at this width.
+        // Block width comes from the launch config; the sequential row
+        // scan below is identical for any width, only the work model
+        // changes. The shared allocation asserts the launch requested the
+        // scratch the real block scan needs at this width.
         let threads = ctx.block_dim.x;
         let _scratch = ctx.shared_alloc_u32(2 * threads as usize);
 
@@ -666,10 +661,10 @@ fn cascade_sweep(cases: usize) {
     let (mut all_failed_a_stage, mut all_passed, mut none_passed_stage_0) = (false, false, false);
     let mut profiles_with_windows = [false; PROFILES];
     let mut rects_seen = [false; 5];
-    // Valid window origins per block column / row, and per block height a
-    // last block row that is neither empty nor full.
+    // Valid window origins per block column / row, and a last block row
+    // that is neither empty nor full.
     let (mut valid_w_seen, mut valid_h_seen) = ([false; 25], [false; 25]);
-    let mut short_last_row = [false; 5];
+    let mut short_last_row = false;
     let (mut wrapped, mut tied, mut stages_tied) = (false, false, false);
     let (mut tile_ends_on_last_row, mut tile_ends_past_last_row) = (false, false);
     for case in 0..cases {
@@ -678,7 +673,6 @@ fn cascade_sweep(cases: usize) {
         } else {
             geometry(&mut rng, case)
         };
-        let block_h = CascadeKernel::BLOCK_HEIGHTS[case % 5];
         let no_tile = (case / 10) % 2 == 1;
         let profile = (case / 20) % PROFILES;
         let cascade = random_cascade(&mut rng, profile);
@@ -711,10 +705,10 @@ fn cascade_sweep(cases: usize) {
         for bx in (0..w).step_by(24) {
             valid_w_seen[windows_w.saturating_sub(bx).min(24)] = true;
         }
-        for by in (0..h).step_by(block_h as usize) {
-            let valid_h = windows_h.saturating_sub(by).min(block_h as usize);
+        for by in (0..h).step_by(24) {
+            let valid_h = windows_h.saturating_sub(by).min(24);
             valid_h_seen[valid_h] = true;
-            short_last_row[case % 5] |= windows_w > 0 && 0 < valid_h && valid_h < block_h as usize;
+            short_last_row |= windows_w > 0 && 0 < valid_h && valid_h < 24;
         }
         if let (Some(stage), true) = (cascade.stages.first(), windows > 0) {
             for stump in &stage.stumps {
@@ -743,8 +737,7 @@ fn cascade_sweep(cases: usize) {
                     let (stages, offs) = (Arc::clone(&stages), Arc::clone(&offs));
                     let k = CascadeKernel::with_stages(
                         stages, offs, integral, w, h, depth, score, const_ptr,
-                    )
-                    .with_block_h(block_h);
+                    );
                     if no_tile {
                         k.without_shared_tile()
                     } else {
@@ -771,9 +764,7 @@ fn cascade_sweep(cases: usize) {
             }
             (counters, bits)
         };
-        let label = format!(
-            "case {case}: {w}x{h}, block_h {block_h}, no tile {no_tile}, profile {profile}"
-        );
+        let label = format!("case {case}: {w}x{h}, no tile {no_tile}, profile {profile}");
         // The body as the kernel runs it (compiled for AVX2 where the CPU
         // has it), then its portable copy: both owe the reference's bytes.
         check_case(case, &label, |mode, parts| observe(false, mode, parts));
@@ -789,8 +780,8 @@ fn cascade_sweep(cases: usize) {
             && depths.iter().filter(|&&d| d == deepest).count() == windows;
         // A band whose tile ends on the image's last row, and one whose
         // tile ends one row past it.
-        for by in (block_h as usize..h).step_by(block_h as usize) {
-            let tile_end = by - 1 + block_h as usize + 24;
+        for by in (24..h).step_by(24) {
+            let tile_end = by - 1 + 48;
             tile_ends_on_last_row |= w >= 72 && tile_end == h;
             tile_ends_past_last_row |= w >= 72 && tile_end == h + 1;
         }
@@ -806,7 +797,7 @@ fn cascade_sweep(cases: usize) {
     for n in [0, 1, 23, 24] {
         assert!(valid_w_seen[n] && valid_h_seen[n], "blocks with {n} valid columns, with {n} rows");
     }
-    assert_eq!(short_last_row, [true; 5], "a short last block row at every block height");
+    assert!(short_last_row, "a short last block row");
     assert!(wrapped && tied, "a response that wraps i32, one equal to its stump threshold");
     assert!(stages_tied, "windows that pass every stage with a sum equal to its threshold");
     assert!(
@@ -823,8 +814,7 @@ fn cascade_body_matches_reference() {
 fn filter_sweep(cases: usize) {
     let mut rng = Rng(0xF117_E200);
     for case in 0..cases {
-        let (w, h) = geometry(&mut rng, case / 3);
-        let shape = FilterKernel::BLOCKS[case % 3];
+        let (w, h) = geometry(&mut rng, case);
         let pixels: Vec<f32> = (0..w * h).map(|_| rng.pixel()).collect();
         let mut gpu = device();
         let src = gpu.mem.upload(&pixels);
@@ -832,27 +822,26 @@ fn filter_sweep(cases: usize) {
             let dsts: Vec<_> = (0..parts).map(|_| gpu.mem.alloc::<f32>(w * h)).collect();
             let kernels: Vec<_> =
                 dsts.iter().map(|&dst| FilterKernel { src, dst, width: w, height: h }).collect();
-            let cfg = kernels[0].config_for(shape);
+            let cfg = kernels[0].config();
             let counters = run_probed(&mut gpu, kernels, cfg, mode);
             (counters, dsts.iter().flat_map(|&dst| f32_bits(gpu.mem.download(dst))).collect())
         };
-        check_case(case, &format!("case {case}: {w}x{h}, block {shape:?}"), observe);
+        check_case(case, &format!("case {case}: {w}x{h}"), observe);
     }
 }
 
 #[test]
 fn filter_body_matches_reference() {
-    filter_sweep(330);
+    filter_sweep(110);
 }
 
 fn scale_sweep(cases: usize) {
     let mut rng = Rng(0x5CA1_E000);
     for case in 0..cases {
-        let (src_w, src_h) = geometry(&mut rng, case / 2);
+        let (src_w, src_h) = geometry(&mut rng, case);
         // Up- and downscaling, and the identity of pyramid level 0.
         let (dst_w, dst_h) =
-            if case % 8 < 2 { (src_w, src_h) } else { (1 + rng.below(130), 1 + rng.below(130)) };
-        let shape = ScaleKernel::BLOCKS[case % 2];
+            if case % 4 == 0 { (src_w, src_h) } else { (1 + rng.below(130), 1 + rng.below(130)) };
         let texels: Vec<f32> = (0..src_w * src_h).map(|_| rng.pixel()).collect();
         let mut gpu = device();
         let tex = gpu.bind_texture(Texture2D::from_data(src_w, src_h, texels));
@@ -862,33 +851,32 @@ fn scale_sweep(cases: usize) {
                 .iter()
                 .map(|&dst| ScaleKernel { src: tex, src_w, src_h, dst, dst_w, dst_h })
                 .collect();
-            let cfg = kernels[0].config_for(shape);
+            let cfg = kernels[0].config();
             let counters = run_probed(&mut gpu, kernels, cfg, mode);
             (counters, dsts.iter().flat_map(|&dst| f32_bits(gpu.mem.download(dst))).collect())
         };
-        let label = format!("case {case}: {src_w}x{src_h} -> {dst_w}x{dst_h}, block {shape:?}");
+        let label = format!("case {case}: {src_w}x{src_h} -> {dst_w}x{dst_h}");
         check_case(case, &label, observe);
     }
 }
 
 #[test]
 fn scale_body_matches_reference() {
-    scale_sweep(320);
+    scale_sweep(160);
 }
 
 #[test]
 fn scan_body_matches_reference() {
     let mut rng = Rng(0x5CA2_0000);
-    for case in 0..360 {
+    for case in 0..120 {
         // Rows longer than a block (several segments) next to the usual
         // extents.
         let (w, h) = match case % 12 {
             10 => (257 + rng.below(400), 1 + rng.below(4)),
             11 => (512, 2),
-            _ => geometry(&mut rng, case / 6),
+            _ => geometry(&mut rng, case / 2),
         };
-        let threads = ScanRowsKernel::THREAD_OPTIONS[case % 3];
-        let quantize = (case / 3) % 2 == 0;
+        let quantize = case % 2 == 0;
         let mut gpu = device();
         let input = if quantize {
             let pixels: Vec<f32> = (0..w * h)
@@ -911,11 +899,11 @@ fn scan_body_matches_reference() {
                 .iter()
                 .map(|&output| ScanRowsKernel { input, output, width: w, height: h })
                 .collect();
-            let cfg = kernels[0].config_for(threads);
+            let cfg = kernels[0].config();
             let counters = run_probed(&mut gpu, kernels, cfg, mode);
             (counters, outputs.iter().flat_map(|&output| gpu.mem.download(output)).collect())
         };
-        let label = format!("case {case}: {w}x{h}, {threads} threads, quantize {quantize}");
+        let label = format!("case {case}: {w}x{h}, quantize {quantize}");
         check_case(case, &label, observe);
     }
 }

@@ -24,19 +24,10 @@ pub struct ScaleKernel {
 
 impl ScaleKernel {
     pub const BLOCK: u32 = 16;
-    /// Autotunable tilings, default first: 256 threads each (the
-    /// fused-chain contract), pure gather through the texture unit, so
-    /// any tiling produces byte-identical output.
-    pub const BLOCKS: [(u32, u32); 2] = [(16, 16), (32, 8)];
 
     /// Launch geometry for this kernel.
     pub fn config(&self) -> LaunchConfig {
         LaunchConfig::tile2d(self.dst_w, self.dst_h, Self::BLOCK, Self::BLOCK)
-    }
-
-    /// Launch geometry for an alternate tiling from [`Self::BLOCKS`].
-    pub fn config_for(&self, (bw, bh): (u32, u32)) -> LaunchConfig {
-        LaunchConfig::tile2d(self.dst_w, self.dst_h, bw, bh)
     }
 }
 
@@ -51,9 +42,9 @@ impl Kernel for ScaleKernel {
         blocks: Range<u64>,
         sink: &mut dyn FnMut(&KernelCounters),
     ) {
-        // Block shape comes from the launch config (the autotuner may
-        // re-tile); each output pixel is an independent texture gather, so
-        // a grid row of blocks is a band of whole output rows.
+        // Block shape comes from the launch config; each output pixel is an
+        // independent texture gather, so a grid row of blocks is a band of
+        // whole output rows.
         let shape = (ctx.block_dim.x as usize, ctx.block_dim.y as usize);
         let dims = (self.dst_w, self.dst_h);
         let sx = self.src_w as f32 / self.dst_w as f32;
@@ -131,26 +122,6 @@ impl Kernel for ScaleKernel {
             // Each block writes exactly its own output tile.
             tile_local: true,
         })
-    }
-
-    fn shape_family(&self) -> Option<fd_gpu::ShapeFamily> {
-        let shapes = Self::BLOCKS
-            .iter()
-            .map(|&shape| {
-                let cfg = self.config_for(shape);
-                fd_gpu::ShapeCandidate {
-                    grid: cfg.grid,
-                    block: cfg.block,
-                    shared_mem_bytes: cfg.shared_mem_bytes,
-                    registers_per_thread: self.registers_per_thread(),
-                    // ~6 address ops per pixel; the tex unit does the blend.
-                    issue_per_thread: 6.0,
-                    // One 4 B fetch through tex + one 4 B store.
-                    mem_bytes_per_thread: 8.0,
-                }
-            })
-            .collect();
-        Some(fd_gpu::ShapeFamily { kernel: self.name(), shapes })
     }
 }
 

@@ -117,14 +117,6 @@ impl<K: Kernel> Kernel for BatchedKernel<K> {
         // pressure is any single part's.
         self.parts[0].registers_per_thread()
     }
-
-    fn shape_family(&self) -> Option<crate::tune::ShapeFamily> {
-        // Every part retiles the same way (same type, same geometry), so
-        // the batch inherits the part family; `grid.z` re-stacking is the
-        // caller's job ([`crate::Gpu::launch_batched`] consumes per-part
-        // configs).
-        self.parts[0].shape_family()
-    }
 }
 
 #[cfg(test)]

@@ -112,7 +112,6 @@ pub mod probe;
 pub mod profiler;
 pub mod sched;
 pub mod stream;
-pub mod tune;
 pub mod vector;
 
 mod gpu;
@@ -134,11 +133,10 @@ pub use memory::{
     DeviceMemory, MemoryError, Readback, TexId, Texture2D, Workspace, WorkspaceFill,
 };
 pub use meter::{KernelCounters, Meter};
-pub use pool::{HOST_EXEC_ENV_VAR, THREADS_ENV_VAR};
+pub use pool::{AUTOTUNE_ENV_VAR, HOST_EXEC_ENV_VAR, THREADS_ENV_VAR};
 pub use profiler::{HostSpan, KernelProfile, Profiler, TraceEvent};
 pub use sched::{
     launch_occupancy, BlockCost, ExecMode, LaunchOccupancy, LaunchRecord, OccupancyLimit, Timeline,
 };
 pub use stream::{EventId, StreamId};
-pub use tune::{score_shape, GeomClass, ShapeCache, ShapeCandidate, ShapeFamily, AUTOTUNE_ENV_VAR};
 pub use vector::at_vector_width;

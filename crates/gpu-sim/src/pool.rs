@@ -74,6 +74,10 @@ pub const THREADS_ENV_VAR: &str = "FD_SIM_THREADS";
 /// set.
 pub const HOST_EXEC_ENV_VAR: &str = "FD_SIM_HOST_EXEC";
 
+/// No longer read: launch shapes are fixed. Kept because the repo
+/// benchmark refuses to run with it set.
+pub const AUTOTUNE_ENV_VAR: &str = "FD_SIM_AUTOTUNE";
+
 /// Resolve the effective host thread count for the functional phase.
 /// Without an override it is the process's available parallelism (which
 /// honours the affinity mask: `taskset -c 0` runs one thread), fixed once

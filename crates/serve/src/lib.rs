@@ -83,7 +83,7 @@ pub use fd_detector::{Backend, Detector};
 pub use fleet::{DeviceState, FleetConfig, FleetServer};
 pub use health::{FaultReaction, HealthMachine, ServerHealth};
 pub use queue::RequestQueue;
-pub use request::{DetectionRequest, Priority, RequestId};
+pub use request::{DetectionRequest, GeomClass, Priority, RequestId};
 pub use router::{LaneView, Router, RouterStats};
 pub use server::{CompletedRequest, DetectionServer, RequestOutcome, ServeConfig, ServeError};
 pub use stats::{LatencyHistogram, ServeStats};

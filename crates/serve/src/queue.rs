@@ -9,9 +9,7 @@
 
 use std::collections::VecDeque;
 
-use fd_gpu::GeomClass;
-
-use crate::request::DetectionRequest;
+use crate::request::{DetectionRequest, GeomClass};
 
 /// Bounded multi-class request queue with EDF selection.
 pub struct RequestQueue {

@@ -1,10 +1,24 @@
 //! Request types: identifiers, priority classes and the queued record.
 
 use fd_detector::Backend;
-use fd_gpu::GeomClass;
 use fd_imgproc::GrayImage;
 
 use crate::server::{CompletedRequest, RequestOutcome};
+
+/// A frame's geometry, the batching and affinity key: batches only form
+/// across equal classes, and the router prefers a lane that has served
+/// the class before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct GeomClass {
+    pub width: u32,
+    pub height: u32,
+}
+
+impl GeomClass {
+    pub fn of(width: usize, height: usize) -> Self {
+        Self { width: width as u32, height: height as u32 }
+    }
+}
 
 /// Opaque handle identifying one submitted request. Assigned by the
 /// server in submission order; stable across the request's lifetime and
@@ -81,9 +95,6 @@ pub struct DetectionRequest {
 
 impl DetectionRequest {
     /// Frame geometry class; batches only form across equal classes.
-    /// This is the simulator's tuning key ([`fd_gpu::GeomClass`]), so a
-    /// batch shares one autotuned launch shape per kernel by
-    /// construction.
     pub fn geometry(&self) -> GeomClass {
         GeomClass::of(self.frame.width(), self.frame.height())
     }

@@ -92,8 +92,7 @@ bench_equality() {
   # Each bench has one configuration, the committed JSON, and reports only
   # virtual time, so a fresh run must equal the committed file byte for
   # byte. Each also asserts its floors on every run: fused >= 1.2x single
-  # and >= 1.15x batched, autotuned >= 1.1x batched, live occupancy
-  # counters; batching >= 1.5x at saturation with no worse p99, chaos
+  # and >= 1.15x batched, live occupancy counters; batching >= 1.5x at saturation with no worse p99, chaos
   # goodput >= 0.9 with p99 <= 1.5x fault-free, >= 3x at 4 devices,
   # kill-one goodput and p99, Haar tier >= 0.9x under CNN co-tenancy with
   # the CNN tier inside its p99 budget; CNN pre-final rejection and TPR
@@ -102,7 +101,7 @@ bench_equality() {
   # fails.
   local bench_dir bench status=0
   bench_dir="$(mktemp -d)"
-  for bench in fusion_autotune serve fault_sweep cnn_eval; do
+  for bench in fusion serve fault_sweep cnn_eval; do
     if ! FD_RESULTS_DIR="$bench_dir" cargo run --release --offline -q -p fd-bench --bin "$bench"; then
       echo "verify: $bench failed" >&2
       status=1
@@ -145,7 +144,7 @@ gate "cargo doc --workspace --no-deps with rustdoc warnings as errors" docs
 gate "no normal dependency turns on fd-gpu's testkit feature (cargo tree without dev edges)" no_testkit_in_product
 gate "repo benchmark crate builds (its own workspace; fails here if a public name it uses is gone)" build_benchmark
 gate "cargo test -q" tests
-gate "bench equality (fusion_autotune, serve, fault_sweep, cnn_eval reproduce results/BENCH_*.json byte for byte)" bench_equality
+gate "bench equality (fusion, serve, fault_sweep, cnn_eval reproduce results/BENCH_*.json byte for byte)" bench_equality
 gate "repo benchmark (virtual clock, shares, counts and det_digest equal to benchmark/baseline/seed1.jsonl)" repo_benchmark
 gate "cargo clippy --workspace --all-targets --keep-going -- -D warnings" clippy
 

@@ -4,7 +4,7 @@
 //! A [`Case`] is [`FRAMES`] seeded frames of one random geometry, with a
 //! Haar test cascade and a seeded CNN model. A [`Device`] configuration
 //! fixes what the simulated device runs: backend × `ExecMode` × (Haar
-//! only) fusion × autotune. A [`Host`] cell adds the host-side axes: the
+//! only) fusion. A [`Host`] cell adds the host-side axes: the
 //! [`Front`] that drives the detector, the host thread count and an inert
 //! fault plan. Rather than the full cross product, [`check`] runs a device
 //! configuration's reference cell ([`REFERENCE`]: `detect`, one thread, no
@@ -63,20 +63,19 @@ const MIN_NEIGHBORS: usize = 1;
 pub struct Device {
     pub backend: Backend,
     pub exec_mode: ExecMode,
-    /// Haar only: fused pyramid chains, tuned launch shapes.
+    /// Haar only: fused pyramid chains.
     pub fusion: bool,
-    pub autotune: bool,
 }
 
 /// Every device configuration: the Haar cascade at each execution mode ×
-/// fusion × autotune, the CNN (which has neither knob) at each mode.
+/// fusion, the CNN (which has no such knob) at each mode.
 pub fn devices() -> Vec<Device> {
     let mut all = Vec::new();
     for exec_mode in [ExecMode::Serial, ExecMode::Concurrent] {
-        for (fusion, autotune) in [(false, false), (true, false), (false, true), (true, true)] {
-            all.push(Device { backend: Backend::Haar, exec_mode, fusion, autotune });
+        for fusion in [false, true] {
+            all.push(Device { backend: Backend::Haar, exec_mode, fusion });
         }
-        all.push(Device { backend: Backend::Cnn, exec_mode, fusion: false, autotune: false });
+        all.push(Device { backend: Backend::Cnn, exec_mode, fusion: false });
     }
     all
 }
@@ -260,7 +259,6 @@ fn detector_config(device: Device, host: Host) -> DetectorConfig {
         host_threads: Some(host.threads),
         fault_plan: host.plan.map(FaultPlan::seeded),
         fusion: Some(device.fusion),
-        autotune: Some(device.autotune),
         ..DetectorConfig::default()
     }
 }

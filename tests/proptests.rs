@@ -196,7 +196,7 @@ proptest! {
     /// The parallel functional phase is bit-identical to the sequential
     /// one: detections, latency bits, timelines, profiler and stream
     /// statistics at 2 and 4 host threads are one thread's, for both
-    /// backends at every execution mode, fusion and autotune setting.
+    /// backends at every execution mode and fusion setting.
     #[test]
     fn parallel_functional_phase_is_deterministic(seed in any::<u64>()) {
         thread_axis(seed);
