@@ -9,7 +9,7 @@
 
 use fd_cnn::{CnnModel, CnnStages};
 use fd_detector::group::Detection;
-use fd_detector::{DetectorError, HaarStages, Pipeline, StageList};
+use fd_detector::{DetectorConfig, DetectorError, HaarStages, Pipeline, StageList};
 use fd_gpu::{DeviceSpec, ExecMode, Gpu, Timeline};
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 use fd_imgproc::synth::FaceParams;
@@ -17,6 +17,9 @@ use fd_imgproc::{GrayImage, Rect};
 
 /// A stage list under test: its model and frames it detects something in.
 trait Subject: StageList {
+    /// Whether [`DetectorConfig::fusion`] fuses some of its launches.
+    const FUSES: bool;
+
     fn test_model() -> Self::Model;
 
     /// A model the stage list must refuse to stage.
@@ -27,6 +30,8 @@ trait Subject: StageList {
 }
 
 impl Subject for HaarStages {
+    const FUSES: bool = true;
+
     fn test_model() -> Cascade {
         let f = HaarFeature::from_params(FeatureKind::EdgeH, 6, 4, 6, 8);
         let mut c = Cascade::new("edge", 24);
@@ -58,6 +63,8 @@ impl Subject for HaarStages {
 }
 
 impl Subject for CnnStages {
+    const FUSES: bool = false;
+
     fn test_model() -> CnnModel {
         CnnModel::seeded(0)
     }
@@ -190,6 +197,32 @@ fn batch_matches_per_frame_runs<S: Subject>() {
     assert_eq!(singles, batch);
 }
 
+/// The timing model orders launches by stream alone, so a dependency of
+/// the host drain between two streams would be an ordering the Concurrent
+/// timeline never models: every one stays within its stream, in both
+/// modes, fused or not, for a single frame and a batch.
+fn every_dependency_stays_within_its_stream<S: Subject>() {
+    let frames: Vec<GrayImage> = (0..3).map(S::frame).collect();
+    for mode in [ExecMode::Serial, ExecMode::Concurrent] {
+        for fusion in [false, true] {
+            let mut p = pipeline::<S>(mode);
+            p.stages_mut()
+                .configure(&DetectorConfig { fusion: Some(fusion), ..Default::default() });
+            let (_, single) = run(&mut p, &[&frames[0]]);
+            let (_, batch) = run(&mut p, &frames.iter().collect::<Vec<_>>());
+            let what = format!("{mode:?}, fusion {fusion}");
+            for t in [&single, &batch] {
+                let streams: std::collections::HashSet<_> =
+                    t.events.iter().map(|e| e.stream).collect();
+                assert!(streams.len() > 1, "{what}: one stream per level");
+                let fused = t.events.iter().any(|e| e.kernel_name.contains('+'));
+                assert_eq!(fused, fusion && S::FUSES, "{what}: fused launches");
+            }
+            assert_eq!(p.gpu.cross_stream_deps(), 0, "{what}");
+        }
+    }
+}
+
 fn rejects_mixed_geometry_empty_batches_and_empty_plans<S: Subject>() {
     let mut p = pipeline::<S>(ExecMode::Concurrent);
     let (a, b) = (S::frame(0), GrayImage::from_fn(64, 48, |x, _| x as f32));
@@ -249,6 +282,7 @@ for_each_stage_list!(
     steady_state_is_allocation_free_and_release_returns_everything,
     mixed_geometries_share_one_pool_grown_to_the_largest,
     batch_matches_per_frame_runs,
+    every_dependency_stays_within_its_stream,
     rejects_mixed_geometry_empty_batches_and_empty_plans,
     rejects_frames_smaller_than_a_window,
     rejects_bad_scale_factors_before_the_model,

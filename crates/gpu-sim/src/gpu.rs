@@ -1,6 +1,5 @@
-//! The device front-end: launch kernels, manage streams/events, synchronize.
+//! The device front-end: launch kernels into streams, synchronize.
 
-use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use crate::cost::CostModel;
@@ -16,7 +15,7 @@ use crate::meter::KernelCounters;
 use crate::pool::{resolve_host_threads, DrainJob, LaunchEnv, Node, WorkerPool};
 use crate::profiler::Profiler;
 use crate::sched::{BlockCost, BlockCosts, ExecMode, LaunchRecord, SchedScratch, Timeline};
-use crate::stream::{EventId, StreamId};
+use crate::stream::StreamId;
 
 /// Most blocks a single launch may execute functionally. Far beyond any
 /// realistic pyramid (a 1080p frame tiles to ~32 K blocks); grids past
@@ -150,17 +149,17 @@ pub struct Gpu {
     /// host parallelism (see [`crate::pool`]).
     host_threads: Option<usize>,
     next_stream: u32,
-    next_event: u32,
     pending: Vec<PendingLaunch>,
     /// Queue position of the first launch whose functional phase has not
     /// run: every flush drains the whole queue, so `pending[..first_deferred]`
     /// is executed and `pending[first_deferred..]` still holds its kernels.
     first_deferred: usize,
     launch_counter: usize,
-    pending_waits: HashMap<StreamId, Vec<EventId>>,
-    fired_events: HashSet<EventId>,
     /// Dependency graph over the pending queue.
     tracker: DepTracker,
+    /// See [`Gpu::cross_stream_deps`].
+    #[cfg(any(test, feature = "testkit"))]
+    cross_stream_deps: u64,
     /// Persistent workers draining the queue; spawned lazily, reused for
     /// the device's lifetime.
     pool: WorkerPool,
@@ -387,13 +386,12 @@ impl Gpu {
             mode,
             host_threads: None,
             next_stream: 1,
-            next_event: 0,
             pending: Vec::new(),
             first_deferred: 0,
             launch_counter: 0,
-            pending_waits: HashMap::new(),
-            fired_events: HashSet::new(),
             tracker: DepTracker::new(),
+            #[cfg(any(test, feature = "testkit"))]
+            cross_stream_deps: 0,
             pool: WorkerPool::new(),
             host_epoch: Instant::now(),
             sched_scratch: SchedScratch::default(),
@@ -500,28 +498,6 @@ impl Gpu {
         let s = StreamId(self.next_stream);
         self.next_stream += 1;
         s
-    }
-
-    /// Record an event capturing all work currently queued in `stream`.
-    pub fn record_event(&mut self, stream: StreamId) -> EventId {
-        let e = EventId(self.next_event);
-        self.next_event += 1;
-        if let Some(idx) = self.pending.iter().rposition(|l| l.record.stream == stream) {
-            self.pending[idx].record.record_events.push(e);
-            self.tracker.note_event_source(e, idx);
-        } else {
-            // Nothing queued in the stream: the event is already complete.
-            self.fired_events.insert(e);
-        }
-        e
-    }
-
-    /// Make the *next* launch in `stream` wait for `event`.
-    pub fn stream_wait_event(&mut self, stream: StreamId, event: EventId) {
-        if self.fired_events.contains(&event) {
-            return;
-        }
-        self.pending_waits.entry(stream).or_default().push(event);
     }
 
     /// Stage data into constant memory. Panics on bank overflow; use
@@ -682,10 +658,14 @@ impl Gpu {
             }
         }
 
-        let wait_events = self.pending_waits.remove(&stream).unwrap_or_default();
         let mut access = AccessSet::new();
         kernel.access(&mut access);
-        let deps = self.tracker.on_enqueue(stream, &access, &wait_events);
+        let deps = self.tracker.on_enqueue(stream, &access);
+        #[cfg(any(test, feature = "testkit"))]
+        {
+            let other = deps.iter().filter(|&&d| self.pending[d].record.stream != stream);
+            self.cross_stream_deps += other.count() as u64;
+        }
         let record = LaunchRecord {
             launch_idx: self.launch_counter,
             kernel_name: kernel.name(),
@@ -696,8 +676,6 @@ impl Gpu {
             registers_per_thread,
             block_costs: Vec::new(),
             counters: KernelCounters::default(),
-            wait_events,
-            record_events: Vec::new(),
         };
 
         self.pending.push(PendingLaunch {
@@ -822,28 +800,32 @@ impl Gpu {
         self.launch(kernel, cfg, StreamId::DEFAULT)
     }
 
+    /// How many dependencies of the host drain's graph, over this device's
+    /// lifetime, linked a launch to one in another stream. The timing
+    /// model orders launches by stream alone, so each such dependency is
+    /// an ordering the Concurrent timeline does not model; a pipeline
+    /// whose timeline is to be trusted keeps this at zero.
+    #[cfg(any(test, feature = "testkit"))]
+    pub fn cross_stream_deps(&self) -> u64 {
+        self.cross_stream_deps
+    }
+
     /// Number of launches queued since the last synchronize.
     pub fn pending_launches(&self) -> usize {
         self.pending.len()
     }
 
-    /// Discard all queued launches and pending waits without simulating
-    /// them (the recovery path after a failed launch mid-frame: the frame
-    /// is abandoned or retried from scratch, so its partial queue must not
-    /// leak into the next synchronization scope or the profiler).
+    /// Discard all queued launches without simulating them (the recovery
+    /// path after a failed launch mid-frame: the frame is abandoned or
+    /// retried from scratch, so its partial queue must not leak into the
+    /// next synchronization scope or the profiler).
     /// Functional memory effects of already-queued launches remain, as on
     /// a real device (deferred launches are flushed first to honor this);
     /// callers that retry must fully overwrite outputs.
     pub fn cancel_pending(&mut self) {
         self.flush_functional();
-        // The cancelled work has run, so its events have fired: a later
-        // launch may still wait on one (`stream_wait_event` after the
-        // cancel) and must not find it unrecorded.
-        for p in self.pending.drain(..) {
-            self.fired_events.extend(p.record.record_events);
-        }
+        self.pending.clear();
         self.first_deferred = 0;
-        self.pending_waits.clear();
         self.tracker.reset();
     }
 
@@ -898,10 +880,7 @@ impl Gpu {
         for (t0, t1) in simulated {
             self.profiler.absorb_timing_span(t0, t1);
         }
-        // All recorded events fire within this scope.
-        for p in self.pending.drain(..) {
-            self.fired_events.extend(p.record.record_events);
-        }
+        self.pending.clear();
         self.first_deferred = 0;
         // Harvest the opaque-launch count before the tracker forgets it:
         // undeclared access sets silently forbid both overlap and fusion,
@@ -909,9 +888,6 @@ impl Gpu {
         // barrier in this scope.
         self.profiler.add_opaque_launches(self.tracker.take_opaque_launches());
         self.tracker.reset();
-        // Waits registered but never attached to a launch are dropped, like
-        // a cudaStreamWaitEvent on a stream that never launches again.
-        self.pending_waits.clear();
         self.profiler.absorb(&timeline.events);
         timeline
     }
@@ -1037,19 +1013,6 @@ mod tests {
             gpu.mem.download(buf)
         };
         assert_eq!(run(ExecMode::Serial), run(ExecMode::Concurrent));
-    }
-
-    #[test]
-    fn record_event_on_idle_stream_is_prefired() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
-        let s1 = gpu.create_stream();
-        let s2 = gpu.create_stream();
-        let e = gpu.record_event(s1); // nothing queued in s1
-        gpu.stream_wait_event(s2, e); // must be a no-op
-        let buf = gpu.mem.alloc::<u32>(32);
-        gpu.launch(DoubleKernel { buf }, LaunchConfig::linear(32, 32), s2).unwrap();
-        let t = gpu.synchronize();
-        assert_eq!(t.events.len(), 1);
     }
 
     #[test]
@@ -1194,22 +1157,6 @@ mod tests {
         let t = gpu.synchronize();
         assert!(t.events.is_empty(), "cancelled launches must not be simulated");
         assert!(gpu.profiler().kernels().is_empty(), "or profiled");
-    }
-
-    #[test]
-    fn events_of_cancelled_launches_have_fired() {
-        // The recovery path: a frame is abandoned after its events were
-        // recorded, and the retry waits on one of them.
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
-        let (s1, s2) = (gpu.create_stream(), gpu.create_stream());
-        let buf = gpu.mem.alloc::<u32>(64);
-        gpu.launch(DoubleKernel { buf }, LaunchConfig::linear(64, 64), s1).unwrap();
-        let e = gpu.record_event(s1);
-        gpu.cancel_pending();
-        gpu.stream_wait_event(s2, e);
-        gpu.launch(DoubleKernel { buf }, LaunchConfig::linear(64, 64), s2).unwrap();
-        let t = gpu.synchronize();
-        assert_eq!(t.events.len(), 1, "only the launch after the cancel is simulated");
     }
 
     #[test]

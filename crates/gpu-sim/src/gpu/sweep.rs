@@ -1,7 +1,7 @@
 //! Identity sweep for [`Gpu::synchronize`]: the timing simulation that
 //! pulls the drain (two or more host threads) against the one that follows
-//! it (one host thread), over generated launch graphs — streams, event
-//! waits, a fused chain, a batched launch, stalled launches, a flush in
+//! it (one host thread), over generated launch graphs — streams, shared
+//! buffers, a fused chain, a batched launch, stalled launches, a flush in
 //! the middle, both execution modes. Timeline, profiler and buffers must
 //! be equal bit for bit; the `sweep_catches_*` tests prove the sweep
 //! would notice a block cost read at the wrong place.
@@ -87,10 +87,6 @@ fn run_case(case: u64, mode: ExecMode, threads: usize) -> Observed {
     let (fused_at, batched_at) = (rng.below(launches), rng.below(launches));
     for i in 0..launches {
         let stream = streams[rng.below(streams.len())];
-        if i > 0 && rng.below(5) == 0 {
-            let event = gpu.record_event(streams[rng.below(streams.len())]);
-            gpu.stream_wait_event(stream, event);
-        }
         let tpb = [32u32, 64, 128, 256][rng.below(4)];
         let blocks = match rng.below(10) {
             0..=5 => 1 + rng.below(60),

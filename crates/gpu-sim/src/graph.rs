@@ -7,8 +7,6 @@
 //!
 //! - **program order** — a launch depends on the previous launch in its
 //!   stream, exactly like CUDA stream semantics;
-//! - **event edges** — `stream_wait_event(s, e)` makes the next launch in
-//!   `s` depend on the launch that recorded `e` (`cudaStreamWaitEvent`);
 //! - **data hazards** — over the declared [`AccessSet`]s: RAW (a read
 //!   depends on the last writer), WAR (a write depends on every reader
 //!   since that writer) and WAW (a write depends on the last writer);
@@ -32,7 +30,7 @@
 use std::collections::HashMap;
 
 use crate::memory::AccessSet;
-use crate::stream::{EventId, StreamId};
+use crate::stream::StreamId;
 
 /// Per-buffer hazard state: who wrote it last, who has read it since.
 #[derive(Debug, Default)]
@@ -49,7 +47,6 @@ pub(crate) struct DepTracker {
     last_in_stream: HashMap<u32, usize>,
     buf_states: HashMap<usize, BufState>,
     last_opaque: Option<usize>,
-    event_sources: HashMap<u32, usize>,
     next_idx: usize,
     /// Launches enqueued with an undeclared (opaque) access set since the
     /// last harvest. Each is a full-barrier fallback that forbids both
@@ -64,13 +61,11 @@ impl DepTracker {
     }
 
     /// Forget all state; called when the pending queue drains (sync,
-    /// cancel). Event sources are also dropped: a wait on an event whose
-    /// recording launch has already executed is trivially satisfied.
+    /// cancel).
     pub(crate) fn reset(&mut self) {
         self.last_in_stream.clear();
         self.buf_states.clear();
         self.last_opaque = None;
-        self.event_sources.clear();
         self.next_idx = 0;
         self.opaque_launches = 0;
     }
@@ -81,20 +76,9 @@ impl DepTracker {
         std::mem::take(&mut self.opaque_launches)
     }
 
-    /// Record that `event` will be fired by the pending launch at `idx`
-    /// (the last launch in its stream at `record_event` time).
-    pub(crate) fn note_event_source(&mut self, event: EventId, idx: usize) {
-        self.event_sources.insert(event.0, idx);
-    }
-
     /// Register the next launch and return the indices of earlier pending
     /// launches it must wait for (sorted, deduplicated).
-    pub(crate) fn on_enqueue(
-        &mut self,
-        stream: StreamId,
-        access: &AccessSet,
-        wait_events: &[EventId],
-    ) -> Vec<usize> {
+    pub(crate) fn on_enqueue(&mut self, stream: StreamId, access: &AccessSet) -> Vec<usize> {
         let idx = self.next_idx;
         self.next_idx += 1;
         let mut deps: Vec<usize> = Vec::new();
@@ -104,15 +88,6 @@ impl DepTracker {
             deps.push(prev);
         }
         self.last_in_stream.insert(stream.0, idx);
-
-        // Event edges. Unknown sources were recorded before the current
-        // queue (already executed) or pre-fired on an idle stream; both
-        // are satisfied by definition.
-        for e in wait_events {
-            if let Some(&src) = self.event_sources.get(&e.0) {
-                deps.push(src);
-            }
-        }
 
         if access.is_opaque() {
             // Full barrier: order against every earlier pending launch.
@@ -191,23 +166,24 @@ mod tests {
     #[test]
     fn stream_program_order_is_preserved() {
         let mut t = DepTracker::new();
-        assert!(t.on_enqueue(S0, &writes(&[1]), &[]).is_empty());
-        assert!(t.on_enqueue(S1, &writes(&[2]), &[]).is_empty());
-        assert_eq!(t.on_enqueue(S0, &writes(&[3]), &[]), vec![0]);
-        assert_eq!(t.on_enqueue(S1, &writes(&[4]), &[]), vec![1]);
+        assert!(t.on_enqueue(S0, &writes(&[1])).is_empty());
+        assert!(t.on_enqueue(S1, &writes(&[2])).is_empty());
+        assert_eq!(t.on_enqueue(S0, &writes(&[3])), vec![0]);
+        assert_eq!(t.on_enqueue(S1, &writes(&[4])), vec![1]);
     }
 
     #[test]
     fn raw_war_waw_hazards_create_edges() {
         let mut t = DepTracker::new();
-        assert!(t.on_enqueue(S0, &writes(&[7]), &[]).is_empty()); // 0: writes 7
-        assert_eq!(t.on_enqueue(S1, &reads(&[7]), &[]), vec![0]); // 1: RAW on 7
-        assert_eq!(t.on_enqueue(S2, &writes(&[7]), &[]), vec![0, 1]); // 2: WAW+WAR
-                                                                      // A reader after the new writer depends on the new writer only.
+        assert!(t.on_enqueue(S0, &writes(&[7])).is_empty()); // 0: writes 7
+        assert_eq!(t.on_enqueue(S1, &reads(&[7])), vec![0]); // 1: RAW on 7
+        assert_eq!(t.on_enqueue(S2, &writes(&[7])), vec![0, 1]); // 2: WAW+WAR
+
+        // A reader after the new writer depends on the new writer only.
         let mut t2 = DepTracker::new();
-        t2.on_enqueue(S0, &writes(&[7]), &[]);
-        t2.on_enqueue(S1, &writes(&[7]), &[]);
-        assert_eq!(t2.on_enqueue(S2, &reads(&[7]), &[]), vec![1]);
+        t2.on_enqueue(S0, &writes(&[7]));
+        t2.on_enqueue(S1, &writes(&[7]));
+        assert_eq!(t2.on_enqueue(S2, &reads(&[7])), vec![1]);
     }
 
     #[test]
@@ -216,61 +192,51 @@ mod tests {
         let mut rw = AccessSet::new();
         rw.read_id(9);
         rw.write_id(9);
-        assert!(t.on_enqueue(S0, &rw.clone(), &[]).is_empty());
+        assert!(t.on_enqueue(S0, &rw.clone()).is_empty());
         // Next read-modify-write of the same buffer depends on the
         // previous one exactly once (RAW + WAR dedup to one edge).
-        assert_eq!(t.on_enqueue(S1, &rw, &[]), vec![0]);
+        assert_eq!(t.on_enqueue(S1, &rw), vec![0]);
     }
 
     #[test]
     fn independent_buffers_stay_unordered() {
         let mut t = DepTracker::new();
-        t.on_enqueue(S0, &writes(&[1]), &[]);
-        assert!(t.on_enqueue(S1, &writes(&[2]), &[]).is_empty());
-        assert!(t.on_enqueue(S2, &reads(&[4]).tap_write(3), &[]).is_empty());
+        t.on_enqueue(S0, &writes(&[1]));
+        assert!(t.on_enqueue(S1, &writes(&[2])).is_empty());
+        assert!(t.on_enqueue(S2, &reads(&[4]).tap_write(3)).is_empty());
         // …but reading a pending writer's buffer does order.
-        assert_eq!(t.on_enqueue(S0, &reads(&[2]), &[]), vec![0, 1]);
+        assert_eq!(t.on_enqueue(S0, &reads(&[2])), vec![0, 1]);
     }
 
     #[test]
     fn opaque_launch_is_a_full_barrier() {
         let mut t = DepTracker::new();
-        t.on_enqueue(S0, &writes(&[1]), &[]);
-        t.on_enqueue(S1, &writes(&[2]), &[]);
-        assert_eq!(t.on_enqueue(S2, &opaque(), &[]), vec![0, 1]);
+        t.on_enqueue(S0, &writes(&[1]));
+        t.on_enqueue(S1, &writes(&[2]));
+        assert_eq!(t.on_enqueue(S2, &opaque()), vec![0, 1]);
         // Later launches order behind the barrier even on fresh buffers…
-        assert_eq!(t.on_enqueue(S0, &writes(&[9]), &[]), vec![0, 2]);
+        assert_eq!(t.on_enqueue(S0, &writes(&[9])), vec![0, 2]);
         // …and known buffers treat it as their last writer.
-        assert_eq!(t.on_enqueue(S1, &reads(&[1]), &[]), vec![1, 2]);
-    }
-
-    #[test]
-    fn event_edges_cross_streams() {
-        let mut t = DepTracker::new();
-        t.on_enqueue(S0, &writes(&[1]), &[]);
-        t.note_event_source(EventId(5), 0);
-        assert_eq!(t.on_enqueue(S1, &writes(&[2]), &[EventId(5)]), vec![0]);
-        // Waits on unknown (pre-fired / pre-queue) events add no edges.
-        assert!(t.on_enqueue(S2, &writes(&[3]), &[EventId(99)]).is_empty());
+        assert_eq!(t.on_enqueue(S1, &reads(&[1])), vec![1, 2]);
     }
 
     #[test]
     fn reset_forgets_history() {
         let mut t = DepTracker::new();
-        t.on_enqueue(S0, &writes(&[1]), &[]);
+        t.on_enqueue(S0, &writes(&[1]));
         t.reset();
-        assert!(t.on_enqueue(S0, &reads(&[1]), &[]).is_empty());
+        assert!(t.on_enqueue(S0, &reads(&[1])).is_empty());
     }
 
     #[test]
     fn opaque_launches_are_counted_and_taken() {
         let mut t = DepTracker::new();
-        t.on_enqueue(S0, &writes(&[1]), &[]);
-        t.on_enqueue(S1, &opaque(), &[]);
-        t.on_enqueue(S2, &opaque(), &[]);
+        t.on_enqueue(S0, &writes(&[1]));
+        t.on_enqueue(S1, &opaque());
+        t.on_enqueue(S2, &opaque());
         assert_eq!(t.take_opaque_launches(), 2);
         assert_eq!(t.take_opaque_launches(), 0, "harvest clears the count");
-        t.on_enqueue(S0, &opaque(), &[]);
+        t.on_enqueue(S0, &opaque());
         t.reset();
         assert_eq!(t.take_opaque_launches(), 0, "reset drops unharvested counts");
     }

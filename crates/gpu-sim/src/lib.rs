@@ -33,8 +33,8 @@
 //!    instructions, shared/constant/texture/global transactions, barriers
 //!    and (divergent) branches.
 //!    A launch call only *enqueues*: the kernel joins a dependency graph
-//!    (per-stream program order, event edges, and read/write hazards over
-//!    the buffers its [`Kernel::access`] declares) and executes at the
+//!    (per-stream program order and read/write hazards over the buffers
+//!    its [`Kernel::access`] declares) and executes at the
 //!    next sync point ([`Gpu::synchronize`], [`Gpu::flush`],
 //!    [`Gpu::download`]), where a persistent worker pool overlaps
 //!    block-chunks of *independent* launches across host threads — the
@@ -138,5 +138,5 @@ pub use profiler::{HostSpan, KernelProfile, Profiler, TraceEvent};
 pub use sched::{
     launch_occupancy, BlockCost, ExecMode, LaunchOccupancy, LaunchRecord, OccupancyLimit, Timeline,
 };
-pub use stream::{EventId, StreamId};
+pub use stream::StreamId;
 pub use vector::at_vector_width;

@@ -13,8 +13,11 @@
 //! * [`ExecMode::Concurrent`] lets blocks of up to
 //!   `max_concurrent_kernels` launches from *different* streams share the
 //!   device, backfilling SMs that the current kernels leave idle — the
-//!   mechanism behind the paper's headline speedup;
-//! * `cudaStreamWaitEvent`-style dependencies are honored.
+//!   mechanism behind the paper's headline speedup.
+//!
+//! So a launch waits on at most one other: the previous launch in its
+//! stream, or in Serial mode launch `i − 1`, which already follows stream
+//! order.
 //!
 //! Block durations come from [`CostModel::block_cycles`], evaluated at
 //! placement time with the SM's warp residency, so small lonely kernels pay
@@ -27,7 +30,7 @@ use crate::cost::CostModel;
 use crate::device::DeviceSpec;
 use crate::meter::KernelCounters;
 use crate::profiler::TraceEvent;
-use crate::stream::{EventId, StreamId};
+use crate::stream::StreamId;
 
 /// Whether kernels from distinct streams may overlap on the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,10 +165,6 @@ pub struct LaunchRecord {
     pub block_costs: Vec<BlockCost>,
     /// Work counters aggregated over all blocks.
     pub counters: KernelCounters,
-    /// Events that must have fired before this launch may start.
-    pub wait_events: Vec<EventId>,
-    /// Events that fire when this launch completes.
-    pub record_events: Vec<EventId>,
 }
 
 /// Result of a timing simulation: per-launch trace plus device utilization.
@@ -238,8 +237,8 @@ struct SmState {
     warp_us: f64,
 }
 
-/// "No edge" in the reverse-dependency lists.
-const NO_EDGE: usize = usize::MAX;
+/// "No launch waits on this one" in [`LaunchState::successor`].
+const NO_SUCCESSOR: usize = usize::MAX;
 
 /// One launch's size, dependency bookkeeping and progress, copied out of
 /// the [`LaunchRecord`] so the event loop walks one dense array.
@@ -248,26 +247,15 @@ struct LaunchState {
     blocks: usize,
     /// Index of its blocks' footprint in [`SchedScratch::demands`].
     demand: usize,
-    /// Dependencies (stream predecessor, serial predecessor, awaited
-    /// events) that have not ended yet.
-    unmet_deps: usize,
-    /// Latest end time among the dependencies that have ended.
+    /// End time of the launch it waits on, once that has ended.
     deps_end_us: f64,
-    /// Head of this launch's list in [`SchedScratch::edges`].
-    first_dependent: usize,
+    /// The launch that waits on this one, or [`NO_SUCCESSOR`].
+    successor: usize,
     ready_us: Option<f64>,
     next_block: usize,
     completed_blocks: usize,
     start_us: Option<f64>,
     end_us: Option<f64>,
-}
-
-/// Reverse dependency edge: `to` waits on the launch whose list holds
-/// this edge; `next` chains that list.
-#[derive(Debug, Clone, Copy)]
-struct Edge {
-    to: usize,
-    next: usize,
 }
 
 /// A block leaving its SM (what it gives back is its launch's footprint),
@@ -337,15 +325,13 @@ struct Issuable {
 /// calls: every field is cleared on entry.
 #[derive(Debug, Default)]
 pub(crate) struct SchedScratch {
-    event_source: HashMap<EventId, usize>,
     last_in_stream: HashMap<StreamId, usize>,
     states: Vec<LaunchState>,
-    edges: Vec<Edge>,
     sms: Vec<SmState>,
     /// Block completions, earliest first.
     running: BinaryHeap<Reverse<Completion>>,
-    /// Launches whose last dependency has ended and whose ready time is
-    /// not computed yet, lowest index first.
+    /// Launches whose predecessor has ended (or that have none) and whose
+    /// ready time is not computed yet, lowest index first.
     unblocked: BinaryHeap<Reverse<usize>>,
     /// Launches with a ready time in the future.
     arriving: BinaryHeap<Reverse<Arrival>>,
@@ -510,9 +496,7 @@ impl BlockCosts for &[LaunchRecord] {
 
 /// Simulates the execution of `launches` on `spec` under `mode`.
 ///
-/// `launches` must be in launch order (`launch_idx` ascending). Event ids
-/// referenced by `wait_events` must be recorded by some earlier-or-equal
-/// launch; waiting on an event never recorded is a deadlock and panics.
+/// `launches` must be in launch order (`launch_idx` ascending).
 pub fn simulate(
     spec: &DeviceSpec,
     cost: &CostModel,
@@ -522,26 +506,19 @@ pub fn simulate(
     SchedScratch::default().simulate(spec, cost, mode, launches)
 }
 
-/// Marks launch `i` ended at `t` and releases its dependents: each one
-/// whose last unmet dependency this was joins `unblocked`.
+/// Marks launch `i` ended at `t` and releases its successor, if any, into
+/// `unblocked`.
 fn end_launch(
     states: &mut [LaunchState],
-    edges: &[Edge],
     unblocked: &mut BinaryHeap<Reverse<usize>>,
     i: usize,
     t: f64,
 ) {
     states[i].end_us = Some(t);
-    let mut e = states[i].first_dependent;
-    while e != NO_EDGE {
-        let Edge { to, next } = edges[e];
-        let d = &mut states[to];
-        d.deps_end_us = d.deps_end_us.max(t);
-        d.unmet_deps -= 1;
-        if d.unmet_deps == 0 {
-            unblocked.push(Reverse(to));
-        }
-        e = next;
+    let next = states[i].successor;
+    if next != NO_SUCCESSOR {
+        states[next].deps_end_us = t;
+        unblocked.push(Reverse(next));
     }
 }
 
@@ -589,10 +566,8 @@ impl SchedScratch {
         costs: &mut impl BlockCosts,
     ) -> Timeline {
         let Self {
-            event_source,
             last_in_stream,
             states,
-            edges,
             sms,
             running,
             unblocked,
@@ -614,21 +589,12 @@ impl SchedScratch {
         demands.clear();
         durations.clear();
 
-        // Map every event to the launch that records it.
-        event_source.clear();
-        for (i, l) in launches.clone().enumerate() {
-            for &e in &l.record_events {
-                event_source.insert(e, i);
-            }
-        }
-
-        // Dependency graph. A launch waits on its in-stream predecessor,
-        // on launch `i - 1` in Serial mode, and on the sources of its
-        // awaited events. All three have lower indices (the event graph
-        // is validated here: no forward waits => no deadlock), so a
-        // launch that ends only ever releases launches after it.
+        // Dependency chains. A launch waits on its in-stream predecessor,
+        // or in Serial mode on launch `i - 1`: that one ends no earlier
+        // than the stream predecessor, which it waits on transitively, so
+        // the stream predecessor adds nothing. Either has a lower index, so
+        // a launch that ends only ever releases a launch after it.
         states.clear();
-        edges.clear();
         last_in_stream.clear();
         for (i, l) in launches.clone().enumerate() {
             let demand = Demand {
@@ -644,35 +610,21 @@ impl SchedScratch {
                     demands.push(demand);
                     demands.len() - 1
                 }),
-                unmet_deps: 0,
                 deps_end_us: 0.0,
-                first_dependent: NO_EDGE,
+                successor: NO_SUCCESSOR,
                 ready_us: None,
                 next_block: 0,
                 completed_blocks: 0,
                 start_us: None,
                 end_us: None,
             });
-            let mut depend_on = |src: usize| {
-                edges.push(Edge { to: i, next: states[src].first_dependent });
-                states[src].first_dependent = edges.len() - 1;
-                states[i].unmet_deps += 1;
+            let predecessor = match mode {
+                ExecMode::Serial => i.checked_sub(1),
+                ExecMode::Concurrent => last_in_stream.insert(l.stream, i),
             };
-            if let Some(prev) = last_in_stream.insert(l.stream, i) {
-                depend_on(prev);
-            }
-            if mode == ExecMode::Serial && i > 0 {
-                depend_on(i - 1);
-            }
-            for e in &l.wait_events {
-                let src = *event_source
-                    .get(e)
-                    .unwrap_or_else(|| panic!("launch {i} waits on unrecorded event {e:?}"));
-                assert!(src < i, "launch {i} waits on event recorded by a later launch {src}");
-                depend_on(src);
-            }
-            if states[i].unmet_deps == 0 {
-                unblocked.push(Reverse(i));
+            match predecessor {
+                Some(p) => states[p].successor = i,
+                None => unblocked.push(Reverse(i)),
             }
         }
 
@@ -717,7 +669,7 @@ impl SchedScratch {
                 states[i].ready_us = Some(t);
                 if states[i].blocks == 0 {
                     states[i].start_us = Some(t);
-                    end_launch(states, edges, unblocked, i, t);
+                    end_launch(states, unblocked, i, t);
                     completed += 1;
                 } else {
                     arriving.push(Reverse(Arrival { time_us: t, launch: i }));
@@ -885,7 +837,7 @@ impl SchedScratch {
                     dirty = Some(s);
                     l.completed_blocks += 1;
                     if l.completed_blocks == l.blocks {
-                        end_launch(states, edges, unblocked, launch, now);
+                        end_launch(states, unblocked, launch, now);
                         active_kernels -= 1;
                         completed += 1;
                     }
@@ -967,8 +919,6 @@ mod tests {
                 blocks
             ],
             counters: KernelCounters::default(),
-            wait_events: vec![],
-            record_events: vec![],
         }
     }
 
@@ -1079,24 +1029,6 @@ mod tests {
         assert_eq!(counts["blocks"], 1);
         // Mean theoretical occupancy: (36 + 8) / (2 * 48).
         assert!((t.mean_theoretical_occupancy() - 44.0 / 96.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn event_waits_order_across_streams() {
-        let mut a = record(0, 1, 1, 121_500.0, 8);
-        a.record_events.push(EventId(7));
-        let mut b = record(1, 2, 1, 1215.0, 8);
-        b.wait_events.push(EventId(7));
-        let t = simulate(&spec(), &CostModel::default(), ExecMode::Concurrent, &[a, b]);
-        assert!(t.events[1].t_start_us >= t.events[0].t_end_us);
-    }
-
-    #[test]
-    #[should_panic(expected = "unrecorded event")]
-    fn waiting_on_unknown_event_panics() {
-        let mut b = record(0, 2, 1, 1215.0, 8);
-        b.wait_events.push(EventId(42));
-        simulate(&spec(), &CostModel::default(), ExecMode::Concurrent, &[b]);
     }
 
     #[test]

@@ -85,14 +85,6 @@ fn simulate_reference(
     // overheads then show up in traces, not just aggregate spans).
     let mut overheads = vec![0.0f64; n];
 
-    // Map every event to the launch that records it.
-    let mut event_source: std::collections::HashMap<EventId, usize> = Default::default();
-    for (i, l) in launches.iter().enumerate() {
-        for &e in &l.record_events {
-            event_source.insert(e, i);
-        }
-    }
-
     // Precompute each launch's in-stream predecessor. The readiness loop
     // below runs every event-loop round; scanning `(0..i).rev()` there
     // made each round O(n^2) in the launch count. One forward pass with a
@@ -101,16 +93,6 @@ fn simulate_reference(
     let mut last_in_stream: std::collections::HashMap<StreamId, usize> = Default::default();
     for (i, l) in launches.iter().enumerate() {
         stream_pred.push(last_in_stream.insert(l.stream, i));
-    }
-
-    // Validate event graph up front (no forward waits => no deadlock).
-    for (i, l) in launches.iter().enumerate() {
-        for e in &l.wait_events {
-            let src = event_source
-                .get(e)
-                .unwrap_or_else(|| panic!("launch {i} waits on unrecorded event {e:?}"));
-            assert!(*src < i, "launch {i} waits on event recorded by a later launch {src}");
-        }
     }
 
     let bw_per_sm = spec.dram_bytes_per_cycle() / spec.sm_count as f64;
@@ -129,8 +111,8 @@ fn simulate_reference(
     };
 
     loop {
-        // Refresh readiness: a launch is ready when its stream predecessor,
-        // serial predecessor (in Serial mode) and awaited events are done.
+        // Refresh readiness: a launch is ready when its stream predecessor
+        // and serial predecessor (in Serial mode) are done.
         for i in 0..n {
             if states[i].ready_us.is_some() {
                 continue;
@@ -149,18 +131,6 @@ fn simulate_reference(
                 match states[i - 1].end_us {
                     Some(t) => ready_at = ready_at.max(t),
                     None => ok = false,
-                }
-            }
-            // Event waits.
-            if ok {
-                for e in &launches[i].wait_events {
-                    match states[event_source[e]].end_us {
-                        Some(t) => ready_at = ready_at.max(t),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
                 }
             }
             if ok {
@@ -383,7 +353,6 @@ fn generate(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
     } as usize;
     let streams = 1 + rng.below(24) as u32;
     let mut launches: Vec<LaunchRecord> = Vec::with_capacity(n);
-    let mut next_event = 0u32;
     for i in 0..n {
         let warps = rng.pick(&[1, 8, 8, 18, 48]);
         let threads = warps * 32;
@@ -417,36 +386,22 @@ fn generate(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
         let first = cost(&mut rng);
         let block_costs =
             (0..blocks).map(|_| if uniform { first } else { cost(&mut rng) }).collect();
-        let mut wait_events = Vec::new();
-        for _ in 0..2 {
-            if i > 0 && rng.chance(15) {
-                // Bias towards zero-block sources: their dependents become
-                // ready inside the round that completed them.
-                let empty: Vec<usize> =
-                    (0..i).filter(|&j| launches[j].block_costs.is_empty()).collect();
-                let src = if !empty.is_empty() && rng.chance(40) {
-                    rng.pick(&empty)
-                } else {
-                    rng.below(i as u64) as usize
-                };
-                let e = EventId(next_event);
-                next_event += 1;
-                launches[src].record_events.push(e);
-                wait_events.push(e);
-            }
-        }
+        // Bias towards following a zero-block launch in its stream: the
+        // follower becomes ready inside the round that completed it.
+        let stream = match launches.last() {
+            Some(prev) if prev.block_costs.is_empty() && rng.chance(40) => prev.stream,
+            _ => StreamId(rng.below(streams as u64) as u32),
+        };
         launches.push(LaunchRecord {
             launch_idx: 1000 + i,
             kernel_name: "k",
-            stream: StreamId(rng.below(streams as u64) as u32),
+            stream,
             shared_mem_bytes: shared,
             threads_per_block: threads,
             warps_per_block: warps,
             registers_per_thread: regs,
             block_costs,
             counters: KernelCounters::default(),
-            wait_events,
-            record_events: vec![],
         });
     }
     (spec, launches)
@@ -496,8 +451,6 @@ fn generate_stalled(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
                     .map(|_| if uniform { first } else { cost(&mut rng) })
                     .collect(),
                 counters: KernelCounters::default(),
-                wait_events: vec![],
-                record_events: vec![],
             });
         }
     }
@@ -568,8 +521,6 @@ fn generate_served(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
                 registers_per_thread: regs,
                 block_costs: frame.repeat(frames as usize),
                 counters: KernelCounters::default(),
-                wait_events: vec![],
-                record_events: vec![],
             });
         }
         (width, height) = (width * 4 / 5, height * 4 / 5);
@@ -614,12 +565,6 @@ fn generate_any_device(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
                 mem_bytes: if rng.chance(40) { 128 * rng.below(64) } else { 0 },
             })
             .collect();
-        let mut wait_events = Vec::new();
-        if i > 0 && rng.chance(20) {
-            let e = EventId(i as u32);
-            launches[rng.below(i as u64) as usize].record_events.push(e);
-            wait_events.push(e);
-        }
         launches.push(LaunchRecord {
             launch_idx: i,
             kernel_name: "k",
@@ -630,8 +575,6 @@ fn generate_any_device(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
             registers_per_thread: regs,
             block_costs,
             counters: KernelCounters::default(),
-            wait_events,
-            record_events: vec![],
         });
         let fits = launch_occupancy(&spec, threads, threads.div_ceil(32), shared, regs);
         assert!(fits.blocks_per_sm >= 1, "seed {seed}: launch {i} fits no SM");
@@ -801,8 +744,6 @@ fn launch(idx: usize, warps: u32, issue_cycles: &[f64]) -> LaunchRecord {
             .map(|&issue_cycles| BlockCost { issue_cycles, mem_latency_cycles: 0.0, mem_bytes: 0 })
             .collect(),
         counters: KernelCounters::default(),
-        wait_events: vec![],
-        record_events: vec![],
     }
 }
 
@@ -851,11 +792,8 @@ impl<'a> Counting<'a> {
             .iter()
             .enumerate()
             .map(|(i, l)| {
-                let events = l.wait_events.iter().map(|e| {
-                    launches.iter().position(|s| s.record_events.contains(e)).expect("recorded")
-                });
                 let serial = (mode == ExecMode::Serial && i > 0).then(|| i - 1);
-                last_in_stream.insert(l.stream, i).into_iter().chain(serial).chain(events).collect()
+                last_in_stream.insert(l.stream, i).into_iter().chain(serial).collect()
             })
             .collect();
         Self { launches, deps, asked: vec![0; launches.len()] }

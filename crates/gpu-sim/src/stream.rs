@@ -1,9 +1,10 @@
-//! CUDA-style streams and events.
+//! CUDA-style streams.
 //!
 //! A stream is an in-order queue of kernel launches. Launches in different
-//! streams have no ordering constraint unless linked by an event
-//! (`cudaStreamWaitEvent`). The scheduler ([`crate::sched`]) enforces these
-//! dependencies; this module only provides the identifiers.
+//! streams have no ordering constraint: the paper's pipeline runs one
+//! stream per pyramid level with no cross-stream synchronisation. The
+//! scheduler ([`crate::sched`]) enforces stream order; this module only
+//! provides the identifier.
 
 /// Identifier of a stream. `StreamId::DEFAULT` is the legacy default stream,
 /// which on the simulated device behaves like any other stream except that
@@ -28,10 +29,6 @@ impl StreamId {
         StreamId(index)
     }
 }
-
-/// Identifier of a recorded event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(pub(crate) u32);
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! Integration tests for scheduler corner cases that unit tests don't
-//! reach: the concurrent-kernel cap, cross-stream event chains through
-//! the high-level API, and mode switching mid-session.
+//! reach: the concurrent-kernel cap through the high-level API, and mode
+//! switching mid-session.
 
 use std::ops::Range;
 
@@ -57,31 +57,6 @@ fn concurrent_kernel_cap_limits_simultaneous_launches() {
     let ms = t.span_us() / 1000.0;
     assert!(ms >= 1.9, "16-way cap forces at least two waves, got {ms:.2} ms");
     assert!(ms <= 8.0, "far better than 32 serial milliseconds, got {ms:.2} ms");
-}
-
-#[test]
-fn event_chain_across_three_streams_orders_work() {
-    let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
-    let buf = gpu.mem.upload(&[0u32]);
-    let (s1, s2, s3) = (gpu.create_stream(), gpu.create_stream(), gpu.create_stream());
-
-    // s1: +1, record e1; s2 waits e1: *observe via timing*; s3 waits e2.
-    gpu.launch(AddKernel { buf, value: 1, cycles: 500_000 }, LaunchConfig::linear(1, 32), s1)
-        .unwrap();
-    let e1 = gpu.record_event(s1);
-    gpu.stream_wait_event(s2, e1);
-    gpu.launch(AddKernel { buf, value: 10, cycles: 500_000 }, LaunchConfig::linear(1, 32), s2)
-        .unwrap();
-    let e2 = gpu.record_event(s2);
-    gpu.stream_wait_event(s3, e2);
-    gpu.launch(AddKernel { buf, value: 100, cycles: 500_000 }, LaunchConfig::linear(1, 32), s3)
-        .unwrap();
-
-    let t = gpu.synchronize();
-    assert_eq!(gpu.mem.read(buf)[0], 111);
-    // Timing respects the chain even in concurrent mode.
-    assert!(t.events[1].t_start_us >= t.events[0].t_end_us);
-    assert!(t.events[2].t_start_us >= t.events[1].t_end_us);
 }
 
 #[test]

@@ -517,10 +517,10 @@ impl<D: Detector> FleetServer<D> {
     }
 
     /// Deterministic work stealing: while an idle healthy lane and a
-    /// deep-enough victim exist, move the loosest-deadline half of the
-    /// deepest queue (at most [`MAX_STEAL`]) to the lowest-index idle
-    /// lane. Each move strictly shrinks the deepest queue and occupies
-    /// a thief, so the loop terminates.
+    /// deep-enough victim of its backend exist, move the loosest-deadline
+    /// half of the deepest such queue (at most [`MAX_STEAL`]) to the
+    /// lowest-index idle lane. Each move strictly shrinks the victim's
+    /// queue and occupies a thief, so the loop terminates.
     fn balance(&mut self) {
         loop {
             let thief = self.lanes.iter().enumerate().position(|(_, l)| {
@@ -536,6 +536,7 @@ impl<D: Detector> FleetServer<D> {
                 .filter(|&(i, l)| {
                     i != thief
                         && l.state == DeviceState::Active
+                        && l.server.backend() == self.lanes[thief].server.backend()
                         && l.server.queue_len() >= MIN_VICTIM_QUEUE
                 })
                 .max_by_key(|&(i, l)| (l.server.queue_len(), usize::MAX - i))
@@ -563,12 +564,6 @@ impl<D: Detector> FleetServer<D> {
         let mut moved = 0u64;
         for req in stolen {
             let geometry = req.geometry();
-            // A thief of a different engine can never take the work:
-            // the result would come off the wrong kernel chain.
-            if self.lanes[thief].server.backend() != req.backend {
-                let _ = self.lanes[victim].server.inject(req);
-                continue;
-            }
             match self.lanes[thief].server.inject(req) {
                 Ok(()) => {
                     self.record_geometry(thief, geometry);
@@ -851,6 +846,40 @@ mod tests {
         assert_eq!(f.router_stats().routed_per_device, [1, 10]);
         assert!(f.router_stats().steals > 0, "idle lane must steal from the backlog");
         assert!(f.device_stats(0).served > 1, "the thief served stolen work, not just its own");
+    }
+
+    #[test]
+    fn idle_lane_steals_from_its_own_backend_past_a_deeper_foreign_queue() {
+        // Lanes: Haar, CNN, Haar. A small Haar frame takes lane 0 and
+        // affinity piles ten larger ones on lane 2; twenty CNN frames
+        // queue on lane 1, deeper than lane 2's whenever lane 0 looks for a
+        // victim. Lane 0 goes idle first and must steal from lane 2: lane
+        // 1's requests it can never serve.
+        use fd_cnn::{CnnDetector, CnnModel};
+        let haar = || FaceDetector::try_new(&edge_cascade(), det_cfg()).expect("haar");
+        let cnn = CnnDetector::try_new(&CnnModel::seeded(0), det_cfg()).expect("cnn");
+        let detectors: Vec<Box<dyn Detector>> =
+            vec![Box::new(haar()), Box::new(cnn), Box::new(haar())];
+        let mut f = FleetServer::from_detectors(detectors, FleetConfig::default());
+        let mut submit = |w, shift, backend| {
+            let frame = pattern_frame(w, 48, shift);
+            f.submit_to_backend(frame, Priority::Standard, 0.0, 1e9, backend).unwrap();
+        };
+        submit(32, 0, Backend::Haar);
+        for i in 0..10 {
+            submit(64, i % 4, Backend::Haar);
+        }
+        for i in 0..20 {
+            submit(64, i % 4, Backend::Cnn);
+        }
+        f.run();
+        assert_eq!(f.stats().served, 31);
+        assert_eq!(f.router_stats().routed_per_device, [1, 20, 10]);
+        assert!(f.router_stats().steals > 0, "the idle Haar lane must steal");
+        assert!(f.device_stats(0).served > 1, "the thief served stolen work, not just its own");
+        for (c, &d) in f.completed().iter().zip(f.completed_device()) {
+            assert_eq!(f.device_backend(d), c.backend, "request {} misrouted", c.id);
+        }
     }
 
     #[test]

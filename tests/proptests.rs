@@ -140,8 +140,6 @@ proptest! {
                     blocks
                 ],
                 counters: KernelCounters::default(),
-                wait_events: vec![],
-                record_events: vec![],
             })
             .collect();
         let spec = DeviceSpec::gtx470();

@@ -1,9 +1,9 @@
 //! Property-based determinism tests for the deferred host execution of
 //! launches: any pyramid-shaped multi-stream workload — shared buffers,
-//! declared and opaque kernels, cross-stream events, mid-queue sync and
-//! flush points, optional fault injection — must be **bitwise** identical
-//! under the dependency-graph drain at any worker count to the
-//! `host_threads = 1` serial issue order.
+//! declared and opaque kernels, mid-queue sync and flush points, optional
+//! fault injection — must be **bitwise** identical under the
+//! dependency-graph drain at any worker count to the `host_threads = 1`
+//! serial issue order.
 
 use std::ops::Range;
 
@@ -137,27 +137,19 @@ enum Op {
         stream: usize,
         blocks: u32,
     },
-    RecordEvent {
-        stream: usize,
-    },
-    /// Wait on the `which`-th recorded event (no-op when none recorded).
-    WaitEvent {
-        stream: usize,
-        which: usize,
-    },
     Sync,
     Flush,
 }
 
 /// One tuple strategy with a weighted discriminant: launches dominate
-/// (6/10) so workloads are mostly kernel traffic, with events, waits,
-/// syncs and flushes mixed in.
+/// (6/8) so workloads are mostly kernel traffic, with syncs and flushes
+/// mixed in.
 fn op_strategy() -> impl Strategy<Value = Op> {
     struct OpStrategy;
     impl Strategy for OpStrategy {
         type Value = Op;
         fn generate(&self, rng: &mut proptest::test_runner::TestRng) -> Op {
-            let disc = (0u8..10).generate(rng);
+            let disc = (0u8..8).generate(rng);
             match disc {
                 0..=5 => Op::Launch {
                     kind: (0u8..3).generate(rng),
@@ -166,12 +158,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                     stream: (0usize..3).generate(rng),
                     blocks: (1u32..96).generate(rng),
                 },
-                6 => Op::RecordEvent { stream: (0usize..3).generate(rng) },
-                7 => Op::WaitEvent {
-                    stream: (0usize..3).generate(rng),
-                    which: (0usize..4).generate(rng),
-                },
-                8 => Op::Sync,
+                6 => Op::Sync,
                 _ => Op::Flush,
             }
         }
@@ -201,7 +188,6 @@ fn run(
         })
         .collect();
     let streams: Vec<StreamId> = (0..3).map(|_| gpu.create_stream()).collect();
-    let mut events = Vec::new();
     let mut span_bits = Vec::new();
 
     for op in ops {
@@ -221,13 +207,6 @@ fn run(
                     _ => gpu.launch(OpaqueXor { buf: bufs[a], m: 0x9e3779b9 }, cfg, s),
                 };
                 r.expect("launch");
-            }
-            Op::RecordEvent { stream } => events.push(gpu.record_event(streams[stream])),
-            Op::WaitEvent { stream, which } => {
-                if !events.is_empty() {
-                    let e = events[which % events.len()];
-                    gpu.stream_wait_event(streams[stream], e);
-                }
             }
             Op::Sync => span_bits.push(gpu.synchronize().span_us().to_bits()),
             Op::Flush => gpu.flush(),
