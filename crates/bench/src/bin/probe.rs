@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
 use fd_bench::out::{arg_flag, arg_usize};
 use fd_detector::{DetectorConfig, FaceDetector};
-use fd_gpu::{ExecMode, Profiler};
+use fd_gpu::{DeviceSpec, Profiler};
 use fd_imgproc::synth::render_random_background;
 use fd_imgproc::GrayImage;
 use fd_video::{movie_trailers, Trailer, TrailerSpec};
@@ -190,15 +190,15 @@ fn main() {
     );
 
     for (name, cascade) in [("ours", &pair.ours), ("opencv-like", &pair.opencv_like)] {
-        for mode in [ExecMode::Concurrent, ExecMode::Serial] {
-            let mut det = FaceDetector::new(
-                cascade,
-                DetectorConfig { exec_mode: mode, ..DetectorConfig::default() },
-            );
+        let concurrent = DeviceSpec::gtx470();
+        let serial = concurrent.profiler_serialized();
+        for (device, mode) in [(concurrent, "Concurrent"), (serial, "Serial")] {
+            let mut det =
+                FaceDetector::new(cascade, DetectorConfig { device, ..DetectorConfig::default() });
             let tw = std::time::Instant::now();
             let r = det.detect(&frame0).expect("detect");
             eprintln!(
-                "{name:<12} {mode:?}: simulated {:.3} ms, wall {:.2} s, raw {} dets {} groups, util {:.2}",
+                "{name:<12} {mode}: simulated {:.3} ms, wall {:.2} s, raw {} dets {} groups, util {:.2}",
                 r.detect_ms,
                 tw.elapsed().as_secs_f64(),
                 r.raw.len(),

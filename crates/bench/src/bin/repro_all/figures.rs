@@ -9,7 +9,7 @@ use fd_boost::{GentleBoost, TrainingSet};
 use fd_detector::{DetectorConfig, FaceDetector};
 use fd_eval::roc::{match_frame, roc_curve, FrameEval};
 use fd_eval::scface::MugshotDataset;
-use fd_gpu::{ExecMode, Timeline};
+use fd_gpu::{DeviceSpec, Timeline};
 use fd_haar::{enumerate_features, Cascade, EnumerationRule};
 use fd_video::movie_trailers;
 
@@ -27,10 +27,12 @@ pub fn fig5() {
     let info = movie_trailers().into_iter().find(|t| t.title == "50/50").unwrap();
     println!("[fig5] {} frames of '{}' x 4 configurations", frames, info.title);
 
-    let (ours_c, _) = detect_series(&pair.ours, &info, ExecMode::Concurrent, frames);
-    let (ours_s, _) = detect_series(&pair.ours, &info, ExecMode::Serial, frames);
-    let (cv_c, _) = detect_series(&pair.opencv_like, &info, ExecMode::Concurrent, frames);
-    let (cv_s, _) = detect_series(&pair.opencv_like, &info, ExecMode::Serial, frames);
+    let concurrent = DeviceSpec::gtx470();
+    let serial = concurrent.profiler_serialized();
+    let (ours_c, _) = detect_series(&pair.ours, &info, &concurrent, frames);
+    let (ours_s, _) = detect_series(&pair.ours, &info, &serial, frames);
+    let (cv_c, _) = detect_series(&pair.opencv_like, &info, &concurrent, frames);
+    let (cv_s, _) = detect_series(&pair.opencv_like, &info, &serial, frames);
 
     let mut csv = Table::new(&[
         "frame",
@@ -97,11 +99,11 @@ pub fn fig6() {
     let frame = trailer.render_frame(frame_idx);
 
     let mut overlap_summary = Vec::new();
-    for (mode, name) in [(ExecMode::Concurrent, "concurrent"), (ExecMode::Serial, "serial")] {
-        let mut det = FaceDetector::new(
-            &pair.ours,
-            DetectorConfig { exec_mode: mode, ..DetectorConfig::default() },
-        );
+    let concurrent = DeviceSpec::gtx470();
+    let serial = concurrent.profiler_serialized();
+    for (device, name) in [(concurrent, "concurrent"), (serial, "serial")] {
+        let mut det =
+            FaceDetector::new(&pair.ours, DetectorConfig { device, ..DetectorConfig::default() });
         let r = det.detect(&frame).expect("detect");
         println!(
             "\n=== {name} mode: frame span {:.3} ms, SM occupancy {:.1}% ===",

@@ -1,24 +1,24 @@
 //! Shared experiment runners.
 
 use fd_detector::{DetectorConfig, FaceDetector};
-use fd_gpu::ExecMode;
+use fd_gpu::DeviceSpec;
 use fd_haar::Cascade;
 use fd_video::decoder::pipelined_fps;
 use fd_video::{HwDecoder, TrailerInfo};
 
 use crate::cascades::CascadePair;
 
-/// Per-frame latency series for one (cascade, mode) configuration over a
+/// Per-frame latency series for one (cascade, device) configuration over a
 /// trailer. Returns `(detect_ms, decode_ms)` per frame.
 pub fn detect_series(
     cascade: &Cascade,
     info: &TrailerInfo,
-    mode: ExecMode,
+    device: &DeviceSpec,
     n_frames: usize,
 ) -> (Vec<f64>, Vec<f64>) {
     let decoder = HwDecoder::new(info.generate(n_frames));
-    let mut detector =
-        FaceDetector::new(cascade, DetectorConfig { exec_mode: mode, ..DetectorConfig::default() });
+    let config = DetectorConfig { device: device.clone(), ..DetectorConfig::default() };
+    let mut detector = FaceDetector::new(cascade, config);
     let mut detect_ms = Vec::with_capacity(n_frames);
     let mut decode_ms = Vec::with_capacity(n_frames);
     for frame in decoder {
@@ -69,11 +69,13 @@ impl Table2Row {
 /// Run Table II over `trailers` with `frames` frames each.
 pub fn run_table2(pair: &CascadePair, trailers: &[TrailerInfo], frames: usize) -> Vec<Table2Row> {
     let mut rows = Vec::with_capacity(trailers.len());
+    let concurrent = DeviceSpec::gtx470();
+    let serial = concurrent.profiler_serialized();
     for info in trailers {
-        let (ours_c, decode) = detect_series(&pair.ours, info, ExecMode::Concurrent, frames);
-        let (ours_s, _) = detect_series(&pair.ours, info, ExecMode::Serial, frames);
-        let (cv_c, _) = detect_series(&pair.opencv_like, info, ExecMode::Concurrent, frames);
-        let (cv_s, _) = detect_series(&pair.opencv_like, info, ExecMode::Serial, frames);
+        let (ours_c, decode) = detect_series(&pair.ours, info, &concurrent, frames);
+        let (ours_s, _) = detect_series(&pair.ours, info, &serial, frames);
+        let (cv_c, _) = detect_series(&pair.opencv_like, info, &concurrent, frames);
+        let (cv_s, _) = detect_series(&pair.opencv_like, info, &serial, frames);
         rows.push(Table2Row {
             title: info.title.to_string(),
             ours_concurrent: mean(&ours_c),

@@ -202,6 +202,7 @@ impl StageList for CnnStages {
 mod tests {
     use super::*;
     use fd_detector::{Detector, DetectorConfig, Pipeline};
+    use fd_gpu::probe::timeline_bits;
     use fd_gpu::{DeviceSpec, ExecMode};
     use fd_imgproc::resize::resize_bilinear;
     use fd_imgproc::synth::{render_background, BackgroundKind, FaceParams};
@@ -237,6 +238,25 @@ mod tests {
             assert_eq!(*out.depth, host.depth, "level {}", out.at.level);
             assert_eq!(*out.score, host.score, "level {}", out.at.level);
         }
+    }
+
+    /// A detector built with the `ExecMode::Serial` adapter runs a CNN frame
+    /// as one built on the profiler-serialized device does (fd-detector's
+    /// `exec_mode_switch_changes_timing_not_results` checks a Haar frame
+    /// and the switch).
+    #[test]
+    fn serial_mode_is_the_profiler_serialized_device() {
+        let built = |config: DetectorConfig| {
+            let mut det = CnnDetector::try_new(&CnnModel::seeded(0), config).unwrap();
+            let r = det.detect(&face_frame()).unwrap();
+            assert!(!r.raw.is_empty(), "the frame must fire windows");
+            (timeline_bits(&r.timeline), format!("{:?}", det.profiler()))
+        };
+        let device = DeviceSpec::gtx470().profiler_serialized();
+        assert_eq!(
+            built(DetectorConfig { exec_mode: ExecMode::Serial, ..DetectorConfig::default() }),
+            built(DetectorConfig { device, ..DetectorConfig::default() })
+        );
     }
 
     #[test]

@@ -85,8 +85,8 @@ impl Subject for CnnStages {
     }
 }
 
-fn pipeline<S: Subject>(mode: ExecMode) -> Pipeline<S> {
-    Pipeline::try_new(Gpu::new(DeviceSpec::gtx470(), mode), &S::test_model(), 1.25).unwrap()
+fn pipeline<S: Subject>(device: DeviceSpec) -> Pipeline<S> {
+    Pipeline::try_new(Gpu::new(device, ExecMode::Concurrent), &S::test_model(), 1.25).unwrap()
 }
 
 /// Raw detections and per-level rejection counts of one request slot.
@@ -108,8 +108,9 @@ fn run<S: StageList>(p: &mut Pipeline<S>, frames: &[&GrayImage]) -> (Vec<Fingerp
 
 fn serial_and_concurrent_agree_functionally<S: Subject>() {
     let frame = S::frame(0);
-    let (serial, ts) = run(&mut pipeline::<S>(ExecMode::Serial), &[&frame]);
-    let (concurrent, tc) = run(&mut pipeline::<S>(ExecMode::Concurrent), &[&frame]);
+    let (serial, ts) =
+        run(&mut pipeline::<S>(DeviceSpec::gtx470().profiler_serialized()), &[&frame]);
+    let (concurrent, tc) = run(&mut pipeline::<S>(DeviceSpec::gtx470()), &[&frame]);
     assert!(!serial[0].0.is_empty(), "the test frame must fire windows");
     assert_eq!(serial, concurrent);
     // Concurrency can only help.
@@ -118,7 +119,7 @@ fn serial_and_concurrent_agree_functionally<S: Subject>() {
 
 fn steady_state_is_allocation_free_and_release_returns_everything<S: Subject>() {
     let frame = S::frame(0);
-    let mut p = pipeline::<S>(ExecMode::Concurrent);
+    let mut p = pipeline::<S>(DeviceSpec::gtx470());
     assert_eq!(p.pooled_bytes(), 0, "no pool before the first frame");
     let (first, _) = run(&mut p, &[&frame, &frame, &frame]);
     let (live, allocs) = (p.gpu.mem.live_bytes(), p.gpu.mem.alloc_count());
@@ -153,7 +154,7 @@ fn mixed_geometries_share_one_pool_grown_to_the_largest<S: Subject>() {
     let small: Vec<GrayImage> = large.iter().map(|f| f.crop(Rect::new(8, 6, 64, 48))).collect();
     let (large, small): (Vec<&GrayImage>, Vec<&GrayImage>) =
         (large.iter().collect(), small.iter().collect());
-    let mut p = pipeline::<S>(ExecMode::Concurrent);
+    let mut p = pipeline::<S>(DeviceSpec::gtx470());
     let (large_plan, small_plan) = (p.plan_for(large[0]).unwrap(), p.plan_for(small[0]).unwrap());
     // Small first, so the large frames grow the pool; then back, and a
     // shed prefix of the large plan.
@@ -165,11 +166,11 @@ fn mixed_geometries_share_one_pool_grown_to_the_largest<S: Subject>() {
     ];
     let fresh: Vec<Vec<Fingerprint>> = cycle
         .iter()
-        .map(|(frames, plan)| run_plan(&mut pipeline::<S>(ExecMode::Concurrent), frames, plan))
+        .map(|(frames, plan)| run_plan(&mut pipeline::<S>(DeviceSpec::gtx470()), frames, plan))
         .collect();
     assert!(fresh[1].iter().all(|f| !f.0.is_empty()), "the large frames must fire windows");
     let largest = {
-        let mut only_large = pipeline::<S>(ExecMode::Concurrent);
+        let mut only_large = pipeline::<S>(DeviceSpec::gtx470());
         run_plan(&mut only_large, &large, &large_plan);
         only_large.pooled_bytes()
     };
@@ -190,7 +191,7 @@ fn mixed_geometries_share_one_pool_grown_to_the_largest<S: Subject>() {
 
 fn batch_matches_per_frame_runs<S: Subject>() {
     let frames: Vec<GrayImage> = (0..3).map(S::frame).collect();
-    let mut p = pipeline::<S>(ExecMode::Concurrent);
+    let mut p = pipeline::<S>(DeviceSpec::gtx470());
     let singles: Vec<Fingerprint> = frames.iter().map(|f| run(&mut p, &[f]).0.remove(0)).collect();
     let refs: Vec<&GrayImage> = frames.iter().collect();
     let (batch, _) = run(&mut p, &refs);
@@ -198,19 +199,20 @@ fn batch_matches_per_frame_runs<S: Subject>() {
 }
 
 /// The timing model orders launches by stream alone, so a dependency of
-/// the host drain between two streams would be an ordering the Concurrent
-/// timeline never models: every one stays within its stream, in both
-/// modes, fused or not, for a single frame and a batch.
+/// the host drain between two streams would be an ordering a concurrent
+/// timeline never models: every one stays within its stream, on the device
+/// and on it profiler-serialized, fused or not, for a single frame and a
+/// batch.
 fn every_dependency_stays_within_its_stream<S: Subject>() {
     let frames: Vec<GrayImage> = (0..3).map(S::frame).collect();
-    for mode in [ExecMode::Serial, ExecMode::Concurrent] {
+    for device in [DeviceSpec::gtx470().profiler_serialized(), DeviceSpec::gtx470()] {
         for fusion in [false, true] {
-            let mut p = pipeline::<S>(mode);
+            let what = format!("kernel cap {}, fusion {fusion}", device.max_concurrent_kernels);
+            let mut p = pipeline::<S>(device.clone());
             p.stages_mut()
                 .configure(&DetectorConfig { fusion: Some(fusion), ..Default::default() });
             let (_, single) = run(&mut p, &[&frames[0]]);
             let (_, batch) = run(&mut p, &frames.iter().collect::<Vec<_>>());
-            let what = format!("{mode:?}, fusion {fusion}");
             for t in [&single, &batch] {
                 let streams: std::collections::HashSet<_> =
                     t.events.iter().map(|e| e.stream).collect();
@@ -224,7 +226,7 @@ fn every_dependency_stays_within_its_stream<S: Subject>() {
 }
 
 fn rejects_mixed_geometry_empty_batches_and_empty_plans<S: Subject>() {
-    let mut p = pipeline::<S>(ExecMode::Concurrent);
+    let mut p = pipeline::<S>(DeviceSpec::gtx470());
     let (a, b) = (S::frame(0), GrayImage::from_fn(64, 48, |x, _| x as f32));
     let plan = p.plan_for(&a).unwrap();
     for (frames, plan) in [(&[&a, &b][..], &plan[..]), (&[], &plan), (&[&a], &[])] {
@@ -237,7 +239,7 @@ fn rejects_mixed_geometry_empty_batches_and_empty_plans<S: Subject>() {
 }
 
 fn rejects_frames_smaller_than_a_window<S: Subject>() {
-    let p = pipeline::<S>(ExecMode::Concurrent);
+    let p = pipeline::<S>(DeviceSpec::gtx470());
     for (w, h) in [(16, 40), (40, 16)] {
         let tiny = GrayImage::from_fn(w, h, |_, _| 0.0);
         assert!(matches!(p.plan_for(&tiny), Err(DetectorError::FrameTooSmall { .. })), "{w}x{h}");
@@ -245,7 +247,7 @@ fn rejects_frames_smaller_than_a_window<S: Subject>() {
 }
 
 fn rejects_bad_scale_factors_before_the_model<S: Subject>() {
-    let gpu = || Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+    let gpu = || Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
     assert!(
         !matches!(
             Pipeline::<S>::try_new(gpu(), &S::invalid_model(), 1.25),

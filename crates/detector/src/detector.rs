@@ -19,7 +19,8 @@ use crate::pipeline::{Pipeline, StageList};
 pub struct DetectorConfig {
     /// Device to simulate.
     pub device: DeviceSpec,
-    /// Serial vs concurrent kernel execution (the paper's comparison).
+    /// The device runs as [`ExecMode::device`]`(&device)`: an adapter that
+    /// goes with ROADMAP item 2's benchmark-typed change.
     pub exec_mode: ExecMode,
     /// Pyramid ratio between consecutive levels.
     pub scale_factor: f64,
@@ -180,10 +181,11 @@ impl<S: StageList> PyramidDetector<S> {
         self.pipeline.stages().model()
     }
 
-    /// Switch execution mode (takes effect next frame).
+    /// Run on `mode.device(&config().device)` from the next frame on: an
+    /// adapter that goes with ROADMAP item 2's benchmark-typed change.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.config.exec_mode = mode;
-        self.pipeline.gpu.set_mode(mode);
+        self.pipeline.gpu.spec = mode.device(&self.config.device);
     }
 
     /// Accumulated profiler (all frames so far).
@@ -306,6 +308,7 @@ impl<S: StageList> PyramidDetector<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fd_gpu::probe::timeline_bits;
     use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
     use fd_imgproc::Rect;
 
@@ -380,18 +383,37 @@ mod tests {
         assert_eq!(hist.rejection_rate_at_stage(usize::MAX), 0.0);
     }
 
+    /// The mode adapters are the profiler-serialized device: built with
+    /// `ExecMode::Serial` or switched to it, a detector runs the frame as one
+    /// built on `profiler_serialized()` does, and switching back brings back
+    /// the first run's timeline (the repo benchmark's reference cycle).
     #[test]
     fn exec_mode_switch_changes_timing_not_results() {
         let frame = frame_with_pattern();
-        let mut det = FaceDetector::new(
-            &edge_cascade(2),
-            DetectorConfig { min_neighbors: 1, ..DetectorConfig::default() },
-        );
-        let conc = det.detect(&frame).unwrap();
+        let config = DetectorConfig { min_neighbors: 1, ..DetectorConfig::default() };
+        let run = |det: &mut FaceDetector| {
+            let r = det.detect(&frame).unwrap();
+            (r.raw, timeline_bits(&r.timeline), r.detect_ms)
+        };
+        let built = |config: DetectorConfig| {
+            let mut det = FaceDetector::new(&edge_cascade(2), config);
+            let (_, timeline, _) = run(&mut det);
+            (timeline, format!("{:?}", det.profiler()))
+        };
+        let device = DeviceSpec::gtx470().profiler_serialized();
+        let serialized = built(DetectorConfig { device, ..config.clone() });
+        let adapted = built(DetectorConfig { exec_mode: ExecMode::Serial, ..config.clone() });
+        assert_eq!(adapted, serialized);
+
+        let mut det = FaceDetector::new(&edge_cascade(2), config);
+        let conc = run(&mut det);
         det.set_exec_mode(ExecMode::Serial);
-        let serial = det.detect(&frame).unwrap();
-        assert_eq!(conc.raw, serial.raw);
-        assert!(serial.detect_ms >= conc.detect_ms * 0.999);
+        let serial = run(&mut det);
+        assert_eq!(conc.0, serial.0);
+        assert_eq!(serial.1, serialized.0, "switched to Serial: the serialized device");
+        assert!(serial.2 >= conc.2 * 0.999);
+        det.set_exec_mode(ExecMode::Concurrent);
+        assert_eq!(run(&mut det).1, conc.1, "switched back: the first run's timeline");
     }
 
     #[test]

@@ -784,7 +784,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "24-px windows")]
     fn rejects_non_24px_cascades() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
         let c = Cascade::new("w32", 32);
         let b = gpu.mem.alloc::<u32>(1);
         let s = gpu.mem.alloc::<f32>(1);

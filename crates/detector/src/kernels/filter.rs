@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn requests_shared_memory_for_the_halo() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
         let src = gpu.mem.alloc::<f32>(256);
         let dst = gpu.mem.alloc::<f32>(256);
         let k = FilterKernel { src, dst, width: 16, height: 16 };

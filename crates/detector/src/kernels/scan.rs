@@ -208,9 +208,9 @@ mod tests {
     fn one_block_per_row_geometry() {
         let k = ScanRowsKernel {
             input: ScanInput::U32(
-                Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial).mem.alloc::<u32>(8),
+                Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).mem.alloc::<u32>(8),
             ),
-            output: Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial).mem.alloc::<u32>(8),
+            output: Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).mem.alloc::<u32>(8),
             width: 4,
             height: 2,
         };

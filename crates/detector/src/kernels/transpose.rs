@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn square_tile_geometry() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
         let src = gpu.mem.alloc::<u32>(64 * 64);
         let dst = gpu.mem.alloc::<u32>(64 * 64);
         let k = TransposeKernel { src, dst, width: 64, height: 64 };

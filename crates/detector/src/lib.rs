@@ -13,10 +13,9 @@
 //!       -> display (deepest-stage thresholding, rectangle grouping)
 //! ```
 //!
-//! Every pyramid level runs in its own CUDA stream; under
-//! [`fd_gpu::ExecMode::Concurrent`] the small levels' kernels co-schedule
-//! across SMs (the paper's headline optimization), while
-//! [`fd_gpu::ExecMode::Serial`] reproduces the baseline.
+//! Every pyramid level runs in its own CUDA stream; the small levels'
+//! kernels co-schedule across SMs (the paper's headline optimization),
+//! while [`fd_gpu::DeviceSpec::profiler_serialized`] reproduces the baseline.
 //!
 //! * [`kernels`] — the six device kernels, each metering the SIMT work it
 //!   performs;

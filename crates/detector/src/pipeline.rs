@@ -1,16 +1,16 @@
 //! The per-frame pipeline skeleton (paper Fig. 1), shared by every
 //! detection backend.
 //!
-//! For every pyramid level the pipeline issues the level's launches into
-//! a *per-level stream*. In [`fd_gpu::ExecMode::Concurrent`] mode the
-//! device scheduler backfills idle SMs with blocks from other levels'
-//! streams (most effective for the small levels, whose grids cannot
-//! occupy the device on their own); in [`fd_gpu::ExecMode::Serial`] mode
-//! every kernel drains before the next starts, reproducing the paper's
-//! baseline. Which launches a level takes, the workspaces they need and
-//! what a readback of a level shows belong to the backend's
-//! [`StageList`]: the paper's Haar cascade ([`HaarStages`](crate::HaarStages))
-//! or the CNN cascade of `fd-cnn`.
+//! For every pyramid level the pipeline issues the level's launches into a
+//! *per-level stream*. On a device with concurrent kernel execution the device
+//! scheduler backfills idle SMs with blocks from other levels' streams (most
+//! effective for the small levels, whose grids cannot occupy the device on
+//! their own); on a device with one kernel slot, such as
+//! [`fd_gpu::DeviceSpec::profiler_serialized`], every kernel drains before the
+//! next starts, reproducing the paper's baseline. Which launches a level takes,
+//! the workspaces they need and what a readback of a level shows belong to the
+//! backend's [`StageList`]: the paper's Haar cascade
+//! ([`HaarStages`](crate::HaarStages)) or the CNN cascade of `fd-cnn`.
 //!
 //! The skeleton's contract — serial equals concurrent, allocation-free
 //! steady state, `release_pool` and re-bind, batch equals per-frame, the

@@ -122,10 +122,9 @@ impl<K: Kernel> Kernel for BatchedKernel<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::DeviceSpec;
+    use crate::device::{DeviceSpec, ExecMode};
     use crate::gpu::{Gpu, LaunchError};
     use crate::memory::DevBuf;
-    use crate::sched::ExecMode;
 
     /// Writes `base + linear_thread_range` scaled by 2; block-parallel.
     #[derive(Clone, Copy)]
@@ -246,7 +245,7 @@ mod tests {
 
     #[test]
     fn batched_launch_validates_inputs() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
         let s = gpu.create_stream();
         assert!(matches!(
             gpu.launch_batched(Vec::<FillKernel>::new(), LaunchConfig::linear(64, 64), s),

@@ -1,5 +1,34 @@
 //! Device capability descriptions.
 
+/// Per-kernel overhead of profiler-serialized runs, µs. The paper's serial
+/// column comes from runs under the CUDA profiler's per-kernel tracing (§V:
+/// concurrent traces were impossible), which on Fermi drains the device and
+/// flushes counters after every launch — with ~130 launches per 1080p
+/// frame, a first-order term of that column.
+const PROFILER_DRAIN_US: f64 = 20.0;
+
+/// The paper's two conditions of one device, by name: an adapter that goes
+/// with ROADMAP item 2's benchmark-typed change (the benchmark names them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecMode {
+    /// [`DeviceSpec::profiler_serialized`].
+    Serial,
+    /// The device as specified.
+    Concurrent,
+}
+
+impl ExecMode {
+    /// The device `base` runs as in this mode. `Serial` serializes at most
+    /// once: a `base` that already runs its kernels in issue order (say, one
+    /// already profiler-serialized) comes back as it is.
+    pub fn device(self, base: &DeviceSpec) -> DeviceSpec {
+        match self {
+            ExecMode::Serial if !base.runs_in_issue_order() => base.profiler_serialized(),
+            _ => base.clone(),
+        }
+    }
+}
+
 /// Static capabilities of a simulated GPU.
 ///
 /// The preset used throughout the reproduction is [`DeviceSpec::gtx470`],
@@ -42,25 +71,17 @@ pub struct DeviceSpec {
     pub clock_ghz: f64,
     /// Aggregate DRAM bandwidth, GB/s.
     pub dram_bandwidth_gbps: f64,
-    /// Most kernels co-resident in [`crate::ExecMode::Concurrent`]; 1 is a
-    /// device without concurrent kernel execution. Must be at least 1.
+    /// Most kernels co-resident on the device; 1 is a device without
+    /// concurrent kernel execution, which runs kernels in issue order. Must
+    /// be at least 1.
     pub max_concurrent_kernels: u32,
     /// Fixed per-kernel launch overhead (host enqueue + device dispatch),
     /// microseconds. Fermi-era microbenchmarks put this at 5-10 us; it is
-    /// paid serially between kernels in [`crate::ExecMode::Serial`] and
-    /// overlapped across streams in [`crate::ExecMode::Concurrent`] —
-    /// with ~130 launches per 1080p frame (17 pyramid levels x 8
-    /// kernels), a first-order term of the paper's serial baseline.
+    /// paid serially between kernels on a device that runs them in issue
+    /// order and overlapped across streams otherwise — with ~130 launches
+    /// per 1080p frame (17 pyramid levels x 8 kernels), a first-order term
+    /// of the paper's serial baseline.
     pub launch_overhead_us: f64,
-    /// Additional per-kernel overhead applied in [`crate::ExecMode::Serial`]
-    /// only. The paper's serial baseline is measured the way its §V
-    /// describes: with the CUDA command-line profiler's per-kernel tracing
-    /// active (concurrent traces were impossible, so serial numbers come
-    /// from profiler-serialized executions). Profiler counter collection
-    /// on Fermi drains the device and flushes counters after every
-    /// launch, adding tens of microseconds per kernel; with ~130 launches
-    /// per 1080p frame this is a first-order term of the serial column.
-    pub serial_profiling_overhead_us: f64,
 }
 
 impl DeviceSpec {
@@ -85,7 +106,6 @@ impl DeviceSpec {
             dram_bandwidth_gbps: 133.9,
             max_concurrent_kernels: 16,
             launch_overhead_us: 8.0,
-            serial_profiling_overhead_us: 20.0,
         }
     }
 
@@ -93,6 +113,24 @@ impl DeviceSpec {
     /// serialization must be forced.
     pub fn single_sm() -> Self {
         Self { name: "single-SM test device", sm_count: 1, ..Self::gtx470() }
+    }
+
+    /// This device as the paper measures its serial column: under the
+    /// profiler's per-kernel tracing, one kernel at a time, each launch
+    /// paying `PROFILER_DRAIN_US` more. The name stays the card's.
+    pub fn profiler_serialized(&self) -> DeviceSpec {
+        DeviceSpec {
+            max_concurrent_kernels: 1,
+            launch_overhead_us: self.launch_overhead_us + PROFILER_DRAIN_US,
+            ..self.clone()
+        }
+    }
+
+    /// Whether a launch waits on the one issued before it, not on the last
+    /// in its stream: a one-slot device runs kernels in issue order, as
+    /// Fermi multiplexes every stream into one hardware queue.
+    pub(crate) fn runs_in_issue_order(&self) -> bool {
+        self.max_concurrent_kernels == 1
     }
 
     /// Converts a cycle count in the shader clock domain to microseconds.
@@ -120,6 +158,11 @@ mod tests {
         assert_eq!(d.registers_per_sm, 32768);
         assert_eq!(d.max_registers_per_thread, 63);
         assert_eq!(d.max_concurrent_kernels, 16);
+        // The serial column's device: one slot, 8 + 20 us (exact in f64),
+        // the card's name, nothing else changed.
+        let s = d.profiler_serialized();
+        assert!(s.runs_in_issue_order() && s.launch_overhead_us == 28.0);
+        assert_eq!(DeviceSpec { max_concurrent_kernels: 16, launch_overhead_us: 8.0, ..s }, d);
     }
 
     #[test]
@@ -135,5 +178,13 @@ mod tests {
         let d = DeviceSpec::gtx470();
         let b = d.dram_bytes_per_cycle();
         assert!(b > 100.0 && b < 120.0, "GTX470 ~110 B/cycle, got {b}");
+    }
+
+    #[test]
+    fn serial_adapter_serializes_once() {
+        let serialized = DeviceSpec::gtx470().profiler_serialized();
+        assert_eq!(ExecMode::Serial.device(&DeviceSpec::gtx470()), serialized);
+        assert_eq!(ExecMode::Serial.device(&serialized), serialized);
+        assert_eq!(ExecMode::Concurrent.device(&serialized), serialized);
     }
 }

@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use crate::cost::CostModel;
-use crate::device::DeviceSpec;
+use crate::device::{DeviceSpec, ExecMode};
 use crate::fault::{fault_draw, FaultCursor, FaultDomain, FaultPlan, FaultStats};
 use crate::graph::DepTracker;
 use crate::kernel::{Kernel, LaunchConfig};
@@ -14,7 +14,7 @@ use crate::memory::{
 use crate::meter::KernelCounters;
 use crate::pool::{resolve_host_threads, DrainJob, LaunchEnv, Node, WorkerPool};
 use crate::profiler::Profiler;
-use crate::sched::{BlockCost, BlockCosts, ExecMode, LaunchRecord, SchedScratch, Timeline};
+use crate::sched::{BlockCost, BlockCosts, LaunchRecord, SchedScratch, Timeline};
 use crate::stream::StreamId;
 
 /// Most blocks a single launch may execute functionally. Far beyond any
@@ -144,7 +144,6 @@ pub struct Gpu {
     pub mem: DeviceMemory,
     constants: ConstBank,
     textures: Vec<Texture2D>,
-    mode: ExecMode,
     /// Host worker threads for the functional phase; `None` defers to
     /// host parallelism (see [`crate::pool`]).
     host_threads: Option<usize>,
@@ -273,10 +272,9 @@ impl<'a> QueueCosts<'a> {
         scratch: &mut SchedScratch,
         spec: &DeviceSpec,
         cost: &CostModel,
-        mode: ExecMode,
     ) -> (Timeline, Vec<(f64, f64)>) {
         let records = self.pending.iter().map(|p| &p.record);
-        let timeline = scratch.simulate_from(spec, cost, mode, records, &mut self);
+        let timeline = scratch.simulate_from(spec, cost, records, &mut self);
         self.simulated.push((self.since_us, self.now_us()));
         (timeline, self.simulated)
     }
@@ -374,16 +372,16 @@ struct FaultState {
 }
 
 impl Gpu {
-    /// Create a device with the default cost model.
+    /// Create a device with the default cost model, running as
+    /// [`ExecMode::device`]`(&spec)` (`mode` goes with ROADMAP item 2).
     pub fn new(spec: DeviceSpec, mode: ExecMode) -> Self {
         let constants = ConstBank::new(spec.const_mem_bytes);
         Self {
-            spec,
+            spec: mode.device(&spec),
             cost: CostModel::default(),
             mem: DeviceMemory::new(),
             constants,
             textures: Vec::new(),
-            mode,
             host_threads: None,
             next_stream: 1,
             pending: Vec::new(),
@@ -460,11 +458,6 @@ impl Gpu {
         self.mem.live_bytes() + self.constants.used_words() * 4
     }
 
-    /// Current execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// Pin the functional phase to `threads` host workers (builder form).
     /// `1` selects the serial reference schedule.
     pub fn with_host_threads(mut self, threads: usize) -> Self {
@@ -484,13 +477,6 @@ impl Gpu {
     /// Effective host worker threads the next drain will use.
     pub fn host_threads(&self) -> usize {
         resolve_host_threads(self.host_threads)
-    }
-
-    /// Switch between serial and concurrent kernel execution. Takes effect
-    /// at the next [`Gpu::synchronize`]; pending launches are simulated
-    /// under the mode active when synchronize is called.
-    pub fn set_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
     }
 
     /// Create a new stream.
@@ -803,7 +789,7 @@ impl Gpu {
     /// How many dependencies of the host drain's graph, over this device's
     /// lifetime, linked a launch to one in another stream. The timing
     /// model orders launches by stream alone, so each such dependency is
-    /// an ordering the Concurrent timeline does not model; a pipeline
+    /// an ordering a concurrent timeline does not model; a pipeline
     /// whose timeline is to be trusted keeps this at zero.
     #[cfg(any(test, feature = "testkit"))]
     pub fn cross_stream_deps(&self) -> u64 {
@@ -856,7 +842,6 @@ impl Gpu {
                     &mut self.sched_scratch,
                     &self.spec,
                     &self.cost,
-                    self.mode,
                 )
             })
         } else {
@@ -874,7 +859,7 @@ impl Gpu {
                     // the records.
                     self.flush_functional();
                     QueueCosts::new(&self.pending, self.pending.len(), None, self.host_epoch)
-                        .simulate(&mut self.sched_scratch, &self.spec, &self.cost, self.mode)
+                        .simulate(&mut self.sched_scratch, &self.spec, &self.cost)
                 }
             };
         for (t0, t1) in simulated {
@@ -963,7 +948,7 @@ mod tests {
 
     #[test]
     fn launch_validation_rejects_bad_configs() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
         let buf = gpu.mem.alloc::<u32>(16);
         let k = DoubleKernel { buf };
         assert!(matches!(
@@ -1002,8 +987,8 @@ mod tests {
 
     #[test]
     fn functional_results_identical_across_modes() {
-        let run = |mode| {
-            let mut gpu = Gpu::new(DeviceSpec::gtx470(), mode);
+        let run = |spec| {
+            let mut gpu = Gpu::new(spec, ExecMode::Concurrent);
             let buf = gpu.mem.upload(&(0u32..4096).collect::<Vec<_>>());
             let s1 = gpu.create_stream();
             let s2 = gpu.create_stream();
@@ -1012,12 +997,12 @@ mod tests {
             gpu.synchronize();
             gpu.mem.download(buf)
         };
-        assert_eq!(run(ExecMode::Serial), run(ExecMode::Concurrent));
+        assert_eq!(run(DeviceSpec::gtx470().profiler_serialized()), run(DeviceSpec::gtx470()));
     }
 
     #[test]
     fn profiler_accumulates_across_scopes() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
         let buf = gpu.mem.alloc::<u32>(256);
         gpu.launch_default(DoubleKernel { buf }, LaunchConfig::linear(256, 128)).unwrap();
         gpu.synchronize();
@@ -1056,7 +1041,8 @@ mod tests {
     #[test]
     fn injected_launch_failures_are_deterministic_and_typed() {
         let collect = || {
-            let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+            let mut gpu =
+                Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
             gpu.set_fault_plan(Some(
                 FaultPlan::seeded(7).with_transient_launch_failures(0.2).with_launch_timeouts(0.05),
             ));
@@ -1095,7 +1081,8 @@ mod tests {
         // A faulted batched launch must name one in-range part; the
         // attribution must be reproducible across identical runs.
         let collect = || {
-            let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+            let mut gpu =
+                Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
             gpu.set_fault_plan(Some(FaultPlan::seeded(11).with_transient_launch_failures(0.3)));
             let parts = 6usize;
             let bufs: Vec<_> = (0..parts).map(|_| gpu.mem.alloc::<u32>(128)).collect();
@@ -1128,7 +1115,8 @@ mod tests {
     #[test]
     fn stream_stall_stretches_the_timeline_not_the_results() {
         let run = |stall_rate| {
-            let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+            let mut gpu =
+                Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
             gpu.set_fault_plan(Some(FaultPlan::seeded(3).with_stream_stalls(stall_rate, 2000.0)));
             let buf = gpu.mem.upload(&(0u32..1024).collect::<Vec<_>>());
             gpu.launch_default(DoubleKernel { buf }, LaunchConfig::linear(1024, 256)).unwrap();
@@ -1148,7 +1136,7 @@ mod tests {
 
     #[test]
     fn cancel_pending_discards_the_queue() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
         let buf = gpu.mem.alloc::<u32>(64);
         gpu.launch_default(DoubleKernel { buf }, LaunchConfig::linear(64, 64)).unwrap();
         assert_eq!(gpu.pending_launches(), 1);
@@ -1161,7 +1149,7 @@ mod tests {
 
     #[test]
     fn copy_corruption_fires_and_drains() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
         gpu.set_fault_plan(Some(FaultPlan::seeded(11).with_copy_corruption(1.0)));
         let buf = gpu.mem.upload(&vec![7u32; 512]);
         let out = gpu.mem.download(buf);
@@ -1179,7 +1167,7 @@ mod tests {
 
     #[test]
     fn pending_clears_on_sync() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
         let buf = gpu.mem.alloc::<u32>(64);
         gpu.launch_default(DoubleKernel { buf }, LaunchConfig::linear(64, 64)).unwrap();
         assert_eq!(gpu.pending_launches(), 1);
@@ -1190,7 +1178,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "deferred")]
     fn host_read_while_deferred_panics() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
         let buf = gpu.mem.upload(&vec![1u32; 64]);
         gpu.launch_default(DoubleKernel { buf }, LaunchConfig::linear(64, 64)).unwrap();
         // The launch has not run yet; reading now would observe stale data.
@@ -1213,7 +1201,7 @@ mod tests {
 
     #[test]
     fn gpu_download_flushes_implicitly() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
         let buf = gpu.mem.upload(&vec![21u32; 128]);
         gpu.launch_default(DoubleKernel { buf }, LaunchConfig::linear(128, 64)).unwrap();
         assert!(gpu.download(buf).iter().all(|&v| v == 42));

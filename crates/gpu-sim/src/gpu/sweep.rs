@@ -2,9 +2,9 @@
 //! pulls the drain (two or more host threads) against the one that follows
 //! it (one host thread), over generated launch graphs — streams, shared
 //! buffers, a fused chain, a batched launch, stalled launches, a flush in
-//! the middle, both execution modes. Timeline, profiler and buffers must
-//! be equal bit for bit; the `sweep_catches_*` tests prove the sweep
-//! would notice a block cost read at the wrong place.
+//! the middle, on the device and on it profiler-serialized. Timeline,
+//! profiler and buffers must be equal bit for bit; the `sweep_catches_*`
+//! tests prove the sweep would notice a block cost read at the wrong place.
 
 use std::ops::Range;
 
@@ -73,9 +73,9 @@ type Observed = (Vec<u64>, String, Vec<Vec<u32>>, bool);
 /// Builds case `case`'s launch graph on a device with `threads` host
 /// threads and synchronizes it. Everything random is drawn from the case
 /// number alone, so every thread count sees the same graph.
-fn run_case(case: u64, mode: ExecMode, threads: usize) -> Observed {
+fn run_case(case: u64, spec: &DeviceSpec, threads: usize) -> Observed {
     let mut rng = Rng(case ^ 0x5eed_2400);
-    let mut gpu = Gpu::new(DeviceSpec::gtx470(), mode).with_host_threads(threads);
+    let mut gpu = Gpu::new(spec.clone(), ExecMode::Concurrent).with_host_threads(threads);
     gpu.set_fault_plan(Some(FaultPlan::seeded(case).with_stream_stalls(0.25, 40.0)));
     let bufs: Vec<DevBuf<u32>> = (0..8u32)
         .map(|b| (0..LEN as u32).map(|i| i.wrapping_mul(b + 3)).collect::<Vec<_>>())
@@ -139,12 +139,13 @@ fn run_case(case: u64, mode: ExecMode, threads: usize) -> Observed {
 fn sweep(cases: u64) {
     let mut pulled = 0;
     for case in 0..cases {
-        for mode in [ExecMode::Concurrent, ExecMode::Serial] {
-            let reference = run_case(case, mode, 1);
+        for spec in [DeviceSpec::gtx470(), DeviceSpec::gtx470().profiler_serialized()] {
+            let reference = run_case(case, &spec, 1);
             assert!(!reference.3, "one host thread is the calling thread");
             for threads in [2, 3, 4, 8] {
-                let (timeline, profiler, buffers, pooled) = run_case(case, mode, threads);
-                let what = format!("case {case} {mode:?}, {threads} host threads");
+                let (timeline, profiler, buffers, pooled) = run_case(case, &spec, threads);
+                let cap = spec.max_concurrent_kernels;
+                let what = format!("case {case} kernel cap {cap}, {threads} host threads");
                 assert_eq!(timeline, reference.0, "{what}: timeline");
                 assert_eq!(profiler, reference.1, "{what}: profiler");
                 assert!(buffers == reference.2, "{what}: buffers");

@@ -17,8 +17,9 @@
 //! * the memory spaces with distinct cost behaviour (global DRAM, per-block
 //!   shared memory, broadcast constant memory, interpolating texture memory);
 //! * CUDA streams with in-order execution per stream, and a device scheduler
-//!   that either serializes kernels ([`ExecMode::Serial`]) or backfills idle
-//!   SMs with blocks from other streams ([`ExecMode::Concurrent`]);
+//!   that backfills idle SMs with blocks from other streams, or on a device
+//!   with one kernel slot ([`DeviceSpec::profiler_serialized`], the paper's
+//!   serial baseline) runs kernels in issue order;
 //! * profiling: per-kernel timestamps (execution traces), instruction/
 //!   transaction counters, branch efficiency and DRAM throughput.
 //!
@@ -40,7 +41,7 @@
 //!    block-chunks of *independent* launches across host threads — the
 //!    host-side analogue of the SM backfilling the timing model
 //!    reproduces. Results are bit-exact and independent of the thread
-//!    count and the timing mode; one host thread
+//!    count and the device's kernel cap and launch overhead; one host thread
 //!    ([`Gpu::set_host_threads`]`(Some(1))`) runs the launches in issue
 //!    order and is the reference schedule.
 //! 2. **Timing phase** — each launch yields per-block cycle costs. At
@@ -120,7 +121,7 @@ mod pool;
 
 pub use batch::BatchedKernel;
 pub use cost::CostModel;
-pub use device::DeviceSpec;
+pub use device::{DeviceSpec, ExecMode};
 pub use dim::Dim3;
 pub use fault::{FaultCursor, FaultPlan, FaultStats};
 pub use fuse::{FusedChain, FusedKernel, FusionError, FusionTraits, FUSION_ENV_VAR};
@@ -136,7 +137,7 @@ pub use meter::{KernelCounters, Meter};
 pub use pool::{AUTOTUNE_ENV_VAR, HOST_EXEC_ENV_VAR, THREADS_ENV_VAR};
 pub use profiler::{HostSpan, KernelProfile, Profiler, TraceEvent};
 pub use sched::{
-    launch_occupancy, BlockCost, ExecMode, LaunchOccupancy, LaunchRecord, OccupancyLimit, Timeline,
+    launch_occupancy, BlockCost, LaunchOccupancy, LaunchRecord, OccupancyLimit, Timeline,
 };
 pub use stream::StreamId;
 pub use vector::at_vector_width;

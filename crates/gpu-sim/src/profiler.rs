@@ -20,9 +20,9 @@ pub struct TraceEvent {
     pub t_start_us: f64,
     pub t_end_us: f64,
     pub blocks: u64,
-    /// Launch overhead charged before `t_start_us` (driver/runtime cost;
-    /// includes profiling overhead in serial mode). A fused launch pays
-    /// this once where its constituents would have paid it k times.
+    /// Launch overhead charged before `t_start_us` (driver/runtime cost and
+    /// any profiler drain). A fused launch pays this once where its
+    /// constituents would have paid it k times.
     pub overhead_us: f64,
     /// Theoretical residency of this launch's blocks and the budget that
     /// bounded it (see [`crate::sched::launch_occupancy`]).

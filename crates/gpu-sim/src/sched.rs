@@ -8,16 +8,18 @@
 //!   registers), and a block goes to the SM with the most free warps that
 //!   has room for it — a launch that finds none waits for a completion;
 //! * launches in the same stream execute in order;
-//! * [`ExecMode::Serial`] additionally drains each launch before the next
-//!   one starts (profiler-style serialization, the paper's baseline);
-//! * [`ExecMode::Concurrent`] lets blocks of up to
-//!   `max_concurrent_kernels` launches from *different* streams share the
-//!   device, backfilling SMs that the current kernels leave idle — the
-//!   mechanism behind the paper's headline speedup.
+//! * blocks of up to [`DeviceSpec::max_concurrent_kernels`] launches from
+//!   *different* streams share the device, backfilling SMs that the
+//!   current kernels leave idle — the mechanism behind the paper's headline
+//!   speedup;
+//! * a device with one kernel slot runs kernels in issue order, each
+//!   launch draining before the next starts (Fermi multiplexes every
+//!   stream into one hardware queue); the paper's serial baseline is such a
+//!   device, [`DeviceSpec::profiler_serialized`].
 //!
 //! So a launch waits on at most one other: the previous launch in its
-//! stream, or in Serial mode launch `i − 1`, which already follows stream
-//! order.
+//! stream, or on a one-slot device launch `i − 1`, which already follows
+//! stream order.
 //!
 //! Block durations come from [`CostModel::block_cycles`], evaluated at
 //! placement time with the SM's warp residency, so small lonely kernels pay
@@ -31,15 +33,6 @@ use crate::device::DeviceSpec;
 use crate::meter::KernelCounters;
 use crate::profiler::TraceEvent;
 use crate::stream::StreamId;
-
-/// Whether kernels from distinct streams may overlap on the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Drain every launch before starting the next, regardless of stream.
-    Serial,
-    /// Fermi-style concurrent kernel execution across streams.
-    Concurrent,
-}
 
 /// Timing cost of one thread block, produced by the functional phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -494,16 +487,11 @@ impl BlockCosts for &[LaunchRecord] {
     }
 }
 
-/// Simulates the execution of `launches` on `spec` under `mode`.
+/// Simulates the execution of `launches` on `spec`.
 ///
 /// `launches` must be in launch order (`launch_idx` ascending).
-pub fn simulate(
-    spec: &DeviceSpec,
-    cost: &CostModel,
-    mode: ExecMode,
-    launches: &[LaunchRecord],
-) -> Timeline {
-    SchedScratch::default().simulate(spec, cost, mode, launches)
+pub fn simulate(spec: &DeviceSpec, cost: &CostModel, mut launches: &[LaunchRecord]) -> Timeline {
+    SchedScratch::default().simulate_from(spec, cost, launches.iter(), &mut launches)
 }
 
 /// Marks launch `i` ended at `t` and releases its successor, if any, into
@@ -543,25 +531,13 @@ fn best_sm(
 }
 
 impl SchedScratch {
-    /// [`simulate`] on this scratch's buffers.
-    pub(crate) fn simulate(
-        &mut self,
-        spec: &DeviceSpec,
-        cost: &CostModel,
-        mode: ExecMode,
-        mut launches: &[LaunchRecord],
-    ) -> Timeline {
-        self.simulate_from(spec, cost, mode, launches.iter(), &mut launches)
-    }
-
-    /// The event loop. `launches` says who runs where and waits on whom
+    /// The event loop of [`simulate`]. `launches` says who runs where and waits on whom
     /// (their `block_costs` and `counters` are not read); `costs` says
     /// what their blocks cost.
     pub(crate) fn simulate_from<'a>(
         &mut self,
         spec: &DeviceSpec,
         cost: &CostModel,
-        mode: ExecMode,
         launches: impl ExactSizeIterator<Item = &'a LaunchRecord> + Clone,
         costs: &mut impl BlockCosts,
     ) -> Timeline {
@@ -590,12 +566,14 @@ impl SchedScratch {
         durations.clear();
 
         // Dependency chains. A launch waits on its in-stream predecessor,
-        // or in Serial mode on launch `i - 1`: that one ends no earlier
-        // than the stream predecessor, which it waits on transitively, so
-        // the stream predecessor adds nothing. Either has a lower index, so
-        // a launch that ends only ever releases a launch after it.
+        // or on a one-slot device on launch `i - 1`: that one ends no
+        // earlier than the stream predecessor, which it waits on
+        // transitively, so the stream predecessor adds nothing. Either has
+        // a lower index, so a launch that ends only ever releases a launch
+        // after it.
         states.clear();
         last_in_stream.clear();
+        let in_issue_order = spec.runs_in_issue_order();
         for (i, l) in launches.clone().enumerate() {
             let demand = Demand {
                 warps: l.warps_per_block,
@@ -618,10 +596,8 @@ impl SchedScratch {
                 start_us: None,
                 end_us: None,
             });
-            let predecessor = match mode {
-                ExecMode::Serial => i.checked_sub(1),
-                ExecMode::Concurrent => last_in_stream.insert(l.stream, i),
-            };
+            let predecessor =
+                if in_issue_order { i.checked_sub(1) } else { last_in_stream.insert(l.stream, i) };
             match predecessor {
                 Some(p) => states[p].successor = i,
                 None => unblocked.push(Reverse(i)),
@@ -632,15 +608,7 @@ impl SchedScratch {
         admits.resize(demands.len(), false);
 
         let bw_per_sm = spec.dram_bytes_per_cycle() / spec.sm_count as f64;
-        // Launch overhead charged to every launch, reported on the trace
-        // so tools can attribute it as its own slice (fusion's saved
-        // overheads then show up in traces, not just aggregate spans).
-        let overhead = spec.launch_overhead_us
-            + if mode == ExecMode::Serial { spec.serial_profiling_overhead_us } else { 0.0 };
-        let kernel_cap = match mode {
-            ExecMode::Serial => 1,
-            ExecMode::Concurrent => spec.max_concurrent_kernels,
-        };
+        let (overhead, kernel_cap) = (spec.launch_overhead_us, spec.max_concurrent_kernels);
         let mut now = 0.0f64;
         let mut completed = 0usize;
         // Launches that have placed a block and not ended.
@@ -872,6 +840,9 @@ impl SchedScratch {
                 stream: l.stream,
                 t_start_us: start,
                 t_end_us: end,
+                // Reported so tools can attribute the launch overhead as
+                // its own slice (fusion's saved overheads then show up in
+                // traces, not just aggregate spans).
                 overhead_us: overhead,
                 blocks: st.blocks as u64,
                 occupancy: launch_occupancy(
@@ -928,27 +899,27 @@ mod tests {
 
     #[test]
     fn serial_mode_serializes_streams() {
-        // Two one-block kernels in different streams; serial mode must not
-        // overlap them.
+        // Two one-block kernels in different streams; the serial device must
+        // not overlap them.
         let launches = vec![record(0, 1, 1, 1215.0, 8), record(1, 2, 1, 1215.0, 8)];
-        let t = simulate(&spec(), &CostModel::default(), ExecMode::Serial, &launches);
+        let t = simulate(&spec().profiler_serialized(), &CostModel::default(), &launches);
         assert!(t.events[1].t_start_us >= t.events[0].t_end_us);
     }
 
     #[test]
     fn concurrent_mode_overlaps_independent_streams() {
         let launches = vec![record(0, 1, 1, 121_500.0, 8), record(1, 2, 1, 121_500.0, 8)];
-        let t = simulate(&spec(), &CostModel::default(), ExecMode::Concurrent, &launches);
+        let t = simulate(&spec(), &CostModel::default(), &launches);
         // Both ~100us kernels overlap: span well below the 200us serial sum.
         assert!(t.span_us() < 150.0, "span {}", t.span_us());
-        let s = simulate(&spec(), &CostModel::default(), ExecMode::Serial, &launches);
+        let s = simulate(&spec().profiler_serialized(), &CostModel::default(), &launches);
         assert!(s.span_us() > 200.0, "serial span {}", s.span_us());
     }
 
     #[test]
     fn same_stream_never_overlaps_even_concurrently() {
         let launches = vec![record(0, 3, 4, 50_000.0, 8), record(1, 3, 4, 50_000.0, 8)];
-        let t = simulate(&spec(), &CostModel::default(), ExecMode::Concurrent, &launches);
+        let t = simulate(&spec(), &CostModel::default(), &launches);
         assert!(t.events[1].t_start_us >= t.events[0].t_end_us);
     }
 
@@ -958,7 +929,7 @@ mod tests {
         let mut sp = DeviceSpec::single_sm();
         sp.launch_overhead_us = 0.0;
         let launches = vec![record(0, 1, 3, 1215.0, 48)];
-        let t = simulate(&sp, &CostModel::default(), ExecMode::Concurrent, &launches);
+        let t = simulate(&sp, &CostModel::default(), &launches);
         // 3 blocks x 1215 cycles at 1.215GHz = 3us total, serialized.
         assert!((t.span_us() - 3.0).abs() < 1e-9, "span {}", t.span_us());
     }
@@ -979,13 +950,13 @@ mod tests {
         l.block_costs =
             vec![BlockCost { issue_cycles: 0.0, mem_latency_cycles: 4860.0, mem_bytes: 0 }; 3];
         l.registers_per_thread = 128;
-        let t = simulate(&sp, &CostModel::default(), ExecMode::Concurrent, &[l.clone()]);
+        let t = simulate(&sp, &CostModel::default(), &[l.clone()]);
         assert!((t.span_us() - 3.0).abs() < 1e-9, "span {}", t.span_us());
         assert_eq!(t.events[0].occupancy.limit, OccupancyLimit::Registers);
         assert_eq!(t.events[0].occupancy.blocks_per_sm, 1);
         // Without register pressure the same three blocks run in one wave.
         l.registers_per_thread = 0;
-        let free = simulate(&sp, &CostModel::default(), ExecMode::Concurrent, &[l]);
+        let free = simulate(&sp, &CostModel::default(), &[l]);
         assert!((free.span_us() - 1.0).abs() < 1e-9, "span {}", free.span_us());
     }
 
@@ -1020,7 +991,7 @@ mod tests {
         let mut wide = record(0, 1, 1, 1215.0, 18);
         wide.registers_per_thread = 16;
         let tiny = record(1, 2, 1, 1215.0, 1);
-        let t = simulate(&spec(), &CostModel::default(), ExecMode::Concurrent, &[wide, tiny]);
+        let t = simulate(&spec(), &CostModel::default(), &[wide, tiny]);
         assert_eq!(t.events[0].occupancy.limit, OccupancyLimit::Warps);
         assert_eq!(t.events[0].occupancy.resident_warps, 36);
         assert_eq!(t.events[1].occupancy.limit, OccupancyLimit::Blocks);
@@ -1034,7 +1005,7 @@ mod tests {
     #[test]
     fn zero_block_launch_completes_immediately() {
         let launches = vec![record(0, 1, 0, 0.0, 1), record(1, 1, 1, 1215.0, 8)];
-        let t = simulate(&spec(), &CostModel::default(), ExecMode::Concurrent, &launches);
+        let t = simulate(&spec(), &CostModel::default(), &launches);
         assert_eq!(t.events[0].t_start_us, t.events[0].t_end_us);
         assert!(t.events[1].t_end_us > t.events[1].t_start_us);
     }
@@ -1054,7 +1025,7 @@ mod tests {
             record(1, 2, 1, 1215.0, 18),
             record(2, 3, 2000, 12_150.0, 8),
         ];
-        let t = simulate(&sp, &CostModel::default(), ExecMode::Concurrent, &launches);
+        let t = simulate(&sp, &CostModel::default(), &launches);
         let (big, wide, drip) = (&t.events[0], &t.events[1], &t.events[2]);
         assert_eq!(drip.t_start_us, 0.0, "the drip backfills the free warps");
         assert_eq!(wide.t_start_us, big.t_end_us, "placed when the 40 warps leave");
@@ -1066,7 +1037,7 @@ mod tests {
         // One tiny single-block kernel (8 of 48 warps on 1 of 14 SMs):
         // warp occupancy ~ 8 / (48 * 14) ~ 1.2%.
         let launches = vec![record(0, 1, 1, 1_215_000.0, 8)];
-        let t = simulate(&spec(), &CostModel::default(), ExecMode::Concurrent, &launches);
+        let t = simulate(&spec(), &CostModel::default(), &launches);
         let u = t.sm_utilization();
         assert!(u < 0.02, "utilization {u} should be ~1%");
         assert!(u > 0.005, "utilization {u} should be nonzero");
@@ -1078,8 +1049,8 @@ mod tests {
         let launches: Vec<_> =
             (0..14).map(|i| record(i, i as u32 + 1, 1, 1_215_000.0, 8)).collect();
         let cm = CostModel::default();
-        let c = simulate(&spec(), &cm, ExecMode::Concurrent, &launches);
-        let s = simulate(&spec(), &cm, ExecMode::Serial, &launches);
+        let c = simulate(&spec(), &cm, &launches);
+        let s = simulate(&spec().profiler_serialized(), &cm, &launches);
         assert!(
             s.span_us() / c.span_us() > 8.0,
             "serial {} vs concurrent {}",

@@ -52,12 +52,7 @@ struct LaunchState {
 /// the issue order from all `n` launches, and every waiting launch scans
 /// every SM. Slow and obviously faithful to the scheduling rules, which is
 /// what an oracle should be.
-fn simulate_reference(
-    spec: &DeviceSpec,
-    cost: &CostModel,
-    mode: ExecMode,
-    launches: &[LaunchRecord],
-) -> Timeline {
+fn simulate_reference(spec: &DeviceSpec, cost: &CostModel, launches: &[LaunchRecord]) -> Timeline {
     let n = launches.len();
     let mut sms = vec![
         SmState {
@@ -112,7 +107,8 @@ fn simulate_reference(
 
     loop {
         // Refresh readiness: a launch is ready when its stream predecessor
-        // and serial predecessor (in Serial mode) are done.
+        // and, on a device that runs kernels in issue order, the launch
+        // before it are done.
         for i in 0..n {
             if states[i].ready_us.is_some() {
                 continue;
@@ -126,20 +122,15 @@ fn simulate_reference(
                     None => ok = false,
                 }
             }
-            // Global serialization.
-            if ok && mode == ExecMode::Serial && i > 0 {
+            // Issue order.
+            if ok && spec.runs_in_issue_order() && i > 0 {
                 match states[i - 1].end_us {
                     Some(t) => ready_at = ready_at.max(t),
                     None => ok = false,
                 }
             }
             if ok {
-                let overhead = spec.launch_overhead_us
-                    + if mode == ExecMode::Serial {
-                        spec.serial_profiling_overhead_us
-                    } else {
-                        0.0
-                    };
+                let overhead = spec.launch_overhead_us;
                 let t = ready_at.max(now) + overhead;
                 overheads[i] = overhead;
                 states[i].ready_us = Some(t);
@@ -154,10 +145,7 @@ fn simulate_reference(
         let mut active_kernels: u32 = (0..n)
             .filter(|&i| states[i].next_block > 0 && states[i].end_us.is_none())
             .count() as u32;
-        let kernel_cap = match mode {
-            ExecMode::Serial => 1,
-            ExecMode::Concurrent => spec.max_concurrent_kernels,
-        };
+        let kernel_cap = spec.max_concurrent_kernels;
         for i in 0..n {
             let ready = matches!(states[i].ready_us, Some(t) if t <= now);
             if !ready || states[i].next_block >= launches[i].block_costs.len() {
@@ -530,7 +518,7 @@ fn generate_served(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
 
 /// Any device with a launch set whose every block fits its empty SM: 1 to 4
 /// SMs, each per-SM budget drawn on its own (a budget may be zero where no
-/// block demands it), a kernel cap of 1, 2 or 16, overheads of 0 or 8 µs.
+/// block demands it), a kernel cap of 1, 2 or 16, an overhead of 0 or 8 µs.
 /// Blocks draw their threads, shared memory and registers up to the SM's
 /// budget, so a single block may fill an SM.
 fn generate_any_device(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
@@ -544,7 +532,6 @@ fn generate_any_device(seed: u64) -> (DeviceSpec, Vec<LaunchRecord>) {
     spec.registers_per_sm = rng.pick(&[0, 4096, 32 * 1024]);
     spec.max_concurrent_kernels = rng.pick(&[1, 2, 16]);
     spec.launch_overhead_us = rng.pick(&[0.0, 8.0]);
-    spec.serial_profiling_overhead_us = rng.pick(&[0.0, 8.0]);
 
     let n = 1 + rng.below(40) as usize;
     let streams = 1 + rng.below(8);
@@ -609,36 +596,51 @@ fn outcome(run: impl FnOnce() -> Timeline) -> Result<Timeline, String> {
         .map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default())
 }
 
-/// Both loops over `seeds` scenarios of `generate`: every one completes in
-/// both, with equal timelines. Every generated block fits an empty SM, so
-/// a stall is a bug.
-fn differential(mode: ExecMode, generate: fn(u64) -> (DeviceSpec, Vec<LaunchRecord>), seeds: u64) {
+/// A scenario's second device: one that runs the same launch set one kernel
+/// at a time, in issue order. Given the device drawn and the seed.
+type OneSlot = fn(&DeviceSpec, u64) -> DeviceSpec;
+
+/// The paper's serial baseline of the device drawn.
+fn serialized(spec: &DeviceSpec, _seed: u64) -> DeviceSpec {
+    spec.profiler_serialized()
+}
+
+/// Both loops over `seeds` scenarios of `generate`, each on the device drawn
+/// and, given `one_slot`, on its one-slot counterpart too: every run
+/// completes in both, with equal timelines. Every generated block fits an
+/// empty SM, so a stall is a bug.
+fn differential(
+    generate: fn(u64) -> (DeviceSpec, Vec<LaunchRecord>),
+    seeds: u64,
+    one_slot: Option<OneSlot>,
+) {
     let cost = CostModel::default();
     // One scratch for the whole sweep, as `Gpu` keeps one across scopes:
     // nothing of one scenario may leak into the next.
     let mut scratch = SchedScratch::default();
     for seed in 0..seeds {
-        let (spec, launches) = generate(seed ^ 0x5eed_0000);
-        let want = outcome(|| simulate_reference(&spec, &cost, mode, &launches));
-        let got = outcome(|| scratch.simulate(&spec, &cost, mode, &launches));
-        let what = format!("seed {seed} {mode:?}");
-        match (got, want) {
-            (Ok(got), Ok(want)) => assert_identical(&got, &want, &format!("timeline of {what}")),
-            (got, want) => {
-                panic!("{what}: a loop did not complete: {:?} vs {:?}", got.err(), want.err())
+        let (drawn, launches) = generate(seed ^ 0x5eed_0000);
+        let second = one_slot.map(|f| f(&drawn, seed));
+        for spec in std::iter::once(&drawn).chain(&second) {
+            let want = outcome(|| simulate_reference(spec, &cost, &launches));
+            let got =
+                outcome(|| scratch.simulate_from(spec, &cost, launches.iter(), &mut &launches[..]));
+            let what = format!("seed {seed} (kernel cap {})", spec.max_concurrent_kernels);
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    assert_identical(&got, &want, &format!("timeline of {what}"))
+                }
+                (got, want) => {
+                    panic!("{what}: a loop did not complete: {:?} vs {:?}", got.err(), want.err())
+                }
             }
         }
     }
 }
 
 #[test]
-fn event_driven_loop_matches_reference_concurrent() {
-    differential(ExecMode::Concurrent, generate, 640);
-}
-
-#[test]
-fn event_driven_loop_matches_reference_serial() {
-    differential(ExecMode::Serial, generate, 640);
+fn event_driven_loop_matches_reference() {
+    differential(generate, 640, Some(serialized));
 }
 
 #[test]
@@ -650,8 +652,7 @@ fn many_stalled_launches_match_reference() {
     let footprints: std::collections::HashSet<_> =
         launches.iter().map(|l| (l.warps_per_block, l.shared_mem_bytes)).collect();
     assert!(streams.len() >= 16 && footprints.len() >= 3, "{streams:?} {footprints:?}");
-    differential(ExecMode::Concurrent, generate_stalled, 200);
-    differential(ExecMode::Serial, generate_stalled, 40);
+    differential(generate_stalled, 200, Some(serialized));
 }
 
 #[test]
@@ -672,19 +673,28 @@ fn served_batches_match_reference() {
     assert!(launches
         .iter()
         .all(|l| l.block_costs.iter().all(|c| fields(c, &l.block_costs[0]) <= 1)));
-    differential(ExecMode::Concurrent, generate_served, 200);
-    differential(ExecMode::Serial, generate_served, 40);
+    differential(generate_served, 200, Some(serialized));
+}
+
+/// `generate_any_device`'s one-slot counterpart: a profiling term of 0 or
+/// 8 µs on the device's own overhead, so a one-slot run may cost nothing.
+fn any_one_slot(spec: &DeviceSpec, seed: u64) -> DeviceSpec {
+    let profiling_us = Rng(!seed).pick(&[0.0, 8.0]);
+    DeviceSpec {
+        max_concurrent_kernels: 1,
+        launch_overhead_us: spec.launch_overhead_us + profiling_us,
+        ..spec.clone()
+    }
 }
 
 #[test]
 fn any_device_that_fits_every_block_completes() {
-    differential(ExecMode::Concurrent, generate_any_device, 640);
-    differential(ExecMode::Serial, generate_any_device, 640);
+    differential(generate_any_device, 640, Some(any_one_slot));
 }
 
 /// The served sweep the mutation tests run.
 fn served_sweep() {
-    differential(ExecMode::Concurrent, generate_served, 60);
+    differential(generate_served, 60, None);
 }
 
 /// The served sweep must notice (as a different timeline, not a crash) a
@@ -713,7 +723,7 @@ fn served_sweep_catches_flags_kept_across_rounds() {
 fn flags_kept_across_placements_change_no_decision() {
     with_mutation(Mutation::FlagsKeptAcrossPlacements, || {
         served_sweep();
-        differential(ExecMode::Concurrent, generate_stalled, 60);
+        differential(generate_stalled, 60, None);
     });
 }
 
@@ -749,8 +759,8 @@ fn launch(idx: usize, warps: u32, issue_cycles: &[f64]) -> LaunchRecord {
 
 fn both(spec: &DeviceSpec, launches: &[LaunchRecord], what: &str) -> Timeline {
     let cost = CostModel::default();
-    let want = simulate_reference(spec, &cost, ExecMode::Concurrent, launches);
-    let got = simulate(spec, &cost, ExecMode::Concurrent, launches);
+    let want = simulate_reference(spec, &cost, launches);
+    let got = simulate(spec, &cost, launches);
     assert_identical(&got, &want, what);
     got
 }
@@ -786,14 +796,14 @@ struct Counting<'a> {
 }
 
 impl<'a> Counting<'a> {
-    fn new(mode: ExecMode, launches: &'a [LaunchRecord]) -> Self {
+    fn new(spec: &DeviceSpec, launches: &'a [LaunchRecord]) -> Self {
         let mut last_in_stream = HashMap::new();
         let deps = launches
             .iter()
             .enumerate()
             .map(|(i, l)| {
-                let serial = (mode == ExecMode::Serial && i > 0).then(|| i - 1);
-                last_in_stream.insert(l.stream, i).into_iter().chain(serial).collect()
+                let issue_order = (spec.runs_in_issue_order() && i > 0).then(|| i - 1);
+                last_in_stream.insert(l.stream, i).into_iter().chain(issue_order).collect()
             })
             .collect();
         Self { launches, deps, asked: vec![0; launches.len()] }
@@ -832,11 +842,12 @@ fn costs_are_first_asked_for_at_a_launchs_first_placement() {
     for (generate, seeds) in [(generate as fn(u64) -> _, 200), (generate_stalled, 60)] {
         for seed in 0..seeds {
             let (spec, launches): (DeviceSpec, Vec<LaunchRecord>) = generate(seed ^ 0x5eed_0000);
-            for mode in [ExecMode::Concurrent, ExecMode::Serial] {
-                let want = simulate(&spec, &cost, mode, &launches);
-                let mut counting = Counting::new(mode, &launches);
-                let got = scratch.simulate_from(&spec, &cost, mode, launches.iter(), &mut counting);
-                assert_identical(&got, &want, &format!("seed {seed} {mode:?}"));
+            for spec in [spec.clone(), spec.profiler_serialized()] {
+                let want = simulate(&spec, &cost, &launches);
+                let mut counting = Counting::new(&spec, &launches);
+                let got = scratch.simulate_from(&spec, &cost, launches.iter(), &mut counting);
+                let what = format!("seed {seed} (kernel cap {})", spec.max_concurrent_kernels);
+                assert_identical(&got, &want, &what);
                 // Every block was asked for (a zero-block launch has none).
                 assert!(counting.asked.iter().enumerate().all(|(i, &a)| a == counting.blocks(i)));
             }

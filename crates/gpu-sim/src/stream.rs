@@ -3,12 +3,11 @@
 //! A stream is an in-order queue of kernel launches. Launches in different
 //! streams have no ordering constraint: the paper's pipeline runs one
 //! stream per pyramid level with no cross-stream synchronisation. The
-//! scheduler ([`crate::sched`]) enforces stream order; this module only
-//! provides the identifier.
+//! scheduler ([`crate::sched`]) enforces stream order (on a one-slot device,
+//! issue order); this module only provides the identifier.
 
 /// Identifier of a stream. `StreamId::DEFAULT` is the legacy default stream,
-/// which on the simulated device behaves like any other stream except that
-/// [`crate::ExecMode::Serial`] already serializes everything.
+/// which on the simulated device behaves like any other stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StreamId(pub(crate) u32);
 

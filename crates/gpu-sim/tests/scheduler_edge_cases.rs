@@ -73,7 +73,7 @@ fn mode_switch_between_syncs_changes_timing_only() {
     };
     launch_pair(&mut gpu);
     let conc = gpu.synchronize();
-    gpu.set_mode(ExecMode::Serial);
+    gpu.spec = gpu.spec.profiler_serialized();
     launch_pair(&mut gpu);
     let serial = gpu.synchronize();
     assert_eq!(gpu.mem.read(buf)[0], 4, "both rounds executed functionally");
@@ -82,7 +82,7 @@ fn mode_switch_between_syncs_changes_timing_only() {
 
 #[test]
 fn timeline_origin_resets_each_sync_scope() {
-    let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+    let mut gpu = Gpu::new(DeviceSpec::gtx470().profiler_serialized(), ExecMode::Concurrent);
     let buf = gpu.mem.alloc::<u32>(8);
     gpu.launch_default(AddKernel { buf, value: 1, cycles: 1000 }, LaunchConfig::linear(8, 32))
         .unwrap();

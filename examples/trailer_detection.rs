@@ -42,13 +42,13 @@ fn main() {
     let info = movie_trailers().into_iter().find(|t| t.title == "50/50").unwrap();
     println!("streaming {frames} frames of '{}' (1920x1080, 24 fps source)...", info.title);
 
-    for mode in [ExecMode::Concurrent, ExecMode::Serial] {
+    let concurrent = DeviceSpec::gtx470();
+    let serial = concurrent.profiler_serialized();
+    for (device, mode) in [(concurrent, "Concurrent"), (serial, "Serial")] {
         let decoder = HwDecoder::new(info.generate(frames));
         let truth_source = info.generate(frames);
-        let mut detector = FaceDetector::new(
-            &cascade,
-            DetectorConfig { exec_mode: mode, ..DetectorConfig::default() },
-        );
+        let mut detector =
+            FaceDetector::new(&cascade, DetectorConfig { device, ..DetectorConfig::default() });
         let mut detect_ms = Vec::new();
         let mut decode_ms = Vec::new();
         let mut found = 0usize;
@@ -65,7 +65,7 @@ fn main() {
                 .filter(|d| gt.iter().any(|t| t.rect.iou(&d.rect) > 0.3))
                 .count();
             println!(
-                "  [{mode:?}] frame {:>3}: decode {:.1} ms | detect {:.2} ms | {} detection(s), {} truth",
+                "  [{mode}] frame {:>3}: decode {:.1} ms | detect {:.2} ms | {} detection(s), {} truth",
                 frame.index,
                 frame.decode_ms,
                 r.detect_ms,
@@ -77,7 +77,7 @@ fn main() {
         }
         let mean = detect_ms.iter().sum::<f64>() / detect_ms.len() as f64;
         println!(
-            "{mode:?}: mean detect {:.2} ms/frame, pipelined throughput {:.0} fps; {} detections ({} matched / {} annotated)\n",
+            "{mode}: mean detect {:.2} ms/frame, pipelined throughput {:.0} fps; {} detections ({} matched / {} annotated)\n",
             mean,
             pipelined_fps(&decode_ms, &detect_ms),
             found,

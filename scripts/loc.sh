@@ -21,15 +21,19 @@
 #
 # With REV the difference of each crate comes in three parts, which add
 # up to it:
-#   gated  - the change in lines under the testkit gate, negated: code
-#            that left the product count by being gated, not deleted;
+#   gated  - product lines that went under the testkit gate (-) or came
+#            out from under it (+) in the same crate: a line gone from the
+#            product and new under the gate, matched by content;
 #   moved  - lines that arrived from (+) or left for (-) another crate:
-#            a non-test line gone from one crate and new in another, with
-#            leading whitespace ignored and `//!` read as `///`; lines
-#            under 16 characters (braces, short statements) never count
-#            as moved;
+#            a non-test line gone from one crate and new in another;
 #   other  - the rest: lines deleted (-) or written (+). Only this part is
 #            a reduction of the code.
+# Both matches ignore leading whitespace and read `//!` as `///`. A line
+# under 16 characters (a brace, a blank line, a short statement) can be
+# gated, so an item moved under the gate takes its short lines with it,
+# but it never counts as moved. A fourth column, outside the sum:
+#   testkit - lines written (+) or deleted (-) under the testkit gate, not
+#            matched as gated.
 #
 # A separate total, outside the product: every line of every file under
 # vendor/ and crates/*/benches (the offline stand-ins and micro-benchmarks),
@@ -53,9 +57,9 @@ dump_rev() {
     done
 }
 
-# One record per line: "N <crate> <lines>" (non-test), "G <crate> <lines>"
-# (under the testkit gate) and "L <crate> <line>" for every non-test line
-# long enough to be matched as moved.
+# One record per line of a .rs file: "P <crate> <text>" for a non-test line
+# and "G <crate> <text>" for a line under the testkit gate, the text with
+# leading whitespace removed and `//!` read as `///`.
 count() {
     awk '
     # A line with string and char literals and // comments removed, so
@@ -68,11 +72,17 @@ count() {
         sub(/\/\/.*/, "", s)
         return s
     }
+    function text(s) {              # a line as it is matched across sides
+        sub(/^[ \t]+/, "", s)
+        sub(/^\/\/!/, "///", s)
+        return s
+    }
+    function gate(s) { ng[file]++; gtext[file, ng[file]] = s }
     function drop() {               # a line of a skipped item
-        if (kind == "gated") gated[file]++
+        if (kind == "gated") gate(text($0))
     }
     /^\036/ {
-        file = substr($0, 2); nf[file] = 0; gated[file] = 0; doc = 0; skip = 0
+        file = substr($0, 2); np[file] = 0; ng[file] = 0; doc = 0; skip = 0
         next
     }
     skip == 1 {                     # attributes between the cfg and its item
@@ -106,33 +116,28 @@ count() {
         next
     }
     /^[ \t]*#\[cfg\(test\)\][ \t]*$/ {
-        nf[file] -= doc; doc = 0; skip = 1; kind = "test"
+        np[file] -= doc; doc = 0; skip = 1; kind = "test"
         next
     }
     /^[ \t]*#\[cfg\(any\(test, feature = "testkit"\)\)\][ \t]*$/ {
-        nf[file] -= doc; gated[file] += doc + 1; doc = 0; skip = 1; kind = "gated"
+        for (i = np[file] - doc + 1; i <= np[file]; i++) gate(ptext[file, i])
+        np[file] -= doc; gate(text($0)); doc = 0; skip = 1; kind = "gated"
         next
     }
     {
-        nf[file]++
+        np[file]++
+        ptext[file, np[file]] = text($0)
         if ($0 ~ /^[ \t]*\/\/\//) doc++; else doc = 0
-        line = $0
-        sub(/^[ \t]+/, "", line)
-        sub(/^\/\/!/, "///", line)
-        if (length(line) >= 16) { nl[file]++; text[file, nl[file]] = line }
     }
     END {
-        for (f in nf) {
+        for (f in np) {
             split(f, parts, "/")
             k = parts[2]
             if (declared[f] == "test") continue
-            if (declared[f] == "gated") { g[k] += nf[f] + gated[f]; continue }
-            per[k] += nf[f]
-            g[k] += gated[f]
-            for (i = 1; i <= nl[f]; i++) print "L", k, text[f, i]
+            tag = declared[f] == "gated" ? "G" : "P"
+            for (i = 1; i <= np[f]; i++) print tag, k, ptext[f, i]
+            for (i = 1; i <= ng[f]; i++) print "G", k, gtext[f, i]
         }
-        for (k in per) print "N", k, per[k]
-        for (k in g) print "G", k, g[k]
     }'
 }
 
@@ -153,7 +158,7 @@ tree="$(dump_tree | count)"
 if [ $# -eq 0 ]; then
     echo "non-test lines under crates/*/src (working tree); gated: lines under the testkit gate"
     printf '%s\n' "$tree" | awk '
-        $1 == "N" { n[$2] = $3; total += $3 } $1 == "G" { g[$2] = $3; gtotal += $3 }
+        $1 == "P" { n[$2]++; total++ } $1 == "G" { g[$2]++; n[$2] += 0; gtotal++ }
         END {
             printf "%-10s %7s %7s\n", "crate", "lines", "gated"
             for (k in n) printf "%-10s %7d %7d\n", k, n[k], g[k] | "sort"
@@ -167,27 +172,36 @@ fi
 rev="$1"
 git rev-parse --verify -q "$rev^{commit}" >/dev/null || { echo "loc.sh: unknown revision $rev" >&2; exit 2; }
 old="$(dump_rev "$rev" | count)"
-echo "non-test lines under crates/*/src: $rev -> working tree; the change = gated + moved + other (only other is deleted or written code)"
+echo "non-test lines under crates/*/src: $rev -> working tree; the change = gated + moved + other (only other is deleted or written code); testkit, outside the sum: lines written (+) or deleted (-) under the testkit gate"
 { printf '%s\n' "$old" | sed 's/^/A /'; printf '%s\n' "$tree" | sed 's/^/B /'; } | awk '
-    $2 == "N" { n[$1, $3] = $4; crates[$3] = 1; next }
-    $2 == "G" { g[$1, $3] = $4; crates[$3] = 1; next }
-    $2 == "L" {
+    function min(a, b) { return a < b ? a : b }
+    {
         line = $0
-        sub(/^[AB] L [^ ]+ /, "", line)
-        cnt[$1, $3, line]++
+        sub(/^[AB] [PG] [^ ]+ ?/, "", line)
+        crates[$3] = 1
+        if ($2 == "P") { n[$1, $3]++; pc[$1, $3, line]++ } else { gc[$1, $3, line]++ }
         seen[$3 SUBSEP line] = 1
-        next
     }
     END {
-        # Per crate, the lines gone (A only) and new (B only), by content.
+        # Per crate and text: the product lines gone (A only) and new (B
+        # only). A text that left the product and arrived under the gate of
+        # the same crate was gated, as often as both sides have it (and
+        # the other way round, ungated); what else changed under the gate
+        # was written or deleted there.
         for (key in seen) {
             split(key, kl, SUBSEP)
-            d = cnt["B", kl[1], kl[2]] - cnt["A", kl[1], kl[2]]
-            if (d < 0) gone[kl[2]] = gone[kl[2]] SUBSEP kl[1] " " (-d)
-            if (d > 0) { fresh[kl[2], kl[1]] = d; freshlist[kl[2]] = freshlist[kl[2]] SUBSEP kl[1] }
+            k = kl[1]; line = kl[2]
+            dp = pc["B", k, line] - pc["A", k, line]
+            dg = gc["B", k, line] - gc["A", k, line]
+            if (dp < 0 && dg > 0) { m = min(-dp, dg); gated[k] -= m; dp += m; dg -= m }
+            if (dp > 0 && dg < 0) { m = min(dp, -dg); gated[k] += m; dp -= m; dg += m }
+            testkit[k] += dg
+            if (length(line) < 16) continue
+            if (dp < 0) gone[line] = gone[line] SUBSEP k " " (-dp)
+            if (dp > 0) { fresh[line, k] = dp; freshlist[line] = freshlist[line] SUBSEP k }
         }
         # A line gone from one crate and new in another moved, as often as
-        # both sides have it.
+        # both sides have it; lines under 16 characters never count as moved.
         for (line in gone) {
             ng = split(substr(gone[line], 2), gl, SUBSEP)
             nn = split(substr(freshlist[line], 2), fl, SUBSEP)
@@ -197,21 +211,20 @@ echo "non-test lines under crates/*/src: $rev -> working tree; the change = gate
                 for (j = 1; j <= nn && left > 0; j++) {
                     to = fl[j]
                     if (to == from || fresh[line, to] <= 0) continue
-                    m = (left < fresh[line, to]) ? left : fresh[line, to]
+                    m = min(left, fresh[line, to])
                     moved[from] -= m; moved[to] += m
                     fresh[line, to] -= m; left -= m
                 }
             }
         }
-        printf "%-10s %7s %7s %7s %7s %7s %7s\n", "crate", "before", "after", "change", "gated", "moved", "other"
+        printf "%-10s %7s %7s %7s %7s %7s %7s %8s\n", "crate", "before", "after", "change", "gated", "moved", "other", "testkit"
         for (k in crates) {
             delta = n["B", k] - n["A", k]
-            gated = -(g["B", k] - g["A", k])
-            printf "%-10s %7d %7d %+7d %+7d %+7d %+7d\n", k, n["A", k], n["B", k], delta, gated, moved[k], delta - gated - moved[k] | "sort"
-            ta += n["A", k]; tb += n["B", k]; tg += gated; tm += moved[k]
+            printf "%-10s %7d %7d %+7d %+7d %+7d %+7d %+8d\n", k, n["A", k], n["B", k], delta, gated[k], moved[k], delta - gated[k] - moved[k], testkit[k] | "sort"
+            ta += n["A", k]; tb += n["B", k]; tg += gated[k]; tm += moved[k]; tt += testkit[k]
         }
         close("sort")
-        printf "%-10s %7d %7d %+7d %+7d %+7d %+7d\n", "total", ta, tb, tb - ta, tg, tm, tb - ta - tg - tm
+        printf "%-10s %7d %7d %+7d %+7d %+7d %+7d %+8d\n", "total", ta, tb, tb - ta, tg, tm, tb - ta - tg - tm, tt
     }'
 echo "all lines under vendor/ and crates/*/benches (outside the product): $rev -> working tree"
 awk -v a="$(outside_rev "$rev")" -v b="$(outside_tree)" 'BEGIN { printf "%-10s %7d %7d %+7d\n", "total", a, b, b - a }'

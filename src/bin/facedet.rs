@@ -69,7 +69,11 @@ fn main() {
 
 fn detector_config(args: &[String]) -> DetectorConfig {
     DetectorConfig {
-        exec_mode: if arg_flag(args, "--serial") { ExecMode::Serial } else { ExecMode::Concurrent },
+        device: if arg_flag(args, "--serial") {
+            DeviceSpec::gtx470().profiler_serialized()
+        } else {
+            DeviceSpec::gtx470()
+        },
         min_neighbors: arg_usize(args, "--min-neighbors", 2),
         ..DetectorConfig::default()
     }
@@ -84,13 +88,13 @@ fn cmd_detect(args: &[String]) {
     let mut detector = FaceDetector::new(&cascade, detector_config(args));
     let result = detector.detect(&image).expect("detect");
     println!(
-        "{}x{}: {} detection(s) from {} raw windows in {:.3} simulated ms ({:?} mode)",
+        "{}x{}: {} detection(s) from {} raw windows in {:.3} simulated ms ({} mode)",
         image.width(),
         image.height(),
         result.detections.len(),
         result.raw.len(),
         result.detect_ms,
-        detector.config().exec_mode,
+        if arg_flag(args, "--serial") { "Serial" } else { "Concurrent" },
     );
     for d in &result.detections {
         println!(

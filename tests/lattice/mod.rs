@@ -1,19 +1,21 @@
 //! The identity lattice: one oracle for the reproduction's core invariant,
 //! that how the device is driven never changes a detection.
 //!
-//! A [`Case`] is [`FRAMES`] seeded frames of one random geometry, with a
-//! Haar test cascade and a seeded CNN model. A [`Device`] configuration
-//! fixes what the simulated device runs: backend × `ExecMode` × (Haar
-//! only) fusion. A [`Host`] cell adds the host-side axes: the
-//! [`Front`] that drives the detector, the host thread count and an inert
-//! fault plan. Rather than the full cross product, [`check`] runs a device
-//! configuration's reference cell ([`REFERENCE`]: `detect`, one thread, no
-//! plan) and the cells it is given, reduces every run to a [`Digest`] and
-//! asserts:
+//! A [`Case`] is [`FRAMES`] seeded frames of one random geometry, with a Haar
+//! test cascade and a seeded CNN model. A [`Device`] configuration fixes what
+//! the simulated device runs: backend × device spec (the GTX470 and the same
+//! card profiler-serialized) × (Haar only) fusion. A [`Host`] cell adds the
+//! host-side axes: the [`Front`] that drives the detector, the host thread
+//! count and an inert fault plan. Rather than the full cross product, [`check`]
+//! runs a device configuration's reference cell ([`REFERENCE`]: `detect`, one
+//! thread, no plan) and the cells it is given, reduces every run to a
+//! [`Digest`] and asserts:
 //!
 //! * every cell's raw and grouped detections, frame by frame, equal the
 //!   oracle's: `cpu_ref::detect_cpu` for the Haar cascade, the reference
 //!   cell for the CNN (whose integer arithmetic makes it its own oracle);
+//! * no cell's drain fell back to a full barrier for a launch without a
+//!   declared access set (`Profiler::opaque_launches` is 0);
 //! * a front of one (`detect`, the stream, a server or a fleet of one at
 //!   `max_batch_size: 1`) reproduces the reference cell's latency bits,
 //!   timelines and profiler `Debug`, and a batching front its own
@@ -59,23 +61,23 @@ const SLO_US: f64 = 1e9;
 const MIN_NEIGHBORS: usize = 1;
 
 /// What the simulated device runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     pub backend: Backend,
-    pub exec_mode: ExecMode,
+    pub spec: DeviceSpec,
     /// Haar only: fused pyramid chains.
     pub fusion: bool,
 }
 
-/// Every device configuration: the Haar cascade at each execution mode ×
-/// fusion, the CNN (which has no such knob) at each mode.
+/// Every device configuration: the Haar cascade on each device spec ×
+/// fusion, the CNN (which has no such knob) on each spec.
 pub fn devices() -> Vec<Device> {
     let mut all = Vec::new();
-    for exec_mode in [ExecMode::Serial, ExecMode::Concurrent] {
+    for spec in [DeviceSpec::gtx470().profiler_serialized(), DeviceSpec::gtx470()] {
         for fusion in [false, true] {
-            all.push(Device { backend: Backend::Haar, exec_mode, fusion });
+            all.push(Device { backend: Backend::Haar, spec: spec.clone(), fusion });
         }
-        all.push(Device { backend: Backend::Cnn, exec_mode, fusion: false });
+        all.push(Device { backend: Backend::Cnn, spec, fusion: false });
     }
     all
 }
@@ -86,8 +88,8 @@ pub fn device_pair(seed: u64) -> Vec<Device> {
     let all = devices();
     Backend::ALL
         .map(|backend| {
-            let of: Vec<Device> = all.iter().copied().filter(|d| d.backend == backend).collect();
-            of[(seed % of.len() as u64) as usize]
+            let of: Vec<&Device> = all.iter().filter(|d| d.backend == backend).collect();
+            of[(seed % of.len() as u64) as usize].clone()
         })
         .to_vec()
 }
@@ -247,14 +249,16 @@ struct Digest {
     timelines: Vec<String>,
     /// The profiler's (wall-clock-free) `Debug`.
     profiler: String,
+    /// Launches the drain had to treat as touching everything.
+    opaque_launches: u64,
     /// The front's own state: completion log and `ServeStats`,
     /// `StreamStats`, or nothing.
     front: String,
 }
 
-fn detector_config(device: Device, host: Host) -> DetectorConfig {
+fn detector_config(device: &Device, host: Host) -> DetectorConfig {
     DetectorConfig {
-        exec_mode: device.exec_mode,
+        device: device.spec.clone(),
         min_neighbors: MIN_NEIGHBORS,
         host_threads: Some(host.threads),
         fault_plan: host.plan.map(FaultPlan::seeded),
@@ -286,13 +290,15 @@ fn served(completed: &[CompletedRequest]) -> (Vec<FrameResult>, String) {
     (results, log)
 }
 
-/// The profiler's `Debug`, and whether a pool worker ran any block.
-fn spent(profiler: &Profiler) -> (String, bool) {
-    (format!("{profiler:?}"), profiler.host_spans().iter().any(|s| s.worker > 0))
+/// The profiler's `Debug`, its opaque launches, and whether a pool worker
+/// ran any block.
+fn spent(profiler: &Profiler) -> (String, u64, bool) {
+    let pooled = profiler.host_spans().iter().any(|s| s.worker > 0);
+    (format!("{profiler:?}"), profiler.opaque_launches(), pooled)
 }
 
 /// Runs one cell: its digest, and whether a pool worker ran any block.
-fn run(case: &Case, device: Device, host: Host) -> (Digest, bool) {
+fn run(case: &Case, device: &Device, host: Host) -> (Digest, bool) {
     let config = detector_config(device, host);
     let mut detector: Box<dyn Detector> = match device.backend {
         Backend::Haar => {
@@ -303,7 +309,7 @@ fn run(case: &Case, device: Device, host: Host) -> (Digest, bool) {
         }
     };
     let frames = &case.frames;
-    let (results, front, (profiler, pooled)): (Vec<FrameResult>, _, _) = match host.front {
+    let (results, front, (profiler, opaque, pooled)): (Vec<FrameResult>, _, _) = match host.front {
         Front::Detect => {
             let results = frames.iter().map(|f| detector.detect(f).expect("detect")).collect();
             (results, String::new(), spent(detector.profiler()))
@@ -360,6 +366,7 @@ fn run(case: &Case, device: Device, host: Host) -> (Digest, bool) {
         latency: results.iter().map(|r| r.detect_ms.to_bits()).collect(),
         timelines: results.iter().map(|r| format!("{:?}", r.timeline)).collect(),
         profiler,
+        opaque_launches: opaque,
         front,
     };
     (digest, pooled)
@@ -369,7 +376,7 @@ fn run(case: &Case, device: Device, host: Host) -> (Digest, bool) {
 /// front the `hosts` use, and the `hosts` over `case`, asserting the
 /// lattice's identities (see the module docs). Returns whether a pool
 /// worker ran blocks in any cell.
-fn check(case: &Case, device: Device, hosts: &[Host]) -> bool {
+fn check(case: &Case, device: &Device, hosts: &[Host]) -> bool {
     let hosts: Vec<Host> = hosts
         .iter()
         .copied()
@@ -408,6 +415,7 @@ fn check(case: &Case, device: Device, hosts: &[Host]) -> bool {
         assert_eq!(digest.latency, device_state.latency, "{cell}: latency bits");
         assert_eq!(digest.timelines, device_state.timelines, "{cell}: timelines");
         assert_eq!(digest.profiler, device_state.profiler, "{cell}: profiler");
+        assert_eq!(digest.opaque_launches, 0, "{cell}: opaque launches");
     };
     for (host, digest) in &anchors {
         assert_cell(*host, digest);
@@ -431,7 +439,7 @@ pub fn slice(seed: u64, devices: &[Device], hosts: &[Host]) {
     let threaded = hosts.iter().any(|h| h.threads > 1);
     for backend in Backend::ALL {
         let mut pooled = false;
-        for &device in devices.iter().filter(|d| d.backend == backend) {
+        for device in devices.iter().filter(|d| d.backend == backend) {
             pooled |= check(&case, device, hosts);
         }
         assert!(

@@ -92,13 +92,12 @@ fn gpu_raw_detections_equal_cpu_detections() {
 fn serial_and_concurrent_modes_are_bit_identical_functionally() {
     let cascade = test_cascade();
     let frame = busy_frame();
-    let run = |mode| {
-        let mut det =
-            FaceDetector::new(&cascade, DetectorConfig { exec_mode: mode, ..Default::default() });
+    let run = |device| {
+        let mut det = FaceDetector::new(&cascade, DetectorConfig { device, ..Default::default() });
         det.detect(&frame).expect("detect")
     };
-    let a = run(ExecMode::Serial);
-    let b = run(ExecMode::Concurrent);
+    let a = run(DeviceSpec::gtx470().profiler_serialized());
+    let b = run(DeviceSpec::gtx470());
     assert_eq!(a.raw, b.raw);
     assert_eq!(a.detections.len(), b.detections.len());
     assert!(
@@ -176,7 +175,6 @@ fn one_sm_devices_detect_what_the_reference_detects() {
     for cap in [2, 16] {
         let config = DetectorConfig {
             device: DeviceSpec { max_concurrent_kernels: cap, ..DeviceSpec::single_sm() },
-            exec_mode: ExecMode::Concurrent,
             ..DetectorConfig::default()
         };
         let haar = FaceDetector::new(&cascade, config.clone()).detect(&frame).expect("haar");

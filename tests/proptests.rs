@@ -144,8 +144,8 @@ proptest! {
             .collect();
         let spec = DeviceSpec::gtx470();
         let cm = CostModel::default();
-        let serial = facedet::gpu::sched::simulate(&spec, &cm, ExecMode::Serial, &launches);
-        let conc = facedet::gpu::sched::simulate(&spec, &cm, ExecMode::Concurrent, &launches);
+        let serial = facedet::gpu::sched::simulate(&spec.profiler_serialized(), &cm, &launches);
+        let conc = facedet::gpu::sched::simulate(&spec, &cm, &launches);
         prop_assert_eq!(serial.events.len(), launches.len());
         // Allow contention-model slack: frozen-at-placement contention can
         // overcharge a block co-resident with short-lived neighbours.
@@ -173,7 +173,7 @@ proptest! {
     /// GPU memory: upload/download round-trips arbitrary data.
     #[test]
     fn device_memory_roundtrip(data in proptest::collection::vec(any::<u32>(), 0..512)) {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
         let buf = gpu.mem.upload(&data);
         prop_assert_eq!(gpu.mem.download(buf), data);
     }
